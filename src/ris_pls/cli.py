@@ -14,9 +14,9 @@ import json
 import sys
 
 from .experiments import (
+    COMPARE_METHODS,
     DEFAULT_PAIRS,
     ExperimentSpec,
-    ScenarioError,
     SpecError,
     load_scenario,
     run,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="optimizer comparison over placement pairs")
     _add_common(p)
-    p.add_argument("--methods", nargs="+", help="subset of alg1 alg2 lu_max ed_min uniform")
+    p.add_argument("--methods", nargs="+", help="subset of " + " ".join(COMPARE_METHODS))
 
     p = sub.add_parser("codebook-gen", help="generate a sector codebook")
     _add_common(p)
@@ -109,7 +109,7 @@ def _print_schema(command: str) -> None:
         "mode": _MODE_BY_COMMAND[command],
         "out_dir": ".",
         "pairs": [list(p) for p in DEFAULT_PAIRS],
-        "methods": ["alg1", "alg2", "lu_max", "ed_min", "uniform"],
+        "methods": list(COMPARE_METHODS),
         "seeds": None,
         "jobs": 1,
         "noisy_measurements": False,
@@ -153,12 +153,15 @@ def _spec_from_args(args) -> ExperimentSpec:
         if args.lu is not None:
             data["query_lu"] = args.lu
         if args.ed is not None:
-            if args.ed.startswith("excluded:"):
-                data["query_ed"] = {
-                    "excluded": [float(x) for x in args.ed.split(":", 1)[1].split(",")]
-                }
-            else:
-                data["query_ed"] = args.ed if args.ed == "unknown" else {"known": float(args.ed)}
+            try:
+                if args.ed.startswith("excluded:"):
+                    data["query_ed"] = {
+                        "excluded": [float(x) for x in args.ed.split(":", 1)[1].split(",")]
+                    }
+                else:
+                    data["query_ed"] = args.ed if args.ed == "unknown" else {"known": float(args.ed)}
+            except ValueError as exc:
+                raise SpecError(f"cannot parse --ed {args.ed!r}") from exc
         if args.method is not None:
             data["query_method"] = args.method
     if args.command == "pattern-scan":
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario = scenario.with_seed(args.seed)
-    except ScenarioError as exc:
+    except ValueError as exc:  # a ScenarioError, or a seed the channel model rejects
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     try:

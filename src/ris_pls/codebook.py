@@ -25,29 +25,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import Placement, SectorGrid
-from .optimize import algorithm1, algorithm2, ed_min, lu_max, uniform_config
+from .optimize import METHODS, greedy_sweep, uniform_config
 from .ris import RisConfig, build_response
 from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
-
-METHODS = ("alg1", "alg2", "lu_max", "ed_min")
-
-_OPTIMIZERS = {
-    "alg1": algorithm1,
-    "alg2": algorithm2,
-    "lu_max": lu_max,
-    "ed_min": ed_min,
-}
 
 
 def run_method(method, scenario, channels, tx, noise=None):
     """Run one named configuration method; returns (config, trace or None)."""
     if method == "uniform":
         return uniform_config(scenario.ris.n_v, scenario.ris.n_h), None
-    if method not in _OPTIMIZERS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    trace = _OPTIMIZERS[method](channels, scenario.element_model, tx, scenario.ris, noise=noise)
+    trace = greedy_sweep(method, channels, scenario.element_model, tx, scenario.ris, noise=noise)
     return trace.final_config, trace
 
 

@@ -10,7 +10,6 @@ import concurrent.futures
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .codebook import (
     select_config,
 )
 from .ofdm import ResourceGrid, build_prs_grid, prs_signal, tone_signal
-from .optimize import MeasurementNoise
+from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig, build_response
 from .secrecy import link_powers, sum_sse, to_db
 from .scenario import Scenario
@@ -38,7 +37,7 @@ MODES = (
     "frequency_selectivity",
 )
 
-COMPARE_METHODS = ("alg1", "alg2", "lu_max", "ed_min", "uniform")
+COMPARE_METHODS = (*METHODS, "uniform")
 
 #: The nine (LU, ED) azimuth pairs of the reference measurement layout.
 DEFAULT_PAIRS = (
@@ -96,6 +95,9 @@ class ExperimentSpec:
         if self.mode not in MODES:
             raise SpecError(f"unknown mode {self.mode!r}")
         self.pairs = tuple((float(a), float(b)) for a, b in self.pairs)
+        for lu, ed in self.pairs:
+            if lu == ed:
+                raise SpecError(f"pair ({lu:g}, {ed:g}) places LU and ED at the same azimuth")
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in COMPARE_METHODS:
@@ -104,6 +106,8 @@ class ExperimentSpec:
             self.seeds = tuple(int(s) for s in self.seeds)
         if self.jobs < 1:
             raise SpecError("jobs must be >= 1")
+        if not (math.isfinite(self.scan_step_deg) and self.scan_step_deg > 0):
+            raise SpecError("scan step must be a positive finite number of degrees")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -145,7 +149,10 @@ def load_scenario(path) -> Scenario:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # O_EXCL on a random name, as mkstemp does, but with mode 0666 so the
+    # process umask decides the final permissions.
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -10,6 +10,11 @@ lower the eavesdropper's, with separate "last accepted" registers for the
 two objectives. Both run a fixed number of passes by default; an optional
 fixed-point mode repeats passes until none of the moves is accepted.
 
+Both searches, and the single-user baselines, are one sweep engine driven
+by the `METHODS` table: each method is a list of moves (which elements to
+flip and which objective judges the flip), scored on a raw bit vector that
+is flipped in place and flipped back on rejection.
+
 An exhaustive enumerator over all 2^M configurations is provided for
 auditing the greedy results on small panels.
 """
@@ -25,9 +30,13 @@ from .channel import ChannelSet
 from .ofdm import TxSignal
 from .ris import ElementModel, RisArrayGeometry, RisConfig, flip_column, flip_half_row, flip_row
 
-OBJECTIVES = ("ratio", "lu_power_max", "ed_power_min")
-
-_DIRECTION = {"ratio": "max", "lu_power_max": "max", "ed_power_min": "min"}
+#: objective key -> (name in trace steps and of the PowerEvaluator method
+#: that scores it, direction of improvement)
+OBJECTIVES = {
+    "ratio": ("ratio", "max"),
+    "lu_power_max": ("lu_power", "max"),
+    "ed_power_min": ("ed_power", "min"),
+}
 
 
 @dataclass(frozen=True)
@@ -117,11 +126,12 @@ class OptimizerTrace:
 
 
 class PowerEvaluator:
-    """Cached noiseless power evaluation for candidate configurations.
+    """Cached power evaluation for candidate bit vectors.
 
     Precomputes the per-element cascades h_m * g_m and the two per-bit
     reflection coefficients at every occupied subcarrier, so each candidate
-    costs one masked matrix-vector product per receiver.
+    (a row-major 0/1 vector of length M) costs one masked matrix-vector
+    product per receiver.
     """
 
     def __init__(
@@ -168,27 +178,24 @@ class PowerEvaluator:
             total += float((np.abs(signal + n) ** 2).sum())
         return total / self._noise.averages
 
-    def lu_power(self, config: RisConfig) -> float:
-        return self._power(self._effective(self._w_lu, self._w_lu_sum, self._hd_lu, config.bits))
+    def lu_power(self, bits: np.ndarray) -> float:
+        return self._power(self._effective(self._w_lu, self._w_lu_sum, self._hd_lu, bits))
 
-    def ed_power(self, config: RisConfig) -> float:
-        return self._power(self._effective(self._w_ed, self._w_ed_sum, self._hd_ed, config.bits))
+    def ed_power(self, bits: np.ndarray) -> float:
+        return self._power(self._effective(self._w_ed, self._w_ed_sum, self._hd_ed, bits))
 
-    def ratio(self, config: RisConfig) -> float:
-        p_ed = self.ed_power(config)
-        p_lu = self.lu_power(config)
+    def ratio(self, bits: np.ndarray) -> float:
+        p_ed = self.ed_power(bits)
+        p_lu = self.lu_power(bits)
         if p_ed == 0:
             return math.inf if p_lu > 0 else math.nan
         return p_lu / p_ed
 
-    def evaluate(self, objective: str, config: RisConfig) -> float:
-        if objective == "ratio":
-            return self.ratio(config)
-        if objective == "lu_power_max":
-            return self.lu_power(config)
-        if objective == "ed_power_min":
-            return self.ed_power(config)
-        raise ValueError(f"unknown objective {objective!r}")
+    def evaluate(self, objective: str, bits: np.ndarray) -> float:
+        """Score `bits` with the method named by the objective's trace name."""
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        return getattr(self, OBJECTIVES[objective][0])(bits)
 
 
 def _better(candidate: float, incumbent: float, direction: str) -> bool:
@@ -211,57 +218,111 @@ def uniform_config(n_v: int, n_h: int) -> RisConfig:
     return RisConfig.zeros(n_v, n_h)
 
 
-def _full_surface_sweep(
-    method: str,
-    objective: str,
-    evaluator: PowerEvaluator,
-    geometry: RisArrayGeometry,
-    init: RisConfig | None,
-    iters: int,
-    run_to_fixpoint: bool,
-) -> OptimizerTrace:
-    direction = _DIRECTION[objective]
-    obj_name = {"ratio": "ratio", "lu_power_max": "lu_power", "ed_power_min": "ed_power"}[objective]
-    cfg = _initial_config(geometry, init)
-    initial = cfg.copy()
-    best = evaluator.evaluate(objective, cfg)
-    steps: list = []
-    iteration = 0
-    max_passes = 64 if run_to_fixpoint else iters
-    while iteration < max_passes:
-        iteration += 1
-        accepted_in_pass = 0
-        moves = [("column", c) for c in range(geometry.n_h)] + [
-            ("row", r) for r in range(geometry.n_v)
+def _full_surface_moves(objective: str):
+    """Move-list builder: every column, then every row, all for `objective`."""
+
+    def build(n_v: int, n_h: int) -> list:
+        m = n_v * n_h
+        return [("column", c, None, objective, slice(c, m, n_h)) for c in range(n_h)] + [
+            ("row", r, None, objective, slice(r * n_h, (r + 1) * n_h)) for r in range(n_v)
         ]
-        for kind, index in moves:
-            candidate = flip_column(cfg, index) if kind == "column" else flip_row(cfg, index)
-            value = evaluator.evaluate(objective, candidate)
-            accepted = _better(value, best, direction)
-            steps.append(
-                TraceStep(
-                    kind=kind,
-                    index=index,
-                    iteration=iteration,
-                    objective=obj_name,
-                    direction=direction,
-                    objective_before=best,
-                    objective_after=value,
-                    accepted=accepted,
-                )
-            )
+
+    return build
+
+
+def _partitioned_moves(n_v: int, n_h: int) -> list:
+    """Left columns for LU power, right columns for ED power, then per row
+    the left half-row for LU power and the right half-row for ED power."""
+    if n_h % 2:
+        raise ValueError("the partitioned sweep needs an even number of columns")
+    split = n_h // 2
+    m = n_v * n_h
+    moves = [
+        ("column", c, None, "lu_power_max" if c < split else "ed_power_min", slice(c, m, n_h))
+        for c in range(n_h)
+    ]
+    for r in range(n_v):
+        row = r * n_h
+        moves.append(("half_row", r, "left", "lu_power_max", slice(row, row + split)))
+        moves.append(("half_row", r, "right", "ed_power_min", slice(row + split, row + n_h)))
+    return moves
+
+
+#: method -> (objective reported as the trace's final objective, move-list
+#: builder). A move is (kind, index, half, objective key, element slice).
+METHODS = {
+    "alg1": ("ratio", _full_surface_moves("ratio")),
+    "alg2": ("ratio", _partitioned_moves),
+    "lu_max": ("lu_power_max", _full_surface_moves("lu_power_max")),
+    "ed_min": ("ed_power_min", _full_surface_moves("ed_power_min")),
+}
+
+
+def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False):
+    """Up to `passes` greedy passes over `moves`, flipping `bits` in place;
+    with `fixpoint`, stops after a pass that accepts nothing.
+
+    Each objective keeps one "last accepted" register, seeded from the
+    starting bits in the order the objectives first appear in `moves`. A
+    move flips its elements, is scored for its objective and is kept only
+    on strict improvement of that register; otherwise it is flipped back.
+    Returns (registers, trace steps)."""
+    best = {obj: ev.evaluate(obj, bits) for obj in dict.fromkeys(m[3] for m in moves)}
+    steps = []
+    for iteration in range(1, passes + 1):
+        accepted_in_pass = 0
+        for kind, index, half, objective, elements in moves:
+            name, direction = OBJECTIVES[objective]
+            bits[elements] ^= 1
+            value = ev.evaluate(objective, bits)
+            accepted = _better(value, best[objective], direction)
+            steps.append(TraceStep(
+                kind, index, iteration, name, direction, best[objective], value, accepted, half
+            ))
             if accepted:
-                cfg = candidate
-                best = value
+                best[objective] = value
                 accepted_in_pass += 1
-        if run_to_fixpoint and accepted_in_pass == 0:
+            else:
+                bits[elements] ^= 1
+        if fixpoint and accepted_in_pass == 0:
             break
+    return best, steps
+
+
+def greedy_sweep(
+    method: str,
+    channels: ChannelSet,
+    element_model: ElementModel,
+    tx: TxSignal,
+    geometry: RisArrayGeometry,
+    init: RisConfig | None = None,
+    iters: int = 2,
+    noise: MeasurementNoise | None = None,
+    run_to_fixpoint: bool = False,
+) -> OptimizerTrace:
+    """Run the greedy method named in `METHODS`.
+
+    `iters` passes by default; `run_to_fixpoint` instead repeats passes
+    (at most 64) until one accepts nothing. The final objective is the
+    method objective's register, or a fresh evaluation of the end
+    configuration when no move is judged by it (alg2's ratio).
+    """
+    objective_kind, build_moves = METHODS[method]
+    moves = build_moves(geometry.n_v, geometry.n_h)
+    ev = PowerEvaluator(channels, element_model, tx, noise)
+    initial = _initial_config(geometry, init)
+    bits = initial.bits.copy()
+    best, steps = _sweep(ev, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint)
+    if objective_kind in best:
+        final_objective = best[objective_kind]
+    else:
+        final_objective = ev.evaluate(objective_kind, bits)
     return OptimizerTrace(
         method=method,
-        objective_kind=objective,
+        objective_kind=objective_kind,
         initial_config=initial,
-        final_config=cfg,
-        final_objective=best,
+        final_config=RisConfig(bits, geometry.n_v, geometry.n_h),
+        final_objective=final_objective,
         steps=steps,
     )
 
@@ -281,8 +342,7 @@ def algorithm1(
     Sweeps all columns then all rows per pass, starting from the all-zeros
     configuration, accepting a flip only on strict ratio improvement.
     """
-    ev = PowerEvaluator(channels, element_model, tx, noise)
-    return _full_surface_sweep("alg1", "ratio", ev, geometry, init, iters, run_to_fixpoint)
+    return greedy_sweep("alg1", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def lu_max(
@@ -296,8 +356,7 @@ def lu_max(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Beamform toward the intended receiver, ignoring the eavesdropper."""
-    ev = PowerEvaluator(channels, element_model, tx, noise)
-    return _full_surface_sweep("lu_max", "lu_power_max", ev, geometry, init, iters, run_to_fixpoint)
+    return greedy_sweep("lu_max", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def ed_min(
@@ -311,8 +370,7 @@ def ed_min(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Suppress the eavesdropper's power, ignoring the intended receiver."""
-    ev = PowerEvaluator(channels, element_model, tx, noise)
-    return _full_surface_sweep("ed_min", "ed_power_min", ev, geometry, init, iters, run_to_fixpoint)
+    return greedy_sweep("ed_min", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def algorithm2(
@@ -332,64 +390,10 @@ def algorithm2(
     columns for strictly lower ED power; then for every row the left
     half-row is tried for LU power and the right half-row for ED power.
     The two objectives keep independent "last accepted" registers that are
-    initialized once from the starting configuration.
+    initialized once from the starting configuration. The final objective
+    is the ratio of the end configuration.
     """
-    if geometry.n_h % 2:
-        raise ValueError("the partitioned sweep needs an even number of columns")
-    ev = PowerEvaluator(channels, element_model, tx, noise)
-    cfg = _initial_config(geometry, init)
-    initial = cfg.copy()
-    p_lu = ev.lu_power(cfg)
-    p_ed = ev.ed_power(cfg)
-    steps: list = []
-    split = geometry.n_h // 2
-    iteration = 0
-    max_passes = 64 if run_to_fixpoint else iters
-
-    def attempt(kind, index, half, objective, incumbent, iteration, cfg):
-        if kind == "column":
-            candidate = flip_column(cfg, index)
-        else:
-            candidate = flip_half_row(cfg, index, half)
-        direction = "max" if objective == "lu_power" else "min"
-        value = ev.lu_power(candidate) if objective == "lu_power" else ev.ed_power(candidate)
-        accepted = _better(value, incumbent, direction)
-        steps.append(
-            TraceStep(
-                kind=kind,
-                index=index,
-                iteration=iteration,
-                objective=objective,
-                direction=direction,
-                objective_before=incumbent,
-                objective_after=value,
-                accepted=accepted,
-                half=half,
-            )
-        )
-        return (candidate, value) if accepted else (cfg, incumbent)
-
-    while iteration < max_passes:
-        iteration += 1
-        accepted_before = sum(1 for s in steps if s.accepted)
-        for col in range(split):
-            cfg, p_lu = attempt("column", col, None, "lu_power", p_lu, iteration, cfg)
-        for col in range(split, geometry.n_h):
-            cfg, p_ed = attempt("column", col, None, "ed_power", p_ed, iteration, cfg)
-        for row in range(geometry.n_v):
-            cfg, p_lu = attempt("half_row", row, "left", "lu_power", p_lu, iteration, cfg)
-            cfg, p_ed = attempt("half_row", row, "right", "ed_power", p_ed, iteration, cfg)
-        if run_to_fixpoint and sum(1 for s in steps if s.accepted) == accepted_before:
-            break
-    final_ratio = ev.ratio(cfg)
-    return OptimizerTrace(
-        method="alg2",
-        objective_kind="ratio",
-        initial_config=initial,
-        final_config=cfg,
-        final_objective=final_ratio,
-        steps=steps,
-    )
+    return greedy_sweep("alg2", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def single_flip_improvements(
@@ -401,21 +405,16 @@ def single_flip_improvements(
 ) -> list:
     """All column/row flips that strictly improve the objective.
 
+    Each move is scored from `config` on its own, as a one-move sweep.
     Empty result means the configuration is single-flip locally optimal.
     """
     ev = PowerEvaluator(channels, element_model, tx)
-    direction = _DIRECTION[objective]
-    base = ev.evaluate(objective, config)
-    improvements = []
-    for col in range(config.n_h):
-        value = ev.evaluate(objective, flip_column(config, col))
-        if _better(value, base, direction):
-            improvements.append(("column", col, value))
-    for row in range(config.n_v):
-        value = ev.evaluate(objective, flip_row(config, row))
-        if _better(value, base, direction):
-            improvements.append(("row", row, value))
-    return improvements
+    return [
+        (step.kind, step.index, step.objective_after)
+        for move in _full_surface_moves(objective)(config.n_v, config.n_h)
+        for step in _sweep(ev, config.bits.copy(), [move], 1)[1]
+        if step.accepted
+    ]
 
 
 def exhaustive_oracle(
@@ -437,7 +436,7 @@ def exhaustive_oracle(
     if m > 20:
         raise ValueError("exhaustive enumeration is limited to M <= 20 elements")
     ev = PowerEvaluator(channels, element_model, tx)
-    direction = _DIRECTION[objective]
+    direction = OBJECTIVES[objective][1]
     best_bits = None
     best_value = -math.inf if direction == "max" else math.inf
     # Element 0 is the most significant bit so ascending integers enumerate
@@ -449,8 +448,7 @@ def exhaustive_oracle(
         ints = np.arange(start, stop, dtype=np.uint64)
         bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
         for row in bits:
-            cfg = RisConfig(row, geometry.n_v, geometry.n_h)
-            value = ev.evaluate(objective, cfg)
+            value = ev.evaluate(objective, row)
             if _better(value, best_value, direction):
                 best_value = value
                 best_bits = row.copy()

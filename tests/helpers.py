@@ -3,7 +3,7 @@
 import numpy as np
 
 from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
-from ris_pls.ofdm import Numerology, TxSignal, tone_signal
+from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
 from ris_pls.ris import RisArrayGeometry
 
 CARRIER = 3.55e9
@@ -19,13 +19,19 @@ def unit_tone():
     return tone_signal(Numerology())
 
 
-def model_instance(seed, n_v, n_h, rician_k_db=10.0):
-    """One Rician channel draw with sector placements chosen by the seed."""
+def model_instance(seed, n_v, n_h, rician_k_db=10.0, waveform="tone"):
+    """One Rician channel draw with sector placements chosen by the seed.
+
+    `waveform` "prs" swaps the single tone for a two-RB comb grid.
+    """
     rng = np.random.default_rng(seed)
     lu_a, ed_a = rng.choice(SECTOR_ANGLES, size=2, replace=False)
     tx = Placement(-15.0, 5.0)
     params = ChannelParams(rician_k_db=rician_k_db, rng_seed=int(seed))
-    sig = unit_tone()
+    if waveform == "tone":
+        sig = unit_tone()
+    else:
+        sig = prs_signal(build_prs_grid(Numerology(), num_rb=2, seed=int(seed)))
     channels = synthesize_channels(
         tx, Placement(lu_a, 7.0), Placement(ed_a, 7.0), panel(n_v, n_h), params, sig.freqs
     )

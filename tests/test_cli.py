@@ -1,7 +1,12 @@
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
+import ris_pls
 from ris_pls.channel import ChannelParams
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
 from ris_pls.ris import ElementModel, RisArrayGeometry
@@ -17,6 +22,19 @@ def write_scenario(path, **kwargs):
     sc = Scenario(**defaults)
     sc.save(path)
     return sc
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(ris_pls.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "ris_pls.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 def read_csv(path):
@@ -113,6 +131,24 @@ class TestCompare:
         assert rc == EXIT_OK
 
 
+    def test_outputs_follow_umask(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["uniform"]}))
+        previous = os.umask(0o022)
+        try:
+            rc = main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out)])
+        finally:
+            os.umask(previous)
+        assert rc == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["compare_powers.csv", "compare_results.json", "compare_sse.csv"]
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+
+
 class TestExitCodes:
     def test_missing_scenario_flag(self, capsys):
         assert main(["compare"]) == EXIT_SPEC
@@ -152,6 +188,48 @@ class TestExitCodes:
             ]
         )
         assert rc == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    def test_bad_scan_step_is_spec_error(self, tmp_path, step):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        proc = run_cli(
+            "pattern-scan", "--scenario", str(scenario), "--out", str(tmp_path),
+            "--bits", "0" * 16, f"--step={step}",
+        )
+        assert proc.returncode == EXIT_SPEC
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("ed", ["excluded:abc", "abc"])
+    def test_malformed_ed_is_spec_error(self, tmp_path, ed):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        proc = run_cli(
+            "codebook-query", "--scenario", str(scenario), "--out", str(tmp_path),
+            "--codebook", str(tmp_path / "codebook.json"), "--lu", "0", f"--ed={ed}",
+        )
+        assert proc.returncode == EXIT_SPEC
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_seed_is_scenario_error(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        proc = run_cli("compare", "--scenario", str(scenario), "--out", str(tmp_path), "--seed=-1")
+        assert proc.returncode == EXIT_SCENARIO
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, mode",
+        [("compare", "compare_methods"), ("freq-selectivity", "frequency_selectivity")],
+    )
+    def test_pair_with_lu_equal_ed_is_spec_error(self, tmp_path, command, mode):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": mode, "pairs": [[0.0, 0.0]]}))
+        proc = run_cli(command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path))
+        assert proc.returncode == EXIT_SPEC
+        assert "Traceback" not in proc.stderr
 
     def test_print_schema(self, capsys):
         assert main(["compare", "--print-schema"]) == EXIT_OK

@@ -15,7 +15,7 @@ from ris_pls.optimize import (
     single_flip_improvements,
     uniform_config,
 )
-from ris_pls.ris import ElementModel, RisConfig
+from ris_pls.ris import ElementModel, RisConfig, flip_column, flip_half_row, flip_row
 
 MODEL = ElementModel()
 
@@ -92,6 +92,38 @@ class TestTraceInvariants:
             )
         # Replaying only the accepted flips reproduces the final bits.
         assert trace.replay_accepted() == trace.final_config
+
+
+class TestSlowPathParity:
+    """The sweep flips a raw bit vector in place. Replaying every step with
+    the RisConfig flip helpers and a fresh evaluation must reproduce the
+    trace's numbers exactly."""
+
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("kwargs", [{"iters": 2}, {"run_to_fixpoint": True}], ids=["iters2", "fixpoint"])
+    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    def test_steps_match_fresh_scores(self, method, kwargs, waveform):
+        channels, sig = model_instance(4, 4, 6, waveform=waveform)
+        trace = method(channels, MODEL, sig, panel(4, 6), **kwargs)
+        ev = PowerEvaluator(channels, MODEL, sig)
+        score = {"ratio": ev.ratio, "lu_power": ev.lu_power, "ed_power": ev.ed_power}
+        cfg = trace.initial_config
+        registers = {name: score[name](cfg.bits) for name in {s.objective for s in trace.steps}}
+        for step in trace.steps:
+            if step.kind == "column":
+                candidate = flip_column(cfg, step.index)
+            elif step.kind == "row":
+                candidate = flip_row(cfg, step.index)
+            else:
+                candidate = flip_half_row(cfg, step.index, step.half)
+            assert step.objective_before == registers[step.objective]
+            assert step.objective_after == score[step.objective](candidate.bits)
+            if step.accepted:
+                cfg = candidate
+                registers[step.objective] = step.objective_after
+        assert trace.accepted_steps()
+        assert cfg == trace.final_config
+        assert trace.final_objective == ev.evaluate(trace.objective_kind, cfg.bits)
 
 
 class TestAlgorithm2:
@@ -202,7 +234,7 @@ class TestBaselines:
     def test_lu_max_never_below_start(self, seed):
         channels, sig = model_instance(seed, 3, 4)
         ev = PowerEvaluator(channels, MODEL, sig)
-        start = ev.lu_power(RisConfig.zeros(3, 4))
+        start = ev.lu_power(RisConfig.zeros(3, 4).bits)
         trace = lu_max(channels, MODEL, sig, panel(3, 4))
         assert trace.final_objective >= start
 
@@ -217,8 +249,8 @@ class TestBaselines:
         for seed in range(draws):
             channels, sig = model_instance(seed, 3, 4)
             ev = PowerEvaluator(channels, MODEL, sig)
-            p_lu_max = ev.lu_power(lu_max(channels, MODEL, sig, panel(3, 4)).final_config)
-            p_alg1 = ev.lu_power(algorithm1(channels, MODEL, sig, panel(3, 4)).final_config)
+            p_lu_max = ev.lu_power(lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            p_alg1 = ev.lu_power(algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
             if p_lu_max >= p_alg1:
                 wins += 1
         print(f"lu_max LU power >= alg1 LU power in {wins}/{draws} draws")
@@ -231,7 +263,7 @@ class TestZeroEavesdropperPower:
         # +inf so sweeps over dead eavesdropper links still run.
         ch = handmade_channels(1.0, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
         ev = PowerEvaluator(ch, MODEL, single_tone_tx())
-        assert ev.ratio(RisConfig.zeros(1, 2)) == math.inf
+        assert ev.ratio(RisConfig.zeros(1, 2).bits) == math.inf
         trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 2))
         assert trace.final_objective == math.inf
         assert trace.replay_accepted() == trace.final_config
