@@ -16,11 +16,14 @@ is what makes the configurations angle-selective.
 
 Random draws are taken from per-link streams keyed by (seed, link kind,
 endpoint placement), so interchanging the two receiver placements
-interchanges their channels exactly.
+interchanges their channels exactly. The same keying makes a panel link a
+pure function of its inputs, so synthesized panel links are memoized and
+shared read-only between channel sets.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -232,8 +235,8 @@ def _float_key(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-def _placement_key(p: Placement) -> list:
-    return [_float_key(p.azimuth_deg), _float_key(p.range_m), _float_key(p.height_m)]
+def _placement_key(p: Placement) -> tuple:
+    return (_float_key(p.azimuth_deg), _float_key(p.range_m), _float_key(p.height_m))
 
 
 def _link_rng(seed: int, kind: int, *placements: Placement) -> np.random.Generator:
@@ -320,6 +323,24 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
     return h
 
 
+#: Panel links kept by the memo. A comparison re-synthesizes each placement
+#: pair once per method, but touches only the transmitter link plus one link
+#: per receiver placement: 5 for the reference pairs (sectors 0-45 deg). A
+#: wideband (624 x 1024) link is 10 MB, so the bound also caps what a long
+#: pattern scan, one new link per angle, keeps alive.
+PANEL_LINK_CACHE_SIZE = 5
+
+
+@functools.lru_cache(maxsize=PANEL_LINK_CACHE_SIZE)
+def _memo_panel_link(kind, node_bits, node, params, freqs_bytes, ris):
+    # node_bits joins the key because Placement compares -0.0 equal to 0.0
+    # while the link's random stream tells them apart.
+    f = np.frombuffer(freqs_bytes, dtype=float)
+    h = _panel_link(node, params, f, ris.element_positions(), kind)
+    h.setflags(write=False)
+    return h
+
+
 def synthesize_channels(
     tx: Placement,
     lu: Placement,
@@ -332,19 +353,25 @@ def synthesize_channels(
 
     The direct transmitter-to-receiver links are attenuated by the
     configured suppression whenever the receiver sits outside the
-    transmitter beam aimed at the panel.
+    transmitter beam aimed at the panel. The panel links come from a
+    bounded memo and are read-only; receivers at one placement share one
+    array.
     """
     f = np.asarray(freqs, dtype=float)
     if f.size == 0:
         raise ValueError("frequency list must be non-empty")
     if not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise ValueError("subcarrier frequencies must be finite and positive")
-    elem = ris.element_positions()
+    freqs_bytes = f.tobytes()
+
+    def panel(node, kind):
+        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
+
     return ChannelSet(
         freqs=f,
         h_d_lu=_direct_link(tx, lu, params, f),
         h_d_ed=_direct_link(tx, ed, params, f),
-        h_ris_lu=_panel_link(lu, params, f, elem, _LINK_RIS_NODE),
-        h_ris_ed=_panel_link(ed, params, f, elem, _LINK_RIS_NODE),
-        g_ris=_panel_link(tx, params, f, elem, _LINK_TX_RIS),
+        h_ris_lu=panel(lu, _LINK_RIS_NODE),
+        h_ris_ed=panel(ed, _LINK_RIS_NODE),
+        g_ris=panel(tx, _LINK_TX_RIS),
     )

@@ -327,10 +327,9 @@ def scan_power_pattern(
     pattern = []
     for angle in angles:
         probe = Placement(angle, range_m)
-        # The second receiver is irrelevant to the probe's power; any
-        # distinct placement works.
-        other = Placement(angle - 1.0 if angle > 0 else angle + 1.0, range_m)
-        channels = probe_scenario.channels_for(probe, other, tx_sig.freqs)
+        # p_lu reads only the LU links, so the probe stands in for both
+        # receivers and each angle adds one panel link to the memo.
+        channels = probe_scenario.channels_for(probe, probe, tx_sig.freqs)
         pattern.append((float(angle), link_powers(channels, response, tx_sig).p_lu))
     return pattern
 

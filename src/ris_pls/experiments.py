@@ -220,6 +220,7 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     cells = []
     for seed in seeds:
         scen = scenario.with_seed(seed)
+        scen.noise_power()  # fill the calibration cache before any fan-out
         tx_sig = scen.tx_signal()
         for pair in spec.pairs:
             for method in spec.methods:

@@ -243,6 +243,7 @@ def build_response(config: RisConfig, model: ElementModel, freqs) -> RisResponse
     f = np.asarray(freqs, dtype=float)
     if f.size == 0:
         raise ValueError("frequency list must be non-empty")
-    theta = model.phase_curves(f)                      # (K, 2)
-    diag = model.amplitude * np.exp(1j * theta[:, config.bits])
-    return RisResponse(diag, f)
+    # Each element takes one of two coefficients per subcarrier, so
+    # exponentiate the (K, 2) phases once and gather.
+    phi = model.amplitude * np.exp(1j * model.phase_curves(f))  # (K, 2)
+    return RisResponse(np.take(phi, config.bits, axis=1), f)

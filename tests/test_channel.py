@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ris_pls.channel import (
+    _LINK_RIS_NODE,
+    _LINK_TX_RIS,
     ChannelParams,
     ChannelSet,
     Placement,
     SectorGrid,
+    _memo_panel_link,
+    _panel_link,
     build_default_geometry,
     synthesize_channels,
 )
+from ris_pls.ofdm import Numerology, build_prs_grid, prs_signal, tone_signal
 from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry
 
 CARRIER = 3.55e9
@@ -93,6 +99,7 @@ class TestSynthesis:
 
     def test_determinism(self):
         a = default_links(seed=7)
+        _memo_panel_link.cache_clear()  # make the second call a real synthesis
         b = default_links(seed=7)
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -172,6 +179,70 @@ class TestSynthesis:
         # out-of-beam link attenuated by exactly the extra 30 dB
         ratio_db = 20.0 * np.log10(np.abs(ch_lo.h_d_ed[0]) / np.abs(ch_hi.h_d_ed[0]))
         assert ratio_db == pytest.approx(30.0, abs=1e-9)
+
+
+GRIDS = {
+    "tone": tone_signal(Numerology()).freqs,
+    "prs": prs_signal(build_prs_grid(Numerology(), num_rb=2, seed=0)).freqs,
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPanelLinkMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        azimuth=st.floats(-90.0, 90.0),
+        range_m=st.floats(0.5, 4.5),  # never on the transmitter or receivers below
+        grid=st.sampled_from(sorted(GRIDS)),
+    )
+    def test_memoized_links_equal_fresh_synthesis(self, seed, azimuth, range_m, grid):
+        freqs = GRIDS[grid]
+        params = ChannelParams(rng_seed=seed)
+        panel = small_panel(2, 3)
+        elem = panel.element_positions()
+        node = Placement(azimuth, range_m)
+        tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(45.0, 7.0)
+        for _ in range(2):  # a miss, then a hit
+            as_rx = synthesize_channels(tx, node, ed, panel, params, freqs)
+            as_tx = synthesize_channels(node, lu, ed, panel, params, freqs)
+            assert same_bits(as_rx.h_ris_lu, _panel_link(node, params, freqs, elem, _LINK_RIS_NODE))
+            assert same_bits(as_rx.g_ris, _panel_link(tx, params, freqs, elem, _LINK_TX_RIS))
+            assert same_bits(as_tx.g_ris, _panel_link(node, params, freqs, elem, _LINK_TX_RIS))
+            assert same_bits(as_tx.h_ris_ed, _panel_link(ed, params, freqs, elem, _LINK_RIS_NODE))
+
+    def test_swap_symmetry_on_memo_hits(self):
+        tx, grid = build_default_geometry()
+        params = ChannelParams(rng_seed=4)
+        freqs = GRIDS["prs"]
+        lu, ed = grid.placement(15.0), grid.placement(45.0)
+        _memo_panel_link.cache_clear()
+        fwd = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
+        rev = synthesize_channels(tx, ed, lu, small_panel(), params, freqs)
+        assert _memo_panel_link.cache_info().hits == 3
+        assert same_bits(fwd.h_d_lu, rev.h_d_ed) and same_bits(fwd.h_d_ed, rev.h_d_lu)
+        assert same_bits(fwd.h_ris_lu, rev.h_ris_ed) and same_bits(fwd.h_ris_ed, rev.h_ris_lu)
+        assert same_bits(fwd.g_ris, rev.g_ris)
+
+    def test_signed_zero_azimuths_stay_distinct_links(self):
+        # -0.0 == 0.0, but the two placements key different random streams.
+        tx, _ = build_default_geometry()
+        params = ChannelParams(rng_seed=2)
+        freqs = GRIDS["tone"]
+        elem = small_panel().element_positions()
+        pos, neg = Placement(0.0, 7.0), Placement(-0.0, 7.0)
+        ch = synthesize_channels(tx, pos, neg, small_panel(), params, freqs)
+        assert not np.array_equal(ch.h_ris_lu, ch.h_ris_ed)
+        assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, elem, _LINK_RIS_NODE))
+
+    def test_synthesized_panel_links_are_read_only(self):
+        ch = default_links(seed=3)
+        for name in ("h_ris_lu", "h_ris_ed", "g_ris"):
+            with pytest.raises(ValueError):
+                getattr(ch, name)[0, 0] = 0.0
 
 
 class TestSerialization:

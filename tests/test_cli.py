@@ -3,12 +3,15 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ris_pls
+from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
+from ris_pls.experiments import ExperimentSpec, run_compare
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 
@@ -130,6 +133,27 @@ class TestCompare:
         ])
         assert rc == EXIT_OK
 
+    def test_jobs_calibrate_noise_once_per_seed(self, tmp_path, monkeypatch):
+        calibrations = []
+        calibrate = scenario_module.link_powers
+
+        def slow_calibrate(*args):
+            calibrations.append(args)
+            time.sleep(0.05)  # long enough for a racing worker to start its own
+            return calibrate(*args)
+
+        monkeypatch.setattr(scenario_module, "link_powers", slow_calibrate)
+        spec = ExperimentSpec(
+            mode="compare_methods",
+            out_dir=str(tmp_path),
+            pairs=((0.0, 15.0), (15.0, 30.0)),
+            methods=("alg1", "uniform"),
+            seeds=(1, 2),
+            jobs=2,
+        )
+        scenario = write_scenario(tmp_path / "scenario.json")
+        run_compare(scenario, spec)
+        assert len(calibrations) == 2
 
     def test_outputs_follow_umask(self, tmp_path):
         scenario = tmp_path / "scenario.json"

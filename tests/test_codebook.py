@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ris_pls.channel import ChannelParams, SectorGrid
+from ris_pls.channel import ChannelParams, Placement, SectorGrid
 from ris_pls.codebook import (
     Codebook,
     CodebookEntry,
@@ -15,9 +16,9 @@ from ris_pls.codebook import (
     select_config,
 )
 from ris_pls.optimize import uniform_config
-from ris_pls.ris import RisArrayGeometry, RisConfig
+from ris_pls.ris import RisArrayGeometry, RisConfig, build_response
 from ris_pls.scenario import Scenario
-from ris_pls.secrecy import LinkPowers, SecrecyReport
+from ris_pls.secrecy import LinkPowers, SecrecyReport, link_powers
 
 
 def scenario_8x8(seed=1, **channel_kwargs):
@@ -218,6 +219,24 @@ class TestPatternScan:
         entry = cb.get(30.0, 15.0, "alg1")
         pattern = dict(scan_power_pattern(sc, entry.config, [30.0]))
         assert pattern[30.0] == pytest.approx(entry.achieved.p_lu, rel=1e-12)
+
+    @pytest.mark.parametrize("full_scenario", [False, True])
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_probe_powers_match_distinct_second_receiver(self, tx_mode, full_scenario):
+        # The scan passes the probe as both receivers; the LU power must be
+        # exactly what a distinct second receiver gives.
+        sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2)
+        config = RisConfig(np.random.default_rng(2).integers(0, 2, 64), 8, 8)
+        angles = [-90.0, -41.5, 0.0, 15.0, 63.0, 90.0]
+        pattern = scan_power_pattern(sc, config, angles, full_scenario=full_scenario)
+        probe_sc = sc if full_scenario else replace(sc, channel=replace(sc.channel, num_paths=1))
+        sig = probe_sc.tx_signal()
+        response = build_response(config, probe_sc.element_model, sig.freqs)
+        assert [a for a, _ in pattern] == angles
+        for angle, power in pattern:
+            other = Placement(angle - 1.0 if angle > 0 else angle + 1.0, 7.0)
+            channels = probe_sc.channels_for(Placement(angle, 7.0), other, sig.freqs)
+            assert power == link_powers(channels, response, sig).p_lu
 
     def test_angles_validated(self):
         sc = los_scenario()

@@ -187,3 +187,24 @@ class TestElementModel:
         model = ElementModel(amplitude=0.8)
         resp = build_response(RisConfig.zeros(2, 2), model, [3.55e9])
         np.testing.assert_allclose(np.abs(resp.diagonals), 0.8, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ElementModel(amplitude=0.9),
+            ElementModel(mode="linear_dispersion", dispersion_rad_per_hz=2e-8),
+            ElementModel(mode="lorentzian", resonance_hz=3.56e9, quality_factor=20.0),
+        ],
+        ids=lambda m: m.mode,
+    )
+    def test_gathered_response_matches_dense_exponential(self, model):
+        # The per-bit coefficients are gathered, not exponentiated per
+        # element; the result must equal the dense formula bit for bit.
+        freqs = 3.55e9 + 60e3 * (np.arange(624) - 312)
+        bits = np.random.default_rng(5).integers(0, 2, 1024).astype(np.uint8)
+        cfg = RisConfig(bits, 32, 32)
+        dense = model.amplitude * np.exp(1j * model.phase_curves(freqs)[:, cfg.bits])
+        gathered = build_response(cfg, model, freqs).diagonals
+        assert (gathered == dense).all()
+        bit_view = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        assert np.array_equal(bit_view(gathered), bit_view(dense))
