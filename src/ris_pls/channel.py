@@ -269,7 +269,6 @@ def _outside_beam(tx: Placement, node: Placement, beamwidth_deg: float) -> bool:
 
 
 def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray):
-    rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
     d = float(np.linalg.norm(node.position() - tx.position()))
     amp = _free_space_amplitude(d, params.carrier_hz)
     if _outside_beam(tx, node, params.tx_beamwidth_deg):
@@ -278,6 +277,7 @@ def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.nd
     h = amp * np.exp(-2j * math.pi * f * tau0)
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
+        rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
         sigma2 = _scatter_sigma(amp, params)
         excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
         gains = math.sqrt(sigma2 / 2.0) * (
@@ -296,7 +296,6 @@ def _steering(elem: np.ndarray, unit_dir: np.ndarray, carrier_hz: float) -> np.n
 
 def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kind: int):
     """(K, M) channel between the panel and a node (either direction)."""
-    rng = _link_rng(params.rng_seed, kind, node)
     pos = node.position()
     d = float(np.linalg.norm(pos))
     u = pos / d
@@ -305,6 +304,7 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
     h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(elem, u, params.carrier_hz))
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
+        rng = _link_rng(params.rng_seed, kind, node)
         sigma2 = _scatter_sigma(amp, params)
         az = np.radians(rng.uniform(-90.0, 90.0, n_scatter))
         el = np.radians(rng.uniform(-30.0, 30.0, n_scatter))
@@ -353,9 +353,9 @@ def synthesize_channels(
 
     The direct transmitter-to-receiver links are attenuated by the
     configured suppression whenever the receiver sits outside the
-    transmitter beam aimed at the panel. The panel links come from a
-    bounded memo and are read-only; receivers at one placement share one
-    array.
+    transmitter beam aimed at the panel. All links are read-only: the
+    panel links come from a bounded memo, and receivers at one placement
+    share one array.
     """
     f = np.asarray(freqs, dtype=float)
     if f.size == 0:
@@ -367,10 +367,17 @@ def synthesize_channels(
     def panel(node, kind):
         return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
 
+    h_d_lu = _direct_link(tx, lu, params, f)
+    h_d_lu.setflags(write=False)
+    if _placement_key(ed) == _placement_key(lu):
+        h_d_ed = h_d_lu
+    else:
+        h_d_ed = _direct_link(tx, ed, params, f)
+        h_d_ed.setflags(write=False)
     return ChannelSet(
         freqs=f,
-        h_d_lu=_direct_link(tx, lu, params, f),
-        h_d_ed=_direct_link(tx, ed, params, f),
+        h_d_lu=h_d_lu,
+        h_d_ed=h_d_ed,
         h_ris_lu=panel(lu, _LINK_RIS_NODE),
         h_ris_ed=panel(ed, _LINK_RIS_NODE),
         g_ris=panel(tx, _LINK_TX_RIS),

@@ -108,6 +108,11 @@ class ExperimentSpec:
             raise SpecError("jobs must be >= 1")
         if not (math.isfinite(self.scan_step_deg) and self.scan_step_deg > 0):
             raise SpecError("scan step must be a positive finite number of degrees")
+        for bound in (self.scan_start_deg, self.scan_stop_deg):
+            if not (math.isfinite(bound) and -90.0 <= bound <= 90.0):
+                raise SpecError("scan start and stop must be finite azimuths in [-90, 90] degrees")
+        if self.scan_start_deg > self.scan_stop_deg:
+            raise SpecError("scan start must not exceed scan stop")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -303,8 +308,8 @@ def _degenerate_grid(scenario: Scenario) -> ResourceGrid:
 def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     """Narrowband-vs-wideband power separation under one configuration.
 
-    Per placement pair: optimize with the tone waveform, then re-evaluate
-    the same configuration on the wideband comb grid with the scenario's
+    Optimizes every placement pair with the tone waveform, then re-evaluates
+    each pair's configuration on the wideband comb grid with the scenario's
     element model. Reports the LU-ED gap for both waveforms. A
     frequency-flat element model cannot show a gap collapse, which is
     flagged as a warning but still runs.
@@ -326,15 +331,19 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
             center_freq_hz=scenario.channel.carrier_hz,
         )
     wide = prs_signal(grid)
-    rows = []
-    detail = []
+    # Two passes, one per frequency grid, so each pass reuses the panel-link
+    # memo's transmitter and receiver links instead of evicting them.
+    narrowband = []
     for lu_deg, ed_deg in spec.pairs:
         lu = scenario.placement(lu_deg)
         ed = scenario.placement(ed_deg)
         nb_channels = scenario.channels_for(lu, ed, tone.freqs)
         config, _ = run_method(spec.fs_method, scenario, nb_channels, tone)
         nb_response = build_response(config, scenario.element_model, tone.freqs)
-        nb = link_powers(nb_channels, nb_response, tone)
+        narrowband.append((lu, ed, config, link_powers(nb_channels, nb_response, tone)))
+    rows = []
+    detail = []
+    for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
         wb_channels = scenario.channels_for(lu, ed, wide.freqs)
         wb_response = build_response(config, scenario.element_model, wide.freqs)
         wb = link_powers(wb_channels, wb_response, wide)

@@ -197,6 +197,35 @@ class PowerEvaluator:
             raise ValueError(f"unknown objective {objective!r}")
         return getattr(self, OBJECTIVES[objective][0])(bits)
 
+    def _block_power(self, w, w_sum, hd, rows) -> np.ndarray:
+        on = rows @ w.T  # (N, K_occ)
+        eff = hd + self._phi[:, 0] * (w_sum - on) + self._phi[:, 1] * on
+        return (np.abs(eff * self._x) ** 2).sum(axis=1)
+
+    def evaluate_block(self, objective: str, rows: np.ndarray) -> np.ndarray:
+        """Objective values of the bit vectors in the rows of an (N, M) 0/1
+        matrix, scored in one product per receiver.
+
+        The sums run in another order than in `evaluate`, so a value may
+        differ from the scalar one in its last bits. Noiseless only: noisy
+        readings are drawn one candidate at a time.
+        """
+        if self._noise_rng is not None:
+            raise ValueError("block scoring needs a noiseless evaluator")
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        name = OBJECTIVES[objective][0]
+        rows = np.asarray(rows, dtype=float)
+        if name == "lu_power":
+            return self._block_power(self._w_lu, self._w_lu_sum, self._hd_lu, rows)
+        p_ed = self._block_power(self._w_ed, self._w_ed_sum, self._hd_ed, rows)
+        if name == "ed_power":
+            return p_ed
+        p_lu = self._block_power(self._w_lu, self._w_lu_sum, self._hd_lu, rows)
+        # p_ed == 0 gives inf or nan, as in `ratio`.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return p_lu / p_ed
+
 
 def _better(candidate: float, incumbent: float, direction: str) -> bool:
     # Ties are rejections: the sweeps only keep strict improvements.
@@ -417,6 +446,12 @@ def single_flip_improvements(
     ]
 
 
+#: Block values this close (relative) to a block's best are re-scored by
+#: the scalar evaluator. It must exceed the block-versus-scalar rounding
+#: gap, which is about 1e-15 relative.
+_RESCORE_REL_TOL = 1e-9
+
+
 def exhaustive_oracle(
     channels: ChannelSet,
     element_model: ElementModel,
@@ -429,6 +464,13 @@ def exhaustive_oracle(
     Enumerates in lexicographic bit-string order and keeps strictly better
     values only, so ties resolve to the smallest bit-string. Guarded to
     M <= 20.
+
+    Each block of 4096 candidates is scored in one `evaluate_block` call.
+    The block's non-finite values, and those within `_RESCORE_REL_TOL` of
+    its best finite value, are then scored again by the scalar `evaluate`
+    in ascending order against the running best. The scalar winner is
+    among them, so the result is the one a scalar scan of every candidate
+    returns.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -437,6 +479,7 @@ def exhaustive_oracle(
         raise ValueError("exhaustive enumeration is limited to M <= 20 elements")
     ev = PowerEvaluator(channels, element_model, tx)
     direction = OBJECTIVES[objective][1]
+    sign = 1.0 if direction == "max" else -1.0
     best_bits = None
     best_value = -math.inf if direction == "max" else math.inf
     # Element 0 is the most significant bit so ascending integers enumerate
@@ -447,9 +490,17 @@ def exhaustive_oracle(
         stop = min(start + block, 1 << m)
         ints = np.arange(start, stop, dtype=np.uint64)
         bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        for row in bits:
-            value = ev.evaluate(objective, row)
+        scores = sign * ev.evaluate_block(objective, bits)  # higher is better
+        finite = np.isfinite(scores)
+        rescore = ~finite
+        if finite.any():
+            top = scores[finite].max()
+            rescore |= scores >= top - _RESCORE_REL_TOL * abs(top)
+        for row in np.flatnonzero(rescore):
+            value = ev.evaluate(objective, bits[row])
             if _better(value, best_value, direction):
                 best_value = value
-                best_bits = row.copy()
+                best_bits = bits[row].copy()
+    if best_bits is None:
+        raise ValueError(f"no configuration has a comparable {objective} value")
     return RisConfig(best_bits, geometry.n_v, geometry.n_h), float(best_value)

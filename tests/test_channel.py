@@ -11,6 +11,7 @@ from ris_pls.channel import (
     ChannelSet,
     Placement,
     SectorGrid,
+    _direct_link,
     _memo_panel_link,
     _panel_link,
     build_default_geometry,
@@ -237,6 +238,25 @@ class TestPanelLinkMemo:
         ch = synthesize_channels(tx, pos, neg, small_panel(), params, freqs)
         assert not np.array_equal(ch.h_ris_lu, ch.h_ris_ed)
         assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, elem, _LINK_RIS_NODE))
+        assert params.num_paths > 1
+        assert not np.array_equal(ch.h_d_lu, ch.h_d_ed)
+        assert same_bits(ch.h_d_ed, _direct_link(tx, neg, params, freqs))
+
+    @pytest.mark.parametrize("num_paths", [1, 8])
+    @pytest.mark.parametrize("ed_deg", [30.0, 45.0])
+    def test_direct_links_equal_fresh_links_and_are_read_only(self, num_paths, ed_deg):
+        # An ED at the LU placement (a pattern-scan probe) shares its link.
+        tx, grid = build_default_geometry()
+        params = ChannelParams(num_paths=num_paths, rng_seed=5)
+        freqs = GRIDS["prs"]
+        lu, ed = grid.placement(30.0), Placement(ed_deg, 7.0)
+        ch = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
+        assert (ch.h_d_ed is ch.h_d_lu) == (ed == lu)
+        assert same_bits(ch.h_d_lu, _direct_link(tx, lu, params, freqs))
+        assert same_bits(ch.h_d_ed, _direct_link(tx, ed, params, freqs))
+        for name in ("h_d_lu", "h_d_ed"):
+            with pytest.raises(ValueError):
+                getattr(ch, name)[0] = 0.0
 
     def test_synthesized_panel_links_are_read_only(self):
         ch = default_links(seed=3)

@@ -8,10 +8,11 @@ import time
 import pytest
 
 import ris_pls
+from ris_pls import channel as channel_module
 from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
-from ris_pls.experiments import ExperimentSpec, run_compare
+from ris_pls.experiments import ExperimentSpec, run_compare, run_frequency_selectivity
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 
@@ -220,6 +221,20 @@ class TestExitCodes:
         proc = run_cli(
             "pattern-scan", "--scenario", str(scenario), "--out", str(tmp_path),
             "--bits", "0" * 16, f"--step={step}",
+        )
+        assert proc.returncode == EXIT_SPEC
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--stop=inf"], ["--start=nan"], ["--start=-100"], ["--stop=90.5"], ["--start=10", "--stop=-10"]],
+    )
+    def test_bad_scan_range_is_spec_error(self, tmp_path, bounds):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        proc = run_cli(
+            "pattern-scan", "--scenario", str(scenario), "--out", str(tmp_path),
+            "--bits", "0" * 16, *bounds,
         )
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
@@ -441,6 +456,22 @@ class TestFrequencySelectivity:
         payload = json.loads((out / "frequency_selectivity.json").read_text())
         for row in payload["results"]:
             assert row["wideband_gap_db"] < row["narrowband_gap_db"]
+
+    def test_reference_pairs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
+        # One pass per grid: the transmitter and 4 receiver links on the tone
+        # grid, then the same 5 on the wideband grid.
+        sc = write_scenario(
+            tmp_path / "scenario.json",
+            element_model=ElementModel(mode="linear_dispersion", dispersion_rad_per_hz=1e-7),
+        )
+        calls = []
+        panel_link = channel_module._panel_link
+        monkeypatch.setattr(
+            channel_module, "_panel_link", lambda *a: calls.append(a) or panel_link(*a)
+        )
+        channel_module._memo_panel_link.cache_clear()
+        run_frequency_selectivity(sc, ExperimentSpec(mode="frequency_selectivity", out_dir=str(tmp_path)))
+        assert len(calls) == 10
 
     def test_degenerate_single_bin_equals_tone(self, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import handmade_channels, model_instance, panel, single_tone_tx
+from ris_pls.channel import ChannelSet
 from ris_pls.optimize import (
+    OBJECTIVES,
     MeasurementNoise,
     PowerEvaluator,
+    _better,
     algorithm1,
     algorithm2,
     ed_min,
@@ -321,6 +324,97 @@ class TestExhaustiveOracle:
         channels, sig = model_instance(0, 2, 2)
         with pytest.raises(ValueError):
             exhaustive_oracle(channels, MODEL, sig, "snr", panel(2, 2))
+
+
+def per_row_oracle(channels, element_model, tx, objective, geometry):
+    """The exhaustive scan scored one candidate at a time by the scalar
+    evaluator: the slow reference for `exhaustive_oracle`."""
+    m = geometry.num_elements
+    ev = PowerEvaluator(channels, element_model, tx)
+    direction = OBJECTIVES[objective][1]
+    best_bits = None
+    best_value = -math.inf if direction == "max" else math.inf
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
+    ints = np.arange(1 << m, dtype=np.uint64)
+    for row in ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8):
+        value = ev.evaluate(objective, row)
+        if _better(value, best_value, direction):
+            best_value = value
+            best_bits = row.copy()
+    return RisConfig(best_bits, geometry.n_v, geometry.n_h), float(best_value)
+
+
+def assert_oracle_parity(channels, sig, geom):
+    for objective in OBJECTIVES:
+        fast = exhaustive_oracle(channels, MODEL, sig, objective, geom)
+        slow = per_row_oracle(channels, MODEL, sig, objective, geom)
+        assert fast[0] == slow[0], objective
+        assert fast[1] == slow[1], objective
+
+
+class TestBlockOracleParity:
+    @pytest.mark.parametrize(
+        "n_v, n_h, waveform, seeds",
+        [
+            (1, 1, "tone", range(3)),
+            (1, 2, "tone", range(3)),
+            (2, 3, "tone", range(3)),
+            (4, 4, "tone", range(1)),
+            (3, 3, "prs", range(2)),
+        ],
+    )
+    def test_matches_per_row_scan(self, n_v, n_h, waveform, seeds):
+        for seed in seeds:
+            channels, sig = model_instance(seed, n_v, n_h, waveform=waveform)
+            assert_oracle_parity(channels, sig, panel(n_v, n_h))
+
+    @pytest.mark.parametrize("element", [0, 2, 5])
+    def test_exact_tie_resolves_to_smallest_bit_string(self, element):
+        # A zero cascade makes the element's two states tie exactly, so the
+        # winner must leave it at 0.
+        channels, sig = model_instance(4, 2, 3)
+        h_ris_lu, h_ris_ed = channels.h_ris_lu.copy(), channels.h_ris_ed.copy()
+        h_ris_lu[:, element] = 0.0
+        h_ris_ed[:, element] = 0.0
+        tied = ChannelSet(
+            channels.freqs, channels.h_d_lu, channels.h_d_ed, h_ris_lu, h_ris_ed, channels.g_ris
+        )
+        for objective in OBJECTIVES:
+            cfg, value = exhaustive_oracle(tied, MODEL, sig, objective, panel(2, 3))
+            assert cfg.bits[element] == 0
+            flipped = cfg.bits.copy()
+            flipped[element] = 1
+            assert PowerEvaluator(tied, MODEL, sig).evaluate(objective, flipped) == value
+        assert_oracle_parity(tied, sig, panel(2, 3))
+
+    def test_zero_ed_power_yields_inf(self):
+        # p_ed is 0 everywhere; "00" has p_lu = 0 too (nan), "01" is the
+        # first inf.
+        ch = handmade_channels(-2.0, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
+        assert_oracle_parity(ch, single_tone_tx(), panel(1, 2))
+        cfg, value = exhaustive_oracle(ch, MODEL, single_tone_tx(), "ratio", panel(1, 2))
+        assert cfg.to_bitstring() == "01"
+        assert value == math.inf
+
+    def test_no_comparable_objective_is_rejected(self):
+        ch = handmade_channels(0.0, 0.0, w_lu=[0.0, 0.0], w_ed=[0.0, 0.0])
+        with pytest.raises(ValueError, match="no configuration has a comparable"):
+            exhaustive_oracle(ch, MODEL, single_tone_tx(), "ratio", panel(1, 2))
+
+    def test_block_values_track_scalar_values(self):
+        channels, sig = model_instance(2, 2, 3, waveform="prs")
+        ev = PowerEvaluator(channels, MODEL, sig)
+        rows = np.random.default_rng(0).integers(0, 2, size=(40, 6), dtype=np.uint8)
+        for objective in OBJECTIVES:
+            block = ev.evaluate_block(objective, rows)
+            scalar = [ev.evaluate(objective, row) for row in rows]
+            np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0)
+
+    def test_noisy_evaluator_refuses_block_scoring(self):
+        channels, sig = model_instance(0, 2, 2)
+        ev = PowerEvaluator(channels, MODEL, sig, MeasurementNoise(n0=1e-9, seed=1))
+        with pytest.raises(ValueError, match="noiseless"):
+            ev.evaluate_block("ratio", np.zeros((3, 4), dtype=np.uint8))
 
 
 class TestMeasurementNoise:
