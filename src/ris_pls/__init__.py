@@ -56,6 +56,7 @@ from .secrecy import (
     from_db,
     link_powers,
     power_ratio,
+    powers_and_sse,
     received_power,
     sum_sse,
     to_db,

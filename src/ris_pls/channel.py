@@ -23,10 +23,11 @@ shared read-only between channel sets.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,22 +324,68 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
     return h
 
 
-#: Panel links kept by the memo. A comparison re-synthesizes each placement
-#: pair once per method, but touches only the transmitter link plus one link
-#: per receiver placement: 5 for the reference pairs (sectors 0-45 deg). A
-#: wideband (624 x 1024) link is 10 MB, so the bound also caps what a long
-#: pattern scan, one new link per angle, keeps alive.
-PANEL_LINK_CACHE_SIZE = 5
+#: Bytes of panel links the memo keeps. A comparison re-synthesizes each
+#: placement pair once per method but touches only the transmitter link and
+#: one link per receiver placement, and a codebook touches one per sector.
+#: The budget holds five wideband (624 x 1024) links of 10 MB, or a few
+#: thousand single-tone ones.
+PANEL_LINK_CACHE_BYTES = 5 * 624 * 1024 * 16
+
+_MemoInfo = namedtuple("_MemoInfo", "hits misses links nbytes max_bytes")
 
 
-@functools.lru_cache(maxsize=PANEL_LINK_CACHE_SIZE)
-def _memo_panel_link(kind, node_bits, node, params, freqs_bytes, ris):
-    # node_bits joins the key because Placement compares -0.0 equal to 0.0
-    # while the link's random stream tells them apart.
-    f = np.frombuffer(freqs_bytes, dtype=float)
-    h = _panel_link(node, params, f, ris.element_positions(), kind)
-    h.setflags(write=False)
-    return h
+class _PanelLinkMemo:
+    """Least-recently-used memo of panel links, bounded by their total bytes.
+
+    Lookups and misses run under one lock, so concurrent callers that need
+    the same link compute it once. Stored links are read-only.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._links = OrderedDict()
+        self._nbytes = 0
+        self._hits = self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, kind, node_bits, node, params, freqs_bytes, ris, store=True):
+        """The panel link; a miss is computed and, with `store`, kept."""
+        # node_bits joins the key because Placement compares -0.0 equal to
+        # 0.0 while the link's random stream tells them apart.
+        key = (kind, node_bits, node, params, freqs_bytes, ris)
+        with self._lock:
+            h = self._links.get(key)
+            if h is not None:
+                self._links.move_to_end(key)
+                self._hits += 1
+                return h
+            self._misses += 1
+            f = np.frombuffer(freqs_bytes, dtype=float)
+            nbytes = f.size * ris.num_elements * np.dtype(complex).itemsize
+            store = store and nbytes <= self.max_bytes
+            # Make room first, so the memo never holds more than its budget.
+            while store and self._nbytes + nbytes > self.max_bytes:
+                self._nbytes -= self._links.popitem(last=False)[1].nbytes
+            h = _panel_link(node, params, f, ris.element_positions(), kind)
+            h.setflags(write=False)
+            if store:
+                self._links[key] = h
+                self._nbytes += nbytes
+            return h
+
+    def cache_info(self) -> _MemoInfo:
+        with self._lock:
+            return _MemoInfo(
+                self._hits, self._misses, len(self._links), self._nbytes, self.max_bytes
+            )
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._links.clear()
+            self._nbytes = self._hits = self._misses = 0
+
+
+_memo_panel_link = _PanelLinkMemo(PANEL_LINK_CACHE_BYTES)
 
 
 def synthesize_channels(
@@ -348,6 +395,7 @@ def synthesize_channels(
     ris: RisArrayGeometry,
     params: ChannelParams,
     freqs,
+    memo_receivers: bool = True,
 ) -> ChannelSet:
     """Deterministic channel realization for one transmitter/receiver layout.
 
@@ -355,7 +403,9 @@ def synthesize_channels(
     configured suppression whenever the receiver sits outside the
     transmitter beam aimed at the panel. All links are read-only: the
     panel links come from a bounded memo, and receivers at one placement
-    share one array.
+    share one array. With `memo_receivers` false the receivers' panel
+    links are used but not kept, for one-shot probes such as a pattern
+    scan's, which would otherwise crowd out reusable links.
     """
     f = np.asarray(freqs, dtype=float)
     if f.size == 0:
@@ -364,21 +414,24 @@ def synthesize_channels(
         raise ValueError("subcarrier frequencies must be finite and positive")
     freqs_bytes = f.tobytes()
 
-    def panel(node, kind):
-        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
+    def panel(node, kind, store=True):
+        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris, store)
 
+    same = _placement_key(ed) == _placement_key(lu)
     h_d_lu = _direct_link(tx, lu, params, f)
     h_d_lu.setflags(write=False)
-    if _placement_key(ed) == _placement_key(lu):
-        h_d_ed = h_d_lu
+    h_ris_lu = panel(lu, _LINK_RIS_NODE, memo_receivers)
+    if same:
+        h_d_ed, h_ris_ed = h_d_lu, h_ris_lu
     else:
         h_d_ed = _direct_link(tx, ed, params, f)
         h_d_ed.setflags(write=False)
+        h_ris_ed = panel(ed, _LINK_RIS_NODE, memo_receivers)
     return ChannelSet(
         freqs=f,
         h_d_lu=h_d_lu,
         h_d_ed=h_d_ed,
-        h_ris_lu=panel(lu, _LINK_RIS_NODE),
-        h_ris_ed=panel(ed, _LINK_RIS_NODE),
+        h_ris_lu=h_ris_lu,
+        h_ris_ed=h_ris_ed,
         g_ris=panel(tx, _LINK_TX_RIS),
     )

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import Placement, SectorGrid
 from .optimize import METHODS, greedy_sweep, uniform_config
 from .ris import RisConfig, build_response
-from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
+from .secrecy import LinkPowers, SecrecyReport, link_powers, powers_and_sse, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
 
@@ -167,8 +167,7 @@ def _build_entry(scenario, grid, tx_sig, lu_c, ed_c, method):
     channels = scenario.channels_for(lu, ed, tx_sig.freqs)
     config, _ = run_method(method, scenario, channels, tx_sig)
     response = build_response(config, scenario.element_model, tx_sig.freqs)
-    achieved = link_powers(channels, response, tx_sig)
-    sse = sum_sse(channels, response, tx_sig, scenario.noise_power())
+    achieved, sse = powers_and_sse(channels, response, tx_sig, scenario.noise_power())
     return CodebookEntry(
         lu_sector=lu_c,
         ed_sector=ed_c,
@@ -328,8 +327,9 @@ def scan_power_pattern(
     for angle in angles:
         probe = Placement(angle, range_m)
         # p_lu reads only the LU links, so the probe stands in for both
-        # receivers and each angle adds one panel link to the memo.
-        channels = probe_scenario.channels_for(probe, probe, tx_sig.freqs)
+        # receivers. Each probe link is used once, so the memo keeps only
+        # the transmitter link.
+        channels = probe_scenario.channels_for(probe, probe, tx_sig.freqs, memo_receivers=False)
         pattern.append((float(angle), link_powers(channels, response, tx_sig).p_lu))
     return pattern
 

@@ -26,7 +26,7 @@ from .codebook import (
 from .ofdm import ResourceGrid, build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig, build_response
-from .secrecy import link_powers, sum_sse, to_db
+from .secrecy import link_powers, powers_and_sse, to_db
 from .scenario import Scenario
 
 MODES = (
@@ -195,8 +195,7 @@ def _compare_cell(scenario, spec, tx_sig, seed, pair, method):
     noise = _measurement_noise(spec, scenario, seed)
     config, trace = run_method(method, scenario, channels, tx_sig, noise=noise)
     response = build_response(config, scenario.element_model, tx_sig.freqs)
-    powers = link_powers(channels, response, tx_sig)
-    sse = sum_sse(channels, response, tx_sig, scenario.noise_power())
+    powers, sse = powers_and_sse(channels, response, tx_sig, scenario.noise_power())
     return {
         "seed": seed,
         "lu_deg": lu_deg,

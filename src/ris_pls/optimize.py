@@ -12,8 +12,9 @@ fixed-point mode repeats passes until none of the moves is accepted.
 
 Both searches, and the single-user baselines, are one sweep engine driven
 by the `METHODS` table: each method is a list of moves (which elements to
-flip and which objective judges the flip), scored on a raw bit vector that
-is flipped in place and flipped back on rejection.
+flip and which objective judges the flip). A move is scored by the change
+its elements make to running per-receiver sums, and only an accepted move
+flips its elements in the raw bit vector.
 
 An exhaustive enumerator over all 2^M configurations is provided for
 auditing the greedy results on small panels.
@@ -125,13 +126,24 @@ class OptimizerTrace:
         }
 
 
+#: The change a flip makes to an element's contribution: +w from 0 to 1,
+#: -w from 1 to 0.
+_FLIP_SIGN = np.array([1.0, -1.0], dtype=complex)
+
+
 class PowerEvaluator:
     """Cached power evaluation for candidate bit vectors.
 
     Precomputes the per-element cascades h_m * g_m and the two per-bit
-    reflection coefficients at every occupied subcarrier, so each candidate
-    (a row-major 0/1 vector of length M) costs one masked matrix-vector
-    product per receiver.
+    reflection coefficients at every occupied subcarrier. A configuration
+    (a row-major 0/1 vector of length M) enters only through its
+    per-receiver sums of the cascades of the elements set to 1, so a full
+    evaluation costs one matrix-vector product and a flip of n elements
+    changes the sums by an O(K_occ * n) product (`flipped_sums`).
+
+    The cascades are stored once, as an (M, 2 * K_occ) array whose row m
+    holds element m's LU cascades followed by its ED cascades: the
+    elements of a column or a row are then a block of rows.
     """
 
     def __init__(
@@ -144,14 +156,21 @@ class PowerEvaluator:
         if tx.num_subcarriers != channels.num_subcarriers:
             raise ValueError("transmit signal and channel set disagree on subcarrier count")
         mask = tx.occupied_mask
-        x = tx.amplitudes()[mask]
-        self._x = x
-        self._hd_lu = channels.h_d_lu[mask]
-        self._hd_ed = channels.h_d_ed[mask]
-        self._w_lu = (channels.h_ris_lu * channels.g_ris)[mask]
-        self._w_ed = (channels.h_ris_ed * channels.g_ris)[mask]
-        self._w_lu_sum = self._w_lu.sum(axis=1)
-        self._w_ed_sum = self._w_ed.sum(axis=1)
+        self._x = tx.amplitudes()[mask]
+        self._hd = (channels.h_d_lu[mask], channels.h_d_ed[mask])
+        occupied = np.flatnonzero(mask)
+        g = channels.g_ris[occupied]
+        k, m = g.shape
+        w = np.empty((m, 2, k), dtype=complex)
+        w_r = np.empty_like(g)  # one receiver's (K_occ, M) cascades, reused
+        self._w_sum = np.empty((2, k), dtype=complex)
+        for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
+            # mode="clip" fills `w_r` in place; "raise" would buffer a copy.
+            np.take(h, occupied, axis=0, out=w_r, mode="clip")
+            w_r *= g
+            self._w_sum[r] = w_r.sum(axis=1)
+            w[:, r, :] = w_r.T
+        self._w = w.reshape(m, 2 * k)
         theta = element_model.phase_curves(channels.freqs[mask])
         self._phi = element_model.amplitude * np.exp(1j * theta)  # (K_occ, 2)
         self._noise = noise
@@ -159,14 +178,26 @@ class PowerEvaluator:
             np.random.default_rng(noise.seed) if noise is not None and noise.n0 > 0 else None
         )
 
-    def _effective(self, w, w_sum, hd, bits):
-        on = w @ bits.astype(float)
-        off = w_sum - on
-        return hd + self._phi[:, 0] * off + self._phi[:, 1] * on
+    @property
+    def noisy(self) -> bool:
+        return self._noise_rng is not None
 
-    def _power(self, eff) -> float:
-        signal = eff * self._x
-        if self._noise_rng is None:
+    def sums(self, bits: np.ndarray) -> np.ndarray:
+        """(2, K_occ) LU and ED sums of the cascades of the elements set in `bits`."""
+        return (bits.astype(float) @ self._w).reshape(2, -1)
+
+    def flipped_sums(self, sums: np.ndarray, bits: np.ndarray, elements) -> np.ndarray:
+        """`sums` after flipping `bits[elements]`; neither input changes."""
+        return sums + (_FLIP_SIGN[bits[elements]] @ self._w[elements]).reshape(2, -1)
+
+    def _effective(self, r: int, on: np.ndarray) -> np.ndarray:
+        """Effective channel of receiver r (0: LU, 1: ED) from its sums `on`
+        (K_occ, or N x K_occ for a block)."""
+        return self._hd[r] + self._phi[:, 0] * (self._w_sum[r] - on) + self._phi[:, 1] * on
+
+    def _power(self, r: int, on: np.ndarray) -> float:
+        signal = self._effective(r, on) * self._x
+        if not self.noisy:
             return float((np.abs(signal) ** 2).sum())
         total = 0.0
         scale = math.sqrt(self._noise.n0 / 2.0)
@@ -178,51 +209,59 @@ class PowerEvaluator:
             total += float((np.abs(signal + n) ** 2).sum())
         return total / self._noise.averages
 
-    def lu_power(self, bits: np.ndarray) -> float:
-        return self._power(self._effective(self._w_lu, self._w_lu_sum, self._hd_lu, bits))
-
-    def ed_power(self, bits: np.ndarray) -> float:
-        return self._power(self._effective(self._w_ed, self._w_ed_sum, self._hd_ed, bits))
-
-    def ratio(self, bits: np.ndarray) -> float:
-        p_ed = self.ed_power(bits)
-        p_lu = self.lu_power(bits)
+    def value(self, objective: str, sums: np.ndarray) -> float:
+        """Objective of the configuration with per-receiver `sums`. A ratio
+        reads the ED power before the LU power."""
+        name = OBJECTIVES[objective][0]
+        if name == "lu_power":
+            return self._power(0, sums[0])
+        p_ed = self._power(1, sums[1])
+        if name == "ed_power":
+            return p_ed
+        p_lu = self._power(0, sums[0])
         if p_ed == 0:
             return math.inf if p_lu > 0 else math.nan
         return p_lu / p_ed
 
     def evaluate(self, objective: str, bits: np.ndarray) -> float:
-        """Score `bits` with the method named by the objective's trace name."""
+        """Score `bits` for an `OBJECTIVES` key."""
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
-        return getattr(self, OBJECTIVES[objective][0])(bits)
+        return self.value(objective, self.sums(bits))
 
-    def _block_power(self, w, w_sum, hd, rows) -> np.ndarray:
-        on = rows @ w.T  # (N, K_occ)
-        eff = hd + self._phi[:, 0] * (w_sum - on) + self._phi[:, 1] * on
-        return (np.abs(eff * self._x) ** 2).sum(axis=1)
+    def lu_power(self, bits: np.ndarray) -> float:
+        return self.evaluate("lu_power_max", bits)
+
+    def ed_power(self, bits: np.ndarray) -> float:
+        return self.evaluate("ed_power_min", bits)
+
+    def ratio(self, bits: np.ndarray) -> float:
+        return self.evaluate("ratio", bits)
+
+    def _block_power(self, r: int, on: np.ndarray) -> np.ndarray:
+        return (np.abs(self._effective(r, on) * self._x) ** 2).sum(axis=1)
 
     def evaluate_block(self, objective: str, rows: np.ndarray) -> np.ndarray:
         """Objective values of the bit vectors in the rows of an (N, M) 0/1
-        matrix, scored in one product per receiver.
+        matrix, scored in one product.
 
         The sums run in another order than in `evaluate`, so a value may
         differ from the scalar one in its last bits. Noiseless only: noisy
         readings are drawn one candidate at a time.
         """
-        if self._noise_rng is not None:
+        if self.noisy:
             raise ValueError("block scoring needs a noiseless evaluator")
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         name = OBJECTIVES[objective][0]
-        rows = np.asarray(rows, dtype=float)
+        on = (np.asarray(rows, dtype=float) @ self._w).reshape(len(rows), 2, -1)
         if name == "lu_power":
-            return self._block_power(self._w_lu, self._w_lu_sum, self._hd_lu, rows)
-        p_ed = self._block_power(self._w_ed, self._w_ed_sum, self._hd_ed, rows)
+            return self._block_power(0, on[:, 0])
+        p_ed = self._block_power(1, on[:, 1])
         if name == "ed_power":
             return p_ed
-        p_lu = self._block_power(self._w_lu, self._w_lu_sum, self._hd_lu, rows)
-        # p_ed == 0 gives inf or nan, as in `ratio`.
+        p_lu = self._block_power(0, on[:, 0])
+        # p_ed == 0 gives inf or nan, as in `value`.
         with np.errstate(divide="ignore", invalid="ignore"):
             return p_lu / p_ed
 
@@ -293,26 +332,36 @@ def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpo
 
     Each objective keeps one "last accepted" register, seeded from the
     starting bits in the order the objectives first appear in `moves`. A
-    move flips its elements, is scored for its objective and is kept only
-    on strict improvement of that register; otherwise it is flipped back.
-    Returns (registers, trace steps)."""
-    best = {obj: ev.evaluate(obj, bits) for obj in dict.fromkeys(m[3] for m in moves)}
+    move is scored from the running per-receiver sums plus the change its
+    elements make, and is kept only on strict improvement of its
+    objective's register: then its sums become the running sums and its
+    elements flip. A rejected move changes nothing.
+
+    The running sums start from the same product as the registers and are
+    never recomputed, so a register is always the value of the running sums
+    it was accepted with: a move that changes no sum (zero cascades) scores
+    exactly its register and is rejected, as under full evaluation. Each
+    accepted move adds one rounding of an n-term sum, so the drift is
+    bounded by the number of accepted moves. Returns (registers, trace
+    steps)."""
+    sums = ev.sums(bits)
+    best = {obj: ev.value(obj, sums) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
         accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
-            bits[elements] ^= 1
-            value = ev.evaluate(objective, bits)
+            candidate = ev.flipped_sums(sums, bits, elements)
+            value = ev.value(objective, candidate)
             accepted = _better(value, best[objective], direction)
             steps.append(TraceStep(
                 kind, index, iteration, name, direction, best[objective], value, accepted, half
             ))
             if accepted:
                 best[objective] = value
-                accepted_in_pass += 1
-            else:
+                sums = candidate
                 bits[elements] ^= 1
+                accepted_in_pass += 1
         if fixpoint and accepted_in_pass == 0:
             break
     return best, steps
@@ -332,9 +381,11 @@ def greedy_sweep(
     """Run the greedy method named in `METHODS`.
 
     `iters` passes by default; `run_to_fixpoint` instead repeats passes
-    (at most 64) until one accepts nothing. The final objective is the
-    method objective's register, or a fresh evaluation of the end
-    configuration when no move is judged by it (alg2's ratio).
+    (at most 64) until one accepts nothing. The final objective is a fresh
+    evaluation of the end configuration, so it equals what
+    `exhaustive_oracle` computes for it. A noisy sweep instead reports the
+    last accepted reading of the method objective, when a move is judged
+    by it; alg2's ratio is always read afresh.
     """
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
@@ -342,7 +393,7 @@ def greedy_sweep(
     initial = _initial_config(geometry, init)
     bits = initial.bits.copy()
     best, steps = _sweep(ev, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint)
-    if objective_kind in best:
+    if objective_kind in best and ev.noisy:
         final_objective = best[objective_kind]
     else:
         final_objective = ev.evaluate(objective_kind, bits)

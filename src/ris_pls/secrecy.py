@@ -136,31 +136,19 @@ def link_powers(channels: ChannelSet, response: RisResponse, tx: TxSignal) -> Li
 
 def power_ratio(channels: ChannelSet, response: RisResponse, tx: TxSignal) -> float:
     """Received-power ratio LU/ED, the greedy objective of the full-surface
-    sweep. A zero ED power raises ZeroDivisionError; callers that rank
-    candidates treat that case as +inf."""
+    sweep. A zero ED power gives inf, or nan when the LU power is zero too,
+    as the optimizers' evaluator does."""
     powers = link_powers(channels, response, tx)
     if powers.p_ed == 0:
-        raise ZeroDivisionError("ED received power is zero")
+        return math.inf if powers.p_lu > 0 else math.nan
     return powers.p_lu / powers.p_ed
 
 
-def sum_sse(
-    channels: ChannelSet,
-    response: RisResponse,
-    tx: TxSignal,
-    n0: float,
-    apply_max: bool = False,
-    per_subcarrier: bool = False,
+def _sse_report(
+    p_lu, p_ed, tx: TxSignal, n0: float, apply_max: bool = False, per_subcarrier: bool = False
 ) -> SecrecyReport:
-    """Sum secrecy spectral efficiency over the occupied subcarriers.
-
-    Rates are Shannon efficiencies of the noiseless effective signal power
-    over `n0`. With `apply_max` the clamped difference is the headline
-    value of the report; the raw difference is always carried alongside.
-    """
     if n0 <= 0:
         raise ValueError("noise power must be positive")
-    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
     r_lu = np.log2(1.0 + p_lu / n0)
     r_ed = np.log2(1.0 + p_ed / n0)
     raw = float(r_lu.sum() - r_ed.sum())
@@ -178,3 +166,28 @@ def sum_sse(
         headline_clamped=apply_max,
         per_subcarrier=detail,
     )
+
+
+def sum_sse(
+    channels: ChannelSet,
+    response: RisResponse,
+    tx: TxSignal,
+    n0: float,
+    apply_max: bool = False,
+    per_subcarrier: bool = False,
+) -> SecrecyReport:
+    """Sum secrecy spectral efficiency over the occupied subcarriers.
+
+    Rates are Shannon efficiencies of the noiseless effective signal power
+    over `n0`. With `apply_max` the clamped difference is the headline
+    value of the report; the raw difference is always carried alongside.
+    """
+    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
+    return _sse_report(p_lu, p_ed, tx, n0, apply_max, per_subcarrier)
+
+
+def powers_and_sse(channels: ChannelSet, response: RisResponse, tx: TxSignal, n0: float) -> tuple:
+    """(`link_powers`, `sum_sse`) of one configuration from a single
+    evaluation of the occupied-subcarrier powers."""
+    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
+    return LinkPowers(float(p_lu.sum()), float(p_ed.sum())), _sse_report(p_lu, p_ed, tx, n0)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from ris_pls.channel import (
     _LINK_TX_RIS,
     ChannelParams,
     ChannelSet,
+    PANEL_LINK_CACHE_BYTES,
     Placement,
     SectorGrid,
     _direct_link,
     _memo_panel_link,
     _panel_link,
+    _PanelLinkMemo,
+    _placement_key,
     build_default_geometry,
     synthesize_channels,
 )
@@ -257,6 +262,90 @@ class TestPanelLinkMemo:
         for name in ("h_d_lu", "h_d_ed"):
             with pytest.raises(ValueError):
                 getattr(ch, name)[0] = 0.0
+
+    def test_byte_budget_evicts_least_recently_used(self):
+        params = ChannelParams(rng_seed=3)
+        freqs = GRIDS["prs"]
+        ris = small_panel(2, 3)
+        link_bytes = freqs.size * ris.num_elements * 16
+        memo = _PanelLinkMemo(max_bytes=2 * link_bytes)
+        a, b, c = (Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0))
+
+        def get(node, store=True):
+            key = _placement_key(node)
+            return memo(_LINK_RIS_NODE, key, node, params, freqs.tobytes(), ris, store)
+
+        link_a = get(a)
+        assert link_a.nbytes == link_bytes
+        get(b)
+        assert get(a) is link_a  # a is now the most recently used
+        get(c)  # over budget: b goes
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.links, info.nbytes) == (1, 3, 2, 2 * link_bytes)
+        assert get(a) is link_a and get(c) is get(c)
+        get(b)  # computed again, evicting a
+        assert memo.cache_info().misses == 4
+        assert get(a) is not link_a and same_bits(get(a), link_a)
+        # A link used once is returned but neither kept nor allowed to evict.
+        probe = Placement(45.0, 7.0)
+        before = memo.cache_info()
+        fresh = _panel_link(probe, params, freqs, ris.element_positions(), _LINK_RIS_NODE)
+        assert same_bits(get(probe, store=False), fresh)
+        after = memo.cache_info()
+        assert (after.links, after.nbytes) == (before.links, before.nbytes)
+        assert after.misses == before.misses + 1
+
+    def test_link_larger_than_budget_is_not_kept(self):
+        params = ChannelParams(rng_seed=3)
+        freqs = GRIDS["prs"]
+        ris = small_panel(2, 3)
+        memo = _PanelLinkMemo(max_bytes=freqs.size * ris.num_elements * 16 - 1)
+        node = Placement(0.0, 7.0)
+        h = memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
+        assert same_bits(h, _panel_link(node, params, freqs, ris.element_positions(), _LINK_RIS_NODE))
+        assert not h.flags.writeable
+        assert memo.cache_info().links == 0
+
+    def test_concurrent_lookups_keep_the_memo_consistent(self):
+        # More threads than cores hammer a memo that holds 3 of 5 links.
+        params = ChannelParams(rng_seed=9)
+        freqs = GRIDS["tone"]
+        ris = small_panel(2, 3)
+        elem = ris.element_positions()
+        nodes = [Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0, 45.0, 60.0)]
+        fresh = [_panel_link(n, params, freqs, elem, _LINK_RIS_NODE) for n in nodes]
+        link_bytes = fresh[0].nbytes
+        memo = _PanelLinkMemo(max_bytes=3 * link_bytes)
+        mismatches, calls_per_thread = [], 200
+
+        def worker(offset):
+            for i in range(calls_per_thread):
+                j = (offset + i * (offset + 1)) % len(nodes)
+                node = nodes[j]
+                h = memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
+                if not same_bits(h, fresh[j]):
+                    mismatches.append(j)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        info = memo.cache_info()
+        assert not mismatches
+        assert info.hits + info.misses == 8 * calls_per_thread
+        assert info.links == 3 and info.nbytes == 3 * link_bytes
+
+    def test_budget_holds_five_wideband_links(self):
+        # The reference comparison's transmitter and four receiver links on
+        # the 624-subcarrier grid of 52 resource blocks and a 32 x 32 panel.
+        assert PANEL_LINK_CACHE_BYTES == 5 * 624 * 1024 * 16
 
     def test_synthesized_panel_links_are_read_only(self):
         ch = default_links(seed=3)

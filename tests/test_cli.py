@@ -156,6 +156,30 @@ class TestCompare:
         run_compare(scenario, spec)
         assert len(calibrations) == 2
 
+    def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
+        # Noise calibration builds the transmitter link and the receivers at
+        # 0 and 15 deg; the two workers then start on the same pair and both
+        # need the links at 30 and 45 deg.
+        calls = []
+        panel_link = channel_module._panel_link
+
+        def slow_panel_link(node, params, f, elem, kind):
+            calls.append((kind, node))
+            time.sleep(0.05)  # long enough for the other worker to miss too
+            return panel_link(node, params, f, elem, kind)
+
+        monkeypatch.setattr(channel_module, "_panel_link", slow_panel_link)
+        channel_module._memo_panel_link.cache_clear()
+        spec = ExperimentSpec(
+            mode="compare_methods",
+            out_dir=str(tmp_path),
+            pairs=((30.0, 45.0), (45.0, 30.0)),
+            jobs=2,
+        )
+        run_compare(write_scenario(tmp_path / "scenario.json", tx_mode="prs", num_rb=2), spec)
+        assert len(calls) == len(set(calls)) == 5
+        assert channel_module._memo_panel_link.cache_info().misses == 5
+
     def test_outputs_follow_umask(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)

@@ -5,11 +5,15 @@ import pytest
 
 from helpers import handmade_channels, model_instance, panel, single_tone_tx
 from ris_pls.channel import ChannelSet
+from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
+    METHODS,
     OBJECTIVES,
     MeasurementNoise,
     PowerEvaluator,
+    TraceStep,
     _better,
+    _sweep,
     algorithm1,
     algorithm2,
     ed_min,
@@ -19,6 +23,7 @@ from ris_pls.optimize import (
     uniform_config,
 )
 from ris_pls.ris import ElementModel, RisConfig, flip_column, flip_half_row, flip_row
+from ris_pls.scenario import Scenario
 
 MODEL = ElementModel()
 
@@ -98,9 +103,10 @@ class TestTraceInvariants:
 
 
 class TestSlowPathParity:
-    """The sweep flips a raw bit vector in place. Replaying every step with
-    the RisConfig flip helpers and a fresh evaluation must reproduce the
-    trace's numbers exactly."""
+    """Replaying every step with the RisConfig flip helpers and a fresh
+    evaluation must reproduce the trace. A step's value comes from running
+    sums plus the move's change, so it may differ from the fresh value in
+    its last bits; the registers and the final objective are exact."""
 
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
     @pytest.mark.parametrize("kwargs", [{"iters": 2}, {"run_to_fixpoint": True}], ids=["iters2", "fixpoint"])
@@ -120,13 +126,156 @@ class TestSlowPathParity:
             else:
                 candidate = flip_half_row(cfg, step.index, step.half)
             assert step.objective_before == registers[step.objective]
-            assert step.objective_after == score[step.objective](candidate.bits)
+            assert step.objective_after == pytest.approx(
+                score[step.objective](candidate.bits), rel=1e-12, abs=0
+            )
             if step.accepted:
                 cfg = candidate
                 registers[step.objective] = step.objective_after
         assert trace.accepted_steps()
         assert cfg == trace.final_config
         assert trace.final_objective == ev.evaluate(trace.objective_kind, cfg.bits)
+
+
+def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False):
+    """The sweep with every candidate scored by a full evaluation of the
+    flipped bit vector: the slow reference for `_sweep`'s running sums."""
+    best = {obj: ev.evaluate(obj, bits) for obj in dict.fromkeys(m[3] for m in moves)}
+    steps = []
+    for iteration in range(1, passes + 1):
+        accepted_in_pass = 0
+        for kind, index, half, objective, elements in moves:
+            name, direction = OBJECTIVES[objective]
+            bits[elements] ^= 1
+            value = ev.evaluate(objective, bits)
+            accepted = _better(value, best[objective], direction)
+            steps.append(TraceStep(
+                kind, index, iteration, name, direction, best[objective], value, accepted, half
+            ))
+            if accepted:
+                best[objective] = value
+                accepted_in_pass += 1
+            else:
+                bits[elements] ^= 1
+        if fixpoint and accepted_in_pass == 0:
+            break
+    return best, steps
+
+
+def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise=None, rel=1e-12):
+    """Run both sweeps from all zeros on fresh evaluators (so noisy ones draw
+    the same readings) and compare every decision and value."""
+
+    def close(a, b):
+        return a == b or a == pytest.approx(b, rel=rel, abs=0)
+
+    moves = METHODS[method][1](n_v, n_h)
+    fast_bits = np.zeros(n_v * n_h, dtype=np.uint8)
+    slow_bits = fast_bits.copy()
+    fast_best, fast = _sweep(
+        PowerEvaluator(channels, MODEL, sig, noise), fast_bits, moves, passes, fixpoint
+    )
+    slow_best, slow = full_recompute_sweep(
+        PowerEvaluator(channels, MODEL, sig, noise), slow_bits, moves, passes, fixpoint
+    )
+    assert len(fast) == len(slow)
+    for f, s in zip(fast, slow):
+        assert (f.kind, f.index, f.half, f.iteration, f.accepted) == (
+            s.kind, s.index, s.half, s.iteration, s.accepted
+        )
+        assert close(f.objective_before, s.objective_before)
+        assert close(f.objective_after, s.objective_after)
+    assert np.array_equal(fast_bits, slow_bits)
+    assert fast_best.keys() == slow_best.keys()
+    assert all(close(fast_best[k], slow_best[k]) for k in fast_best)
+    return fast
+
+
+#: The moves of column 1 and row 2, whose cascades `zero_cascades` zeroes
+#: in the tie tests below.
+ZERO_MOVES = (("column", 1), ("row", 2), ("half_row", 2))
+
+
+def zero_cascades(channels, elements):
+    """The channel set with the cascades of `elements` zeroed for both receivers."""
+    h_ris_lu, h_ris_ed = channels.h_ris_lu.copy(), channels.h_ris_ed.copy()
+    h_ris_lu[:, elements] = 0.0
+    h_ris_ed[:, elements] = 0.0
+    return ChannelSet(
+        channels.freqs, channels.h_d_lu, channels.h_d_ed, h_ris_lu, h_ris_ed, channels.g_ris
+    )
+
+
+class TestRunningSumParity:
+    """`_sweep` scores moves from running sums; the full recompute must
+    take the same decisions step for step."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("passes, fixpoint", [(2, False), (64, True)], ids=["iters2", "fixpoint"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_decisions_match_full_recompute(self, method, passes, fixpoint, waveform, noisy):
+        accepted = 0
+        for seed in range(3):
+            channels, sig = model_instance(seed, 4, 6, waveform=waveform)
+            noise = MeasurementNoise(n0=1e-9, averages=2, seed=seed) if noisy else None
+            steps = assert_sweep_parity(channels, sig, method, 4, 6, passes, fixpoint, noise)
+            accepted += sum(s.accepted for s in steps)
+        assert accepted
+
+    @pytest.mark.parametrize("lu_deg, ed_deg", DEFAULT_PAIRS)
+    def test_alg1_on_default_scenario_reference_pairs(self, lu_deg, ed_deg):
+        scen = Scenario()
+        sig = scen.tx_signal()
+        channels = scen.channels_for(scen.placement(lu_deg), scen.placement(ed_deg), sig.freqs)
+        assert (scen.ris.n_v, scen.ris.n_h) == (32, 32)
+        # The optimized ED powers here sit 55-72 dB below the power their
+        # terms give in phase, so reordered sums move values by up to 2e-12
+        # relative; two layouts of the full product alone differ by 9e-13.
+        assert_sweep_parity(channels, sig, "alg1", 32, 32, 2, False, rel=1e-11)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("passes, fixpoint", [(2, False), (64, True)], ids=["iters2", "fixpoint"])
+    def test_zero_cascade_moves_tie_exactly(self, method, passes, fixpoint):
+        # Column 1 and row 2 have zero cascades: flipping them changes no
+        # sum. With one objective the register is always the value of the
+        # running sums, so such a move ties it exactly and is rejected in
+        # every pass; alg2's moves must match the full recompute. (Sums
+        # recomputed at each pass start would differ from the running ones
+        # in their last bits and break about one in six of these sweeps.)
+        for seed in range(12):
+            for waveform in ("tone", "prs"):
+                channels, sig = model_instance(seed, 4, 6, waveform=waveform)
+                tied = zero_cascades(channels, np.r_[1:24:6, 12:18])
+                steps = assert_sweep_parity(tied, sig, method, 4, 6, passes, fixpoint)
+                zero_moves = [s for s in steps if (s.kind, s.index) in ZERO_MOVES]
+                assert zero_moves
+                if method != "alg2":
+                    assert all(s.objective_after == s.objective_before for s in zero_moves)
+                    assert not any(s.accepted for s in zero_moves)
+
+    def test_zero_move_right_after_acceptance_equals_register(self):
+        # Column 0 is accepted (ratio 0.04 -> 25), then column 1 (zero
+        # cascade) must score exactly the register column 0 set.
+        ch = handmade_channels(0.5, 0.5, w_lu=[-1.0, 0.0, 1.0], w_ed=[1.0, 0.0, 1.0])
+        trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 3))
+        first, second = trace.steps[:2]
+        assert first.accepted and (second.kind, second.index) == ("column", 1)
+        assert not second.accepted
+        assert second.objective_after == second.objective_before == first.objective_after
+
+    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    def test_final_objective_is_a_fresh_evaluation(self, method):
+        channels, sig = model_instance(1, 4, 6, waveform="prs")
+        trace = method(channels, MODEL, sig, panel(4, 6), run_to_fixpoint=True)
+        ev = PowerEvaluator(channels, MODEL, sig)
+        assert trace.final_objective == ev.evaluate(trace.objective_kind, trace.final_config.bits)
+
+    def test_noisy_final_objective_is_the_last_accepted_reading(self):
+        channels, sig = model_instance(2, 4, 6, waveform="prs")
+        noise = MeasurementNoise(n0=1e-9, seed=5)
+        trace = algorithm1(channels, MODEL, sig, panel(4, 6), noise=noise)
+        assert trace.final_objective == trace.accepted_steps()[-1].objective_after
 
 
 class TestAlgorithm2:

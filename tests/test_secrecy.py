@@ -5,12 +5,14 @@ import pytest
 
 from ris_pls.channel import ChannelSet
 from ris_pls.ofdm import TxSignal
-from ris_pls.ris import RisResponse
+from ris_pls.optimize import PowerEvaluator
+from ris_pls.ris import ElementModel, RisResponse
 from ris_pls.secrecy import (
     LinkPowers,
     from_db,
     link_powers,
     power_ratio,
+    powers_and_sse,
     received_power,
     sum_sse,
     to_db,
@@ -138,10 +140,21 @@ class TestPowerRatio:
         expected = received_power(ch, resp, tx, "lu") / received_power(ch, resp, tx, "ed")
         assert power_ratio(ch, resp, tx) == expected
 
-    def test_zero_ed_power_raises(self):
+    def test_zero_ed_power_is_infinite(self):
         ch = channels(1.0, 0.0)
-        with pytest.raises(ZeroDivisionError):
-            power_ratio(ch, identity_response(), unit_tx())
+        assert power_ratio(ch, identity_response(), unit_tx()) == math.inf
+
+    def test_both_powers_zero_is_nan(self):
+        ch = channels(0.0, 0.0)
+        assert math.isnan(power_ratio(ch, identity_response(), unit_tx()))
+
+    @pytest.mark.parametrize("h_lu, h_ed", [(1.0, 0.0), (0.0, 0.0), (0.3 + 0.4j, 1.2)])
+    def test_matches_optimizer_evaluator(self, h_lu, h_ed):
+        ch = channels(h_lu, h_ed)
+        ev = PowerEvaluator(ch, ElementModel(), unit_tx())
+        expected = ev.ratio(np.zeros(ch.num_elements, dtype=np.uint8))
+        got = power_ratio(ch, identity_response(), unit_tx())
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestSumSse:
@@ -224,3 +237,28 @@ class TestSumSse:
         bare = sum_sse(ch, identity_response(2, 1), unit_tx(2), n0=1.0)
         with pytest.raises(ValueError):
             bare.save_per_subcarrier_csv(path)
+
+
+class TestPowersAndSse:
+    def test_equals_separate_reports(self):
+        rng = np.random.default_rng(3)
+        k, m = 6, 4
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        ch = channels(draw(k), draw(k), draw(k, m), draw(k, m), draw(k, m), k=k, m=m)
+        resp = RisResponse(draw(k, m), np.full(k, CARRIER))
+        tx = TxSignal(
+            mode="prs",
+            freqs=np.full(k, CARRIER),
+            symbols=draw(k),
+            occupied_mask=np.array([True, False, True, True, False, True]),
+        )
+        powers, report = powers_and_sse(ch, resp, tx, n0=0.3)
+        assert powers == link_powers(ch, resp, tx)
+        assert report == sum_sse(ch, resp, tx, n0=0.3)
+
+    def test_nonpositive_noise_rejected(self):
+        with pytest.raises(ValueError):
+            powers_and_sse(channels(1.0, 1.0), identity_response(), unit_tx(), n0=0.0)
