@@ -31,6 +31,7 @@ from .ofdm import (
 from .optimize import (
     MeasurementNoise,
     OptimizerTrace,
+    PowerEvaluator,
     algorithm1,
     algorithm2,
     ed_min,
@@ -55,9 +56,7 @@ from .secrecy import (
     SecrecyReport,
     from_db,
     link_powers,
-    power_ratio,
     powers_and_sse,
-    received_power,
     sum_sse,
     to_db,
 )

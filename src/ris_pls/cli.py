@@ -168,7 +168,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         if args.bits:
             data["scan_config_bits"] = args.bits
         if args.entry:
-            data["scan_entry"] = (float(args.entry[0]), float(args.entry[1]), args.entry[2])
+            data["scan_entry"] = tuple(args.entry)
         if args.start is not None:
             data["scan_start_deg"] = args.start
         if args.stop is not None:
@@ -184,7 +184,7 @@ def _spec_from_args(args) -> ExperimentSpec:
             data["fs_num_rb"] = args.num_rb
         if args.degenerate_single_bin:
             data["fs_degenerate_single_bin"] = True
-    return ExperimentSpec(**data)
+    return ExperimentSpec.from_dict(data)
 
 
 def main(argv=None) -> int:
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     stdout = outputs.pop("stdout", None)

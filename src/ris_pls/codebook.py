@@ -19,27 +19,45 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .channel import Placement, SectorGrid
-from .optimize import METHODS, greedy_sweep, uniform_config
+from .ofdm import receive
+from .optimize import METHODS, PowerEvaluator, greedy_sweep, uniform_config
 from .ris import RisConfig, build_response
-from .secrecy import LinkPowers, SecrecyReport, link_powers, powers_and_sse, sum_sse
+from .secrecy import LinkPowers, SecrecyReport, powers_and_sse, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
 
 
-def run_method(method, scenario, channels, tx, noise=None):
-    """Run one named configuration method; returns (config, trace or None)."""
+def pair_evaluator(scenario, lu: Placement, ed: Placement, tx) -> PowerEvaluator:
+    """The power evaluator of the scenario's channels to (lu, ed) at the
+    subcarriers of `tx`."""
+    return PowerEvaluator(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx)
+
+
+def run_method(method, scenario, ev: PowerEvaluator, noise=None):
+    """Run one named configuration method on the channel set of `ev`;
+    returns (config, trace or None)."""
     if method == "uniform":
         return uniform_config(scenario.ris.n_v, scenario.ris.n_h), None
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    trace = greedy_sweep(method, channels, scenario.element_model, tx, scenario.ris, noise=noise)
+    trace = greedy_sweep(method, ev, scenario.ris, noise=noise)
     return trace.final_config, trace
+
+
+def parallel_map(fn, items, jobs: int) -> list:
+    """`[fn(item) for item in items]`, on `jobs` threads when jobs > 1."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -161,27 +179,25 @@ class Codebook:
             return cls.from_dict(json.load(fh))
 
 
-def _build_entry(scenario, grid, tx_sig, lu_c, ed_c, method):
+def _build_entries(scenario, grid, tx_sig, methods, pair) -> list:
+    """One entry per method for a sector pair, all from one evaluator."""
+    lu_c, ed_c = pair
     lu = Placement(lu_c, grid.user_range_m)
     ed = Placement(ed_c, grid.user_range_m)
-    channels = scenario.channels_for(lu, ed, tx_sig.freqs)
-    config, _ = run_method(method, scenario, channels, tx_sig)
-    response = build_response(config, scenario.element_model, tx_sig.freqs)
-    achieved, sse = powers_and_sse(channels, response, tx_sig, scenario.noise_power())
-    return CodebookEntry(
-        lu_sector=lu_c,
-        ed_sector=ed_c,
-        method=method,
-        config=config,
-        achieved=achieved,
-        sse=sse,
-    )
+    ev = pair_evaluator(scenario, lu, ed, tx_sig)
+    entries = []
+    for method in methods:
+        config, _ = run_method(method, scenario, ev)
+        achieved, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
+        entries.append(CodebookEntry(lu_c, ed_c, method, config, achieved, sse))
+    return entries
 
 
 def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",), jobs: int = 1) -> Codebook:
     """Optimize every ordered sector pair with every method.
 
-    Produces |methods| * S * (S - 1) entries for S sectors. Cells are
+    Produces |methods| * S * (S - 1) entries for S sectors. Each sector
+    pair's channels are synthesized once and serve all methods. Pairs are
     independent, so they may be generated in parallel; the result does not
     depend on the execution order.
     """
@@ -192,23 +208,13 @@ def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",
         raise ValueError("codebook generation needs at least two sectors")
     tx_sig = scenario.tx_signal()
     scenario.noise_power()  # fill the calibration cache before any fan-out
-    cells = [
-        (lu, ed, method)
-        for method in methods
-        for lu in grid.sector_centers_deg
-        for ed in grid.sector_centers_deg
-        if lu != ed
+    pairs = [
+        (lu, ed) for lu in grid.sector_centers_deg for ed in grid.sector_centers_deg if lu != ed
     ]
     cb = Codebook(grid=grid, scenario_digest=scenario.digest())
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for entry in pool.map(
-                lambda cell: _build_entry(scenario, grid, tx_sig, *cell), cells
-            ):
-                cb.add(entry)
-    else:
-        for cell in cells:
-            cb.add(_build_entry(scenario, grid, tx_sig, *cell))
+    for entries in parallel_map(partial(_build_entries, scenario, grid, tx_sig, methods), pairs, jobs):
+        for entry in entries:
+            cb.add(entry)
     return cb
 
 
@@ -237,11 +243,8 @@ def rescore_config(scenario, config: RisConfig, lu_sector: float, ed_sector: flo
     """Raw secrecy rate of a fixed configuration against a hypothetical
     eavesdropper sector (channels re-synthesized from the scenario)."""
     tx_sig = scenario.tx_signal()
-    lu = scenario.placement(lu_sector)
-    ed = scenario.placement(ed_sector)
-    channels = scenario.channels_for(lu, ed, tx_sig.freqs)
-    response = build_response(config, scenario.element_model, tx_sig.freqs)
-    return sum_sse(channels, response, tx_sig, scenario.noise_power()).r_sec_raw
+    ev = pair_evaluator(scenario, scenario.placement(lu_sector), scenario.placement(ed_sector), tx_sig)
+    return sum_sse(ev, config.bits, scenario.noise_power()).r_sec_raw
 
 
 def select_config(
@@ -257,7 +260,9 @@ def select_config(
     excluded_region(X) / unknown: among the stored candidates for the
     serving sector, the entry maximizing the minimum re-scored secrecy
     rate over admissible eavesdropper sectors. The guarantee may be
-    negative; it is reported unclamped.
+    negative; it is reported unclamped. Each admissible sector's channels
+    are synthesized once and re-score every candidate; the result equals
+    `rescore_config` called per (candidate, sector).
 
     Returns (entry, guaranteed_sse).
     """
@@ -286,16 +291,16 @@ def select_config(
     candidates = cb.entries_for_lu(lu_sector, method)
     if not candidates:
         raise KeyError(f"codebook holds no entries for sector {lu_sector}")
-    best_entry = None
-    best_guarantee = -np.inf
-    for entry in candidates:
-        guarantee = min(
-            rescore_config(scenario, entry.config, lu_sector, ed) for ed in admissible
-        )
-        if guarantee > best_guarantee:
-            best_guarantee = guarantee
-            best_entry = entry
-    return best_entry, float(best_guarantee)
+    tx_sig = scenario.tx_signal()
+    n0 = scenario.noise_power()
+    lu = scenario.placement(lu_sector)
+    worst = [math.inf] * len(candidates)
+    for ed in admissible:
+        ev = pair_evaluator(scenario, lu, scenario.placement(ed), tx_sig)
+        worst = [min(w, sum_sse(ev, e.config.bits, n0).r_sec_raw) for w, e in zip(worst, candidates)]
+    # The first of equal guarantees wins.
+    best = max(range(len(candidates)), key=worst.__getitem__)
+    return candidates[best], float(worst[best])
 
 
 def scan_power_pattern(
@@ -323,14 +328,16 @@ def scan_power_pattern(
         probe_scenario = replace(scenario, channel=replace(scenario.channel, num_paths=1))
     tx_sig = probe_scenario.tx_signal()
     response = build_response(config, probe_scenario.element_model, tx_sig.freqs)
+    mask = tx_sig.occupied_mask
     pattern = []
     for angle in angles:
         probe = Placement(angle, range_m)
-        # p_lu reads only the LU links, so the probe stands in for both
+        # Only the LU signal is read, so the probe stands in for both
         # receivers. Each probe link is used once, so the memo keeps only
         # the transmitter link.
         channels = probe_scenario.channels_for(probe, probe, tx_sig.freqs, memo_receivers=False)
-        pattern.append((float(angle), link_powers(channels, response, tx_sig).p_lu))
+        y_lu, _ = receive(channels, response, tx_sig, n0=0.0)
+        pattern.append((float(angle), float((np.abs(y_lu[mask]) ** 2).sum())))
     return pattern
 
 

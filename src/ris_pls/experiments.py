@@ -6,7 +6,6 @@ and kept at full precision in JSON)."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
@@ -19,13 +18,15 @@ from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
+    pair_evaluator,
+    parallel_map,
     run_method,
     scan_power_pattern,
     select_config,
 )
 from .ofdm import ResourceGrid, build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
-from .ris import RisConfig, build_response
+from .ris import RisConfig
 from .secrecy import link_powers, powers_and_sse, to_db
 from .scenario import Scenario
 
@@ -59,6 +60,11 @@ class SpecError(ValueError):
 
 class ScenarioError(ValueError):
     """The scenario file is missing or malformed."""
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -113,6 +119,30 @@ class ExperimentSpec:
                 raise SpecError("scan start and stop must be finite azimuths in [-90, 90] degrees")
         if self.scan_start_deg > self.scan_stop_deg:
             raise SpecError("scan start must not exceed scan stop")
+        if not (self.scan_range_m is None or (_is_number(self.scan_range_m) and self.scan_range_m > 0)):
+            raise SpecError("scan range must be a positive finite number of meters")
+        if not (self.query_lu is None or _is_number(self.query_lu)):
+            raise SpecError("query_lu must be a finite number of degrees")
+        if not _is_number(self.measurement_noise_db):
+            raise SpecError("measurement_noise_db must be a finite number")
+        for name in ("measurement_averages", "fs_num_rb"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SpecError(f"{name} must be a positive integer")
+        for name in ("codebook_path", "scan_config_bits"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise SpecError(f"{name} must be a string")
+        for name in ("query_method", "fs_method"):
+            if getattr(self, name) not in COMPARE_METHODS:
+                raise SpecError(f"unknown {name} {getattr(self, name)!r}")
+        if self.scan_entry is not None:
+            try:
+                lu, ed, method = self.scan_entry
+                self.scan_entry = (float(lu), float(ed), method)
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"scan entry must be (LU degrees, ED degrees, method): {exc}") from exc
+            if method not in COMPARE_METHODS:
+                raise SpecError(f"unknown scan entry method {method!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -125,7 +155,7 @@ class ExperimentSpec:
         kwargs = {k: v for k, v in data.items() if k in known}
         try:
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(str(exc)) from exc
 
     @classmethod
@@ -187,29 +217,31 @@ def _measurement_noise(spec: ExperimentSpec, scenario: Scenario, seed: int):
     return MeasurementNoise(n0=n0, averages=spec.measurement_averages, seed=seed)
 
 
-def _compare_cell(scenario, spec, tx_sig, seed, pair, method):
-    lu_deg, ed_deg = pair
-    channels = scenario.channels_for(
-        scenario.placement(lu_deg), scenario.placement(ed_deg), tx_sig.freqs
-    )
+def _compare_pair(task) -> list:
+    """Every method's result cell for one placement pair, all from one
+    evaluator. Each noisy sweep draws from its own generator."""
+    scenario, spec, tx_sig, seed, (lu_deg, ed_deg) = task
+    ev = pair_evaluator(scenario, scenario.placement(lu_deg), scenario.placement(ed_deg), tx_sig)
     noise = _measurement_noise(spec, scenario, seed)
-    config, trace = run_method(method, scenario, channels, tx_sig, noise=noise)
-    response = build_response(config, scenario.element_model, tx_sig.freqs)
-    powers, sse = powers_and_sse(channels, response, tx_sig, scenario.noise_power())
-    return {
-        "seed": seed,
-        "lu_deg": lu_deg,
-        "ed_deg": ed_deg,
-        "method": method,
-        "p_lu": powers.p_lu,
-        "p_ed": powers.p_ed,
-        "lu_db": powers.lu_db,
-        "ed_db": powers.ed_db,
-        "sse_raw": sse.r_sec_raw,
-        "sse_clamped": sse.r_sec,
-        "config_bits": config.to_bitstring(),
-        "trace": None if trace is None else trace.to_dict(),
-    }
+    cells = []
+    for method in spec.methods:
+        config, trace = run_method(method, scenario, ev, noise=noise)
+        powers, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
+        cells.append({
+            "seed": seed,
+            "lu_deg": lu_deg,
+            "ed_deg": ed_deg,
+            "method": method,
+            "p_lu": powers.p_lu,
+            "p_ed": powers.p_ed,
+            "lu_db": powers.lu_db,
+            "ed_db": powers.ed_db,
+            "sse_raw": sse.r_sec_raw,
+            "sse_clamped": sse.r_sec,
+            "config_bits": config.to_bitstring(),
+            "trace": None if trace is None else trace.to_dict(),
+        })
+    return cells
 
 
 def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
@@ -218,22 +250,17 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     Writes a received-power CSV with one row per placement pair and one
     LU/ED column pair per method, a raw-SSE matrix CSV, and a JSON file
     holding full precision results and optimizer traces. With several
-    seeds the CSVs hold the per-cell mean over seeds.
+    seeds the CSVs hold the per-cell mean over seeds. `spec.jobs` workers
+    take placement pairs.
     """
     seeds = spec.seeds if spec.seeds else (scenario.seed,)
-    cells = []
+    tasks = []
     for seed in seeds:
         scen = scenario.with_seed(seed)
         scen.noise_power()  # fill the calibration cache before any fan-out
         tx_sig = scen.tx_signal()
-        for pair in spec.pairs:
-            for method in spec.methods:
-                cells.append((scen, spec, tx_sig, seed, pair, method))
-    if spec.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(lambda c: _compare_cell(*c), cells))
-    else:
-        results = [_compare_cell(*c) for c in cells]
+        tasks += [(scen, spec, tx_sig, seed, pair) for pair in spec.pairs]
+    results = [cell for cells in parallel_map(_compare_pair, tasks, spec.jobs) for cell in cells]
 
     by_cell = {}
     for r in results:
@@ -336,16 +363,13 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     for lu_deg, ed_deg in spec.pairs:
         lu = scenario.placement(lu_deg)
         ed = scenario.placement(ed_deg)
-        nb_channels = scenario.channels_for(lu, ed, tone.freqs)
-        config, _ = run_method(spec.fs_method, scenario, nb_channels, tone)
-        nb_response = build_response(config, scenario.element_model, tone.freqs)
-        narrowband.append((lu, ed, config, link_powers(nb_channels, nb_response, tone)))
+        ev = pair_evaluator(scenario, lu, ed, tone)
+        config, _ = run_method(spec.fs_method, scenario, ev)
+        narrowband.append((lu, ed, config, link_powers(ev, config.bits)))
     rows = []
     detail = []
     for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
-        wb_channels = scenario.channels_for(lu, ed, wide.freqs)
-        wb_response = build_response(config, scenario.element_model, wide.freqs)
-        wb = link_powers(wb_channels, wb_response, wide)
+        wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
         nb_gap = nb.lu_db - nb.ed_db
         wb_gap = wb.lu_db - wb.ed_db
         rows.append(
@@ -419,14 +443,14 @@ def run_codebook_gen(scenario: Scenario, spec: ExperimentSpec) -> dict:
 def _parse_ed_knowledge(raw) -> EdKnowledge:
     if raw is None or raw == "unknown":
         return EdKnowledge.unknown()
-    if isinstance(raw, dict):
-        if "known" in raw:
-            return EdKnowledge.known(raw["known"])
-        if "excluded" in raw:
-            return EdKnowledge.excluded_region(raw["excluded"])
+    if isinstance(raw, dict) and not {"known", "excluded"} & raw.keys():
         raise SpecError("eavesdropper knowledge must be 'unknown', {'known': deg} or {'excluded': [deg,..]}")
     try:
-        return EdKnowledge.known(float(raw))
+        if not isinstance(raw, dict):
+            return EdKnowledge.known(float(raw))
+        if "known" in raw:
+            return EdKnowledge.known(raw["known"])
+        return EdKnowledge.excluded_region(raw["excluded"])
     except (TypeError, ValueError) as exc:
         raise SpecError(f"cannot parse eavesdropper knowledge {raw!r}") from exc
 
@@ -484,8 +508,7 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
             cb = Codebook.load(spec.codebook_path)
         except OSError as exc:
             raise SpecError(f"cannot read codebook: {exc}") from exc
-        lu, ed, method = spec.scan_entry
-        entry = cb.get(float(lu), float(ed), method)
+        entry = cb.get(*spec.scan_entry)
         config = entry.config
     else:
         raise SpecError("pattern scan needs either config bits or a codebook entry")

@@ -225,21 +225,6 @@ def prs_signal(grid: ResourceGrid, symbol_index: int = 0, power_scale: float = 1
     )
 
 
-def effective_gains(channels: ChannelSet, response: RisResponse) -> tuple:
-    """Scalar end-to-end channel per subcarrier for both receivers.
-
-    Computes h_d + h_panel . diag(phi) . g for each subcarrier.
-    """
-    if response.num_subcarriers != channels.num_subcarriers:
-        raise ValueError("channel set and response disagree on subcarrier count")
-    if response.num_elements != channels.num_elements:
-        raise ValueError("channel set and response disagree on element count")
-    phi = response.diagonals
-    eff_lu = channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)
-    eff_ed = channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)
-    return eff_lu, eff_ed
-
-
 def receive(
     channels: ChannelSet,
     response: RisResponse,
@@ -249,18 +234,23 @@ def receive(
 ) -> tuple:
     """Received frequency-domain samples at both receivers.
 
-    Noise is zero-mean complex Gaussian with variance `n0`, drawn
-    independently per receiver and subcarrier; n0 = 0 returns the noiseless
-    effective signal.
+    Computes (h_d + h_panel . diag(phi) . g) x per subcarrier for any
+    reflection diagonals phi. Noise is zero-mean complex Gaussian with
+    variance `n0`, drawn independently per receiver and subcarrier; n0 = 0
+    returns the noiseless received signal.
     """
     if tx.num_subcarriers != channels.num_subcarriers:
         raise ValueError("transmit signal and channel set disagree on subcarrier count")
+    if response.num_subcarriers != channels.num_subcarriers:
+        raise ValueError("channel set and response disagree on subcarrier count")
+    if response.num_elements != channels.num_elements:
+        raise ValueError("channel set and response disagree on element count")
     if n0 < 0:
         raise ValueError("noise power must be non-negative")
-    eff_lu, eff_ed = effective_gains(channels, response)
+    phi = response.diagonals
     x = tx.amplitudes()
-    y_lu = eff_lu * x
-    y_ed = eff_ed * x
+    y_lu = (channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)) * x
+    y_ed = (channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)) * x
     if n0 > 0:
         rng = np.random.default_rng(seed)
         scale = math.sqrt(n0 / 2.0)

@@ -31,8 +31,7 @@ from .channel import ChannelSet
 from .ofdm import TxSignal
 from .ris import ElementModel, RisArrayGeometry, RisConfig, flip_column, flip_half_row, flip_row
 
-#: objective key -> (name in trace steps and of the PowerEvaluator method
-#: that scores it, direction of improvement)
+#: objective key -> (name in trace steps, direction of improvement)
 OBJECTIVES = {
     "ratio": ("ratio", "max"),
     "lu_power_max": ("lu_power", "max"),
@@ -57,6 +56,26 @@ class MeasurementNoise:
             raise ValueError("noise power must be non-negative")
         if self.averages < 1:
             raise ValueError("need at least one reading per estimate")
+
+    def reader(self):
+        """A power-reading function with its own generator seeded from
+        `seed`, or None when `n0` is 0 (readings are then exact). Each sweep
+        takes its own, so its draws do not depend on other sweeps."""
+        if self.n0 == 0:
+            return None
+        rng = np.random.default_rng(self.seed)
+        scale = math.sqrt(self.n0 / 2.0)
+
+        def read(signal: np.ndarray) -> np.float64:
+            if signal.ndim != 1:
+                raise ValueError("noisy readings score one configuration at a time")
+            total = 0.0
+            for _ in range(self.averages):
+                n = scale * (rng.standard_normal(signal.size) + 1j * rng.standard_normal(signal.size))
+                total += (np.abs(signal + n) ** 2).sum()
+            return total / self.averages
+
+        return read
 
 
 @dataclass
@@ -132,138 +151,105 @@ _FLIP_SIGN = np.array([1.0, -1.0], dtype=complex)
 
 
 class PowerEvaluator:
-    """Cached power evaluation for candidate bit vectors.
+    """Power evaluation of bit vectors on one channel set.
 
     Precomputes the per-element cascades h_m * g_m and the two per-bit
     reflection coefficients at every occupied subcarrier. A configuration
     (a row-major 0/1 vector of length M) enters only through its
     per-receiver sums of the cascades of the elements set to 1, so a full
     evaluation costs one matrix-vector product and a flip of n elements
-    changes the sums by an O(K_occ * n) product (`flipped_sums`).
+    changes the sums by an O(K_occ * n) product (`flipped_sums`). The rows
+    of an (N, M) 0/1 matrix are scored together by one matrix product.
 
     The cascades are stored once, as an (M, 2 * K_occ) array whose row m
     holds element m's LU cascades followed by its ED cascades: the
     elements of a column or a row are then a block of rows.
+
+    The evaluator holds no state between calls, so one instance serves
+    every sweep, report and re-score on its channel set.
     """
 
-    def __init__(
-        self,
-        channels: ChannelSet,
-        element_model: ElementModel,
-        tx: TxSignal,
-        noise: MeasurementNoise | None = None,
-    ):
+    def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
         if tx.num_subcarriers != channels.num_subcarriers:
             raise ValueError("transmit signal and channel set disagree on subcarrier count")
         mask = tx.occupied_mask
+        self.occupied = np.flatnonzero(mask)
         self._x = tx.amplitudes()[mask]
         self._hd = (channels.h_d_lu[mask], channels.h_d_ed[mask])
-        occupied = np.flatnonzero(mask)
-        g = channels.g_ris[occupied]
+        g = channels.g_ris[self.occupied]
         k, m = g.shape
         w = np.empty((m, 2, k), dtype=complex)
         w_r = np.empty_like(g)  # one receiver's (K_occ, M) cascades, reused
         self._w_sum = np.empty((2, k), dtype=complex)
         for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
             # mode="clip" fills `w_r` in place; "raise" would buffer a copy.
-            np.take(h, occupied, axis=0, out=w_r, mode="clip")
+            np.take(h, self.occupied, axis=0, out=w_r, mode="clip")
             w_r *= g
             self._w_sum[r] = w_r.sum(axis=1)
             w[:, r, :] = w_r.T
         self._w = w.reshape(m, 2 * k)
         theta = element_model.phase_curves(channels.freqs[mask])
         self._phi = element_model.amplitude * np.exp(1j * theta)  # (K_occ, 2)
-        self._noise = noise
-        self._noise_rng = (
-            np.random.default_rng(noise.seed) if noise is not None and noise.n0 > 0 else None
-        )
-
-    @property
-    def noisy(self) -> bool:
-        return self._noise_rng is not None
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
-        """(2, K_occ) LU and ED sums of the cascades of the elements set in `bits`."""
-        return (bits.astype(float) @ self._w).reshape(2, -1)
+        """LU and ED sums of the cascades of the elements set in `bits`:
+        (2, K_occ) for one bit vector, (2, N, K_occ) for an (N, M) matrix."""
+        out = np.asarray(bits, dtype=float) @ self._w
+        if out.ndim == 1:
+            return out.reshape(2, -1)
+        return out.reshape(len(out), 2, -1).swapaxes(0, 1)
 
     def flipped_sums(self, sums: np.ndarray, bits: np.ndarray, elements) -> np.ndarray:
         """`sums` after flipping `bits[elements]`; neither input changes."""
         return sums + (_FLIP_SIGN[bits[elements]] @ self._w[elements]).reshape(2, -1)
 
-    def _effective(self, r: int, on: np.ndarray) -> np.ndarray:
-        """Effective channel of receiver r (0: LU, 1: ED) from its sums `on`
-        (K_occ, or N x K_occ for a block)."""
-        return self._hd[r] + self._phi[:, 0] * (self._w_sum[r] - on) + self._phi[:, 1] * on
+    def _signal(self, r: int, sums: np.ndarray) -> np.ndarray:
+        """Received signal of receiver r (0: LU, 1: ED) per occupied subcarrier."""
+        on = sums[r]
+        return (self._hd[r] + self._phi[:, 0] * (self._w_sum[r] - on) + self._phi[:, 1] * on) * self._x
 
-    def _power(self, r: int, on: np.ndarray) -> float:
-        signal = self._effective(r, on) * self._x
-        if not self.noisy:
-            return float((np.abs(signal) ** 2).sum())
-        total = 0.0
-        scale = math.sqrt(self._noise.n0 / 2.0)
-        for _ in range(self._noise.averages):
-            n = scale * (
-                self._noise_rng.standard_normal(signal.size)
-                + 1j * self._noise_rng.standard_normal(signal.size)
-            )
-            total += float((np.abs(signal + n) ** 2).sum())
-        return total / self._noise.averages
+    def bin_powers(self, bits: np.ndarray) -> np.ndarray:
+        """(2, K_occ) noiseless LU and ED received power per occupied subcarrier."""
+        sums = self.sums(bits)
+        return np.stack([np.abs(self._signal(r, sums)) ** 2 for r in (0, 1)])
 
-    def value(self, objective: str, sums: np.ndarray) -> float:
-        """Objective of the configuration with per-receiver `sums`. A ratio
-        reads the ED power before the LU power."""
+    def _power(self, r: int, sums: np.ndarray, read):
+        """Power of receiver r summed over subcarriers: a numpy float for
+        one configuration, an (N,) array for N."""
+        signal = self._signal(r, sums)
+        if read is None:
+            return (np.abs(signal) ** 2).sum(axis=-1)
+        return read(signal)
+
+    def value(self, objective: str, sums: np.ndarray, read=None):
+        """Objective from `sums`: a float for one configuration, an (N,)
+        array for N. A ratio reads the ED power before the LU power. `read`
+        (`MeasurementNoise.reader`) takes noisy readings instead of exact
+        powers."""
         name = OBJECTIVES[objective][0]
         if name == "lu_power":
-            return self._power(0, sums[0])
-        p_ed = self._power(1, sums[1])
-        if name == "ed_power":
-            return p_ed
-        p_lu = self._power(0, sums[0])
-        if p_ed == 0:
-            return math.inf if p_lu > 0 else math.nan
+            out = self._power(0, sums, read)
+        else:
+            out = self._power(1, sums, read)
+            if name == "ratio":
+                out = _ratio(self._power(0, sums, read), out)
+        return float(out) if sums.ndim == 2 else out
+
+    def evaluate(self, objective: str, bits: np.ndarray, read=None):
+        """Score `bits`, one bit vector or the rows of an (N, M) 0/1 matrix,
+        for an `OBJECTIVES` key."""
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        return self.value(objective, self.sums(bits), read)
+
+
+def _ratio(p_lu, p_ed):
+    """p_lu / p_ed of numpy powers: a zero ED power gives inf, or nan when
+    the LU power is zero too."""
+    if not isinstance(p_ed, np.ndarray) and p_ed:  # one nonzero power: skip the errstate's cost
         return p_lu / p_ed
-
-    def evaluate(self, objective: str, bits: np.ndarray) -> float:
-        """Score `bits` for an `OBJECTIVES` key."""
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        return self.value(objective, self.sums(bits))
-
-    def lu_power(self, bits: np.ndarray) -> float:
-        return self.evaluate("lu_power_max", bits)
-
-    def ed_power(self, bits: np.ndarray) -> float:
-        return self.evaluate("ed_power_min", bits)
-
-    def ratio(self, bits: np.ndarray) -> float:
-        return self.evaluate("ratio", bits)
-
-    def _block_power(self, r: int, on: np.ndarray) -> np.ndarray:
-        return (np.abs(self._effective(r, on) * self._x) ** 2).sum(axis=1)
-
-    def evaluate_block(self, objective: str, rows: np.ndarray) -> np.ndarray:
-        """Objective values of the bit vectors in the rows of an (N, M) 0/1
-        matrix, scored in one product.
-
-        The sums run in another order than in `evaluate`, so a value may
-        differ from the scalar one in its last bits. Noiseless only: noisy
-        readings are drawn one candidate at a time.
-        """
-        if self.noisy:
-            raise ValueError("block scoring needs a noiseless evaluator")
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        name = OBJECTIVES[objective][0]
-        on = (np.asarray(rows, dtype=float) @ self._w).reshape(len(rows), 2, -1)
-        if name == "lu_power":
-            return self._block_power(0, on[:, 0])
-        p_ed = self._block_power(1, on[:, 1])
-        if name == "ed_power":
-            return p_ed
-        p_lu = self._block_power(0, on[:, 0])
-        # p_ed == 0 gives inf or nan, as in `value`.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return p_lu / p_ed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p_lu / p_ed
 
 
 def _better(candidate: float, incumbent: float, direction: str) -> bool:
@@ -326,9 +312,10 @@ METHODS = {
 }
 
 
-def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False):
+def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False, read=None):
     """Up to `passes` greedy passes over `moves`, flipping `bits` in place;
-    with `fixpoint`, stops after a pass that accepts nothing.
+    with `fixpoint`, stops after a pass that accepts nothing. `read` is the
+    sweep's noisy power reading, or None for exact powers.
 
     Each objective keeps one "last accepted" register, seeded from the
     starting bits in the order the objectives first appear in `moves`. A
@@ -345,14 +332,14 @@ def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpo
     bounded by the number of accepted moves. Returns (registers, trace
     steps)."""
     sums = ev.sums(bits)
-    best = {obj: ev.value(obj, sums) for obj in dict.fromkeys(m[3] for m in moves)}
+    best = {obj: ev.value(obj, sums, read) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
         accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
             candidate = ev.flipped_sums(sums, bits, elements)
-            value = ev.value(objective, candidate)
+            value = ev.value(objective, candidate, read)
             accepted = _better(value, best[objective], direction)
             steps.append(TraceStep(
                 kind, index, iteration, name, direction, best[objective], value, accepted, half
@@ -369,34 +356,33 @@ def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpo
 
 def greedy_sweep(
     method: str,
-    channels: ChannelSet,
-    element_model: ElementModel,
-    tx: TxSignal,
+    ev: PowerEvaluator,
     geometry: RisArrayGeometry,
     init: RisConfig | None = None,
     iters: int = 2,
     noise: MeasurementNoise | None = None,
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
-    """Run the greedy method named in `METHODS`.
+    """Run the greedy method named in `METHODS` on the channel set of `ev`.
 
     `iters` passes by default; `run_to_fixpoint` instead repeats passes
     (at most 64) until one accepts nothing. The final objective is a fresh
     evaluation of the end configuration, so it equals what
     `exhaustive_oracle` computes for it. A noisy sweep instead reports the
     last accepted reading of the method objective, when a move is judged
-    by it; alg2's ratio is always read afresh.
+    by it; alg2's ratio is always read afresh. Each noisy sweep draws from
+    its own generator seeded from `noise.seed`.
     """
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
-    ev = PowerEvaluator(channels, element_model, tx, noise)
+    read = None if noise is None else noise.reader()
     initial = _initial_config(geometry, init)
     bits = initial.bits.copy()
-    best, steps = _sweep(ev, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint)
-    if objective_kind in best and ev.noisy:
+    best, steps = _sweep(ev, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, read)
+    if objective_kind in best and read is not None:
         final_objective = best[objective_kind]
     else:
-        final_objective = ev.evaluate(objective_kind, bits)
+        final_objective = ev.evaluate(objective_kind, bits, read)
     return OptimizerTrace(
         method=method,
         objective_kind=objective_kind,
@@ -422,7 +408,8 @@ def algorithm1(
     Sweeps all columns then all rows per pass, starting from the all-zeros
     configuration, accepting a flip only on strict ratio improvement.
     """
-    return greedy_sweep("alg1", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
+    ev = PowerEvaluator(channels, element_model, tx)
+    return greedy_sweep("alg1", ev, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def lu_max(
@@ -436,7 +423,8 @@ def lu_max(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Beamform toward the intended receiver, ignoring the eavesdropper."""
-    return greedy_sweep("lu_max", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
+    ev = PowerEvaluator(channels, element_model, tx)
+    return greedy_sweep("lu_max", ev, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def ed_min(
@@ -450,7 +438,8 @@ def ed_min(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Suppress the eavesdropper's power, ignoring the intended receiver."""
-    return greedy_sweep("ed_min", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
+    ev = PowerEvaluator(channels, element_model, tx)
+    return greedy_sweep("ed_min", ev, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def algorithm2(
@@ -473,7 +462,8 @@ def algorithm2(
     initialized once from the starting configuration. The final objective
     is the ratio of the end configuration.
     """
-    return greedy_sweep("alg2", channels, element_model, tx, geometry, init, iters, noise, run_to_fixpoint)
+    ev = PowerEvaluator(channels, element_model, tx)
+    return greedy_sweep("alg2", ev, geometry, init, iters, noise, run_to_fixpoint)
 
 
 def single_flip_improvements(
@@ -516,7 +506,7 @@ def exhaustive_oracle(
     values only, so ties resolve to the smallest bit-string. Guarded to
     M <= 20.
 
-    Each block of 4096 candidates is scored in one `evaluate_block` call.
+    Each block of 4096 candidates is scored in one `evaluate` call.
     The block's non-finite values, and those within `_RESCORE_REL_TOL` of
     its best finite value, are then scored again by the scalar `evaluate`
     in ascending order against the running best. The scalar winner is
@@ -541,7 +531,7 @@ def exhaustive_oracle(
         stop = min(start + block, 1 << m)
         ints = np.arange(start, stop, dtype=np.uint64)
         bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        scores = sign * ev.evaluate_block(objective, bits)  # higher is better
+        scores = sign * ev.evaluate(objective, bits)  # higher is better
         finite = np.isfinite(scores)
         rescore = ~finite
         if finite.any():

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
 from .ofdm import Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry
-from .secrecy import from_db, link_powers
-from .optimize import uniform_config
-from . import ris as _ris
+from .secrecy import from_db
+from .optimize import PowerEvaluator, uniform_config
 
 SCENARIO_SCHEMA = "ris-pls/scenario-v1"
 
@@ -92,12 +91,9 @@ class Scenario:
             tx_sig = self.tx_signal()
             lu = Placement(0.0, self.sector_grid.user_range_m)
             ed = Placement(15.0, self.sector_grid.user_range_m)
-            channels = self.channels_for(lu, ed, tx_sig.freqs)
+            ev = PowerEvaluator(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig)
             cfg = uniform_config(self.ris.n_v, self.ris.n_h)
-            response = _ris.build_response(cfg, self.element_model, tx_sig.freqs)
-            per_bin = link_powers(channels, response, tx_sig).p_lu / int(
-                tx_sig.occupied_mask.sum()
-            )
+            per_bin = ev.evaluate("lu_power_max", cfg.bits) / ev.occupied.size
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache
 

@@ -7,10 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet
-from .ofdm import TxSignal, effective_gains
-from .ris import RisResponse
-
 
 def to_db(power: float) -> float:
     """10 log10(p); zero maps to -inf."""
@@ -108,53 +104,23 @@ class SecrecyReport:
                 fh.write(f"{v},{r_l!r},{r_e!r}\n")
 
 
-def _occupied_signal_powers(channels: ChannelSet, response: RisResponse, tx: TxSignal):
-    eff_lu, eff_ed = effective_gains(channels, response)
-    if tx.num_subcarriers != channels.num_subcarriers:
-        raise ValueError("transmit signal and channel set disagree on subcarrier count")
-    x = tx.amplitudes()
-    mask = tx.occupied_mask
-    p_lu = np.abs(eff_lu[mask] * x[mask]) ** 2
-    p_ed = np.abs(eff_ed[mask] * x[mask]) ** 2
-    return p_lu, p_ed
+def _link_powers(p: np.ndarray) -> LinkPowers:
+    return LinkPowers(float(p[0].sum()), float(p[1].sum()))
 
 
-def received_power(
-    channels: ChannelSet, response: RisResponse, tx: TxSignal, user: str = "lu"
-) -> float:
-    """Noiseless effective received power summed over occupied subcarriers."""
-    if user not in ("lu", "ed"):
-        raise ValueError("user must be 'lu' or 'ed'")
-    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
-    return float(p_lu.sum() if user == "lu" else p_ed.sum())
+def link_powers(ev, bits: np.ndarray) -> LinkPowers:
+    """Noiseless received powers of the configuration `bits`, summed over
+    the occupied subcarriers of the `PowerEvaluator` `ev`."""
+    return _link_powers(ev.bin_powers(bits))
 
 
-def link_powers(channels: ChannelSet, response: RisResponse, tx: TxSignal) -> LinkPowers:
-    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
-    return LinkPowers(float(p_lu.sum()), float(p_ed.sum()))
-
-
-def power_ratio(channels: ChannelSet, response: RisResponse, tx: TxSignal) -> float:
-    """Received-power ratio LU/ED, the greedy objective of the full-surface
-    sweep. A zero ED power gives inf, or nan when the LU power is zero too,
-    as the optimizers' evaluator does."""
-    powers = link_powers(channels, response, tx)
-    if powers.p_ed == 0:
-        return math.inf if powers.p_lu > 0 else math.nan
-    return powers.p_lu / powers.p_ed
-
-
-def _sse_report(
-    p_lu, p_ed, tx: TxSignal, n0: float, apply_max: bool = False, per_subcarrier: bool = False
-) -> SecrecyReport:
+def _sse_report(p: np.ndarray, occupied, n0: float, apply_max=False, per_subcarrier=False) -> SecrecyReport:
     if n0 <= 0:
         raise ValueError("noise power must be positive")
-    r_lu = np.log2(1.0 + p_lu / n0)
-    r_ed = np.log2(1.0 + p_ed / n0)
+    r_lu, r_ed = np.log2(1.0 + p / n0)
     raw = float(r_lu.sum() - r_ed.sum())
     detail = None
     if per_subcarrier:
-        occupied = np.flatnonzero(tx.occupied_mask)
         detail = [(int(v), float(rl), float(re)) for v, rl, re in zip(occupied, r_lu, r_ed)]
     return SecrecyReport(
         r_lu=float(r_lu.sum()),
@@ -162,32 +128,27 @@ def _sse_report(
         r_sec_raw=raw,
         r_sec=max(0.0, raw),
         n0=n0,
-        num_occupied=int(tx.occupied_mask.sum()),
+        num_occupied=len(occupied),
         headline_clamped=apply_max,
         per_subcarrier=detail,
     )
 
 
 def sum_sse(
-    channels: ChannelSet,
-    response: RisResponse,
-    tx: TxSignal,
-    n0: float,
-    apply_max: bool = False,
-    per_subcarrier: bool = False,
+    ev, bits: np.ndarray, n0: float, apply_max: bool = False, per_subcarrier: bool = False
 ) -> SecrecyReport:
-    """Sum secrecy spectral efficiency over the occupied subcarriers.
+    """Sum secrecy spectral efficiency of the configuration `bits` over the
+    occupied subcarriers of the `PowerEvaluator` `ev`.
 
     Rates are Shannon efficiencies of the noiseless effective signal power
     over `n0`. With `apply_max` the clamped difference is the headline
     value of the report; the raw difference is always carried alongside.
     """
-    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
-    return _sse_report(p_lu, p_ed, tx, n0, apply_max, per_subcarrier)
+    return _sse_report(ev.bin_powers(bits), ev.occupied, n0, apply_max, per_subcarrier)
 
 
-def powers_and_sse(channels: ChannelSet, response: RisResponse, tx: TxSignal, n0: float) -> tuple:
-    """(`link_powers`, `sum_sse`) of one configuration from a single
-    evaluation of the occupied-subcarrier powers."""
-    p_lu, p_ed = _occupied_signal_powers(channels, response, tx)
-    return LinkPowers(float(p_lu.sum()), float(p_ed.sum())), _sse_report(p_lu, p_ed, tx, n0)
+def powers_and_sse(ev, bits: np.ndarray, n0: float) -> tuple:
+    """(`link_powers`, `sum_sse`) of one configuration from one set of
+    per-subcarrier powers."""
+    p = ev.bin_powers(bits)
+    return _link_powers(p), _sse_report(p, ev.occupied, n0)

@@ -12,10 +12,25 @@ import pytest
 
 from helpers import model_instance, panel
 from ris_pls.channel import ChannelParams, ChannelSet
-from ris_pls.codebook import Codebook, EdKnowledge, generate_codebook, rescore_config, select_config
+from ris_pls.codebook import (
+    Codebook,
+    EdKnowledge,
+    generate_codebook,
+    pair_evaluator,
+    rescore_config,
+    select_config,
+)
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, demodulate, modulate, prs_signal, tone_signal
-from ris_pls.optimize import algorithm1, algorithm2, ed_min, exhaustive_oracle, lu_max, single_flip_improvements
-from ris_pls.ris import ElementModel, RisArrayGeometry, RisResponse, build_response
+from ris_pls.optimize import (
+    PowerEvaluator,
+    algorithm1,
+    algorithm2,
+    ed_min,
+    exhaustive_oracle,
+    lu_max,
+    single_flip_improvements,
+)
+from ris_pls.ris import ElementModel, RisArrayGeometry, RisResponse
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, sum_sse
 from ris_pls.experiments import DEFAULT_PAIRS, run_method
@@ -96,9 +111,11 @@ def test_criterion_02_sse_closed_forms():
         symbols=np.array([1.0 + 0.0j]),
         occupied_mask=np.array([True]),
     )
-    resp = RisResponse(np.ones((1, 1), complex), np.array([CARRIER]))
-    snr31 = sum_sse(flat_channels(math.sqrt(3.0), 1.0), resp, tx, n0=1.0)
-    identical = sum_sse(flat_channels(0.8, 0.8), resp, tx, n0=1.0, apply_max=True)
+    bits = np.zeros(1, dtype=np.uint8)
+    snr31 = sum_sse(PowerEvaluator(flat_channels(math.sqrt(3.0), 1.0), ElementModel(), tx), bits, n0=1.0)
+    identical = sum_sse(
+        PowerEvaluator(flat_channels(0.8, 0.8), ElementModel(), tx), bits, n0=1.0, apply_max=True
+    )
     ok = (
         abs(snr31.r_sec_raw - 1.0) <= 1e-12
         and identical.r_sec == 0.0
@@ -207,15 +224,12 @@ def reference_sweep():
         sig = scenario.tx_signal()
         n0 = scenario.noise_power()
         for pair in DEFAULT_PAIRS:
-            channels = scenario.channels_for(
-                scenario.placement(pair[0]), scenario.placement(pair[1]), sig.freqs
-            )
+            ev = pair_evaluator(scenario, scenario.placement(pair[0]), scenario.placement(pair[1]), sig)
             for method in METHODS:
-                config, _ = run_method(method, scenario, channels, sig)
-                resp = build_response(config, scenario.element_model, sig.freqs)
-                p = link_powers(channels, resp, sig)
+                config, _ = run_method(method, scenario, ev)
+                p = link_powers(ev, config.bits)
                 powers[(seed, pair, method)] = (p.p_lu, p.p_ed)
-                sse[(seed, pair, method)] = sum_sse(channels, resp, sig, n0).r_sec_raw
+                sse[(seed, pair, method)] = sum_sse(ev, config.bits, n0).r_sec_raw
     return powers, sse, time.time() - start
 
 
@@ -286,11 +300,10 @@ def test_criterion_08_frequency_selectivity():
         rows = []
         for pair in DEFAULT_PAIRS:
             lu, ed = scenario.placement(pair[0]), scenario.placement(pair[1])
-            nb_channels = scenario.channels_for(lu, ed, tone.freqs)
-            config, _ = run_method("alg1", scenario, nb_channels, tone)
-            nb = link_powers(nb_channels, build_response(config, model, tone.freqs), tone)
-            wb_channels = scenario.channels_for(lu, ed, wide.freqs)
-            wb = link_powers(wb_channels, build_response(config, model, wide.freqs), wide)
+            nb_ev = pair_evaluator(scenario, lu, ed, tone)
+            config, _ = run_method("alg1", scenario, nb_ev)
+            nb = link_powers(nb_ev, config.bits)
+            wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))
         results[mode] = rows
     ideal_worst = max(abs(nb - wb) for nb, wb in results["ideal"])

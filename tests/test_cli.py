@@ -1,18 +1,26 @@
+import contextlib
+import io
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ris_pls
 from ris_pls import channel as channel_module
 from ris_pls import scenario as scenario_module
-from ris_pls.channel import ChannelParams
+from ris_pls.channel import ChannelParams, SectorGrid
+from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
-from ris_pls.experiments import ExperimentSpec, run_compare, run_frequency_selectivity
+from ris_pls.experiments import ExperimentSpec, _measurement_noise, run_compare, run_frequency_selectivity
+from ris_pls.optimize import PowerEvaluator, algorithm1, algorithm2, ed_min, lu_max
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 
@@ -135,15 +143,16 @@ class TestCompare:
         assert rc == EXIT_OK
 
     def test_jobs_calibrate_noise_once_per_seed(self, tmp_path, monkeypatch):
+        # Noise calibration is the only evaluator the scenario module builds.
         calibrations = []
-        calibrate = scenario_module.link_powers
+        calibrate = scenario_module.PowerEvaluator
 
         def slow_calibrate(*args):
             calibrations.append(args)
             time.sleep(0.05)  # long enough for a racing worker to start its own
             return calibrate(*args)
 
-        monkeypatch.setattr(scenario_module, "link_powers", slow_calibrate)
+        monkeypatch.setattr(scenario_module, "PowerEvaluator", slow_calibrate)
         spec = ExperimentSpec(
             mode="compare_methods",
             out_dir=str(tmp_path),
@@ -155,6 +164,54 @@ class TestCompare:
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, spec)
         assert len(calibrations) == 2
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_shared_evaluator_matches_fresh_evaluators(self, tmp_path, noisy):
+        # Each pair's methods share one evaluator; each public optimizer
+        # builds its own. Bits and every trace step must agree.
+        scenario = write_scenario(tmp_path / "scenario.json")
+        spec = ExperimentSpec(
+            mode="compare_methods",
+            out_dir=str(tmp_path),
+            pairs=((0.0, 15.0), (30.0, 45.0)),
+            noisy_measurements=noisy,
+        )
+        run_compare(scenario, spec)
+        results = json.loads((tmp_path / "compare_results.json").read_text())["results"]
+        optimizers = {"alg1": algorithm1, "alg2": algorithm2, "lu_max": lu_max, "ed_min": ed_min}
+        sig = scenario.tx_signal()
+        noise = _measurement_noise(spec, scenario, scenario.seed)
+        checked = 0
+        for r in results:
+            if r["method"] == "uniform":
+                continue
+            lu, ed = scenario.placement(r["lu_deg"]), scenario.placement(r["ed_deg"])
+            channels = scenario.channels_for(lu, ed, sig.freqs)
+            trace = optimizers[r["method"]](channels, scenario.element_model, sig, scenario.ris, noise=noise)
+            assert r["config_bits"] == trace.final_config.to_bitstring()
+            assert r["trace"] == json.loads(json.dumps(trace.to_dict()))
+            checked += 1
+        assert checked == 8
+
+    def test_one_evaluator_and_synthesis_per_pair(self, tmp_path, monkeypatch):
+        built, synthesized = [], []
+        init = PowerEvaluator.__init__
+        synthesize = scenario_module.synthesize_channels
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counting_synthesize(*args):
+            synthesized.append(args)
+            return synthesize(*args)
+
+        monkeypatch.setattr(PowerEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(scenario_module, "synthesize_channels", counting_synthesize)
+        scenario = write_scenario(tmp_path / "scenario.json")
+        run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
+        # 9 pairs x 5 methods, plus the noise calibration.
+        assert len(built) == len(synthesized) == 10
 
     def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
         # Noise calibration builds the transmitter link and the receivers at
@@ -298,6 +355,123 @@ class TestExitCodes:
         assert main(["compare", "--print-schema"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert "scenario" in payload and "spec" in payload
+
+
+class TestMalformedSpecFields:
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("codebook-query", {"query_lu": "abc"}),
+            ("pattern-scan", {"scan_config_bits": 5}),
+            ("freq-selectivity", {"fs_num_rb": "x"}),
+            ("compare", {"measurement_noise_db": "x", "noisy_measurements": True}),
+        ],
+    )
+    def test_wrong_type_is_spec_error(self, tmp_path, command, fields):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": MODE_BY_COMMAND[command], **fields}))
+        rc = main([command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
+        assert rc == EXIT_SPEC
+
+    @pytest.mark.parametrize("ed", [{"excluded": 5}, {"known": [1]}, {"known": "x"}, {}])
+    def test_malformed_ed_knowledge_is_spec_error(self, tmp_path, ed):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        assert main(["codebook-gen", "--scenario", str(scenario), "--out", str(tmp_path), "--methods", "alg1"]) == EXIT_OK
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "codebook_query", "codebook_path": str(tmp_path / "codebook.json"), "query_lu": 0.0, "query_ed": ed,
+        }))
+        rc = main(["codebook-query", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
+        assert rc == EXIT_SPEC
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "codebook_gen", "codebook_path": str(tmp_path)}))
+        rc = main(["codebook-gen", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path), "--methods", "alg1"])
+        assert rc == EXIT_RUNTIME
+
+    def test_unparsable_entry_is_spec_error(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        rc = main([
+            "pattern-scan", "--scenario", str(scenario), "--out", str(tmp_path),
+            "--codebook", str(tmp_path / "codebook.json"), "--entry", "abc", "15", "alg1",
+        ])
+        assert rc == EXIT_SPEC
+
+
+#: Values swapped into spec fields: every JSON type, edge numbers, and
+#: values that are valid for some other field. No value asks for unbounded
+#: work (huge counts or tiny scan steps).
+SPEC_VALUES = (
+    None, True, False, 0, -1, 1, 3, 0.5, -0.0, 15.0, 1e308, -1e308,
+    float("nan"), float("inf"), "", ".", "x", "unknown", "alg1", "uniform", "0" * 16,
+    [], [1], [0.0, 15.0], [[0.0, 15.0]], [[0.0, 0.0]], [[0.0, "x"]], [30, 15, "alg1"],
+    [30, 15, ["alg1"]], {}, {"known": 15.0}, {"known": "x"}, {"excluded": 5},
+    {"excluded": [15.0]}, {"mode": "x"},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_setup(tmp_path_factory):
+    """A 4x4 tone scenario with three sectors and an alg1 codebook for it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scenario = root / "scenario.json"
+    write_scenario(scenario, sector_grid=SectorGrid(sector_centers_deg=(0.0, 15.0, 30.0)))
+    assert main(["codebook-gen", "--scenario", str(scenario), "--out", str(root), "--methods", "alg1"]) == EXIT_OK
+    return scenario, root / "codebook.json"
+
+
+class TestSpecFieldProperty:
+    """Any spec with swapped field types or values exits 0, 2, 3 or 4,
+    with no traceback."""
+
+    BASE = {
+        "compare": {"pairs": [[0.0, 15.0]], "methods": ["alg1", "uniform"]},
+        "codebook-gen": {"methods": ["alg1"]},
+        "codebook-query": {"query_lu": 0.0, "query_ed": "unknown"},
+        "pattern-scan": {"scan_entry": [0.0, 15.0, "alg1"], "scan_step_deg": 15.0},
+        "freq-selectivity": {"pairs": [[0.0, 15.0]], "fs_num_rb": 1},
+    }
+    #: The fields each command reads, swapped more often than the others.
+    READS = {
+        "compare": ["pairs", "methods", "seeds", "noisy_measurements", "measurement_noise_db", "measurement_averages"],
+        "codebook-gen": ["methods", "codebook_path"],
+        "codebook-query": ["codebook_path", "query_lu", "query_ed", "query_method"],
+        "pattern-scan": [
+            "codebook_path", "scan_config_bits", "scan_entry", "scan_start_deg", "scan_stop_deg",
+            "scan_step_deg", "scan_range_m", "scan_attach",
+        ],
+        "freq-selectivity": ["pairs", "fs_method", "fs_num_rb", "fs_degenerate_single_bin"],
+    }
+    FIELDS = sorted(set(ExperimentSpec.__dataclass_fields__) - {"out_dir", "jobs"})
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(sorted(MODE_BY_COMMAND)), data=st.data())
+    def test_swapped_fields_exit_cleanly(self, fuzz_setup, command, data):
+        fields = st.sampled_from(self.READS[command]) | st.sampled_from(self.FIELDS)
+        swaps = data.draw(st.dictionaries(fields, st.sampled_from(SPEC_VALUES), max_size=2), label="swaps")
+        scenario, codebook = fuzz_setup
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            # A copy, because --attach and codebook-gen may rewrite it.
+            shutil.copy(codebook, "codebook.json")
+            spec = {"mode": MODE_BY_COMMAND[command], "codebook_path": "codebook.json"}
+            spec.update(self.BASE[command])
+            spec.update(swaps)
+            with open("spec.json", "w") as fh:
+                json.dump(spec, fh)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    rc = main([command, "--scenario", str(scenario), "--spec", "spec.json", "--out", "out"])
+        assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME)
+        assert "Traceback" not in stderr.getvalue()
 
 
 class TestCodebookCommands:

@@ -15,10 +15,11 @@ from ris_pls.codebook import (
     scan_power_pattern,
     select_config,
 )
+from ris_pls.ofdm import receive
 from ris_pls.optimize import uniform_config
 from ris_pls.ris import RisArrayGeometry, RisConfig, build_response
 from ris_pls.scenario import Scenario
-from ris_pls.secrecy import LinkPowers, SecrecyReport, link_powers
+from ris_pls.secrecy import LinkPowers, SecrecyReport
 
 
 def scenario_8x8(seed=1, **channel_kwargs):
@@ -131,6 +132,23 @@ class TestSelection:
             assert guaranteed == pytest.approx(table[best_key], rel=1e-12)
             assert table[entry.key] == pytest.approx(table[best_key], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "knowledge", [EdKnowledge.unknown(), EdKnowledge.excluded_region([15.0, 45.0])]
+    )
+    def test_grouped_rescoring_equals_per_call_max_min(self, alg1_codebook, knowledge):
+        sc, cb = alg1_codebook
+        centers = cb.grid.sector_centers_deg
+        for lu in centers:
+            admissible = [c for c in centers if c != lu and c not in knowledge.excluded]
+            best_entry, best = None, -math.inf
+            for cand in cb.entries_for_lu(lu, "alg1"):
+                guarantee = min(rescore_config(sc, cand.config, lu, ed) for ed in admissible)
+                if guarantee > best:
+                    best_entry, best = cand, guarantee
+            entry, guaranteed = select_config(cb, lu, knowledge, scenario=sc)
+            assert entry.key == best_entry.key
+            assert guaranteed == best
+
     def test_excluded_region_restricts_min(self, alg1_codebook):
         sc, cb = alg1_codebook
         entry_all, g_all = select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc)
@@ -236,7 +254,8 @@ class TestPatternScan:
         for angle, power in pattern:
             other = Placement(angle - 1.0 if angle > 0 else angle + 1.0, 7.0)
             channels = probe_sc.channels_for(Placement(angle, 7.0), other, sig.freqs)
-            assert power == link_powers(channels, response, sig).p_lu
+            y_lu, _ = receive(channels, response, sig, n0=0.0)
+            assert power == float((np.abs(y_lu[sig.occupied_mask]) ** 2).sum())
 
     def test_angles_validated(self):
         sc = los_scenario()

@@ -115,9 +115,13 @@ class TestSlowPathParity:
         channels, sig = model_instance(4, 4, 6, waveform=waveform)
         trace = method(channels, MODEL, sig, panel(4, 6), **kwargs)
         ev = PowerEvaluator(channels, MODEL, sig)
-        score = {"ratio": ev.ratio, "lu_power": ev.lu_power, "ed_power": ev.ed_power}
+        key = {name: objective for objective, (name, _) in OBJECTIVES.items()}
+
+        def score(name, bits):
+            return ev.evaluate(key[name], bits)
+
         cfg = trace.initial_config
-        registers = {name: score[name](cfg.bits) for name in {s.objective for s in trace.steps}}
+        registers = {name: score(name, cfg.bits) for name in {s.objective for s in trace.steps}}
         for step in trace.steps:
             if step.kind == "column":
                 candidate = flip_column(cfg, step.index)
@@ -127,7 +131,7 @@ class TestSlowPathParity:
                 candidate = flip_half_row(cfg, step.index, step.half)
             assert step.objective_before == registers[step.objective]
             assert step.objective_after == pytest.approx(
-                score[step.objective](candidate.bits), rel=1e-12, abs=0
+                score(step.objective, candidate.bits), rel=1e-12, abs=0
             )
             if step.accepted:
                 cfg = candidate
@@ -137,17 +141,17 @@ class TestSlowPathParity:
         assert trace.final_objective == ev.evaluate(trace.objective_kind, cfg.bits)
 
 
-def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False):
+def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False, read=None):
     """The sweep with every candidate scored by a full evaluation of the
     flipped bit vector: the slow reference for `_sweep`'s running sums."""
-    best = {obj: ev.evaluate(obj, bits) for obj in dict.fromkeys(m[3] for m in moves)}
+    best = {obj: ev.evaluate(obj, bits, read) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
         accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
             bits[elements] ^= 1
-            value = ev.evaluate(objective, bits)
+            value = ev.evaluate(objective, bits, read)
             accepted = _better(value, best[objective], direction)
             steps.append(TraceStep(
                 kind, index, iteration, name, direction, best[objective], value, accepted, half
@@ -163,21 +167,22 @@ def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False):
 
 
 def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise=None, rel=1e-12):
-    """Run both sweeps from all zeros on fresh evaluators (so noisy ones draw
-    the same readings) and compare every decision and value."""
+    """Run both sweeps from all zeros on one evaluator, each with its own
+    noise reader (so noisy ones draw the same readings), and compare every
+    decision and value."""
 
     def close(a, b):
         return a == b or a == pytest.approx(b, rel=rel, abs=0)
 
+    def read():
+        return None if noise is None else noise.reader()
+
+    ev = PowerEvaluator(channels, MODEL, sig)
     moves = METHODS[method][1](n_v, n_h)
     fast_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     slow_bits = fast_bits.copy()
-    fast_best, fast = _sweep(
-        PowerEvaluator(channels, MODEL, sig, noise), fast_bits, moves, passes, fixpoint
-    )
-    slow_best, slow = full_recompute_sweep(
-        PowerEvaluator(channels, MODEL, sig, noise), slow_bits, moves, passes, fixpoint
-    )
+    fast_best, fast = _sweep(ev, fast_bits, moves, passes, fixpoint, read())
+    slow_best, slow = full_recompute_sweep(ev, slow_bits, moves, passes, fixpoint, read())
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
         assert (f.kind, f.index, f.half, f.iteration, f.accepted) == (
@@ -386,7 +391,7 @@ class TestBaselines:
     def test_lu_max_never_below_start(self, seed):
         channels, sig = model_instance(seed, 3, 4)
         ev = PowerEvaluator(channels, MODEL, sig)
-        start = ev.lu_power(RisConfig.zeros(3, 4).bits)
+        start = ev.evaluate("lu_power_max", RisConfig.zeros(3, 4).bits)
         trace = lu_max(channels, MODEL, sig, panel(3, 4))
         assert trace.final_objective >= start
 
@@ -401,8 +406,8 @@ class TestBaselines:
         for seed in range(draws):
             channels, sig = model_instance(seed, 3, 4)
             ev = PowerEvaluator(channels, MODEL, sig)
-            p_lu_max = ev.lu_power(lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
-            p_alg1 = ev.lu_power(algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            p_lu_max = ev.evaluate("lu_power_max", lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            p_alg1 = ev.evaluate("lu_power_max", algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
             if p_lu_max >= p_alg1:
                 wins += 1
         print(f"lu_max LU power >= alg1 LU power in {wins}/{draws} draws")
@@ -415,7 +420,7 @@ class TestZeroEavesdropperPower:
         # +inf so sweeps over dead eavesdropper links still run.
         ch = handmade_channels(1.0, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
         ev = PowerEvaluator(ch, MODEL, single_tone_tx())
-        assert ev.ratio(RisConfig.zeros(1, 2).bits) == math.inf
+        assert ev.evaluate("ratio", RisConfig.zeros(1, 2).bits) == math.inf
         trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 2))
         assert trace.final_objective == math.inf
         assert trace.replay_accepted() == trace.final_config
@@ -555,15 +560,16 @@ class TestBlockOracleParity:
         ev = PowerEvaluator(channels, MODEL, sig)
         rows = np.random.default_rng(0).integers(0, 2, size=(40, 6), dtype=np.uint8)
         for objective in OBJECTIVES:
-            block = ev.evaluate_block(objective, rows)
+            block = ev.evaluate(objective, rows)
             scalar = [ev.evaluate(objective, row) for row in rows]
             np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0)
 
-    def test_noisy_evaluator_refuses_block_scoring(self):
+    def test_noisy_readings_refuse_block_scoring(self):
         channels, sig = model_instance(0, 2, 2)
-        ev = PowerEvaluator(channels, MODEL, sig, MeasurementNoise(n0=1e-9, seed=1))
-        with pytest.raises(ValueError, match="noiseless"):
-            ev.evaluate_block("ratio", np.zeros((3, 4), dtype=np.uint8))
+        ev = PowerEvaluator(channels, MODEL, sig)
+        read = MeasurementNoise(n0=1e-9, seed=1).reader()
+        with pytest.raises(ValueError, match="one configuration at a time"):
+            ev.evaluate("ratio", np.zeros((3, 4), dtype=np.uint8), read)
 
 
 class TestMeasurementNoise:

@@ -1,10 +1,10 @@
 import pytest
 
 from ris_pls.channel import ChannelParams, Placement
-from ris_pls.ris import RisArrayGeometry, build_response
+from ris_pls.optimize import PowerEvaluator, uniform_config
+from ris_pls.ris import RisArrayGeometry
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, to_db
-from ris_pls.optimize import uniform_config
 
 
 def small_scenario(**kwargs):
@@ -76,8 +76,8 @@ class TestNoiseCalibration:
         n0 = sc.noise_power()
         sig = sc.tx_signal()
         ch = sc.channels_for(Placement(0.0, 7.0), Placement(15.0, 7.0), sig.freqs)
-        resp = build_response(uniform_config(4, 4), sc.element_model, sig.freqs)
-        per_bin = link_powers(ch, resp, sig).p_lu / int(sig.occupied_mask.sum())
+        ev = PowerEvaluator(ch, sc.element_model, sig)
+        per_bin = link_powers(ev, uniform_config(4, 4).bits).p_lu / int(sig.occupied_mask.sum())
         assert to_db(per_bin / n0) == pytest.approx(10.0, abs=1e-9)
 
     def test_explicit_n0_wins(self):

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from helpers import model_instance, panel
 from ris_pls.channel import ChannelSet
-from ris_pls.ofdm import TxSignal
-from ris_pls.optimize import PowerEvaluator
-from ris_pls.ris import ElementModel, RisResponse
+from ris_pls.ofdm import TxSignal, receive
+from ris_pls.optimize import PowerEvaluator, algorithm1
+from ris_pls.ris import ElementModel, RisConfig, build_response
 from ris_pls.secrecy import (
     LinkPowers,
     from_db,
     link_powers,
-    power_ratio,
     powers_and_sse,
-    received_power,
     sum_sse,
     to_db,
 )
@@ -33,10 +32,6 @@ def channels(h_d_lu, h_d_ed, h_lu=None, h_ed=None, g=None, k=1, m=1):
     )
 
 
-def identity_response(k=1, m=1):
-    return RisResponse(np.ones((k, m), dtype=complex), np.full(k, CARRIER))
-
-
 def unit_tx(k=1, symbols=None, power_scale=1.0):
     return TxSignal(
         mode="tone" if k == 1 else "prs",
@@ -45,6 +40,15 @@ def unit_tx(k=1, symbols=None, power_scale=1.0):
         occupied_mask=np.ones(k, bool),
         power_scale=power_scale,
     )
+
+
+def evaluator(ch, tx=None):
+    """Evaluator under the ideal element model, whose bit 0 reflects +1."""
+    return PowerEvaluator(ch, ElementModel(), unit_tx(ch.num_subcarriers) if tx is None else tx)
+
+
+def zeros(ch):
+    return np.zeros(ch.num_elements, dtype=np.uint8)
 
 
 class TestDbHelpers:
@@ -67,16 +71,16 @@ class TestDbHelpers:
             LinkPowers(-1.0, 1.0)
 
 
-class TestReceivedPower:
+class TestLinkPowers:
     def test_unit_cascade(self):
         ch = channels(0.0, 0.0, h_lu=[[1.0]], h_ed=[[0.0]], g=[[1.0]])
-        assert received_power(ch, identity_response(), unit_tx(), "lu") == pytest.approx(1.0, rel=1e-15)
+        assert link_powers(evaluator(ch), zeros(ch)).p_lu == pytest.approx(1.0, rel=1e-15)
 
     def test_scaling_x_quadruples_power(self):
         ch = channels(1.0, 1.0)
-        base = received_power(ch, identity_response(), unit_tx(), "lu")
-        doubled = received_power(ch, identity_response(), unit_tx(symbols=[2.0]), "lu")
-        scaled = received_power(ch, identity_response(), unit_tx(power_scale=4.0), "lu")
+        base = link_powers(evaluator(ch), zeros(ch)).p_lu
+        doubled = link_powers(evaluator(ch, unit_tx(symbols=[2.0])), zeros(ch)).p_lu
+        scaled = link_powers(evaluator(ch, unit_tx(power_scale=4.0)), zeros(ch)).p_lu
         assert doubled == pytest.approx(4.0 * base, rel=1e-12)
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
@@ -89,25 +93,22 @@ class TestReceivedPower:
         def c(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        h_d, h, g, phi, x = c(k), c(k, m), c(k, m), c(k, m), c(k)
+        h_d, h, g, x = c(k), c(k, m), c(k, m), c(k)
         ch = channels(0, 0, h_lu=h, h_ed=h, g=g, k=k, m=m)
         ch.h_d_lu = h_d
         ch.h_d_ed = h_d.copy()
-        tx = unit_tx(k, symbols=x)
-        resp = RisResponse(phi, np.full(k, CARRIER))
+        model = ElementModel(phase_at_center=(0.3, 2.9), amplitude=0.8)
+        bits = rng.integers(0, 2, m, dtype=np.uint8)
+        phi = model.amplitude * np.exp(1j * model.phase_curves(ch.freqs))[:, bits]
         expected = 0.0
         for v in range(k):
             eff = h_d[v]
             for i in range(m):
                 eff += h[v, i] * phi[v, i] * g[v, i]
             expected += abs(eff * x[v]) ** 2
-        got = received_power(ch, resp, tx, "lu")
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_user_argument_validated(self):
-        ch = channels(1.0, 1.0)
-        with pytest.raises(ValueError):
-            received_power(ch, identity_response(), unit_tx(), "mallory")
+        got = link_powers(PowerEvaluator(ch, model, unit_tx(k, symbols=x)), bits)
+        assert got.p_lu == pytest.approx(expected, rel=1e-12)
+        assert got.p_ed == pytest.approx(expected, rel=1e-12)
 
     def test_only_occupied_bins_counted(self):
         ch = channels(1.0, 1.0, k=4)
@@ -117,17 +118,26 @@ class TestReceivedPower:
             symbols=np.ones(4, complex),
             occupied_mask=np.array([True, False, True, False]),
         )
-        assert received_power(ch, identity_response(4, 1), tx, "lu") == pytest.approx(2.0, rel=1e-12)
+        assert link_powers(evaluator(ch, tx), zeros(ch)).p_lu == pytest.approx(2.0, rel=1e-12)
+
+    def test_p_lu_equals_lu_power_objective(self):
+        channels_, sig = model_instance(3, 3, 4, waveform="prs")
+        ev = PowerEvaluator(channels_, ElementModel(), sig)
+        for bits in np.random.default_rng(0).integers(0, 2, size=(5, 12), dtype=np.uint8):
+            powers = link_powers(ev, bits)
+            assert powers.p_lu == ev.evaluate("lu_power_max", bits)
+            assert powers.p_ed == ev.evaluate("ed_power_min", bits)
 
 
-class TestPowerRatio:
+class TestRatioObjective:
+    def ratio(self, ch):
+        return evaluator(ch).evaluate("ratio", zeros(ch))
+
     def test_identical_links_give_unity(self):
-        ch = channels(0.7 + 0.2j, 0.7 + 0.2j)
-        assert power_ratio(ch, identity_response(), unit_tx()) == pytest.approx(1.0, rel=1e-15)
+        assert self.ratio(channels(0.7 + 0.2j, 0.7 + 0.2j)) == pytest.approx(1.0, rel=1e-15)
 
     def test_four_over_two(self):
-        ch = channels(2.0, math.sqrt(2.0))
-        assert power_ratio(ch, identity_response(), unit_tx()) == pytest.approx(2.0, rel=1e-12)
+        assert self.ratio(channels(2.0, math.sqrt(2.0))) == pytest.approx(2.0, rel=1e-12)
 
     def test_equals_power_quotient(self):
         rng = np.random.default_rng(42)
@@ -135,64 +145,52 @@ class TestPowerRatio:
             rng.standard_normal() + 1j * rng.standard_normal(),
             rng.standard_normal() + 1j * rng.standard_normal(),
         )
-        resp = identity_response()
-        tx = unit_tx()
-        expected = received_power(ch, resp, tx, "lu") / received_power(ch, resp, tx, "ed")
-        assert power_ratio(ch, resp, tx) == expected
+        powers = link_powers(evaluator(ch), zeros(ch))
+        assert self.ratio(ch) == powers.p_lu / powers.p_ed
 
     def test_zero_ed_power_is_infinite(self):
-        ch = channels(1.0, 0.0)
-        assert power_ratio(ch, identity_response(), unit_tx()) == math.inf
+        assert self.ratio(channels(1.0, 0.0)) == math.inf
 
     def test_both_powers_zero_is_nan(self):
-        ch = channels(0.0, 0.0)
-        assert math.isnan(power_ratio(ch, identity_response(), unit_tx()))
-
-    @pytest.mark.parametrize("h_lu, h_ed", [(1.0, 0.0), (0.0, 0.0), (0.3 + 0.4j, 1.2)])
-    def test_matches_optimizer_evaluator(self, h_lu, h_ed):
-        ch = channels(h_lu, h_ed)
-        ev = PowerEvaluator(ch, ElementModel(), unit_tx())
-        expected = ev.ratio(np.zeros(ch.num_elements, dtype=np.uint8))
-        got = power_ratio(ch, identity_response(), unit_tx())
-        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert math.isnan(self.ratio(channels(0.0, 0.0)))
 
 
 class TestSumSse:
     def test_snr_three_vs_one(self):
         # Closed form: log2(4) - log2(2) = 1 bit/s/Hz.
         ch = channels(math.sqrt(3.0), 1.0)
-        report = sum_sse(ch, identity_response(), unit_tx(), n0=1.0)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
         assert report.r_sec_raw == pytest.approx(1.0, abs=1e-12)
         assert report.r_lu == pytest.approx(2.0, abs=1e-12)
         assert report.r_ed == pytest.approx(1.0, abs=1e-12)
 
     def test_two_subcarriers_sum(self):
         ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(ch, identity_response(2, 1), unit_tx(2), n0=1.0)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
         assert report.r_sec_raw == pytest.approx(2.0, abs=1e-12)
         assert report.per_subcarrier_mean == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_channels_zero_sse(self):
         ch = channels(0.9, 0.9)
-        report = sum_sse(ch, identity_response(), unit_tx(), n0=0.5, apply_max=True)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=0.5, apply_max=True)
         assert report.r_sec == 0.0
         assert report.r_sec_raw == 0.0
         assert report.value == 0.0
 
     def test_clamp_relation_holds(self):
         ch = channels(1.0, 2.0)  # eavesdropper stronger: raw < 0
-        report = sum_sse(ch, identity_response(), unit_tx(), n0=1.0)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
         assert report.r_sec_raw < 0
         assert report.r_sec == 0.0
         assert report.value == report.r_sec_raw  # raw headline by default
-        clamped = sum_sse(ch, identity_response(), unit_tx(), n0=1.0, apply_max=True)
+        clamped = sum_sse(evaluator(ch), zeros(ch), n0=1.0, apply_max=True)
         assert clamped.value == 0.0
 
     def test_monotone_in_lu_power(self):
         previous = -math.inf
         for a in (0.5, 1.0, 2.0, 4.0):
             ch = channels(a, 1.0)
-            raw = sum_sse(ch, identity_response(), unit_tx(), n0=1.0).r_sec_raw
+            raw = sum_sse(evaluator(ch), zeros(ch), n0=1.0).r_sec_raw
             assert raw > previous
             previous = raw
 
@@ -202,13 +200,13 @@ class TestSumSse:
         k = 3
         ch = channels(100.0, 50.0, k=k)
         n0 = 1.0
-        a = sum_sse(ch, identity_response(k, 1), unit_tx(k), n0=n0).r_sec_raw
-        b = sum_sse(ch, identity_response(k, 1), unit_tx(k), n0=2 * n0).r_sec_raw
+        a = sum_sse(evaluator(ch), zeros(ch), n0=n0).r_sec_raw
+        b = sum_sse(evaluator(ch), zeros(ch), n0=2 * n0).r_sec_raw
         assert abs(a - b) < 0.01 * k
 
     def test_per_subcarrier_detail(self):
         ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(ch, identity_response(2, 1), unit_tx(2), n0=1.0, per_subcarrier=True)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0, per_subcarrier=True)
         assert len(report.per_subcarrier) == 2
         v, r_l, r_e = report.per_subcarrier[0]
         assert (v, r_l, r_e) == (0, pytest.approx(2.0), pytest.approx(1.0))
@@ -216,17 +214,17 @@ class TestSumSse:
     def test_nonpositive_n0_rejected(self):
         ch = channels(1.0, 1.0)
         with pytest.raises(ValueError):
-            sum_sse(ch, identity_response(), unit_tx(), n0=0.0)
+            sum_sse(evaluator(ch), zeros(ch), n0=0.0)
 
     def test_serialization_fields(self):
         ch = channels(math.sqrt(3.0), 1.0)
-        data = sum_sse(ch, identity_response(), unit_tx(), n0=1.0).to_dict()
+        data = sum_sse(evaluator(ch), zeros(ch), n0=1.0).to_dict()
         assert data["sse"] == data["r_sec_raw"]
         assert data["num_occupied"] == 1
 
     def test_per_subcarrier_csv(self, tmp_path):
         ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(ch, identity_response(2, 1), unit_tx(2), n0=1.0, per_subcarrier=True)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0, per_subcarrier=True)
         path = tmp_path / "sse.csv"
         report.save_per_subcarrier_csv(path)
         lines = path.read_text().splitlines()
@@ -234,7 +232,7 @@ class TestSumSse:
         assert len(lines) == 2 + 2
         v, r_l, r_e = lines[2].split(",")
         assert float(r_l) == pytest.approx(2.0, abs=1e-12)
-        bare = sum_sse(ch, identity_response(2, 1), unit_tx(2), n0=1.0)
+        bare = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
         with pytest.raises(ValueError):
             bare.save_per_subcarrier_csv(path)
 
@@ -248,17 +246,56 @@ class TestPowersAndSse:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         ch = channels(draw(k), draw(k), draw(k, m), draw(k, m), draw(k, m), k=k, m=m)
-        resp = RisResponse(draw(k, m), np.full(k, CARRIER))
         tx = TxSignal(
             mode="prs",
             freqs=np.full(k, CARRIER),
             symbols=draw(k),
             occupied_mask=np.array([True, False, True, True, False, True]),
         )
-        powers, report = powers_and_sse(ch, resp, tx, n0=0.3)
-        assert powers == link_powers(ch, resp, tx)
-        assert report == sum_sse(ch, resp, tx, n0=0.3)
+        ev = PowerEvaluator(ch, ElementModel(phase_at_center=(0.5, 2.0)), tx)
+        bits = np.array([1, 0, 1, 1], dtype=np.uint8)
+        powers, report = powers_and_sse(ev, bits, n0=0.3)
+        assert powers == link_powers(ev, bits)
+        assert report == sum_sse(ev, bits, n0=0.3)
+        assert [v for v, _, _ in sum_sse(ev, bits, 0.3, per_subcarrier=True).per_subcarrier] == [0, 2, 3, 5]
 
     def test_nonpositive_noise_rejected(self):
+        ch = channels(1.0, 1.0)
         with pytest.raises(ValueError):
-            powers_and_sse(channels(1.0, 1.0), identity_response(), unit_tx(), n0=0.0)
+            powers_and_sse(evaluator(ch), zeros(ch), n0=0.0)
+
+
+def dense_powers(ch, model, sig, config):
+    """Occupied-subcarrier powers from the dense receive path: the
+    independent check of the evaluator's sums."""
+    y_lu, y_ed = receive(ch, build_response(config, model, sig.freqs), sig, n0=0.0)
+    mask = sig.occupied_mask
+    return np.abs(y_lu[mask]) ** 2, np.abs(y_ed[mask]) ** 2
+
+
+class TestDenseReceiveParity:
+    """Reports read their powers from the evaluator's sums; they must match
+    the dense direct sum of `ofdm.receive`."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [ElementModel(), ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)],
+        ids=["ideal", "lorentzian"],
+    )
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    def test_reports_match_dense_sum(self, waveform, model):
+        for seed in range(4):
+            ch, sig = model_instance(seed, 4, 6, waveform=waveform)
+            configs = [RisConfig(b, 4, 6) for b in np.random.default_rng(seed).integers(0, 2, (4, 24))]
+            configs.append(algorithm1(ch, model, sig, panel(4, 6)).final_config)
+            ev = PowerEvaluator(ch, model, sig)
+            for config in configs:
+                p_lu, p_ed = dense_powers(ch, model, sig, config)
+                n0 = float(p_lu.mean())
+                powers, report = powers_and_sse(ev, config.bits, n0)
+                assert powers.p_lu == pytest.approx(p_lu.sum(), rel=1e-11, abs=0)
+                assert powers.p_ed == pytest.approx(p_ed.sum(), rel=1e-11, abs=0)
+                r_lu = np.log2(1.0 + p_lu / n0).sum()
+                r_ed = np.log2(1.0 + p_ed / n0).sum()
+                assert report.r_lu == pytest.approx(r_lu, rel=1e-11, abs=0)
+                assert report.r_ed == pytest.approx(r_ed, rel=1e-11, abs=0)
