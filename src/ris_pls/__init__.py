@@ -25,7 +25,6 @@ from .ofdm import (
     demodulate,
     modulate,
     prs_signal,
-    receive,
     tone_signal,
 )
 from .optimize import (
@@ -44,8 +43,6 @@ from .ris import (
     ElementModel,
     RisArrayGeometry,
     RisConfig,
-    RisResponse,
-    build_response,
     flip_column,
     flip_half_row,
     flip_row,

@@ -247,6 +247,15 @@ def _link_rng(seed: int, kind: int, *placements: Placement) -> np.random.Generat
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def _checked_freqs(freqs) -> np.ndarray:
+    f = np.asarray(freqs, dtype=float)
+    if f.size == 0:
+        raise ValueError("frequency list must be non-empty")
+    if not np.all(np.isfinite(f)) or np.any(f <= 0):
+        raise ValueError("subcarrier frequencies must be finite and positive")
+    return f
+
+
 def _free_space_amplitude(distance_m: float, carrier_hz: float) -> float:
     return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * carrier_hz)
 
@@ -271,6 +280,10 @@ def _outside_beam(tx: Placement, node: Placement, beamwidth_deg: float) -> bool:
 
 def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray):
     d = float(np.linalg.norm(node.position() - tx.position()))
+    if d == 0.0:
+        raise ValueError(
+            f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter"
+        )
     amp = _free_space_amplitude(d, params.carrier_hz)
     if _outside_beam(tx, node, params.tx_beamwidth_deg):
         amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
@@ -299,6 +312,8 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
     """(K, M) channel between the panel and a node (either direction)."""
     pos = node.position()
     d = float(np.linalg.norm(pos))
+    if d == 0.0:  # the norm underflows for ranges below about 1e-154 m
+        raise ValueError(f"node at {node.range_m:g} m is too close to the panel center to model")
     u = pos / d
     amp = _free_space_amplitude(d, params.carrier_hz)
     tau0 = d / SPEED_OF_LIGHT
@@ -348,8 +363,8 @@ class _PanelLinkMemo:
         self._hits = self._misses = 0
         self._lock = threading.Lock()
 
-    def __call__(self, kind, node_bits, node, params, freqs_bytes, ris, store=True):
-        """The panel link; a miss is computed and, with `store`, kept."""
+    def __call__(self, kind, node_bits, node, params, freqs_bytes, ris):
+        """The panel link; a miss is computed and kept if it fits the budget."""
         # node_bits joins the key because Placement compares -0.0 equal to
         # 0.0 while the link's random stream tells them apart.
         key = (kind, node_bits, node, params, freqs_bytes, ris)
@@ -362,13 +377,13 @@ class _PanelLinkMemo:
             self._misses += 1
             f = np.frombuffer(freqs_bytes, dtype=float)
             nbytes = f.size * ris.num_elements * np.dtype(complex).itemsize
-            store = store and nbytes <= self.max_bytes
+            keep = nbytes <= self.max_bytes
             # Make room first, so the memo never holds more than its budget.
-            while store and self._nbytes + nbytes > self.max_bytes:
+            while keep and self._nbytes + nbytes > self.max_bytes:
                 self._nbytes -= self._links.popitem(last=False)[1].nbytes
             h = _panel_link(node, params, f, ris.element_positions(), kind)
             h.setflags(write=False)
-            if store:
+            if keep:
                 self._links[key] = h
                 self._nbytes += nbytes
             return h
@@ -395,7 +410,6 @@ def synthesize_channels(
     ris: RisArrayGeometry,
     params: ChannelParams,
     freqs,
-    memo_receivers: bool = True,
 ) -> ChannelSet:
     """Deterministic channel realization for one transmitter/receiver layout.
 
@@ -403,30 +417,24 @@ def synthesize_channels(
     configured suppression whenever the receiver sits outside the
     transmitter beam aimed at the panel. All links are read-only: the
     panel links come from a bounded memo, and receivers at one placement
-    share one array. With `memo_receivers` false the receivers' panel
-    links are used but not kept, for one-shot probes such as a pattern
-    scan's, which would otherwise crowd out reusable links.
+    share one array.
     """
-    f = np.asarray(freqs, dtype=float)
-    if f.size == 0:
-        raise ValueError("frequency list must be non-empty")
-    if not np.all(np.isfinite(f)) or np.any(f <= 0):
-        raise ValueError("subcarrier frequencies must be finite and positive")
+    f = _checked_freqs(freqs)
     freqs_bytes = f.tobytes()
 
-    def panel(node, kind, store=True):
-        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris, store)
+    def panel(node, kind):
+        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
 
     same = _placement_key(ed) == _placement_key(lu)
     h_d_lu = _direct_link(tx, lu, params, f)
     h_d_lu.setflags(write=False)
-    h_ris_lu = panel(lu, _LINK_RIS_NODE, memo_receivers)
+    h_ris_lu = panel(lu, _LINK_RIS_NODE)
     if same:
         h_d_ed, h_ris_ed = h_d_lu, h_ris_lu
     else:
         h_d_ed = _direct_link(tx, ed, params, f)
         h_d_ed.setflags(write=False)
-        h_ris_ed = panel(ed, _LINK_RIS_NODE, memo_receivers)
+        h_ris_ed = panel(ed, _LINK_RIS_NODE)
     return ChannelSet(
         freqs=f,
         h_d_lu=h_d_lu,
@@ -435,3 +443,22 @@ def synthesize_channels(
         h_ris_ed=h_ris_ed,
         g_ris=panel(tx, _LINK_TX_RIS),
     )
+
+
+def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
+    """The transmitter's panel link g, and an iterator over the probe
+    placements' (direct link, panel link) pairs, computed lazily.
+
+    The links equal those `synthesize_channels` gives at the same
+    frequencies, but none is read from or kept in the panel-link memo: a
+    probe link is used once, and keeping it would crowd out reusable
+    links.
+    """
+    f = _checked_freqs(freqs)
+    elem = ris.element_positions()
+    g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
+    links = (
+        (_direct_link(tx, p, params, f), _panel_link(p, params, f, elem, _LINK_RIS_NODE))
+        for p in probes
+    )
+    return g, links

@@ -26,10 +26,16 @@ from functools import partial
 
 import numpy as np
 
-from .channel import Placement, SectorGrid
-from .ofdm import receive
-from .optimize import METHODS, PowerEvaluator, greedy_sweep, uniform_config
-from .ris import RisConfig, build_response
+from .channel import Placement, SectorGrid, probe_links
+from .optimize import (
+    METHODS,
+    PowerEvaluator,
+    greedy_sweep,
+    received_signal,
+    reflection_coefficients,
+    uniform_config,
+)
+from .ris import RisConfig
 from .secrecy import LinkPowers, SecrecyReport, powers_and_sse, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
@@ -167,11 +173,6 @@ class Codebook:
         for raw in data["entries"]:
             cb.add(CodebookEntry.from_dict(raw))
         return cb
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Codebook":
@@ -314,7 +315,11 @@ def scan_power_pattern(
 
     The probe channel is a deterministic single-ray model by default so the
     pattern reflects the panel's angular response rather than one scatter
-    draw; `full_scenario` switches to the scenario's full ray model.
+    draw; `full_scenario` switches to the scenario's full ray model. Each
+    probe's power is the receive equation of `PowerEvaluator`, summed over
+    the occupied subcarriers only. Probe links come from
+    `channel.probe_links`, so the scan leaves the panel-link memo as it
+    found it.
     """
     angles = list(angles)
     if not angles:
@@ -323,21 +328,22 @@ def scan_power_pattern(
         if not -90.0 <= a <= 90.0:
             raise ValueError("scan angles must lie in [-90, 90] degrees")
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
-    probe_scenario = scenario
-    if not full_scenario:
-        probe_scenario = replace(scenario, channel=replace(scenario.channel, num_paths=1))
-    tx_sig = probe_scenario.tx_signal()
-    response = build_response(config, probe_scenario.element_model, tx_sig.freqs)
+    params = scenario.channel if full_scenario else replace(scenario.channel, num_paths=1)
+    tx_sig = scenario.tx_signal()
     mask = tx_sig.occupied_mask
+    freqs = tx_sig.freqs[mask]
+    x = tx_sig.amplitudes()[mask]
+    phi = reflection_coefficients(scenario.element_model, freqs)
+    on = config.bits.astype(float)
+    probes = (Placement(a, range_m) for a in angles)
+    g, links = probe_links(scenario.tx, probes, scenario.ris, params, freqs)
     pattern = []
-    for angle in angles:
-        probe = Placement(angle, range_m)
-        # Only the LU signal is read, so the probe stands in for both
-        # receivers. Each probe link is used once, so the memo keeps only
-        # the transmitter link.
-        channels = probe_scenario.channels_for(probe, probe, tx_sig.freqs, memo_receivers=False)
-        y_lu, _ = receive(channels, response, tx_sig, n0=0.0)
-        pattern.append((float(angle), float((np.abs(y_lu[mask]) ** 2).sum())))
+    for angle, (h_d, h) in zip(angles, links):
+        w = h * g
+        y = received_signal(h_d, phi, w.sum(axis=1), w @ on, x)
+        if not np.isfinite(y).all():
+            raise ValueError(f"the probe at {angle:g} degrees receives a non-finite signal")
+        pattern.append((float(angle), float((np.abs(y) ** 2).sum())))
     return pattern
 
 

@@ -54,6 +54,11 @@ DEFAULT_PAIRS = (
 )
 
 
+#: Most azimuths one pattern scan probes: a 0.002-degree step over the
+#: full 180 degrees. A finer step is taken as a mistake, not as work.
+MAX_SCAN_ANGLES = 100_000
+
+
 class SpecError(ValueError):
     """The experiment spec file is missing or malformed."""
 
@@ -119,6 +124,7 @@ class ExperimentSpec:
                 raise SpecError("scan start and stop must be finite azimuths in [-90, 90] degrees")
         if self.scan_start_deg > self.scan_stop_deg:
             raise SpecError("scan start must not exceed scan stop")
+        self.scan_angles()
         if not (self.scan_range_m is None or (_is_number(self.scan_range_m) and self.scan_range_m > 0)):
             raise SpecError("scan range must be a positive finite number of meters")
         if not (self.query_lu is None or _is_number(self.query_lu)):
@@ -143,6 +149,19 @@ class ExperimentSpec:
                 raise SpecError(f"scan entry must be (LU degrees, ED degrees, method): {exc}") from exc
             if method not in COMPARE_METHODS:
                 raise SpecError(f"unknown scan entry method {method!r}")
+
+    def scan_angles(self) -> list:
+        """Pattern-scan azimuths from start in whole steps, the last one
+        within half a step of stop; more than `MAX_SCAN_ANGLES` is a spec
+        error."""
+        steps = (self.scan_stop_deg - self.scan_start_deg) / self.scan_step_deg
+        # Compared before rounding, since the quotient may be infinite.
+        if not steps < MAX_SCAN_ANGLES - 0.5:
+            raise SpecError(
+                f"a scan step of {self.scan_step_deg:g} degrees asks for more than "
+                f"{MAX_SCAN_ANGLES} angles"
+            )
+        return [self.scan_start_deg + i * self.scan_step_deg for i in range(round(steps) + 1)]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -512,9 +531,7 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
         config = entry.config
     else:
         raise SpecError("pattern scan needs either config bits or a codebook entry")
-    n_steps = int(round((spec.scan_stop_deg - spec.scan_start_deg) / spec.scan_step_deg))
-    angles = [spec.scan_start_deg + i * spec.scan_step_deg for i in range(n_steps + 1)]
-    pattern = scan_power_pattern(scenario, config, angles, range_m=spec.scan_range_m)
+    pattern = scan_power_pattern(scenario, config, spec.scan_angles(), range_m=spec.scan_range_m)
     rows = [
         [f"{angle:g}", f"{power:.6e}", _fmt_db(to_db(power)) if power > 0 else "-inf"]
         for angle, power in pattern
@@ -525,7 +542,7 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
     )
     if spec.scan_attach and entry is not None and cb is not None:
         entry.power_pattern = pattern
-        cb.save(spec.codebook_path)
+        _atomic_write(spec.codebook_path, json.dumps(cb.to_dict()) + "\n")
         out["codebook"] = spec.codebook_path
     return out
 

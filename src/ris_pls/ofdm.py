@@ -1,8 +1,9 @@
-"""Waveforms and the per-subcarrier receive equation.
+"""Waveforms, the OFDM modem and I/Q files.
 
 Two transmit modes are supported: a single complex tone offset from the
 carrier, and a wideband positioning-reference-style comb grid. Both are
-represented in the frequency domain so the same receive path serves both.
+represented in the frequency domain as a `TxSignal`, so the one receive
+equation (`optimize.received_signal`) serves both.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .channel import ChannelSet
-from .ris import RisResponse
 
 SUBCARRIERS_PER_RB = 12
 
@@ -223,41 +221,6 @@ def prs_signal(grid: ResourceGrid, symbol_index: int = 0, power_scale: float = 1
         occupied_mask=grid.occupied_mask.copy(),
         power_scale=power_scale,
     )
-
-
-def receive(
-    channels: ChannelSet,
-    response: RisResponse,
-    tx: TxSignal,
-    n0: float,
-    seed: int | None = None,
-) -> tuple:
-    """Received frequency-domain samples at both receivers.
-
-    Computes (h_d + h_panel . diag(phi) . g) x per subcarrier for any
-    reflection diagonals phi. Noise is zero-mean complex Gaussian with
-    variance `n0`, drawn independently per receiver and subcarrier; n0 = 0
-    returns the noiseless received signal.
-    """
-    if tx.num_subcarriers != channels.num_subcarriers:
-        raise ValueError("transmit signal and channel set disagree on subcarrier count")
-    if response.num_subcarriers != channels.num_subcarriers:
-        raise ValueError("channel set and response disagree on subcarrier count")
-    if response.num_elements != channels.num_elements:
-        raise ValueError("channel set and response disagree on element count")
-    if n0 < 0:
-        raise ValueError("noise power must be non-negative")
-    phi = response.diagonals
-    x = tx.amplitudes()
-    y_lu = (channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)) * x
-    y_ed = (channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)) * x
-    if n0 > 0:
-        rng = np.random.default_rng(seed)
-        scale = math.sqrt(n0 / 2.0)
-        k = channels.num_subcarriers
-        y_lu = y_lu + scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        y_ed = y_ed + scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    return y_lu, y_ed
 
 
 def _fft_size(num_subcarriers: int) -> int:

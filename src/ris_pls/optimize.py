@@ -150,6 +150,23 @@ class OptimizerTrace:
 _FLIP_SIGN = np.array([1.0, -1.0], dtype=complex)
 
 
+def reflection_coefficients(element_model: ElementModel, freqs) -> np.ndarray:
+    """(K, 2) complex reflection coefficient phi(c, f) of bit 0 and bit 1."""
+    return element_model.amplitude * np.exp(1j * element_model.phase_curves(freqs))
+
+
+def received_signal(h_d, phi, w_sum, on, x):
+    """The receive equation (h_d + sum_m h_m * phi(c_m, f) * g_m) * x per subcarrier.
+
+    The panel term is written with the cascades w_m = h_m * g_m: `w_sum`
+    is their sum over all elements and `on` their sum over the elements
+    set to 1, so the term is phi(0) * (w_sum - on) + phi(1) * on. `phi`
+    holds the (K, 2) coefficients of `reflection_coefficients`; `on` may
+    carry a leading axis of configurations.
+    """
+    return (h_d + phi[:, 0] * (w_sum - on) + phi[:, 1] * on) * x
+
+
 class PowerEvaluator:
     """Power evaluation of bit vectors on one channel set.
 
@@ -188,8 +205,7 @@ class PowerEvaluator:
             self._w_sum[r] = w_r.sum(axis=1)
             w[:, r, :] = w_r.T
         self._w = w.reshape(m, 2 * k)
-        theta = element_model.phase_curves(channels.freqs[mask])
-        self._phi = element_model.amplitude * np.exp(1j * theta)  # (K_occ, 2)
+        self._phi = reflection_coefficients(element_model, channels.freqs[mask])
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
         """LU and ED sums of the cascades of the elements set in `bits`:
@@ -205,8 +221,7 @@ class PowerEvaluator:
 
     def _signal(self, r: int, sums: np.ndarray) -> np.ndarray:
         """Received signal of receiver r (0: LU, 1: ED) per occupied subcarrier."""
-        on = sums[r]
-        return (self._hd[r] + self._phi[:, 0] * (self._w_sum[r] - on) + self._phi[:, 1] * on) * self._x
+        return received_signal(self._hd[r], self._phi, self._w_sum[r], sums[r], self._x)
 
     def bin_powers(self, bits: np.ndarray) -> np.ndarray:
         """(2, K_occ) noiseless LU and ED received power per occupied subcarrier."""

@@ -1,5 +1,5 @@
 """1-bit reconfigurable surface: panel geometry, binary configurations, and
-the per-subcarrier diagonal reflection response."""
+the element model giving each bit state's reflection phase per frequency."""
 
 from __future__ import annotations
 
@@ -210,40 +210,3 @@ class ElementModel:
         return -2.0 * np.arctan(
             2.0 * self.quality_factor * (np.asarray(f, float) - self.resonance_hz) / self.resonance_hz
         )
-
-
-@dataclass
-class RisResponse:
-    """Diagonal of the reflection matrix, one length-M vector per subcarrier."""
-
-    diagonals: np.ndarray  # (K, M) complex
-    freqs: np.ndarray      # (K,)
-
-    def __post_init__(self):
-        self.diagonals = np.asarray(self.diagonals, dtype=complex)
-        self.freqs = np.asarray(self.freqs, dtype=float)
-        if self.diagonals.ndim != 2 or self.diagonals.shape[0] != self.freqs.size:
-            raise ValueError("diagonals must be (K, M) with one row per frequency")
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.diagonals.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.diagonals.shape[1]
-
-
-def build_response(config: RisConfig, model: ElementModel, freqs) -> RisResponse:
-    """Reflection response induced by `config` at each frequency.
-
-    In ideal mode every subcarrier shares one diagonal vector; dispersive
-    modes vary the phase with the offset from the model center frequency.
-    """
-    f = np.asarray(freqs, dtype=float)
-    if f.size == 0:
-        raise ValueError("frequency list must be non-empty")
-    # Each element takes one of two coefficients per subcarrier, so
-    # exponentiate the (K, 2) phases once and gather.
-    phi = model.amplitude * np.exp(1j * model.phase_curves(f))  # (K, 2)
-    return RisResponse(np.take(phi, config.bits, axis=1), f)

@@ -75,12 +75,10 @@ class Scenario:
     def placement(self, angle_deg: float) -> Placement:
         return Placement(angle_deg, self.sector_grid.user_range_m)
 
-    def channels_for(
-        self, lu: Placement, ed: Placement, freqs=None, memo_receivers: bool = True
-    ) -> ChannelSet:
+    def channels_for(self, lu: Placement, ed: Placement, freqs=None) -> ChannelSet:
         if freqs is None:
             freqs = self.tx_signal().freqs
-        return synthesize_channels(self.tx, lu, ed, self.ris, self.channel, freqs, memo_receivers)
+        return synthesize_channels(self.tx, lu, ed, self.ris, self.channel, freqs)
 
     def noise_power(self) -> float:
         """Configured n0, or one calibrated so the uniform-surface LU at the

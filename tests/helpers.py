@@ -59,3 +59,15 @@ def single_tone_tx():
         symbols=np.array([1.0 + 0.0j]),
         occupied_mask=np.array([True]),
     )
+
+
+def dense_receive(channels, model, config, tx):
+    """Noiseless received signals (y_lu, y_ed) on every subcarrier by the
+    dense direct sum (h_d + sum_m h_m * phi(c_m, f) * g_m) * x: the
+    test-only reference for the evaluator and the pattern scan."""
+    theta = model.phase_curves(channels.freqs)[:, config.bits]
+    phi = model.amplitude * np.exp(1j * theta)
+    x = tx.amplitudes()
+    y_lu = (channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)) * x
+    y_ed = (channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)) * x
+    return y_lu, y_ed

@@ -28,13 +28,13 @@ from ris_pls.optimize import (
     ed_min,
     exhaustive_oracle,
     lu_max,
+    received_signal,
     single_flip_improvements,
 )
-from ris_pls.ris import ElementModel, RisArrayGeometry, RisResponse
+from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, sum_sse
 from ris_pls.experiments import DEFAULT_PAIRS, run_method
-from ris_pls.ofdm import receive
 
 CARRIER = 3.55e9
 METHODS = ("alg1", "alg2", "lu_max", "ed_min", "uniform")
@@ -58,34 +58,17 @@ def test_criterion_01_receive_matches_direct_summation_oracle():
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         h_d_lu, h_d_ed = c(k), c(k)
-        h_lu, h_ed, g, phi, x = c(k, m), c(k, m), c(k, m), c(k, m), c(k)
-        channels = ChannelSet(
-            freqs=CARRIER + 60e3 * np.arange(k),
-            h_d_lu=h_d_lu,
-            h_d_ed=h_d_ed,
-            h_ris_lu=h_lu,
-            h_ris_ed=h_ed,
-            g_ris=g,
-        )
-        tx = TxSignal(
-            mode="prs" if k > 1 else "tone",
-            freqs=channels.freqs,
-            symbols=x,
-            occupied_mask=np.ones(k, bool),
-        )
-        y_lu, y_ed = receive(channels, RisResponse(phi, channels.freqs), tx, n0=0.0)
-        for v in range(k):
-            exp_lu, exp_ed = h_d_lu[v], h_d_ed[v]
-            for i in range(m):
-                exp_lu += h_lu[v, i] * phi[v, i] * g[v, i]
-                exp_ed += h_ed[v, i] * phi[v, i] * g[v, i]
-            exp_lu *= x[v]
-            exp_ed *= x[v]
-            worst = max(
-                worst,
-                abs(y_lu[v] - exp_lu) / abs(exp_lu),
-                abs(y_ed[v] - exp_ed) / abs(exp_ed),
-            )
+        h_lu, h_ed, g, phi, x = c(k, m), c(k, m), c(k, m), c(k, 2), c(k)
+        bits = rng.integers(0, 2, m)
+        for h_d, h in ((h_d_lu, h_lu), (h_d_ed, h_ed)):
+            w = h * g
+            y = received_signal(h_d, phi, w.sum(axis=1), w @ bits.astype(float), x)
+            for v in range(k):
+                expected = h_d[v]
+                for i in range(m):
+                    expected += h[v, i] * phi[v, bits[i]] * g[v, i]
+                expected *= x[v]
+                worst = max(worst, abs(y[v] - expected) / abs(expected))
     elapsed = time.time() - start
     report(
         1,

@@ -20,6 +20,7 @@ from ris_pls.channel import (
     _PanelLinkMemo,
     _placement_key,
     build_default_geometry,
+    probe_links,
     synthesize_channels,
 )
 from ris_pls.ofdm import Numerology, build_prs_grid, prs_signal, tone_signal
@@ -101,6 +102,14 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             synthesize_channels(
                 tx, grid.placement(0.0), grid.placement(15.0), small_panel(), ChannelParams(), []
+            )
+
+    def test_receiver_at_transmitter_rejected(self):
+        tx, grid = build_default_geometry()
+        at_tx = Placement(tx.azimuth_deg, tx.range_m)
+        with pytest.raises(ValueError, match="at the transmitter"):
+            synthesize_channels(
+                tx, grid.placement(0.0), at_tx, small_panel(), ChannelParams(), GRIDS["tone"]
             )
 
     def test_determinism(self):
@@ -250,7 +259,7 @@ class TestPanelLinkMemo:
     @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("ed_deg", [30.0, 45.0])
     def test_direct_links_equal_fresh_links_and_are_read_only(self, num_paths, ed_deg):
-        # An ED at the LU placement (a pattern-scan probe) shares its link.
+        # An ED at the LU placement shares its link.
         tx, grid = build_default_geometry()
         params = ChannelParams(num_paths=num_paths, rng_seed=5)
         freqs = GRIDS["prs"]
@@ -271,9 +280,8 @@ class TestPanelLinkMemo:
         memo = _PanelLinkMemo(max_bytes=2 * link_bytes)
         a, b, c = (Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0))
 
-        def get(node, store=True):
-            key = _placement_key(node)
-            return memo(_LINK_RIS_NODE, key, node, params, freqs.tobytes(), ris, store)
+        def get(node):
+            return memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
 
         link_a = get(a)
         assert link_a.nbytes == link_bytes
@@ -286,14 +294,6 @@ class TestPanelLinkMemo:
         get(b)  # computed again, evicting a
         assert memo.cache_info().misses == 4
         assert get(a) is not link_a and same_bits(get(a), link_a)
-        # A link used once is returned but neither kept nor allowed to evict.
-        probe = Placement(45.0, 7.0)
-        before = memo.cache_info()
-        fresh = _panel_link(probe, params, freqs, ris.element_positions(), _LINK_RIS_NODE)
-        assert same_bits(get(probe, store=False), fresh)
-        after = memo.cache_info()
-        assert (after.links, after.nbytes) == (before.links, before.nbytes)
-        assert after.misses == before.misses + 1
 
     def test_link_larger_than_budget_is_not_kept(self):
         params = ChannelParams(rng_seed=3)
@@ -352,6 +352,24 @@ class TestPanelLinkMemo:
         for name in ("h_ris_lu", "h_ris_ed", "g_ris"):
             with pytest.raises(ValueError):
                 getattr(ch, name)[0, 0] = 0.0
+
+
+class TestProbeLinks:
+    @pytest.mark.parametrize("num_paths", [1, 8])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_links_equal_synthesized_links_and_bypass_the_memo(self, grid, num_paths):
+        tx, _ = build_default_geometry()
+        params = ChannelParams(num_paths=num_paths, rng_seed=7)
+        freqs = GRIDS[grid]
+        probes = [Placement(a, 6.0) for a in (-60.0, -0.0, 0.0, 45.0)]
+        before = _memo_panel_link.cache_info()
+        g, links = probe_links(tx, probes, small_panel(2, 3), params, freqs)
+        links = list(links)
+        assert _memo_panel_link.cache_info() == before
+        for probe, (h_d, h) in zip(probes, links):
+            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), small_panel(2, 3), params, freqs)
+            assert same_bits(g, ch.g_ris)
+            assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 
 
 class TestSerialization:

@@ -295,7 +295,7 @@ class TestExitCodes:
         )
         assert rc == EXIT_RUNTIME
 
-    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "1e-300", "1e-9"])
     def test_bad_scan_step_is_spec_error(self, tmp_path, step):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
@@ -319,6 +319,26 @@ class TestExitCodes:
         )
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compare", "--spec", "{spec}"],
+            ["pattern-scan", "--bits", "0" * 16, "--start=-20", "--stop=-10", "--step=5"],
+        ],
+        ids=["compare", "pattern-scan"],
+    )
+    def test_receiver_at_transmitter_is_runtime_error(self, tmp_path, args):
+        # Users stand at the transmitter's range, and -15 degrees is its azimuth.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario, sector_grid=SectorGrid(user_range_m=5.0))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "compare_methods", "pairs": [[-15.0, 0.0]]}))
+        args = [a.format(spec=spec) for a in args]
+        proc = run_cli(*args, "--scenario", str(scenario), "--out", str(tmp_path))
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "at the transmitter" in proc.stderr
 
     @pytest.mark.parametrize("ed", ["excluded:abc", "abc"])
     def test_malformed_ed_is_spec_error(self, tmp_path, ed):
@@ -407,9 +427,10 @@ class TestMalformedSpecFields:
 
 #: Values swapped into spec fields: every JSON type, edge numbers, and
 #: values that are valid for some other field. No value asks for unbounded
-#: work (huge counts or tiny scan steps).
+#: work (huge counts); tiny scan steps must be rejected by the spec's
+#: angle-count limit.
 SPEC_VALUES = (
-    None, True, False, 0, -1, 1, 3, 0.5, -0.0, 15.0, 1e308, -1e308,
+    None, True, False, 0, -1, 1, 3, 0.5, -0.0, 15.0, 1e308, -1e308, 1e-300, 1e-9,
     float("nan"), float("inf"), "", ".", "x", "unknown", "alg1", "uniform", "0" * 16,
     [], [1], [0.0, 15.0], [[0.0, 15.0]], [[0.0, 0.0]], [[0.0, "x"]], [30, 15, "alg1"],
     [30, 15, ["alg1"]], {}, {"known": 15.0}, {"known": "x"}, {"excluded": 5},
@@ -606,6 +627,36 @@ class TestPatternScan:
             e for e in payload["entries"] if e["lu_sector"] == 0.0 and e["ed_sector"] == 15.0
         )
         assert len(entry["power_pattern"]) == 5
+
+    def test_failed_attach_leaves_codebook_intact(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        main(["codebook-gen", "--scenario", str(scenario), "--out", str(out), "--methods", "alg1"])
+        cb_path = out / "codebook.json"
+        original = cb_path.read_bytes()
+        replace = os.replace
+
+        def replace_failing_on_codebook(src, dst):
+            if os.path.abspath(dst) == str(cb_path):
+                raise OSError("simulated failure while replacing the codebook")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_on_codebook)
+        rc = main(
+            [
+                "pattern-scan",
+                "--scenario", str(scenario),
+                "--out", str(out),
+                "--codebook", str(cb_path),
+                "--entry", "0", "15", "alg1",
+                "--start", "-30", "--stop", "30", "--step", "15",
+                "--attach",
+            ]
+        )
+        assert rc == EXIT_RUNTIME
+        assert cb_path.read_bytes() == original
+        assert not list(out.glob(".tmp-*"))
 
 
 class TestFrequencySelectivity:

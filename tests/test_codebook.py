@@ -1,10 +1,12 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ris_pls.channel import ChannelParams, Placement, SectorGrid
+from helpers import dense_receive
+from ris_pls.channel import ChannelParams, Placement, SectorGrid, _memo_panel_link
 from ris_pls.codebook import (
     Codebook,
     CodebookEntry,
@@ -15,11 +17,13 @@ from ris_pls.codebook import (
     scan_power_pattern,
     select_config,
 )
-from ris_pls.ofdm import receive
 from ris_pls.optimize import uniform_config
-from ris_pls.ris import RisArrayGeometry, RisConfig, build_response
+from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import LinkPowers, SecrecyReport
+
+
+LORENTZIAN = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
 
 
 def scenario_8x8(seed=1, **channel_kwargs):
@@ -192,7 +196,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path, alg1_codebook):
         _, cb = alg1_codebook
         path = tmp_path / "cb.json"
-        cb.save(path)
+        path.write_text(json.dumps(cb.to_dict()) + "\n")
         assert Codebook.load(path).to_dict() == cb.to_dict()
 
     def test_pattern_survives_round_trip(self, alg1_codebook):
@@ -239,23 +243,32 @@ class TestPatternScan:
         assert pattern[30.0] == pytest.approx(entry.achieved.p_lu, rel=1e-12)
 
     @pytest.mark.parametrize("full_scenario", [False, True])
+    @pytest.mark.parametrize("model", [ElementModel(), LORENTZIAN], ids=["ideal", "lorentzian"])
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_probe_powers_match_distinct_second_receiver(self, tx_mode, full_scenario):
-        # The scan passes the probe as both receivers; the LU power must be
-        # exactly what a distinct second receiver gives.
-        sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2)
+    def test_probe_powers_match_dense_sum(self, tx_mode, model, full_scenario):
+        # The probe's power against the dense direct sum over a channel set
+        # that holds the probe and a distinct second receiver.
+        sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2, element_model=model)
         config = RisConfig(np.random.default_rng(2).integers(0, 2, 64), 8, 8)
         angles = [-90.0, -41.5, 0.0, 15.0, 63.0, 90.0]
         pattern = scan_power_pattern(sc, config, angles, full_scenario=full_scenario)
         probe_sc = sc if full_scenario else replace(sc, channel=replace(sc.channel, num_paths=1))
         sig = probe_sc.tx_signal()
-        response = build_response(config, probe_sc.element_model, sig.freqs)
         assert [a for a, _ in pattern] == angles
         for angle, power in pattern:
             other = Placement(angle - 1.0 if angle > 0 else angle + 1.0, 7.0)
             channels = probe_sc.channels_for(Placement(angle, 7.0), other, sig.freqs)
-            y_lu, _ = receive(channels, response, sig, n0=0.0)
-            assert power == float((np.abs(y_lu[sig.occupied_mask]) ** 2).sum())
+            y_lu, _ = dense_receive(channels, model, config, sig)
+            dense = float((np.abs(y_lu[sig.occupied_mask]) ** 2).sum())
+            assert power == pytest.approx(dense, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("full_scenario", [False, True])
+    def test_scan_leaves_panel_link_memo_unchanged(self, full_scenario):
+        sc = replace(scenario_8x8(seed=6), tx_mode="prs", num_rb=2)
+        sc.channels_for(sc.placement(0.0), sc.placement(15.0))  # the memo holds links
+        before = _memo_panel_link.cache_info()
+        scan_power_pattern(sc, uniform_config(8, 8), [-30.0, 0.0, 15.0], full_scenario=full_scenario)
+        assert _memo_panel_link.cache_info() == before
 
     def test_angles_validated(self):
         sc = los_scenario()
@@ -263,6 +276,15 @@ class TestPatternScan:
             scan_power_pattern(sc, uniform_config(8, 8), [])
         with pytest.raises(ValueError):
             scan_power_pattern(sc, uniform_config(8, 8), [120.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "range_m, message", [(1e200, "non-finite"), (1e-200, "too close to the panel")]
+    )
+    def test_probe_range_beyond_the_model_rejected(self, range_m, message):
+        # The probe's distance overflows to inf, or underflows to 0.
+        with pytest.raises(ValueError, match=message):
+            scan_power_pattern(los_scenario(), uniform_config(8, 8), [0.0], range_m=range_m)
 
 
 class TestSideLobes:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ris_pls.channel import ChannelSet
 from ris_pls.ofdm import (
     Numerology,
     ResourceGrid,
@@ -13,46 +12,11 @@ from ris_pls.ofdm import (
     modulate,
     prs_signal,
     read_iq,
-    receive,
     tone_signal,
     write_iq,
 )
-from ris_pls.ris import RisResponse
 
 CARRIER = 3.55e9
-
-
-def make_channels(h_d_lu, h_ris_lu, g, h_d_ed=None, h_ris_ed=None, freqs=None):
-    """Tiny hand-built channel set; ED defaults to a copy of the LU link."""
-    h_ris_lu = np.atleast_2d(np.asarray(h_ris_lu, dtype=complex))
-    k, m = h_ris_lu.shape
-    freqs = np.full(k, CARRIER) if freqs is None else np.asarray(freqs, float)
-    h_d_lu = np.broadcast_to(np.asarray(h_d_lu, dtype=complex), (k,)).copy()
-    g = np.atleast_2d(np.asarray(g, dtype=complex))
-    return ChannelSet(
-        freqs=freqs,
-        h_d_lu=h_d_lu,
-        h_d_ed=h_d_lu.copy() if h_d_ed is None else np.broadcast_to(np.asarray(h_d_ed, complex), (k,)).copy(),
-        h_ris_lu=h_ris_lu,
-        h_ris_ed=h_ris_lu.copy() if h_ris_ed is None else np.atleast_2d(np.asarray(h_ris_ed, complex)),
-        g_ris=g,
-    )
-
-
-def unit_tx(k=1, freqs=None):
-    freqs = np.full(k, CARRIER) if freqs is None else np.asarray(freqs, float)
-    return TxSignal(
-        mode="tone" if k == 1 else "prs",
-        freqs=freqs,
-        symbols=np.ones(k, dtype=complex),
-        occupied_mask=np.ones(k, dtype=bool),
-    )
-
-
-def response(diagonals, freqs=None):
-    diagonals = np.atleast_2d(np.asarray(diagonals, dtype=complex))
-    freqs = np.full(diagonals.shape[0], CARRIER) if freqs is None else freqs
-    return RisResponse(diagonals, freqs)
 
 
 class TestNumerology:
@@ -130,89 +94,6 @@ class TestToneSignal:
                 symbols=np.ones(2, complex),
                 occupied_mask=np.ones(2, bool),
             )
-
-
-class TestReceive:
-    def test_perfect_cancellation(self):
-        ch = make_channels(1.0, [[1.0]], [[1.0]])
-        y_lu, _ = receive(ch, response([[-1.0]]), unit_tx(), n0=0.0)
-        assert y_lu[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_passthrough(self):
-        ch = make_channels(0.0, [[1.0]], [[1.0]])
-        y_lu, _ = receive(ch, response([[1.0]]), unit_tx(), n0=0.0)
-        assert y_lu[0] == pytest.approx(1.0 + 0.0j, abs=1e-15)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_direct_summation(self, seed):
-        # Independent oracle: plain python loop over elements.
-        rng = np.random.default_rng(seed)
-        k, m = 2, 3
-
-        def c(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        h_d, h, g, phi, x = c(k), c(k, m), c(k, m), c(k, m), c(k)
-        ch = make_channels(h_d, h, g, h_d_ed=h_d, h_ris_ed=h)
-        tx = TxSignal(
-            mode="prs",
-            freqs=np.full(k, CARRIER),
-            symbols=x,
-            occupied_mask=np.ones(k, bool),
-        )
-        y_lu, _ = receive(ch, response(phi), tx, n0=0.0)
-        for v in range(k):
-            expected = h_d[v]
-            for i in range(m):
-                expected += h[v, i] * phi[v, i] * g[v, i]
-            expected *= x[v]
-            assert abs(y_lu[v] - expected) <= 1e-12 * abs(expected)
-
-    def test_linearity_in_x(self):
-        ch = make_channels([0.3 + 0.1j, -0.2 + 0.5j], np.ones((2, 2)), np.ones((2, 2)))
-        resp = response(np.ones((2, 2)))
-        tx1 = unit_tx(2)
-        tx2 = TxSignal(
-            mode="prs",
-            freqs=tx1.freqs,
-            symbols=2.0 * tx1.symbols,
-            occupied_mask=tx1.occupied_mask,
-        )
-        y1, _ = receive(ch, resp, tx1, n0=0.0)
-        y2, _ = receive(ch, resp, tx2, n0=0.0)
-        np.testing.assert_array_equal(y2, 2.0 * y1)
-
-    def test_noise_statistics(self):
-        # With x = 0 the outputs are pure noise draws.
-        k = 100_000
-        ch = make_channels(np.zeros(k), np.zeros((k, 1)), np.zeros((k, 1)))
-        tx = TxSignal(
-            mode="prs",
-            freqs=np.full(k, CARRIER),
-            symbols=np.zeros(k, complex),
-            occupied_mask=np.ones(k, bool),
-        )
-        n0 = 0.5
-        y_lu, y_ed = receive(ch, response(np.zeros((k, 1))), tx, n0=n0, seed=123)
-        var_lu = np.mean(np.abs(y_lu) ** 2)
-        var_ed = np.mean(np.abs(y_ed) ** 2)
-        assert abs(var_lu - n0) / n0 < 0.02
-        assert abs(var_ed - n0) / n0 < 0.02
-        corr = np.mean(y_lu * np.conj(y_ed)) / n0
-        assert abs(corr) < 0.01
-
-    def test_noiseless_with_zero_n0(self):
-        ch = make_channels(1.0, [[0.5]], [[0.5]])
-        y_a, _ = receive(ch, response([[1.0]]), unit_tx(), n0=0.0, seed=1)
-        y_b, _ = receive(ch, response([[1.0]]), unit_tx(), n0=0.0, seed=2)
-        np.testing.assert_array_equal(y_a, y_b)
-
-    def test_dimension_mismatch_rejected(self):
-        ch = make_channels(1.0, [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            receive(ch, response(np.ones((2, 1)), freqs=np.full(2, CARRIER)), unit_tx(), n0=0.0)
-        with pytest.raises(ValueError):
-            receive(ch, response([[1.0, 1.0]]), unit_tx(), n0=0.0)
 
 
 class TestModem:

@@ -19,6 +19,8 @@ from ris_pls.optimize import (
     ed_min,
     exhaustive_oracle,
     lu_max,
+    received_signal,
+    reflection_coefficients,
     single_flip_improvements,
     uniform_config,
 )
@@ -433,10 +435,52 @@ class TestUniform:
         assert cfg.bits.size == 4
 
     def test_uniform_response_is_unit(self):
-        from ris_pls.ris import build_response
+        phi = reflection_coefficients(MODEL, [3.55e9])[:, uniform_config(2, 2).bits]
+        np.testing.assert_allclose(phi, 1.0, atol=1e-15)
 
-        resp = build_response(uniform_config(2, 2), MODEL, [3.55e9])
-        np.testing.assert_allclose(resp.diagonals, 1.0, atol=1e-15)
+
+class TestReceivedSignal:
+    """The receive equation on hand-set cascades w = h * g and the ideal
+    coefficients phi(0) = 1, phi(1) = -1 unless drawn at random."""
+
+    PHI = np.array([[1.0, -1.0]], dtype=complex)
+
+    def test_perfect_cancellation(self):
+        one = np.ones(1, dtype=complex)
+        y = received_signal(one, self.PHI, w_sum=one, on=one, x=one)
+        assert y[0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_passthrough(self):
+        one = np.ones(1, dtype=complex)
+        y = received_signal(np.zeros(1, complex), self.PHI, w_sum=one, on=np.zeros(1, complex), x=one)
+        assert y[0] == pytest.approx(1.0 + 0.0j, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_direct_summation(self, seed):
+        # Independent oracle: plain python loop over elements.
+        rng = np.random.default_rng(seed)
+        k, m = 2, 3
+
+        def c(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h_d, h, g, phi, x = c(k), c(k, m), c(k, m), c(k, 2), c(k)
+        bits = rng.integers(0, 2, m)
+        w = h * g
+        y = received_signal(h_d, phi, w.sum(axis=1), w @ bits.astype(float), x)
+        for v in range(k):
+            expected = h_d[v]
+            for i in range(m):
+                expected += h[v, i] * phi[v, bits[i]] * g[v, i]
+            expected *= x[v]
+            assert abs(y[v] - expected) <= 1e-12 * abs(expected)
+
+    def test_linearity_in_x(self):
+        h_d = np.array([0.3 + 0.1j, -0.2 + 0.5j])
+        phi, w_sum, on = np.ones((2, 2), complex), np.full(2, 2.0 + 0j), np.ones(2, complex)
+        y1 = received_signal(h_d, phi, w_sum, on, np.ones(2, complex))
+        y2 = received_signal(h_d, phi, w_sum, on, np.full(2, 2.0 + 0j))
+        np.testing.assert_array_equal(y2, 2.0 * y1)
 
 
 class TestExhaustiveOracle:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import model_instance, panel
+from helpers import dense_receive, model_instance, panel
 from ris_pls.channel import ChannelSet
-from ris_pls.ofdm import TxSignal, receive
+from ris_pls.ofdm import TxSignal
 from ris_pls.optimize import PowerEvaluator, algorithm1
-from ris_pls.ris import ElementModel, RisConfig, build_response
+from ris_pls.ris import ElementModel, RisConfig
 from ris_pls.secrecy import (
     LinkPowers,
     from_db,
@@ -268,14 +268,14 @@ class TestPowersAndSse:
 def dense_powers(ch, model, sig, config):
     """Occupied-subcarrier powers from the dense receive path: the
     independent check of the evaluator's sums."""
-    y_lu, y_ed = receive(ch, build_response(config, model, sig.freqs), sig, n0=0.0)
+    y_lu, y_ed = dense_receive(ch, model, config, sig)
     mask = sig.occupied_mask
     return np.abs(y_lu[mask]) ** 2, np.abs(y_ed[mask]) ** 2
 
 
 class TestDenseReceiveParity:
     """Reports read their powers from the evaluator's sums; they must match
-    the dense direct sum of `ofdm.receive`."""
+    the dense direct sum of `helpers.dense_receive`."""
 
     @pytest.mark.parametrize(
         "model",
