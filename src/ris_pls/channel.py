@@ -342,9 +342,10 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
 #: Bytes of panel links the memo keeps. A comparison re-synthesizes each
 #: placement pair once per method but touches only the transmitter link and
 #: one link per receiver placement, and a codebook touches one per sector.
-#: The budget holds five wideband (624 x 1024) links of 10 MB, or a few
+#: The budget holds ten wideband links of 5 MB (the 312 occupied
+#: subcarriers of a 52-block comb grid by 1024 elements), or a few
 #: thousand single-tone ones.
-PANEL_LINK_CACHE_BYTES = 5 * 624 * 1024 * 16
+PANEL_LINK_CACHE_BYTES = 10 * 312 * 1024 * 16
 
 _MemoInfo = namedtuple("_MemoInfo", "hits misses links nbytes max_bytes")
 
@@ -447,7 +448,8 @@ def synthesize_channels(
 
 def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
     """The transmitter's panel link g, and an iterator over the probe
-    placements' (direct link, panel link) pairs, computed lazily.
+    placements' (direct link, panel link) pairs, computed lazily at
+    `freqs`, the subcarriers a transmit signal carries.
 
     The links equal those `synthesize_channels` gives at the same
     frequencies, but none is read from or kept in the panel-link memo: a

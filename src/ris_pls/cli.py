@@ -40,9 +40,9 @@ _MODE_BY_COMMAND = {
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--spec", help="experiment spec JSON file")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", help="output directory (default .)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    parser.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     parser.add_argument(
         "--noisy-measurements",
         action="store_true",
@@ -141,8 +141,10 @@ def _spec_from_args(args) -> ExperimentSpec:
         raise SpecError(
             f"spec mode {data['mode']!r} does not match subcommand {args.command!r}"
         )
-    data["out_dir"] = args.out
-    data["jobs"] = args.jobs
+    if args.out is not None:
+        data["out_dir"] = args.out
+    if args.jobs is not None:
+        data["jobs"] = args.jobs
     if args.noisy_measurements:
         data["noisy_measurements"] = True
     if getattr(args, "methods", None):

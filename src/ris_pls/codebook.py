@@ -317,7 +317,7 @@ def scan_power_pattern(
     pattern reflects the panel's angular response rather than one scatter
     draw; `full_scenario` switches to the scenario's full ray model. Each
     probe's power is the receive equation of `PowerEvaluator`, summed over
-    the occupied subcarriers only. Probe links come from
+    the subcarriers the transmit signal carries. Probe links come from
     `channel.probe_links`, so the scan leaves the panel-link memo as it
     found it.
     """
@@ -330,13 +330,11 @@ def scan_power_pattern(
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
     params = scenario.channel if full_scenario else replace(scenario.channel, num_paths=1)
     tx_sig = scenario.tx_signal()
-    mask = tx_sig.occupied_mask
-    freqs = tx_sig.freqs[mask]
-    x = tx_sig.amplitudes()[mask]
-    phi = reflection_coefficients(scenario.element_model, freqs)
+    x = tx_sig.amplitudes()
+    phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
     on = config.bits.astype(float)
     probes = (Placement(a, range_m) for a in angles)
-    g, links = probe_links(scenario.tx, probes, scenario.ris, params, freqs)
+    g, links = probe_links(scenario.tx, probes, scenario.ris, params, tx_sig.freqs)
     pattern = []
     for angle, (h_d, h) in zip(angles, links):
         w = h * g

@@ -12,8 +12,6 @@ import os
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codebook import (
     Codebook,
     EdKnowledge,
@@ -24,7 +22,7 @@ from .codebook import (
     scan_power_pattern,
     select_config,
 )
-from .ofdm import ResourceGrid, build_prs_grid, prs_signal, tone_signal
+from .ofdm import build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
 from .secrecy import link_powers, powers_and_sse, to_db
@@ -115,8 +113,8 @@ class ExperimentSpec:
                 raise SpecError(f"unknown method {m!r}")
         if self.seeds is not None:
             self.seeds = tuple(int(s) for s in self.seeds)
-        if self.jobs < 1:
-            raise SpecError("jobs must be >= 1")
+        if not isinstance(self.out_dir, str):
+            raise SpecError("out_dir must be a string")
         if not (math.isfinite(self.scan_step_deg) and self.scan_step_deg > 0):
             raise SpecError("scan step must be a positive finite number of degrees")
         for bound in (self.scan_start_deg, self.scan_stop_deg):
@@ -131,7 +129,7 @@ class ExperimentSpec:
             raise SpecError("query_lu must be a finite number of degrees")
         if not _is_number(self.measurement_noise_db):
             raise SpecError("measurement_noise_db must be a finite number")
-        for name in ("measurement_averages", "fs_num_rb"):
+        for name in ("jobs", "measurement_averages", "fs_num_rb"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SpecError(f"{name} must be a positive integer")
@@ -326,30 +324,6 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     return out
 
 
-def _degenerate_grid(scenario: Scenario) -> ResourceGrid:
-    """One resource block with a single occupied bin at the tone bin, so
-    the zero-bandwidth grid probes exactly the narrowband frequency."""
-    numerology = scenario.numerology
-    k = 12
-    spacing = numerology.subcarrier_spacing_hz
-    bin_offset = round(scenario.tone_offset_hz / spacing)
-    idx = k // 2 + bin_offset
-    if not 0 <= idx < k:
-        raise SpecError("tone offset falls outside the single resource block")
-    mask = np.zeros(k, dtype=bool)
-    mask[idx] = True
-    symbols = np.zeros((k, numerology.symbols_per_slot), dtype=complex)
-    symbols[idx, :] = 1.0
-    return ResourceGrid(
-        numerology=numerology,
-        num_resource_blocks=1,
-        occupied_per_rb=1,
-        occupied_mask=mask,
-        symbols=symbols,
-        center_freq_hz=scenario.channel.carrier_hz,
-    )
-
-
 def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     """Narrowband-vs-wideband power separation under one configuration.
 
@@ -367,7 +341,7 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         )
     tone = tone_signal(scenario.numerology, scenario.channel.carrier_hz, scenario.tone_offset_hz)
     if spec.fs_degenerate_single_bin:
-        grid = _degenerate_grid(scenario)
+        wide = tone
     else:
         grid = build_prs_grid(
             scenario.numerology,
@@ -375,7 +349,7 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
             seed=scenario.seed,
             center_freq_hz=scenario.channel.carrier_hz,
         )
-    wide = prs_signal(grid)
+        wide = prs_signal(grid)
     # Two passes, one per frequency grid, so each pass reuses the panel-link
     # memo's transmitter and receiver links instead of evicting them.
     narrowband = []
@@ -421,7 +395,7 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         "scenario_digest": scenario.digest(),
         "element_mode": scenario.element_model.mode,
         "method": spec.fs_method,
-        "wideband_bins": int(wide.occupied_mask.sum()),
+        "wideband_bins": wide.num_subcarriers,
         "results": detail,
     }
     _atomic_write(out["json"], json.dumps(payload, indent=1) + "\n")

@@ -2,8 +2,10 @@
 
 Two transmit modes are supported: a single complex tone offset from the
 carrier, and a wideband positioning-reference-style comb grid. Both are
-represented in the frequency domain as a `TxSignal`, so the one receive
-equation (`optimize.received_signal`) serves both.
+represented in the frequency domain as a `TxSignal` that holds only the
+subcarriers carrying signal, so the one receive equation
+(`optimize.received_signal`) serves both and no consumer handles empty
+bins. `ResourceGrid` and the modem keep the full grid.
 """
 
 from __future__ import annotations
@@ -161,25 +163,28 @@ def build_prs_grid(
 class TxSignal:
     """Frequency-domain transmit profile used by the receive equation.
 
-    The canonical constructors keep occupied symbols at unit average power;
-    `power_scale` multiplies the transmitted power on top of that.
+    Holds only the subcarriers that carry signal: `freqs`, `symbols` and
+    `bins`, the grid index of each one, have one entry per carried
+    subcarrier. The canonical constructors keep the symbols at unit
+    average power; `power_scale` multiplies the transmitted power on top
+    of that.
     """
 
     mode: str
     freqs: np.ndarray
     symbols: np.ndarray
-    occupied_mask: np.ndarray
+    bins: np.ndarray
     power_scale: float = 1.0
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
         self.symbols = np.asarray(self.symbols, dtype=complex)
-        self.occupied_mask = np.asarray(self.occupied_mask, dtype=bool)
+        self.bins = np.asarray(self.bins, dtype=int)
         k = self.freqs.size
-        if self.symbols.shape != (k,) or self.occupied_mask.shape != (k,):
-            raise ValueError("symbols and mask must have one entry per subcarrier")
-        if self.mode == "tone" and int(self.occupied_mask.sum()) != 1:
-            raise ValueError("tone mode occupies exactly one subcarrier")
+        if self.symbols.shape != (k,) or self.bins.shape != (k,):
+            raise ValueError("symbols and bins must have one entry per subcarrier")
+        if self.mode == "tone" and k != 1:
+            raise ValueError("tone mode carries exactly one subcarrier")
         if self.power_scale < 0:
             raise ValueError("power scale must be non-negative")
 
@@ -197,7 +202,8 @@ def tone_signal(
     offset_hz: float = 100e3,
     power_scale: float = 1.0,
 ) -> TxSignal:
-    """Single occupied bin at the grid bin nearest to `offset_hz`."""
+    """One subcarrier, at the grid frequency nearest to `offset_hz`; it is
+    the signal's only bin, index 0."""
     spacing = numerology.subcarrier_spacing_hz
     bin_offset = round(offset_hz / spacing)
     freq = center_freq_hz + bin_offset * spacing
@@ -205,20 +211,22 @@ def tone_signal(
         mode="tone",
         freqs=np.array([freq]),
         symbols=np.array([1.0 + 0.0j]),
-        occupied_mask=np.array([True]),
+        bins=np.array([0]),
         power_scale=power_scale,
     )
 
 
 def prs_signal(grid: ResourceGrid, symbol_index: int = 0, power_scale: float = 1.0) -> TxSignal:
-    """Transmit profile of one OFDM symbol of a reference grid."""
+    """Transmit profile of one OFDM symbol of a reference grid, on the
+    grid's occupied subcarriers only."""
     if not 0 <= symbol_index < grid.num_symbols:
         raise IndexError("symbol index out of range")
+    mask = grid.occupied_mask
     return TxSignal(
         mode="prs",
-        freqs=grid.subcarrier_freqs(),
-        symbols=grid.symbols[:, symbol_index].copy(),
-        occupied_mask=grid.occupied_mask.copy(),
+        freqs=grid.subcarrier_freqs()[mask],
+        symbols=grid.symbols[mask, symbol_index],
+        bins=np.flatnonzero(mask),
         power_scale=power_scale,
     )
 

@@ -171,14 +171,15 @@ class PowerEvaluator:
     """Power evaluation of bit vectors on one channel set.
 
     Precomputes the per-element cascades h_m * g_m and the two per-bit
-    reflection coefficients at every occupied subcarrier. A configuration
-    (a row-major 0/1 vector of length M) enters only through its
-    per-receiver sums of the cascades of the elements set to 1, so a full
-    evaluation costs one matrix-vector product and a flip of n elements
-    changes the sums by an O(K_occ * n) product (`flipped_sums`). The rows
-    of an (N, M) 0/1 matrix are scored together by one matrix product.
+    reflection coefficients at every subcarrier of the transmit signal,
+    whose frequencies the channel set must share. A configuration (a
+    row-major 0/1 vector of length M) enters only through its per-receiver
+    sums of the cascades of the elements set to 1, so a full evaluation
+    costs one matrix-vector product and a flip of n elements changes the
+    sums by an O(K * n) product (`flipped_sums`). The rows of an (N, M)
+    0/1 matrix are scored together by one matrix product.
 
-    The cascades are stored once, as an (M, 2 * K_occ) array whose row m
+    The cascades are stored once, as an (M, 2 * K) array whose row m
     holds element m's LU cascades followed by its ED cascades: the
     elements of a column or a row are then a block of rows.
 
@@ -187,29 +188,26 @@ class PowerEvaluator:
     """
 
     def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
-        if tx.num_subcarriers != channels.num_subcarriers:
-            raise ValueError("transmit signal and channel set disagree on subcarrier count")
-        mask = tx.occupied_mask
-        self.occupied = np.flatnonzero(mask)
-        self._x = tx.amplitudes()[mask]
-        self._hd = (channels.h_d_lu[mask], channels.h_d_ed[mask])
-        g = channels.g_ris[self.occupied]
+        if not np.array_equal(tx.freqs, channels.freqs):
+            raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
+        self.occupied = tx.bins
+        self._x = tx.amplitudes()
+        self._hd = (channels.h_d_lu, channels.h_d_ed)
+        g = channels.g_ris
         k, m = g.shape
         w = np.empty((m, 2, k), dtype=complex)
-        w_r = np.empty_like(g)  # one receiver's (K_occ, M) cascades, reused
+        w_r = np.empty_like(g)  # one receiver's (K, M) cascades, reused
         self._w_sum = np.empty((2, k), dtype=complex)
         for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
-            # mode="clip" fills `w_r` in place; "raise" would buffer a copy.
-            np.take(h, self.occupied, axis=0, out=w_r, mode="clip")
-            w_r *= g
+            np.multiply(h, g, out=w_r)
             self._w_sum[r] = w_r.sum(axis=1)
             w[:, r, :] = w_r.T
         self._w = w.reshape(m, 2 * k)
-        self._phi = reflection_coefficients(element_model, channels.freqs[mask])
+        self._phi = reflection_coefficients(element_model, channels.freqs)
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
         """LU and ED sums of the cascades of the elements set in `bits`:
-        (2, K_occ) for one bit vector, (2, N, K_occ) for an (N, M) matrix."""
+        (2, K) for one bit vector, (2, N, K) for an (N, M) matrix."""
         out = np.asarray(bits, dtype=float) @ self._w
         if out.ndim == 1:
             return out.reshape(2, -1)
@@ -220,11 +218,11 @@ class PowerEvaluator:
         return sums + (_FLIP_SIGN[bits[elements]] @ self._w[elements]).reshape(2, -1)
 
     def _signal(self, r: int, sums: np.ndarray) -> np.ndarray:
-        """Received signal of receiver r (0: LU, 1: ED) per occupied subcarrier."""
+        """Received signal of receiver r (0: LU, 1: ED) per subcarrier."""
         return received_signal(self._hd[r], self._phi, self._w_sum[r], sums[r], self._x)
 
     def bin_powers(self, bits: np.ndarray) -> np.ndarray:
-        """(2, K_occ) noiseless LU and ED received power per occupied subcarrier."""
+        """(2, K) noiseless LU and ED received power per subcarrier."""
         sums = self.sums(bits)
         return np.stack([np.abs(self._signal(r, sums)) ** 2 for r in (0, 1)])
 

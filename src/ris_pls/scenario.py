@@ -91,7 +91,7 @@ class Scenario:
             ed = Placement(15.0, self.sector_grid.user_range_m)
             ev = PowerEvaluator(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig)
             cfg = uniform_config(self.ris.n_v, self.ris.n_h)
-            per_bin = ev.evaluate("lu_power_max", cfg.bits) / ev.occupied.size
+            per_bin = ev.evaluate("lu_power_max", cfg.bits) / tx_sig.num_subcarriers
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache
 

@@ -57,7 +57,7 @@ def single_tone_tx():
         mode="tone",
         freqs=np.array([CARRIER]),
         symbols=np.array([1.0 + 0.0j]),
-        occupied_mask=np.array([True]),
+        bins=np.array([0]),
     )
 
 

@@ -92,7 +92,7 @@ def test_criterion_02_sse_closed_forms():
         mode="tone",
         freqs=np.array([CARRIER]),
         symbols=np.array([1.0 + 0.0j]),
-        occupied_mask=np.array([True]),
+        bins=np.array([0]),
     )
     bits = np.zeros(1, dtype=np.uint8)
     snr31 = sum_sse(PowerEvaluator(flat_channels(math.sqrt(3.0), 1.0), ElementModel(), tx), bits, n0=1.0)

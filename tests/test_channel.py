@@ -206,6 +206,25 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+class TestOccupiedSubcarrierParity:
+    """Channels synthesized at a prs signal's frequencies are the occupied
+    rows of the channels synthesized on the full grid, bit for bit, so
+    carrying only the occupied subcarriers changes no output."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("num_paths", [1, 8])
+    def test_occupied_rows_equal_full_grid(self, num_paths, seed):
+        grid = build_prs_grid(Numerology(), num_rb=4, seed=seed)
+        sig = prs_signal(grid)
+        params = ChannelParams(num_paths=num_paths, rng_seed=seed)
+        tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
+        full = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, grid.subcarrier_freqs())
+        occupied = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, sig.freqs)
+        assert same_bits(occupied.freqs, full.freqs[sig.bins])
+        for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
+            assert same_bits(getattr(occupied, name), getattr(full, name)[sig.bins]), name
+
+
 class TestPanelLinkMemo:
     @settings(max_examples=30, deadline=None)
     @given(

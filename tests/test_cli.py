@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import ris_pls
 from ris_pls import channel as channel_module
+from ris_pls import cli as cli_module
 from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
@@ -129,6 +130,26 @@ class TestCompare:
         main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out_a)])
         main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out_b), "--jobs", "4"])
         assert (out_a / "compare_powers.csv").read_text() == (out_b / "compare_powers.csv").read_text()
+
+    @pytest.mark.parametrize("flags", [False, True])
+    def test_spec_out_dir_and_jobs_unless_flags_given(self, tmp_path, monkeypatch, flags):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"],
+            "out_dir": str(tmp_path / "fromspec"), "jobs": 2,
+        }))
+        seen = []
+        monkeypatch.setattr(cli_module, "run", lambda sc, sp, run=cli_module.run: seen.append(sp) or run(sc, sp))
+        argv = ["compare", "--scenario", str(scenario), "--spec", str(spec)]
+        if flags:
+            argv += ["--out", str(tmp_path / "fromflag"), "--jobs", "3"]
+        assert main(argv) == EXIT_OK
+        out, jobs = (tmp_path / "fromflag", 3) if flags else (tmp_path / "fromspec", 2)
+        assert seen[0].jobs == jobs
+        assert (out / "compare_powers.csv").exists()
+        assert not (tmp_path / ("fromspec" if flags else "fromflag")).exists()
 
     def test_noisy_measurements_flag(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -385,15 +406,23 @@ class TestMalformedSpecFields:
             ("pattern-scan", {"scan_config_bits": 5}),
             ("freq-selectivity", {"fs_num_rb": "x"}),
             ("compare", {"measurement_noise_db": "x", "noisy_measurements": True}),
+            ("compare", {"jobs": float("nan")}),
+            ("compare", {"jobs": 0}),
+            ("compare", {"jobs": 1.5}),
+            ("compare", {"jobs": True}),
+            ("compare", {"jobs": "2"}),
+            ("compare", {"out_dir": 5}),
+            ("compare", {"out_dir": None}),
         ],
     )
-    def test_wrong_type_is_spec_error(self, tmp_path, command, fields):
+    def test_wrong_type_is_spec_error(self, tmp_path, capsys, command, fields):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"mode": MODE_BY_COMMAND[command], **fields}))
         rc = main([command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
         assert rc == EXIT_SPEC
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("ed", [{"excluded": 5}, {"known": [1]}, {"known": "x"}, {}])
     def test_malformed_ed_knowledge_is_spec_error(self, tmp_path, ed):
@@ -470,7 +499,7 @@ class TestSpecFieldProperty:
         ],
         "freq-selectivity": ["pairs", "fs_method", "fs_num_rb", "fs_degenerate_single_bin"],
     }
-    FIELDS = sorted(set(ExperimentSpec.__dataclass_fields__) - {"out_dir", "jobs"})
+    FIELDS = sorted(ExperimentSpec.__dataclass_fields__)
 
     @settings(max_examples=100, deadline=None)
     @given(command=st.sampled_from(sorted(MODE_BY_COMMAND)), data=st.data())
@@ -478,19 +507,24 @@ class TestSpecFieldProperty:
         fields = st.sampled_from(self.READS[command]) | st.sampled_from(self.FIELDS)
         swaps = data.draw(st.dictionaries(fields, st.sampled_from(SPEC_VALUES), max_size=2), label="swaps")
         scenario, codebook = fuzz_setup
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            # A copy, because --attach and codebook-gen may rewrite it.
-            shutil.copy(codebook, "codebook.json")
-            spec = {"mode": MODE_BY_COMMAND[command], "codebook_path": "codebook.json"}
-            spec.update(self.BASE[command])
-            spec.update(swaps)
-            with open("spec.json", "w") as fh:
-                json.dump(spec, fh)
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    rc = main([command, "--scenario", str(scenario), "--spec", "spec.json", "--out", "out"])
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                # A copy, because --attach and codebook-gen may rewrite it.
+                shutil.copy(codebook, "codebook.json")
+                spec = {"mode": MODE_BY_COMMAND[command], "codebook_path": "codebook.json"}
+                spec.update(self.BASE[command])
+                spec.update(swaps)
+                with open("spec.json", "w") as fh:
+                    json.dump(spec, fh)
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        rc = main([command, "--scenario", str(scenario), "--spec", "spec.json", "--out", "out"])
+            finally:
+                os.chdir(cwd)
         assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME)
         assert "Traceback" not in stderr.getvalue()
 
@@ -745,4 +779,18 @@ class TestFrequencySelectivity:
         assert rc == EXIT_OK
         payload = json.loads((out / "frequency_selectivity.json").read_text())
         row = payload["results"][0]
-        assert abs(row["wideband_gap_db"] - row["narrowband_gap_db"]) < 1e-6
+        assert row["wideband_gap_db"] == row["narrowband_gap_db"]
+        assert row["wideband"] == row["narrowband"]
+        assert payload["wideband_bins"] == 1
+
+    def test_degenerate_single_bin_runs_beyond_one_resource_block(self, tmp_path):
+        # A tone 1 MHz off the carrier lies outside a 12-subcarrier block.
+        sc = write_scenario(tmp_path / "scenario.json", tone_offset_hz=1e6)
+        spec = ExperimentSpec(
+            mode="frequency_selectivity", out_dir=str(tmp_path), pairs=((0.0, 15.0),), fs_degenerate_single_bin=True
+        )
+        with pytest.warns(UserWarning, match="frequency-flat"):
+            out = run_frequency_selectivity(sc, spec)
+        with open(out["json"]) as fh:
+            row = json.load(fh)["results"][0]
+        assert row["wideband"] == row["narrowband"]

@@ -82,7 +82,7 @@ class TestToneSignal:
     def test_tone_occupies_single_nearest_bin(self):
         sig = tone_signal(Numerology(mu=2), CARRIER, offset_hz=100e3)
         assert sig.num_subcarriers == 1
-        assert int(sig.occupied_mask.sum()) == 1
+        np.testing.assert_array_equal(sig.bins, [0])
         # 100 kHz rounds to the +120 kHz bin at 60 kHz spacing
         assert sig.freqs[0] == CARRIER + 120e3
 
@@ -92,7 +92,7 @@ class TestToneSignal:
                 mode="tone",
                 freqs=np.array([CARRIER, CARRIER + 60e3]),
                 symbols=np.ones(2, complex),
-                occupied_mask=np.ones(2, bool),
+                bins=np.arange(2),
             )
 
 
@@ -159,8 +159,11 @@ class TestModem:
     def test_prs_signal_extraction(self):
         grid = build_prs_grid(Numerology(mu=2), num_rb=2, seed=4)
         sig = prs_signal(grid, symbol_index=3)
-        np.testing.assert_array_equal(sig.symbols, grid.symbols[:, 3])
-        assert sig.freqs.size == 24
+        mask = grid.occupied_mask
+        np.testing.assert_array_equal(sig.symbols, grid.symbols[mask, 3])
+        np.testing.assert_array_equal(sig.freqs, grid.subcarrier_freqs()[mask])
+        np.testing.assert_array_equal(sig.bins, np.flatnonzero(mask))
+        assert sig.freqs.size == 12
         with pytest.raises(IndexError):
             prs_signal(grid, symbol_index=99)
 

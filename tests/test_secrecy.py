@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import dense_receive, model_instance, panel
-from ris_pls.channel import ChannelSet
-from ris_pls.ofdm import TxSignal
+from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
+from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal
 from ris_pls.optimize import PowerEvaluator, algorithm1
 from ris_pls.ris import ElementModel, RisConfig
 from ris_pls.secrecy import (
@@ -37,7 +37,7 @@ def unit_tx(k=1, symbols=None, power_scale=1.0):
         mode="tone" if k == 1 else "prs",
         freqs=np.full(k, CARRIER),
         symbols=np.ones(k, complex) if symbols is None else np.asarray(symbols, complex),
-        occupied_mask=np.ones(k, bool),
+        bins=np.arange(k),
         power_scale=power_scale,
     )
 
@@ -111,14 +111,28 @@ class TestLinkPowers:
         assert got.p_ed == pytest.approx(expected, rel=1e-12)
 
     def test_only_occupied_bins_counted(self):
-        ch = channels(1.0, 1.0, k=4)
-        tx = TxSignal(
+        # prs_signal drops the unoccupied bins: the powers equal the dense
+        # full-grid sum over the occupied bins alone.
+        grid = build_prs_grid(Numerology(), num_rb=2, seed=5)
+        sig = prs_signal(grid)
+        assert sig.num_subcarriers == int(grid.occupied_mask.sum()) < grid.num_subcarriers
+        full = TxSignal(
             mode="prs",
-            freqs=np.full(4, CARRIER),
-            symbols=np.ones(4, complex),
-            occupied_mask=np.array([True, False, True, False]),
+            freqs=grid.subcarrier_freqs(),
+            symbols=grid.symbols[:, 0],
+            bins=np.arange(grid.num_subcarriers),
         )
-        assert link_powers(evaluator(ch, tx), zeros(ch)).p_lu == pytest.approx(2.0, rel=1e-12)
+        tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
+        params, ris = ChannelParams(rng_seed=5), panel(3, 4)
+        model = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
+        config = RisConfig(np.random.default_rng(5).integers(0, 2, 12), 3, 4)
+        dense_ch = synthesize_channels(tx, lu, ed, ris, params, full.freqs)
+        y_lu, y_ed = dense_receive(dense_ch, model, config, full)
+        ev = PowerEvaluator(synthesize_channels(tx, lu, ed, ris, params, sig.freqs), model, sig)
+        powers = link_powers(ev, config.bits)
+        mask = grid.occupied_mask
+        assert powers.p_lu == pytest.approx((np.abs(y_lu[mask]) ** 2).sum(), rel=1e-11, abs=0)
+        assert powers.p_ed == pytest.approx((np.abs(y_ed[mask]) ** 2).sum(), rel=1e-11, abs=0)
 
     def test_p_lu_equals_lu_power_objective(self):
         channels_, sig = model_instance(3, 3, 4, waveform="prs")
@@ -127,6 +141,22 @@ class TestLinkPowers:
             powers = link_powers(ev, bits)
             assert powers.p_lu == ev.evaluate("lu_power_max", bits)
             assert powers.p_ed == ev.evaluate("ed_power_min", bits)
+
+
+class TestEvaluatorFrequencies:
+    def test_same_count_at_other_frequencies_rejected(self):
+        ch = channels(1.0, 1.0, k=2)
+        tx = unit_tx(2)
+        tx.freqs = tx.freqs + np.array([0.0, 60e3])
+        with pytest.raises(ValueError, match="frequencies"):
+            evaluator(ch, tx)
+
+    def test_full_grid_channels_rejected_for_prs_signal(self):
+        grid = build_prs_grid(Numerology(), num_rb=2, seed=0)
+        tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
+        ch = synthesize_channels(tx, lu, ed, panel(2, 2), ChannelParams(), grid.subcarrier_freqs())
+        with pytest.raises(ValueError, match="frequencies"):
+            PowerEvaluator(ch, ElementModel(), prs_signal(grid))
 
 
 class TestRatioObjective:
@@ -240,7 +270,7 @@ class TestSumSse:
 class TestPowersAndSse:
     def test_equals_separate_reports(self):
         rng = np.random.default_rng(3)
-        k, m = 6, 4
+        k, m = 4, 4
 
         def draw(*shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -250,7 +280,7 @@ class TestPowersAndSse:
             mode="prs",
             freqs=np.full(k, CARRIER),
             symbols=draw(k),
-            occupied_mask=np.array([True, False, True, True, False, True]),
+            bins=np.array([0, 2, 3, 5]),
         )
         ev = PowerEvaluator(ch, ElementModel(phase_at_center=(0.5, 2.0)), tx)
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
@@ -266,11 +296,10 @@ class TestPowersAndSse:
 
 
 def dense_powers(ch, model, sig, config):
-    """Occupied-subcarrier powers from the dense receive path: the
-    independent check of the evaluator's sums."""
+    """Per-subcarrier powers from the dense receive path: the independent
+    check of the evaluator's sums."""
     y_lu, y_ed = dense_receive(ch, model, config, sig)
-    mask = sig.occupied_mask
-    return np.abs(y_lu[mask]) ** 2, np.abs(y_ed[mask]) ** 2
+    return np.abs(y_lu) ** 2, np.abs(y_ed) ** 2
 
 
 class TestDenseReceiveParity:
