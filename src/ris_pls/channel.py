@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_types
 from .ris import SPEED_OF_LIGHT, RisArrayGeometry
 
 
@@ -48,8 +49,7 @@ class Placement:
     height_m: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.azimuth_deg) or not math.isfinite(self.range_m):
-            raise ValueError("placement coordinates must be finite")
+        check_types(self)
         if self.range_m <= 0:
             raise ValueError("range must be positive")
         if not -90.0 <= self.azimuth_deg <= 90.0:
@@ -71,6 +71,7 @@ class SectorGrid:
     user_range_m: float = 7.0
 
     def __post_init__(self):
+        check_types(self)
         centers = tuple(float(c) for c in self.sector_centers_deg)
         object.__setattr__(self, "sector_centers_deg", centers)
         if len(centers) < 1:
@@ -115,18 +116,17 @@ class ChannelParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or not math.isfinite(self.carrier_hz):
-            raise ValueError("carrier frequency must be positive and finite")
+        # +inf dB is a pure line-of-sight link.
+        check_types(self, may_be_inf=("rician_k_db",))
+        if self.carrier_hz <= 0:
+            raise ValueError("carrier frequency must be positive")
         if self.num_paths < 1:
             raise ValueError("need at least one path per link")
-        if self.max_excess_delay_s < 0 or not math.isfinite(self.max_excess_delay_s):
-            raise ValueError("max excess delay must be finite and non-negative")
+        if self.max_excess_delay_s < 0:
+            raise ValueError("max excess delay must be non-negative")
         if self.tx_beamwidth_deg <= 0:
             raise ValueError("beamwidth must be positive")
-        for name in ("direct_path_suppression_db",):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0 <= int(self.rng_seed) < 2**64:
+        if not 0 <= self.rng_seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 

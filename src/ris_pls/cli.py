@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .experiments import (
     COMPARE_METHODS,
-    DEFAULT_PAIRS,
     ExperimentSpec,
     SpecError,
     load_scenario,
@@ -37,22 +37,18 @@ _MODE_BY_COMMAND = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", help="scenario JSON file")
-    parser.add_argument("--spec", help="experiment spec JSON file")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--seed", type=int, help="override the scenario seed")
-    parser.add_argument("--jobs", type=int, help="parallel workers (default 1)")
-    parser.add_argument(
-        "--noisy-measurements",
-        action="store_true",
-        help="perturb power estimates during optimization",
-    )
-    parser.add_argument(
-        "--print-schema",
-        action="store_true",
-        help="print the expected scenario/spec structure and exit",
-    )
+#: Arguments that are not spec fields; every other flag stores straight
+#: into the spec field named by its dest, and only when given.
+_NOT_SPEC = ("command", "spec", "seed", "print_schema")
+
+
+def _ed_knowledge(text: str):
+    """An --ed value as the spec's query_ed."""
+    if text == "unknown":
+        return text
+    if text.startswith("excluded:"):
+        return {"excluded": [float(x) for x in text.split(":", 1)[1].split(",")]}
+    return {"known": float(text)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,41 +57,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", help="optimizer comparison over placement pairs")
-    _add_common(p)
+    def command(name: str, description: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=description, argument_default=argparse.SUPPRESS)
+        p.add_argument("--scenario", dest="scenario_path", help="scenario JSON file (default: the spec's)")
+        p.add_argument("--spec", default=None, help="experiment spec JSON file")
+        p.add_argument("--out", dest="out_dir", help="output directory (default .)")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+        p.add_argument(
+            "--noisy-measurements", action="store_true", help="perturb power estimates during optimization"
+        )
+        p.add_argument(
+            "--print-schema",
+            action="store_true",
+            default=False,
+            help="print the scenario and spec documents with every field at its default, and exit",
+        )
+        return p
+
+    p = command("compare", "optimizer comparison over placement pairs")
     p.add_argument("--methods", nargs="+", help="subset of " + " ".join(COMPARE_METHODS))
 
-    p = sub.add_parser("codebook-gen", help="generate a sector codebook")
-    _add_common(p)
+    p = command("codebook-gen", "generate a sector codebook")
     p.add_argument("--methods", nargs="+", help="optimizing methods to store")
-    p.add_argument("--codebook", help="output codebook path")
+    p.add_argument("--codebook", dest="codebook_path", help="output codebook path")
 
-    p = sub.add_parser("codebook-query", help="select a configuration from a codebook")
-    _add_common(p)
-    p.add_argument("--codebook", help="codebook JSON file")
-    p.add_argument("--lu", type=float, help="serving sector angle in degrees")
+    p = command("codebook-query", "select a configuration from a codebook")
+    p.add_argument("--codebook", dest="codebook_path", help="codebook JSON file")
+    p.add_argument("--lu", dest="query_lu", type=float, help="serving sector angle in degrees")
     p.add_argument(
         "--ed",
+        dest="query_ed",
+        type=_ed_knowledge,
         help="eavesdropper knowledge: 'unknown', an angle, or excluded:a,b,...",
     )
-    p.add_argument("--method", help="method whose entries to search (default alg1)")
+    p.add_argument("--method", dest="query_method", help="method whose entries to search (default alg1)")
 
-    p = sub.add_parser("pattern-scan", help="fine-angle power pattern of a configuration")
-    _add_common(p)
-    p.add_argument("--codebook", help="codebook JSON file")
-    p.add_argument("--bits", help="configuration as a row-major bit-string")
-    p.add_argument("--entry", nargs=3, metavar=("LU", "ED", "METHOD"), help="codebook entry")
-    p.add_argument("--start", type=float, help="scan start angle (default -90)")
-    p.add_argument("--stop", type=float, help="scan stop angle (default 90)")
-    p.add_argument("--step", type=float, help="scan step (default 0.5)")
-    p.add_argument("--attach", action="store_true", help="store the pattern on the entry")
+    p = command("pattern-scan", "fine-angle power pattern of a configuration")
+    p.add_argument("--codebook", dest="codebook_path", help="codebook JSON file")
+    p.add_argument("--bits", dest="scan_config_bits", help="configuration as a row-major bit-string")
+    p.add_argument(
+        "--entry", dest="scan_entry", nargs=3, metavar=("LU", "ED", "METHOD"), help="codebook entry"
+    )
+    p.add_argument("--start", dest="scan_start_deg", type=float, help="scan start angle (default -90)")
+    p.add_argument("--stop", dest="scan_stop_deg", type=float, help="scan stop angle (default 90)")
+    p.add_argument("--step", dest="scan_step_deg", type=float, help="scan step (default 0.5)")
+    p.add_argument("--attach", dest="scan_attach", action="store_true", help="store the pattern on the entry")
 
-    p = sub.add_parser("freq-selectivity", help="narrowband vs wideband power separation")
-    _add_common(p)
-    p.add_argument("--method", help="optimizing method (default alg1)")
-    p.add_argument("--num-rb", type=int, help="wideband grid size (default 52)")
+    p = command("freq-selectivity", "narrowband vs wideband power separation")
+    p.add_argument("--method", dest="fs_method", help="optimizing method (default alg1)")
+    p.add_argument("--num-rb", dest="fs_num_rb", type=int, help="wideband grid size (default 52)")
     p.add_argument(
         "--degenerate-single-bin",
+        dest="fs_degenerate_single_bin",
         action="store_true",
         help="use a one-bin wideband grid at the tone frequency",
     )
@@ -103,89 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_schema(command: str) -> None:
-    scenario = Scenario().to_dict()
-    spec = {
-        "schema": "ris-pls/experiment-v1",
-        "mode": _MODE_BY_COMMAND[command],
-        "out_dir": ".",
-        "pairs": [list(p) for p in DEFAULT_PAIRS],
-        "methods": list(COMPARE_METHODS),
-        "seeds": None,
-        "jobs": 1,
-        "noisy_measurements": False,
-    }
-    if command == "codebook-query":
-        spec.update({"codebook_path": "codebook.json", "query_lu": 0.0, "query_ed": "unknown"})
-    if command == "pattern-scan":
-        spec.update(
-            {
-                "codebook_path": "codebook.json",
-                "scan_entry": [30.0, 15.0, "alg1"],
-                "scan_start_deg": -90.0,
-                "scan_stop_deg": 90.0,
-                "scan_step_deg": 0.5,
-            }
-        )
-    if command == "freq-selectivity":
-        spec.update({"fs_method": "alg1", "fs_num_rb": 52, "fs_degenerate_single_bin": False})
-    print(json.dumps({"scenario": scenario, "spec": spec}, indent=2))
+    spec = {"schema": "ris-pls/experiment-v1", **asdict(ExperimentSpec(_MODE_BY_COMMAND[command]))}
+    print(json.dumps({"scenario": Scenario().to_dict(), "spec": spec}, indent=2))
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    data = {}
-    if args.spec:
-        spec = ExperimentSpec.load(args.spec)
-        data = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
-    data.setdefault("mode", _MODE_BY_COMMAND[args.command])
-    if data["mode"] != _MODE_BY_COMMAND[args.command]:
-        raise SpecError(
-            f"spec mode {data['mode']!r} does not match subcommand {args.command!r}"
-        )
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
-    if args.noisy_measurements:
-        data["noisy_measurements"] = True
-    if getattr(args, "methods", None):
-        data["methods"] = tuple(args.methods)
-    if getattr(args, "codebook", None):
-        data["codebook_path"] = args.codebook
-    if args.command == "codebook-query":
-        if args.lu is not None:
-            data["query_lu"] = args.lu
-        if args.ed is not None:
-            try:
-                if args.ed.startswith("excluded:"):
-                    data["query_ed"] = {
-                        "excluded": [float(x) for x in args.ed.split(":", 1)[1].split(",")]
-                    }
-                else:
-                    data["query_ed"] = args.ed if args.ed == "unknown" else {"known": float(args.ed)}
-            except ValueError as exc:
-                raise SpecError(f"cannot parse --ed {args.ed!r}") from exc
-        if args.method is not None:
-            data["query_method"] = args.method
-    if args.command == "pattern-scan":
-        if args.bits:
-            data["scan_config_bits"] = args.bits
-        if args.entry:
-            data["scan_entry"] = tuple(args.entry)
-        if args.start is not None:
-            data["scan_start_deg"] = args.start
-        if args.stop is not None:
-            data["scan_stop_deg"] = args.stop
-        if args.step is not None:
-            data["scan_step_deg"] = args.step
-        if args.attach:
-            data["scan_attach"] = True
-    if args.command == "freq-selectivity":
-        if args.method is not None:
-            data["fs_method"] = args.method
-        if args.num_rb is not None:
-            data["fs_num_rb"] = args.num_rb
-        if args.degenerate_single_bin:
-            data["fs_degenerate_single_bin"] = True
+    """The spec file's fields, or the subcommand's defaults, overridden by
+    every flag given."""
+    mode = _MODE_BY_COMMAND[args.command]
+    data = asdict(ExperimentSpec.load(args.spec)) if args.spec else {"mode": mode}
+    if data["mode"] != mode:
+        raise SpecError(f"spec mode {data['mode']!r} does not match subcommand {args.command!r}")
+    data.update((k, v) for k, v in vars(args).items() if k not in _NOT_SPEC)
     return ExperimentSpec.from_dict(data)
 
 
@@ -199,11 +142,11 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    if not args.scenario:
-        print("spec error: --scenario is required", file=sys.stderr)
+    if not spec.scenario_path:
+        print("spec error: --scenario or a spec's scenario_path is required", file=sys.stderr)
         return EXIT_SPEC
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = load_scenario(spec.scenario_path)
         if args.seed is not None:
             scenario = scenario.with_seed(args.seed)
     except ValueError as exc:  # a ScenarioError, or a seed the channel model rejects
@@ -214,7 +157,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (ValueError, KeyError, IndexError, OverflowError, OSError) as exc:
+    except (ValueError, KeyError, IndexError, ArithmeticError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     stdout = outputs.pop("stdout", None)

@@ -21,7 +21,7 @@ import concurrent.futures
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -156,20 +156,14 @@ class Codebook:
     def to_dict(self) -> dict:
         return {
             "schema": CODEBOOK_SCHEMA,
-            "grid": {
-                "sector_width_deg": self.grid.sector_width_deg,
-                "sector_centers_deg": list(self.grid.sector_centers_deg),
-                "user_range_m": self.grid.user_range_m,
-            },
+            "grid": asdict(self.grid),
             "scenario_digest": self.scenario_digest,
             "entries": [e.to_dict() for _, e in sorted(self.entries.items())],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Codebook":
-        grid_raw = dict(data["grid"])
-        grid_raw["sector_centers_deg"] = tuple(grid_raw["sector_centers_deg"])
-        cb = cls(grid=SectorGrid(**grid_raw), scenario_digest=data["scenario_digest"])
+        cb = cls(grid=SectorGrid(**data["grid"]), scenario_digest=data["scenario_digest"])
         for raw in data["entries"]:
             cb.add(CodebookEntry.from_dict(raw))
         return cb

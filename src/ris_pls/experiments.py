@@ -22,6 +22,7 @@ from .codebook import (
     scan_power_pattern,
     select_config,
 )
+from .fields import check_types
 from .ofdm import build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
@@ -101,41 +102,34 @@ class ExperimentSpec:
     fs_degenerate_single_bin: bool = False
 
     def __post_init__(self):
+        check_types(self, SpecError)
         if self.mode not in MODES:
             raise SpecError(f"unknown mode {self.mode!r}")
-        self.pairs = tuple((float(a), float(b)) for a, b in self.pairs)
-        for lu, ed in self.pairs:
-            if lu == ed:
-                raise SpecError(f"pair ({lu:g}, {ed:g}) places LU and ED at the same azimuth")
+        pairs = [tuple(pair) for pair in self.pairs]
+        for pair in pairs:
+            if len(pair) != 2 or not all(_is_number(a) and -90.0 <= a <= 90.0 for a in pair):
+                raise SpecError(f"pair {list(pair)} must hold two azimuths in [-90, 90] degrees")
+            if pair[0] == pair[1]:
+                raise SpecError(f"pair ({pair[0]:g}, {pair[1]:g}) places LU and ED at the same azimuth")
+        self.pairs = tuple((float(lu), float(ed)) for lu, ed in pairs)
         self.methods = tuple(self.methods)
         for m in self.methods:
             if m not in COMPARE_METHODS:
                 raise SpecError(f"unknown method {m!r}")
         if self.seeds is not None:
-            self.seeds = tuple(int(s) for s in self.seeds)
-        if not isinstance(self.out_dir, str):
-            raise SpecError("out_dir must be a string")
-        if not (math.isfinite(self.scan_step_deg) and self.scan_step_deg > 0):
-            raise SpecError("scan step must be a positive finite number of degrees")
-        for bound in (self.scan_start_deg, self.scan_stop_deg):
-            if not (math.isfinite(bound) and -90.0 <= bound <= 90.0):
-                raise SpecError("scan start and stop must be finite azimuths in [-90, 90] degrees")
-        if self.scan_start_deg > self.scan_stop_deg:
-            raise SpecError("scan start must not exceed scan stop")
+            self.seeds = tuple(self.seeds)
+            if not all(isinstance(s, int) and not isinstance(s, bool) and 0 <= s < 2**64 for s in self.seeds):
+                raise SpecError(f"seeds must be integers in [0, 2**64), not {list(self.seeds)}")
+        if not self.scan_step_deg > 0:
+            raise SpecError("scan step must be a positive number of degrees")
+        if not (-90.0 <= self.scan_start_deg <= self.scan_stop_deg <= 90.0):
+            raise SpecError("scan start and stop must be azimuths in [-90, 90] degrees, start first")
         self.scan_angles()
-        if not (self.scan_range_m is None or (_is_number(self.scan_range_m) and self.scan_range_m > 0)):
-            raise SpecError("scan range must be a positive finite number of meters")
-        if not (self.query_lu is None or _is_number(self.query_lu)):
-            raise SpecError("query_lu must be a finite number of degrees")
-        if not _is_number(self.measurement_noise_db):
-            raise SpecError("measurement_noise_db must be a finite number")
+        if not (self.scan_range_m is None or self.scan_range_m > 0):
+            raise SpecError("scan range must be a positive number of meters")
         for name in ("jobs", "measurement_averages", "fs_num_rb"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be a positive integer")
-        for name in ("codebook_path", "scan_config_bits"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise SpecError(f"{name} must be a string")
         for name in ("query_method", "fs_method"):
             if getattr(self, name) not in COMPARE_METHODS:
                 raise SpecError(f"unknown {name} {getattr(self, name)!r}")

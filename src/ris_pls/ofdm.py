@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_types
+
 SUBCARRIERS_PER_RB = 12
 
 
@@ -26,6 +28,7 @@ class Numerology:
     cp_mode: str = "extended"
 
     def __post_init__(self):
+        check_types(self)
         if self.mu not in range(5):
             raise ValueError("mu must be one of 0..4")
         if self.cp_mode not in ("normal", "extended"):

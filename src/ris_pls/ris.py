@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_types
+
 SPEED_OF_LIGHT = 299_792_458.0
 
 #: Half-wavelength element pitch at the 3.55 GHz carrier.
@@ -30,6 +32,7 @@ class RisArrayGeometry:
     tile_cols: int = 16
 
     def __post_init__(self):
+        check_types(self)
         if self.n_v < 1 or self.n_h < 1:
             raise ValueError("panel dimensions must be positive")
         if self.element_spacing_m <= 0:
@@ -178,6 +181,8 @@ class ElementModel:
     quality_factor: float = 50.0
 
     def __post_init__(self):
+        check_types(self)
+        object.__setattr__(self, "phase_at_center", tuple(self.phase_at_center))
         if self.mode not in _MODES:
             raise ValueError(f"unknown element mode {self.mode!r}")
         if not 0.0 < self.amplitude <= 1.0:

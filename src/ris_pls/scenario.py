@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
+from .fields import check_types
 from .ofdm import Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry
 from .secrecy import from_db
@@ -37,6 +38,7 @@ class Scenario:
     target_snr_db: float = 10.0
 
     def __post_init__(self):
+        check_types(self)
         if self.tx_mode not in ("tone", "prs"):
             raise ValueError("tx_mode must be 'tone' or 'prs'")
         if self.num_rb < 1:
@@ -100,43 +102,10 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        parts = ("tx", "sector_grid", "ris", "element_model", "channel")
         return {
             "schema": SCENARIO_SCHEMA,
-            "tx": {
-                "azimuth_deg": self.tx.azimuth_deg,
-                "range_m": self.tx.range_m,
-                "height_m": self.tx.height_m,
-            },
-            "sector_grid": {
-                "sector_width_deg": self.sector_grid.sector_width_deg,
-                "sector_centers_deg": list(self.sector_grid.sector_centers_deg),
-                "user_range_m": self.sector_grid.user_range_m,
-            },
-            "ris": {
-                "n_v": self.ris.n_v,
-                "n_h": self.ris.n_h,
-                "element_spacing_m": self.ris.element_spacing_m,
-                "tile_rows": self.ris.tile_rows,
-                "tile_cols": self.ris.tile_cols,
-            },
-            "element_model": {
-                "mode": self.element_model.mode,
-                "phase_at_center": list(self.element_model.phase_at_center),
-                "amplitude": self.element_model.amplitude,
-                "center_hz": self.element_model.center_hz,
-                "dispersion_rad_per_hz": self.element_model.dispersion_rad_per_hz,
-                "resonance_hz": self.element_model.resonance_hz,
-                "quality_factor": self.element_model.quality_factor,
-            },
-            "channel": {
-                "carrier_hz": self.channel.carrier_hz,
-                "num_paths": self.channel.num_paths,
-                "rician_k_db": self.channel.rician_k_db,
-                "max_excess_delay_s": self.channel.max_excess_delay_s,
-                "tx_beamwidth_deg": self.channel.tx_beamwidth_deg,
-                "direct_path_suppression_db": self.channel.direct_path_suppression_db,
-                "rng_seed": self.channel.rng_seed,
-            },
+            **{name: asdict(getattr(self, name)) for name in parts},
             "tx_signal": {
                 "mode": self.tx_mode,
                 "tone_offset_hz": self.tone_offset_hz,
@@ -149,34 +118,23 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario a document describes; a key it leaves out takes the
+        field's default."""
         try:
-            tx = Placement(**data["tx"])
-            grid_raw = dict(data["sector_grid"])
-            grid_raw["sector_centers_deg"] = tuple(grid_raw["sector_centers_deg"])
-            grid = SectorGrid(**grid_raw)
-            ris = RisArrayGeometry(**data["ris"])
-            em_raw = dict(data["element_model"])
-            em_raw["phase_at_center"] = tuple(em_raw["phase_at_center"])
-            model = ElementModel(**em_raw)
-            chan = ChannelParams(**data["channel"])
-            sig = data["tx_signal"]
-            numerology = Numerology(mu=sig["numerology_mu"], cp_mode=sig.get("cp_mode", "extended"))
-            noise = data.get("noise", {})
+            sig = dict(data["tx_signal"])
+            return cls(
+                tx=Placement(**data["tx"]),
+                sector_grid=SectorGrid(**data["sector_grid"]),
+                ris=RisArrayGeometry(**data["ris"]),
+                element_model=ElementModel(**data["element_model"]),
+                channel=ChannelParams(**data["channel"]),
+                tx_mode=sig.pop("mode"),
+                numerology=Numerology(sig.pop("numerology_mu"), sig.pop("cp_mode", Numerology.cp_mode)),
+                **sig,
+                **data.get("noise", {}),
+            )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed scenario document: {exc}") from exc
-        return cls(
-            tx=tx,
-            sector_grid=grid,
-            ris=ris,
-            element_model=model,
-            channel=chan,
-            tx_mode=sig["mode"],
-            tone_offset_hz=sig.get("tone_offset_hz", 100e3),
-            numerology=numerology,
-            num_rb=sig.get("num_rb", 52),
-            n0=noise.get("n0"),
-            target_snr_db=noise.get("target_snr_db", 10.0),
-        )
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,7 +363,7 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and "at the transmitter" in proc.stderr
 
-    @pytest.mark.parametrize("ed", ["excluded:abc", "abc"])
+    @pytest.mark.parametrize("ed", ["excluded:abc", "abc", "excluded:"])
     def test_malformed_ed_is_spec_error(self, tmp_path, ed):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
@@ -398,6 +400,83 @@ class TestExitCodes:
         assert "scenario" in payload and "spec" in payload
 
 
+#: (flags, spec field, value) for the flags every subcommand takes.
+COMMON_FLAGS = [
+    (["--scenario", "s.json"], "scenario_path", "s.json"),
+    (["--out", "o"], "out_dir", "o"),
+    (["--jobs", "3"], "jobs", 3),
+    (["--noisy-measurements"], "noisy_measurements", True),
+]
+#: (argv, spec field, value): one argv per flag of every subcommand.
+FLAG_CASES = [
+    ([command, *flags], field, value) for command in MODE_BY_COMMAND for flags, field, value in COMMON_FLAGS
+] + [
+    (["compare", "--methods", "alg1", "uniform"], "methods", ("alg1", "uniform")),
+    (["codebook-gen", "--methods", "alg1", "alg2"], "methods", ("alg1", "alg2")),
+    (["codebook-gen", "--codebook", "cb.json"], "codebook_path", "cb.json"),
+    (["codebook-query", "--codebook", "cb.json"], "codebook_path", "cb.json"),
+    (["codebook-query", "--lu", "15"], "query_lu", 15.0),
+    (["codebook-query", "--ed", "unknown"], "query_ed", "unknown"),
+    (["codebook-query", "--ed", "30"], "query_ed", {"known": 30.0}),
+    (["codebook-query", "--ed", "excluded:15,30"], "query_ed", {"excluded": [15.0, 30.0]}),
+    (["codebook-query", "--method", "alg2"], "query_method", "alg2"),
+    (["pattern-scan", "--codebook", "cb.json"], "codebook_path", "cb.json"),
+    (["pattern-scan", "--bits", "0101"], "scan_config_bits", "0101"),
+    (["pattern-scan", "--entry", "30", "15", "alg1"], "scan_entry", (30.0, 15.0, "alg1")),
+    (["pattern-scan", "--start", "-30"], "scan_start_deg", -30.0),
+    (["pattern-scan", "--stop", "30"], "scan_stop_deg", 30.0),
+    (["pattern-scan", "--step", "0.25"], "scan_step_deg", 0.25),
+    (["pattern-scan", "--attach"], "scan_attach", True),
+    (["freq-selectivity", "--method", "alg2"], "fs_method", "alg2"),
+    (["freq-selectivity", "--num-rb", "4"], "fs_num_rb", 4),
+    (["freq-selectivity", "--degenerate-single-bin"], "fs_degenerate_single_bin", True),
+]
+
+
+class TestFlagsWriteSpecFields:
+    """Each flag stores into one spec field; the rest keep their defaults."""
+
+    def test_every_dest_is_a_spec_field(self):
+        allowed = set(ExperimentSpec.__dataclass_fields__) | set(cli_module._NOT_SPEC)
+        parser = cli_module.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == sorted(MODE_BY_COMMAND)
+        for sub in commands.choices.values():
+            for action in sub._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert action.dest in allowed, action.option_strings
+
+    @pytest.mark.parametrize("argv, field, value", FLAG_CASES, ids=[" ".join(c[0]) for c in FLAG_CASES])
+    def test_flag_sets_its_field(self, argv, field, value):
+        spec = cli_module._spec_from_args(cli_module.build_parser().parse_args(argv))
+        assert asdict(spec) == {**asdict(ExperimentSpec(MODE_BY_COMMAND[argv[0]])), field: value}
+
+    @pytest.mark.parametrize("command", sorted(MODE_BY_COMMAND))
+    def test_print_schema_is_every_default(self, capsys, command):
+        assert main([command, "--print-schema"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        spec = ExperimentSpec.from_dict(payload["spec"])
+        assert spec == ExperimentSpec(MODE_BY_COMMAND[command])
+        assert set(payload["spec"]) == set(ExperimentSpec.__dataclass_fields__) | {"schema"}
+        assert Scenario.from_dict(payload["scenario"]).digest() == Scenario().digest()
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_spec_scenario_path_unless_flag_given(self, tmp_path, flag):
+        from_spec = write_scenario(tmp_path / "a.json")
+        from_flag = write_scenario(tmp_path / "b.json", channel=ChannelParams(rng_seed=2))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["uniform"],
+            "scenario_path": str(tmp_path / "a.json"),
+        }))
+        argv = ["compare", "--spec", str(spec), "--out", str(tmp_path)]
+        if flag:
+            argv += ["--scenario", str(tmp_path / "b.json")]
+        assert main(argv) == EXIT_OK
+        payload = json.loads((tmp_path / "compare_results.json").read_text())
+        assert payload["scenario_digest"] == (from_flag if flag else from_spec).digest()
+
+
 class TestMalformedSpecFields:
     @pytest.mark.parametrize(
         "command, fields",
@@ -413,6 +492,19 @@ class TestMalformedSpecFields:
             ("compare", {"jobs": "2"}),
             ("compare", {"out_dir": 5}),
             ("compare", {"out_dir": None}),
+            ("compare", {"seeds": [1.5]}),
+            ("compare", {"seeds": [True]}),
+            ("compare", {"seeds": ["3"]}),
+            ("compare", {"seeds": [-1]}),
+            ("compare", {"seeds": [2**64]}),
+            ("compare", {"pairs": [[float("nan"), 15.0]]}),
+            ("compare", {"pairs": [[120.0, 15.0]]}),
+            ("compare", {"pairs": [["0", 15.0]]}),
+            ("compare", {"pairs": [[True, 15.0]]}),
+            ("compare", {"noisy_measurements": "no"}),
+            ("pattern-scan", {"scan_config_bits": "0" * 16, "scan_attach": 1}),
+            ("freq-selectivity", {"fs_degenerate_single_bin": "yes"}),
+            ("compare", {"scenario_path": 5}),
         ],
     )
     def test_wrong_type_is_spec_error(self, tmp_path, capsys, command, fields):
@@ -526,6 +618,87 @@ class TestSpecFieldProperty:
             finally:
                 os.chdir(cwd)
         assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME)
+        assert "Traceback" not in stderr.getvalue()
+
+
+def one_pair_spec(path):
+    path.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"]}))
+    return path
+
+
+class TestMalformedScenarioValues:
+    @pytest.mark.parametrize(
+        "section, key, value, code",
+        [
+            ("channel", "num_paths", 1.5, EXIT_SCENARIO),
+            ("ris", "n_v", 4.0, EXIT_SCENARIO),
+            ("noise", "n0", "x", EXIT_SCENARIO),
+            ("channel", "rician_k_db", float("nan"), EXIT_SCENARIO),
+            ("noise", "target_snr_db", float("nan"), EXIT_SCENARIO),
+            ("ris", "element_spacing_m", float("nan"), EXIT_SCENARIO),
+            ("sector_grid", "user_range_m", float("nan"), EXIT_SCENARIO),
+            ("tx_signal", "tone_offset_hz", float("nan"), EXIT_SCENARIO),
+            # 10 ** (-1e308 / 10) underflows to 0, and the program divides by it.
+            ("channel", "rician_k_db", -1e308, EXIT_RUNTIME),
+            ("noise", "target_snr_db", -1e308, EXIT_RUNTIME),
+        ],
+    )
+    def test_bad_value_exits_cleanly(self, tmp_path, capsys, section, key, value, code):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        doc = json.loads(scenario.read_text())
+        doc[section][key] = value
+        scenario.write_text(json.dumps(doc))
+        spec = one_pair_spec(tmp_path / "spec.json")
+        rc = main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
+        assert rc == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
+#: Values swapped into scenario leaves: every JSON type, edge numbers, and
+#: values that are valid for some other leaf. No integer exceeds 16, so no
+#: swap asks for a large panel, many paths or a wide grid.
+SCENARIO_VALUES = (
+    None, True, False, 0, -1, 1, 2, 16, 0.5, -0.0, 15.0, 1e3, -1e3, 3.55e9, 1e308, -1e308,
+    float("nan"), float("inf"), float("-inf"), "", "x", "tone", "prs", "lorentzian",
+    "linear_dispersion", "normal", [], [1], [0.0, 3.0], [0.0, 15.0, 30.0], {},
+)
+
+
+@pytest.fixture(scope="module")
+def scenario_fuzz_setup(tmp_path_factory):
+    """A 4x4 tone scenario document and a one-pair alg1 compare spec."""
+    root = tmp_path_factory.mktemp("scenario-fuzz")
+    write_scenario(root / "scenario.json")
+    return json.loads((root / "scenario.json").read_text()), one_pair_spec(root / "spec.json")
+
+
+class TestScenarioFieldProperty:
+    """Any scenario document with one or two swapped leaf values exits 0, 3
+    or 4, with no traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_swapped_leaves_exit_cleanly(self, scenario_fuzz_setup, data):
+        base, spec = scenario_fuzz_setup
+        leaves = sorted((section, key) for section, part in base.items() if isinstance(part, dict) for key in part)
+        swaps = data.draw(
+            st.dictionaries(st.sampled_from(leaves), st.sampled_from(SCENARIO_VALUES), min_size=1, max_size=2),
+            label="swaps",
+        )
+        doc = json.loads(json.dumps(base))
+        for (section, key), value in swaps.items():
+            doc[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = os.path.join(tmp, "scenario.json")
+            with open(scenario, "w") as fh:
+                json.dump(doc, fh)
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    rc = main(["compare", "--scenario", scenario, "--spec", str(spec), "--out", tmp])
+        assert rc in (EXIT_OK, EXIT_SCENARIO, EXIT_RUNTIME)
         assert "Traceback" not in stderr.getvalue()
 
 
