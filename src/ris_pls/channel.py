@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import check_types
+from .fields import check_types, is_number
 from .ris import SPEED_OF_LIGHT, RisArrayGeometry
 
 
@@ -72,7 +72,10 @@ class SectorGrid:
 
     def __post_init__(self):
         check_types(self)
-        centers = tuple(float(c) for c in self.sector_centers_deg)
+        centers = self.sector_centers_deg
+        if not isinstance(centers, (list, tuple)) or not all(map(is_number, centers)):
+            raise ValueError(f"sector centers must be a list of finite numbers, not {centers!r}")
+        centers = tuple(float(c) for c in centers)
         object.__setattr__(self, "sector_centers_deg", centers)
         if len(centers) < 1:
             raise ValueError("grid needs at least one sector")
@@ -128,6 +131,8 @@ class ChannelParams:
             raise ValueError("beamwidth must be positive")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        if self.rician_k_db < 0 and 10.0 ** (self.rician_k_db / 10.0) == 0.0:
+            raise ValueError(f"rician_k_db {self.rician_k_db!r} is a linear K-factor of 0")
 
 
 @dataclass
@@ -262,30 +267,45 @@ def _free_space_amplitude(distance_m: float, carrier_hz: float) -> float:
 
 def _scatter_sigma(amp_los: float, params: ChannelParams) -> float:
     # Total scattered power is LOS power divided by the linear K-factor,
-    # split evenly across the scattered rays.
-    k_lin = 10.0 ** (params.rician_k_db / 10.0)
+    # split evenly across the scattered rays. A K-factor beyond the float
+    # range, like +inf dB, leaves a pure line-of-sight link.
+    try:
+        k_lin = 10.0 ** (params.rician_k_db / 10.0)
+    except OverflowError:
+        return 0.0
     if not math.isfinite(k_lin):
         return 0.0
     return amp_los**2 / k_lin / (params.num_paths - 1)
 
 
-def _outside_beam(tx: Placement, node: Placement, beamwidth_deg: float) -> bool:
-    boresight = -tx.position()  # toward the panel center
-    toward = node.position() - tx.position()
-    cosang = np.dot(boresight, toward) / (
-        np.linalg.norm(boresight) * np.linalg.norm(toward)
-    )
+def _tx_beam(tx: Placement) -> tuple:
+    """The transmitter's position, its boresight (toward the panel center)
+    and the boresight's norm, which every direct link of one transmitter
+    shares."""
+    position = tx.position()
+    boresight = -position
+    return position, boresight, np.linalg.norm(boresight)
+
+
+def _outside_beam(beam: tuple, toward: np.ndarray, distance: float, beamwidth_deg: float) -> bool:
+    """Whether a node at `toward` from the transmitter, `distance` away,
+    lies outside the transmitter beam `beam` (`_tx_beam`)."""
+    _, boresight, boresight_norm = beam
+    cosang = np.dot(boresight, toward) / (boresight_norm * distance)
     return math.degrees(math.acos(np.clip(cosang, -1.0, 1.0))) > beamwidth_deg / 2.0
 
 
-def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray):
-    d = float(np.linalg.norm(node.position() - tx.position()))
+def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray, beam: tuple):
+    """(K,) channel from the transmitter to a node; `beam` is `_tx_beam(tx)`,
+    which every direct link of a synthesis or a scan shares."""
+    toward = node.position() - beam[0]
+    d = float(np.linalg.norm(toward))
     if d == 0.0:
         raise ValueError(
             f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter"
         )
     amp = _free_space_amplitude(d, params.carrier_hz)
-    if _outside_beam(tx, node, params.tx_beamwidth_deg):
+    if _outside_beam(beam, toward, d, params.tx_beamwidth_deg):
         amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
     tau0 = d / SPEED_OF_LIGHT
     h = amp * np.exp(-2j * math.pi * f * tau0)
@@ -427,13 +447,14 @@ def synthesize_channels(
         return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
 
     same = _placement_key(ed) == _placement_key(lu)
-    h_d_lu = _direct_link(tx, lu, params, f)
+    beam = _tx_beam(tx)
+    h_d_lu = _direct_link(tx, lu, params, f, beam)
     h_d_lu.setflags(write=False)
     h_ris_lu = panel(lu, _LINK_RIS_NODE)
     if same:
         h_d_ed, h_ris_ed = h_d_lu, h_ris_lu
     else:
-        h_d_ed = _direct_link(tx, ed, params, f)
+        h_d_ed = _direct_link(tx, ed, params, f, beam)
         h_d_ed.setflags(write=False)
         h_ris_ed = panel(ed, _LINK_RIS_NODE)
     return ChannelSet(
@@ -454,13 +475,14 @@ def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelPar
     The links equal those `synthesize_channels` gives at the same
     frequencies, but none is read from or kept in the panel-link memo: a
     probe link is used once, and keeping it would crowd out reusable
-    links.
+    links. The transmitter's geometry is worked out once per scan.
     """
     f = _checked_freqs(freqs)
     elem = ris.element_positions()
     g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
+    beam = _tx_beam(tx)
     links = (
-        (_direct_link(tx, p, params, f), _panel_link(p, params, f, elem, _LINK_RIS_NODE))
+        (_direct_link(tx, p, params, f, beam), _panel_link(p, params, f, elem, _LINK_RIS_NODE))
         for p in probes
     )
     return g, links

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from .experiments import (
     COMPARE_METHODS,
     ExperimentSpec,
+    ScenarioError,
     SpecError,
     load_scenario,
     run,
@@ -49,6 +50,15 @@ def _ed_knowledge(text: str):
     if text.startswith("excluded:"):
         return {"excluded": [float(x) for x in text.split(":", 1)[1].split(",")]}
     return {"known": float(text)}
+
+
+def _entry_field(text: str):
+    """A --entry value: a number where the text reads as one (the two
+    azimuths), else the text itself (the method)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codebook", dest="codebook_path", help="codebook JSON file")
     p.add_argument("--bits", dest="scan_config_bits", help="configuration as a row-major bit-string")
     p.add_argument(
-        "--entry", dest="scan_entry", nargs=3, metavar=("LU", "ED", "METHOD"), help="codebook entry"
+        "--entry",
+        dest="scan_entry",
+        nargs=3,
+        type=_entry_field,
+        metavar=("LU", "ED", "METHOD"),
+        help="codebook entry",
     )
     p.add_argument("--start", dest="scan_start_deg", type=float, help="scan start angle (default -90)")
     p.add_argument("--stop", dest="scan_stop_deg", type=float, help="scan stop angle (default 90)")
@@ -157,6 +172,9 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except ScenarioError as exc:  # a malformed codebook
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     except (ValueError, KeyError, IndexError, ArithmeticError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -47,15 +47,34 @@ def pair_evaluator(scenario, lu: Placement, ed: Placement, tx) -> PowerEvaluator
     return PowerEvaluator(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx)
 
 
-def run_method(method, scenario, ev: PowerEvaluator, noise=None):
-    """Run one named configuration method on the channel set of `ev`;
-    returns (config, trace or None)."""
+def run_method(method, scenario, evs: list, noise=None) -> tuple:
+    """Run one named configuration method on the channel set of each
+    evaluator in `evs`, the sweeps in lockstep; returns (configs, traces),
+    one of each per evaluator. The uniform method has no traces (None
+    each); the others' traces are a `TraceBatch`."""
     if method == "uniform":
-        return uniform_config(scenario.ris.n_v, scenario.ris.n_h), None
+        return [uniform_config(scenario.ris.n_v, scenario.ris.n_h) for _ in evs], [None] * len(evs)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    trace = greedy_sweep(method, ev, scenario.ris, noise=noise)
-    return trace.final_config, trace
+    traces = greedy_sweep(method, evs, scenario.ris, noise=noise)
+    return [trace.final_config for trace in traces], traces
+
+
+#: Bytes of cascades one lockstep batch of sweeps may stack. An 11-sector
+#: single-tone codebook on a 32x32 panel (110 pairs of 32 KB) is one
+#: batch; a pair on the 312 occupied subcarriers of a 52-block comb grid
+#: (10 MB) is a batch of its own, where stacking would only copy.
+SWEEP_BATCH_BYTES = 8 * 2**20
+
+
+def pair_batches(scenario, tx, pairs: list, jobs: int = 1) -> list:
+    """`pairs` in consecutive batches whose evaluators' cascades on the
+    subcarriers of `tx` fit `SWEEP_BATCH_BYTES` together (one pair at
+    least), cut into at least `jobs` batches when there are that many
+    pairs, so that every worker takes one."""
+    pair_bytes = scenario.ris.num_elements * 2 * tx.num_subcarriers * np.dtype(complex).itemsize
+    size = max(1, min(SWEEP_BATCH_BYTES // pair_bytes, -(-len(pairs) // jobs)))
+    return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
 
 def parallel_map(fn, items, jobs: int) -> list:
@@ -174,17 +193,21 @@ class Codebook:
             return cls.from_dict(json.load(fh))
 
 
-def _build_entries(scenario, grid, tx_sig, methods, pair) -> list:
-    """One entry per method for a sector pair, all from one evaluator."""
-    lu_c, ed_c = pair
-    lu = Placement(lu_c, grid.user_range_m)
-    ed = Placement(ed_c, grid.user_range_m)
-    ev = pair_evaluator(scenario, lu, ed, tx_sig)
+def _build_entries(scenario, grid, tx_sig, methods, pairs) -> list:
+    """One entry per method for each sector pair of a batch. Each pair's
+    entries come from one evaluator; each method sweeps the batch in
+    lockstep."""
+    evs = [
+        pair_evaluator(scenario, Placement(lu, grid.user_range_m), Placement(ed, grid.user_range_m), tx_sig)
+        for lu, ed in pairs
+    ]
+    configs = [run_method(method, scenario, evs)[0] for method in methods]
+    n0 = scenario.noise_power()
     entries = []
-    for method in methods:
-        config, _ = run_method(method, scenario, ev)
-        achieved, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
-        entries.append(CodebookEntry(lu_c, ed_c, method, config, achieved, sse))
+    for i, ((lu_c, ed_c), ev) in enumerate(zip(pairs, evs)):
+        for method, config in zip(methods, (c[i] for c in configs)):
+            achieved, sse = powers_and_sse(ev, config.bits, n0)
+            entries.append(CodebookEntry(lu_c, ed_c, method, config, achieved, sse))
     return entries
 
 
@@ -193,8 +216,9 @@ def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",
 
     Produces |methods| * S * (S - 1) entries for S sectors. Each sector
     pair's channels are synthesized once and serve all methods. Pairs are
-    independent, so they may be generated in parallel; the result does not
-    depend on the execution order.
+    independent: they are swept in lockstep batches (`pair_batches`), and
+    `jobs` workers take batches; the result does not depend on how the
+    pairs are batched or on the execution order.
     """
     if not methods:
         raise ValueError("method list must not be empty")
@@ -207,7 +231,8 @@ def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",
         (lu, ed) for lu in grid.sector_centers_deg for ed in grid.sector_centers_deg if lu != ed
     ]
     cb = Codebook(grid=grid, scenario_digest=scenario.digest())
-    for entries in parallel_map(partial(_build_entries, scenario, grid, tx_sig, methods), pairs, jobs):
+    batches = pair_batches(scenario, tx_sig, pairs, jobs)
+    for entries in parallel_map(partial(_build_entries, scenario, grid, tx_sig, methods), batches, jobs):
         for entry in entries:
             cb.add(entry)
     return cb

@@ -16,13 +16,14 @@ from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
+    pair_batches,
     pair_evaluator,
     parallel_map,
     run_method,
     scan_power_pattern,
     select_config,
 )
-from .fields import check_types
+from .fields import check_types, is_number
 from .ofdm import build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
@@ -66,11 +67,6 @@ class ScenarioError(ValueError):
     """The scenario file is missing or malformed."""
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number (a bool is not one)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass
 class ExperimentSpec:
     mode: str
@@ -107,7 +103,7 @@ class ExperimentSpec:
             raise SpecError(f"unknown mode {self.mode!r}")
         pairs = [tuple(pair) for pair in self.pairs]
         for pair in pairs:
-            if len(pair) != 2 or not all(_is_number(a) and -90.0 <= a <= 90.0 for a in pair):
+            if len(pair) != 2 or not all(is_number(a) and -90.0 <= a <= 90.0 for a in pair):
                 raise SpecError(f"pair {list(pair)} must hold two azimuths in [-90, 90] degrees")
             if pair[0] == pair[1]:
                 raise SpecError(f"pair ({pair[0]:g}, {pair[1]:g}) places LU and ED at the same azimuth")
@@ -134,13 +130,13 @@ class ExperimentSpec:
             if getattr(self, name) not in COMPARE_METHODS:
                 raise SpecError(f"unknown {name} {getattr(self, name)!r}")
         if self.scan_entry is not None:
-            try:
-                lu, ed, method = self.scan_entry
-                self.scan_entry = (float(lu), float(ed), method)
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"scan entry must be (LU degrees, ED degrees, method): {exc}") from exc
+            entry = self.scan_entry
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and all(map(is_number, entry[:2]))):
+                raise SpecError(f"scan entry must be [LU degrees, ED degrees, method], not {entry!r}")
+            lu, ed, method = entry
             if method not in COMPARE_METHODS:
                 raise SpecError(f"unknown scan entry method {method!r}")
+            self.scan_entry = (float(lu), float(ed), method)
 
     def scan_angles(self) -> list:
         """Pattern-scan azimuths from start in whole steps, the last one
@@ -192,6 +188,17 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
+def _load_codebook(path) -> Codebook:
+    """The codebook at `path`; an unreadable file is a spec error, a
+    malformed document (like its scenario) a scenario error."""
+    try:
+        return Codebook.load(path)
+    except OSError as exc:
+        raise SpecError(f"cannot read codebook: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"malformed codebook: {exc}") from exc
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -228,30 +235,33 @@ def _measurement_noise(spec: ExperimentSpec, scenario: Scenario, seed: int):
     return MeasurementNoise(n0=n0, averages=spec.measurement_averages, seed=seed)
 
 
-def _compare_pair(task) -> list:
-    """Every method's result cell for one placement pair, all from one
-    evaluator. Each noisy sweep draws from its own generator."""
-    scenario, spec, tx_sig, seed, (lu_deg, ed_deg) = task
-    ev = pair_evaluator(scenario, scenario.placement(lu_deg), scenario.placement(ed_deg), tx_sig)
+def _compare_pairs(task) -> list:
+    """Every method's result cell for each placement pair of a batch. Each
+    pair's cells come from one evaluator; each method sweeps the batch in
+    lockstep, and each noisy sweep draws from its own generator."""
+    scenario, spec, tx_sig, seed, pairs = task
+    evs = [pair_evaluator(scenario, scenario.placement(lu), scenario.placement(ed), tx_sig) for lu, ed in pairs]
     noise = _measurement_noise(spec, scenario, seed)
+    runs = [run_method(method, scenario, evs, noise=noise) for method in spec.methods]
     cells = []
-    for method in spec.methods:
-        config, trace = run_method(method, scenario, ev, noise=noise)
-        powers, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
-        cells.append({
-            "seed": seed,
-            "lu_deg": lu_deg,
-            "ed_deg": ed_deg,
-            "method": method,
-            "p_lu": powers.p_lu,
-            "p_ed": powers.p_ed,
-            "lu_db": powers.lu_db,
-            "ed_db": powers.ed_db,
-            "sse_raw": sse.r_sec_raw,
-            "sse_clamped": sse.r_sec,
-            "config_bits": config.to_bitstring(),
-            "trace": None if trace is None else trace.to_dict(),
-        })
+    for i, ((lu_deg, ed_deg), ev) in enumerate(zip(pairs, evs)):
+        for method, (configs, traces) in zip(spec.methods, runs):
+            config, trace = configs[i], traces[i]
+            powers, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
+            cells.append({
+                "seed": seed,
+                "lu_deg": lu_deg,
+                "ed_deg": ed_deg,
+                "method": method,
+                "p_lu": powers.p_lu,
+                "p_ed": powers.p_ed,
+                "lu_db": powers.lu_db,
+                "ed_db": powers.ed_db,
+                "sse_raw": sse.r_sec_raw,
+                "sse_clamped": sse.r_sec,
+                "config_bits": config.to_bitstring(),
+                "trace": None if trace is None else trace.to_dict(),
+            })
     return cells
 
 
@@ -261,8 +271,9 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     Writes a received-power CSV with one row per placement pair and one
     LU/ED column pair per method, a raw-SSE matrix CSV, and a JSON file
     holding full precision results and optimizer traces. With several
-    seeds the CSVs hold the per-cell mean over seeds. `spec.jobs` workers
-    take placement pairs.
+    seeds the CSVs hold the per-cell mean over seeds. Each seed's
+    placement pairs are swept in lockstep batches (`pair_batches`), and
+    `spec.jobs` workers take batches.
     """
     seeds = spec.seeds if spec.seeds else (scenario.seed,)
     tasks = []
@@ -270,8 +281,9 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
         scen = scenario.with_seed(seed)
         scen.noise_power()  # fill the calibration cache before any fan-out
         tx_sig = scen.tx_signal()
-        tasks += [(scen, spec, tx_sig, seed, pair) for pair in spec.pairs]
-    results = [cell for cells in parallel_map(_compare_pair, tasks, spec.jobs) for cell in cells]
+        batches = pair_batches(scen, tx_sig, list(spec.pairs), spec.jobs)
+        tasks += [(scen, spec, tx_sig, seed, batch) for batch in batches]
+    results = [cell for cells in parallel_map(_compare_pairs, tasks, spec.jobs) for cell in cells]
 
     by_cell = {}
     for r in results:
@@ -345,14 +357,17 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         )
         wide = prs_signal(grid)
     # Two passes, one per frequency grid, so each pass reuses the panel-link
-    # memo's transmitter and receiver links instead of evicting them.
+    # memo's transmitter and receiver links instead of evicting them. The
+    # narrowband pass sweeps its pairs in lockstep batches.
     narrowband = []
-    for lu_deg, ed_deg in spec.pairs:
-        lu = scenario.placement(lu_deg)
-        ed = scenario.placement(ed_deg)
-        ev = pair_evaluator(scenario, lu, ed, tone)
-        config, _ = run_method(spec.fs_method, scenario, ev)
-        narrowband.append((lu, ed, config, link_powers(ev, config.bits)))
+    for batch in pair_batches(scenario, tone, list(spec.pairs)):
+        places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in batch]
+        evs = [pair_evaluator(scenario, lu, ed, tone) for lu, ed in places]
+        configs, _ = run_method(spec.fs_method, scenario, evs)
+        narrowband += [
+            (lu, ed, config, link_powers(ev, config.bits))
+            for (lu, ed), ev, config in zip(places, evs, configs)
+        ]
     rows = []
     detail = []
     for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
@@ -447,10 +462,7 @@ def run_codebook_query(scenario: Scenario, spec: ExperimentSpec) -> dict:
         raise SpecError("codebook query needs a codebook path")
     if spec.query_lu is None:
         raise SpecError("codebook query needs the serving sector")
-    try:
-        cb = Codebook.load(spec.codebook_path)
-    except OSError as exc:
-        raise SpecError(f"cannot read codebook: {exc}") from exc
+    cb = _load_codebook(spec.codebook_path)
     knowledge = _parse_ed_knowledge(spec.query_ed)
     lu_sector, snap = cb.grid.nearest_center(spec.query_lu)
     if snap > 0:
@@ -491,10 +503,7 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
     elif spec.scan_entry is not None:
         if spec.codebook_path is None:
             raise SpecError("scanning a codebook entry needs the codebook path")
-        try:
-            cb = Codebook.load(spec.codebook_path)
-        except OSError as exc:
-            raise SpecError(f"cannot read codebook: {exc}") from exc
+        cb = _load_codebook(spec.codebook_path)
         entry = cb.get(*spec.scan_entry)
         config = entry.config
     else:

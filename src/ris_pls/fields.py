@@ -24,6 +24,11 @@ def _typed_fields(cls) -> tuple:
     return tuple((name, kind, rest == "None") for name, kind, _, rest in typed if kind in _KINDS)
 
 
+def is_number(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def check_types(obj, error=ValueError, may_be_inf=()) -> None:
     """Raise `error` unless every field annotated int, float, bool or str
     holds such a value, or None where the annotation adds `| None`. A bool

@@ -14,7 +14,8 @@ Both searches, and the single-user baselines, are one sweep engine driven
 by the `METHODS` table: each method is a list of moves (which elements to
 flip and which objective judges the flip). A move is scored by the change
 its elements make to running per-receiver sums, and only an accepted move
-flips its elements in the raw bit vector.
+flips its elements in the raw bit vector. Independent sweeps of one method
+on one transmit signal run in lockstep, as the rows of one batch.
 
 An exhaustive enumerator over all 2^M configurations is provided for
 auditing the greedy results on small panels.
@@ -23,6 +24,7 @@ auditing the greedy results on small panels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +80,7 @@ class MeasurementNoise:
         return read
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     kind: str            # "column" | "row" | "half_row"
     index: int
@@ -176,8 +178,8 @@ class PowerEvaluator:
     row-major 0/1 vector of length M) enters only through its per-receiver
     sums of the cascades of the elements set to 1, so a full evaluation
     costs one matrix-vector product and a flip of n elements changes the
-    sums by an O(K * n) product (`flipped_sums`). The rows of an (N, M)
-    0/1 matrix are scored together by one matrix product.
+    sums by an O(K * n) product. The rows of an (N, M) 0/1 matrix are
+    scored together by one matrix product.
 
     The cascades are stored once, as an (M, 2 * K) array whose row m
     holds element m's LU cascades followed by its ED cascades: the
@@ -192,7 +194,7 @@ class PowerEvaluator:
             raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
         self.occupied = tx.bins
         self._x = tx.amplitudes()
-        self._hd = (channels.h_d_lu, channels.h_d_ed)
+        self._hd = np.concatenate([channels.h_d_lu, channels.h_d_ed]).reshape(2, -1)
         g = channels.g_ris
         k, m = g.shape
         w = np.empty((m, 2, k), dtype=complex)
@@ -203,7 +205,9 @@ class PowerEvaluator:
             self._w_sum[r] = w_r.sum(axis=1)
             w[:, r, :] = w_r.T
         self._w = w.reshape(m, 2 * k)
-        self._phi = reflection_coefficients(element_model, channels.freqs)
+        # Column-major, so that phi(0) and phi(1) are contiguous over the
+        # subcarriers in every receive equation.
+        self._phi = np.asfortranarray(reflection_coefficients(element_model, channels.freqs))
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
         """LU and ED sums of the cascades of the elements set in `bits`:
@@ -213,39 +217,30 @@ class PowerEvaluator:
             return out.reshape(2, -1)
         return out.reshape(len(out), 2, -1).swapaxes(0, 1)
 
-    def flipped_sums(self, sums: np.ndarray, bits: np.ndarray, elements) -> np.ndarray:
-        """`sums` after flipping `bits[elements]`; neither input changes."""
-        return sums + (_FLIP_SIGN[bits[elements]] @ self._w[elements]).reshape(2, -1)
-
-    def _signal(self, r: int, sums: np.ndarray) -> np.ndarray:
-        """Received signal of receiver r (0: LU, 1: ED) per subcarrier."""
-        return received_signal(self._hd[r], self._phi, self._w_sum[r], sums[r], self._x)
-
     def bin_powers(self, bits: np.ndarray) -> np.ndarray:
         """(2, K) noiseless LU and ED received power per subcarrier."""
-        sums = self.sums(bits)
-        return np.stack([np.abs(self._signal(r, sums)) ** 2 for r in (0, 1)])
-
-    def _power(self, r: int, sums: np.ndarray, read):
-        """Power of receiver r summed over subcarriers: a numpy float for
-        one configuration, an (N,) array for N."""
-        signal = self._signal(r, sums)
-        if read is None:
-            return (np.abs(signal) ** 2).sum(axis=-1)
-        return read(signal)
+        return np.abs(received_signal(self._hd, self._phi, self._w_sum, self.sums(bits), self._x)) ** 2
 
     def value(self, objective: str, sums: np.ndarray, read=None):
         """Objective from `sums`: a float for one configuration, an (N,)
         array for N. A ratio reads the ED power before the LU power. `read`
         (`MeasurementNoise.reader`) takes noisy readings instead of exact
         powers."""
+
+        def power(r):
+            # One receiver at a time, so that its (K,) links broadcast
+            # along the configurations.
+            return _power(received_signal(self._hd[r], self._phi, self._w_sum[r], sums[r], self._x), read)
+
         name = OBJECTIVES[objective][0]
         if name == "lu_power":
-            out = self._power(0, sums, read)
+            out = power(0)
+        elif name == "ed_power":
+            out = power(1)
         else:
-            out = self._power(1, sums, read)
-            if name == "ratio":
-                out = _ratio(self._power(0, sums, read), out)
+            p_ed = power(1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = power(0) / p_ed
         return float(out) if sums.ndim == 2 else out
 
     def evaluate(self, objective: str, bits: np.ndarray, read=None):
@@ -256,20 +251,49 @@ class PowerEvaluator:
         return self.value(objective, self.sums(bits), read)
 
 
-def _ratio(p_lu, p_ed):
-    """p_lu / p_ed of numpy powers: a zero ED power gives inf, or nan when
-    the LU power is zero too."""
-    if not isinstance(p_ed, np.ndarray) and p_ed:  # one nonzero power: skip the errstate's cost
-        return p_lu / p_ed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return p_lu / p_ed
+def _power(y, read=None):
+    """Power of received signals summed over the subcarriers (the last
+    axis), or one noisy reading of a configuration's signal by `read`."""
+    return (np.abs(y) ** 2).sum(axis=-1) if read is None else read(y)
+
+
+#: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
+#: of the receiver axis: a ratio keeps the axis, a single power drops it.
+_RECEIVERS = {"ratio": slice(0, 2), "lu_power": 0, "ed_power": 1}
+
+
+def _objective(name, y, reads=None, rows=()):
+    """Objective `name` of N candidates as an (N,) array, from their
+    received signals at the `_RECEIVERS` of `name`: (N, 2, K) for a ratio,
+    (N, K) for one receiver's power. The scoring rule is
+    `PowerEvaluator.value`'s.
+
+    `reads` holds one noisy reading function per candidate; then only the
+    candidates in `rows` are read, each ED before LU, and the others score
+    nan, which no comparison accepts. A zero ED power gives a ratio of
+    inf, or nan when the LU power is zero too (callers silence numpy's
+    warnings for both).
+    """
+    if reads is None:
+        p = _power(y)
+    else:
+        p = np.full(y.shape[:-1], np.nan)
+        for i in rows:
+            if name == "ratio":
+                p_ed = reads[i](y[i, 1])
+                p[i] = reads[i](y[i, 0]), p_ed
+            else:
+                p[i] = reads[i](y[i])
+    return p[:, 0] / p[:, 1] if name == "ratio" else p
+
+
+#: direction -> test of a strict improvement, as (candidate, incumbent)
+_IMPROVES = {"max": operator.gt, "min": operator.lt}
 
 
 def _better(candidate: float, incumbent: float, direction: str) -> bool:
     # Ties are rejections: the sweeps only keep strict improvements.
-    if direction == "max":
-        return candidate > incumbent
-    return candidate < incumbent
+    return _IMPROVES[direction](candidate, incumbent)
 
 
 def _initial_config(geometry: RisArrayGeometry, init: RisConfig | None) -> RisConfig:
@@ -325,58 +349,112 @@ METHODS = {
 }
 
 
-def _sweep(ev: PowerEvaluator, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False, read=None):
-    """Up to `passes` greedy passes over `moves`, flipping `bits` in place;
-    with `fixpoint`, stops after a pass that accepts nothing. `read` is the
-    sweep's noisy power reading, or None for exact powers.
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays along a new leading axis; a single array gives a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    Each objective keeps one "last accepted" register, seeded from the
-    starting bits in the order the objectives first appear in `moves`. A
-    move is scored from the running per-receiver sums plus the change its
-    elements make, and is kept only on strict improvement of its
-    objective's register: then its sums become the running sums and its
-    elements flip. A rejected move changes nothing.
+
+def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False, reads=None):
+    """Up to `passes` greedy passes over `moves`, run in lockstep on the N
+    evaluators `evs`, which must share one transmit signal and one element
+    model. Row i of the (N, M) `bits` starts sweep i and is flipped in
+    place. With `fixpoint`, a row whose pass accepts nothing stops: it
+    takes no further steps or readings while the other rows go on. (Its
+    state no longer changes, so its exact scores reject every move again;
+    unread noisy scores are nan, which rejects them too.) `reads` holds
+    one noisy power reading per row (`MeasurementNoise.reader`), or is
+    None for exact powers.
+
+    Each objective keeps one "last accepted" register per row, seeded from
+    the starting bits in the order the objectives first appear in `moves`.
+    The cascades are stacked as (N, M, 2 * K), a view for N = 1, so a move
+    is scored for every row by one product: the change its elements make,
+    added to the running (N, 2, K) sums. A row keeps the move only on
+    strict improvement of its register; then its candidate sums become its
+    running sums and its elements flip. A rejected move changes nothing.
 
     The running sums start from the same product as the registers and are
     never recomputed, so a register is always the value of the running sums
     it was accepted with: a move that changes no sum (zero cascades) scores
     exactly its register and is rejected, as under full evaluation. Each
     accepted move adds one rounding of an n-term sum, so the drift is
-    bounded by the number of accepted moves. Returns (registers, trace
-    steps)."""
-    sums = ev.sums(bits)
-    best = {obj: ev.value(obj, sums, read) for obj in dict.fromkeys(m[3] for m in moves)}
-    steps = []
-    for iteration in range(1, passes + 1):
-        accepted_in_pass = 0
-        for kind, index, half, objective, elements in moves:
-            name, direction = OBJECTIVES[objective]
-            candidate = ev.flipped_sums(sums, bits, elements)
-            value = ev.value(objective, candidate, read)
-            accepted = _better(value, best[objective], direction)
-            steps.append(TraceStep(
-                kind, index, iteration, name, direction, best[objective], value, accepted, half
-            ))
-            if accepted:
-                best[objective] = value
-                sums = candidate
-                bits[elements] ^= 1
-                accepted_in_pass += 1
-        if fixpoint and accepted_in_pass == 0:
-            break
+    bounded by the number of accepted moves. Returns (registers as lists
+    of N floats, one list of trace steps per row)."""
+    ev = evs[0]
+    for other in evs[1:]:
+        if not (np.array_equal(other._x, ev._x) and np.array_equal(other._phi, ev._phi)):
+            raise ValueError("lockstep sweeps need one transmit signal and one element model")
+    n = len(evs)
+    w = _stack([e._w for e in evs])
+    hd = _stack([e._hd for e in evs])
+    w_sum = _stack([e._w_sum for e in evs])
+    sums = _stack([e.sums(b) for e, b in zip(evs, bits)])
+    # objective -> (name, direction, its receivers with their direct links
+    # and cascade sums)
+    scored = {}
+    for obj in dict.fromkeys(m[3] for m in moves):
+        name, direction = OBJECTIVES[obj]
+        rs = _RECEIVERS[name]
+        scored[obj] = (name, direction, rs, hd[:, rs], w_sum[:, rs])
+    rows = list(range(n))  # the rows still sweeping
+    steps = [[] for _ in rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best = {}
+        for obj, (name, _, rs, hd_r, w_sum_r) in scored.items():
+            y = received_signal(hd_r, ev._phi, w_sum_r, sums[:, rs], ev._x)
+            best[obj] = _objective(name, y, reads, rows).tolist()
+        for iteration in range(1, passes + 1):
+            kept = [False] * n  # rows that accepted a move in this pass
+            for kind, index, half, objective, elements in moves:
+                name, direction, rs, hd_r, w_sum_r = scored[objective]
+                delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
+                candidate = sums + delta.reshape(sums.shape)
+                y = received_signal(hd_r, ev._phi, w_sum_r, candidate[:, rs], ev._x)
+                before, after = best[objective], _objective(name, y, reads, rows).tolist()
+                flags = list(map(_IMPROVES[direction], after, before))
+                for i in rows:
+                    steps[i].append(TraceStep(
+                        kind, index, iteration, name, direction, before[i], after[i], flags[i], half
+                    ))
+                if False not in flags:  # every row keeps the move
+                    best[objective], sums = after, candidate
+                    bits[:, elements] ^= 1
+                    kept = flags
+                elif True in flags:
+                    best[objective] = [a if f else b for a, b, f in zip(after, before, flags)]
+                    accepted = np.array(flags)
+                    np.copyto(sums, candidate, where=accepted[:, None, None])
+                    bits[accepted, elements] ^= 1
+                    kept = list(map(operator.or_, kept, flags))
+            if fixpoint:
+                rows = [i for i in rows if kept[i]]
+                if not rows:
+                    break
     return best, steps
+
+
+class TraceBatch(list):
+    """The `OptimizerTrace`s of a lockstep batch, one per row."""
+
+    @property
+    def steps(self) -> list:
+        """Every row's trace steps, row after row: one per scored candidate,
+        as the benchmark's tracer (`perfbench/tracer.py`) counts them."""
+        return [step for trace in self for step in trace.steps]
 
 
 def greedy_sweep(
     method: str,
-    ev: PowerEvaluator,
+    evs: list,
     geometry: RisArrayGeometry,
     init: RisConfig | None = None,
     iters: int = 2,
     noise: MeasurementNoise | None = None,
     run_to_fixpoint: bool = False,
-) -> OptimizerTrace:
-    """Run the greedy method named in `METHODS` on the channel set of `ev`.
+) -> TraceBatch:
+    """Run the greedy method named in `METHODS` on the channel set of each
+    evaluator in `evs`, all in one lockstep `_sweep`, from the same start;
+    returns one trace per evaluator.
 
     `iters` passes by default; `run_to_fixpoint` instead repeats passes
     (at most 64) until one accepts nothing. The final objective is a fresh
@@ -384,26 +462,30 @@ def greedy_sweep(
     `exhaustive_oracle` computes for it. A noisy sweep instead reports the
     last accepted reading of the method objective, when a move is judged
     by it; alg2's ratio is always read afresh. Each noisy sweep draws from
-    its own generator seeded from `noise.seed`.
+    its own generator seeded from `noise.seed`, so its readings do not
+    depend on the other rows.
     """
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
-    read = None if noise is None else noise.reader()
+    reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in evs]
     initial = _initial_config(geometry, init)
-    bits = initial.bits.copy()
-    best, steps = _sweep(ev, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, read)
-    if objective_kind in best and read is not None:
-        final_objective = best[objective_kind]
-    else:
-        final_objective = ev.evaluate(objective_kind, bits, read)
-    return OptimizerTrace(
-        method=method,
-        objective_kind=objective_kind,
-        initial_config=initial,
-        final_config=RisConfig(bits, geometry.n_v, geometry.n_h),
-        final_objective=final_objective,
-        steps=steps,
-    )
+    bits = initial.bits[None].repeat(len(evs), axis=0)
+    best, steps = _sweep(evs, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
+    traces = TraceBatch()
+    for i, ev in enumerate(evs):
+        if reads is None or objective_kind not in best:
+            final_objective = ev.evaluate(objective_kind, bits[i], None if reads is None else reads[i])
+        else:
+            final_objective = best[objective_kind][i]
+        traces.append(OptimizerTrace(
+            method=method,
+            objective_kind=objective_kind,
+            initial_config=initial.copy() if i else initial,  # no two rows share one
+            final_config=RisConfig(bits[i], geometry.n_v, geometry.n_h),
+            final_objective=final_objective,
+            steps=steps[i],
+        ))
+    return traces
 
 
 def algorithm1(
@@ -422,7 +504,7 @@ def algorithm1(
     configuration, accepting a flip only on strict ratio improvement.
     """
     ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("alg1", ev, geometry, init, iters, noise, run_to_fixpoint)
+    return greedy_sweep("alg1", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def lu_max(
@@ -437,7 +519,7 @@ def lu_max(
 ) -> OptimizerTrace:
     """Beamform toward the intended receiver, ignoring the eavesdropper."""
     ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("lu_max", ev, geometry, init, iters, noise, run_to_fixpoint)
+    return greedy_sweep("lu_max", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def ed_min(
@@ -452,7 +534,7 @@ def ed_min(
 ) -> OptimizerTrace:
     """Suppress the eavesdropper's power, ignoring the intended receiver."""
     ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("ed_min", ev, geometry, init, iters, noise, run_to_fixpoint)
+    return greedy_sweep("ed_min", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def algorithm2(
@@ -476,7 +558,7 @@ def algorithm2(
     is the ratio of the end configuration.
     """
     ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("alg2", ev, geometry, init, iters, noise, run_to_fixpoint)
+    return greedy_sweep("alg2", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def single_flip_improvements(
@@ -495,7 +577,7 @@ def single_flip_improvements(
     return [
         (step.kind, step.index, step.objective_after)
         for move in _full_surface_moves(objective)(config.n_v, config.n_h)
-        for step in _sweep(ev, config.bits.copy(), [move], 1)[1]
+        for step in _sweep([ev], config.bits[None].copy(), [move], 1)[1][0]
         if step.accepted
     ]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
@@ -45,6 +46,12 @@ class Scenario:
             raise ValueError("need at least one resource block")
         if self.n0 is not None and self.n0 <= 0:
             raise ValueError("n0 must be positive when given")
+        try:
+            snr = from_db(self.target_snr_db)
+        except OverflowError:
+            snr = math.inf
+        if not 0.0 < snr < math.inf:
+            raise ValueError(f"target_snr_db {self.target_snr_db!r} is no positive finite linear SNR")
         self._n0_cache = None
 
     @property

@@ -209,7 +209,7 @@ def reference_sweep():
         for pair in DEFAULT_PAIRS:
             ev = pair_evaluator(scenario, scenario.placement(pair[0]), scenario.placement(pair[1]), sig)
             for method in METHODS:
-                config, _ = run_method(method, scenario, ev)
+                (config,), _ = run_method(method, scenario, [ev])
                 p = link_powers(ev, config.bits)
                 powers[(seed, pair, method)] = (p.p_lu, p.p_ed)
                 sse[(seed, pair, method)] = sum_sse(ev, config.bits, n0).r_sec_raw
@@ -284,7 +284,7 @@ def test_criterion_08_frequency_selectivity():
         for pair in DEFAULT_PAIRS:
             lu, ed = scenario.placement(pair[0]), scenario.placement(pair[1])
             nb_ev = pair_evaluator(scenario, lu, ed, tone)
-            config, _ = run_method("alg1", scenario, nb_ev)
+            (config,), _ = run_method("alg1", scenario, [nb_ev])
             nb = link_powers(nb_ev, config.bits)
             wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))

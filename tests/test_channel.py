@@ -14,11 +14,16 @@ from ris_pls.channel import (
     PANEL_LINK_CACHE_BYTES,
     Placement,
     SectorGrid,
+    _LINK_DIRECT,
     _direct_link,
+    _free_space_amplitude,
+    _link_rng,
     _memo_panel_link,
     _panel_link,
     _PanelLinkMemo,
     _placement_key,
+    _scatter_sigma,
+    _tx_beam,
     build_default_geometry,
     probe_links,
     synthesize_channels,
@@ -54,6 +59,11 @@ class TestPlacements:
             Placement(120.0, 1.0)
         with pytest.raises(ValueError):
             Placement(float("nan"), 1.0)
+
+    @pytest.mark.parametrize("centers", [["0", "15"], [False, True], [0.0, float("nan")], [0.0, None], 15.0, "0"])
+    def test_sector_centers_must_be_finite_numbers(self, centers):
+        with pytest.raises(ValueError, match="sector centers"):
+            SectorGrid(sector_width_deg=15.0, sector_centers_deg=centers)
 
     def test_sector_grid_validation(self):
         with pytest.raises(ValueError):
@@ -273,7 +283,7 @@ class TestPanelLinkMemo:
         assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, elem, _LINK_RIS_NODE))
         assert params.num_paths > 1
         assert not np.array_equal(ch.h_d_lu, ch.h_d_ed)
-        assert same_bits(ch.h_d_ed, _direct_link(tx, neg, params, freqs))
+        assert same_bits(ch.h_d_ed, _direct_link(tx, neg, params, freqs, _tx_beam(tx)))
 
     @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("ed_deg", [30.0, 45.0])
@@ -285,8 +295,8 @@ class TestPanelLinkMemo:
         lu, ed = grid.placement(30.0), Placement(ed_deg, 7.0)
         ch = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
         assert (ch.h_d_ed is ch.h_d_lu) == (ed == lu)
-        assert same_bits(ch.h_d_lu, _direct_link(tx, lu, params, freqs))
-        assert same_bits(ch.h_d_ed, _direct_link(tx, ed, params, freqs))
+        assert same_bits(ch.h_d_lu, _direct_link(tx, lu, params, freqs, _tx_beam(tx)))
+        assert same_bits(ch.h_d_ed, _direct_link(tx, ed, params, freqs, _tx_beam(tx)))
         for name in ("h_d_lu", "h_d_ed"):
             with pytest.raises(ValueError):
                 getattr(ch, name)[0] = 0.0
@@ -389,6 +399,68 @@ class TestProbeLinks:
             ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), small_panel(2, 3), params, freqs)
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
+
+
+    @pytest.mark.parametrize("num_paths", [1, 8])
+    def test_direct_links_equal_per_probe_geometry(self, num_paths):
+        # Probes every degree, and around the beam edges (half-beamwidth 10
+        # degrees about the boresight), against the geometry worked out
+        # afresh for each probe.
+        tx, _ = build_default_geometry()
+        params = ChannelParams(num_paths=num_paths, rng_seed=3)
+        freqs = GRIDS["prs"]
+        angles = [float(a) for a in range(-90, 91)] + [-41.3, -40.0, -39.99, 10.0, 10.01, 12.7]
+        probes = [Placement(a, r) for a in angles for r in (2.0, 7.0)]
+        _, links = probe_links(tx, probes, small_panel(2, 3), params, freqs)
+        relative = []
+        for probe, (h_d, _) in zip(probes, links):
+            assert same_bits(h_d, per_probe_direct_link(tx, probe, params, freqs))
+            d = float(np.linalg.norm(probe.position() - tx.position()))
+            relative.append(abs(h_d[0]) / _free_space_amplitude(d, params.carrier_hz))
+        if num_paths == 1:  # both sides of the beam edge were probed
+            assert min(relative) < 0.1 < max(relative)
+
+    def test_transmitter_geometry_is_worked_out_once(self, monkeypatch):
+        calls = []
+        position = Placement.position
+
+        def counting(self):
+            calls.append(self)
+            return position(self)
+
+        monkeypatch.setattr(Placement, "position", counting)
+        tx, _ = build_default_geometry()
+        probes = [Placement(float(a), 6.0) for a in range(-50, 50)]
+        g, links = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1), GRIDS["tone"])
+        assert len(list(links)) == 100
+        # One for the transmitter's beam and one for its panel link; two
+        # per probe: its direct link and its panel link.
+        assert calls.count(tx) == 2
+        assert len(calls) == 2 + 2 * 100
+
+
+def per_probe_direct_link(tx, node, params, f):
+    """The direct link with the transmitter's position, boresight and
+    norms worked out afresh, as every probe once did."""
+    d = float(np.linalg.norm(node.position() - tx.position()))
+    amp = _free_space_amplitude(d, params.carrier_hz)
+    boresight = -tx.position()
+    toward = node.position() - tx.position()
+    cosang = np.dot(boresight, toward) / (np.linalg.norm(boresight) * np.linalg.norm(toward))
+    if math.degrees(math.acos(np.clip(cosang, -1.0, 1.0))) > params.tx_beamwidth_deg / 2.0:
+        amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
+    tau0 = d / SPEED_OF_LIGHT
+    h = amp * np.exp(-2j * math.pi * f * tau0)
+    n_scatter = params.num_paths - 1
+    if n_scatter > 0:
+        rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
+        sigma2 = _scatter_sigma(amp, params)
+        excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
+        gains = math.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(n_scatter) + 1j * rng.standard_normal(n_scatter)
+        )
+        h = h + (gains[None, :] * np.exp(-2j * math.pi * np.outer(f, tau0 + excess))).sum(axis=1)
+    return h
 
 
 class TestSerialization:

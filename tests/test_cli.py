@@ -546,6 +546,90 @@ class TestMalformedSpecFields:
         assert rc == EXIT_SPEC
 
 
+class TestScanEntryTypes:
+    """A scan entry's azimuths are finite numbers: --entry converts its
+    text, and a spec must hold numbers already."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [["30", True, "alg1"], [30.0, True, "alg1"], ["30", 15.0, "alg1"], [float("nan"), 15.0, "alg1"],
+         [30.0, 15.0], [30.0, 15.0, "alg1", 0], 5, "30 15 alg1", [30.0, 15.0, 7], [30.0, 15.0, ["alg1"]]],
+    )
+    def test_malformed_spec_entry_is_spec_error(self, tmp_path, entry):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "pattern_scan", "codebook_path": "cb.json", "scan_entry": entry}))
+        result = run_cli("pattern-scan", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path))
+        assert result.returncode == EXIT_SPEC
+        assert "spec error" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("entry", [["abc", "15", "alg1"], ["30", "nan", "alg1"], ["30", "15", "1"]])
+    def test_malformed_flag_entry_is_spec_error(self, tmp_path, entry):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        result = run_cli(
+            "pattern-scan", "--scenario", str(scenario), "--codebook", "cb.json", "--entry", *entry,
+            "--out", str(tmp_path),
+        )
+        assert result.returncode == EXIT_SPEC
+        assert "Traceback" not in result.stderr
+
+    def test_flag_entry_scans_the_entry(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        assert main(["codebook-gen", "--scenario", str(scenario), "--out", str(tmp_path), "--methods", "alg1"]) == EXIT_OK
+        result = run_cli(
+            "pattern-scan", "--scenario", str(scenario), "--codebook", str(tmp_path / "codebook.json"),
+            "--entry", "30", "15", "alg1", "--step", "45", "--out", str(tmp_path),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(read_csv(tmp_path / "power_pattern.csv")[2]) == 5
+
+
+class TestMalformedCodebook:
+    @pytest.mark.parametrize("centers", [["0", "15", "30", "45"], [False, True], [0.0, None]])
+    @pytest.mark.parametrize("command", ["codebook-query", "pattern-scan"])
+    def test_bad_sector_centers_are_scenario_errors(self, tmp_path, command, centers):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        assert main(["codebook-gen", "--scenario", str(scenario), "--out", str(tmp_path), "--methods", "alg1"]) == EXIT_OK
+        codebook = tmp_path / "codebook.json"
+        doc = json.loads(codebook.read_text())
+        doc["grid"]["sector_centers_deg"] = centers
+        codebook.write_text(json.dumps(doc))
+        args = {
+            "codebook-query": ["--lu", "0", "--ed", "unknown"],
+            "pattern-scan": ["--entry", "0", "15", "alg1", "--step", "45"],
+        }[command]
+        result = run_cli(
+            command, "--scenario", str(scenario), "--codebook", str(codebook), *args, "--out", str(tmp_path)
+        )
+        assert result.returncode == EXIT_SCENARIO
+        assert "malformed codebook" in result.stderr and "Traceback" not in result.stderr
+
+
+class TestJobsSplitBatches:
+    """Workers take lockstep batches of pairs; no output depends on how
+    many there are."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["codebook-gen", "--methods", "alg1", "alg2", "lu_max", "ed_min"], ["compare"], ["compare", "--noisy-measurements"]],
+        ids=["codebook-gen", "compare", "compare-noisy"],
+    )
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, argv):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario, sector_grid=SectorGrid(sector_centers_deg=(-15.0, 0.0, 15.0, 30.0, 45.0)))
+        outputs = []
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([*argv, "--scenario", str(scenario), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 #: Values swapped into spec fields: every JSON type, edge numbers, and
 #: values that are valid for some other field. No value asks for unbounded
 #: work (huge counts); tiny scan steps must be rejected by the spec's
@@ -638,9 +722,17 @@ class TestMalformedScenarioValues:
             ("ris", "element_spacing_m", float("nan"), EXIT_SCENARIO),
             ("sector_grid", "user_range_m", float("nan"), EXIT_SCENARIO),
             ("tx_signal", "tone_offset_hz", float("nan"), EXIT_SCENARIO),
-            # 10 ** (-1e308 / 10) underflows to 0, and the program divides by it.
-            ("channel", "rician_k_db", -1e308, EXIT_RUNTIME),
-            ("noise", "target_snr_db", -1e308, EXIT_RUNTIME),
+            # 10 ** (-1e308 / 10) underflows to 0: no linear K-factor or SNR.
+            ("channel", "rician_k_db", -1e308, EXIT_SCENARIO),
+            ("noise", "target_snr_db", -1e308, EXIT_SCENARIO),
+            # 10 ** (1e308 / 10) overflows: line of sight only, as +inf dB,
+            # but no finite SNR to calibrate the noise power from.
+            ("channel", "rician_k_db", 1e308, EXIT_OK),
+            ("noise", "target_snr_db", 1e308, EXIT_SCENARIO),
+            ("sector_grid", "sector_centers_deg", ["0", "15"], EXIT_SCENARIO),
+            ("sector_grid", "sector_centers_deg", [False, True], EXIT_SCENARIO),
+            ("sector_grid", "sector_centers_deg", [0.0, float("nan")], EXIT_SCENARIO),
+            ("sector_grid", "sector_centers_deg", 15.0, EXIT_SCENARIO),
         ],
     )
     def test_bad_value_exits_cleanly(self, tmp_path, capsys, section, key, value, code):

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from helpers import dense_receive
+from ris_pls import optimize
 from ris_pls.channel import ChannelParams, Placement, SectorGrid, _memo_panel_link
 from ris_pls.codebook import (
+    SWEEP_BATCH_BYTES,
     Codebook,
     CodebookEntry,
     EdKnowledge,
     detect_side_lobes,
     generate_codebook,
+    pair_batches,
     rescore_config,
     scan_power_pattern,
     select_config,
 )
+from ris_pls.experiments import ExperimentSpec, run_compare
 from ris_pls.optimize import uniform_config
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
@@ -96,6 +100,48 @@ class TestGeneration:
         sse = SecrecyReport(1.0, 1.0, 0.0, 0.0, n0=1.0, num_occupied=1)
         with pytest.raises(ValueError):
             CodebookEntry(15.0, 15.0, "alg1", cfg, powers, sse)
+
+
+def record_batches(monkeypatch) -> list:
+    """The number of rows of every lockstep sweep run from now on."""
+    sizes = []
+    sweep = optimize._sweep
+
+    def recording(evs, *args, **kwargs):
+        sizes.append(len(evs))
+        return sweep(evs, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_sweep", recording)
+    return sizes
+
+
+class TestSweepBatches:
+    METHODS = ("alg1", "alg2", "lu_max", "ed_min")
+
+    def test_tone_codebook_is_one_batch_per_method(self, monkeypatch):
+        # 11 sectors: 110 ordered pairs of 32 KB of 32x32 tone cascades.
+        grid = SectorGrid(sector_centers_deg=tuple(float(a) for a in range(-75, 76, 15)))
+        sc = Scenario(sector_grid=grid)
+        sizes = record_batches(monkeypatch)
+        cb = generate_codebook(sc, methods=self.METHODS)
+        assert sizes == [110] * 4
+        assert cb.is_complete(self.METHODS)
+
+    def test_jobs_split_the_pairs_into_batches(self):
+        sc = Scenario()
+        pairs = [(lu, ed) for lu in range(11) for ed in range(10)]
+        assert [len(b) for b in pair_batches(sc, sc.tx_signal(), pairs)] == [110]
+        assert [len(b) for b in pair_batches(sc, sc.tx_signal(), pairs, jobs=4)] == [28, 28, 28, 26]
+        assert [b for batch in pair_batches(sc, sc.tx_signal(), pairs, jobs=4) for b in batch] == pairs
+
+    def test_wideband_pair_runs_alone(self, monkeypatch, tmp_path):
+        # A 32x32 pair on a 52-block comb grid holds 10 MB of cascades.
+        sc = Scenario(tx_mode="prs")
+        assert 32 * 32 * 2 * sc.tx_signal().num_subcarriers * 16 > SWEEP_BATCH_BYTES
+        sizes = record_batches(monkeypatch)
+        spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)), methods=("alg1",))
+        run_compare(sc, spec)
+        assert sizes == [1, 1]
 
 
 class TestSelection:

@@ -7,17 +7,21 @@ from helpers import handmade_channels, model_instance, panel, single_tone_tx
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
+    _FLIP_SIGN,
     METHODS,
     OBJECTIVES,
     MeasurementNoise,
     PowerEvaluator,
+    TraceBatch,
     TraceStep,
     _better,
+    _stack,
     _sweep,
     algorithm1,
     algorithm2,
     ed_min,
     exhaustive_oracle,
+    greedy_sweep,
     lu_max,
     received_signal,
     reflection_coefficients,
@@ -183,7 +187,9 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
     moves = METHODS[method][1](n_v, n_h)
     fast_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     slow_bits = fast_bits.copy()
-    fast_best, fast = _sweep(ev, fast_bits, moves, passes, fixpoint, read())
+    fast_reads = None if noise is None else [noise.reader()]
+    fast_best, (fast,) = _sweep([ev], fast_bits[None], moves, passes, fixpoint, fast_reads)
+    fast_best = {k: float(v[0]) for k, v in fast_best.items()}
     slow_best, slow = full_recompute_sweep(ev, slow_bits, moves, passes, fixpoint, read())
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
@@ -283,6 +289,155 @@ class TestRunningSumParity:
         noise = MeasurementNoise(n0=1e-9, seed=5)
         trace = algorithm1(channels, MODEL, sig, panel(4, 6), noise=noise)
         assert trace.final_objective == trace.accepted_steps()[-1].objective_after
+
+
+def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
+    """The greedy sweep of one evaluator, as it ran before sweeps ran in
+    lockstep batches: the reference for `_sweep`. Returns (registers,
+    trace steps) and flips `bits` in place."""
+    sums = ev.sums(bits)
+    best = {obj: ev.value(obj, sums, read) for obj in dict.fromkeys(m[3] for m in moves)}
+    steps = []
+    for iteration in range(1, passes + 1):
+        accepted_in_pass = 0
+        for kind, index, half, objective, elements in moves:
+            name, direction = OBJECTIVES[objective]
+            candidate = sums + (_FLIP_SIGN[bits[elements]] @ ev._w[elements]).reshape(2, -1)
+            value = ev.value(objective, candidate, read)
+            accepted = _better(value, best[objective], direction)
+            steps.append(TraceStep(
+                kind, index, iteration, name, direction, best[objective], value, accepted, half
+            ))
+            if accepted:
+                best[objective] = value
+                sums = candidate
+                bits[elements] ^= 1
+                accepted_in_pass += 1
+        if fixpoint and accepted_in_pass == 0:
+            break
+    return best, steps
+
+
+def reference_trace(method, ev, geometry, noise=None, fixpoint=False) -> dict:
+    """`greedy_sweep`'s two-pass or fixpoint trace of one evaluator from
+    all zeros, by `per_sweep_reference`, as a dict."""
+    objective_kind, build_moves = METHODS[method]
+    read = None if noise is None else noise.reader()
+    bits = np.zeros(geometry.num_elements, dtype=np.uint8)
+    best, steps = per_sweep_reference(
+        ev, bits, build_moves(geometry.n_v, geometry.n_h), 64 if fixpoint else 2, fixpoint, read
+    )
+    if objective_kind in best and read is not None:
+        final_objective = best[objective_kind]
+    else:
+        final_objective = ev.evaluate(objective_kind, bits, read)
+    return {
+        "final_config": RisConfig(bits, geometry.n_v, geometry.n_h).to_bitstring(),
+        "final_objective": final_objective,
+        "steps": [step.to_dict() for step in steps],
+    }
+
+
+#: The elements of column 1 and row 2 of a 4x6 panel, which
+#: `batch_instances` zeroes in every third channel set.
+ZERO_ELEMENTS = np.r_[1:24:6, 12:18]
+
+
+def batch_instances(n, waveform, first_seed=0):
+    """n placement pairs' 4x6-panel channel sets, from seeds `first_seed`
+    on, on the transmit signal of the first seed. Every third set has
+    zero cascades on `ZERO_ELEMENTS`, so its column-1 and row-2 moves tie."""
+    sig = model_instance(first_seed, 4, 6, waveform=waveform)[1]
+    channels = []
+    for seed in range(first_seed, first_seed + n):
+        ch = model_instance(seed, 4, 6, waveform=waveform)[0]
+        assert np.array_equal(ch.freqs, sig.freqs)
+        channels.append(zero_cascades(ch, ZERO_ELEMENTS) if seed % 3 == 2 else ch)
+    return channels, sig
+
+
+class TestLockstepParity:
+    """N sweeps in lockstep must give each row the trace, the bits and the
+    noise draws its sweep gives alone, in the per-sweep reference."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_rows_match_per_sweep_reference(self, method, fixpoint, waveform, noisy):
+        geometry = panel(4, 6)
+        noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
+        for n in (1, 3, 7):
+            channels, sig = batch_instances(n, waveform)
+            evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+            traces = greedy_sweep(method, evs, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            assert isinstance(traces, TraceBatch) and len(traces) == n
+            for ev, trace in zip(evs, traces):
+                ref = reference_trace(method, ev, geometry, noise, fixpoint)
+                got = trace.to_dict()
+                assert len(got["steps"]) == len(ref["steps"])
+                for g, r in zip(got["steps"], ref["steps"]):
+                    decision = ("kind", "index", "half", "iteration", "accepted")
+                    assert [g.get(k) for k in decision] == [r.get(k) for k in decision]
+                    assert (g["objective_before"], g["objective_after"]) == (
+                        r["objective_before"], r["objective_after"]
+                    )
+                assert got["final_config"] == ref["final_config"]
+                assert got["final_objective"] == ref["final_objective"]
+            assert traces.steps == [step for trace in traces for step in trace.steps]
+
+    def test_fixpoint_rows_stop_at_their_own_pass(self):
+        channels, sig = batch_instances(7, "prs")
+        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+        traces = greedy_sweep("alg1", evs, panel(4, 6), run_to_fixpoint=True)
+        last_pass = [trace.steps[-1].iteration for trace in traces]
+        assert len(set(last_pass)) > 1
+        for trace in traces:
+            # The last pass of each row accepts nothing; every earlier one does.
+            by_pass = {}
+            for step in trace.steps:
+                by_pass[step.iteration] = by_pass.get(step.iteration, False) or step.accepted
+            assert [by_pass[i] for i in sorted(by_pass)] == [True] * (len(by_pass) - 1) + [False]
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_noisy_rows_read_as_often_as_alone(self, method):
+        # Each row reads from its own generator, ED before LU; a fixpoint
+        # row that stopped takes no further readings.
+        noise = MeasurementNoise(n0=1e-9, averages=2, seed=3)
+        channels, sig = batch_instances(7, "tone")
+        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+        moves = METHODS[method][1](4, 6)
+
+        def counted(i, log):
+            read = noise.reader()
+
+            def counting(signal):
+                log[i].append(float(signal[0].real))
+                return read(signal)
+
+            return counting
+
+        batch_log, alone_log = [[] for _ in evs], [[] for _ in evs]
+        bits = np.zeros((7, 24), dtype=np.uint8)
+        _, steps = _sweep(evs, bits, moves, 64, True, [counted(i, batch_log) for i in range(7)])
+        for i, ev in enumerate(evs):
+            per_sweep_reference(ev, np.zeros(24, dtype=np.uint8), moves, 64, True, counted(i, alone_log))
+        assert batch_log == alone_log
+        assert len({len(row) for row in steps}) > 1  # the rows stopped at different passes
+
+    def test_single_row_stacks_views(self):
+        channels, sig = batch_instances(1, "prs")
+        ev = PowerEvaluator(channels[0], MODEL, sig)
+        assert np.shares_memory(_stack([ev._w]), ev._w)
+        assert not np.shares_memory(_stack([ev._w, ev._w]), ev._w)
+
+    def test_rows_must_share_the_transmit_signal(self):
+        channels, sig = batch_instances(2, "prs")
+        other = model_instance(5, 4, 6, waveform="prs")[1]
+        assert not np.array_equal(other.amplitudes(), sig.amplitudes())
+        evs = [PowerEvaluator(channels[0], MODEL, sig), PowerEvaluator(channels[1], MODEL, other)]
+        with pytest.raises(ValueError, match="one transmit signal"):
+            greedy_sweep("alg1", evs, panel(4, 6))
 
 
 class TestAlgorithm2:
