@@ -22,8 +22,6 @@ from .ofdm import (
     ResourceGrid,
     TxSignal,
     build_prs_grid,
-    demodulate,
-    modulate,
     prs_signal,
     tone_signal,
 )

@@ -23,7 +23,6 @@ shared read-only between channel sets.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import threading
@@ -106,6 +105,13 @@ def build_default_geometry() -> tuple:
     return tx, grid
 
 
+#: Largest total power of the scattered rays relative to the line-of-sight
+#: ray (1 / K, linear). A received cascade crosses two links, so its power
+#: grows with the square of this ratio; powers overflow from about 1e150 on
+#: a 4x4 panel, and 1e100 keeps every panel far inside the float range.
+MAX_SCATTER_TO_LOS = 1e100
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Knobs of the ray-based channel model."""
@@ -131,8 +137,16 @@ class ChannelParams:
             raise ValueError("beamwidth must be positive")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.rician_k_db < 0 and 10.0 ** (self.rician_k_db / 10.0) == 0.0:
-            raise ValueError(f"rician_k_db {self.rician_k_db!r} is a linear K-factor of 0")
+        try:
+            scatter_to_los = 10.0 ** (-self.rician_k_db / 10.0)
+        except OverflowError:
+            scatter_to_los = math.inf
+        # A single-path link has no scattered rays.
+        if self.num_paths > 1 and scatter_to_los > MAX_SCATTER_TO_LOS:
+            raise ValueError(
+                f"rician_k_db {self.rician_k_db!r} gives the scattered rays more than "
+                f"{MAX_SCATTER_TO_LOS:g} times the line-of-sight power"
+            )
 
 
 @dataclass
@@ -173,62 +187,6 @@ class ChannelSet:
     @property
     def num_elements(self) -> int:
         return self.g_ris.shape[1]
-
-    def to_dict(self) -> dict:
-        def cplx(a):
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
-        return {
-            "K": int(self.num_subcarriers),
-            "M": int(self.num_elements),
-            "freqs": self.freqs.tolist(),
-            "h_d_lu": cplx(self.h_d_lu),
-            "h_d_ed": cplx(self.h_d_ed),
-            "h_ris_lu": cplx(self.h_ris_lu),
-            "h_ris_ed": cplx(self.h_ris_ed),
-            "g_ris": cplx(self.g_ris),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelSet":
-        def cplx(entry):
-            a = np.asarray(entry, dtype=float)
-            return a[..., 0] + 1j * a[..., 1]
-
-        return cls(
-            freqs=np.asarray(data["freqs"], dtype=float),
-            h_d_lu=cplx(data["h_d_lu"]),
-            h_d_ed=cplx(data["h_d_ed"]),
-            h_ris_lu=cplx(data["h_ris_lu"]),
-            h_ris_ed=cplx(data["h_ris_ed"]),
-            g_ris=cplx(data["g_ris"]),
-        )
-
-    def save(self, path) -> None:
-        """Write to `.json` ((re, im) pairs) or `.npz` (split float arrays)."""
-        path = str(path)
-        if path.endswith(".npz"):
-            arrays = {"freqs": self.freqs}
-            for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
-                a = getattr(self, name)
-                arrays[name + "_re"] = a.real
-                arrays[name + "_im"] = a.imag
-            np.savez(path, **arrays)
-        else:
-            with open(path, "w") as fh:
-                json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ChannelSet":
-        path = str(path)
-        if path.endswith(".npz"):
-            with np.load(path) as data:
-                kwargs = {"freqs": data["freqs"]}
-                for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
-                    kwargs[name] = data[name + "_re"] + 1j * data[name + "_im"]
-            return cls(**kwargs)
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # Link kind tags for the per-link RNG streams.

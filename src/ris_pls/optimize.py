@@ -69,8 +69,6 @@ class MeasurementNoise:
         scale = math.sqrt(self.n0 / 2.0)
 
         def read(signal: np.ndarray) -> np.float64:
-            if signal.ndim != 1:
-                raise ValueError("noisy readings score one configuration at a time")
             total = 0.0
             for _ in range(self.averages):
                 n = scale * (rng.standard_normal(signal.size) + 1j * rng.standard_normal(signal.size))
@@ -192,7 +190,6 @@ class PowerEvaluator:
     def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
         if not np.array_equal(tx.freqs, channels.freqs):
             raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-        self.occupied = tx.bins
         self._x = tx.amplitudes()
         self._hd = np.concatenate([channels.h_d_lu, channels.h_d_ed]).reshape(2, -1)
         g = channels.g_ris
@@ -222,26 +219,25 @@ class PowerEvaluator:
         return np.abs(received_signal(self._hd, self._phi, self._w_sum, self.sums(bits), self._x)) ** 2
 
     def value(self, objective: str, sums: np.ndarray, read=None):
-        """Objective from `sums`: a float for one configuration, an (N,)
-        array for N. A ratio reads the ED power before the LU power. `read`
-        (`MeasurementNoise.reader`) takes noisy readings instead of exact
-        powers."""
-
-        def power(r):
-            # One receiver at a time, so that its (K,) links broadcast
-            # along the configurations.
-            return _power(received_signal(self._hd[r], self._phi, self._w_sum[r], sums[r], self._x), read)
-
+        """Objective from `sums` by `_objective`: a float for one
+        configuration, an (N,) array for N. `read`
+        (`MeasurementNoise.reader`) takes noisy readings of one
+        configuration instead of exact powers."""
+        one = sums.ndim == 2
+        if read is not None and not one:
+            raise ValueError("noisy readings score one configuration at a time")
         name = OBJECTIVES[objective][0]
-        if name == "lu_power":
-            out = power(0)
-        elif name == "ed_power":
-            out = power(1)
-        else:
-            p_ed = power(1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = power(0) / p_ed
-        return float(out) if sums.ndim == 2 else out
+        rs = _RECEIVERS[name]
+        # Receiver-major and contiguous, (receivers, N, K), so that each
+        # receiver's (K,) links broadcast along the configurations in one
+        # run of memory.
+        s = np.ascontiguousarray((sums[:, None] if one else sums)[rs])
+        y = received_signal(self._hd[rs, None], self._phi, self._w_sum[rs, None], s, self._x)
+        if name == "ratio":
+            y = y.swapaxes(0, 1)  # candidate-major, as `_objective` reads it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _objective(name, y, None if read is None else [read], (0,))
+        return float(out[0]) if one else out
 
     def evaluate(self, objective: str, bits: np.ndarray, read=None):
         """Score `bits`, one bit vector or the rows of an (N, M) 0/1 matrix,
@@ -249,12 +245,6 @@ class PowerEvaluator:
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         return self.value(objective, self.sums(bits), read)
-
-
-def _power(y, read=None):
-    """Power of received signals summed over the subcarriers (the last
-    axis), or one noisy reading of a configuration's signal by `read`."""
-    return (np.abs(y) ** 2).sum(axis=-1) if read is None else read(y)
 
 
 #: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
@@ -265,8 +255,8 @@ _RECEIVERS = {"ratio": slice(0, 2), "lu_power": 0, "ed_power": 1}
 def _objective(name, y, reads=None, rows=()):
     """Objective `name` of N candidates as an (N,) array, from their
     received signals at the `_RECEIVERS` of `name`: (N, 2, K) for a ratio,
-    (N, K) for one receiver's power. The scoring rule is
-    `PowerEvaluator.value`'s.
+    (N, K) for one receiver's power. This is the one scoring rule: the
+    sweeps and `PowerEvaluator.value` both score by it.
 
     `reads` holds one noisy reading function per candidate; then only the
     candidates in `rows` are read, each ED before LU, and the others score
@@ -275,7 +265,7 @@ def _objective(name, y, reads=None, rows=()):
     warnings for both).
     """
     if reads is None:
-        p = _power(y)
+        p = (np.abs(y) ** 2).sum(axis=-1)
     else:
         p = np.full(y.shape[:-1], np.nan)
         for i in rows:

@@ -90,7 +90,7 @@ class RisConfig:
         return cls(np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0"), n_v, n_h)
 
     def to_bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
     def grid(self) -> np.ndarray:
         """(n_v, n_h) view of the bits."""
@@ -98,14 +98,6 @@ class RisConfig:
 
     def copy(self) -> "RisConfig":
         return RisConfig(self.bits.copy(), self.n_v, self.n_h)
-
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.grid(), fmt="%d", delimiter=",")
-
-    @classmethod
-    def load_csv(cls, path) -> "RisConfig":
-        grid = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
-        return cls(grid.reshape(-1), grid.shape[0], grid.shape[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RisConfig):

@@ -61,9 +61,6 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, channel=replace(self.channel, rng_seed=int(seed)))
 
-    def with_element_model(self, model: ElementModel) -> "Scenario":
-        return replace(self, element_model=model)
-
     # ------------------------------------------------------------------
     # Waveform and channels
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class SecrecyReport:
     n0: float
     num_occupied: int
     headline_clamped: bool = False
-    per_subcarrier: list | None = field(default=None, repr=False)
 
     @property
     def value(self) -> float:
@@ -89,19 +88,7 @@ class SecrecyReport:
             "num_occupied": self.num_occupied,
             "per_subcarrier_mean": self.per_subcarrier_mean,
         }
-        if self.per_subcarrier is not None:
-            out["per_subcarrier"] = [list(row) for row in self.per_subcarrier]
         return out
-
-    def save_per_subcarrier_csv(self, path) -> None:
-        """One row per occupied subcarrier: index, LU rate, ED rate."""
-        if self.per_subcarrier is None:
-            raise ValueError("report was computed without per-subcarrier detail")
-        with open(path, "w") as fh:
-            fh.write("# schema=sse-per-subcarrier-v1\n")
-            fh.write("subcarrier,r_lu,r_ed\n")
-            for v, r_l, r_e in self.per_subcarrier:
-                fh.write(f"{v},{r_l!r},{r_e!r}\n")
 
 
 def _link_powers(p: np.ndarray) -> LinkPowers:
@@ -114,29 +101,23 @@ def link_powers(ev, bits: np.ndarray) -> LinkPowers:
     return _link_powers(ev.bin_powers(bits))
 
 
-def _sse_report(p: np.ndarray, occupied, n0: float, apply_max=False, per_subcarrier=False) -> SecrecyReport:
+def _sse_report(p: np.ndarray, n0: float, apply_max=False) -> SecrecyReport:
     if n0 <= 0:
         raise ValueError("noise power must be positive")
     r_lu, r_ed = np.log2(1.0 + p / n0)
     raw = float(r_lu.sum() - r_ed.sum())
-    detail = None
-    if per_subcarrier:
-        detail = [(int(v), float(rl), float(re)) for v, rl, re in zip(occupied, r_lu, r_ed)]
     return SecrecyReport(
         r_lu=float(r_lu.sum()),
         r_ed=float(r_ed.sum()),
         r_sec_raw=raw,
         r_sec=max(0.0, raw),
         n0=n0,
-        num_occupied=len(occupied),
+        num_occupied=p.shape[1],
         headline_clamped=apply_max,
-        per_subcarrier=detail,
     )
 
 
-def sum_sse(
-    ev, bits: np.ndarray, n0: float, apply_max: bool = False, per_subcarrier: bool = False
-) -> SecrecyReport:
+def sum_sse(ev, bits: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
     """Sum secrecy spectral efficiency of the configuration `bits` over the
     occupied subcarriers of the `PowerEvaluator` `ev`.
 
@@ -144,11 +125,11 @@ def sum_sse(
     over `n0`. With `apply_max` the clamped difference is the headline
     value of the report; the raw difference is always carried alongside.
     """
-    return _sse_report(ev.bin_powers(bits), ev.occupied, n0, apply_max, per_subcarrier)
+    return _sse_report(ev.bin_powers(bits), n0, apply_max)
 
 
 def powers_and_sse(ev, bits: np.ndarray, n0: float) -> tuple:
     """(`link_powers`, `sum_sse`) of one configuration from one set of
     per-subcarrier powers."""
     p = ev.bin_powers(bits)
-    return _link_powers(p), _sse_report(p, ev.occupied, n0)
+    return _link_powers(p), _sse_report(p, n0)

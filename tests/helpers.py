@@ -57,7 +57,6 @@ def single_tone_tx():
         mode="tone",
         freqs=np.array([CARRIER]),
         symbols=np.array([1.0 + 0.0j]),
-        bins=np.array([0]),
     )
 
 

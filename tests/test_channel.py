@@ -88,6 +88,20 @@ class TestParams:
         with pytest.raises(ValueError):
             ChannelParams(direct_path_suppression_db=float("nan"))
 
+    def test_scatter_bound_spares_single_path_links(self):
+        with pytest.raises(ValueError, match="line-of-sight power"):
+            ChannelParams(num_paths=2, rician_k_db=-3000.0)
+        assert ChannelParams(num_paths=1, rician_k_db=-3000.0).rician_k_db == -3000.0
+
+    @pytest.mark.parametrize("k_db, ok", [(-999.0, True), (-1001.0, False), (-1e308, False)])
+    def test_scatter_bound_is_on_scattered_power(self, k_db, ok):
+        # MAX_SCATTER_TO_LOS is 1e100: K-factors above -1000 dB pass.
+        if ok:
+            assert ChannelParams(num_paths=2, rician_k_db=k_db).rician_k_db == k_db
+        else:
+            with pytest.raises(ValueError, match="line-of-sight power"):
+                ChannelParams(num_paths=2, rician_k_db=k_db)
+
 
 def default_links(seed=0, **kwargs):
     tx, grid = build_default_geometry()
@@ -106,6 +120,28 @@ class TestSynthesis:
         assert ch.h_d_lu.shape == (4,)
         assert ch.h_ris_lu.shape == (4, 4)
         assert ch.g_ris.shape == (4, 4)
+
+    def test_nonfinite_rejected(self):
+        ch = default_links()
+        bad = ch.h_d_lu.copy()
+        bad[0] = float("nan")
+        with pytest.raises(ValueError):
+            ChannelSet(
+                freqs=ch.freqs,
+                h_d_lu=bad,
+                h_d_ed=ch.h_d_ed,
+                h_ris_lu=ch.h_ris_lu,
+                h_ris_ed=ch.h_ris_ed,
+                g_ris=ch.g_ris,
+            )
+
+    @pytest.mark.parametrize("name", ["h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"])
+    def test_every_link_checked_for_finiteness(self, name):
+        ch = default_links()
+        links = {n: getattr(ch, n).copy() for n in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris")}
+        links[name].flat[-1] = complex(0.0, float("inf"))
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            ChannelSet(freqs=ch.freqs, **links)
 
     def test_empty_frequency_list_rejected(self):
         tx, grid = build_default_geometry()
@@ -230,9 +266,10 @@ class TestOccupiedSubcarrierParity:
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
         full = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, grid.subcarrier_freqs())
         occupied = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, sig.freqs)
-        assert same_bits(occupied.freqs, full.freqs[sig.bins])
+        rows = grid.occupied_mask
+        assert same_bits(occupied.freqs, full.freqs[rows])
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
-            assert same_bits(getattr(occupied, name), getattr(full, name)[sig.bins]), name
+            assert same_bits(getattr(occupied, name), getattr(full, name)[rows]), name
 
 
 class TestPanelLinkMemo:
@@ -461,41 +498,3 @@ def per_probe_direct_link(tx, node, params, f):
         )
         h = h + (gains[None, :] * np.exp(-2j * math.pi * np.outer(f, tau0 + excess))).sum(axis=1)
     return h
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        ch = default_links(seed=11)
-        path = tmp_path / "channels.json"
-        ch.save(path)
-        back = ChannelSet.load(path)
-        for name in ("freqs", "h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
-            np.testing.assert_array_equal(getattr(ch, name), getattr(back, name))
-
-    def test_npz_round_trip(self, tmp_path):
-        ch = default_links(seed=11)
-        path = tmp_path / "channels.npz"
-        ch.save(path)
-        back = ChannelSet.load(path)
-        np.testing.assert_array_equal(ch.h_ris_ed, back.h_ris_ed)
-
-    def test_dict_carries_sizes_and_pairs(self):
-        ch = default_links()
-        data = ch.to_dict()
-        assert data["K"] == 4
-        assert data["M"] == 4
-        assert len(data["h_d_lu"][0]) == 2  # (re, im)
-
-    def test_nonfinite_rejected(self):
-        ch = default_links()
-        bad = ch.h_d_lu.copy()
-        bad[0] = float("nan")
-        with pytest.raises(ValueError):
-            ChannelSet(
-                freqs=ch.freqs,
-                h_d_lu=bad,
-                h_d_ed=ch.h_d_ed,
-                h_ris_lu=ch.h_ris_lu,
-                h_ris_ed=ch.h_ris_ed,
-                g_ris=ch.g_ris,
-            )

@@ -705,6 +705,90 @@ class TestSpecFieldProperty:
         assert "Traceback" not in stderr.getvalue()
 
 
+#: Values swapped into flag arguments: edge numbers, words that some other
+#: flag accepts, and none that reads as a flag.
+ARGV_VALUES = (
+    "", ".", "x", "0", "-1", "1", "2", "4", "15", "1.5", "-0.0", "1e308", "-1e308", "nan", "inf",
+    "-inf", "unknown", "excluded:15,30", "excluded:", "excluded:x", "alg1", "uniform", "0" * 16,
+    "01" * 8, "missing.json", "codebook.json",
+)
+
+
+def _bounded(flag, value):
+    """Whether a swapped value keeps the run small: at most 4 workers and
+    no scan step below 1 degree."""
+    try:
+        number = float(value)
+    except ValueError:
+        return True
+    if flag == "--jobs":
+        return not number > 4
+    return flag != "--step" or not number < 1
+
+
+class TestArgvProperty:
+    """Any command line made from a valid one by dropping a flag, repeating
+    it, or swapping one of its values exits 0, 2, 3 or 4, with no
+    traceback. An argparse usage error counts by its `SystemExit` code."""
+
+    #: Each command's flags, as (flag, values) groups after the subcommand.
+    BASE = {
+        "compare": [
+            ("--methods", ["alg1", "uniform"]), ("--seed", ["1"]), ("--jobs", ["2"]),
+            ("--noisy-measurements", []),
+        ],
+        "codebook-gen": [("--methods", ["alg1"]), ("--codebook", ["new.json"]), ("--jobs", ["1"])],
+        "codebook-query": [
+            ("--codebook", ["codebook.json"]), ("--lu", ["0"]), ("--ed", ["unknown"]), ("--method", ["alg1"]),
+        ],
+        "pattern-scan": [
+            ("--codebook", ["codebook.json"]), ("--entry", ["0", "15", "alg1"]), ("--start", ["-30"]),
+            ("--stop", ["30"]), ("--step", ["15"]), ("--attach", []),
+        ],
+        "freq-selectivity": [
+            ("--method", ["alg1"]), ("--num-rb", ["1"]), ("--degenerate-single-bin", []), ("--seed", ["2"]),
+        ],
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(sorted(MODE_BY_COMMAND)), data=st.data())
+    def test_mutated_argv_exits_cleanly(self, fuzz_setup, command, data):
+        scenario, codebook = fuzz_setup
+        groups = [("--scenario", [str(scenario)]), ("--out", ["out"]), *self.BASE[command]]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            i = data.draw(st.integers(0, len(groups) - 1), label="group")
+            flag, values = groups[i]
+            kind = data.draw(st.sampled_from(["drop", "repeat", "swap"] if values else ["drop", "repeat"]))
+            if kind == "drop":
+                del groups[i]
+            elif kind == "repeat":
+                groups.insert(i, (flag, values))
+            else:
+                j = data.draw(st.integers(0, len(values) - 1), label="value")
+                pool = [v for v in ARGV_VALUES if _bounded(flag, v)]
+                value = data.draw(st.sampled_from(pool), label="swapped")
+                groups[i] = (flag, [*values[:j], value, *values[j + 1:]])
+        argv = [command, *(token for flag, values in groups for token in (flag, *values))]
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                # A copy, because --attach rewrites it.
+                shutil.copy(codebook, "codebook.json")
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        try:
+                            rc = main(argv)
+                        except SystemExit as exc:
+                            rc = exc.code
+            finally:
+                os.chdir(cwd)
+        assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME), argv
+        assert "Traceback" not in stderr.getvalue()
+
+
 def one_pair_spec(path):
     path.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"]}))
     return path
@@ -733,6 +817,10 @@ class TestMalformedScenarioValues:
             ("sector_grid", "sector_centers_deg", [False, True], EXIT_SCENARIO),
             ("sector_grid", "sector_centers_deg", [0.0, float("nan")], EXIT_SCENARIO),
             ("sector_grid", "sector_centers_deg", 15.0, EXIT_SCENARIO),
+            # Scattered rays 1e300 and 1e320 times the line-of-sight power:
+            # the received powers overflow, or the links do.
+            ("channel", "rician_k_db", -3000.0, EXIT_SCENARIO),
+            ("channel", "rician_k_db", -3200.0, EXIT_SCENARIO),
         ],
     )
     def test_bad_value_exits_cleanly(self, tmp_path, capsys, section, key, value, code):

@@ -53,6 +53,11 @@ class TestConfig:
         cfg = RisConfig.from_bitstring("0110", 2, 2)
         assert cfg.to_bitstring() == "0110"
         assert cfg.grid().tolist() == [[0, 1], [1, 0]]
+        bits = np.random.default_rng(0).integers(0, 2, 32 * 32)
+        big = RisConfig(bits, 32, 32)
+        s = big.to_bitstring()
+        assert s == "".join(str(b) for b in bits)
+        assert RisConfig.from_bitstring(s, 32, 32) == big
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -61,12 +66,6 @@ class TestConfig:
             RisConfig.from_bitstring("01x0", 2, 2)
         with pytest.raises(ValueError):
             RisConfig(np.zeros(3, dtype=np.uint8), 2, 2)
-
-    def test_csv_round_trip(self, tmp_path):
-        cfg = RisConfig.from_bitstring("011010", 2, 3)
-        path = tmp_path / "cfg.csv"
-        cfg.save_csv(path)
-        assert RisConfig.load_csv(path) == cfg
 
 
 class TestFlips:

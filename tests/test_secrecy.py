@@ -37,7 +37,6 @@ def unit_tx(k=1, symbols=None, power_scale=1.0):
         mode="tone" if k == 1 else "prs",
         freqs=np.full(k, CARRIER),
         symbols=np.ones(k, complex) if symbols is None else np.asarray(symbols, complex),
-        bins=np.arange(k),
         power_scale=power_scale,
     )
 
@@ -120,7 +119,6 @@ class TestLinkPowers:
             mode="prs",
             freqs=grid.subcarrier_freqs(),
             symbols=grid.symbols[:, 0],
-            bins=np.arange(grid.num_subcarriers),
         )
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
         params, ris = ChannelParams(rng_seed=5), panel(3, 4)
@@ -234,12 +232,13 @@ class TestSumSse:
         b = sum_sse(evaluator(ch), zeros(ch), n0=2 * n0).r_sec_raw
         assert abs(a - b) < 0.01 * k
 
-    def test_per_subcarrier_detail(self):
-        ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0, per_subcarrier=True)
-        assert len(report.per_subcarrier) == 2
-        v, r_l, r_e = report.per_subcarrier[0]
-        assert (v, r_l, r_e) == (0, pytest.approx(2.0), pytest.approx(1.0))
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_num_occupied_is_subcarrier_count(self, k):
+        ch = channels(2.0, 1.0, k=k)
+        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
+        assert report.num_occupied == k
+        assert report.r_sec_raw == pytest.approx(k * (math.log2(5.0) - 1.0))
+        assert report.per_subcarrier_mean == pytest.approx(math.log2(5.0) - 1.0)
 
     def test_nonpositive_n0_rejected(self):
         ch = channels(1.0, 1.0)
@@ -251,20 +250,6 @@ class TestSumSse:
         data = sum_sse(evaluator(ch), zeros(ch), n0=1.0).to_dict()
         assert data["sse"] == data["r_sec_raw"]
         assert data["num_occupied"] == 1
-
-    def test_per_subcarrier_csv(self, tmp_path):
-        ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0, per_subcarrier=True)
-        path = tmp_path / "sse.csv"
-        report.save_per_subcarrier_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "subcarrier,r_lu,r_ed"
-        assert len(lines) == 2 + 2
-        v, r_l, r_e = lines[2].split(",")
-        assert float(r_l) == pytest.approx(2.0, abs=1e-12)
-        bare = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
-        with pytest.raises(ValueError):
-            bare.save_per_subcarrier_csv(path)
 
 
 class TestPowersAndSse:
@@ -280,14 +265,12 @@ class TestPowersAndSse:
             mode="prs",
             freqs=np.full(k, CARRIER),
             symbols=draw(k),
-            bins=np.array([0, 2, 3, 5]),
         )
         ev = PowerEvaluator(ch, ElementModel(phase_at_center=(0.5, 2.0)), tx)
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
         powers, report = powers_and_sse(ev, bits, n0=0.3)
         assert powers == link_powers(ev, bits)
         assert report == sum_sse(ev, bits, n0=0.3)
-        assert [v for v, _, _ in sum_sse(ev, bits, 0.3, per_subcarrier=True).per_subcarrier] == [0, 2, 3, 5]
 
     def test_nonpositive_noise_rejected(self):
         ch = channels(1.0, 1.0)
