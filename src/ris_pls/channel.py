@@ -28,6 +28,7 @@ import struct
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -236,28 +237,34 @@ def _scatter_sigma(amp_los: float, params: ChannelParams) -> float:
     return amp_los**2 / k_lin / (params.num_paths - 1)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 3-vector, as `np.linalg.norm` works it out (the
+    square root of `v.dot(v)`), without its checks."""
+    return math.sqrt(v.dot(v))
+
+
 def _tx_beam(tx: Placement) -> tuple:
     """The transmitter's position, its boresight (toward the panel center)
     and the boresight's norm, which every direct link of one transmitter
     shares."""
     position = tx.position()
     boresight = -position
-    return position, boresight, np.linalg.norm(boresight)
+    return position, boresight, _norm(boresight)
 
 
 def _outside_beam(beam: tuple, toward: np.ndarray, distance: float, beamwidth_deg: float) -> bool:
     """Whether a node at `toward` from the transmitter, `distance` away,
     lies outside the transmitter beam `beam` (`_tx_beam`)."""
     _, boresight, boresight_norm = beam
-    cosang = np.dot(boresight, toward) / (boresight_norm * distance)
-    return math.degrees(math.acos(np.clip(cosang, -1.0, 1.0))) > beamwidth_deg / 2.0
+    cosang = float(boresight.dot(toward)) / (boresight_norm * distance)
+    return math.degrees(math.acos(min(max(cosang, -1.0), 1.0))) > beamwidth_deg / 2.0
 
 
-def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray, beam: tuple):
-    """(K,) channel from the transmitter to a node; `beam` is `_tx_beam(tx)`,
-    which every direct link of a synthesis or a scan shares."""
-    toward = node.position() - beam[0]
-    d = float(np.linalg.norm(toward))
+def _direct_ray(beam: tuple, node: Placement, pos: np.ndarray, params: ChannelParams) -> tuple:
+    """(amplitude, delay) of the line-of-sight ray from the transmitter to
+    `node`, which stands at `pos`; `beam` is `_tx_beam(tx)`."""
+    toward = pos - beam[0]
+    d = _norm(toward)
     if d == 0.0:
         raise ValueError(
             f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter"
@@ -265,7 +272,13 @@ def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.nd
     amp = _free_space_amplitude(d, params.carrier_hz)
     if _outside_beam(beam, toward, d, params.tx_beamwidth_deg):
         amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
-    tau0 = d / SPEED_OF_LIGHT
+    return amp, d / SPEED_OF_LIGHT
+
+
+def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray, beam: tuple):
+    """(K,) channel from the transmitter to a node; `beam` is `_tx_beam(tx)`,
+    which every direct link of a synthesis or a scan shares."""
+    amp, tau0 = _direct_ray(beam, node, node.position(), params)
     h = amp * np.exp(-2j * math.pi * f * tau0)
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
@@ -279,22 +292,27 @@ def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.nd
     return h
 
 
-def _steering(elem: np.ndarray, unit_dir: np.ndarray, carrier_hz: float) -> np.ndarray:
+def _steering(elem: np.ndarray, dirs: np.ndarray, carrier_hz: float) -> np.ndarray:
+    """Plane-wave phase profile over the (M, 3) elements `elem` toward one
+    unit direction (3,), as (M,), or toward each row of (A, 3), as (A, M)."""
     # Narrowband array model: the element phase profile is evaluated at the
     # carrier wavelength; per-subcarrier selectivity comes from the tapped
     # delays, not from the aperture.
-    return np.exp(2j * math.pi * carrier_hz / SPEED_OF_LIGHT * (elem @ unit_dir))
+    return np.exp(2j * math.pi * carrier_hz / SPEED_OF_LIGHT * (dirs @ elem.T))
+
+
+def _panel_ray(node: Placement, pos: np.ndarray, params: ChannelParams) -> tuple:
+    """(amplitude, delay, unit direction) of the line-of-sight ray between
+    the panel center and `node`, which stands at `pos`."""
+    d = _norm(pos)
+    if d == 0.0:  # the norm underflows for ranges below about 1e-154 m
+        raise ValueError(f"node at {node.range_m:g} m is too close to the panel center to model")
+    return _free_space_amplitude(d, params.carrier_hz), d / SPEED_OF_LIGHT, pos / d
 
 
 def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kind: int):
     """(K, M) channel between the panel and a node (either direction)."""
-    pos = node.position()
-    d = float(np.linalg.norm(pos))
-    if d == 0.0:  # the norm underflows for ranges below about 1e-154 m
-        raise ValueError(f"node at {node.range_m:g} m is too close to the panel center to model")
-    u = pos / d
-    amp = _free_space_amplitude(d, params.carrier_hz)
-    tau0 = d / SPEED_OF_LIGHT
+    amp, tau0, u = _panel_ray(node, node.position(), params)
     h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(elem, u, params.carrier_hz))
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
@@ -425,22 +443,77 @@ def synthesize_channels(
     )
 
 
+#: Bytes of probe panel links one chunk of a scan holds (one probe at
+#: least). A single-tone probe on a 32x32 panel takes 16 KB, so a chunk
+#: holds 64 of them; a probe on the 312 occupied subcarriers of a 52-block
+#: comb grid (5 MB) is a chunk of its own.
+PROBE_CHUNK_BYTES = 2**20
+
+
+def _los_probe(beam: tuple, params: ChannelParams, node: Placement) -> tuple:
+    """The direct and the panel ray of a single-ray probe, from one
+    position: (amp_d, tau_d, amp_p, tau_p, unit direction)."""
+    pos = node.position()
+    return (*_direct_ray(beam, node, pos, params), *_panel_ray(node, pos, params))
+
+
+def _los_links(f: np.ndarray, elem: np.ndarray, carrier_hz: float, rays: list) -> tuple:
+    """(A, K) direct and (A, K, M) panel links of the single-ray probes
+    whose rays are `rays`, by the operations of `_direct_link` and
+    `_panel_link` taken over the probe axis."""
+    amp_d, tau_d, amp_p, tau_p, u = (np.array(c) for c in zip(*rays))
+    h_d = amp_d[:, None] * np.exp(-2j * math.pi * f * tau_d[:, None])
+    delay = np.exp(-2j * math.pi * f * tau_p[:, None])
+    h = delay[:, :, None] * _steering(elem, u, carrier_hz)[:, None, :]
+    return h_d, np.multiply(amp_p[:, None, None], h, out=h)
+
+
+def _chunks(probes, ray, links, size: int):
+    """`links(rays)` over consecutive runs of at most `size` probes, where
+    `ray(probe)` is taken per probe. A probe whose ray fails ends the
+    iteration with its error, after the chunk of the probes before it."""
+    rays = []
+    for p in probes:
+        try:
+            rays.append(ray(p))
+        except ValueError:
+            if rays:
+                yield links(rays)
+            raise
+        if len(rays) == size:
+            yield links(rays)
+            rays = []
+    if rays:
+        yield links(rays)
+
+
 def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
-    """The transmitter's panel link g, and an iterator over the probe
-    placements' (direct link, panel link) pairs, computed lazily at
-    `freqs`, the subcarriers a transmit signal carries.
+    """The transmitter's panel link g, and an iterator over chunks of the
+    probe placements' links, computed lazily at `freqs`, the subcarriers a
+    transmit signal carries: per chunk of A consecutive probes, an (A, K)
+    array of direct links and an (A, K, M) array of panel links, at most
+    `PROBE_CHUNK_BYTES` of them.
 
     The links equal those `synthesize_channels` gives at the same
     frequencies, but none is read from or kept in the panel-link memo: a
     probe link is used once, and keeping it would crowd out reusable
-    links. The transmitter's geometry is worked out once per scan.
+    links. The transmitter's geometry is worked out once per scan. A
+    single-ray probe's geometry is worked out once, and its links are
+    built in closed form over the chunk; with scattered rays each probe's
+    links are drawn from its own random streams and stacked.
     """
     f = _checked_freqs(freqs)
     elem = ris.element_positions()
     g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
     beam = _tx_beam(tx)
-    links = (
-        (_direct_link(tx, p, params, f, beam), _panel_link(p, params, f, elem, _LINK_RIS_NODE))
-        for p in probes
-    )
-    return g, links
+    size = max(1, PROBE_CHUNK_BYTES // g.nbytes)
+    if params.num_paths == 1:
+        ray = partial(_los_probe, beam, params)
+        links = partial(_los_links, f, elem, params.carrier_hz)
+    else:
+        def ray(p):
+            return _direct_link(tx, p, params, f, beam), _panel_link(p, params, f, elem, _LINK_RIS_NODE)
+
+        def links(rows):
+            return np.array([h_d for h_d, _ in rows]), np.array([h for _, h in rows])
+    return g, _chunks(probes, ray, links, size)

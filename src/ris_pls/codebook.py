@@ -336,9 +336,10 @@ def scan_power_pattern(
     pattern reflects the panel's angular response rather than one scatter
     draw; `full_scenario` switches to the scenario's full ray model. Each
     probe's power is the receive equation of `PowerEvaluator`, summed over
-    the subcarriers the transmit signal carries. Probe links come from
-    `channel.probe_links`, so the scan leaves the panel-link memo as it
-    found it.
+    the subcarriers the transmit signal carries, taken over each chunk of
+    probes that `channel.probe_links` yields at once. The links bypass the
+    panel-link memo, so the scan leaves it as it found it. A probe whose
+    signal is not finite is an error that names the first such angle.
     """
     angles = list(angles)
     if not angles:
@@ -353,15 +354,26 @@ def scan_power_pattern(
     phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
     on = config.bits.astype(float)
     probes = (Placement(a, range_m) for a in angles)
-    g, links = probe_links(scenario.tx, probes, scenario.ris, params, tx_sig.freqs)
-    pattern = []
-    for angle, (h_d, h) in zip(angles, links):
-        w = h * g
-        y = received_signal(h_d, phi, w.sum(axis=1), w @ on, x)
-        if not np.isfinite(y).all():
+    g, chunks = probe_links(scenario.tx, probes, scenario.ris, params, tx_sig.freqs)
+    powers = []
+    w = None
+    for h_d, h in chunks:
+        n, k = h_d.shape
+        if n == 1:
+            # A lone probe keeps the (K,) and (K, M) shapes of a scan one
+            # probe at a time: numpy multiplies complex operands that
+            # broadcast to one element by a loop that rounds otherwise.
+            h_d, h = h_d[0], h[0]
+        # Chunks of one shape share one array of cascades. It is not h: a
+        # one-element product in place takes that other loop too.
+        w = np.multiply(h, g, out=w if w is not None and w.shape == h.shape else None)
+        y = received_signal(h_d, phi, w.sum(axis=-1), w @ on, x).reshape(n, k)
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            angle = angles[len(powers) + int(np.argmin(finite))]
             raise ValueError(f"the probe at {angle:g} degrees receives a non-finite signal")
-        pattern.append((float(angle), float((np.abs(y) ** 2).sum())))
-    return pattern
+        powers.extend((np.abs(y) ** 2).sum(axis=1).tolist())
+    return [(float(a), p) for a, p in zip(angles, powers)]
 
 
 def detect_side_lobes(

@@ -496,10 +496,10 @@ def run_codebook_query(scenario: Scenario, spec: ExperimentSpec) -> dict:
 
 def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
     if spec.scan_config_bits is not None:
+        if spec.scan_attach:
+            raise SpecError("attaching a pattern (--attach) needs a codebook entry (--entry), not --bits")
         n_v, n_h = scenario.ris.n_v, scenario.ris.n_h
         config = RisConfig.from_bitstring(spec.scan_config_bits, n_v, n_h)
-        cb = None
-        entry = None
     elif spec.scan_entry is not None:
         if spec.codebook_path is None:
             raise SpecError("scanning a codebook entry needs the codebook path")
@@ -517,7 +517,7 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
     _atomic_write(
         out["csv"], _csv_text("power-pattern-v1", ["angle_deg", "power", "power_db"], rows)
     )
-    if spec.scan_attach and entry is not None and cb is not None:
+    if spec.scan_attach:
         entry.power_pattern = pattern
         _atomic_write(spec.codebook_path, json.dumps(cb.to_dict()) + "\n")
         out["codebook"] = spec.codebook_path

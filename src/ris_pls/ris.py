@@ -85,9 +85,13 @@ class RisConfig:
 
     @classmethod
     def from_bitstring(cls, s: str, n_v: int, n_h: int) -> "RisConfig":
-        if set(s) - {"0", "1"}:
+        # Every character but "0" and "1" decodes above 1: the subtraction
+        # wraps those below "0", and a non-ASCII one becomes "?". A
+        # non-string is a TypeError.
+        bits = np.frombuffer(str.encode(s, "ascii", "replace"), dtype=np.uint8) - ord("0")
+        if (bits > 1).any():
             raise ValueError("bit-string may contain only '0' and '1'")
-        return cls(np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0"), n_v, n_h)
+        return cls(bits, n_v, n_h)
 
     def to_bitstring(self) -> str:
         return (self.bits + ord("0")).tobytes().decode("ascii")

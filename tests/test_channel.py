@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ris_pls import channel as channel_module
 from ris_pls.channel import (
     _LINK_RIS_NODE,
     _LINK_TX_RIS,
@@ -420,20 +421,39 @@ class TestPanelLinkMemo:
                 getattr(ch, name)[0, 0] = 0.0
 
 
+def per_probe(chunks) -> list:
+    """The (direct link, panel link) pair of each probe, from `probe_links`'
+    chunks."""
+    return [pair for h_d, h in chunks for pair in zip(h_d, h)]
+
+
 class TestProbeLinks:
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3])
     @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_links_equal_synthesized_links_and_bypass_the_memo(self, grid, num_paths):
+    def test_links_equal_synthesized_links_and_bypass_the_memo(self, monkeypatch, grid, num_paths, per_chunk):
+        # In chunks of every probe, of one and of three (a ragged last
+        # one). A single-ray chunk's steering phases are one matrix
+        # product, a synthesized link's one matrix-vector product.
         tx, _ = build_default_geometry()
         params = ChannelParams(num_paths=num_paths, rng_seed=7)
         freqs = GRIDS[grid]
-        probes = [Placement(a, 6.0) for a in (-60.0, -0.0, 0.0, 45.0)]
+        panel = small_panel(2, 3)
+        if per_chunk is not None:
+            monkeypatch.setattr(channel_module, "PROBE_CHUNK_BYTES", per_chunk * freqs.size * 6 * 16)
+        probes = [Placement(a, 6.0) for a in (-60.0, -0.0, 0.0, 45.0, 12.3)]
         before = _memo_panel_link.cache_info()
-        g, links = probe_links(tx, probes, small_panel(2, 3), params, freqs)
-        links = list(links)
+        g, chunks = probe_links(tx, probes, panel, params, freqs)
+        chunks = list(chunks)
         assert _memo_panel_link.cache_info() == before
+        sizes = [len(h_d) for h_d, _ in chunks]
+        assert sizes == {None: [5], 1: [1] * 5, 3: [3, 2]}[per_chunk]
+        for h_d, h in chunks:
+            assert h_d.shape == (len(h_d), freqs.size) and h.shape == (len(h_d), freqs.size, 6)
+        links = per_probe(chunks)
+        assert len(links) == len(probes)
         for probe, (h_d, h) in zip(probes, links):
-            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), small_panel(2, 3), params, freqs)
+            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), panel, params, freqs)
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 
@@ -448,9 +468,9 @@ class TestProbeLinks:
         freqs = GRIDS["prs"]
         angles = [float(a) for a in range(-90, 91)] + [-41.3, -40.0, -39.99, 10.0, 10.01, 12.7]
         probes = [Placement(a, r) for a in angles for r in (2.0, 7.0)]
-        _, links = probe_links(tx, probes, small_panel(2, 3), params, freqs)
+        _, chunks = probe_links(tx, probes, small_panel(2, 3), params, freqs)
         relative = []
-        for probe, (h_d, _) in zip(probes, links):
+        for probe, (h_d, _) in zip(probes, per_probe(chunks), strict=True):
             assert same_bits(h_d, per_probe_direct_link(tx, probe, params, freqs))
             d = float(np.linalg.norm(probe.position() - tx.position()))
             relative.append(abs(h_d[0]) / _free_space_amplitude(d, params.carrier_hz))
@@ -468,12 +488,12 @@ class TestProbeLinks:
         monkeypatch.setattr(Placement, "position", counting)
         tx, _ = build_default_geometry()
         probes = [Placement(float(a), 6.0) for a in range(-50, 50)]
-        g, links = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1), GRIDS["tone"])
-        assert len(list(links)) == 100
-        # One for the transmitter's beam and one for its panel link; two
-        # per probe: its direct link and its panel link.
+        g, chunks = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1), GRIDS["tone"])
+        assert len(per_probe(chunks)) == 100
+        # One for the transmitter's beam and one for its panel link; one
+        # per probe, shared by its direct and its panel ray.
         assert calls.count(tx) == 2
-        assert len(calls) == 2 + 2 * 100
+        assert len(calls) == 2 + 100
 
 
 def per_probe_direct_link(tx, node, params, f):

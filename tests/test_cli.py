@@ -1015,6 +1015,24 @@ class TestPatternScan:
         )
         assert len(entry["power_pattern"]) == 5
 
+    def test_attach_with_bits_is_spec_error(self, tmp_path, capsys):
+        # The pattern of a bit-string has no codebook entry to go on, with
+        # or without a codebook and an entry beside the bits.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        main(["codebook-gen", "--scenario", str(scenario), "--out", str(out), "--methods", "alg1"])
+        cb_path = out / "codebook.json"
+        original = cb_path.read_bytes()
+        base = ["pattern-scan", "--scenario", str(scenario), "--out", str(out), "--bits", "0" * 16, "--attach"]
+        for extra in ([], ["--codebook", str(cb_path), "--entry", "0", "15", "alg1"]):
+            capsys.readouterr()
+            assert main(base + extra) == EXIT_SPEC
+            err = capsys.readouterr().err
+            assert "--attach" in err and "--entry" in err and "Traceback" not in err
+            assert not (out / "power_pattern.csv").exists()
+        assert cb_path.read_bytes() == original
+
     def test_failed_attach_leaves_codebook_intact(self, tmp_path, monkeypatch):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)

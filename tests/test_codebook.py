@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import dense_receive
-from ris_pls import optimize
-from ris_pls.channel import ChannelParams, Placement, SectorGrid, _memo_panel_link
+from ris_pls import channel, codebook, optimize
+from ris_pls.channel import (
+    _LINK_RIS_NODE,
+    _LINK_TX_RIS,
+    ChannelParams,
+    Placement,
+    SectorGrid,
+    _direct_link,
+    _memo_panel_link,
+    _panel_link,
+    _tx_beam,
+)
+from ris_pls.cli import EXIT_OK, main
 from ris_pls.codebook import (
     SWEEP_BATCH_BYTES,
     Codebook,
@@ -20,11 +31,11 @@ from ris_pls.codebook import (
     scan_power_pattern,
     select_config,
 )
-from ris_pls.experiments import ExperimentSpec, run_compare
-from ris_pls.optimize import uniform_config
+from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
+from ris_pls.optimize import received_signal, reflection_coefficients, uniform_config
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
-from ris_pls.secrecy import LinkPowers, SecrecyReport
+from ris_pls.secrecy import LinkPowers, SecrecyReport, to_db
 
 
 LORENTZIAN = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
@@ -325,12 +336,150 @@ class TestPatternScan:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
-        "range_m, message", [(1e200, "non-finite"), (1e-200, "too close to the panel")]
+        "range_m, message",
+        [
+            (1e200, "the probe at 12.5 degrees receives a non-finite signal"),
+            (1e-200, "node at 1e-200 m is too close to the panel"),
+        ],
     )
-    def test_probe_range_beyond_the_model_rejected(self, range_m, message):
-        # The probe's distance overflows to inf, or underflows to 0.
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3])
+    def test_probe_range_beyond_the_model_rejected(self, monkeypatch, range_m, message, per_chunk):
+        # The probe's distance overflows to inf, or underflows to 0, at
+        # every angle; the error names the first, in one chunk or many.
+        sc = los_scenario()
+        set_chunk_probes(monkeypatch, sc, per_chunk)
+        angles = [12.5 + i for i in range(10)]
         with pytest.raises(ValueError, match=message):
-            scan_power_pattern(los_scenario(), uniform_config(8, 8), [0.0], range_m=range_m)
+            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=range_m)
+
+    @pytest.mark.parametrize("full_scenario", [False, True])
+    def test_probe_at_the_transmitter_rejected_after_the_probes_before_it(self, monkeypatch, full_scenario):
+        # The transmitter stands at -15 degrees, 5 m: the fifth probe of a
+        # chunk of three, after a chunk whose signals are scored.
+        sc = los_scenario()
+        set_chunk_probes(monkeypatch, sc, 3)
+        scored = []
+
+        def counting(*args):
+            y = received_signal(*args)
+            scored.append(y.size)
+            return y
+
+        monkeypatch.setattr(codebook, "received_signal", counting)
+        angles = [-19.0, -18.0, -17.0, -16.0, -15.0, -14.0]
+        with pytest.raises(ValueError, match="receiver at -15 degrees, 5 m stands at the transmitter"):
+            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=5.0, full_scenario=full_scenario)
+        assert scored == [3, 1]
+
+    def test_first_non_finite_probe_named_across_chunks(self, monkeypatch):
+        # Probes 7 and 9 (of chunks of three) receive NaN; the error names
+        # probe 7's angle.
+        sc = los_scenario()
+        set_chunk_probes(monkeypatch, sc, 3)
+        seen = []
+
+        def poisoned(*args):
+            y = received_signal(*args)
+            rows = y.reshape(-1, y.shape[-1])
+            for i in range(len(rows)):
+                if len(seen) in (7, 9):
+                    rows[i] = np.nan
+                seen.append(i)
+            return y
+
+        monkeypatch.setattr(codebook, "received_signal", poisoned)
+        angles = [float(a) for a in range(0, 60, 5)]
+        with pytest.raises(ValueError, match="the probe at 35 degrees receives a non-finite signal"):
+            scan_power_pattern(sc, uniform_config(8, 8), angles)
+
+
+def set_chunk_probes(monkeypatch, scenario, per_chunk):
+    """Bound the scan's chunks to `per_chunk` probes of `scenario`'s
+    transmit signal (None keeps the default bound)."""
+    if per_chunk is not None:
+        probe_bytes = scenario.tx_signal().num_subcarriers * scenario.ris.num_elements * 16
+        monkeypatch.setattr(channel, "PROBE_CHUNK_BYTES", per_chunk * probe_bytes)
+
+
+def per_probe_scan(scenario, config, angles, range_m=None, full_scenario=False):
+    """The scan one probe at a time: each probe's links from
+    `_direct_link` and `_panel_link`, and one receive equation per probe.
+    The reference the chunked scan equals bit for bit."""
+    range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
+    params = scenario.channel if full_scenario else replace(scenario.channel, num_paths=1)
+    tx_sig = scenario.tx_signal()
+    f, x = tx_sig.freqs, tx_sig.amplitudes()
+    phi = reflection_coefficients(scenario.element_model, f)
+    on = config.bits.astype(float)
+    elem = scenario.ris.element_positions()
+    g = _panel_link(scenario.tx, params, f, elem, _LINK_TX_RIS)
+    beam = _tx_beam(scenario.tx)
+    pattern = []
+    for angle in angles:
+        probe = Placement(angle, range_m)
+        h_d = _direct_link(scenario.tx, probe, params, f, beam)
+        w = _panel_link(probe, params, f, elem, _LINK_RIS_NODE) * g
+        y = received_signal(h_d, phi, w.sum(axis=1), w @ on, x)
+        pattern.append((float(angle), float((np.abs(y) ** 2).sum())))
+    return pattern
+
+
+class TestChunkedScanParity:
+    #: 22 angles: chunks of 3 and of 7 both end in a lone probe.
+    ANGLES = [-90.0, -71.3, -45.0, -30.05, -15.5, -0.0, 0.0, 0.1, 7.0, 14.9, 15.0, 15.1,
+              22.2, 30.0, 37.5, 41.5, 45.0, 52.0, 63.0, 75.0, 89.9, 90.0]
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3, 7])
+    @pytest.mark.parametrize("full_scenario", [False, True])
+    @pytest.mark.parametrize("model", [ElementModel(), LORENTZIAN], ids=["ideal", "lorentzian"])
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_powers_equal_the_per_probe_scan(self, monkeypatch, tx_mode, model, full_scenario, per_chunk):
+        sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2, element_model=model)
+        config = RisConfig(np.random.default_rng(3).integers(0, 2, 64), 8, 8)
+        set_chunk_probes(monkeypatch, sc, per_chunk)
+        chunked = scan_power_pattern(sc, config, self.ANGLES, full_scenario=full_scenario)
+        assert chunked == per_probe_scan(sc, config, self.ANGLES, full_scenario=full_scenario)
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("full_scenario", [False, True])
+    def test_one_element_panel(self, monkeypatch, full_scenario, per_chunk):
+        # A 1x1 panel on one tone: every product of a lone probe has one
+        # element. A loop that rounds otherwise shows at about one angle
+        # in 250, hence the fine grid.
+        sc = Scenario(
+            ris=RisArrayGeometry(n_v=1, n_h=1, tile_rows=1, tile_cols=1),
+            channel=ChannelParams(rng_seed=2),
+            element_model=LORENTZIAN,
+        )
+        config = RisConfig(np.array([1]), 1, 1)
+        angles = [-90.0 + 0.1 * i for i in range(1801)]
+        set_chunk_probes(monkeypatch, sc, per_chunk)
+        chunked = scan_power_pattern(sc, config, angles, full_scenario=full_scenario)
+        assert chunked == per_probe_scan(sc, config, angles, full_scenario=full_scenario)
+
+    def test_cli_scan_writes_the_per_probe_rows(self, tmp_path):
+        # pattern-scan --bits at 0.1 degrees on a 4x4 tone scenario: 1801
+        # probes in one chunk of the default bound.
+        sc = Scenario(
+            ris=RisArrayGeometry(n_v=4, n_h=4, tile_rows=2, tile_cols=2),
+            channel=ChannelParams(rng_seed=5),
+            element_model=LORENTZIAN,
+        )
+        sc.save(tmp_path / "scenario.json")
+        bits = "0110100111000101"
+        rc = main([
+            "pattern-scan", "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path),
+            "--bits", bits, "--step", "0.1",
+        ])
+        assert rc == EXIT_OK
+        angles = ExperimentSpec(mode="pattern_scan", scan_step_deg=0.1).scan_angles()
+        assert len(angles) == 1801
+        rows = [
+            [f"{angle:g}", f"{power:.6e}", _fmt_db(to_db(power)) if power > 0 else "-inf"]
+            for angle, power in per_probe_scan(sc, RisConfig.from_bitstring(bits, 4, 4), angles)
+        ]
+        expected = _csv_text("power-pattern-v1", ["angle_deg", "power", "power_db"], rows)
+        assert (tmp_path / "power_pattern.csv").read_text() == expected
 
 
 class TestSideLobes:
