@@ -29,6 +29,7 @@ import numpy as np
 from .channel import Placement, SectorGrid, probe_links
 from .optimize import (
     METHODS,
+    EvaluatorBatch,
     PowerEvaluator,
     greedy_sweep,
     received_signal,
@@ -45,6 +46,13 @@ def pair_evaluator(scenario, lu: Placement, ed: Placement, tx) -> PowerEvaluator
     """The power evaluator of the scenario's channels to (lu, ed) at the
     subcarriers of `tx`."""
     return PowerEvaluator(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx)
+
+
+def pair_evaluators(scenario, pairs: list, tx) -> EvaluatorBatch:
+    """The `pair_evaluator` of each (lu, ed) placement pair in `pairs`, as
+    one batch whose cascades a lockstep sweep reads without a copy."""
+    channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
+    return EvaluatorBatch(channel_sets, scenario.element_model, tx)
 
 
 def run_method(method, scenario, evs: list, noise=None) -> tuple:
@@ -197,10 +205,9 @@ def _build_entries(scenario, grid, tx_sig, methods, pairs) -> list:
     """One entry per method for each sector pair of a batch. Each pair's
     entries come from one evaluator; each method sweeps the batch in
     lockstep."""
-    evs = [
-        pair_evaluator(scenario, Placement(lu, grid.user_range_m), Placement(ed, grid.user_range_m), tx_sig)
-        for lu, ed in pairs
-    ]
+    evs = pair_evaluators(
+        scenario, [(Placement(lu, grid.user_range_m), Placement(ed, grid.user_range_m)) for lu, ed in pairs], tx_sig
+    )
     configs = [run_method(method, scenario, evs)[0] for method in methods]
     n0 = scenario.noise_power()
     entries = []

@@ -18,6 +18,7 @@ from .codebook import (
     generate_codebook,
     pair_batches,
     pair_evaluator,
+    pair_evaluators,
     parallel_map,
     run_method,
     scan_power_pattern,
@@ -240,7 +241,7 @@ def _compare_pairs(task) -> list:
     pair's cells come from one evaluator; each method sweeps the batch in
     lockstep, and each noisy sweep draws from its own generator."""
     scenario, spec, tx_sig, seed, pairs = task
-    evs = [pair_evaluator(scenario, scenario.placement(lu), scenario.placement(ed), tx_sig) for lu, ed in pairs]
+    evs = pair_evaluators(scenario, [(scenario.placement(lu), scenario.placement(ed)) for lu, ed in pairs], tx_sig)
     noise = _measurement_noise(spec, scenario, seed)
     runs = [run_method(method, scenario, evs, noise=noise) for method in spec.methods]
     cells = []
@@ -362,7 +363,7 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     narrowband = []
     for batch in pair_batches(scenario, tone, list(spec.pairs)):
         places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in batch]
-        evs = [pair_evaluator(scenario, lu, ed, tone) for lu, ed in places]
+        evs = pair_evaluators(scenario, places, tone)
         configs, _ = run_method(spec.fs_method, scenario, evs)
         narrowband += [
             (lu, ed, config, link_powers(ev, config.bits))
@@ -499,7 +500,10 @@ def run_pattern_scan(scenario: Scenario, spec: ExperimentSpec) -> dict:
         if spec.scan_attach:
             raise SpecError("attaching a pattern (--attach) needs a codebook entry (--entry), not --bits")
         n_v, n_h = scenario.ris.n_v, scenario.ris.n_h
-        config = RisConfig.from_bitstring(spec.scan_config_bits, n_v, n_h)
+        try:
+            config = RisConfig.from_bitstring(spec.scan_config_bits, n_v, n_h)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
     elif spec.scan_entry is not None:
         if spec.codebook_path is None:
             raise SpecError("scanning a codebook entry needs the codebook path")

@@ -15,7 +15,8 @@ by the `METHODS` table: each method is a list of moves (which elements to
 flip and which objective judges the flip). A move is scored by the change
 its elements make to running per-receiver sums, and only an accepted move
 flips its elements in the raw bit vector. Independent sweeps of one method
-on one transmit signal run in lockstep, as the rows of one batch.
+on one transmit signal run in lockstep, as the rows of one batch, and
+record their traces together, one log entry per scored move.
 
 An exhaustive enumerator over all 2^M configurations is provided for
 auditing the greedy results on small panels.
@@ -23,6 +24,8 @@ auditing the greedy results on small panels.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -78,6 +81,23 @@ class MeasurementNoise:
         return read
 
 
+def _step_dict(kind, index, half, objective, direction, iteration, before, after, accepted) -> dict:
+    """One trace step as written to JSON, in its fixed key order."""
+    out = {
+        "kind": kind,
+        "index": index,
+        "iteration": iteration,
+        "objective": objective,
+        "direction": direction,
+        "objective_before": before,
+        "objective_after": after,
+        "accepted": accepted,
+    }
+    if half is not None:
+        out["half"] = half
+    return out
+
+
 @dataclass(slots=True)
 class TraceStep:
     kind: str            # "column" | "row" | "half_row"
@@ -91,29 +111,99 @@ class TraceStep:
     half: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "index": self.index,
-            "iteration": self.iteration,
-            "objective": self.objective,
-            "direction": self.direction,
-            "objective_before": self.objective_before,
-            "objective_after": self.objective_after,
-            "accepted": self.accepted,
-        }
-        if self.half is not None:
-            out["half"] = self.half
+        return _step_dict(
+            self.kind, self.index, self.half, self.objective, self.direction,
+            self.iteration, self.objective_before, self.objective_after, self.accepted,
+        )
+
+
+@dataclass(frozen=True)
+class PassSummary:
+    """One pass of one sweep: how many moves it accepted, and each
+    objective's "last accepted" register after it, by objective name."""
+
+    iteration: int
+    accepted: int
+    registers: dict
+
+
+class SweepLog:
+    """What one lockstep `_sweep` scored, as it scored it: `entries` holds
+    one (move number in `moves`, pass, rows still sweeping, before, after,
+    accepted) per scored move, the last three with one value per row of
+    the batch (Python floats and bools). A move's kind, index, half and
+    objective come from `moves`. A row that stops never resumes, so each
+    row's entries are a prefix of the log. Trace steps and their dicts are
+    built from it only when read."""
+
+    def __init__(self, moves: list):
+        self.moves = moves
+        self.entries = []
+
+    @functools.cached_property
+    def _labels(self) -> list:
+        """Move number -> (kind, index, half, objective name, direction)."""
+        return [(kind, index, half, *OBJECTIVES[objective]) for kind, index, half, objective, _ in self.moves]
+
+    def _row(self, i: int):
+        """Row i's scored moves, as (label, pass, before, after, accepted)."""
+        seen = None  # the last rows list row i was found in
+        for j, iteration, rows, before, after, accepted in self.entries:
+            if rows is not seen:
+                if i not in rows:
+                    return
+                seen = rows
+            yield self._labels[j], iteration, before[i], after[i], accepted[i]
+
+    def steps(self, i: int) -> list:
+        """Row i's `TraceStep`s, one per scored move."""
+        return [
+            TraceStep(kind, index, iteration, name, direction, before, after, accepted, half)
+            for (kind, index, half, name, direction), iteration, before, after, accepted in self._row(i)
+        ]
+
+    def step_dicts(self, i: int) -> list:
+        """Row i's steps as `TraceStep.to_dict` writes them."""
+        return [_step_dict(*label, *rest) for label, *rest in self._row(i)]
+
+    def passes(self, i: int) -> list:
+        """Row i's `PassSummary`s, one per pass it ran."""
+        out, registers = [], {}
+        for iteration, group in itertools.groupby(self._row(i), key=operator.itemgetter(1)):
+            count = 0
+            for label, _, before, after, accepted in group:
+                registers[label[3]] = after if accepted else before
+                count += accepted
+            out.append(PassSummary(iteration, count, dict(registers)))
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerTrace:
+    """One row of a lockstep greedy sweep. Its steps, per-pass summaries
+    and initial configuration are built on first read, from the sweep's
+    log and the batch's one start vector."""
+
     method: str
     objective_kind: str
-    initial_config: RisConfig
     final_config: RisConfig
     final_objective: float
-    steps: list = field(default_factory=list)
+    log: SweepLog = field(repr=False)
+    row: int
+    start: np.ndarray = field(repr=False)  # the batch's (M,) start bits, shared by its rows
+
+    @functools.cached_property
+    def initial_config(self) -> RisConfig:
+        return RisConfig(self.start.copy(), self.final_config.n_v, self.final_config.n_h)
+
+    @functools.cached_property
+    def steps(self) -> list:
+        return self.log.steps(self.row)
+
+    @functools.cached_property
+    def passes(self) -> list:
+        """Per-pass `PassSummary`s: accepted moves and registers after each pass."""
+        return self.log.passes(self.row)
 
     def accepted_steps(self) -> list:
         return [s for s in self.steps if s.accepted]
@@ -141,7 +231,7 @@ class OptimizerTrace:
             "initial_config": self.initial_config.to_bitstring(),
             "final_config": self.final_config.to_bitstring(),
             "final_objective": self.final_objective,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": self.log.step_dicts(self.row),
         }
 
 
@@ -184,24 +274,26 @@ class PowerEvaluator:
     elements of a column or a row are then a block of rows.
 
     The evaluator holds no state between calls, so one instance serves
-    every sweep, report and re-score on its channel set.
+    every sweep, report and re-score on its channel set. The cascades are
+    built into `out` when given: a contiguous (M, 2 * K) complex array,
+    such as a row of an `EvaluatorBatch`'s stack.
     """
 
-    def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
+    def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal, out=None):
         if not np.array_equal(tx.freqs, channels.freqs):
             raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
         self._x = tx.amplitudes()
         self._hd = np.concatenate([channels.h_d_lu, channels.h_d_ed]).reshape(2, -1)
         g = channels.g_ris
         k, m = g.shape
-        w = np.empty((m, 2, k), dtype=complex)
+        self._w = np.empty((m, 2 * k), dtype=complex) if out is None else out
+        w = self._w.reshape(m, 2, k)  # a view, as `out` is contiguous
         w_r = np.empty_like(g)  # one receiver's (K, M) cascades, reused
         self._w_sum = np.empty((2, k), dtype=complex)
         for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
             np.multiply(h, g, out=w_r)
             self._w_sum[r] = w_r.sum(axis=1)
             w[:, r, :] = w_r.T
-        self._w = w.reshape(m, 2 * k)
         # Column-major, so that phi(0) and phi(1) are contiguous over the
         # subcarriers in every receive equation.
         self._phi = np.asfortranarray(reflection_coefficients(element_model, channels.freqs))
@@ -245,6 +337,23 @@ class PowerEvaluator:
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         return self.value(objective, self.sums(bits), read)
+
+
+class EvaluatorBatch(tuple):
+    """The `PowerEvaluator`s of N channel sets on one transmit signal and
+    element model, their cascades built straight into the rows of one
+    (N, M, 2 * K) stack, `cascades`. A lockstep sweep of the batch reads
+    that stack as it is; a list of separately built evaluators is stacked
+    into a copy."""
+
+    def __new__(cls, channel_sets: list, element_model: ElementModel, tx: TxSignal):
+        k, m = channel_sets[0].g_ris.shape
+        cascades = np.empty((len(channel_sets), m, 2 * k), dtype=complex)
+        batch = super().__new__(cls, (
+            PowerEvaluator(ch, element_model, tx, out) for ch, out in zip(channel_sets, cascades)
+        ))
+        batch.cascades = cascades
+        return batch
 
 
 #: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
@@ -357,9 +466,10 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
 
     Each objective keeps one "last accepted" register per row, seeded from
     the starting bits in the order the objectives first appear in `moves`.
-    The cascades are stacked as (N, M, 2 * K), a view for N = 1, so a move
-    is scored for every row by one product: the change its elements make,
-    added to the running (N, 2, K) sums. A row keeps the move only on
+    The cascades are stacked as (N, M, 2 * K): an `EvaluatorBatch`'s own
+    stack, else a copy (a view for N = 1). So a move is scored for every
+    row by one product: the change its elements make, added to the running
+    (N, 2, K) sums. A row keeps the move only on
     strict improvement of its register; then its candidate sums become its
     running sums and its elements flip. A rejected move changes nothing.
 
@@ -369,13 +479,13 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
     exactly its register and is rejected, as under full evaluation. Each
     accepted move adds one rounding of an n-term sum, so the drift is
     bounded by the number of accepted moves. Returns (registers as lists
-    of N floats, one list of trace steps per row)."""
+    of N floats, the `SweepLog` of every scored move)."""
     ev = evs[0]
     for other in evs[1:]:
         if not (np.array_equal(other._x, ev._x) and np.array_equal(other._phi, ev._phi)):
             raise ValueError("lockstep sweeps need one transmit signal and one element model")
     n = len(evs)
-    w = _stack([e._w for e in evs])
+    w = evs.cascades if isinstance(evs, EvaluatorBatch) else _stack([e._w for e in evs])
     hd = _stack([e._hd for e in evs])
     w_sum = _stack([e._w_sum for e in evs])
     sums = _stack([e.sums(b) for e, b in zip(evs, bits)])
@@ -386,8 +496,8 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
         name, direction = OBJECTIVES[obj]
         rs = _RECEIVERS[name]
         scored[obj] = (name, direction, rs, hd[:, rs], w_sum[:, rs])
-    rows = list(range(n))  # the rows still sweeping
-    steps = [[] for _ in rows]
+    rows = list(range(n))  # the rows still sweeping; replaced, never changed in place
+    log = SweepLog(moves)
     with np.errstate(divide="ignore", invalid="ignore"):
         best = {}
         for obj, (name, _, rs, hd_r, w_sum_r) in scored.items():
@@ -395,17 +505,14 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
             best[obj] = _objective(name, y, reads, rows).tolist()
         for iteration in range(1, passes + 1):
             kept = [False] * n  # rows that accepted a move in this pass
-            for kind, index, half, objective, elements in moves:
+            for j, (_, _, _, objective, elements) in enumerate(moves):
                 name, direction, rs, hd_r, w_sum_r = scored[objective]
                 delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
                 candidate = sums + delta.reshape(sums.shape)
                 y = received_signal(hd_r, ev._phi, w_sum_r, candidate[:, rs], ev._x)
                 before, after = best[objective], _objective(name, y, reads, rows).tolist()
                 flags = list(map(_IMPROVES[direction], after, before))
-                for i in rows:
-                    steps[i].append(TraceStep(
-                        kind, index, iteration, name, direction, before[i], after[i], flags[i], half
-                    ))
+                log.entries.append((j, iteration, rows, before, after, flags))
                 if False not in flags:  # every row keeps the move
                     best[objective], sums = after, candidate
                     bits[:, elements] ^= 1
@@ -420,7 +527,7 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
                 rows = [i for i in rows if kept[i]]
                 if not rows:
                     break
-    return best, steps
+    return best, log
 
 
 class TraceBatch(list):
@@ -460,7 +567,7 @@ def greedy_sweep(
     reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in evs]
     initial = _initial_config(geometry, init)
     bits = initial.bits[None].repeat(len(evs), axis=0)
-    best, steps = _sweep(evs, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
+    best, log = _sweep(evs, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
     traces = TraceBatch()
     for i, ev in enumerate(evs):
         if reads is None or objective_kind not in best:
@@ -470,10 +577,11 @@ def greedy_sweep(
         traces.append(OptimizerTrace(
             method=method,
             objective_kind=objective_kind,
-            initial_config=initial.copy() if i else initial,  # no two rows share one
             final_config=RisConfig(bits[i], geometry.n_v, geometry.n_h),
             final_objective=final_objective,
-            steps=steps[i],
+            log=log,
+            row=i,
+            start=initial.bits,
         ))
     return traces
 
@@ -567,7 +675,7 @@ def single_flip_improvements(
     return [
         (step.kind, step.index, step.objective_after)
         for move in _full_surface_moves(objective)(config.n_v, config.n_h)
-        for step in _sweep([ev], config.bits[None].copy(), [move], 1)[1][0]
+        for step in _sweep([ev], config.bits[None].copy(), [move], 1)[1].steps(0)
         if step.accepted
     ]
 

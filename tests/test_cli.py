@@ -305,18 +305,16 @@ class TestExitCodes:
         spec.write_text(json.dumps({"mode": "codebook_gen"}))
         assert main(["compare", "--scenario", str(scenario), "--spec", str(spec)]) == EXIT_SPEC
 
-    def test_dimension_error_is_runtime(self, tmp_path):
+    @pytest.mark.parametrize("bits", ["0101", "", "01x0010101010101"], ids=["short", "empty", "not-binary"])
+    def test_malformed_bits_is_spec_error(self, tmp_path, bits):
+        # A bit-string of the wrong length (16 elements here) or alphabet.
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
-        rc = main(
-            [
-                "pattern-scan",
-                "--scenario", str(scenario),
-                "--out", str(tmp_path),
-                "--bits", "0101",  # 4 bits against a 16-element panel
-            ]
-        )
-        assert rc == EXIT_RUNTIME
+        out = tmp_path / "out"
+        proc = run_cli("pattern-scan", "--scenario", str(scenario), "--out", str(out), "--bits", bits)
+        assert proc.returncode == EXIT_SPEC
+        assert proc.stderr.startswith("spec error: ") and "Traceback" not in proc.stderr
+        assert not (out / "power_pattern.csv").exists()
 
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan", "inf", "1e-300", "1e-9"])
     def test_bad_scan_step_is_spec_error(self, tmp_path, step):

@@ -27,6 +27,7 @@ from ris_pls.codebook import (
     detect_side_lobes,
     generate_codebook,
     pair_batches,
+    pair_evaluator,
     rescore_config,
     scan_power_pattern,
     select_config,
@@ -153,6 +154,33 @@ class TestSweepBatches:
         spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)), methods=("alg1",))
         run_compare(sc, spec)
         assert sizes == [1, 1]
+
+
+class TestLazyTraces:
+    """Sweeps record their moves in a log; trace steps are built only when
+    a trace's steps are read."""
+
+    @pytest.fixture
+    def no_trace_steps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TraceStep was built")
+
+        monkeypatch.setattr(optimize, "TraceStep", refuse)
+
+    def test_generation_builds_no_trace_steps(self, no_trace_steps):
+        methods = ("alg1", "alg2", "lu_max", "ed_min")
+        sc = scenario_8x8(seed=2)
+        assert generate_codebook(sc, methods=methods).is_complete(methods)
+        ev = pair_evaluator(sc, sc.placement(0.0), sc.placement(15.0), sc.tx_signal())
+        trace = optimize.greedy_sweep("alg1", [ev], sc.ris)[0]
+        with pytest.raises(AssertionError, match="TraceStep"):
+            trace.steps
+
+    def test_compare_writes_traces_without_trace_steps(self, no_trace_steps, tmp_path):
+        spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)))
+        run_compare(scenario_8x8(seed=2), spec)
+        results = json.loads((tmp_path / "compare_results.json").read_text())["results"]
+        assert all(r["trace"]["steps"] for r in results if r["method"] != "uniform")
 
 
 class TestSelection:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import handmade_channels, model_instance, panel, single_tone_tx
+from ris_pls import optimize
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
     _FLIP_SIGN,
     METHODS,
     OBJECTIVES,
+    EvaluatorBatch,
     MeasurementNoise,
     PowerEvaluator,
     TraceBatch,
@@ -188,7 +190,8 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
     fast_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     slow_bits = fast_bits.copy()
     fast_reads = None if noise is None else [noise.reader()]
-    fast_best, (fast,) = _sweep([ev], fast_bits[None], moves, passes, fixpoint, fast_reads)
+    fast_best, log = _sweep([ev], fast_bits[None], moves, passes, fixpoint, fast_reads)
+    fast = log.steps(0)
     fast_best = {k: float(v[0]) for k, v in fast_best.items()}
     slow_best, slow = full_recompute_sweep(ev, slow_bits, moves, passes, fixpoint, read())
     assert len(fast) == len(slow)
@@ -419,11 +422,11 @@ class TestLockstepParity:
 
         batch_log, alone_log = [[] for _ in evs], [[] for _ in evs]
         bits = np.zeros((7, 24), dtype=np.uint8)
-        _, steps = _sweep(evs, bits, moves, 64, True, [counted(i, batch_log) for i in range(7)])
+        _, log = _sweep(evs, bits, moves, 64, True, [counted(i, batch_log) for i in range(7)])
         for i, ev in enumerate(evs):
             per_sweep_reference(ev, np.zeros(24, dtype=np.uint8), moves, 64, True, counted(i, alone_log))
         assert batch_log == alone_log
-        assert len({len(row) for row in steps}) > 1  # the rows stopped at different passes
+        assert len({len(log.steps(i)) for i in range(7)}) > 1  # the rows stopped at different passes
 
     def test_single_row_stacks_views(self):
         channels, sig = batch_instances(1, "prs")
@@ -438,6 +441,89 @@ class TestLockstepParity:
         evs = [PowerEvaluator(channels[0], MODEL, sig), PowerEvaluator(channels[1], MODEL, other)]
         with pytest.raises(ValueError, match="one transmit signal"):
             greedy_sweep("alg1", evs, panel(4, 6))
+
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_lazy_views_match_per_sweep_reference(self, method, noisy):
+        # Fixpoint rows that stop at different passes: every row's dicts,
+        # accepted steps and replay come from its own part of the log.
+        geometry = panel(4, 6)
+        noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
+        channels, sig = batch_instances(7, "prs")
+        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+        traces = greedy_sweep(method, evs, geometry, noise=noise, run_to_fixpoint=True)
+        moves = METHODS[method][1](4, 6)
+        last_pass = set()
+        for ev, trace in zip(evs, traces):
+            got = trace.to_dict()
+            ref = reference_trace(method, ev, geometry, noise, True)
+            assert {k: got[k] for k in ref} == ref
+            assert all(type(v) in (str, int, float, bool) for step in got["steps"] for v in step.values())
+            assert got["initial_config"] == "0" * 24
+            bits = np.zeros(24, dtype=np.uint8)
+            _, steps = per_sweep_reference(ev, bits, moves, 64, True, None if noise is None else noise.reader())
+            assert trace.accepted_steps() == [s for s in steps if s.accepted]
+            assert trace.replay_accepted() == RisConfig(bits, 4, 6) == trace.final_config
+            last_pass.add(steps[-1].iteration)
+        assert len(last_pass) > 1
+
+
+class TestEvaluatorBatch:
+    """Evaluators built into one stack of cascades must sweep exactly as
+    separately built ones, and their sweep must read the stack as it is."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_shared_stack_matches_separate_evaluators(self, method, fixpoint, noisy, monkeypatch):
+        geometry = panel(4, 6)
+        noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
+        stack = optimize._stack
+        for n in (1, 3, 7):
+            channels, sig = batch_instances(n, "prs")
+            batch = EvaluatorBatch(channels, MODEL, sig)
+            alone = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+            assert batch.cascades.shape == (n, 24, 2 * sig.num_subcarriers)
+            for i, (ev, other) in enumerate(zip(batch, alone)):
+                assert np.shares_memory(ev._w, batch.cascades[i])
+                assert ev._w.shape == other._w.shape and np.array_equal(ev._w, other._w)
+
+            def no_cascade_copy(arrays):
+                assert not any(np.shares_memory(a, batch.cascades) for a in arrays)
+                return stack(arrays)
+
+            monkeypatch.setattr(optimize, "_stack", no_cascade_copy)
+            got = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            monkeypatch.setattr(optimize, "_stack", stack)
+            ref = greedy_sweep(method, alone, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            for g, r in zip(got, ref, strict=True):
+                assert g.to_dict() == r.to_dict()
+                assert g.steps == r.steps
+                assert np.array_equal(g.final_config.bits, r.final_config.bits)
+
+
+class TestPassSummaries:
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_passes_summarize_the_steps(self, method, fixpoint, waveform):
+        channels, sig = batch_instances(7, waveform)
+        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+        for trace in greedy_sweep(method, evs, panel(4, 6), run_to_fixpoint=fixpoint):
+            passes = trace.passes
+            assert [p.iteration for p in passes] == sorted({s.iteration for s in trace.steps})
+            assert sum(p.accepted for p in passes) == len(trace.accepted_steps())
+            for p in passes:
+                upto = [s for s in trace.steps if s.iteration <= p.iteration]
+                assert p.accepted == sum(s.accepted for s in upto if s.iteration == p.iteration)
+                assert p.registers.keys() == {s.objective for s in upto}
+                for name, value in p.registers.items():
+                    accepted = [s for s in upto if s.objective == name and s.accepted]
+                    initial = next(s for s in upto if s.objective == name).objective_before
+                    assert value == (accepted[-1].objective_after if accepted else initial)
+            if fixpoint:
+                assert passes[-1].accepted == 0
 
 
 class TestAlgorithm2:
