@@ -27,8 +27,7 @@ import math
 import struct
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -450,13 +449,6 @@ def synthesize_channels(
 PROBE_CHUNK_BYTES = 2**20
 
 
-def _los_probe(beam: tuple, params: ChannelParams, node: Placement) -> tuple:
-    """The direct and the panel ray of a single-ray probe, from one
-    position: (amp_d, tau_d, amp_p, tau_p, unit direction)."""
-    pos = node.position()
-    return (*_direct_ray(beam, node, pos, params), *_panel_ray(node, pos, params))
-
-
 def _los_links(f: np.ndarray, elem: np.ndarray, carrier_hz: float, rays: list) -> tuple:
     """(A, K) direct and (A, K, M) panel links of the single-ray probes
     whose rays are `rays`, by the operations of `_direct_link` and
@@ -468,23 +460,25 @@ def _los_links(f: np.ndarray, elem: np.ndarray, carrier_hz: float, rays: list) -
     return h_d, np.multiply(amp_p[:, None, None], h, out=h)
 
 
-def _chunks(probes, ray, links, size: int):
-    """`links(rays)` over consecutive runs of at most `size` probes, where
-    `ray(probe)` is taken per probe. A probe whose ray fails ends the
-    iteration with its error, after the chunk of the probes before it."""
+def _probe_chunks(probes, beam: tuple, params: ChannelParams, f: np.ndarray, elem: np.ndarray, size: int):
+    """`_los_links` over consecutive runs of at most `size` probes, each
+    probe's direct and panel ray worked out from one position; `beam` is
+    `_tx_beam(tx)`. A probe whose ray fails ends the iteration with its
+    error, after the chunk of the probes before it."""
     rays = []
     for p in probes:
         try:
-            rays.append(ray(p))
+            pos = p.position()
+            rays.append((*_direct_ray(beam, p, pos, params), *_panel_ray(p, pos, params)))
         except ValueError:
             if rays:
-                yield links(rays)
+                yield _los_links(f, elem, params.carrier_hz, rays)
             raise
         if len(rays) == size:
-            yield links(rays)
+            yield _los_links(f, elem, params.carrier_hz, rays)
             rays = []
     if rays:
-        yield links(rays)
+        yield _los_links(f, elem, params.carrier_hz, rays)
 
 
 def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
@@ -494,26 +488,18 @@ def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelPar
     array of direct links and an (A, K, M) array of panel links, at most
     `PROBE_CHUNK_BYTES` of them.
 
-    The links equal those `synthesize_channels` gives at the same
-    frequencies, but none is read from or kept in the panel-link memo: a
-    probe link is used once, and keeping it would crowd out reusable
-    links. The transmitter's geometry is worked out once per scan. A
-    single-ray probe's geometry is worked out once, and its links are
-    built in closed form over the chunk; with scattered rays each probe's
-    links are drawn from its own random streams and stacked.
+    Probes see the single line-of-sight ray of each link: `params` are the
+    scenario's channel parameters, taken with `num_paths=1`. The links
+    equal those `synthesize_channels` gives with those parameters at the
+    same frequencies, but none is read from or kept in the panel-link
+    memo: a probe link is used once, and keeping it would crowd out
+    reusable links. The transmitter's geometry is worked out once per
+    scan, and each probe's once; a chunk's links are built in closed form
+    over its probes.
     """
+    params = replace(params, num_paths=1)
     f = _checked_freqs(freqs)
     elem = ris.element_positions()
     g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
-    beam = _tx_beam(tx)
     size = max(1, PROBE_CHUNK_BYTES // g.nbytes)
-    if params.num_paths == 1:
-        ray = partial(_los_probe, beam, params)
-        links = partial(_los_links, f, elem, params.carrier_hz)
-    else:
-        def ray(p):
-            return _direct_link(tx, p, params, f, beam), _panel_link(p, params, f, elem, _LINK_RIS_NODE)
-
-        def links(rows):
-            return np.array([h_d for h_d, _ in rows]), np.array([h for _, h in rows])
-    return g, _chunks(probes, ray, links, size)
+    return g, _probe_chunks(probes, _tx_beam(tx), params, f, elem, size)

@@ -21,7 +21,7 @@ import concurrent.futures
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -50,21 +50,21 @@ def pair_evaluator(scenario, lu: Placement, ed: Placement, tx) -> PowerEvaluator
 
 def pair_evaluators(scenario, pairs: list, tx) -> EvaluatorBatch:
     """The `pair_evaluator` of each (lu, ed) placement pair in `pairs`, as
-    one batch whose cascades a lockstep sweep reads without a copy."""
+    the rows of one batch, which a lockstep sweep reads as it is."""
     channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
     return EvaluatorBatch(channel_sets, scenario.element_model, tx)
 
 
-def run_method(method, scenario, evs: list, noise=None) -> tuple:
-    """Run one named configuration method on the channel set of each
-    evaluator in `evs`, the sweeps in lockstep; returns (configs, traces),
-    one of each per evaluator. The uniform method has no traces (None
-    each); the others' traces are a `TraceBatch`."""
+def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
+    """Run one named configuration method on the channel set of each row
+    of `batch`, the sweeps in lockstep; returns (configs, traces), one of
+    each per row. The uniform method has no traces (None each); the
+    others' traces are a `TraceBatch`."""
     if method == "uniform":
-        return [uniform_config(scenario.ris.n_v, scenario.ris.n_h) for _ in evs], [None] * len(evs)
+        return [uniform_config(scenario.ris.n_v, scenario.ris.n_h) for _ in batch], [None] * len(batch)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    traces = greedy_sweep(method, evs, scenario.ris, noise=noise)
+    traces = greedy_sweep(method, batch, scenario.ris, noise=noise)
     return [trace.final_config for trace in traces], traces
 
 
@@ -335,18 +335,17 @@ def scan_power_pattern(
     config: RisConfig,
     angles,
     range_m: float | None = None,
-    full_scenario: bool = False,
 ) -> list:
     """Received power of a probe receiver at each azimuth under `config`.
 
-    The probe channel is a deterministic single-ray model by default so the
-    pattern reflects the panel's angular response rather than one scatter
-    draw; `full_scenario` switches to the scenario's full ray model. Each
-    probe's power is the receive equation of `PowerEvaluator`, summed over
-    the subcarriers the transmit signal carries, taken over each chunk of
-    probes that `channel.probe_links` yields at once. The links bypass the
-    panel-link memo, so the scan leaves it as it found it. A probe whose
-    signal is not finite is an error that names the first such angle.
+    The probe channel is the deterministic single-ray model of
+    `channel.probe_links`, so the pattern reflects the panel's angular
+    response rather than one scatter draw. Each probe's power is the
+    receive equation of `PowerEvaluator`, summed over the subcarriers the
+    transmit signal carries, taken over each chunk of probes that
+    `probe_links` yields at once. The links bypass the panel-link memo, so
+    the scan leaves it as it found it. A probe whose signal is not finite
+    is an error that names the first such angle.
     """
     angles = list(angles)
     if not angles:
@@ -355,13 +354,12 @@ def scan_power_pattern(
         if not -90.0 <= a <= 90.0:
             raise ValueError("scan angles must lie in [-90, 90] degrees")
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
-    params = scenario.channel if full_scenario else replace(scenario.channel, num_paths=1)
     tx_sig = scenario.tx_signal()
     x = tx_sig.amplitudes()
     phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
     on = config.bits.astype(float)
     probes = (Placement(a, range_m) for a in angles)
-    g, chunks = probe_links(scenario.tx, probes, scenario.ris, params, tx_sig.freqs)
+    g, chunks = probe_links(scenario.tx, probes, scenario.ris, scenario.channel, tx_sig.freqs)
     powers = []
     w = None
     for h_d, h in chunks:

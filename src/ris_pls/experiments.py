@@ -25,10 +25,10 @@ from .codebook import (
     select_config,
 )
 from .fields import check_types, is_number
-from .ofdm import build_prs_grid, prs_signal, tone_signal
+from .ofdm import MAX_NUM_RB, build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
-from .secrecy import link_powers, powers_and_sse, to_db
+from .secrecy import from_db, link_powers, powers_and_sse, to_db
 from .scenario import Scenario
 
 MODES = (
@@ -127,6 +127,8 @@ class ExperimentSpec:
         for name in ("jobs", "measurement_averages", "fs_num_rb"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be a positive integer")
+        if self.fs_num_rb > MAX_NUM_RB:
+            raise SpecError(f"fs_num_rb {self.fs_num_rb} exceeds the {MAX_NUM_RB} resource blocks of a carrier")
         for name in ("query_method", "fs_method"):
             if getattr(self, name) not in COMPARE_METHODS:
                 raise SpecError(f"unknown {name} {getattr(self, name)!r}")
@@ -230,9 +232,20 @@ def _fmt_db(value: float) -> str:
 
 
 def _measurement_noise(spec: ExperimentSpec, scenario: Scenario, seed: int):
+    """The noise of noisy power readings, or None without them; a
+    `measurement_noise_db` whose noise power is 0 or beyond the float
+    range is a spec error."""
     if not spec.noisy_measurements:
         return None
-    n0 = scenario.noise_power() * 10.0 ** (spec.measurement_noise_db / 10.0)
+    try:
+        scale = from_db(spec.measurement_noise_db)
+    except OverflowError:
+        scale = math.inf
+    n0 = scenario.noise_power() * scale
+    if not 0.0 < n0 < math.inf:
+        raise SpecError(
+            f"measurement_noise_db {spec.measurement_noise_db!r} gives no positive finite noise power"
+        )
     return MeasurementNoise(n0=n0, averages=spec.measurement_averages, seed=seed)
 
 
@@ -240,9 +253,8 @@ def _compare_pairs(task) -> list:
     """Every method's result cell for each placement pair of a batch. Each
     pair's cells come from one evaluator; each method sweeps the batch in
     lockstep, and each noisy sweep draws from its own generator."""
-    scenario, spec, tx_sig, seed, pairs = task
+    scenario, spec, tx_sig, seed, noise, pairs = task
     evs = pair_evaluators(scenario, [(scenario.placement(lu), scenario.placement(ed)) for lu, ed in pairs], tx_sig)
-    noise = _measurement_noise(spec, scenario, seed)
     runs = [run_method(method, scenario, evs, noise=noise) for method in spec.methods]
     cells = []
     for i, ((lu_deg, ed_deg), ev) in enumerate(zip(pairs, evs)):
@@ -281,9 +293,10 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     for seed in seeds:
         scen = scenario.with_seed(seed)
         scen.noise_power()  # fill the calibration cache before any fan-out
+        noise = _measurement_noise(spec, scen, seed)
         tx_sig = scen.tx_signal()
         batches = pair_batches(scen, tx_sig, list(spec.pairs), spec.jobs)
-        tasks += [(scen, spec, tx_sig, seed, batch) for batch in batches]
+        tasks += [(scen, spec, tx_sig, seed, noise, batch) for batch in batches]
     results = [cell for cells in parallel_map(_compare_pairs, tasks, spec.jobs) for cell in cells]
 
     by_cell = {}

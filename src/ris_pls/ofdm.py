@@ -19,6 +19,10 @@ from .fields import check_types
 
 SUBCARRIERS_PER_RB = 12
 
+#: Most resource blocks one carrier holds: the NR maximum transmission
+#: bandwidth configuration of 3GPP TS 38.211.
+MAX_NUM_RB = 275
+
 
 @dataclass(frozen=True)
 class Numerology:
@@ -104,8 +108,8 @@ def build_prs_grid(
     """
     if numerology.mu < 1:
         raise ValueError("comb occupancy 12/mu requires mu >= 1")
-    if num_rb < 1:
-        raise ValueError("need at least one resource block")
+    if not 1 <= num_rb <= MAX_NUM_RB:
+        raise ValueError(f"need 1 to {MAX_NUM_RB} resource blocks, not {num_rb}")
     occupied_per_rb = SUBCARRIERS_PER_RB // numerology.mu
     step = SUBCARRIERS_PER_RB // occupied_per_rb
     k = num_rb * SUBCARRIERS_PER_RB

@@ -260,7 +260,7 @@ def received_signal(h_d, phi, w_sum, on, x):
 class PowerEvaluator:
     """Power evaluation of bit vectors on one channel set.
 
-    Precomputes the per-element cascades h_m * g_m and the two per-bit
+    Holds the per-element cascades h_m * g_m and the two per-bit
     reflection coefficients at every subcarrier of the transmit signal,
     whose frequencies the channel set must share. A configuration (a
     row-major 0/1 vector of length M) enters only through its per-receiver
@@ -273,30 +273,13 @@ class PowerEvaluator:
     holds element m's LU cascades followed by its ED cascades: the
     elements of a column or a row are then a block of rows.
 
-    The evaluator holds no state between calls, so one instance serves
-    every sweep, report and re-score on its channel set. The cascades are
-    built into `out` when given: a contiguous (M, 2 * K) complex array,
-    such as a row of an `EvaluatorBatch`'s stack.
+    Every evaluator is a row of an `EvaluatorBatch`; one built on its own
+    is the row of a batch of one. It holds no state between calls, so one
+    instance serves every sweep, report and re-score on its channel set.
     """
 
-    def __init__(self, channels: ChannelSet, element_model: ElementModel, tx: TxSignal, out=None):
-        if not np.array_equal(tx.freqs, channels.freqs):
-            raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-        self._x = tx.amplitudes()
-        self._hd = np.concatenate([channels.h_d_lu, channels.h_d_ed]).reshape(2, -1)
-        g = channels.g_ris
-        k, m = g.shape
-        self._w = np.empty((m, 2 * k), dtype=complex) if out is None else out
-        w = self._w.reshape(m, 2, k)  # a view, as `out` is contiguous
-        w_r = np.empty_like(g)  # one receiver's (K, M) cascades, reused
-        self._w_sum = np.empty((2, k), dtype=complex)
-        for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
-            np.multiply(h, g, out=w_r)
-            self._w_sum[r] = w_r.sum(axis=1)
-            w[:, r, :] = w_r.T
-        # Column-major, so that phi(0) and phi(1) are contiguous over the
-        # subcarriers in every receive equation.
-        self._phi = np.asfortranarray(reflection_coefficients(element_model, channels.freqs))
+    def __new__(cls, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
+        return EvaluatorBatch([channels], element_model, tx)[0]
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
         """LU and ED sums of the cascades of the elements set in `bits`:
@@ -341,19 +324,42 @@ class PowerEvaluator:
 
 class EvaluatorBatch(tuple):
     """The `PowerEvaluator`s of N channel sets on one transmit signal and
-    element model, their cascades built straight into the rows of one
-    (N, M, 2 * K) stack, `cascades`. A lockstep sweep of the batch reads
-    that stack as it is; a list of separately built evaluators is stacked
-    into a copy."""
+    element model. The transmit amplitudes `x` and the (K, 2) reflection
+    coefficients `phi` are worked out once; the direct links `hd` and the
+    cascade sums `w_sum`, (N, 2, K), and the `cascades`, (N, M, 2 * K),
+    are one C-contiguous stack each. Row i views row i of each stack and
+    shares `x` and `phi`."""
 
     def __new__(cls, channel_sets: list, element_model: ElementModel, tx: TxSignal):
+        if not all(np.array_equal(tx.freqs, ch.freqs) for ch in channel_sets):
+            raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
+        hd = np.array([(ch.h_d_lu, ch.h_d_ed) for ch in channel_sets])
+        w_sum = np.empty_like(hd)
         k, m = channel_sets[0].g_ris.shape
         cascades = np.empty((len(channel_sets), m, 2 * k), dtype=complex)
-        batch = super().__new__(cls, (
-            PowerEvaluator(ch, element_model, tx, out) for ch, out in zip(channel_sets, cascades)
-        ))
-        batch.cascades = cascades
+        for ch, w_sum_i, w_i in zip(channel_sets, w_sum, cascades):
+            w = w_i.reshape(m, 2, k)  # a view, as the stack is contiguous
+            w_r = np.empty_like(ch.g_ris)  # one receiver's (K, M) cascades, reused
+            for r, h in enumerate((ch.h_ris_lu, ch.h_ris_ed)):
+                np.multiply(h, ch.g_ris, out=w_r)
+                w_sum_i[r] = w_r.sum(axis=1)
+                w[:, r, :] = w_r.T
+        batch = super().__new__(cls, (object.__new__(PowerEvaluator) for _ in channel_sets))
+        batch.x = tx.amplitudes()
+        # Column-major, so that phi(0) and phi(1) are contiguous over the
+        # subcarriers in every receive equation.
+        batch.phi = np.asfortranarray(reflection_coefficients(element_model, tx.freqs))
+        batch.hd, batch.w_sum, batch.cascades = hd, w_sum, cascades
+        for ev, *views in zip(batch, hd, w_sum, cascades):
+            ev._x, ev._phi, ev._hd, ev._w_sum, ev._w = batch.x, batch.phi, *views
         return batch
+
+    def sums(self, bits: np.ndarray) -> np.ndarray:
+        """(N, 2, K) sums of each row's cascades over the elements set in
+        `bits`: an (M,) bit vector for every row, or row i of an (N, M)
+        matrix for row i. One product over the stack, equal bit for bit to
+        each row's `PowerEvaluator.sums`."""
+        return np.matmul(np.asarray(bits, dtype=complex)[..., None, :], self.cascades).reshape(len(self), 2, -1)
 
 
 #: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
@@ -448,60 +454,50 @@ METHODS = {
 }
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """The arrays along a new leading axis; a single array gives a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool = False, reads=None):
+def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, fixpoint: bool = False, reads=None):
     """Up to `passes` greedy passes over `moves`, run in lockstep on the N
-    evaluators `evs`, which must share one transmit signal and one element
-    model. Row i of the (N, M) `bits` starts sweep i and is flipped in
-    place. With `fixpoint`, a row whose pass accepts nothing stops: it
-    takes no further steps or readings while the other rows go on. (Its
-    state no longer changes, so its exact scores reject every move again;
-    unread noisy scores are nan, which rejects them too.) `reads` holds
-    one noisy power reading per row (`MeasurementNoise.reader`), or is
-    None for exact powers.
+    rows of `batch`. Sweep i starts from `start`, an (M,) bit vector shared
+    by every row or row i of an (N, M) matrix. With `fixpoint`, a row
+    whose pass accepts nothing stops: it takes no further steps or readings
+    while the other rows go on. (Its state no longer changes, so its exact
+    scores reject every move again; unread noisy scores are nan, which
+    rejects them too.) `reads` holds one noisy power reading per row
+    (`MeasurementNoise.reader`), or is None for exact powers.
 
     Each objective keeps one "last accepted" register per row, seeded from
     the starting bits in the order the objectives first appear in `moves`.
-    The cascades are stacked as (N, M, 2 * K): an `EvaluatorBatch`'s own
-    stack, else a copy (a view for N = 1). So a move is scored for every
-    row by one product: the change its elements make, added to the running
-    (N, 2, K) sums. A row keeps the move only on
-    strict improvement of its register; then its candidate sums become its
-    running sums and its elements flip. A rejected move changes nothing.
+    The running (N, 2, K) sums start from one product over the batch's
+    cascade stack (`EvaluatorBatch.sums`). A move is scored for every row
+    by one product, the change its elements make, added to the running
+    sums. A row keeps the move only on strict improvement of its register;
+    then its candidate sums become its running sums and its elements flip.
+    A rejected move changes nothing.
 
-    The running sums start from the same product as the registers and are
-    never recomputed, so a register is always the value of the running sums
-    it was accepted with: a move that changes no sum (zero cascades) scores
-    exactly its register and is rejected, as under full evaluation. Each
-    accepted move adds one rounding of an n-term sum, so the drift is
-    bounded by the number of accepted moves. Returns (registers as lists
-    of N floats, the `SweepLog` of every scored move)."""
-    ev = evs[0]
-    for other in evs[1:]:
-        if not (np.array_equal(other._x, ev._x) and np.array_equal(other._phi, ev._phi)):
-            raise ValueError("lockstep sweeps need one transmit signal and one element model")
-    n = len(evs)
-    w = evs.cascades if isinstance(evs, EvaluatorBatch) else _stack([e._w for e in evs])
-    hd = _stack([e._hd for e in evs])
-    w_sum = _stack([e._w_sum for e in evs])
-    sums = _stack([e.sums(b) for e, b in zip(evs, bits)])
+    The running sums are never recomputed, so a register is always the
+    value of the running sums it was accepted with: a move that changes no
+    sum (zero cascades) scores exactly its register and is rejected, as
+    under full evaluation. Each accepted move adds one rounding of an
+    n-term sum, so the drift is bounded by the number of accepted moves.
+    Returns (registers as lists of N floats, the `SweepLog` of every
+    scored move, the (N, M) end bits)."""
+    n = len(batch)
+    w, phi, x = batch.cascades, batch.phi, batch.x
+    bits = np.empty((n, start.shape[-1]), dtype=start.dtype)
+    bits[:] = start
+    sums = batch.sums(start)
     # objective -> (name, direction, its receivers with their direct links
     # and cascade sums)
     scored = {}
     for obj in dict.fromkeys(m[3] for m in moves):
         name, direction = OBJECTIVES[obj]
         rs = _RECEIVERS[name]
-        scored[obj] = (name, direction, rs, hd[:, rs], w_sum[:, rs])
+        scored[obj] = (name, direction, rs, batch.hd[:, rs], batch.w_sum[:, rs])
     rows = list(range(n))  # the rows still sweeping; replaced, never changed in place
     log = SweepLog(moves)
     with np.errstate(divide="ignore", invalid="ignore"):
         best = {}
         for obj, (name, _, rs, hd_r, w_sum_r) in scored.items():
-            y = received_signal(hd_r, ev._phi, w_sum_r, sums[:, rs], ev._x)
+            y = received_signal(hd_r, phi, w_sum_r, sums[:, rs], x)
             best[obj] = _objective(name, y, reads, rows).tolist()
         for iteration in range(1, passes + 1):
             kept = [False] * n  # rows that accepted a move in this pass
@@ -509,25 +505,21 @@ def _sweep(evs: list, bits: np.ndarray, moves: list, passes: int, fixpoint: bool
                 name, direction, rs, hd_r, w_sum_r = scored[objective]
                 delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
                 candidate = sums + delta.reshape(sums.shape)
-                y = received_signal(hd_r, ev._phi, w_sum_r, candidate[:, rs], ev._x)
+                y = received_signal(hd_r, phi, w_sum_r, candidate[:, rs], x)
                 before, after = best[objective], _objective(name, y, reads, rows).tolist()
                 flags = list(map(_IMPROVES[direction], after, before))
                 log.entries.append((j, iteration, rows, before, after, flags))
-                if False not in flags:  # every row keeps the move
-                    best[objective], sums = after, candidate
-                    bits[:, elements] ^= 1
-                    kept = flags
-                elif True in flags:
+                if True in flags:
                     best[objective] = [a if f else b for a, b, f in zip(after, before, flags)]
                     accepted = np.array(flags)
                     np.copyto(sums, candidate, where=accepted[:, None, None])
-                    bits[accepted, elements] ^= 1
+                    bits[:, elements] ^= accepted[:, None]
                     kept = list(map(operator.or_, kept, flags))
             if fixpoint:
                 rows = [i for i in rows if kept[i]]
                 if not rows:
                     break
-    return best, log
+    return best, log, bits
 
 
 class TraceBatch(list):
@@ -542,7 +534,7 @@ class TraceBatch(list):
 
 def greedy_sweep(
     method: str,
-    evs: list,
+    batch: EvaluatorBatch,
     geometry: RisArrayGeometry,
     init: RisConfig | None = None,
     iters: int = 2,
@@ -550,8 +542,8 @@ def greedy_sweep(
     run_to_fixpoint: bool = False,
 ) -> TraceBatch:
     """Run the greedy method named in `METHODS` on the channel set of each
-    evaluator in `evs`, all in one lockstep `_sweep`, from the same start;
-    returns one trace per evaluator.
+    row of `batch`, all in one lockstep `_sweep`, from the same start;
+    returns one trace per row.
 
     `iters` passes by default; `run_to_fixpoint` instead repeats passes
     (at most 64) until one accepts nothing. The final objective is a fresh
@@ -564,12 +556,11 @@ def greedy_sweep(
     """
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
-    reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in evs]
+    reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in batch]
     initial = _initial_config(geometry, init)
-    bits = initial.bits[None].repeat(len(evs), axis=0)
-    best, log = _sweep(evs, bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
+    best, log, bits = _sweep(batch, initial.bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
     traces = TraceBatch()
-    for i, ev in enumerate(evs):
+    for i, ev in enumerate(batch):
         if reads is None or objective_kind not in best:
             final_objective = ev.evaluate(objective_kind, bits[i], None if reads is None else reads[i])
         else:
@@ -601,8 +592,8 @@ def algorithm1(
     Sweeps all columns then all rows per pass, starting from the all-zeros
     configuration, accepting a flip only on strict ratio improvement.
     """
-    ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("alg1", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
+    batch = EvaluatorBatch([channels], element_model, tx)
+    return greedy_sweep("alg1", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def lu_max(
@@ -616,8 +607,8 @@ def lu_max(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Beamform toward the intended receiver, ignoring the eavesdropper."""
-    ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("lu_max", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
+    batch = EvaluatorBatch([channels], element_model, tx)
+    return greedy_sweep("lu_max", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def ed_min(
@@ -631,8 +622,8 @@ def ed_min(
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """Suppress the eavesdropper's power, ignoring the intended receiver."""
-    ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("ed_min", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
+    batch = EvaluatorBatch([channels], element_model, tx)
+    return greedy_sweep("ed_min", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def algorithm2(
@@ -655,8 +646,8 @@ def algorithm2(
     initialized once from the starting configuration. The final objective
     is the ratio of the end configuration.
     """
-    ev = PowerEvaluator(channels, element_model, tx)
-    return greedy_sweep("alg2", [ev], geometry, init, iters, noise, run_to_fixpoint)[0]
+    batch = EvaluatorBatch([channels], element_model, tx)
+    return greedy_sweep("alg2", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
 def single_flip_improvements(
@@ -671,11 +662,11 @@ def single_flip_improvements(
     Each move is scored from `config` on its own, as a one-move sweep.
     Empty result means the configuration is single-flip locally optimal.
     """
-    ev = PowerEvaluator(channels, element_model, tx)
+    batch = EvaluatorBatch([channels], element_model, tx)
     return [
         (step.kind, step.index, step.objective_after)
         for move in _full_surface_moves(objective)(config.n_v, config.n_h)
-        for step in _sweep([ev], config.bits[None].copy(), [move], 1)[1].steps(0)
+        for step in _sweep(batch, config.bits, [move], 1)[1].steps(0)
         if step.accepted
     ]
 

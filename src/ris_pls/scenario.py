@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
 from .fields import check_types
-from .ofdm import Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
+from .ofdm import MAX_NUM_RB, Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry
 from .secrecy import from_db
 from .optimize import PowerEvaluator, uniform_config
@@ -42,8 +42,8 @@ class Scenario:
         check_types(self)
         if self.tx_mode not in ("tone", "prs"):
             raise ValueError("tx_mode must be 'tone' or 'prs'")
-        if self.num_rb < 1:
-            raise ValueError("need at least one resource block")
+        if not 1 <= self.num_rb <= MAX_NUM_RB:
+            raise ValueError(f"num_rb must be 1 to {MAX_NUM_RB} resource blocks, not {self.num_rb}")
         if self.n0 is not None and self.n0 <= 0:
             raise ValueError("n0 must be positive when given")
         try:

@@ -17,6 +17,7 @@ from ris_pls.codebook import (
     EdKnowledge,
     generate_codebook,
     pair_evaluator,
+    pair_evaluators,
     rescore_config,
     select_config,
 )
@@ -206,9 +207,10 @@ def reference_sweep():
         sig = scenario.tx_signal()
         n0 = scenario.noise_power()
         for pair in DEFAULT_PAIRS:
-            ev = pair_evaluator(scenario, scenario.placement(pair[0]), scenario.placement(pair[1]), sig)
+            batch = pair_evaluators(scenario, [(scenario.placement(pair[0]), scenario.placement(pair[1]))], sig)
+            (ev,) = batch
             for method in METHODS:
-                (config,), _ = run_method(method, scenario, [ev])
+                (config,), _ = run_method(method, scenario, batch)
                 p = link_powers(ev, config.bits)
                 powers[(seed, pair, method)] = (p.p_lu, p.p_ed)
                 sse[(seed, pair, method)] = sum_sse(ev, config.bits, n0).r_sec_raw
@@ -282,8 +284,9 @@ def test_criterion_08_frequency_selectivity():
         rows = []
         for pair in DEFAULT_PAIRS:
             lu, ed = scenario.placement(pair[0]), scenario.placement(pair[1])
-            nb_ev = pair_evaluator(scenario, lu, ed, tone)
-            (config,), _ = run_method("alg1", scenario, [nb_ev])
+            nb = pair_evaluators(scenario, [(lu, ed)], tone)
+            (config,), _ = run_method("alg1", scenario, nb)
+            (nb_ev,) = nb
             nb = link_powers(nb_ev, config.bits)
             wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))

@@ -15,15 +15,12 @@ from ris_pls.channel import (
     PANEL_LINK_CACHE_BYTES,
     Placement,
     SectorGrid,
-    _LINK_DIRECT,
     _direct_link,
     _free_space_amplitude,
-    _link_rng,
     _memo_panel_link,
     _panel_link,
     _PanelLinkMemo,
     _placement_key,
-    _scatter_sigma,
     _tx_beam,
     build_default_geometry,
     probe_links,
@@ -429,14 +426,13 @@ def per_probe(chunks) -> list:
 
 class TestProbeLinks:
     @pytest.mark.parametrize("per_chunk", [None, 1, 3])
-    @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_links_equal_synthesized_links_and_bypass_the_memo(self, monkeypatch, grid, num_paths, per_chunk):
+    def test_links_equal_synthesized_links_and_bypass_the_memo(self, monkeypatch, grid, per_chunk):
         # In chunks of every probe, of one and of three (a ragged last
-        # one). A single-ray chunk's steering phases are one matrix
-        # product, a synthesized link's one matrix-vector product.
+        # one). A chunk's steering phases are one matrix product, a
+        # synthesized link's one matrix-vector product.
         tx, _ = build_default_geometry()
-        params = ChannelParams(num_paths=num_paths, rng_seed=7)
+        params = ChannelParams(num_paths=1, rng_seed=7)
         freqs = GRIDS[grid]
         panel = small_panel(2, 3)
         if per_chunk is not None:
@@ -457,14 +453,25 @@ class TestProbeLinks:
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_probes_see_the_line_of_sight_ray_only(self, grid):
+        # The scenario's scattered rays are dropped: probe links under 8
+        # paths are bit for bit those of a single-path channel.
+        tx, _ = build_default_geometry()
+        freqs = GRIDS[grid]
+        probes = [Placement(a, 6.0) for a in (-60.0, 0.0, 12.3)]
+        g8, chunks8 = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=8, rng_seed=7), freqs)
+        g1, chunks1 = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1, rng_seed=7), freqs)
+        assert same_bits(g8, g1)
+        for (h_d8, h8), (h_d1, h1) in zip(per_probe(chunks8), per_probe(chunks1), strict=True):
+            assert same_bits(h_d8, h_d1) and same_bits(h8, h1)
 
-    @pytest.mark.parametrize("num_paths", [1, 8])
-    def test_direct_links_equal_per_probe_geometry(self, num_paths):
+    def test_direct_links_equal_per_probe_geometry(self):
         # Probes every degree, and around the beam edges (half-beamwidth 10
         # degrees about the boresight), against the geometry worked out
         # afresh for each probe.
         tx, _ = build_default_geometry()
-        params = ChannelParams(num_paths=num_paths, rng_seed=3)
+        params = ChannelParams(num_paths=1, rng_seed=3)
         freqs = GRIDS["prs"]
         angles = [float(a) for a in range(-90, 91)] + [-41.3, -40.0, -39.99, 10.0, 10.01, 12.7]
         probes = [Placement(a, r) for a in angles for r in (2.0, 7.0)]
@@ -474,8 +481,7 @@ class TestProbeLinks:
             assert same_bits(h_d, per_probe_direct_link(tx, probe, params, freqs))
             d = float(np.linalg.norm(probe.position() - tx.position()))
             relative.append(abs(h_d[0]) / _free_space_amplitude(d, params.carrier_hz))
-        if num_paths == 1:  # both sides of the beam edge were probed
-            assert min(relative) < 0.1 < max(relative)
+        assert min(relative) < 0.1 < max(relative)  # both sides of the beam edge were probed
 
     def test_transmitter_geometry_is_worked_out_once(self, monkeypatch):
         calls = []
@@ -497,8 +503,8 @@ class TestProbeLinks:
 
 
 def per_probe_direct_link(tx, node, params, f):
-    """The direct link with the transmitter's position, boresight and
-    norms worked out afresh, as every probe once did."""
+    """The single-ray direct link with the transmitter's position,
+    boresight and norms worked out afresh, as every probe once did."""
     d = float(np.linalg.norm(node.position() - tx.position()))
     amp = _free_space_amplitude(d, params.carrier_hz)
     boresight = -tx.position()
@@ -507,14 +513,4 @@ def per_probe_direct_link(tx, node, params, f):
     if math.degrees(math.acos(np.clip(cosang, -1.0, 1.0))) > params.tx_beamwidth_deg / 2.0:
         amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
     tau0 = d / SPEED_OF_LIGHT
-    h = amp * np.exp(-2j * math.pi * f * tau0)
-    n_scatter = params.num_paths - 1
-    if n_scatter > 0:
-        rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
-        sigma2 = _scatter_sigma(amp, params)
-        excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
-        gains = math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(n_scatter) + 1j * rng.standard_normal(n_scatter)
-        )
-        h = h + (gains[None, :] * np.exp(-2j * math.pi * np.outer(f, tau0 + excess))).sum(axis=1)
-    return h
+    return amp * np.exp(-2j * math.pi * f * tau0)

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ris_pls
 from ris_pls import channel as channel_module
@@ -23,7 +23,8 @@ from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
 from ris_pls.experiments import ExperimentSpec, _measurement_noise, run_compare, run_frequency_selectivity
-from ris_pls.optimize import PowerEvaluator, algorithm1, algorithm2, ed_min, lu_max
+from ris_pls.optimize import EvaluatorBatch, algorithm1, algorithm2, ed_min, lu_max
+from ris_pls.ofdm import MAX_NUM_RB
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 
@@ -217,19 +218,21 @@ class TestCompare:
         assert checked == 8
 
     def test_one_evaluator_and_synthesis_per_pair(self, tmp_path, monkeypatch):
+        # Evaluators are counted as the rows of the batches built.
         built, synthesized = [], []
-        init = PowerEvaluator.__init__
+        new = EvaluatorBatch.__new__
         synthesize = scenario_module.synthesize_channels
 
-        def counting_init(self, *args):
-            built.append(args)
-            init(self, *args)
+        def counting_new(cls, *args):
+            batch = new(cls, *args)
+            built.extend(batch)
+            return batch
 
         def counting_synthesize(*args):
             synthesized.append(args)
             return synthesize(*args)
 
-        monkeypatch.setattr(PowerEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(EvaluatorBatch, "__new__", counting_new)
         monkeypatch.setattr(scenario_module, "synthesize_channels", counting_synthesize)
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
@@ -392,6 +395,34 @@ class TestExitCodes:
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
 
+    def test_resource_blocks_beyond_a_carrier_are_spec_error(self, tmp_path):
+        # int("01" * 8) resource blocks, far beyond the 275 of one carrier.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        proc = run_cli(
+            "freq-selectivity", "--scenario", str(scenario), "--out", str(tmp_path), "--num-rb", "101010101010101"
+        )
+        assert proc.returncode == EXIT_SPEC
+        assert proc.stderr.startswith("spec error: ") and "Traceback" not in proc.stderr
+        assert not (tmp_path / "frequency_selectivity.csv").exists()
+        assert ExperimentSpec("frequency_selectivity", fs_num_rb=MAX_NUM_RB).fs_num_rb == MAX_NUM_RB
+
+    @pytest.mark.parametrize("db", ["1e308", "-1e308"], ids=["overflow", "underflow"])
+    def test_measurement_noise_beyond_the_float_range_is_spec_error(self, tmp_path, db):
+        # 10 ** (1e308 / 10) overflows; 10 ** (-1e308 / 10) is 0, which
+        # would run a noisy compare without noise.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"],
+            "noisy_measurements": True, "measurement_noise_db": float(db),
+        }))
+        proc = run_cli("compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path))
+        assert proc.returncode == EXIT_SPEC
+        assert proc.stderr.startswith("spec error: measurement_noise_db") and "Traceback" not in proc.stderr
+        assert not (tmp_path / "compare_results.json").exists()
+
     def test_print_schema(self, capsys):
         assert main(["compare", "--print-schema"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -482,6 +513,7 @@ class TestMalformedSpecFields:
             ("codebook-query", {"query_lu": "abc"}),
             ("pattern-scan", {"scan_config_bits": 5}),
             ("freq-selectivity", {"fs_num_rb": "x"}),
+            ("freq-selectivity", {"fs_num_rb": MAX_NUM_RB + 1}),
             ("compare", {"measurement_noise_db": "x", "noisy_measurements": True}),
             ("compare", {"jobs": float("nan")}),
             ("compare", {"jobs": 0}),
@@ -724,6 +756,17 @@ def _bounded(flag, value):
     return flag != "--step" or not number < 1
 
 
+class ScriptedDraws:
+    """Stands in for Hypothesis's `data` in an explicit example: each
+    `draw` returns the next scripted value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy, label=None):
+        return self.values.pop(0)
+
+
 class TestArgvProperty:
     """Any command line made from a valid one by dropping a flag, repeating
     it, or swapping one of its values exits 0, 2, 3 or 4, with no
@@ -750,6 +793,10 @@ class TestArgvProperty:
 
     @settings(max_examples=100, deadline=None)
     @given(command=st.sampled_from(sorted(MODE_BY_COMMAND)), data=st.data())
+    # Two mutations: drop --degenerate-single-bin (group 4), then swap the
+    # value of --num-rb (group 3) for "01" * 8, which reads as
+    # 101010101010101 resource blocks of a wideband grid.
+    @example(command="freq-selectivity", data=ScriptedDraws(2, 4, "drop", 3, "swap", 0, "01" * 8))
     def test_mutated_argv_exits_cleanly(self, fuzz_setup, command, data):
         scenario, codebook = fuzz_setup
         groups = [("--scenario", [str(scenario)]), ("--out", ["out"]), *self.BASE[command]]
@@ -819,6 +866,7 @@ class TestMalformedScenarioValues:
             # the received powers overflow, or the links do.
             ("channel", "rician_k_db", -3000.0, EXIT_SCENARIO),
             ("channel", "rician_k_db", -3200.0, EXIT_SCENARIO),
+            ("tx_signal", "num_rb", MAX_NUM_RB + 1, EXIT_SCENARIO),
         ],
     )
     def test_bad_value_exits_cleanly(self, tmp_path, capsys, section, key, value, code):

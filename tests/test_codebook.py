@@ -27,7 +27,7 @@ from ris_pls.codebook import (
     detect_side_lobes,
     generate_codebook,
     pair_batches,
-    pair_evaluator,
+    pair_evaluators,
     rescore_config,
     scan_power_pattern,
     select_config,
@@ -171,8 +171,8 @@ class TestLazyTraces:
         methods = ("alg1", "alg2", "lu_max", "ed_min")
         sc = scenario_8x8(seed=2)
         assert generate_codebook(sc, methods=methods).is_complete(methods)
-        ev = pair_evaluator(sc, sc.placement(0.0), sc.placement(15.0), sc.tx_signal())
-        trace = optimize.greedy_sweep("alg1", [ev], sc.ris)[0]
+        batch = pair_evaluators(sc, [(sc.placement(0.0), sc.placement(15.0))], sc.tx_signal())
+        trace = optimize.greedy_sweep("alg1", batch, sc.ris)[0]
         with pytest.raises(AssertionError, match="TraceStep"):
             trace.steps
 
@@ -327,17 +327,17 @@ class TestPatternScan:
         pattern = dict(scan_power_pattern(sc, entry.config, [30.0]))
         assert pattern[30.0] == pytest.approx(entry.achieved.p_lu, rel=1e-12)
 
-    @pytest.mark.parametrize("full_scenario", [False, True])
     @pytest.mark.parametrize("model", [ElementModel(), LORENTZIAN], ids=["ideal", "lorentzian"])
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_probe_powers_match_dense_sum(self, tx_mode, model, full_scenario):
+    def test_probe_powers_match_dense_sum(self, tx_mode, model):
         # The probe's power against the dense direct sum over a channel set
-        # that holds the probe and a distinct second receiver.
+        # that holds the probe and a distinct second receiver, both seeing
+        # only the line-of-sight ray of each link.
         sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2, element_model=model)
         config = RisConfig(np.random.default_rng(2).integers(0, 2, 64), 8, 8)
         angles = [-90.0, -41.5, 0.0, 15.0, 63.0, 90.0]
-        pattern = scan_power_pattern(sc, config, angles, full_scenario=full_scenario)
-        probe_sc = sc if full_scenario else replace(sc, channel=replace(sc.channel, num_paths=1))
+        pattern = scan_power_pattern(sc, config, angles)
+        probe_sc = replace(sc, channel=replace(sc.channel, num_paths=1))
         sig = probe_sc.tx_signal()
         assert [a for a, _ in pattern] == angles
         for angle, power in pattern:
@@ -347,12 +347,11 @@ class TestPatternScan:
             dense = float((np.abs(y_lu) ** 2).sum())
             assert power == pytest.approx(dense, rel=1e-11, abs=0)
 
-    @pytest.mark.parametrize("full_scenario", [False, True])
-    def test_scan_leaves_panel_link_memo_unchanged(self, full_scenario):
+    def test_scan_leaves_panel_link_memo_unchanged(self):
         sc = replace(scenario_8x8(seed=6), tx_mode="prs", num_rb=2)
         sc.channels_for(sc.placement(0.0), sc.placement(15.0))  # the memo holds links
         before = _memo_panel_link.cache_info()
-        scan_power_pattern(sc, uniform_config(8, 8), [-30.0, 0.0, 15.0], full_scenario=full_scenario)
+        scan_power_pattern(sc, uniform_config(8, 8), [-30.0, 0.0, 15.0])
         assert _memo_panel_link.cache_info() == before
 
     def test_angles_validated(self):
@@ -380,8 +379,7 @@ class TestPatternScan:
         with pytest.raises(ValueError, match=message):
             scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=range_m)
 
-    @pytest.mark.parametrize("full_scenario", [False, True])
-    def test_probe_at_the_transmitter_rejected_after_the_probes_before_it(self, monkeypatch, full_scenario):
+    def test_probe_at_the_transmitter_rejected_after_the_probes_before_it(self, monkeypatch):
         # The transmitter stands at -15 degrees, 5 m: the fifth probe of a
         # chunk of three, after a chunk whose signals are scored.
         sc = los_scenario()
@@ -396,7 +394,7 @@ class TestPatternScan:
         monkeypatch.setattr(codebook, "received_signal", counting)
         angles = [-19.0, -18.0, -17.0, -16.0, -15.0, -14.0]
         with pytest.raises(ValueError, match="receiver at -15 degrees, 5 m stands at the transmitter"):
-            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=5.0, full_scenario=full_scenario)
+            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=5.0)
         assert scored == [3, 1]
 
     def test_first_non_finite_probe_named_across_chunks(self, monkeypatch):
@@ -429,12 +427,12 @@ def set_chunk_probes(monkeypatch, scenario, per_chunk):
         monkeypatch.setattr(channel, "PROBE_CHUNK_BYTES", per_chunk * probe_bytes)
 
 
-def per_probe_scan(scenario, config, angles, range_m=None, full_scenario=False):
-    """The scan one probe at a time: each probe's links from
+def per_probe_scan(scenario, config, angles, range_m=None):
+    """The scan one probe at a time: each probe's single-ray links from
     `_direct_link` and `_panel_link`, and one receive equation per probe.
     The reference the chunked scan equals bit for bit."""
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
-    params = scenario.channel if full_scenario else replace(scenario.channel, num_paths=1)
+    params = replace(scenario.channel, num_paths=1)
     tx_sig = scenario.tx_signal()
     f, x = tx_sig.freqs, tx_sig.amplitudes()
     phi = reflection_coefficients(scenario.element_model, f)
@@ -458,19 +456,17 @@ class TestChunkedScanParity:
               22.2, 30.0, 37.5, 41.5, 45.0, 52.0, 63.0, 75.0, 89.9, 90.0]
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 3, 7])
-    @pytest.mark.parametrize("full_scenario", [False, True])
     @pytest.mark.parametrize("model", [ElementModel(), LORENTZIAN], ids=["ideal", "lorentzian"])
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_powers_equal_the_per_probe_scan(self, monkeypatch, tx_mode, model, full_scenario, per_chunk):
+    def test_powers_equal_the_per_probe_scan(self, monkeypatch, tx_mode, model, per_chunk):
         sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2, element_model=model)
         config = RisConfig(np.random.default_rng(3).integers(0, 2, 64), 8, 8)
         set_chunk_probes(monkeypatch, sc, per_chunk)
-        chunked = scan_power_pattern(sc, config, self.ANGLES, full_scenario=full_scenario)
-        assert chunked == per_probe_scan(sc, config, self.ANGLES, full_scenario=full_scenario)
+        chunked = scan_power_pattern(sc, config, self.ANGLES)
+        assert chunked == per_probe_scan(sc, config, self.ANGLES)
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 3])
-    @pytest.mark.parametrize("full_scenario", [False, True])
-    def test_one_element_panel(self, monkeypatch, full_scenario, per_chunk):
+    def test_one_element_panel(self, monkeypatch, per_chunk):
         # A 1x1 panel on one tone: every product of a lone probe has one
         # element. A loop that rounds otherwise shows at about one angle
         # in 250, hence the fine grid.
@@ -482,8 +478,8 @@ class TestChunkedScanParity:
         config = RisConfig(np.array([1]), 1, 1)
         angles = [-90.0 + 0.1 * i for i in range(1801)]
         set_chunk_probes(monkeypatch, sc, per_chunk)
-        chunked = scan_power_pattern(sc, config, angles, full_scenario=full_scenario)
-        assert chunked == per_probe_scan(sc, config, angles, full_scenario=full_scenario)
+        chunked = scan_power_pattern(sc, config, angles)
+        assert chunked == per_probe_scan(sc, config, angles)
 
     def test_cli_scan_writes_the_per_probe_rows(self, tmp_path):
         # pattern-scan --bits at 0.1 degrees on a 4x4 tone scenario: 1801

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
+from ris_pls.ofdm import MAX_NUM_RB, Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
 
 CARRIER = 3.55e9
 
@@ -43,6 +43,13 @@ class TestPrsGrid:
     def test_mu_zero_rejected(self):
         with pytest.raises(ValueError):
             build_prs_grid(Numerology(mu=0), num_rb=4)
+
+    def test_resource_blocks_bounded_by_a_carrier(self):
+        assert MAX_NUM_RB == 275
+        assert build_prs_grid(Numerology(mu=2), num_rb=MAX_NUM_RB).num_subcarriers == 3300
+        for num_rb in (0, MAX_NUM_RB + 1, 101010101010101):
+            with pytest.raises(ValueError, match="resource blocks"):
+                build_prs_grid(Numerology(mu=2), num_rb=num_rb)
 
     def test_comb_evenly_spaced(self):
         grid = build_prs_grid(Numerology(mu=2), num_rb=2, seed=0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from helpers import handmade_channels, model_instance, panel, single_tone_tx
-from ris_pls import optimize
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
@@ -17,7 +16,6 @@ from ris_pls.optimize import (
     TraceBatch,
     TraceStep,
     _better,
-    _stack,
     _sweep,
     algorithm1,
     algorithm2,
@@ -187,10 +185,10 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
 
     ev = PowerEvaluator(channels, MODEL, sig)
     moves = METHODS[method][1](n_v, n_h)
-    fast_bits = np.zeros(n_v * n_h, dtype=np.uint8)
-    slow_bits = fast_bits.copy()
+    slow_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     fast_reads = None if noise is None else [noise.reader()]
-    fast_best, log = _sweep([ev], fast_bits[None], moves, passes, fixpoint, fast_reads)
+    batch = EvaluatorBatch([channels], MODEL, sig)
+    fast_best, log, (fast_bits,) = _sweep(batch, slow_bits.copy(), moves, passes, fixpoint, fast_reads)
     fast = log.steps(0)
     fast_best = {k: float(v[0]) for k, v in fast_best.items()}
     slow_best, slow = full_recompute_sweep(ev, slow_bits, moves, passes, fixpoint, read())
@@ -359,6 +357,13 @@ def batch_instances(n, waveform, first_seed=0):
     return channels, sig
 
 
+def lone_evaluators(channels, sig) -> list:
+    """One evaluator per channel set, each built on its own: the per-sweep
+    references score with these, not with the rows of the batch they
+    check."""
+    return [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+
+
 class TestLockstepParity:
     """N sweeps in lockstep must give each row the trace, the bits and the
     noise draws its sweep gives alone, in the per-sweep reference."""
@@ -372,10 +377,10 @@ class TestLockstepParity:
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         for n in (1, 3, 7):
             channels, sig = batch_instances(n, waveform)
-            evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
-            traces = greedy_sweep(method, evs, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            batch = EvaluatorBatch(channels, MODEL, sig)
+            traces = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
             assert isinstance(traces, TraceBatch) and len(traces) == n
-            for ev, trace in zip(evs, traces):
+            for ev, trace in zip(lone_evaluators(channels, sig), traces, strict=True):
                 ref = reference_trace(method, ev, geometry, noise, fixpoint)
                 got = trace.to_dict()
                 assert len(got["steps"]) == len(ref["steps"])
@@ -391,8 +396,7 @@ class TestLockstepParity:
 
     def test_fixpoint_rows_stop_at_their_own_pass(self):
         channels, sig = batch_instances(7, "prs")
-        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
-        traces = greedy_sweep("alg1", evs, panel(4, 6), run_to_fixpoint=True)
+        traces = greedy_sweep("alg1", EvaluatorBatch(channels, MODEL, sig), panel(4, 6), run_to_fixpoint=True)
         last_pass = [trace.steps[-1].iteration for trace in traces]
         assert len(set(last_pass)) > 1
         for trace in traces:
@@ -408,7 +412,6 @@ class TestLockstepParity:
         # row that stopped takes no further readings.
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3)
         channels, sig = batch_instances(7, "tone")
-        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
         moves = METHODS[method][1](4, 6)
 
         def counted(i, log):
@@ -420,28 +423,13 @@ class TestLockstepParity:
 
             return counting
 
-        batch_log, alone_log = [[] for _ in evs], [[] for _ in evs]
-        bits = np.zeros((7, 24), dtype=np.uint8)
-        _, log = _sweep(evs, bits, moves, 64, True, [counted(i, batch_log) for i in range(7)])
-        for i, ev in enumerate(evs):
+        batch_log, alone_log = [[] for _ in channels], [[] for _ in channels]
+        batch = EvaluatorBatch(channels, MODEL, sig)
+        _, log, _ = _sweep(batch, np.zeros(24, dtype=np.uint8), moves, 64, True, [counted(i, batch_log) for i in range(7)])
+        for i, ev in enumerate(lone_evaluators(channels, sig)):
             per_sweep_reference(ev, np.zeros(24, dtype=np.uint8), moves, 64, True, counted(i, alone_log))
         assert batch_log == alone_log
         assert len({len(log.steps(i)) for i in range(7)}) > 1  # the rows stopped at different passes
-
-    def test_single_row_stacks_views(self):
-        channels, sig = batch_instances(1, "prs")
-        ev = PowerEvaluator(channels[0], MODEL, sig)
-        assert np.shares_memory(_stack([ev._w]), ev._w)
-        assert not np.shares_memory(_stack([ev._w, ev._w]), ev._w)
-
-    def test_rows_must_share_the_transmit_signal(self):
-        channels, sig = batch_instances(2, "prs")
-        other = model_instance(5, 4, 6, waveform="prs")[1]
-        assert not np.array_equal(other.amplitudes(), sig.amplitudes())
-        evs = [PowerEvaluator(channels[0], MODEL, sig), PowerEvaluator(channels[1], MODEL, other)]
-        with pytest.raises(ValueError, match="one transmit signal"):
-            greedy_sweep("alg1", evs, panel(4, 6))
-
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("method", sorted(METHODS))
@@ -451,11 +439,10 @@ class TestLockstepParity:
         geometry = panel(4, 6)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         channels, sig = batch_instances(7, "prs")
-        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
-        traces = greedy_sweep(method, evs, geometry, noise=noise, run_to_fixpoint=True)
+        traces = greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), geometry, noise=noise, run_to_fixpoint=True)
         moves = METHODS[method][1](4, 6)
         last_pass = set()
-        for ev, trace in zip(evs, traces):
+        for ev, trace in zip(lone_evaluators(channels, sig), traces, strict=True):
             got = trace.to_dict()
             ref = reference_trace(method, ev, geometry, noise, True)
             assert {k: got[k] for k in ref} == ref
@@ -469,38 +456,97 @@ class TestLockstepParity:
         assert len(last_pass) > 1
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: bit for bit, signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestEvaluatorBatch:
-    """Evaluators built into one stack of cascades must sweep exactly as
-    separately built ones, and their sweep must read the stack as it is."""
+    """A batch's rows view its stacks and share its one signal and element
+    model, each equals an evaluator built on its own bit for bit, and the
+    batch sweeps as its channel sets do in batches of one."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_shared_stack_matches_separate_evaluators(self, method, fixpoint, noisy, monkeypatch):
+    def test_shared_stack_matches_separate_evaluators(self, method, fixpoint, noisy):
         geometry = panel(4, 6)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
-        stack = optimize._stack
         for n in (1, 3, 7):
             channels, sig = batch_instances(n, "prs")
             batch = EvaluatorBatch(channels, MODEL, sig)
-            alone = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
-            assert batch.cascades.shape == (n, 24, 2 * sig.num_subcarriers)
-            for i, (ev, other) in enumerate(zip(batch, alone)):
-                assert np.shares_memory(ev._w, batch.cascades[i])
-                assert ev._w.shape == other._w.shape and np.array_equal(ev._w, other._w)
-
-            def no_cascade_copy(arrays):
-                assert not any(np.shares_memory(a, batch.cascades) for a in arrays)
-                return stack(arrays)
-
-            monkeypatch.setattr(optimize, "_stack", no_cascade_copy)
+            k = sig.num_subcarriers
+            assert batch.cascades.shape == (n, 24, 2 * k) and batch.hd.shape == batch.w_sum.shape == (n, 2, k)
+            assert all(stack.flags.c_contiguous for stack in (batch.cascades, batch.hd, batch.w_sum))
+            for i, (row, alone) in enumerate(zip(batch, lone_evaluators(channels, sig), strict=True)):
+                assert type(row) is PowerEvaluator
+                for name, stack in (("_w", batch.cascades), ("_hd", batch.hd), ("_w_sum", batch.w_sum)):
+                    view = getattr(row, name)
+                    assert view.base is stack and np.shares_memory(view, stack[i])
+                    assert same_bits(view, getattr(alone, name))
+                assert row._x is batch.x and row._phi is batch.phi
+                assert same_bits(row._x, alone._x) and same_bits(row._phi, alone._phi)
             got = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
-            monkeypatch.setattr(optimize, "_stack", stack)
-            ref = greedy_sweep(method, alone, geometry, noise=noise, run_to_fixpoint=fixpoint)
-            for g, r in zip(got, ref, strict=True):
+            for g, ch in zip(got, channels, strict=True):
+                alone = EvaluatorBatch([ch], MODEL, sig)
+                (r,) = greedy_sweep(method, alone, geometry, noise=noise, run_to_fixpoint=fixpoint)
                 assert g.to_dict() == r.to_dict()
                 assert g.steps == r.steps
                 assert np.array_equal(g.final_config.bits, r.final_config.bits)
+
+    def test_lone_evaluator_is_the_row_of_a_batch_of_one(self):
+        channels, sig = batch_instances(1, "prs")
+        ev = PowerEvaluator(channels[0], MODEL, sig)
+        assert type(ev) is PowerEvaluator
+        assert ev._w.base.shape == (1, 24, 2 * sig.num_subcarriers)
+
+    def test_rows_must_share_the_subcarriers(self):
+        channels, _ = batch_instances(2, "prs")
+        with pytest.raises(ValueError, match="disagree on subcarrier frequencies"):
+            EvaluatorBatch(channels, MODEL, single_tone_tx())
+
+    @pytest.mark.parametrize("start", ["zeros", "shared", "per-row"])
+    @pytest.mark.parametrize("n", [1, 3, 110])
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    def test_stack_sums_equal_row_sums(self, waveform, n, start):
+        # The sweep's starting sums are one product over the cascade stack,
+        # from one start vector for every row or one per row; each row's
+        # must be its evaluator's `sums`, bit for bit.
+        channels, sig = batch_instances(n, waveform)
+        batch = EvaluatorBatch(channels, MODEL, sig)
+        rng = np.random.default_rng(n)
+        bits = {
+            "zeros": np.zeros(24, dtype=np.uint8),
+            "shared": rng.integers(0, 2, size=24, dtype=np.uint8),
+            "per-row": rng.integers(0, 2, size=(n, 24), dtype=np.uint8),
+        }[start]
+        sums = batch.sums(bits)
+        assert sums.shape == (n, 2, sig.num_subcarriers)
+        rows = np.broadcast_to(bits, (n, 24))
+        for row, b, s in zip(lone_evaluators(channels, sig), rows, sums, strict=True):
+            assert same_bits(s, row.sums(b))
+        if start == "zeros":
+            assert not sums.any()
+
+    def test_codebook_batch_sums_equal_row_sums(self):
+        # The 110 ordered pairs of an 11-sector tone codebook on the
+        # default 32x32 panel, from all zeros, from one random start for
+        # every row and from a random start per row.
+        scen = Scenario()
+        centers = [float(a) for a in range(-75, 76, 15)]
+        pairs = [(scen.placement(lu), scen.placement(ed)) for lu in centers for ed in centers if lu != ed]
+        sig = scen.tx_signal()
+        channels = [scen.channels_for(lu, ed, sig.freqs) for lu, ed in pairs]
+        batch = EvaluatorBatch(channels, scen.element_model, sig)
+        assert len(batch) == 110
+        rng = np.random.default_rng(0)
+        for bits in (
+            np.zeros(1024, dtype=np.uint8),
+            rng.integers(0, 2, size=1024, dtype=np.uint8),
+            rng.integers(0, 2, size=(110, 1024), dtype=np.uint8),
+        ):
+            for row, b, s in zip(batch, np.broadcast_to(bits, (110, 1024)), batch.sums(bits), strict=True):
+                assert same_bits(s, row.sums(b))
 
 
 class TestPassSummaries:
@@ -509,8 +555,7 @@ class TestPassSummaries:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_passes_summarize_the_steps(self, method, fixpoint, waveform):
         channels, sig = batch_instances(7, waveform)
-        evs = [PowerEvaluator(ch, MODEL, sig) for ch in channels]
-        for trace in greedy_sweep(method, evs, panel(4, 6), run_to_fixpoint=fixpoint):
+        for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(4, 6), run_to_fixpoint=fixpoint):
             passes = trace.passes
             assert [p.iteration for p in passes] == sorted({s.iteration for s in trace.steps})
             assert sum(p.accepted for p in passes) == len(trace.accepted_steps())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ris_pls.channel import ChannelParams, Placement
+from ris_pls.ofdm import MAX_NUM_RB
 from ris_pls.optimize import PowerEvaluator, uniform_config
 from ris_pls.ris import RisArrayGeometry
 from ris_pls.scenario import Scenario
@@ -90,3 +91,9 @@ class TestNoiseCalibration:
             small_scenario(n0=0.0)
         with pytest.raises(ValueError):
             small_scenario(tx_mode="chirp")
+
+    def test_resource_blocks_bounded_by_a_carrier(self):
+        assert small_scenario(tx_mode="prs", num_rb=MAX_NUM_RB).tx_signal().num_subcarriers == 1650
+        for num_rb in (0, MAX_NUM_RB + 1):
+            with pytest.raises(ValueError, match="num_rb"):
+                small_scenario(num_rb=num_rb)
