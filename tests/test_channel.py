@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,13 +427,16 @@ def per_probe(chunks) -> list:
 
 class TestProbeLinks:
     @pytest.mark.parametrize("per_chunk", [None, 1, 3])
+    @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_links_equal_synthesized_links_and_bypass_the_memo(self, monkeypatch, grid, per_chunk):
+    def test_links_equal_synthesized_links_and_bypass_the_memo(self, monkeypatch, grid, num_paths, per_chunk):
         # In chunks of every probe, of one and of three (a ragged last
         # one). A chunk's steering phases are one matrix product, a
-        # synthesized link's one matrix-vector product.
+        # synthesized link's one matrix-vector product. Probes drop the
+        # scenario's scattered rays: under 8 paths their links are bit for
+        # bit the single-path synthesized links.
         tx, _ = build_default_geometry()
-        params = ChannelParams(num_paths=1, rng_seed=7)
+        params = ChannelParams(num_paths=num_paths, rng_seed=7)
         freqs = GRIDS[grid]
         panel = small_panel(2, 3)
         if per_chunk is not None:
@@ -448,30 +452,19 @@ class TestProbeLinks:
             assert h_d.shape == (len(h_d), freqs.size) and h.shape == (len(h_d), freqs.size, 6)
         links = per_probe(chunks)
         assert len(links) == len(probes)
+        single_ray = replace(params, num_paths=1)
         for probe, (h_d, h) in zip(probes, links):
-            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), panel, params, freqs)
+            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), panel, single_ray, freqs)
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_probes_see_the_line_of_sight_ray_only(self, grid):
-        # The scenario's scattered rays are dropped: probe links under 8
-        # paths are bit for bit those of a single-path channel.
-        tx, _ = build_default_geometry()
-        freqs = GRIDS[grid]
-        probes = [Placement(a, 6.0) for a in (-60.0, 0.0, 12.3)]
-        g8, chunks8 = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=8, rng_seed=7), freqs)
-        g1, chunks1 = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1, rng_seed=7), freqs)
-        assert same_bits(g8, g1)
-        for (h_d8, h8), (h_d1, h1) in zip(per_probe(chunks8), per_probe(chunks1), strict=True):
-            assert same_bits(h_d8, h_d1) and same_bits(h8, h1)
-
-    def test_direct_links_equal_per_probe_geometry(self):
+    @pytest.mark.parametrize("num_paths", [1, 8])
+    def test_direct_links_equal_per_probe_geometry(self, num_paths):
         # Probes every degree, and around the beam edges (half-beamwidth 10
-        # degrees about the boresight), against the geometry worked out
-        # afresh for each probe.
+        # degrees about the boresight), against the single-ray geometry
+        # worked out afresh for each probe, whatever the scenario's paths.
         tx, _ = build_default_geometry()
-        params = ChannelParams(num_paths=1, rng_seed=3)
+        params = ChannelParams(num_paths=num_paths, rng_seed=3)
         freqs = GRIDS["prs"]
         angles = [float(a) for a in range(-90, 91)] + [-41.3, -40.0, -39.99, 10.0, 10.01, 12.7]
         probes = [Placement(a, r) for a in angles for r in (2.0, 7.0)]
