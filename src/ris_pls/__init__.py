@@ -51,7 +51,6 @@ from .secrecy import (
     SecrecyReport,
     from_db,
     link_powers,
-    powers_and_sse,
     sum_sse,
     to_db,
 )

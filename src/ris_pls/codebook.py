@@ -22,7 +22,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .optimize import (
     uniform_config,
 )
 from .ris import RisConfig
-from .secrecy import LinkPowers, SecrecyReport, powers_and_sse, sum_sse
+from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
 
@@ -85,12 +84,40 @@ def pair_batches(scenario, tx, pairs: list, jobs: int = 1) -> list:
     return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
 
-def parallel_map(fn, items, jobs: int) -> list:
-    """`[fn(item) for item in items]`, on `jobs` threads when jobs > 1."""
+def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int = 1) -> list:
+    """Run every method on every (lu, ed) `Placement` pair and return
+    `keep(pair, method, config, trace, powers)` for each, pair by pair and
+    method by method. `powers` are the (2, K) LU and ED powers per
+    subcarrier of `config` (`PowerEvaluator.bin_powers`); `trace` is None
+    for the uniform method.
+
+    Each pair's channels are synthesized once, on the subcarriers of `tx`,
+    and serve all methods. The pairs are swept in lockstep batches
+    (`pair_batches`), and `jobs` workers take batches; the result does not
+    depend on how the pairs are batched or on the execution order. `keep`
+    runs in the worker, as each method's sweep of a batch ends: a batch
+    holds one method's traces at a time, and its evaluators only until its
+    last method is kept.
+    """
+
+    def sweep(batch) -> list:
+        evs = pair_evaluators(scenario, batch, tx)
+        kept = [
+            [
+                keep(pair, method, config, trace, ev.bin_powers(config.bits))
+                for pair, ev, config, trace in zip(batch, evs, *run_method(method, scenario, evs, noise))
+            ]
+            for method in methods
+        ]
+        return [cell for cells in zip(*kept) for cell in cells]
+
+    batches = pair_batches(scenario, tx, pairs, jobs)
     if jobs <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        results = map(sweep, batches)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(sweep, batches))
+    return [cell for cells in results for cell in cells]
 
 
 @dataclass
@@ -201,47 +228,28 @@ class Codebook:
             return cls.from_dict(json.load(fh))
 
 
-def _build_entries(scenario, grid, tx_sig, methods, pairs) -> list:
-    """One entry per method for each sector pair of a batch. Each pair's
-    entries come from one evaluator; each method sweeps the batch in
-    lockstep."""
-    evs = pair_evaluators(
-        scenario, [(Placement(lu, grid.user_range_m), Placement(ed, grid.user_range_m)) for lu, ed in pairs], tx_sig
-    )
-    configs = [run_method(method, scenario, evs)[0] for method in methods]
-    n0 = scenario.noise_power()
-    entries = []
-    for i, ((lu_c, ed_c), ev) in enumerate(zip(pairs, evs)):
-        for method, config in zip(methods, (c[i] for c in configs)):
-            achieved, sse = powers_and_sse(ev, config.bits, n0)
-            entries.append(CodebookEntry(lu_c, ed_c, method, config, achieved, sse))
-    return entries
-
-
 def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",), jobs: int = 1) -> Codebook:
     """Optimize every ordered sector pair with every method.
 
-    Produces |methods| * S * (S - 1) entries for S sectors. Each sector
-    pair's channels are synthesized once and serve all methods. Pairs are
-    independent: they are swept in lockstep batches (`pair_batches`), and
-    `jobs` workers take batches; the result does not depend on how the
-    pairs are batched or on the execution order.
+    Produces |methods| * S * (S - 1) entries for S sectors, through
+    `sweep_pairs` on `jobs` workers.
     """
     if not methods:
         raise ValueError("method list must not be empty")
     grid = grid if grid is not None else scenario.sector_grid
     if len(grid.sector_centers_deg) < 2:
         raise ValueError("codebook generation needs at least two sectors")
-    tx_sig = scenario.tx_signal()
-    scenario.noise_power()  # fill the calibration cache before any fan-out
-    pairs = [
-        (lu, ed) for lu in grid.sector_centers_deg for ed in grid.sector_centers_deg if lu != ed
-    ]
+    n0 = scenario.noise_power()  # calibrated once, before any fan-out
+    places = [Placement(c, grid.user_range_m) for c in grid.sector_centers_deg]
+    pairs = [(lu, ed) for lu in places for ed in places if lu != ed]
+
+    def entry(pair, method, config, trace, powers) -> CodebookEntry:
+        lu, ed = pair
+        return CodebookEntry(lu.azimuth_deg, ed.azimuth_deg, method, config, link_powers(powers), sum_sse(powers, n0))
+
     cb = Codebook(grid=grid, scenario_digest=scenario.digest())
-    batches = pair_batches(scenario, tx_sig, pairs, jobs)
-    for entries in parallel_map(partial(_build_entries, scenario, grid, tx_sig, methods), batches, jobs):
-        for entry in entries:
-            cb.add(entry)
+    for e in sweep_pairs(scenario, scenario.tx_signal(), pairs, methods, entry, jobs=jobs):
+        cb.add(e)
     return cb
 
 
@@ -271,7 +279,7 @@ def rescore_config(scenario, config: RisConfig, lu_sector: float, ed_sector: flo
     eavesdropper sector (channels re-synthesized from the scenario)."""
     tx_sig = scenario.tx_signal()
     ev = pair_evaluator(scenario, scenario.placement(lu_sector), scenario.placement(ed_sector), tx_sig)
-    return sum_sse(ev, config.bits, scenario.noise_power()).r_sec_raw
+    return sum_sse(ev.bin_powers(config.bits), scenario.noise_power()).r_sec_raw
 
 
 def select_config(
@@ -324,7 +332,7 @@ def select_config(
     worst = [math.inf] * len(candidates)
     for ed in admissible:
         ev = pair_evaluator(scenario, lu, scenario.placement(ed), tx_sig)
-        worst = [min(w, sum_sse(ev, e.config.bits, n0).r_sec_raw) for w, e in zip(worst, candidates)]
+        worst = [min(w, sum_sse(ev.bin_powers(e.config.bits), n0).r_sec_raw) for w, e in zip(worst, candidates)]
     # The first of equal guarantees wins.
     best = max(range(len(candidates)), key=worst.__getitem__)
     return candidates[best], float(worst[best])

@@ -16,19 +16,16 @@ from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
-    pair_batches,
     pair_evaluator,
-    pair_evaluators,
-    parallel_map,
-    run_method,
     scan_power_pattern,
     select_config,
+    sweep_pairs,
 )
 from .fields import check_types, is_number
 from .ofdm import MAX_NUM_RB, build_prs_grid, prs_signal, tone_signal
 from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
-from .secrecy import from_db, link_powers, powers_and_sse, to_db
+from .secrecy import from_db, link_powers, sum_sse, to_db
 from .scenario import Scenario
 
 MODES = (
@@ -58,6 +55,11 @@ DEFAULT_PAIRS = (
 #: Most azimuths one pattern scan probes: a 0.002-degree step over the
 #: full 180 degrees. A finer step is taken as a mistake, not as work.
 MAX_SCAN_ANGLES = 100_000
+
+#: Most noisy readings averaged into one power estimate. A sweep reads
+#: every scored move, and each reading draws its averages one noise vector
+#: at a time, so a larger count is taken as a mistake, not as work.
+MAX_MEASUREMENT_AVERAGES = 1024
 
 
 class SpecError(ValueError):
@@ -127,6 +129,10 @@ class ExperimentSpec:
         for name in ("jobs", "measurement_averages", "fs_num_rb"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be a positive integer")
+        if self.measurement_averages > MAX_MEASUREMENT_AVERAGES:
+            raise SpecError(
+                f"measurement_averages {self.measurement_averages} exceeds {MAX_MEASUREMENT_AVERAGES} readings"
+            )
         if self.fs_num_rb > MAX_NUM_RB:
             raise SpecError(f"fs_num_rb {self.fs_num_rb} exceeds the {MAX_NUM_RB} resource blocks of a carrier")
         for name in ("query_method", "fs_method"):
@@ -249,22 +255,28 @@ def _measurement_noise(spec: ExperimentSpec, scenario: Scenario, seed: int):
     return MeasurementNoise(n0=n0, averages=spec.measurement_averages, seed=seed)
 
 
-def _compare_pairs(task) -> list:
-    """Every method's result cell for each placement pair of a batch. Each
-    pair's cells come from one evaluator; each method sweeps the batch in
-    lockstep, and each noisy sweep draws from its own generator."""
-    scenario, spec, tx_sig, seed, noise, pairs = task
-    evs = pair_evaluators(scenario, [(scenario.placement(lu), scenario.placement(ed)) for lu, ed in pairs], tx_sig)
-    runs = [run_method(method, scenario, evs, noise=noise) for method in spec.methods]
-    cells = []
-    for i, ((lu_deg, ed_deg), ev) in enumerate(zip(pairs, evs)):
-        for method, (configs, traces) in zip(spec.methods, runs):
-            config, trace = configs[i], traces[i]
-            powers, sse = powers_and_sse(ev, config.bits, scenario.noise_power())
-            cells.append({
+def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
+    """Optimize every (pair, method) cell and emit the comparison tables.
+
+    Writes a received-power CSV with one row per placement pair and one
+    LU/ED column pair per method, a raw-SSE matrix CSV, and a JSON file
+    holding full precision results and optimizer traces. With several
+    seeds the CSVs hold the per-cell mean over seeds. The seeds run one
+    after another, each through `sweep_pairs` on `spec.jobs` workers; each
+    noisy sweep draws from its own generator.
+    """
+    seeds = spec.seeds if spec.seeds else (scenario.seed,)
+    results = []
+    for seed in seeds:
+        scen = scenario.with_seed(seed)
+        n0 = scen.noise_power()  # calibrated once, before any fan-out
+
+        def cell(pair, method, config, trace, p) -> dict:
+            powers, sse = link_powers(p), sum_sse(p, n0)
+            return {
                 "seed": seed,
-                "lu_deg": lu_deg,
-                "ed_deg": ed_deg,
+                "lu_deg": pair[0].azimuth_deg,
+                "ed_deg": pair[1].azimuth_deg,
                 "method": method,
                 "p_lu": powers.p_lu,
                 "p_ed": powers.p_ed,
@@ -274,30 +286,11 @@ def _compare_pairs(task) -> list:
                 "sse_clamped": sse.r_sec,
                 "config_bits": config.to_bitstring(),
                 "trace": None if trace is None else trace.to_dict(),
-            })
-    return cells
+            }
 
-
-def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
-    """Optimize every (pair, method) cell and emit the comparison tables.
-
-    Writes a received-power CSV with one row per placement pair and one
-    LU/ED column pair per method, a raw-SSE matrix CSV, and a JSON file
-    holding full precision results and optimizer traces. With several
-    seeds the CSVs hold the per-cell mean over seeds. Each seed's
-    placement pairs are swept in lockstep batches (`pair_batches`), and
-    `spec.jobs` workers take batches.
-    """
-    seeds = spec.seeds if spec.seeds else (scenario.seed,)
-    tasks = []
-    for seed in seeds:
-        scen = scenario.with_seed(seed)
-        scen.noise_power()  # fill the calibration cache before any fan-out
+        pairs = [(scen.placement(lu), scen.placement(ed)) for lu, ed in spec.pairs]
         noise = _measurement_noise(spec, scen, seed)
-        tx_sig = scen.tx_signal()
-        batches = pair_batches(scen, tx_sig, list(spec.pairs), spec.jobs)
-        tasks += [(scen, spec, tx_sig, seed, noise, batch) for batch in batches]
-    results = [cell for cells in parallel_map(_compare_pairs, tasks, spec.jobs) for cell in cells]
+        results += sweep_pairs(scen, scen.tx_signal(), pairs, spec.methods, cell, noise, spec.jobs)
 
     by_cell = {}
     for r in results:
@@ -371,21 +364,15 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         )
         wide = prs_signal(grid)
     # Two passes, one per frequency grid, so each pass reuses the panel-link
-    # memo's transmitter and receiver links instead of evicting them. The
-    # narrowband pass sweeps its pairs in lockstep batches.
-    narrowband = []
-    for batch in pair_batches(scenario, tone, list(spec.pairs)):
-        places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in batch]
-        evs = pair_evaluators(scenario, places, tone)
-        configs, _ = run_method(spec.fs_method, scenario, evs)
-        narrowband += [
-            (lu, ed, config, link_powers(ev, config.bits))
-            for (lu, ed), ev, config in zip(places, evs, configs)
-        ]
+    # memo's transmitter and receiver links instead of evicting them.
+    places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in spec.pairs]
+    narrowband = sweep_pairs(
+        scenario, tone, places, (spec.fs_method,), lambda pair, method, config, trace, p: (*pair, config, link_powers(p))
+    )
     rows = []
     detail = []
     for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
-        wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
+        wb = link_powers(pair_evaluator(scenario, lu, ed, wide).bin_powers(config.bits))
         nb_gap = nb.lu_db - nb.ed_db
         wb_gap = wb.lu_db - wb.ed_db
         rows.append(

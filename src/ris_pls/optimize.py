@@ -446,6 +446,14 @@ def _partitioned_moves(n_v: int, n_h: int) -> list:
 
 #: method -> (objective reported as the trace's final objective, move-list
 #: builder). A move is (kind, index, half, objective key, element slice).
+#:
+#: alg1 (`algorithm1`) is the full-surface sweep of the LU/ED power ratio
+#: and alg2 (`algorithm2`) the partitioned sweep: left columns for LU power,
+#: right columns for ED power, then per row the left half-row for LU power
+#: and the right half-row for ED power. alg2's two registers are seeded once
+#: from the starting configuration, and its final objective is the ratio of
+#: the end configuration. lu_max and ed_min (`lu_max`, `ed_min`) are
+#: full-surface sweeps of one receiver's power that ignore the other.
 METHODS = {
     "alg1": ("ratio", _full_surface_moves("ratio")),
     "alg2": ("ratio", _partitioned_moves),
@@ -577,7 +585,8 @@ def greedy_sweep(
     return traces
 
 
-def algorithm1(
+def sweep_pair(
+    method: str,
     channels: ChannelSet,
     element_model: ElementModel,
     tx: TxSignal,
@@ -587,67 +596,15 @@ def algorithm1(
     noise: MeasurementNoise | None = None,
     run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
-    """Full-surface greedy maximization of the LU/ED power ratio.
-
-    Sweeps all columns then all rows per pass, starting from the all-zeros
-    configuration, accepting a flip only on strict ratio improvement.
-    """
+    """The `greedy_sweep` of one channel set: the trace of a batch of one."""
     batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep("alg1", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
+    return greedy_sweep(method, batch, geometry, init, iters, noise, run_to_fixpoint)[0]
 
 
-def lu_max(
-    channels: ChannelSet,
-    element_model: ElementModel,
-    tx: TxSignal,
-    geometry: RisArrayGeometry,
-    init: RisConfig | None = None,
-    iters: int = 2,
-    noise: MeasurementNoise | None = None,
-    run_to_fixpoint: bool = False,
-) -> OptimizerTrace:
-    """Beamform toward the intended receiver, ignoring the eavesdropper."""
-    batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep("lu_max", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
-
-
-def ed_min(
-    channels: ChannelSet,
-    element_model: ElementModel,
-    tx: TxSignal,
-    geometry: RisArrayGeometry,
-    init: RisConfig | None = None,
-    iters: int = 2,
-    noise: MeasurementNoise | None = None,
-    run_to_fixpoint: bool = False,
-) -> OptimizerTrace:
-    """Suppress the eavesdropper's power, ignoring the intended receiver."""
-    batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep("ed_min", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
-
-
-def algorithm2(
-    channels: ChannelSet,
-    element_model: ElementModel,
-    tx: TxSignal,
-    geometry: RisArrayGeometry,
-    init: RisConfig | None = None,
-    iters: int = 2,
-    noise: MeasurementNoise | None = None,
-    run_to_fixpoint: bool = False,
-) -> OptimizerTrace:
-    """Partitioned greedy sweep: left half serves the intended receiver,
-    right half suppresses the eavesdropper.
-
-    Per pass: left columns are flipped for strictly higher LU power, right
-    columns for strictly lower ED power; then for every row the left
-    half-row is tried for LU power and the right half-row for ED power.
-    The two objectives keep independent "last accepted" registers that are
-    initialized once from the starting configuration. The final objective
-    is the ratio of the end configuration.
-    """
-    batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep("alg2", batch, geometry, init, iters, noise, run_to_fixpoint)[0]
+algorithm1 = functools.partial(sweep_pair, "alg1")
+algorithm2 = functools.partial(sweep_pair, "alg2")
+lu_max = functools.partial(sweep_pair, "lu_max")
+ed_min = functools.partial(sweep_pair, "ed_min")
 
 
 def single_flip_improvements(

@@ -91,17 +91,20 @@ class SecrecyReport:
         return out
 
 
-def _link_powers(p: np.ndarray) -> LinkPowers:
+def link_powers(p: np.ndarray) -> LinkPowers:
+    """Received powers summed over subcarriers, from the (2, K) LU and ED
+    powers per subcarrier `p` (`PowerEvaluator.bin_powers`)."""
     return LinkPowers(float(p[0].sum()), float(p[1].sum()))
 
 
-def link_powers(ev, bits: np.ndarray) -> LinkPowers:
-    """Noiseless received powers of the configuration `bits`, summed over
-    the occupied subcarriers of the `PowerEvaluator` `ev`."""
-    return _link_powers(ev.bin_powers(bits))
+def sum_sse(p: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
+    """Sum secrecy spectral efficiency over the subcarriers of the (2, K)
+    LU and ED powers per subcarrier `p` (`PowerEvaluator.bin_powers`).
 
-
-def _sse_report(p: np.ndarray, n0: float, apply_max=False) -> SecrecyReport:
+    Rates are Shannon efficiencies of the noiseless effective signal power
+    over `n0`. With `apply_max` the clamped difference is the headline
+    value of the report; the raw difference is always carried alongside.
+    """
     if n0 <= 0:
         raise ValueError("noise power must be positive")
     r_lu, r_ed = np.log2(1.0 + p / n0)
@@ -115,21 +118,3 @@ def _sse_report(p: np.ndarray, n0: float, apply_max=False) -> SecrecyReport:
         num_occupied=p.shape[1],
         headline_clamped=apply_max,
     )
-
-
-def sum_sse(ev, bits: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
-    """Sum secrecy spectral efficiency of the configuration `bits` over the
-    occupied subcarriers of the `PowerEvaluator` `ev`.
-
-    Rates are Shannon efficiencies of the noiseless effective signal power
-    over `n0`. With `apply_max` the clamped difference is the headline
-    value of the report; the raw difference is always carried alongside.
-    """
-    return _sse_report(ev.bin_powers(bits), n0, apply_max)
-
-
-def powers_and_sse(ev, bits: np.ndarray, n0: float) -> tuple:
-    """(`link_powers`, `sum_sse`) of one configuration from one set of
-    per-subcarrier powers."""
-    p = ev.bin_powers(bits)
-    return _link_powers(p), _sse_report(p, n0)

@@ -19,6 +19,7 @@ from ris_pls.codebook import (
     pair_evaluator,
     pair_evaluators,
     rescore_config,
+    run_method,
     select_config,
 )
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
@@ -35,7 +36,7 @@ from ris_pls.optimize import (
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, sum_sse
-from ris_pls.experiments import DEFAULT_PAIRS, run_method
+from ris_pls.experiments import DEFAULT_PAIRS
 
 CARRIER = 3.55e9
 METHODS = ("alg1", "alg2", "lu_max", "ed_min", "uniform")
@@ -95,9 +96,9 @@ def test_criterion_02_sse_closed_forms():
         symbols=np.array([1.0 + 0.0j]),
     )
     bits = np.zeros(1, dtype=np.uint8)
-    snr31 = sum_sse(PowerEvaluator(flat_channels(math.sqrt(3.0), 1.0), ElementModel(), tx), bits, n0=1.0)
+    snr31 = sum_sse(PowerEvaluator(flat_channels(math.sqrt(3.0), 1.0), ElementModel(), tx).bin_powers(bits), n0=1.0)
     identical = sum_sse(
-        PowerEvaluator(flat_channels(0.8, 0.8), ElementModel(), tx), bits, n0=1.0, apply_max=True
+        PowerEvaluator(flat_channels(0.8, 0.8), ElementModel(), tx).bin_powers(bits), n0=1.0, apply_max=True
     )
     ok = (
         abs(snr31.r_sec_raw - 1.0) <= 1e-12
@@ -211,9 +212,9 @@ def reference_sweep():
             (ev,) = batch
             for method in METHODS:
                 (config,), _ = run_method(method, scenario, batch)
-                p = link_powers(ev, config.bits)
+                p = link_powers(ev.bin_powers(config.bits))
                 powers[(seed, pair, method)] = (p.p_lu, p.p_ed)
-                sse[(seed, pair, method)] = sum_sse(ev, config.bits, n0).r_sec_raw
+                sse[(seed, pair, method)] = sum_sse(ev.bin_powers(config.bits), n0).r_sec_raw
     return powers, sse, time.time() - start
 
 
@@ -287,8 +288,8 @@ def test_criterion_08_frequency_selectivity():
             nb = pair_evaluators(scenario, [(lu, ed)], tone)
             (config,), _ = run_method("alg1", scenario, nb)
             (nb_ev,) = nb
-            nb = link_powers(nb_ev, config.bits)
-            wb = link_powers(pair_evaluator(scenario, lu, ed, wide), config.bits)
+            nb = link_powers(nb_ev.bin_powers(config.bits))
+            wb = link_powers(pair_evaluator(scenario, lu, ed, wide).bin_powers(config.bits))
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))
         results[mode] = rows
     ideal_worst = max(abs(nb - wb) for nb, wb in results["ideal"])

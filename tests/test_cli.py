@@ -22,7 +22,14 @@ from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
 from ris_pls.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCENARIO, EXIT_SPEC, main
-from ris_pls.experiments import ExperimentSpec, _measurement_noise, run_compare, run_frequency_selectivity
+from ris_pls.experiments import (
+    MAX_MEASUREMENT_AVERAGES,
+    ExperimentSpec,
+    SpecError,
+    _measurement_noise,
+    run_compare,
+    run_frequency_selectivity,
+)
 from ris_pls.optimize import EvaluatorBatch, algorithm1, algorithm2, ed_min, lu_max
 from ris_pls.ofdm import MAX_NUM_RB
 from ris_pls.ris import ElementModel, RisArrayGeometry
@@ -395,6 +402,26 @@ class TestExitCodes:
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
 
+    def test_measurement_averages_beyond_the_bound_are_spec_error(self, tmp_path):
+        # Without the bound, each reading would draw 1e12 noise vectors.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"],
+            "noisy_measurements": True, "measurement_averages": 1_000_000_000_000,
+        }))
+        start = time.monotonic()
+        proc = run_cli("compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path))
+        assert time.monotonic() - start < 10.0
+        assert proc.returncode == EXIT_SPEC
+        assert proc.stderr.startswith("spec error: measurement_averages") and "Traceback" not in proc.stderr
+        assert not (tmp_path / "compare_results.json").exists()
+        limit = ExperimentSpec("compare_methods", measurement_averages=MAX_MEASUREMENT_AVERAGES)
+        assert limit.measurement_averages == MAX_MEASUREMENT_AVERAGES
+        with pytest.raises(SpecError):
+            ExperimentSpec("compare_methods", measurement_averages=MAX_MEASUREMENT_AVERAGES + 1)
+
     def test_resource_blocks_beyond_a_carrier_are_spec_error(self, tmp_path):
         # int("01" * 8) resource blocks, far beyond the 275 of one carrier.
         scenario = tmp_path / "scenario.json"
@@ -645,12 +672,20 @@ class TestJobsSplitBatches:
 
     @pytest.mark.parametrize(
         "argv",
-        [["codebook-gen", "--methods", "alg1", "alg2", "lu_max", "ed_min"], ["compare"], ["compare", "--noisy-measurements"]],
-        ids=["codebook-gen", "compare", "compare-noisy"],
+        [
+            ["codebook-gen", "--methods", "alg1", "alg2", "lu_max", "ed_min"],
+            ["compare"],
+            ["compare", "--noisy-measurements"],
+            ["compare", "--spec", "{seeds}"],
+        ],
+        ids=["codebook-gen", "compare", "compare-noisy", "compare-seeds"],
     )
     def test_outputs_do_not_depend_on_jobs(self, tmp_path, argv):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario, sector_grid=SectorGrid(sector_centers_deg=(-15.0, 0.0, 15.0, 30.0, 45.0)))
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"mode": "compare_methods", "seeds": [1, 2]}))
+        argv = [arg.format(seeds=seeds) for arg in argv]
         outputs = []
         for jobs in ("1", "2", "4"):
             out = tmp_path / f"jobs{jobs}"
@@ -658,6 +693,8 @@ class TestJobsSplitBatches:
             outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
         assert len(outputs[0]) >= 2
         assert outputs[0] == outputs[1] == outputs[2]
+        if seeds.name in " ".join(argv):
+            assert json.loads(outputs[0]["compare_results.json"])["seeds"] == [1, 2]
 
 
 #: Values swapped into spec fields: every JSON type, edge numbers, and

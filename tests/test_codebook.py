@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,9 +33,10 @@ from ris_pls.codebook import (
     rescore_config,
     scan_power_pattern,
     select_config,
+    sweep_pairs,
 )
 from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
-from ris_pls.optimize import received_signal, reflection_coefficients, uniform_config
+from ris_pls.optimize import PowerEvaluator, received_signal, reflection_coefficients, uniform_config
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import LinkPowers, SecrecyReport, to_db
@@ -154,6 +157,58 @@ class TestSweepBatches:
         spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)), methods=("alg1",))
         run_compare(sc, spec)
         assert sizes == [1, 1]
+
+
+def track_trace_batches(monkeypatch) -> list:
+    """Weak references to the `TraceBatch` of every method run from now
+    on; each run first checks that the earlier ones are gone."""
+    refs = []
+    run_method = codebook.run_method
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs), "an earlier method's traces are still held"
+        configs, traces = run_method(*args, **kwargs)
+        if isinstance(traces, optimize.TraceBatch):
+            refs.append(weakref.ref(traces))
+        return configs, traces
+
+    monkeypatch.setattr(codebook, "run_method", tracking)
+    return refs
+
+
+class TestSweepPairs:
+    METHODS = ("alg1", "alg2", "lu_max", "ed_min")
+
+    def test_cells_pair_by_pair_and_method_by_method(self):
+        sc = scenario_8x8(seed=2)
+        pairs = [(sc.placement(lu), sc.placement(ed)) for lu, ed in ((0.0, 15.0), (30.0, 0.0), (45.0, 15.0))]
+        methods = (*self.METHODS, "uniform")
+
+        def keep(pair, method, config, trace, powers):
+            return pair, method, config.to_bitstring(), powers
+
+        cells = sweep_pairs(sc, sc.tx_signal(), pairs, methods, keep, jobs=2)
+        assert [(pair, method) for pair, method, _, _ in cells] == [(p, m) for p in pairs for m in methods]
+        for pair, method, bits, powers in cells:
+            ev = PowerEvaluator(sc.channels_for(*pair), sc.element_model, sc.tx_signal())
+            assert np.array_equal(powers, ev.bin_powers(RisConfig.from_bitstring(bits, 8, 8).bits))
+
+    def test_codebook_releases_each_methods_traces(self, monkeypatch):
+        refs = track_trace_batches(monkeypatch)
+        cb = generate_codebook(scenario_8x8(seed=2), methods=self.METHODS)
+        assert cb.is_complete(self.METHODS)
+        assert len(refs) == 4
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+
+    def test_compare_releases_each_methods_traces(self, monkeypatch, tmp_path):
+        refs = track_trace_batches(monkeypatch)
+        spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)))
+        run_compare(scenario_8x8(seed=2), spec)
+        assert len(refs) == 4  # uniform has no traces
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
 
 class TestLazyTraces:

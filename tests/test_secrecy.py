@@ -12,7 +12,6 @@ from ris_pls.secrecy import (
     LinkPowers,
     from_db,
     link_powers,
-    powers_and_sse,
     sum_sse,
     to_db,
 )
@@ -73,13 +72,13 @@ class TestDbHelpers:
 class TestLinkPowers:
     def test_unit_cascade(self):
         ch = channels(0.0, 0.0, h_lu=[[1.0]], h_ed=[[0.0]], g=[[1.0]])
-        assert link_powers(evaluator(ch), zeros(ch)).p_lu == pytest.approx(1.0, rel=1e-15)
+        assert link_powers(evaluator(ch).bin_powers(zeros(ch))).p_lu == pytest.approx(1.0, rel=1e-15)
 
     def test_scaling_x_quadruples_power(self):
         ch = channels(1.0, 1.0)
-        base = link_powers(evaluator(ch), zeros(ch)).p_lu
-        doubled = link_powers(evaluator(ch, unit_tx(symbols=[2.0])), zeros(ch)).p_lu
-        scaled = link_powers(evaluator(ch, unit_tx(power_scale=4.0)), zeros(ch)).p_lu
+        base = link_powers(evaluator(ch).bin_powers(zeros(ch))).p_lu
+        doubled = link_powers(evaluator(ch, unit_tx(symbols=[2.0])).bin_powers(zeros(ch))).p_lu
+        scaled = link_powers(evaluator(ch, unit_tx(power_scale=4.0)).bin_powers(zeros(ch))).p_lu
         assert doubled == pytest.approx(4.0 * base, rel=1e-12)
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
@@ -105,7 +104,7 @@ class TestLinkPowers:
             for i in range(m):
                 eff += h[v, i] * phi[v, i] * g[v, i]
             expected += abs(eff * x[v]) ** 2
-        got = link_powers(PowerEvaluator(ch, model, unit_tx(k, symbols=x)), bits)
+        got = link_powers(PowerEvaluator(ch, model, unit_tx(k, symbols=x)).bin_powers(bits))
         assert got.p_lu == pytest.approx(expected, rel=1e-12)
         assert got.p_ed == pytest.approx(expected, rel=1e-12)
 
@@ -127,7 +126,7 @@ class TestLinkPowers:
         dense_ch = synthesize_channels(tx, lu, ed, ris, params, full.freqs)
         y_lu, y_ed = dense_receive(dense_ch, model, config, full)
         ev = PowerEvaluator(synthesize_channels(tx, lu, ed, ris, params, sig.freqs), model, sig)
-        powers = link_powers(ev, config.bits)
+        powers = link_powers(ev.bin_powers(config.bits))
         mask = grid.occupied_mask
         assert powers.p_lu == pytest.approx((np.abs(y_lu[mask]) ** 2).sum(), rel=1e-11, abs=0)
         assert powers.p_ed == pytest.approx((np.abs(y_ed[mask]) ** 2).sum(), rel=1e-11, abs=0)
@@ -136,7 +135,7 @@ class TestLinkPowers:
         channels_, sig = model_instance(3, 3, 4, waveform="prs")
         ev = PowerEvaluator(channels_, ElementModel(), sig)
         for bits in np.random.default_rng(0).integers(0, 2, size=(5, 12), dtype=np.uint8):
-            powers = link_powers(ev, bits)
+            powers = link_powers(ev.bin_powers(bits))
             assert powers.p_lu == ev.evaluate("lu_power_max", bits)
             assert powers.p_ed == ev.evaluate("ed_power_min", bits)
 
@@ -173,7 +172,7 @@ class TestRatioObjective:
             rng.standard_normal() + 1j * rng.standard_normal(),
             rng.standard_normal() + 1j * rng.standard_normal(),
         )
-        powers = link_powers(evaluator(ch), zeros(ch))
+        powers = link_powers(evaluator(ch).bin_powers(zeros(ch)))
         assert self.ratio(ch) == powers.p_lu / powers.p_ed
 
     def test_zero_ed_power_is_infinite(self):
@@ -187,38 +186,38 @@ class TestSumSse:
     def test_snr_three_vs_one(self):
         # Closed form: log2(4) - log2(2) = 1 bit/s/Hz.
         ch = channels(math.sqrt(3.0), 1.0)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
+        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
         assert report.r_sec_raw == pytest.approx(1.0, abs=1e-12)
         assert report.r_lu == pytest.approx(2.0, abs=1e-12)
         assert report.r_ed == pytest.approx(1.0, abs=1e-12)
 
     def test_two_subcarriers_sum(self):
         ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
+        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
         assert report.r_sec_raw == pytest.approx(2.0, abs=1e-12)
         assert report.per_subcarrier_mean == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_channels_zero_sse(self):
         ch = channels(0.9, 0.9)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=0.5, apply_max=True)
+        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=0.5, apply_max=True)
         assert report.r_sec == 0.0
         assert report.r_sec_raw == 0.0
         assert report.value == 0.0
 
     def test_clamp_relation_holds(self):
         ch = channels(1.0, 2.0)  # eavesdropper stronger: raw < 0
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
+        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
         assert report.r_sec_raw < 0
         assert report.r_sec == 0.0
         assert report.value == report.r_sec_raw  # raw headline by default
-        clamped = sum_sse(evaluator(ch), zeros(ch), n0=1.0, apply_max=True)
+        clamped = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0, apply_max=True)
         assert clamped.value == 0.0
 
     def test_monotone_in_lu_power(self):
         previous = -math.inf
         for a in (0.5, 1.0, 2.0, 4.0):
             ch = channels(a, 1.0)
-            raw = sum_sse(evaluator(ch), zeros(ch), n0=1.0).r_sec_raw
+            raw = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0).r_sec_raw
             assert raw > previous
             previous = raw
 
@@ -228,14 +227,14 @@ class TestSumSse:
         k = 3
         ch = channels(100.0, 50.0, k=k)
         n0 = 1.0
-        a = sum_sse(evaluator(ch), zeros(ch), n0=n0).r_sec_raw
-        b = sum_sse(evaluator(ch), zeros(ch), n0=2 * n0).r_sec_raw
+        a = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=n0).r_sec_raw
+        b = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=2 * n0).r_sec_raw
         assert abs(a - b) < 0.01 * k
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_num_occupied_is_subcarrier_count(self, k):
         ch = channels(2.0, 1.0, k=k)
-        report = sum_sse(evaluator(ch), zeros(ch), n0=1.0)
+        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
         assert report.num_occupied == k
         assert report.r_sec_raw == pytest.approx(k * (math.log2(5.0) - 1.0))
         assert report.per_subcarrier_mean == pytest.approx(math.log2(5.0) - 1.0)
@@ -243,39 +242,13 @@ class TestSumSse:
     def test_nonpositive_n0_rejected(self):
         ch = channels(1.0, 1.0)
         with pytest.raises(ValueError):
-            sum_sse(evaluator(ch), zeros(ch), n0=0.0)
+            sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=0.0)
 
     def test_serialization_fields(self):
         ch = channels(math.sqrt(3.0), 1.0)
-        data = sum_sse(evaluator(ch), zeros(ch), n0=1.0).to_dict()
+        data = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0).to_dict()
         assert data["sse"] == data["r_sec_raw"]
         assert data["num_occupied"] == 1
-
-
-class TestPowersAndSse:
-    def test_equals_separate_reports(self):
-        rng = np.random.default_rng(3)
-        k, m = 4, 4
-
-        def draw(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        ch = channels(draw(k), draw(k), draw(k, m), draw(k, m), draw(k, m), k=k, m=m)
-        tx = TxSignal(
-            mode="prs",
-            freqs=np.full(k, CARRIER),
-            symbols=draw(k),
-        )
-        ev = PowerEvaluator(ch, ElementModel(phase_at_center=(0.5, 2.0)), tx)
-        bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        powers, report = powers_and_sse(ev, bits, n0=0.3)
-        assert powers == link_powers(ev, bits)
-        assert report == sum_sse(ev, bits, n0=0.3)
-
-    def test_nonpositive_noise_rejected(self):
-        ch = channels(1.0, 1.0)
-        with pytest.raises(ValueError):
-            powers_and_sse(evaluator(ch), zeros(ch), n0=0.0)
 
 
 def dense_powers(ch, model, sig, config):
@@ -304,7 +277,8 @@ class TestDenseReceiveParity:
             for config in configs:
                 p_lu, p_ed = dense_powers(ch, model, sig, config)
                 n0 = float(p_lu.mean())
-                powers, report = powers_and_sse(ev, config.bits, n0)
+                p = ev.bin_powers(config.bits)
+                powers, report = link_powers(p), sum_sse(p, n0)
                 assert powers.p_lu == pytest.approx(p_lu.sum(), rel=1e-11, abs=0)
                 assert powers.p_ed == pytest.approx(p_ed.sum(), rel=1e-11, abs=0)
                 r_lu = np.log2(1.0 + p_lu / n0).sum()
