@@ -236,6 +236,14 @@ def _scatter_sigma(amp_los: float, params: ChannelParams) -> float:
     return amp_los**2 / k_lin / (params.num_paths - 1)
 
 
+def _scatter_rays(rng: np.random.Generator, amp: float, tau0: float, params: ChannelParams) -> tuple:
+    """(gains, delays) of a link's scattered rays, drawn next from `rng`."""
+    n = params.num_paths - 1
+    excess = rng.uniform(0.0, params.max_excess_delay_s, n)
+    gains = math.sqrt(_scatter_sigma(amp, params) / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return gains, tau0 + excess
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 3-vector, as `np.linalg.norm` works it out (the
     square root of `v.dot(v)`), without its checks."""
@@ -279,15 +287,10 @@ def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.nd
     which every direct link of a synthesis or a scan shares."""
     amp, tau0 = _direct_ray(beam, node, node.position(), params)
     h = amp * np.exp(-2j * math.pi * f * tau0)
-    n_scatter = params.num_paths - 1
-    if n_scatter > 0:
+    if params.num_paths > 1:
         rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
-        sigma2 = _scatter_sigma(amp, params)
-        excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
-        gains = math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(n_scatter) + 1j * rng.standard_normal(n_scatter)
-        )
-        h = h + (gains[None, :] * np.exp(-2j * math.pi * np.outer(f, tau0 + excess))).sum(axis=1)
+        gains, delays = _scatter_rays(rng, amp, tau0, params)
+        h = h + (gains[None, :] * np.exp(-2j * math.pi * np.outer(f, delays))).sum(axis=1)
     return h
 
 
@@ -316,21 +319,16 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
         rng = _link_rng(params.rng_seed, kind, node)
-        sigma2 = _scatter_sigma(amp, params)
         az = np.radians(rng.uniform(-90.0, 90.0, n_scatter))
         el = np.radians(rng.uniform(-30.0, 30.0, n_scatter))
-        excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
-        gains = math.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(n_scatter) + 1j * rng.standard_normal(n_scatter)
-        )
         dirs = np.column_stack(
             [np.sin(az) * np.cos(el), np.cos(az) * np.cos(el), np.sin(el)]
         )
-        for l in range(n_scatter):
-            h = h + gains[l] * np.outer(
-                np.exp(-2j * math.pi * f * (tau0 + excess[l])),
-                _steering(elem, dirs[l], params.carrier_hz),
-            )
+        gains, delays = _scatter_rays(rng, amp, tau0, params)
+        # The scattered rays as one product: (K, L) taps, each ray's gain
+        # times its delay phase per subcarrier, by (L, M) steering profiles.
+        taps = gains * np.exp(np.outer(-2j * math.pi * f, delays))
+        h += taps @ _steering(elem, dirs, params.carrier_hz)
     return h
 
 

@@ -29,7 +29,7 @@ from .channel import Placement, SectorGrid, probe_links
 from .optimize import (
     METHODS,
     EvaluatorBatch,
-    PowerEvaluator,
+    channel_powers,
     greedy_sweep,
     received_signal,
     reflection_coefficients,
@@ -41,15 +41,14 @@ from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
 
 
-def pair_evaluator(scenario, lu: Placement, ed: Placement, tx) -> PowerEvaluator:
-    """The power evaluator of the scenario's channels to (lu, ed) at the
-    subcarriers of `tx`."""
-    return PowerEvaluator(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx)
+def pair_powers(scenario, lu: Placement, ed: Placement, tx, bits) -> np.ndarray:
+    """`channel_powers` of `bits` on the scenario's channels to (lu, ed)."""
+    return channel_powers(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx, bits)
 
 
 def pair_evaluators(scenario, pairs: list, tx) -> EvaluatorBatch:
-    """The `pair_evaluator` of each (lu, ed) placement pair in `pairs`, as
-    the rows of one batch, which a lockstep sweep reads as it is."""
+    """The evaluators of the scenario's channels to each (lu, ed) pair at
+    the subcarriers of `tx`, as the rows of one batch for lockstep sweeps."""
     channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
     return EvaluatorBatch(channel_sets, scenario.element_model, tx)
 
@@ -192,20 +191,11 @@ class Codebook:
         return self.entries[key]
 
     def entries_for_lu(self, lu_sector: float, method: str) -> list:
-        return [
-            e
-            for (lu, _, meth), e in sorted(self.entries.items())
-            if lu == lu_sector and meth == method
-        ]
+        return [e for (lu, _, meth), e in sorted(self.entries.items()) if lu == lu_sector and meth == method]
 
     def is_complete(self, methods) -> bool:
         centers = self.grid.sector_centers_deg
-        for method in methods:
-            for lu in centers:
-                for ed in centers:
-                    if lu != ed and (lu, ed, method) not in self.entries:
-                        return False
-        return True
+        return all((lu, ed, m) in self.entries for m in methods for lu in centers for ed in centers if lu != ed)
 
     def to_dict(self) -> dict:
         return {
@@ -277,9 +267,8 @@ class EdKnowledge:
 def rescore_config(scenario, config: RisConfig, lu_sector: float, ed_sector: float) -> float:
     """Raw secrecy rate of a fixed configuration against a hypothetical
     eavesdropper sector (channels re-synthesized from the scenario)."""
-    tx_sig = scenario.tx_signal()
-    ev = pair_evaluator(scenario, scenario.placement(lu_sector), scenario.placement(ed_sector), tx_sig)
-    return sum_sse(ev.bin_powers(config.bits), scenario.noise_power()).r_sec_raw
+    lu, ed = scenario.placement(lu_sector), scenario.placement(ed_sector)
+    return sum_sse(pair_powers(scenario, lu, ed, scenario.tx_signal(), config.bits), scenario.noise_power()).r_sec_raw
 
 
 def select_config(
@@ -326,13 +315,12 @@ def select_config(
     candidates = cb.entries_for_lu(lu_sector, method)
     if not candidates:
         raise KeyError(f"codebook holds no entries for sector {lu_sector}")
-    tx_sig = scenario.tx_signal()
-    n0 = scenario.noise_power()
-    lu = scenario.placement(lu_sector)
+    tx_sig, n0, lu = scenario.tx_signal(), scenario.noise_power(), scenario.placement(lu_sector)
     worst = [math.inf] * len(candidates)
+    bits = np.array([e.config.bits for e in candidates])
     for ed in admissible:
-        ev = pair_evaluator(scenario, lu, scenario.placement(ed), tx_sig)
-        worst = [min(w, sum_sse(ev.bin_powers(e.config.bits), n0).r_sec_raw) for w, e in zip(worst, candidates)]
+        p = pair_powers(scenario, lu, scenario.placement(ed), tx_sig, bits)
+        worst = [min(w, sum_sse(p_i, n0).r_sec_raw) for w, p_i in zip(worst, p)]
     # The first of equal guarantees wins.
     best = max(range(len(candidates)), key=worst.__getitem__)
     return candidates[best], float(worst[best])

@@ -16,7 +16,7 @@ from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
-    pair_evaluator,
+    pair_powers,
     scan_power_pattern,
     select_config,
     sweep_pairs,
@@ -340,11 +340,12 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
 def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     """Narrowband-vs-wideband power separation under one configuration.
 
-    Optimizes every placement pair with the tone waveform, then re-evaluates
-    each pair's configuration on the wideband comb grid with the scenario's
-    element model. Reports the LU-ED gap for both waveforms. A
-    frequency-flat element model cannot show a gap collapse, which is
-    flagged as a warning but still runs.
+    Optimizes every placement pair with the tone waveform on `spec.jobs`
+    workers, then re-evaluates each pair's configuration on the wideband
+    comb grid with the scenario's element model (`pair_powers`). Reports
+    the LU-ED gap for both waveforms. A frequency-flat element model
+    cannot show a gap collapse, which is flagged as a warning but still
+    runs.
     """
     if scenario.element_model.mode == "ideal":
         warnings.warn(
@@ -366,13 +367,14 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     # Two passes, one per frequency grid, so each pass reuses the panel-link
     # memo's transmitter and receiver links instead of evicting them.
     places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in spec.pairs]
-    narrowband = sweep_pairs(
-        scenario, tone, places, (spec.fs_method,), lambda pair, method, config, trace, p: (*pair, config, link_powers(p))
-    )
+    def keep(pair, method, config, trace, p):
+        return (*pair, config, link_powers(p))
+
+    narrowband = sweep_pairs(scenario, tone, places, (spec.fs_method,), keep, jobs=spec.jobs)
     rows = []
     detail = []
     for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
-        wb = link_powers(pair_evaluator(scenario, lu, ed, wide).bin_powers(config.bits))
+        wb = link_powers(pair_powers(scenario, lu, ed, wide, config.bits))
         nb_gap = nb.lu_db - nb.ed_db
         wb_gap = wb.lu_db - wb.ed_db
         rows.append(

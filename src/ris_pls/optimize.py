@@ -257,6 +257,28 @@ def received_signal(h_d, phi, w_sum, on, x):
     return (h_d + phi[:, 0] * (w_sum - on) + phi[:, 1] * on) * x
 
 
+def channel_powers(channels: ChannelSet, element_model: ElementModel, tx: TxSignal, bits: np.ndarray) -> np.ndarray:
+    """Noiseless LU and ED power per subcarrier from the channel set, as
+    reports read it: (2, K) for a bit vector, (N, 2, K) for the rows of an
+    (N, M) matrix, each row scored as one vector is. Per receiver, the
+    cascades h_m * g_m give their sum and their product with the bits,
+    which `PowerEvaluator.bin_powers` sums in another order."""
+    if not np.array_equal(tx.freqs, channels.freqs):
+        raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
+    rows = np.asarray(bits, dtype=complex).reshape(-1, channels.num_elements)
+    w_sum = np.empty((2, channels.num_subcarriers), dtype=complex)
+    w_on = np.empty((len(rows), *w_sum.shape), dtype=complex)
+    w = np.empty_like(channels.g_ris)  # one receiver's (K, M) cascades, reused
+    for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
+        np.multiply(h, channels.g_ris, out=w)
+        w_sum[r] = w.sum(axis=1)
+        w_on[:, r] = [w @ on for on in rows]
+    hd = np.array((channels.h_d_lu, channels.h_d_ed))
+    phi, x = reflection_coefficients(element_model, tx.freqs), tx.amplitudes()
+    p = np.array([np.abs(received_signal(hd, phi, w_sum, on, x)) ** 2 for on in w_on])
+    return p if np.ndim(bits) == 2 else p[0]
+
+
 class PowerEvaluator:
     """Power evaluation of bit vectors on one channel set.
 

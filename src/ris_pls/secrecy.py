@@ -93,13 +93,13 @@ class SecrecyReport:
 
 def link_powers(p: np.ndarray) -> LinkPowers:
     """Received powers summed over subcarriers, from the (2, K) LU and ED
-    powers per subcarrier `p` (`PowerEvaluator.bin_powers`)."""
+    powers per subcarrier `p` (`bin_powers`, `channel_powers`)."""
     return LinkPowers(float(p[0].sum()), float(p[1].sum()))
 
 
 def sum_sse(p: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
     """Sum secrecy spectral efficiency over the subcarriers of the (2, K)
-    LU and ED powers per subcarrier `p` (`PowerEvaluator.bin_powers`).
+    LU and ED powers per subcarrier `p` (`bin_powers`, `channel_powers`).
 
     Rates are Shannon efficiencies of the noiseless effective signal power
     over `n0`. With `apply_max` the clamped difference is the headline

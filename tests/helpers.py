@@ -1,9 +1,21 @@
 """Shared builders for optimizer and codebook tests."""
 
+import math
+
 import numpy as np
 
-from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
+from ris_pls.channel import (
+    ChannelParams,
+    ChannelSet,
+    Placement,
+    _link_rng,
+    _panel_ray,
+    _scatter_sigma,
+    _steering,
+    synthesize_channels,
+)
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
+from ris_pls.optimize import SweepLog
 from ris_pls.ris import RisArrayGeometry
 
 CARRIER = 3.55e9
@@ -70,3 +82,47 @@ def dense_receive(channels, model, config, tx):
     y_lu = (channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)) * x
     y_ed = (channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)) * x
     return y_lu, y_ed
+
+
+def per_ray_panel_link(node, params, f, elem, kind):
+    """(K, M) panel link with its scattered rays added one outer product at
+    a time: the slow reference for `channel._panel_link`, which takes them
+    as one matrix product. Same random draws, same line-of-sight term."""
+    amp, tau0, u = _panel_ray(node, node.position(), params)
+    h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(elem, u, params.carrier_hz))
+    n_scatter = params.num_paths - 1
+    if n_scatter > 0:
+        rng = _link_rng(params.rng_seed, kind, node)
+        sigma2 = _scatter_sigma(amp, params)
+        az = np.radians(rng.uniform(-90.0, 90.0, n_scatter))
+        el = np.radians(rng.uniform(-30.0, 30.0, n_scatter))
+        excess = rng.uniform(0.0, params.max_excess_delay_s, n_scatter)
+        gains = math.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(n_scatter) + 1j * rng.standard_normal(n_scatter)
+        )
+        dirs = np.column_stack(
+            [np.sin(az) * np.cos(el), np.cos(az) * np.cos(el), np.sin(el)]
+        )
+        for l in range(n_scatter):
+            h = h + gains[l] * np.outer(
+                np.exp(-2j * math.pi * f * (tau0 + excess[l])),
+                _steering(elem, dirs[l], params.carrier_hz),
+            )
+    return h
+
+
+def smallest_margin(run) -> float:
+    """Smallest relative decision margin of a run: how near its closest
+    decision came to going the other way, relative to the larger side.
+
+    For a `SweepLog`, |after - before| / max(|after|, |before|) over every
+    move scored for a row still sweeping. For a codebook query, `run` is
+    the list of the candidates' guarantees, and the margin is that of the
+    best guarantee against the runner-up.
+    """
+    if isinstance(run, SweepLog):
+        sides = ((b[i], a[i]) for _, _, rows, b, a, _ in run.entries for i in rows)
+    else:
+        best, runner_up = sorted(run, reverse=True)[:2]
+        sides = [(best, runner_up)]
+    return min(abs(a - b) / max(abs(a), abs(b)) for a, b in sides)

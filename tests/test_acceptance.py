@@ -16,8 +16,8 @@ from ris_pls.codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
-    pair_evaluator,
     pair_evaluators,
+    pair_powers,
     rescore_config,
     run_method,
     select_config,
@@ -289,7 +289,7 @@ def test_criterion_08_frequency_selectivity():
             (config,), _ = run_method("alg1", scenario, nb)
             (nb_ev,) = nb
             nb = link_powers(nb_ev.bin_powers(config.bits))
-            wb = link_powers(pair_evaluator(scenario, lu, ed, wide).bin_powers(config.bits))
+            wb = link_powers(pair_powers(scenario, lu, ed, wide, config.bits))
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))
         results[mode] = rows
     ideal_worst = max(abs(nb - wb) for nb, wb in results["ideal"])

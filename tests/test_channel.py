@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import per_ray_panel_link
 from ris_pls import channel as channel_module
 from ris_pls.channel import (
     _LINK_RIS_NODE,
@@ -269,6 +270,40 @@ class TestOccupiedSubcarrierParity:
         assert same_bits(occupied.freqs, full.freqs[rows])
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
             assert same_bits(getattr(occupied, name), getattr(full, name)[rows]), name
+
+
+class TestRaySumParity:
+    """`_panel_link` adds its scattered rays as one matrix product; it must
+    match `helpers.per_ray_panel_link`, which adds one outer product per
+    ray, to 1e-13 of the link's largest magnitude."""
+
+    @pytest.mark.parametrize("kind", [_LINK_RIS_NODE, _LINK_TX_RIS], ids=["node", "tx"])
+    @pytest.mark.parametrize("num_paths", [2, 8])
+    @pytest.mark.parametrize("grid", ["tone", "prs", "prs-52"])
+    def test_matches_per_ray_sum(self, grid, num_paths, kind):
+        if grid == "prs-52":  # the benchmark's wideband grid and 32x32 panel
+            freqs = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0)).freqs
+            elem = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16).element_positions()
+            nodes = [Placement(30.0, 7.0)]
+        else:
+            freqs = GRIDS[grid]
+            elem = small_panel(4, 6).element_positions()
+            nodes = [Placement(a, r) for a, r in ((-60.0, 2.0), (-0.0, 7.0), (0.0, 7.0), (45.0, 5.0))]
+        for seed in (0, 3):
+            params = ChannelParams(num_paths=num_paths, rng_seed=seed)
+            for node in nodes:
+                h = _panel_link(node, params, freqs, elem, kind)
+                ref = per_ray_panel_link(node, params, freqs, elem, kind)
+                assert h.shape == ref.shape == (freqs.size, len(elem))
+                assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_single_path_link_is_the_line_of_sight_term(self):
+        # Without scattered rays the link is the per-ray reference bit for bit.
+        args = Placement(15.0, 7.0), ChannelParams(num_paths=1, rng_seed=2)
+        elem = small_panel(4, 6).element_positions()
+        for grid, freqs in GRIDS.items():
+            h = _panel_link(*args, freqs, elem, _LINK_RIS_NODE)
+            assert same_bits(h, per_ray_panel_link(*args, freqs, elem, _LINK_RIS_NODE)), grid
 
 
 class TestPanelLinkMemo:

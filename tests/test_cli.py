@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import ris_pls
 from ris_pls import channel as channel_module
 from ris_pls import cli as cli_module
+from ris_pls import experiments
 from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
@@ -1209,6 +1210,28 @@ class TestFrequencySelectivity:
         channel_module._memo_panel_link.cache_clear()
         run_frequency_selectivity(sc, ExperimentSpec(mode="frequency_selectivity", out_dir=str(tmp_path)))
         assert len(calls) == 10
+
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
+        # The narrowband pass takes --jobs workers, and the outputs stay
+        # byte-identical.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario, element_model=ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0))
+        seen = []
+        sweep_pairs = experiments.sweep_pairs
+
+        def recording(*args, jobs=1, **kwargs):
+            seen.append(jobs)
+            return sweep_pairs(*args, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(experiments, "sweep_pairs", recording)
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["freq-selectivity", "--scenario", str(scenario), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert seen == [1, 3]
+        assert sorted(outputs[0]) == ["frequency_selectivity.csv", "frequency_selectivity.json"]
+        assert outputs[0] == outputs[1]
 
     def test_degenerate_single_bin_equals_tone(self, tmp_path):
         scenario = tmp_path / "scenario.json"

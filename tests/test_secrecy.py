@@ -6,8 +6,8 @@ import pytest
 from helpers import dense_receive, model_instance, panel
 from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal
-from ris_pls.optimize import PowerEvaluator, algorithm1
-from ris_pls.ris import ElementModel, RisConfig
+from ris_pls.optimize import PowerEvaluator, algorithm1, channel_powers
+from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.secrecy import (
     LinkPowers,
     from_db,
@@ -285,3 +285,64 @@ class TestDenseReceiveParity:
                 r_ed = np.log2(1.0 + p_ed / n0).sum()
                 assert report.r_lu == pytest.approx(r_lu, rel=1e-11, abs=0)
                 assert report.r_ed == pytest.approx(r_ed, rel=1e-11, abs=0)
+
+
+class TestChannelPowers:
+    """Reports read one configuration straight from the channel set
+    (`optimize.channel_powers`); sweeps read it from the evaluator
+    (`PowerEvaluator.bin_powers`)."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [ElementModel(), ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)],
+        ids=["ideal", "lorentzian"],
+    )
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    def test_matches_dense_sum(self, waveform, model):
+        for seed in range(4):
+            ch, sig = model_instance(seed, 4, 6, waveform=waveform)
+            for bits in np.random.default_rng(seed).integers(0, 2, (4, 24)):
+                p_lu, p_ed = dense_powers(ch, model, sig, RisConfig(bits, 4, 6))
+                p = channel_powers(ch, model, sig, bits)
+                assert p.shape == (2, sig.num_subcarriers)
+                np.testing.assert_allclose(p, [p_lu, p_ed], rtol=1e-11, atol=0)
+
+    def test_matches_bin_powers_on_a_wideband_pair(self):
+        # The benchmark's freq-selectivity pair: a lorentzian element on the
+        # 312 occupied subcarriers of a 52-block comb grid, 32x32 panel. The
+        # matrix-vector sums run in another order, so the powers differ in
+        # their last bits: 1.4e-13 relative per subcarrier at most here, and
+        # 4.6e-13 on the benchmark's seed-0 pairs.
+        model = ElementModel(mode="lorentzian", resonance_hz=3.55e9, quality_factor=50.0)
+        geometry = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16)
+        sig = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0, center_freq_hz=CARRIER))
+        tx, lu, ed = Placement(-15.0, 5.0), Placement(30.0, 7.0), Placement(15.0, 7.0)
+        ch = synthesize_channels(tx, lu, ed, geometry, ChannelParams(), sig.freqs)
+        ev = PowerEvaluator(ch, model, sig)
+        bits = np.random.default_rng(0).integers(0, 2, (8, 1024)).astype(np.uint8)
+        batch = channel_powers(ch, model, sig, bits)
+        for row, p in zip(bits, batch):
+            ref = ev.bin_powers(row)
+            assert np.all(np.abs(p - ref) <= 1e-11 * ref)
+            assert channel_powers(ch, model, sig, row).tobytes() == p.tobytes()
+        zeros = np.zeros(1024, dtype=np.uint8)
+        assert channel_powers(ch, model, sig, zeros).tobytes() == ev.bin_powers(zeros).tobytes()
+
+    def test_rows_score_as_single_vectors(self):
+        # Rows of a matrix are scored one at a time, so each row's powers
+        # are those of the row alone, bit for bit (this is why grouped
+        # codebook re-scoring equals per-call re-scoring).
+        model = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
+        for waveform in ("tone", "prs"):
+            ch, sig = model_instance(5, 4, 6, waveform=waveform)
+            bits = np.random.default_rng(5).integers(0, 2, (6, 24))
+            batch = channel_powers(ch, model, sig, bits)
+            assert batch.shape == (6, 2, sig.num_subcarriers)
+            for row, p in zip(bits, batch):
+                assert channel_powers(ch, model, sig, row).tobytes() == p.tobytes()
+
+    def test_frequencies_must_match(self):
+        ch, sig = model_instance(0, 2, 2, waveform="prs")
+        other = TxSignal(mode="prs", freqs=sig.freqs + 1.0, symbols=sig.symbols)
+        with pytest.raises(ValueError, match="disagree on subcarrier frequencies"):
+            channel_powers(ch, ElementModel(), other, np.zeros(4, dtype=np.uint8))
