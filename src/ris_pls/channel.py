@@ -440,22 +440,21 @@ def synthesize_channels(
     )
 
 
-#: Bytes of probe panel links one chunk of a scan holds (one probe at
-#: least). A single-tone probe on a 32x32 panel takes 16 KB, so a chunk
-#: holds 64 of them; a probe on the 312 occupied subcarriers of a 52-block
-#: comb grid (5 MB) is a chunk of its own.
+#: Bytes of each per-probe array one chunk of a scan holds (one probe at
+#: least): its (A, M) steering rows and its (A, K) direct links and delay
+#: profiles. A probe's row on a 32x32 panel takes 16 KB, so a chunk holds
+#: 64 probes on one tone or on the 312 subcarriers of a 52-block comb grid.
 PROBE_CHUNK_BYTES = 2**20
 
 
 def _los_links(f: np.ndarray, elem: np.ndarray, carrier_hz: float, rays: list) -> tuple:
-    """(A, K) direct and (A, K, M) panel links of the single-ray probes
-    whose rays are `rays`, by the operations of `_direct_link` and
-    `_panel_link` taken over the probe axis."""
+    """(A, K) direct links of the single-ray probes whose rays are `rays`,
+    and their panel links' factors: (A,) amp, (A, K) delay and (A, M)
+    steering, by the operations of `_direct_link` and `_panel_link`."""
     amp_d, tau_d, amp_p, tau_p, u = (np.array(c) for c in zip(*rays))
     h_d = amp_d[:, None] * np.exp(-2j * math.pi * f * tau_d[:, None])
     delay = np.exp(-2j * math.pi * f * tau_p[:, None])
-    h = delay[:, :, None] * _steering(elem, u, carrier_hz)[:, None, :]
-    return h_d, np.multiply(amp_p[:, None, None], h, out=h)
+    return h_d, amp_p, delay, _steering(elem, u, carrier_hz)
 
 
 def _probe_chunks(probes, beam: tuple, params: ChannelParams, f: np.ndarray, elem: np.ndarray, size: int):
@@ -482,22 +481,22 @@ def _probe_chunks(probes, beam: tuple, params: ChannelParams, f: np.ndarray, ele
 def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
     """The transmitter's panel link g, and an iterator over chunks of the
     probe placements' links, computed lazily at `freqs`, the subcarriers a
-    transmit signal carries: per chunk of A consecutive probes, an (A, K)
-    array of direct links and an (A, K, M) array of panel links, at most
-    `PROBE_CHUNK_BYTES` of them.
+    transmit signal carries: per chunk of A consecutive probes, (A, K)
+    direct links and the panel links' factors, (A,) amplitudes, (A, K)
+    delay profiles and (A, M) steering rows, each of `PROBE_CHUNK_BYTES`.
 
     Probes see the single line-of-sight ray of each link: `params` are the
-    scenario's channel parameters, taken with `num_paths=1`. The links
-    equal those `synthesize_channels` gives with those parameters at the
-    same frequencies, but none is read from or kept in the panel-link
-    memo: a probe link is used once, and keeping it would crowd out
-    reusable links. The transmitter's geometry is worked out once per
-    scan, and each probe's once; a chunk's links are built in closed form
-    over its probes.
+    scenario's channel parameters, taken with `num_paths=1`, so a probe's
+    panel link is rank one, amp * outer(delay, steering). The links equal
+    those `synthesize_channels` gives with those parameters at the same
+    frequencies, but none is built as (A, K, M), and none is read from or
+    kept in the panel-link memo: a probe link is used once, and keeping it
+    would crowd out reusable links. The transmitter's geometry is worked
+    out once per scan, and each probe's once.
     """
     params = replace(params, num_paths=1)
     f = _checked_freqs(freqs)
     elem = ris.element_positions()
     g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
-    size = max(1, PROBE_CHUNK_BYTES // g.nbytes)
+    size = max(1, PROBE_CHUNK_BYTES // (max(f.size, elem.shape[0]) * np.dtype(complex).itemsize))
     return g, _probe_chunks(probes, _tx_beam(tx), params, f, elem, size)

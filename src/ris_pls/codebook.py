@@ -338,11 +338,17 @@ def scan_power_pattern(
     `channel.probe_links`, so the pattern reflects the panel's angular
     response rather than one scatter draw. Each probe's power is the
     receive equation of `PowerEvaluator`, summed over the subcarriers the
-    transmit signal carries, taken over each chunk of probes that
-    `probe_links` yields at once. The links bypass the panel-link memo, so
-    the scan leaves it as it found it. A probe whose signal is not finite
-    is an error that names the first such angle.
+    transmit signal carries. A probe's panel link is rank one, amp *
+    outer(delay, steering), so its cascade sums over all elements and over
+    those set to 1 are amp * delay times its steering row's products with
+    g and g * bits: one matrix product each per chunk from `probe_links`.
+    The links bypass the panel-link memo, so the scan leaves it as it
+    found it. A configuration of another panel is an error, and so is a
+    probe whose signal is not finite: the error names the first such angle.
     """
+    ris = scenario.ris
+    if (config.n_v, config.n_h) != (ris.n_v, ris.n_h):
+        raise ValueError(f"a {config.n_v}x{config.n_h} configuration cannot be scanned on a {ris.n_v}x{ris.n_h} panel")
     angles = list(angles)
     if not angles:
         raise ValueError("angle list must not be empty")
@@ -353,22 +359,13 @@ def scan_power_pattern(
     tx_sig = scenario.tx_signal()
     x = tx_sig.amplitudes()
     phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
-    on = config.bits.astype(float)
     probes = (Placement(a, range_m) for a in angles)
-    g, chunks = probe_links(scenario.tx, probes, scenario.ris, scenario.channel, tx_sig.freqs)
+    g, chunks = probe_links(scenario.tx, probes, ris, scenario.channel, tx_sig.freqs)
+    g_on = g * config.bits.astype(float)
     powers = []
-    w = None
-    for h_d, h in chunks:
-        n, k = h_d.shape
-        if n == 1:
-            # A lone probe keeps the (K,) and (K, M) shapes of a scan one
-            # probe at a time: numpy multiplies complex operands that
-            # broadcast to one element by a loop that rounds otherwise.
-            h_d, h = h_d[0], h[0]
-        # Chunks of one shape share one array of cascades. It is not h: a
-        # one-element product in place takes that other loop too.
-        w = np.multiply(h, g, out=w if w is not None and w.shape == h.shape else None)
-        y = received_signal(h_d, phi, w.sum(axis=-1), w @ on, x).reshape(n, k)
+    for h_d, amp, delay, steering in chunks:
+        scale = amp[:, None] * delay
+        y = received_signal(h_d, phi, scale * (steering @ g.T), scale * (steering @ g_on.T), x)
         finite = np.isfinite(y).all(axis=1)
         if not finite.all():
             angle = angles[len(powers) + int(np.argmin(finite))]

@@ -19,7 +19,7 @@ from .fields import check_types
 from .ofdm import MAX_NUM_RB, Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry
 from .secrecy import from_db
-from .optimize import PowerEvaluator, uniform_config
+from .optimize import channel_powers, uniform_config
 
 SCENARIO_SCHEMA = "ris-pls/scenario-v1"
 
@@ -95,9 +95,9 @@ class Scenario:
             tx_sig = self.tx_signal()
             lu = Placement(0.0, self.sector_grid.user_range_m)
             ed = Placement(15.0, self.sector_grid.user_range_m)
-            ev = PowerEvaluator(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig)
             cfg = uniform_config(self.ris.n_v, self.ris.n_h)
-            per_bin = ev.evaluate("lu_power_max", cfg.bits) / tx_sig.num_subcarriers
+            p = channel_powers(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig, cfg.bits)
+            per_bin = float(p[0].sum()) / tx_sig.num_subcarriers
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache
 

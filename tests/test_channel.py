@@ -456,8 +456,13 @@ class TestPanelLinkMemo:
 
 def per_probe(chunks) -> list:
     """The (direct link, panel link) pair of each probe, from `probe_links`'
-    chunks."""
-    return [pair for h_d, h in chunks for pair in zip(h_d, h)]
+    chunks: each panel link rebuilt from its factors as
+    amp * outer(delay, steering)."""
+    return [
+        (h_d_a, amp_a * np.outer(delay_a, steering_a))
+        for h_d, amp, delay, steering in chunks
+        for h_d_a, amp_a, delay_a, steering_a in zip(h_d, amp, delay, steering)
+    ]
 
 
 class TestProbeLinks:
@@ -468,23 +473,26 @@ class TestProbeLinks:
         # In chunks of every probe, of one and of three (a ragged last
         # one). A chunk's steering phases are one matrix product, a
         # synthesized link's one matrix-vector product. Probes drop the
-        # scenario's scattered rays: under 8 paths their links are bit for
-        # bit the single-path synthesized links.
+        # scenario's scattered rays: under 8 paths their links, panel links
+        # rebuilt from their factors, are bit for bit the single-path
+        # synthesized links.
         tx, _ = build_default_geometry()
         params = ChannelParams(num_paths=num_paths, rng_seed=7)
         freqs = GRIDS[grid]
         panel = small_panel(2, 3)
         if per_chunk is not None:
-            monkeypatch.setattr(channel_module, "PROBE_CHUNK_BYTES", per_chunk * freqs.size * 6 * 16)
+            monkeypatch.setattr(channel_module, "PROBE_CHUNK_BYTES", per_chunk * max(freqs.size, 6) * 16)
         probes = [Placement(a, 6.0) for a in (-60.0, -0.0, 0.0, 45.0, 12.3)]
         before = _memo_panel_link.cache_info()
         g, chunks = probe_links(tx, probes, panel, params, freqs)
         chunks = list(chunks)
         assert _memo_panel_link.cache_info() == before
-        sizes = [len(h_d) for h_d, _ in chunks]
+        sizes = [len(h_d) for h_d, *_ in chunks]
         assert sizes == {None: [5], 1: [1] * 5, 3: [3, 2]}[per_chunk]
-        for h_d, h in chunks:
-            assert h_d.shape == (len(h_d), freqs.size) and h.shape == (len(h_d), freqs.size, 6)
+        for h_d, amp, delay, steering in chunks:
+            a = len(h_d)
+            assert h_d.shape == delay.shape == (a, freqs.size)
+            assert amp.shape == (a,) and steering.shape == (a, 6)
         links = per_probe(chunks)
         assert len(links) == len(probes)
         single_ray = replace(params, num_paths=1)

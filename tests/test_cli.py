@@ -175,16 +175,16 @@ class TestCompare:
         assert rc == EXIT_OK
 
     def test_jobs_calibrate_noise_once_per_seed(self, tmp_path, monkeypatch):
-        # Noise calibration is the only evaluator the scenario module builds.
+        # Noise calibration is the only power the scenario module reads.
         calibrations = []
-        calibrate = scenario_module.PowerEvaluator
+        calibrate = scenario_module.channel_powers
 
         def slow_calibrate(*args):
             calibrations.append(args)
             time.sleep(0.05)  # long enough for a racing worker to start its own
             return calibrate(*args)
 
-        monkeypatch.setattr(scenario_module, "PowerEvaluator", slow_calibrate)
+        monkeypatch.setattr(scenario_module, "channel_powers", slow_calibrate)
         spec = ExperimentSpec(
             mode="compare_methods",
             out_dir=str(tmp_path),
@@ -244,8 +244,10 @@ class TestCompare:
         monkeypatch.setattr(scenario_module, "synthesize_channels", counting_synthesize)
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
-        # 9 pairs x 5 methods, plus the noise calibration.
-        assert len(built) == len(synthesized) == 10
+        # 9 pairs x 5 methods; the noise calibration synthesizes its pair
+        # but reads its powers without an evaluator.
+        assert len(built) == 9
+        assert len(synthesized) == 10
 
     def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
         # Noise calibration builds the transmitter link and the receivers at
@@ -1098,6 +1100,24 @@ class TestPatternScan:
             e for e in payload["entries"] if e["lu_sector"] == 0.0 and e["ed_sector"] == 15.0
         )
         assert len(entry["power_pattern"]) == 5
+
+    def test_entry_of_another_panel_is_rejected(self, tmp_path, capsys):
+        # A 1x1 codebook entry scanned on the 4x4 scenario: no bit is
+        # spread over the panel, and nothing is written.
+        one = tmp_path / "one.json"
+        write_scenario(one, ris=RisArrayGeometry(n_v=1, n_h=1, tile_rows=1, tile_cols=1))
+        out = tmp_path / "out"
+        main(["codebook-gen", "--scenario", str(one), "--out", str(out), "--methods", "alg1"])
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        capsys.readouterr()
+        rc = main([
+            "pattern-scan", "--scenario", str(scenario), "--out", str(out),
+            "--codebook", str(out / "codebook.json"), "--entry", "0", "15", "alg1",
+        ])
+        assert rc == EXIT_RUNTIME
+        assert "a 1x1 configuration cannot be scanned on a 4x4 panel" in capsys.readouterr().err
+        assert not (out / "power_pattern.csv").exists()
 
     def test_attach_with_bits_is_spec_error(self, tmp_path, capsys):
         # The pattern of a bit-string has no codebook entry to go on, with

@@ -475,17 +475,18 @@ class TestPatternScan:
 
 
 def set_chunk_probes(monkeypatch, scenario, per_chunk):
-    """Bound the scan's chunks to `per_chunk` probes of `scenario`'s
-    transmit signal (None keeps the default bound)."""
+    """Bound the scan's chunks to `per_chunk` probes, by the bytes of their
+    longer rows, steering rows on `scenario`'s panel or links on its
+    subcarriers (None keeps the default bound)."""
     if per_chunk is not None:
-        probe_bytes = scenario.tx_signal().num_subcarriers * scenario.ris.num_elements * 16
-        monkeypatch.setattr(channel, "PROBE_CHUNK_BYTES", per_chunk * probe_bytes)
+        row = max(scenario.ris.num_elements, scenario.tx_signal().num_subcarriers)
+        monkeypatch.setattr(channel, "PROBE_CHUNK_BYTES", per_chunk * row * 16)
 
 
 def per_probe_scan(scenario, config, angles, range_m=None):
     """The scan one probe at a time: each probe's single-ray links from
     `_direct_link` and `_panel_link`, and one receive equation per probe.
-    The reference the chunked scan equals bit for bit."""
+    The reference the chunked scan stays within `SCAN_RTOL` of."""
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
     params = replace(scenario.channel, num_paths=1)
     tx_sig = scenario.tx_signal()
@@ -505,20 +506,92 @@ def per_probe_scan(scenario, config, angles, range_m=None):
     return pattern
 
 
-class TestChunkedScanParity:
-    #: 22 angles: chunks of 3 and of 7 both end in a lone probe.
-    ANGLES = [-90.0, -71.3, -45.0, -30.05, -15.5, -0.0, 0.0, 0.1, 7.0, 14.9, 15.0, 15.1,
-              22.2, 30.0, 37.5, 41.5, 45.0, 52.0, 63.0, 75.0, 89.9, 90.0]
+#: Largest relative difference of a chunked scan's power from the one-probe
+#: scan's: the chunk sums each probe's cascades as its factors' matrix
+#: products, the one-probe scan as a sum over its (K, M) cascades.
+SCAN_RTOL = 1e-13
 
-    @pytest.mark.parametrize("per_chunk", [None, 1, 3, 7])
-    @pytest.mark.parametrize("model", [ElementModel(), LORENTZIAN], ids=["ideal", "lorentzian"])
-    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_powers_equal_the_per_probe_scan(self, monkeypatch, tx_mode, model, per_chunk):
-        sc = replace(scenario_8x8(seed=6), tx_mode=tx_mode, num_rb=2, element_model=model)
-        config = RisConfig(np.random.default_rng(3).integers(0, 2, 64), 8, 8)
+
+def assert_scan_close(chunked, reference):
+    assert [a for a, _ in chunked] == [a for a, _ in reference]
+    got, want = np.array([p for _, p in chunked]), np.array([p for _, p in reference])
+    assert np.all(np.abs(got - want) <= SCAN_RTOL * want)
+
+
+#: 22 angles: chunks of 3 and of 7 both end in a lone probe.
+PARITY_ANGLES = [-90.0, -71.3, -45.0, -30.05, -15.5, -0.0, 0.0, 0.1, 7.0, 14.9, 15.0, 15.1,
+                 22.2, 30.0, 37.5, 41.5, 45.0, 52.0, 63.0, 75.0, 89.9, 90.0]
+
+
+class TestChunkedScanParity:
+    @pytest.mark.parametrize(
+        "tx_mode, model, per_chunk, side, num_rb, angles",
+        [
+            pytest.param(tx_mode, model, per_chunk, 8, 2, PARITY_ANGLES, id=f"{tx_mode}-{name}-{per_chunk}")
+            for tx_mode in ("tone", "prs")
+            for name, model in (("ideal", ElementModel()), ("lorentzian", LORENTZIAN))
+            for per_chunk in (None, 1, 3, 7)
+        ]
+        # The wideband benchmark's scan: a 32x32 panel on the 312 occupied
+        # subcarriers of a 52-block comb grid, 61 angles in one chunk.
+        + [pytest.param("prs", ElementModel(), None, 32, 52, [-60.0 + 2.0 * i for i in range(61)], id="bench")],
+    )
+    def test_powers_equal_the_per_probe_scan(self, monkeypatch, tx_mode, model, per_chunk, side, num_rb, angles):
+        sc = replace(
+            scenario_8x8(seed=6),
+            ris=RisArrayGeometry(n_v=side, n_h=side, tile_rows=side // 2, tile_cols=side // 2),
+            tx_mode=tx_mode,
+            num_rb=num_rb,
+            element_model=model,
+        )
+        config = RisConfig(np.random.default_rng(3).integers(0, 2, side * side), side, side)
         set_chunk_probes(monkeypatch, sc, per_chunk)
-        chunked = scan_power_pattern(sc, config, self.ANGLES)
-        assert chunked == per_probe_scan(sc, config, self.ANGLES)
+        chunked = scan_power_pattern(sc, config, angles)
+        assert_scan_close(chunked, per_probe_scan(sc, config, angles))
+
+    @pytest.mark.parametrize(
+        "tx_mode, side, num_rb, per_chunk, num_angles, sizes",
+        [
+            ("tone", 32, 4, None, 130, [64, 64, 2]),
+            ("tone", 32, 4, 3, 130, [3] * 43 + [1]),
+            ("prs", 32, 4, None, 130, [64, 64, 2]),
+            ("prs", 32, 4, 3, 130, [3] * 43 + [1]),
+            # A 2x2 panel on the 312 subcarriers of a 52-block comb grid:
+            # the links, not the steering rows, set the chunk.
+            ("prs", 2, 52, None, 1801, [210] * 8 + [121]),
+        ],
+    )
+    def test_chunks_hold_factors_within_the_bound(self, monkeypatch, tx_mode, side, num_rb, per_chunk, num_angles, sizes):
+        # No chunk holds an (A, K, M) link, and each of its arrays fits the
+        # bound whatever the number of subcarriers and elements.
+        sc = replace(
+            scenario_8x8(seed=2),
+            ris=RisArrayGeometry(n_v=side, n_h=side, tile_rows=side // 2, tile_cols=side // 2),
+            tx_mode=tx_mode,
+            num_rb=num_rb,
+        )
+        set_chunk_probes(monkeypatch, sc, per_chunk)
+        k = sc.tx_signal().num_subcarriers
+        chunks_seen = []
+
+        def recording(*args):
+            g, chunks = channel.probe_links(*args)
+
+            def recorded():
+                for chunk in chunks:
+                    chunks_seen.append(chunk)
+                    yield chunk
+
+            return g, recorded()
+
+        monkeypatch.setattr(codebook, "probe_links", recording)
+        angles = [-90.0 + 180.0 * i / (num_angles - 1) for i in range(num_angles)]
+        scan_power_pattern(sc, uniform_config(side, side), angles)
+        assert [len(amp) for _, amp, _, _ in chunks_seen] == sizes
+        for h_d, amp, delay, steering in chunks_seen:
+            a = len(amp)
+            assert h_d.shape == delay.shape == (a, k) and steering.shape == (a, side * side)
+            assert all(x.nbytes <= channel.PROBE_CHUNK_BYTES for x in (h_d, amp, delay, steering))
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 3])
     def test_one_element_panel(self, monkeypatch, per_chunk):
