@@ -34,17 +34,8 @@ from .optimize import (
     ed_min,
     exhaustive_oracle,
     lu_max,
-    single_flip_improvements,
-    uniform_config,
 )
-from .ris import (
-    ElementModel,
-    RisArrayGeometry,
-    RisConfig,
-    flip_column,
-    flip_half_row,
-    flip_row,
-)
+from .ris import ElementModel, RisArrayGeometry, RisConfig
 from .scenario import Scenario
 from .secrecy import (
     LinkPowers,

@@ -33,7 +33,6 @@ from .optimize import (
     greedy_sweep,
     received_signal,
     reflection_coefficients,
-    uniform_config,
 )
 from .ris import RisConfig
 from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
@@ -59,7 +58,7 @@ def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
     each per row. The uniform method has no traces (None each); the
     others' traces are a `TraceBatch`."""
     if method == "uniform":
-        return [uniform_config(scenario.ris.n_v, scenario.ris.n_h) for _ in batch], [None] * len(batch)
+        return [RisConfig.zeros(scenario.ris.n_v, scenario.ris.n_h) for _ in batch], [None] * len(batch)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     traces = greedy_sweep(method, batch, scenario.ris, noise=noise)
@@ -193,10 +192,6 @@ class Codebook:
     def entries_for_lu(self, lu_sector: float, method: str) -> list:
         return [e for (lu, _, meth), e in sorted(self.entries.items()) if lu == lu_sector and meth == method]
 
-    def is_complete(self, methods) -> bool:
-        centers = self.grid.sector_centers_deg
-        return all((lu, ed, m) in self.entries for m in methods for lu in centers for ed in centers if lu != ed)
-
     def to_dict(self) -> dict:
         return {
             "schema": CODEBOOK_SCHEMA,
@@ -264,13 +259,6 @@ class EdKnowledge:
         return cls(kind="unknown")
 
 
-def rescore_config(scenario, config: RisConfig, lu_sector: float, ed_sector: float) -> float:
-    """Raw secrecy rate of a fixed configuration against a hypothetical
-    eavesdropper sector (channels re-synthesized from the scenario)."""
-    lu, ed = scenario.placement(lu_sector), scenario.placement(ed_sector)
-    return sum_sse(pair_powers(scenario, lu, ed, scenario.tx_signal(), config.bits), scenario.noise_power()).r_sec_raw
-
-
 def select_config(
     cb: Codebook,
     lu_sector: float,
@@ -285,8 +273,7 @@ def select_config(
     serving sector, the entry maximizing the minimum re-scored secrecy
     rate over admissible eavesdropper sectors. The guarantee may be
     negative; it is reported unclamped. Each admissible sector's channels
-    are synthesized once and re-score every candidate; the result equals
-    `rescore_config` called per (candidate, sector).
+    are synthesized once and re-score every candidate.
 
     Returns (entry, guaranteed_sse).
     """

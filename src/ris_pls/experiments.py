@@ -115,6 +115,8 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in COMPARE_METHODS:
                 raise SpecError(f"unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise SpecError(f"methods {list(self.methods)} name a method twice")
         if self.seeds is not None:
             self.seeds = tuple(self.seeds)
             if not all(isinstance(s, int) and not isinstance(s, bool) and 0 <= s < 2**64 for s in self.seeds):

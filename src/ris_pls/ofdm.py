@@ -99,7 +99,6 @@ def build_prs_grid(
     num_rb: int = 52,
     seed: int = 0,
     center_freq_hz: float = 3.55e9,
-    num_symbols: int | None = None,
 ) -> ResourceGrid:
     """Comb-occupied reference grid filled with seeded QPSK symbols.
 
@@ -114,7 +113,7 @@ def build_prs_grid(
     step = SUBCARRIERS_PER_RB // occupied_per_rb
     k = num_rb * SUBCARRIERS_PER_RB
     mask = (np.arange(k) % step) == 0
-    n_sym = numerology.symbols_per_slot if num_symbols is None else int(num_symbols)
+    n_sym = numerology.symbols_per_slot
     rng = np.random.default_rng(seed)
     quadrants = rng.integers(0, 4, size=(int(mask.sum()), n_sym))
     qpsk = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * quadrants))
@@ -168,7 +167,6 @@ def tone_signal(
     numerology: Numerology,
     center_freq_hz: float = 3.55e9,
     offset_hz: float = 100e3,
-    power_scale: float = 1.0,
 ) -> TxSignal:
     """One subcarrier, at the grid frequency nearest to `offset_hz`."""
     spacing = numerology.subcarrier_spacing_hz
@@ -178,11 +176,10 @@ def tone_signal(
         mode="tone",
         freqs=np.array([freq]),
         symbols=np.array([1.0 + 0.0j]),
-        power_scale=power_scale,
     )
 
 
-def prs_signal(grid: ResourceGrid, symbol_index: int = 0, power_scale: float = 1.0) -> TxSignal:
+def prs_signal(grid: ResourceGrid, symbol_index: int = 0) -> TxSignal:
     """Transmit profile of one OFDM symbol of a reference grid, on the
     grid's occupied subcarriers only."""
     if not 0 <= symbol_index < grid.num_symbols:
@@ -192,5 +189,4 @@ def prs_signal(grid: ResourceGrid, symbol_index: int = 0, power_scale: float = 1
         mode="prs",
         freqs=grid.subcarrier_freqs()[mask],
         symbols=grid.symbols[mask, symbol_index],
-        power_scale=power_scale,
     )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .ofdm import TxSignal
-from .ris import ElementModel, RisArrayGeometry, RisConfig, flip_column, flip_half_row, flip_row
+from .ris import ElementModel, RisArrayGeometry, RisConfig
 
 #: objective key -> (name in trace steps, direction of improvement)
 OBJECTIVES = {
@@ -204,25 +204,6 @@ class OptimizerTrace:
     def passes(self) -> list:
         """Per-pass `PassSummary`s: accepted moves and registers after each pass."""
         return self.log.passes(self.row)
-
-    def accepted_steps(self) -> list:
-        return [s for s in self.steps if s.accepted]
-
-    def replay_accepted(self) -> RisConfig:
-        """Re-apply only the accepted flips to the initial configuration.
-
-        The result must equal `final_config`; anything else means a
-        rejected step leaked bits into the state.
-        """
-        cfg = self.initial_config.copy()
-        for step in self.accepted_steps():
-            if step.kind == "column":
-                cfg = flip_column(cfg, step.index)
-            elif step.kind == "row":
-                cfg = flip_row(cfg, step.index)
-            else:
-                cfg = flip_half_row(cfg, step.index, step.half)
-        return cfg
 
     def to_dict(self) -> dict:
         return {
@@ -431,11 +412,6 @@ def _initial_config(geometry: RisArrayGeometry, init: RisConfig | None) -> RisCo
     return init.copy()
 
 
-def uniform_config(n_v: int, n_h: int) -> RisConfig:
-    """The all-zeros reference configuration."""
-    return RisConfig.zeros(n_v, n_h)
-
-
 def _full_surface_moves(objective: str):
     """Move-list builder: every column, then every row, all for `objective`."""
 
@@ -627,27 +603,6 @@ algorithm1 = functools.partial(sweep_pair, "alg1")
 algorithm2 = functools.partial(sweep_pair, "alg2")
 lu_max = functools.partial(sweep_pair, "lu_max")
 ed_min = functools.partial(sweep_pair, "ed_min")
-
-
-def single_flip_improvements(
-    channels: ChannelSet,
-    element_model: ElementModel,
-    tx: TxSignal,
-    config: RisConfig,
-    objective: str = "ratio",
-) -> list:
-    """All column/row flips that strictly improve the objective.
-
-    Each move is scored from `config` on its own, as a one-move sweep.
-    Empty result means the configuration is single-flip locally optimal.
-    """
-    batch = EvaluatorBatch([channels], element_model, tx)
-    return [
-        (step.kind, step.index, step.objective_after)
-        for move in _full_surface_moves(objective)(config.n_v, config.n_h)
-        for step in _sweep(batch, config.bits, [move], 1)[1].steps(0)
-        if step.accepted
-    ]
 
 
 #: Block values this close (relative) to a block's best are re-scored by

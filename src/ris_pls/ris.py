@@ -80,10 +80,6 @@ class RisConfig:
         return cls(np.zeros(n_v * n_h, dtype=np.uint8), n_v, n_h)
 
     @classmethod
-    def ones(cls, n_v: int, n_h: int) -> "RisConfig":
-        return cls(np.ones(n_v * n_h, dtype=np.uint8), n_v, n_h)
-
-    @classmethod
     def from_bitstring(cls, s: str, n_v: int, n_h: int) -> "RisConfig":
         # Every character but "0" and "1" decodes above 1: the subtraction
         # wraps those below "0", and a non-ASCII one becomes "?". A
@@ -96,10 +92,6 @@ class RisConfig:
     def to_bitstring(self) -> str:
         return (self.bits + ord("0")).tobytes().decode("ascii")
 
-    def grid(self) -> np.ndarray:
-        """(n_v, n_h) view of the bits."""
-        return self.bits.reshape(self.n_v, self.n_h)
-
     def copy(self) -> "RisConfig":
         return RisConfig(self.bits.copy(), self.n_v, self.n_h)
 
@@ -111,44 +103,6 @@ class RisConfig:
             and self.n_h == other.n_h
             and np.array_equal(self.bits, other.bits)
         )
-
-
-def flip_column(config: RisConfig, col: int) -> RisConfig:
-    """New configuration with every bit in column `col` inverted."""
-    if not 0 <= col < config.n_h:
-        raise IndexError(f"column {col} out of range for {config.n_h} columns")
-    grid = config.grid().copy()
-    grid[:, col] ^= 1
-    return RisConfig(grid.reshape(-1), config.n_v, config.n_h)
-
-
-def flip_row(config: RisConfig, row: int) -> RisConfig:
-    """New configuration with every bit in row `row` inverted."""
-    if not 0 <= row < config.n_v:
-        raise IndexError(f"row {row} out of range for {config.n_v} rows")
-    grid = config.grid().copy()
-    grid[row, :] ^= 1
-    return RisConfig(grid.reshape(-1), config.n_v, config.n_h)
-
-
-def flip_half_row(config: RisConfig, row: int, half: str) -> RisConfig:
-    """New configuration with one half of row `row` inverted.
-
-    The "left" half covers columns 0 .. n_h//2 - 1, the "right" half the
-    remainder. The left half is the one the partitioned optimizer devotes
-    to the intended receiver.
-    """
-    if not 0 <= row < config.n_v:
-        raise IndexError(f"row {row} out of range for {config.n_v} rows")
-    if half not in ("left", "right"):
-        raise ValueError("half must be 'left' or 'right'")
-    split = config.n_h // 2
-    grid = config.grid().copy()
-    if half == "left":
-        grid[row, :split] ^= 1
-    else:
-        grid[row, split:] ^= 1
-    return RisConfig(grid.reshape(-1), config.n_v, config.n_h)
 
 
 _MODES = ("ideal", "linear_dispersion", "lorentzian")

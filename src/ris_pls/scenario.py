@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field, replace
 from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
 from .fields import check_types
 from .ofdm import MAX_NUM_RB, Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
-from .ris import ElementModel, RisArrayGeometry
+from .ris import ElementModel, RisArrayGeometry, RisConfig
 from .secrecy import from_db
-from .optimize import channel_powers, uniform_config
+from .optimize import channel_powers
 
 SCENARIO_SCHEMA = "ris-pls/scenario-v1"
 
@@ -95,8 +95,8 @@ class Scenario:
             tx_sig = self.tx_signal()
             lu = Placement(0.0, self.sector_grid.user_range_m)
             ed = Placement(15.0, self.sector_grid.user_range_m)
-            cfg = uniform_config(self.ris.n_v, self.ris.n_h)
-            p = channel_powers(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig, cfg.bits)
+            bits = RisConfig.zeros(self.ris.n_v, self.ris.n_h).bits
+            p = channel_powers(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig, bits)
             per_bin = float(p[0].sum()) / tx_sig.num_subcarriers
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache

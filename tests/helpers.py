@@ -1,4 +1,4 @@
-"""Shared builders for optimizer and codebook tests."""
+"""Shared builders for the tests, and the references their invariants are checked against."""
 
 import math
 
@@ -14,9 +14,11 @@ from ris_pls.channel import (
     _steering,
     synthesize_channels,
 )
+from ris_pls.codebook import pair_powers
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
-from ris_pls.optimize import SweepLog
-from ris_pls.ris import RisArrayGeometry
+from ris_pls.optimize import EvaluatorBatch, SweepLog, _full_surface_moves, _sweep
+from ris_pls.ris import RisArrayGeometry, RisConfig
+from ris_pls.secrecy import sum_sse
 
 CARRIER = 3.55e9
 
@@ -126,3 +128,51 @@ def smallest_margin(run) -> float:
         best, runner_up = sorted(run, reverse=True)[:2]
         sides = [(best, runner_up)]
     return min(abs(a - b) / max(abs(a), abs(b)) for a, b in sides)
+
+
+def flip(bits, n_h, kind, index, half=None) -> np.ndarray:
+    """Copy of row-major `bits` with column or row `index` inverted, or the
+    "left" (first n_h // 2 columns) or "right" half of that row."""
+    grid = np.array(bits).reshape(-1, n_h)
+    if kind == "column":
+        grid[:, index] ^= 1
+    else:
+        grid[index, {None: slice(None), "left": slice(n_h // 2), "right": slice(n_h // 2, None)}[half]] ^= 1
+    return grid.reshape(-1)
+
+
+def replay(trace, steps=None) -> RisConfig:
+    """The trace's initial configuration with the accepted ones of `steps`
+    (its `to_dict` steps by default) flipped: its final configuration,
+    unless a rejected step leaked into the state."""
+    n_v, n_h = trace.final_config.n_v, trace.final_config.n_h
+    bits = trace.initial_config.bits
+    for s in trace.to_dict()["steps"] if steps is None else steps:
+        if s["accepted"]:
+            bits = flip(bits, n_h, s["kind"], s["index"], s.get("half"))
+    return RisConfig(bits, n_v, n_h)
+
+
+def single_flip_improvements(channels, model, tx, config, objective="ratio") -> list:
+    """Column and row flips that strictly improve `objective` from `config`,
+    each a one-move sweep: empty when `config` is single-flip optimal."""
+    batch = EvaluatorBatch([channels], model, tx)
+    return [
+        (step.kind, step.index, step.objective_after)
+        for move in _full_surface_moves(objective)(config.n_v, config.n_h)
+        for step in _sweep(batch, config.bits, [move], 1)[1].steps(0)
+        if step.accepted
+    ]
+
+
+def rescore(scenario, config, lu, ed) -> float:
+    """Raw secrecy rate of `config` for LU and ED sectors `lu` and `ed`: the
+    per-(candidate, sector) reference for `select_config`."""
+    powers = pair_powers(scenario, scenario.placement(lu), scenario.placement(ed), scenario.tx_signal(), config.bits)
+    return sum_sse(powers, scenario.noise_power()).r_sec_raw
+
+
+def codebook_keys(cb, methods) -> set:
+    """The (LU, ED, method) keys of a complete codebook over its grid."""
+    centers = cb.grid.sector_centers_deg
+    return {(lu, ed, m) for m in methods for lu in centers for ed in centers if lu != ed}

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import model_instance, panel
+from helpers import codebook_keys, model_instance, panel, replay, rescore, single_flip_improvements
 from ris_pls.channel import ChannelParams, ChannelSet
 from ris_pls.codebook import (
     Codebook,
@@ -18,7 +18,6 @@ from ris_pls.codebook import (
     generate_codebook,
     pair_evaluators,
     pair_powers,
-    rescore_config,
     run_method,
     select_config,
 )
@@ -31,7 +30,6 @@ from ris_pls.optimize import (
     exhaustive_oracle,
     lu_max,
     received_signal,
-    single_flip_improvements,
 )
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
@@ -154,7 +152,7 @@ def test_criterion_04_greedy_invariants():
                             else step.objective_after < prev
                         ), f"{name} seed {seed}: accepted objective not strictly monotone"
                     registers[step.objective] = step.objective_after
-            assert trace.replay_accepted() == trace.final_config, (
+            assert replay(trace) == trace.final_config, (
                 f"{name} seed {seed}: rejected step leaked into the configuration"
             )
             if name == "alg1":
@@ -311,7 +309,7 @@ def test_criterion_09_codebook_completeness_and_selection():
     )
     methods = ("alg1", "alg2", "lu_max", "ed_min")
     cb = generate_codebook(scenario, methods=methods)
-    count_ok = len(cb.entries) == 48 and cb.is_complete(methods)
+    count_ok = len(cb.entries) == 48 and set(cb.entries) == codebook_keys(cb, methods)
 
     selection_ok = True
     for lu in cb.grid.sector_centers_deg:
@@ -319,7 +317,7 @@ def test_criterion_09_codebook_completeness_and_selection():
         table = {}
         for cand in cb.entries_for_lu(lu, "alg1"):
             scores = [
-                rescore_config(scenario, cand.config, lu, ed)
+                rescore(scenario, cand.config, lu, ed)
                 for ed in cb.grid.sector_centers_deg
                 if ed != lu
             ]

@@ -565,6 +565,8 @@ class TestMalformedSpecFields:
             ("pattern-scan", {"scan_config_bits": "0" * 16, "scan_attach": 1}),
             ("freq-selectivity", {"fs_degenerate_single_bin": "yes"}),
             ("compare", {"scenario_path": 5}),
+            ("compare", {"methods": ["alg1", "uniform", "alg1"]}),
+            ("codebook-gen", {"methods": ["alg1", "alg1"]}),
         ],
     )
     def test_wrong_type_is_spec_error(self, tmp_path, capsys, command, fields):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import dense_receive
+from helpers import codebook_keys, dense_receive, rescore
 from ris_pls import channel, codebook, optimize
 from ris_pls.channel import (
     _LINK_RIS_NODE,
@@ -30,13 +30,12 @@ from ris_pls.codebook import (
     generate_codebook,
     pair_batches,
     pair_evaluators,
-    rescore_config,
     scan_power_pattern,
     select_config,
     sweep_pairs,
 )
 from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
-from ris_pls.optimize import PowerEvaluator, received_signal, reflection_coefficients, uniform_config
+from ris_pls.optimize import PowerEvaluator, received_signal, reflection_coefficients
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import LinkPowers, SecrecyReport, to_db
@@ -76,7 +75,7 @@ class TestGeneration:
         sc = scenario_8x8(seed=3)
         cb = generate_codebook(sc, methods=("alg1", "alg2", "lu_max", "ed_min"))
         assert len(cb.entries) == 48
-        assert cb.is_complete(("alg1", "alg2", "lu_max", "ed_min"))
+        assert set(cb.entries) == codebook_keys(cb, ("alg1", "alg2", "lu_max", "ed_min"))
 
     def test_reference_pairs_are_covered(self, alg1_codebook):
         _, cb = alg1_codebook
@@ -140,7 +139,7 @@ class TestSweepBatches:
         sizes = record_batches(monkeypatch)
         cb = generate_codebook(sc, methods=self.METHODS)
         assert sizes == [110] * 4
-        assert cb.is_complete(self.METHODS)
+        assert set(cb.entries) == codebook_keys(cb, self.METHODS)
 
     def test_jobs_split_the_pairs_into_batches(self):
         sc = Scenario()
@@ -197,7 +196,7 @@ class TestSweepPairs:
     def test_codebook_releases_each_methods_traces(self, monkeypatch):
         refs = track_trace_batches(monkeypatch)
         cb = generate_codebook(scenario_8x8(seed=2), methods=self.METHODS)
-        assert cb.is_complete(self.METHODS)
+        assert set(cb.entries) == codebook_keys(cb, self.METHODS)
         assert len(refs) == 4
         gc.collect()
         assert [ref() for ref in refs] == [None] * 4
@@ -225,7 +224,8 @@ class TestLazyTraces:
     def test_generation_builds_no_trace_steps(self, no_trace_steps):
         methods = ("alg1", "alg2", "lu_max", "ed_min")
         sc = scenario_8x8(seed=2)
-        assert generate_codebook(sc, methods=methods).is_complete(methods)
+        cb = generate_codebook(sc, methods=methods)
+        assert set(cb.entries) == codebook_keys(cb, methods)
         batch = pair_evaluators(sc, [(sc.placement(0.0), sc.placement(15.0))], sc.tx_signal())
         trace = optimize.greedy_sweep("alg1", batch, sc.ris)[0]
         with pytest.raises(AssertionError, match="TraceStep"):
@@ -255,7 +255,7 @@ class TestSelection:
         entry, guaranteed = select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc)
         assert entry.key == (0.0, 15.0, "alg1")
         assert guaranteed == pytest.approx(
-            rescore_config(sc, entry.config, 0.0, 15.0), rel=1e-12
+            rescore(sc, entry.config, 0.0, 15.0), rel=1e-12
         )
 
     def test_unknown_matches_exhaustive_rescoring(self, alg1_codebook):
@@ -267,7 +267,7 @@ class TestSelection:
             table = {}
             for cand in cb.entries_for_lu(lu, "alg1"):
                 scores = [
-                    rescore_config(sc, cand.config, lu, ed)
+                    rescore(sc, cand.config, lu, ed)
                     for ed in cb.grid.sector_centers_deg
                     if ed != lu
                 ]
@@ -286,7 +286,7 @@ class TestSelection:
             admissible = [c for c in centers if c != lu and c not in knowledge.excluded]
             best_entry, best = None, -math.inf
             for cand in cb.entries_for_lu(lu, "alg1"):
-                guarantee = min(rescore_config(sc, cand.config, lu, ed) for ed in admissible)
+                guarantee = min(rescore(sc, cand.config, lu, ed) for ed in admissible)
                 if guarantee > best:
                     best_entry, best = cand, guarantee
             entry, guaranteed = select_config(cb, lu, knowledge, scenario=sc)
@@ -353,7 +353,7 @@ class TestPatternScan:
     def test_uniform_peak_at_specular_direction(self):
         sc = los_scenario(n=16)
         angles = np.arange(-90.0, 90.5, 0.5)
-        pattern = scan_power_pattern(sc, uniform_config(16, 16), angles)
+        pattern = scan_power_pattern(sc, RisConfig.zeros(16, 16), angles)
         powers = np.array([p for _, p in pattern])
         peak_angle = pattern[int(np.argmax(powers))][0]
         # transmitter at -15 degrees reflects specularly to +15 degrees
@@ -361,7 +361,7 @@ class TestPatternScan:
 
     def test_pattern_nonnegative_and_finite(self):
         sc = los_scenario()
-        pattern = scan_power_pattern(sc, uniform_config(8, 8), [-30.0, 0.0, 30.0])
+        pattern = scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 30.0])
         for _, p in pattern:
             assert p >= 0.0 and math.isfinite(p)
 
@@ -406,15 +406,15 @@ class TestPatternScan:
         sc = replace(scenario_8x8(seed=6), tx_mode="prs", num_rb=2)
         sc.channels_for(sc.placement(0.0), sc.placement(15.0))  # the memo holds links
         before = _memo_panel_link.cache_info()
-        scan_power_pattern(sc, uniform_config(8, 8), [-30.0, 0.0, 15.0])
+        scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 15.0])
         assert _memo_panel_link.cache_info() == before
 
     def test_angles_validated(self):
         sc = los_scenario()
         with pytest.raises(ValueError):
-            scan_power_pattern(sc, uniform_config(8, 8), [])
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), [])
         with pytest.raises(ValueError):
-            scan_power_pattern(sc, uniform_config(8, 8), [120.0])
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), [120.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -432,7 +432,7 @@ class TestPatternScan:
         set_chunk_probes(monkeypatch, sc, per_chunk)
         angles = [12.5 + i for i in range(10)]
         with pytest.raises(ValueError, match=message):
-            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=range_m)
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), angles, range_m=range_m)
 
     def test_probe_at_the_transmitter_rejected_after_the_probes_before_it(self, monkeypatch):
         # The transmitter stands at -15 degrees, 5 m: the fifth probe of a
@@ -449,7 +449,7 @@ class TestPatternScan:
         monkeypatch.setattr(codebook, "received_signal", counting)
         angles = [-19.0, -18.0, -17.0, -16.0, -15.0, -14.0]
         with pytest.raises(ValueError, match="receiver at -15 degrees, 5 m stands at the transmitter"):
-            scan_power_pattern(sc, uniform_config(8, 8), angles, range_m=5.0)
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), angles, range_m=5.0)
         assert scored == [3, 1]
 
     def test_first_non_finite_probe_named_across_chunks(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestPatternScan:
         monkeypatch.setattr(codebook, "received_signal", poisoned)
         angles = [float(a) for a in range(0, 60, 5)]
         with pytest.raises(ValueError, match="the probe at 35 degrees receives a non-finite signal"):
-            scan_power_pattern(sc, uniform_config(8, 8), angles)
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), angles)
 
 
 def set_chunk_probes(monkeypatch, scenario, per_chunk):
@@ -586,7 +586,7 @@ class TestChunkedScanParity:
 
         monkeypatch.setattr(codebook, "probe_links", recording)
         angles = [-90.0 + 180.0 * i / (num_angles - 1) for i in range(num_angles)]
-        scan_power_pattern(sc, uniform_config(side, side), angles)
+        scan_power_pattern(sc, RisConfig.zeros(side, side), angles)
         assert [len(amp) for _, amp, _, _ in chunks_seen] == sizes
         for h_d, amp, delay, steering in chunks_seen:
             a = len(amp)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import smallest_margin
+from helpers import rescore, smallest_margin
 from ris_pls import codebook
 from ris_pls.cli import EXIT_OK, main
-from ris_pls.codebook import Codebook, EdKnowledge, rescore_config
+from ris_pls.codebook import Codebook, EdKnowledge
 from ris_pls.optimize import SweepLog
 from ris_pls.scenario import Scenario
 
@@ -111,7 +111,7 @@ def test_query_margins(runs, name):
     admissible = [c for c in cb.grid.sector_centers_deg if c != lu and c not in knowledge.excluded]
     candidates = cb.entries_for_lu(lu, result["method"])
     guarantees = [
-        min(rescore_config(scenario, cand.config, lu, ed) for ed in admissible) for cand in candidates
+        min(rescore(scenario, cand.config, lu, ed) for ed in admissible) for cand in candidates
     ]
     best = max(range(len(candidates)), key=guarantees.__getitem__)
     assert result["config_bits"] == candidates[best].config.to_bitstring()

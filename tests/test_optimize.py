@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import handmade_channels, model_instance, panel, single_tone_tx
+from helpers import flip, handmade_channels, model_instance, panel, replay, single_flip_improvements, single_tone_tx
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
@@ -25,10 +25,8 @@ from ris_pls.optimize import (
     lu_max,
     received_signal,
     reflection_coefficients,
-    single_flip_improvements,
-    uniform_config,
 )
-from ris_pls.ris import ElementModel, RisConfig, flip_column, flip_half_row, flip_row
+from ris_pls.ris import ElementModel, RisConfig
 from ris_pls.scenario import Scenario
 
 MODEL = ElementModel()
@@ -40,7 +38,7 @@ class TestAlgorithm1:
         # so nothing is ever accepted.
         ch = handmade_channels(10.0, 1.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
         trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 2))
-        assert trace.accepted_steps() == []
+        assert not any(s.accepted for s in trace.steps)
         assert trace.final_config == RisConfig.zeros(1, 2)
         assert len(trace.steps) == 2 * (2 + 1)  # two passes over 2 columns + 1 row
 
@@ -105,11 +103,19 @@ class TestTraceInvariants:
                 else step.objective_after < step.objective_before
             )
         # Replaying only the accepted flips reproduces the final bits.
-        assert trace.replay_accepted() == trace.final_config
+        assert replay(trace) == trace.final_config
+
+    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    def test_replay_catches_a_leaked_rejection(self, method):
+        channels, sig = model_instance(3, 4, 4)
+        trace = method(channels, MODEL, sig, panel(4, 4))
+        steps = trace.to_dict()["steps"]
+        next(s for s in steps if not s["accepted"])["accepted"] = True
+        assert replay(trace, steps) != trace.final_config
 
 
 class TestSlowPathParity:
-    """Replaying every step with the RisConfig flip helpers and a fresh
+    """Replaying every step with `helpers.flip` and a fresh
     evaluation must reproduce the trace. A step's value comes from running
     sums plus the move's change, so it may differ from the fresh value in
     its last bits; the registers and the final objective are exact."""
@@ -129,12 +135,7 @@ class TestSlowPathParity:
         cfg = trace.initial_config
         registers = {name: score(name, cfg.bits) for name in {s.objective for s in trace.steps}}
         for step in trace.steps:
-            if step.kind == "column":
-                candidate = flip_column(cfg, step.index)
-            elif step.kind == "row":
-                candidate = flip_row(cfg, step.index)
-            else:
-                candidate = flip_half_row(cfg, step.index, step.half)
+            candidate = RisConfig(flip(cfg.bits, 6, step.kind, step.index, step.half), 4, 6)
             assert step.objective_before == registers[step.objective]
             assert step.objective_after == pytest.approx(
                 score(step.objective, candidate.bits), rel=1e-12, abs=0
@@ -142,7 +143,7 @@ class TestSlowPathParity:
             if step.accepted:
                 cfg = candidate
                 registers[step.objective] = step.objective_after
-        assert trace.accepted_steps()
+        assert any(s.accepted for s in trace.steps)
         assert cfg == trace.final_config
         assert trace.final_objective == ev.evaluate(trace.objective_kind, cfg.bits)
 
@@ -289,7 +290,7 @@ class TestRunningSumParity:
         channels, sig = model_instance(2, 4, 6, waveform="prs")
         noise = MeasurementNoise(n0=1e-9, seed=5)
         trace = algorithm1(channels, MODEL, sig, panel(4, 6), noise=noise)
-        assert trace.final_objective == trace.accepted_steps()[-1].objective_after
+        assert trace.final_objective == [s for s in trace.steps if s.accepted][-1].objective_after
 
 
 def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
@@ -450,8 +451,8 @@ class TestLockstepParity:
             assert got["initial_config"] == "0" * 24
             bits = np.zeros(24, dtype=np.uint8)
             _, steps = per_sweep_reference(ev, bits, moves, 64, True, None if noise is None else noise.reader())
-            assert trace.accepted_steps() == [s for s in steps if s.accepted]
-            assert trace.replay_accepted() == RisConfig(bits, 4, 6) == trace.final_config
+            assert [s for s in trace.steps if s.accepted] == [s for s in steps if s.accepted]
+            assert replay(trace) == RisConfig(bits, 4, 6) == trace.final_config
             last_pass.add(steps[-1].iteration)
         assert len(last_pass) > 1
 
@@ -558,7 +559,7 @@ class TestPassSummaries:
         for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(4, 6), run_to_fixpoint=fixpoint):
             passes = trace.passes
             assert [p.iteration for p in passes] == sorted({s.iteration for s in trace.steps})
-            assert sum(p.accepted for p in passes) == len(trace.accepted_steps())
+            assert sum(p.accepted for p in passes) == sum(s.accepted for s in trace.steps)
             for p in passes:
                 upto = [s for s in trace.steps if s.iteration <= p.iteration]
                 assert p.accepted == sum(s.accepted for s in upto if s.iteration == p.iteration)
@@ -652,15 +653,8 @@ class TestAlgorithm2:
         trace = algorithm2(channels, MODEL, sig, geom)
         split = geom.n_h // 2
         cfg = trace.initial_config.copy()
-        for step in trace.accepted_steps():
-            if step.kind == "column":
-                from ris_pls.ris import flip_column
-
-                nxt = flip_column(cfg, step.index)
-            else:
-                from ris_pls.ris import flip_half_row
-
-                nxt = flip_half_row(cfg, step.index, step.half)
+        for step in (s for s in trace.steps if s.accepted):
+            nxt = RisConfig(flip(cfg.bits, geom.n_h, step.kind, step.index, step.half), 4, 4)
             changed_cols = sorted({i % geom.n_h for i in np.flatnonzero(nxt.bits != cfg.bits)})
             if step.objective == "lu_power":
                 assert all(c < split for c in changed_cols)
@@ -686,7 +680,7 @@ class TestBaselines:
     def test_ed_min_dead_link_makes_no_moves(self):
         ch = handmade_channels(0.3, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
         trace = ed_min(ch, MODEL, single_tone_tx(), panel(1, 2))
-        assert trace.accepted_steps() == []
+        assert not any(s.accepted for s in trace.steps)
 
     def test_lu_max_usually_beats_ratio_objective_on_lu_power(self):
         wins = 0
@@ -711,17 +705,12 @@ class TestZeroEavesdropperPower:
         assert ev.evaluate("ratio", RisConfig.zeros(1, 2).bits) == math.inf
         trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 2))
         assert trace.final_objective == math.inf
-        assert trace.replay_accepted() == trace.final_config
+        assert replay(trace) == trace.final_config
 
 
 class TestUniform:
-    def test_all_zero_bits(self):
-        cfg = uniform_config(2, 2)
-        assert cfg.to_bitstring() == "0000"
-        assert cfg.bits.size == 4
-
     def test_uniform_response_is_unit(self):
-        phi = reflection_coefficients(MODEL, [3.55e9])[:, uniform_config(2, 2).bits]
+        phi = reflection_coefficients(MODEL, [3.55e9])[:, RisConfig.zeros(2, 2).bits]
         np.testing.assert_allclose(phi, 1.0, atol=1e-15)
 
 
@@ -909,7 +898,7 @@ class TestMeasurementNoise:
         a = algorithm1(channels, MODEL, sig, panel(3, 4), noise=noise)
         b = algorithm1(channels, MODEL, sig, panel(3, 4), noise=noise)
         assert a.to_dict() == b.to_dict()
-        assert a.replay_accepted() == a.final_config
+        assert replay(a) == a.final_config
 
     def test_validation(self):
         with pytest.raises(ValueError):

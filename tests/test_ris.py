@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ris_pls.ris import (
-    DEFAULT_ELEMENT_SPACING_M,
-    ElementModel,
-    RisArrayGeometry,
-    RisConfig,
-    flip_column,
-    flip_half_row,
-    flip_row,
-)
+from helpers import flip
+from ris_pls.ris import DEFAULT_ELEMENT_SPACING_M, ElementModel, RisArrayGeometry, RisConfig
 
 
 class TestGeometry:
@@ -52,7 +45,7 @@ class TestConfig:
     def test_bitstring_round_trip(self):
         cfg = RisConfig.from_bitstring("0110", 2, 2)
         assert cfg.to_bitstring() == "0110"
-        assert cfg.grid().tolist() == [[0, 1], [1, 0]]
+        assert cfg.bits.reshape(2, 2).tolist() == [[0, 1], [1, 0]]
         bits = np.random.default_rng(0).integers(0, 2, 32 * 32)
         big = RisConfig(bits, 32, 32)
         s = big.to_bitstring()
@@ -70,44 +63,20 @@ class TestConfig:
 
 class TestFlips:
     def test_flip_first_column_2x2(self):
-        cfg = flip_column(RisConfig.zeros(2, 2), 0)
-        assert cfg.grid().tolist() == [[1, 0], [1, 0]]
+        assert flip(RisConfig.zeros(2, 2).bits, 2, "column", 0).tolist() == [1, 0, 1, 0]
 
     def test_flip_row(self):
-        cfg = flip_row(RisConfig.zeros(2, 3), 1)
-        assert cfg.grid().tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert flip(RisConfig.zeros(2, 3).bits, 3, "row", 1).tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_half_row_flips_exactly_half(self):
-        base = RisConfig.zeros(32, 32)
-        flipped = flip_half_row(base, 5, "left")
-        assert int((flipped.bits != base.bits).sum()) == 16
-        assert flipped.grid()[5, :16].tolist() == [1] * 16
-        flipped_r = flip_half_row(base, 5, "right")
-        assert flipped_r.grid()[5, 16:].tolist() == [1] * 16
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_flips_are_involutions(self, seed):
-        rng = np.random.default_rng(seed)
-        cfg = RisConfig(rng.integers(0, 2, 12).astype(np.uint8), 3, 4)
-        for col in range(4):
-            assert flip_column(flip_column(cfg, col), col) == cfg
-        for row in range(3):
-            assert flip_row(flip_row(cfg, row), row) == cfg
-            for half in ("left", "right"):
-                assert flip_half_row(flip_half_row(cfg, row, half), row, half) == cfg
-
-    def test_out_of_range_rejected(self):
-        cfg = RisConfig.zeros(2, 2)
-        with pytest.raises(IndexError):
-            flip_column(cfg, 2)
-        with pytest.raises(IndexError):
-            flip_row(cfg, -1)
-        with pytest.raises(ValueError):
-            flip_half_row(cfg, 0, "top")
+        base = RisConfig.zeros(32, 32).bits
+        flipped = flip(base, 32, "half_row", 5, "left").reshape(32, 32)
+        assert int(flipped.sum()) == 16 and flipped[5, :16].tolist() == [1] * 16
+        assert flip(base, 32, "half_row", 5, "right").reshape(32, 32)[5, 16:].tolist() == [1] * 16
 
     def test_flip_does_not_mutate_input(self):
         cfg = RisConfig.zeros(2, 2)
-        flip_column(cfg, 0)
+        flip(cfg.bits, 2, "column", 0)
         assert cfg.to_bitstring() == "0000"
 
 
@@ -124,14 +93,14 @@ class TestElementModel:
 
     def test_ideal_all_ones_config_reflects_minus_one(self):
         model = ElementModel()
-        resp = reflection(RisConfig.ones(2, 2), model, [3.55e9])
+        resp = reflection(RisConfig.from_bitstring("1111", 2, 2), model, [3.55e9])
         np.testing.assert_allclose(resp, -1.0 + 0.0j, atol=1e-12)
 
     def test_linear_dispersion_single_element(self):
         # Hand evaluation: theta = clamp(pi + s * delta, 0, pi).
         s = 2e-8
         model = ElementModel(mode="linear_dispersion", dispersion_rad_per_hz=s)
-        cfg = RisConfig.ones(1, 1)
+        cfg = RisConfig.from_bitstring("1", 1, 1)
         for delta in (5e6, -5e6, -1e9):
             expected_phase = min(max(math.pi + s * delta, 0.0), math.pi)
             resp = reflection(cfg, model, [model.center_hz + delta])
