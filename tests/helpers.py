@@ -132,8 +132,13 @@ def smallest_margin(run) -> float:
 
 def flip(bits, n_h, kind, index, half=None) -> np.ndarray:
     """Copy of row-major `bits` with column or row `index` inverted, or the
-    "left" (first n_h // 2 columns) or "right" half of that row."""
+    "left" (first n_h // 2 columns) or "right" half of that row. An index
+    off the grid raises IndexError, a half other than those ValueError."""
     grid = np.array(bits).reshape(-1, n_h)
+    if not 0 <= index < grid.shape[kind == "column"]:
+        raise IndexError(f"{kind} {index} out of range for a {grid.shape[0]}x{n_h} grid")
+    if (half is None) != (kind != "half_row") or half not in (None, "left", "right"):
+        raise ValueError(f"half {half!r} does not fit a {kind} flip")
     if kind == "column":
         grid[:, index] ^= 1
     else:

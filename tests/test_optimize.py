@@ -709,6 +709,11 @@ class TestZeroEavesdropperPower:
 
 
 class TestUniform:
+    def test_all_zero_bits(self):
+        cfg = RisConfig.zeros(2, 2)
+        assert cfg.to_bitstring() == "0000"
+        assert cfg.bits.size == 4
+
     def test_uniform_response_is_unit(self):
         phi = reflection_coefficients(MODEL, [3.55e9])[:, RisConfig.zeros(2, 2).bits]
         np.testing.assert_allclose(phi, 1.0, atol=1e-15)

@@ -74,6 +74,26 @@ class TestFlips:
         assert int(flipped.sum()) == 16 and flipped[5, :16].tolist() == [1] * 16
         assert flip(base, 32, "half_row", 5, "right").reshape(32, 32)[5, 16:].tolist() == [1] * 16
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flips_are_involutions(self, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, 12).astype(np.uint8)
+        for col in range(4):
+            assert flip(flip(bits, 4, "column", col), 4, "column", col).tolist() == bits.tolist()
+        for row in range(3):
+            assert flip(flip(bits, 4, "row", row), 4, "row", row).tolist() == bits.tolist()
+            for half in ("left", "right"):
+                twice = flip(flip(bits, 4, "half_row", row, half), 4, "half_row", row, half)
+                assert twice.tolist() == bits.tolist()
+
+    def test_out_of_range_rejected(self):
+        bits = RisConfig.zeros(2, 2).bits
+        with pytest.raises(IndexError):
+            flip(bits, 2, "column", 2)
+        with pytest.raises(IndexError):
+            flip(bits, 2, "row", -1)
+        with pytest.raises(ValueError):
+            flip(bits, 2, "half_row", 0, "top")
+
     def test_flip_does_not_mutate_input(self):
         cfg = RisConfig.zeros(2, 2)
         flip(cfg.bits, 2, "column", 0)
