@@ -12,7 +12,8 @@ frequency, plus optional scattered rays with random excess delays and
 complex gains whose total power is set by the Rician K-factor. Links ending
 on the panel additionally carry a plane-wave phase profile over the element
 grid, evaluated at the carrier wavelength (narrowband-array model), which
-is what makes the configurations angle-selective.
+is what makes the configurations angle-selective. Its phase k·(u_x·x + u_z·z)
+separates over the grid: a row factor times a column factor, n_v + n_h exps.
 
 Random draws are taken from per-link streams keyed by (seed, link kind,
 endpoint placement), so interchanging the two receiver placements
@@ -244,10 +245,10 @@ def _scatter_rays(rng: np.random.Generator, amp: float, tau0: float, params: Cha
     return gains, tau0 + excess
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 3-vector, as `np.linalg.norm` works it out (the
-    square root of `v.dot(v)`), without its checks."""
-    return math.sqrt(v.dot(v))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A,) dot products of the rows of (A, 3) `a` with (3,) `b` or the rows
+    of (A, 3) `b`, each as `np.dot` works it out; `(a * b).sum(1)` does not."""
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
 
 
 def _tx_beam(tx: Placement) -> tuple:
@@ -256,36 +257,41 @@ def _tx_beam(tx: Placement) -> tuple:
     shares."""
     position = tx.position()
     boresight = -position
-    return position, boresight, _norm(boresight)
+    return position, boresight, math.sqrt(boresight.dot(boresight))
 
 
-def _outside_beam(beam: tuple, toward: np.ndarray, distance: float, beamwidth_deg: float) -> bool:
-    """Whether a node at `toward` from the transmitter, `distance` away,
-    lies outside the transmitter beam `beam` (`_tx_beam`)."""
-    _, boresight, boresight_norm = beam
-    cosang = float(boresight.dot(toward)) / (boresight_norm * distance)
-    return math.degrees(math.acos(min(max(cosang, -1.0), 1.0))) > beamwidth_deg / 2.0
+def _direct_ray(beam: tuple, pos: np.ndarray, params: ChannelParams) -> tuple:
+    """(A,) distances, amplitudes and delays of the line-of-sight rays from
+    the transmitter (`beam` is `_tx_beam(tx)`) to nodes at the rows of
+    (A, 3) `pos`. A node at distance 0 is the caller's error to raise."""
+    position, boresight, boresight_norm = beam
+    toward = pos - position
+    with np.errstate(all="ignore"):
+        d = np.sqrt(_dots(toward, toward))
+        amp = _free_space_amplitude(d, params.carrier_hz)
+        cosang = np.clip(_dots(toward, boresight) / (boresight_norm * d), -1.0, 1.0)
+    # math.acos, not np.arccos: numpy's kernel rounds some cosines otherwise.
+    outside = np.degrees(np.array(list(map(math.acos, cosang.tolist())))) > params.tx_beamwidth_deg / 2.0
+    amp[outside] *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
+    return d, amp, d / SPEED_OF_LIGHT
 
 
-def _direct_ray(beam: tuple, node: Placement, pos: np.ndarray, params: ChannelParams) -> tuple:
-    """(amplitude, delay) of the line-of-sight ray from the transmitter to
-    `node`, which stands at `pos`; `beam` is `_tx_beam(tx)`."""
-    toward = pos - beam[0]
-    d = _norm(toward)
-    if d == 0.0:
-        raise ValueError(
-            f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter"
-        )
-    amp = _free_space_amplitude(d, params.carrier_hz)
-    if _outside_beam(beam, toward, d, params.tx_beamwidth_deg):
-        amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
-    return amp, d / SPEED_OF_LIGHT
+def _panel_ray(pos: np.ndarray, params: ChannelParams) -> tuple:
+    """(A,) distances, amplitudes and delays, and (A, 3) unit directions, of
+    the line-of-sight rays between the panel center and nodes at the rows
+    of (A, 3) `pos`. A distance of 0 (the norm underflows for ranges below
+    about 1e-154 m) is the caller's error to raise."""
+    with np.errstate(all="ignore"):
+        d = np.sqrt(_dots(pos, pos))
+        return d, _free_space_amplitude(d, params.carrier_hz), d / SPEED_OF_LIGHT, pos / d[:, None]
 
 
 def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray, beam: tuple):
     """(K,) channel from the transmitter to a node; `beam` is `_tx_beam(tx)`,
     which every direct link of a synthesis or a scan shares."""
-    amp, tau0 = _direct_ray(beam, node, node.position(), params)
+    d, amp, tau0 = (x.item() for x in _direct_ray(beam, node.position()[None], params))
+    if d == 0.0:
+        raise ValueError(f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter")
     h = amp * np.exp(-2j * math.pi * f * tau0)
     if params.num_paths > 1:
         rng = _link_rng(params.rng_seed, _LINK_DIRECT, tx, node)
@@ -294,28 +300,29 @@ def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.nd
     return h
 
 
-def _steering(elem: np.ndarray, dirs: np.ndarray, carrier_hz: float) -> np.ndarray:
-    """Plane-wave phase profile over the (M, 3) elements `elem` toward one
-    unit direction (3,), as (M,), or toward each row of (A, 3), as (A, M)."""
+def _steering(ris: RisArrayGeometry, dirs: np.ndarray, carrier_hz: float) -> np.ndarray:
+    """Plane-wave phase profile over the panel's row-major elements toward
+    one unit direction (3,), as (M,), or toward each row of (A, 3), as
+    (A, M): the product of its n_v row and n_h column factors."""
     # Narrowband array model: the element phase profile is evaluated at the
     # carrier wavelength; per-subcarrier selectivity comes from the tapped
     # delays, not from the aperture.
-    return np.exp(2j * math.pi * carrier_hz / SPEED_OF_LIGHT * (dirs @ elem.T))
+    k = 2 * math.pi * carrier_hz / SPEED_OF_LIGHT
+    x = (np.arange(ris.n_h) - (ris.n_h - 1) / 2.0) * ris.element_spacing_m
+    z = ((ris.n_v - 1) / 2.0 - np.arange(ris.n_v)) * ris.element_spacing_m
+    rows = np.exp(1j * (k * np.multiply.outer(dirs[..., 2], z)))
+    cols = np.exp(1j * (k * np.multiply.outer(dirs[..., 0], x)))
+    return (rows[..., :, None] * cols[..., None, :]).reshape(*dirs.shape[:-1], -1)
 
 
-def _panel_ray(node: Placement, pos: np.ndarray, params: ChannelParams) -> tuple:
-    """(amplitude, delay, unit direction) of the line-of-sight ray between
-    the panel center and `node`, which stands at `pos`."""
-    d = _norm(pos)
-    if d == 0.0:  # the norm underflows for ranges below about 1e-154 m
-        raise ValueError(f"node at {node.range_m:g} m is too close to the panel center to model")
-    return _free_space_amplitude(d, params.carrier_hz), d / SPEED_OF_LIGHT, pos / d
-
-
-def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kind: int):
+def _panel_link(node: Placement, params: ChannelParams, f, ris: RisArrayGeometry, kind: int):
     """(K, M) channel between the panel and a node (either direction)."""
-    amp, tau0, u = _panel_ray(node, node.position(), params)
-    h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(elem, u, params.carrier_hz))
+    d, amp, tau0, u = _panel_ray(node.position()[None], params)
+    if d[0] == 0.0:
+        raise ValueError(f"node at {node.range_m:g} m is too close to the panel center to model")
+    amp, tau0 = amp.item(), tau0.item()
+    h = np.outer(np.exp(-2j * math.pi * f * tau0), _steering(ris, u[0], params.carrier_hz))
+    h *= amp
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
         rng = _link_rng(params.rng_seed, kind, node)
@@ -326,9 +333,12 @@ def _panel_link(node: Placement, params: ChannelParams, f, elem: np.ndarray, kin
         )
         gains, delays = _scatter_rays(rng, amp, tau0, params)
         # The scattered rays as one product: (K, L) taps, each ray's gain
-        # times its delay phase per subcarrier, by (L, M) steering profiles.
+        # times its delay phase per subcarrier, by (L, M) steering profiles;
+        # the line-of-sight term is added into it in place.
         taps = gains * np.exp(np.outer(-2j * math.pi * f, delays))
-        h += taps @ _steering(elem, dirs, params.carrier_hz)
+        scattered = taps @ _steering(ris, dirs, params.carrier_hz)
+        scattered += h
+        h = scattered
     return h
 
 
@@ -375,7 +385,7 @@ class _PanelLinkMemo:
             # Make room first, so the memo never holds more than its budget.
             while keep and self._nbytes + nbytes > self.max_bytes:
                 self._nbytes -= self._links.popitem(last=False)[1].nbytes
-            h = _panel_link(node, params, f, ris.element_positions(), kind)
+            h = _panel_link(node, params, f, ris, kind)
             h.setflags(write=False)
             if keep:
                 self._links[key] = h
@@ -447,40 +457,40 @@ def synthesize_channels(
 PROBE_CHUNK_BYTES = 2**20
 
 
-def _los_links(f: np.ndarray, elem: np.ndarray, carrier_hz: float, rays: list) -> tuple:
-    """(A, K) direct links of the single-ray probes whose rays are `rays`,
-    and their panel links' factors: (A,) amp, (A, K) delay and (A, M)
-    steering, by the operations of `_direct_link` and `_panel_link`."""
-    amp_d, tau_d, amp_p, tau_p, u = (np.array(c) for c in zip(*rays))
-    h_d = amp_d[:, None] * np.exp(-2j * math.pi * f * tau_d[:, None])
-    delay = np.exp(-2j * math.pi * f * tau_p[:, None])
-    return h_d, amp_p, delay, _steering(elem, u, carrier_hz)
+def _probe_rays(angles: np.ndarray, range_m: float, beam: tuple, params: ChannelParams) -> tuple:
+    """The direct and the panel rays (`_direct_ray`, `_panel_ray`) of probes
+    at azimuths `angles` (degrees), `range_m` from the panel center at
+    height 0, each position as `Placement.position` works it out."""
+    az = np.radians(angles)
+    pos = np.column_stack([range_m * np.sin(az), range_m * np.cos(az), np.zeros(az.size)])
+    return _direct_ray(beam, pos, params), _panel_ray(pos, params)
 
 
-def _probe_chunks(probes, beam: tuple, params: ChannelParams, f: np.ndarray, elem: np.ndarray, size: int):
-    """`_los_links` over consecutive runs of at most `size` probes, each
-    probe's direct and panel ray worked out from one position; `beam` is
-    `_tx_beam(tx)`. A probe whose ray fails ends the iteration with its
-    error, after the chunk of the probes before it."""
-    rays = []
-    for p in probes:
-        try:
-            pos = p.position()
-            rays.append((*_direct_ray(beam, p, pos, params), *_panel_ray(p, pos, params)))
-        except ValueError:
-            if rays:
-                yield _los_links(f, elem, params.carrier_hz, rays)
-            raise
-        if len(rays) == size:
-            yield _los_links(f, elem, params.carrier_hz, rays)
-            rays = []
-    if rays:
-        yield _los_links(f, elem, params.carrier_hz, rays)
+def _probe_chunks(tx: Placement, angles: np.ndarray, range_m: float, params: ChannelParams, f, ris, size: int):
+    """Per run of at most `size` consecutive probes (`_probe_rays`), (A, K)
+    direct links and the panel links' factors: (A,) amp, (A, K) delay and
+    (A, M) steering, by the operations of `_direct_link` and `_panel_link`.
+    A probe whose ray fails ends the iteration with the error its links
+    raise in a synthesis, after the chunk of the probes before it."""
+    beam = _tx_beam(tx)
+    for start in range(0, angles.size, size):
+        (d_d, amp_d, tau_d), (d_p, amp_p, tau_p, u) = _probe_rays(angles[start:start + size], range_m, beam, params)
+        failed = np.flatnonzero((d_d == 0.0) | (d_p == 0.0))
+        n = failed[0] if failed.size else u.shape[0]
+        if n:
+            h_d = amp_d[:n, None] * np.exp(-2j * math.pi * f * tau_d[:n, None])
+            delay = np.exp(-2j * math.pi * f * tau_p[:n, None])
+            yield h_d, amp_p[:n], delay, _steering(ris, u[:n], params.carrier_hz)
+        if failed.size:
+            probe = Placement(float(angles[start + n]), range_m)
+            _direct_link(tx, probe, params, f, beam)
+            _panel_link(probe, params, f, ris, _LINK_RIS_NODE)
 
 
-def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
+def probe_links(tx: Placement, angles, range_m: float, ris: RisArrayGeometry, params: ChannelParams, freqs) -> tuple:
     """The transmitter's panel link g, and an iterator over chunks of the
-    probe placements' links, computed lazily at `freqs`, the subcarriers a
+    links of probes at azimuths `angles` (degrees), `range_m` from the panel
+    center at height 0, computed lazily at `freqs`, the subcarriers a
     transmit signal carries: per chunk of A consecutive probes, (A, K)
     direct links and the panel links' factors, (A,) amplitudes, (A, K)
     delay profiles and (A, M) steering rows, each of `PROBE_CHUNK_BYTES`.
@@ -488,15 +498,14 @@ def probe_links(tx: Placement, probes, ris: RisArrayGeometry, params: ChannelPar
     Probes see the single line-of-sight ray of each link: `params` are the
     scenario's channel parameters, taken with `num_paths=1`, so a probe's
     panel link is rank one, amp * outer(delay, steering). The links equal
-    those `synthesize_channels` gives with those parameters at the same
-    frequencies, but none is built as (A, K, M), and none is read from or
+    those `synthesize_channels` gives placements there with those
+    parameters, but none is built as (A, K, M), and none is read from or
     kept in the panel-link memo: a probe link is used once, and keeping it
     would crowd out reusable links. The transmitter's geometry is worked
-    out once per scan, and each probe's once.
+    out once per scan, and a chunk's as arrays, with no placement per probe.
     """
     params = replace(params, num_paths=1)
     f = _checked_freqs(freqs)
-    elem = ris.element_positions()
-    g = _panel_link(tx, params, f, elem, _LINK_TX_RIS)
-    size = max(1, PROBE_CHUNK_BYTES // (max(f.size, elem.shape[0]) * np.dtype(complex).itemsize))
-    return g, _probe_chunks(probes, _tx_beam(tx), params, f, elem, size)
+    g = _panel_link(tx, params, f, ris, _LINK_TX_RIS)
+    size = max(1, PROBE_CHUNK_BYTES // (max(f.size, ris.num_elements) * np.dtype(complex).itemsize))
+    return g, _probe_chunks(tx, np.asarray(angles, dtype=float), range_m, params, f, ris, size)

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channel import Placement, SectorGrid, probe_links
+from .fields import is_number
 from .optimize import (
     METHODS,
     EvaluatorBatch,
@@ -330,8 +331,9 @@ def scan_power_pattern(
     those set to 1 are amp * delay times its steering row's products with
     g and g * bits: one matrix product each per chunk from `probe_links`.
     The links bypass the panel-link memo, so the scan leaves it as it
-    found it. A configuration of another panel is an error, and so is a
-    probe whose signal is not finite: the error names the first such angle.
+    found it. A configuration of another panel is an error, and so are a
+    range a `Placement` rejects and a probe whose signal is not finite: the
+    error names the first such angle.
     """
     ris = scenario.ris
     if (config.n_v, config.n_h) != (ris.n_v, ris.n_h):
@@ -340,14 +342,13 @@ def scan_power_pattern(
     if not angles:
         raise ValueError("angle list must not be empty")
     for a in angles:
-        if not -90.0 <= a <= 90.0:
-            raise ValueError("scan angles must lie in [-90, 90] degrees")
-    range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
+        if not (is_number(a) and -90.0 <= a <= 90.0):
+            raise ValueError(f"scan angles must be numbers in [-90, 90] degrees, not {a!r}")
+    range_m = Placement(0.0, scenario.sector_grid.user_range_m if range_m is None else range_m).range_m
     tx_sig = scenario.tx_signal()
     x = tx_sig.amplitudes()
     phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
-    probes = (Placement(a, range_m) for a in angles)
-    g, chunks = probe_links(scenario.tx, probes, ris, scenario.channel, tx_sig.freqs)
+    g, chunks = probe_links(scenario.tx, angles, range_m, ris, scenario.channel, tx_sig.freqs)
     g_on = g * config.bits.astype(float)
     powers = []
     for h_d, amp, delay, steering in chunks:

@@ -26,7 +26,7 @@ def _typed_fields(cls) -> tuple:
 
 def is_number(value) -> bool:
     """A finite real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def check_types(obj, error=ValueError, may_be_inf=()) -> None:

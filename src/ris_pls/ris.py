@@ -49,16 +49,6 @@ class RisArrayGeometry:
     def num_elements(self) -> int:
         return self.n_v * self.n_h
 
-    def element_positions(self) -> np.ndarray:
-        """(M, 3) element coordinates in meters, row-major order."""
-        d = self.element_spacing_m
-        x = (np.arange(self.n_h) - (self.n_h - 1) / 2.0) * d
-        z = ((self.n_v - 1) / 2.0 - np.arange(self.n_v)) * d
-        pos = np.zeros((self.num_elements, 3))
-        pos[:, 0] = np.tile(x, self.n_v)
-        pos[:, 2] = np.repeat(z, self.n_h)
-        return pos
-
 
 @dataclass
 class RisConfig:

@@ -8,8 +8,8 @@ from ris_pls.channel import (
     ChannelParams,
     ChannelSet,
     Placement,
+    _free_space_amplitude,
     _link_rng,
-    _panel_ray,
     _scatter_sigma,
     _steering,
     synthesize_channels,
@@ -17,7 +17,7 @@ from ris_pls.channel import (
 from ris_pls.codebook import pair_powers
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
 from ris_pls.optimize import EvaluatorBatch, SweepLog, _full_surface_moves, _sweep
-from ris_pls.ris import RisArrayGeometry, RisConfig
+from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry, RisConfig
 from ris_pls.secrecy import sum_sse
 
 CARRIER = 3.55e9
@@ -86,12 +86,52 @@ def dense_receive(channels, model, config, tx):
     return y_lu, y_ed
 
 
-def per_ray_panel_link(node, params, f, elem, kind):
+def element_positions(ris) -> np.ndarray:
+    """(M, 3) element coordinates of panel `ris` in meters, row-major order."""
+    d = ris.element_spacing_m
+    x = (np.arange(ris.n_h) - (ris.n_h - 1) / 2.0) * d
+    z = ((ris.n_v - 1) / 2.0 - np.arange(ris.n_v)) * d
+    pos = np.zeros((ris.num_elements, 3))
+    pos[:, 0] = np.tile(x, ris.n_v)
+    pos[:, 2] = np.repeat(z, ris.n_h)
+    return pos
+
+
+def dense_steering(elem, dirs, carrier_hz):
+    """Plane-wave phase profile over the (M, 3) elements `elem` toward each
+    unit direction of `dirs`, one exp per element: the reference for
+    `channel._steering`, which separates the phase over the grid."""
+    return np.exp(2j * math.pi * carrier_hz / SPEED_OF_LIGHT * (dirs @ elem.T))
+
+
+def scalar_direct_ray(beam, pos, params) -> tuple:
+    """(amplitude, delay) of the line-of-sight ray from the transmitter to
+    one node at `pos`, with scalar norms and beam test: the per-probe
+    reference for the rows of `channel._direct_ray`."""
+    position, boresight, boresight_norm = beam
+    toward = pos - position
+    d = math.sqrt(toward.dot(toward))
+    amp = _free_space_amplitude(d, params.carrier_hz)
+    cosang = float(boresight.dot(toward)) / (boresight_norm * d)
+    if math.degrees(math.acos(min(max(cosang, -1.0), 1.0))) > params.tx_beamwidth_deg / 2.0:
+        amp *= 10.0 ** (-params.direct_path_suppression_db / 20.0)
+    return amp, d / SPEED_OF_LIGHT
+
+
+def scalar_panel_ray(pos, params) -> tuple:
+    """(amplitude, delay, unit direction) of the line-of-sight ray between
+    the panel center and one node at `pos`: the per-probe reference for the
+    rows of `channel._panel_ray`."""
+    d = math.sqrt(pos.dot(pos))
+    return _free_space_amplitude(d, params.carrier_hz), d / SPEED_OF_LIGHT, pos / d
+
+
+def per_ray_panel_link(node, params, f, ris, kind):
     """(K, M) panel link with its scattered rays added one outer product at
     a time: the slow reference for `channel._panel_link`, which takes them
     as one matrix product. Same random draws, same line-of-sight term."""
-    amp, tau0, u = _panel_ray(node, node.position(), params)
-    h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(elem, u, params.carrier_hz))
+    amp, tau0, u = scalar_panel_ray(node.position(), params)
+    h = amp * np.outer(np.exp(-2j * math.pi * f * tau0), _steering(ris, u, params.carrier_hz))
     n_scatter = params.num_paths - 1
     if n_scatter > 0:
         rng = _link_rng(params.rng_seed, kind, node)
@@ -108,7 +148,7 @@ def per_ray_panel_link(node, params, f, elem, kind):
         for l in range(n_scatter):
             h = h + gains[l] * np.outer(
                 np.exp(-2j * math.pi * f * (tau0 + excess[l])),
-                _steering(elem, dirs[l], params.carrier_hz),
+                _steering(ris, dirs[l], params.carrier_hz),
             )
     return h
 

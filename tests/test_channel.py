@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import per_ray_panel_link
+from helpers import dense_steering, element_positions, per_ray_panel_link, scalar_direct_ray, scalar_panel_ray
 from ris_pls import channel as channel_module
 from ris_pls.channel import (
     _LINK_RIS_NODE,
@@ -23,6 +23,8 @@ from ris_pls.channel import (
     _panel_link,
     _PanelLinkMemo,
     _placement_key,
+    _probe_rays,
+    _steering,
     _tx_beam,
     build_default_geometry,
     probe_links,
@@ -283,27 +285,66 @@ class TestRaySumParity:
     def test_matches_per_ray_sum(self, grid, num_paths, kind):
         if grid == "prs-52":  # the benchmark's wideband grid and 32x32 panel
             freqs = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0)).freqs
-            elem = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16).element_positions()
+            ris = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16)
             nodes = [Placement(30.0, 7.0)]
         else:
             freqs = GRIDS[grid]
-            elem = small_panel(4, 6).element_positions()
+            ris = small_panel(4, 6)
             nodes = [Placement(a, r) for a, r in ((-60.0, 2.0), (-0.0, 7.0), (0.0, 7.0), (45.0, 5.0))]
         for seed in (0, 3):
             params = ChannelParams(num_paths=num_paths, rng_seed=seed)
             for node in nodes:
-                h = _panel_link(node, params, freqs, elem, kind)
-                ref = per_ray_panel_link(node, params, freqs, elem, kind)
-                assert h.shape == ref.shape == (freqs.size, len(elem))
+                h = _panel_link(node, params, freqs, ris, kind)
+                ref = per_ray_panel_link(node, params, freqs, ris, kind)
+                assert h.shape == ref.shape == (freqs.size, ris.num_elements)
                 assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_single_path_link_is_the_line_of_sight_term(self):
         # Without scattered rays the link is the per-ray reference bit for bit.
         args = Placement(15.0, 7.0), ChannelParams(num_paths=1, rng_seed=2)
-        elem = small_panel(4, 6).element_positions()
+        ris = small_panel(4, 6)
         for grid, freqs in GRIDS.items():
-            h = _panel_link(*args, freqs, elem, _LINK_RIS_NODE)
-            assert same_bits(h, per_ray_panel_link(*args, freqs, elem, _LINK_RIS_NODE)), grid
+            h = _panel_link(*args, freqs, ris, _LINK_RIS_NODE)
+            assert same_bits(h, per_ray_panel_link(*args, freqs, ris, _LINK_RIS_NODE)), grid
+
+
+#: A large and a small panel; neither has an element on an axis.
+STEERING_PANELS = {
+    "32x32": RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16),
+    "4x6": small_panel(4, 6),
+}
+
+
+class TestSeparableSteering:
+    """`_steering` takes each profile as the product of its row and column
+    factors; `helpers.dense_steering` takes one exp per element."""
+
+    @pytest.mark.parametrize("name", sorted(STEERING_PANELS))
+    def test_zero_elevation_equals_dense_steering(self, name):
+        # Every probe, and a transmitter at height 0, lies in the plane of
+        # the panel's normal: u_z = 0, so each row factor is exp(0j) and
+        # the product is the dense exp bit for bit.
+        ris = STEERING_PANELS[name]
+        degrees = np.concatenate([np.arange(-900, 901) / 10.0, np.random.default_rng(4).uniform(-90.0, 90.0, 500)])
+        dirs = np.array([p.position() / p.range_m for p in (Placement(float(a), 7.0) for a in degrees)])
+        assert not dirs[:, 2].any()
+        dense = dense_steering(element_positions(ris), dirs, CARRIER)
+        assert same_bits(_steering(ris, dirs, CARRIER), dense)
+        assert same_bits(_steering(ris, dirs[1234], CARRIER), dense[1234])  # one direction, as (M,)
+
+    @pytest.mark.parametrize("name", sorted(STEERING_PANELS))
+    def test_elevated_directions_within_phase_rounding(self, name):
+        # Scattered rays arrive from above and below: the two factors'
+        # phases round apart from the dense phase by a few units in the
+        # last place of the largest phase.
+        ris = STEERING_PANELS[name]
+        rng = np.random.default_rng(8)
+        az, el = np.radians(rng.uniform(-90.0, 90.0, 2000)), np.radians(rng.uniform(-90.0, 90.0, 2000))
+        dirs = np.column_stack([np.sin(az) * np.cos(el), np.cos(az) * np.cos(el), np.sin(el)])
+        elem = element_positions(ris)
+        max_phase = np.abs(2.0 * math.pi * CARRIER / SPEED_OF_LIGHT * (dirs @ elem.T)).max()
+        error = np.abs(_steering(ris, dirs, CARRIER) - dense_steering(elem, dirs, CARRIER)).max()
+        assert 0.0 < error <= 4.0 * np.finfo(float).eps * max_phase
 
 
 class TestPanelLinkMemo:
@@ -318,16 +359,15 @@ class TestPanelLinkMemo:
         freqs = GRIDS[grid]
         params = ChannelParams(rng_seed=seed)
         panel = small_panel(2, 3)
-        elem = panel.element_positions()
         node = Placement(azimuth, range_m)
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(45.0, 7.0)
         for _ in range(2):  # a miss, then a hit
             as_rx = synthesize_channels(tx, node, ed, panel, params, freqs)
             as_tx = synthesize_channels(node, lu, ed, panel, params, freqs)
-            assert same_bits(as_rx.h_ris_lu, _panel_link(node, params, freqs, elem, _LINK_RIS_NODE))
-            assert same_bits(as_rx.g_ris, _panel_link(tx, params, freqs, elem, _LINK_TX_RIS))
-            assert same_bits(as_tx.g_ris, _panel_link(node, params, freqs, elem, _LINK_TX_RIS))
-            assert same_bits(as_tx.h_ris_ed, _panel_link(ed, params, freqs, elem, _LINK_RIS_NODE))
+            assert same_bits(as_rx.h_ris_lu, _panel_link(node, params, freqs, panel, _LINK_RIS_NODE))
+            assert same_bits(as_rx.g_ris, _panel_link(tx, params, freqs, panel, _LINK_TX_RIS))
+            assert same_bits(as_tx.g_ris, _panel_link(node, params, freqs, panel, _LINK_TX_RIS))
+            assert same_bits(as_tx.h_ris_ed, _panel_link(ed, params, freqs, panel, _LINK_RIS_NODE))
 
     def test_swap_symmetry_on_memo_hits(self):
         tx, grid = build_default_geometry()
@@ -347,11 +387,10 @@ class TestPanelLinkMemo:
         tx, _ = build_default_geometry()
         params = ChannelParams(rng_seed=2)
         freqs = GRIDS["tone"]
-        elem = small_panel().element_positions()
         pos, neg = Placement(0.0, 7.0), Placement(-0.0, 7.0)
         ch = synthesize_channels(tx, pos, neg, small_panel(), params, freqs)
         assert not np.array_equal(ch.h_ris_lu, ch.h_ris_ed)
-        assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, elem, _LINK_RIS_NODE))
+        assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, small_panel(), _LINK_RIS_NODE))
         assert params.num_paths > 1
         assert not np.array_equal(ch.h_d_lu, ch.h_d_ed)
         assert same_bits(ch.h_d_ed, _direct_link(tx, neg, params, freqs, _tx_beam(tx)))
@@ -402,7 +441,7 @@ class TestPanelLinkMemo:
         memo = _PanelLinkMemo(max_bytes=freqs.size * ris.num_elements * 16 - 1)
         node = Placement(0.0, 7.0)
         h = memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
-        assert same_bits(h, _panel_link(node, params, freqs, ris.element_positions(), _LINK_RIS_NODE))
+        assert same_bits(h, _panel_link(node, params, freqs, ris, _LINK_RIS_NODE))
         assert not h.flags.writeable
         assert memo.cache_info().links == 0
 
@@ -411,9 +450,8 @@ class TestPanelLinkMemo:
         params = ChannelParams(rng_seed=9)
         freqs = GRIDS["tone"]
         ris = small_panel(2, 3)
-        elem = ris.element_positions()
         nodes = [Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0, 45.0, 60.0)]
-        fresh = [_panel_link(n, params, freqs, elem, _LINK_RIS_NODE) for n in nodes]
+        fresh = [_panel_link(n, params, freqs, ris, _LINK_RIS_NODE) for n in nodes]
         link_bytes = fresh[0].nbytes
         memo = _PanelLinkMemo(max_bytes=3 * link_bytes)
         mismatches, calls_per_thread = [], 200
@@ -482,9 +520,9 @@ class TestProbeLinks:
         panel = small_panel(2, 3)
         if per_chunk is not None:
             monkeypatch.setattr(channel_module, "PROBE_CHUNK_BYTES", per_chunk * max(freqs.size, 6) * 16)
-        probes = [Placement(a, 6.0) for a in (-60.0, -0.0, 0.0, 45.0, 12.3)]
+        angles = (-60.0, -0.0, 0.0, 45.0, 12.3)
         before = _memo_panel_link.cache_info()
-        g, chunks = probe_links(tx, probes, panel, params, freqs)
+        g, chunks = probe_links(tx, angles, 6.0, panel, params, freqs)
         chunks = list(chunks)
         assert _memo_panel_link.cache_info() == before
         sizes = [len(h_d) for h_d, *_ in chunks]
@@ -494,10 +532,10 @@ class TestProbeLinks:
             assert h_d.shape == delay.shape == (a, freqs.size)
             assert amp.shape == (a,) and steering.shape == (a, 6)
         links = per_probe(chunks)
-        assert len(links) == len(probes)
+        assert len(links) == len(angles)
         single_ray = replace(params, num_paths=1)
-        for probe, (h_d, h) in zip(probes, links):
-            ch = synthesize_channels(tx, probe, Placement(80.0, 6.0), panel, single_ray, freqs)
+        for angle, (h_d, h) in zip(angles, links):
+            ch = synthesize_channels(tx, Placement(angle, 6.0), Placement(80.0, 6.0), panel, single_ray, freqs)
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 
@@ -510,14 +548,41 @@ class TestProbeLinks:
         params = ChannelParams(num_paths=num_paths, rng_seed=3)
         freqs = GRIDS["prs"]
         angles = [float(a) for a in range(-90, 91)] + [-41.3, -40.0, -39.99, 10.0, 10.01, 12.7]
-        probes = [Placement(a, r) for a in angles for r in (2.0, 7.0)]
-        _, chunks = probe_links(tx, probes, small_panel(2, 3), params, freqs)
         relative = []
-        for probe, (h_d, _) in zip(probes, per_probe(chunks), strict=True):
-            assert same_bits(h_d, per_probe_direct_link(tx, probe, params, freqs))
-            d = float(np.linalg.norm(probe.position() - tx.position()))
-            relative.append(abs(h_d[0]) / _free_space_amplitude(d, params.carrier_hz))
+        for r in (2.0, 7.0):
+            _, chunks = probe_links(tx, angles, r, small_panel(2, 3), params, freqs)
+            for angle, (h_d, _) in zip(angles, per_probe(chunks), strict=True):
+                probe = Placement(angle, r)
+                assert same_bits(h_d, per_probe_direct_link(tx, probe, params, freqs))
+                d = float(np.linalg.norm(probe.position() - tx.position()))
+                relative.append(abs(h_d[0]) / _free_space_amplitude(d, params.carrier_hz))
         assert min(relative) < 0.1 < max(relative)  # both sides of the beam edge were probed
+
+    @pytest.mark.parametrize(
+        "angles, range_m",
+        [
+            ([-90.0 + 0.1 * i for i in range(1801)], 7.0),
+            ([-90.0 + 0.1 * i for i in range(1801)], 2.0),  # across the beam's edges
+            ([-90.0, -89.9, -0.0, 0.0, 89.9, 90.0], 7.0),
+        ],
+        ids=["1801-at-7m", "1801-at-2m", "ends"],
+    )
+    def test_chunk_geometry_equals_scalar_rays(self, angles, range_m):
+        # A chunk's rays, worked out as arrays, against each probe's scalar
+        # rays from its placement's position, bit for bit.
+        tx, _ = build_default_geometry()
+        params, beam = ChannelParams(), _tx_beam(tx)
+        (d_d, amp_d, tau_d), (d_p, amp_p, tau_p, u) = _probe_rays(np.array(angles), range_m, beam, params)
+        positions = [Placement(a, range_m).position() for a in angles]
+        direct = np.array([scalar_direct_ray(beam, pos, params) for pos in positions])
+        panel = [scalar_panel_ray(pos, params) for pos in positions]
+        assert same_bits(amp_d, direct[:, 0]) and same_bits(tau_d, direct[:, 1])
+        assert same_bits(amp_p, np.array([a for a, _, _ in panel]))
+        assert same_bits(tau_p, np.array([t for _, t, _ in panel]))
+        assert same_bits(u, np.array([v for _, _, v in panel]))
+        suppressed = amp_d < 0.1 * _free_space_amplitude(d_d, params.carrier_hz)
+        if range_m == 2.0:  # probes on both sides of the beam's edges
+            assert suppressed.any() and not suppressed.all()
 
     def test_transmitter_geometry_is_worked_out_once(self, monkeypatch):
         calls = []
@@ -529,13 +594,13 @@ class TestProbeLinks:
 
         monkeypatch.setattr(Placement, "position", counting)
         tx, _ = build_default_geometry()
-        probes = [Placement(float(a), 6.0) for a in range(-50, 50)]
-        g, chunks = probe_links(tx, probes, small_panel(2, 3), ChannelParams(num_paths=1), GRIDS["tone"])
+        angles = [float(a) for a in range(-50, 50)]
+        g, chunks = probe_links(tx, angles, 6.0, small_panel(2, 3), ChannelParams(num_paths=1), GRIDS["tone"])
         assert len(per_probe(chunks)) == 100
-        # One for the transmitter's beam and one for its panel link; one
-        # per probe, shared by its direct and its panel ray.
+        # One for the transmitter's beam and one for its panel link; none
+        # per probe: a chunk's positions are worked out as arrays.
         assert calls.count(tx) == 2
-        assert len(calls) == 2 + 100
+        assert len(calls) == 2
 
 
 def per_probe_direct_link(tx, node, params, f):

@@ -354,6 +354,15 @@ class TestExitCodes:
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
 
+    def test_infinite_scan_range_is_spec_error(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "pattern_scan", "scan_config_bits": "0" * 16, "scan_range_m": float("inf")}))
+        rc = main(["pattern-scan", "--spec", str(spec), "--scenario", str(scenario), "--out", str(tmp_path)])
+        assert rc == EXIT_SPEC
+        assert not (tmp_path / "power_pattern.csv").exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -416,6 +417,27 @@ class TestPatternScan:
         with pytest.raises(ValueError):
             scan_power_pattern(sc, RisConfig.zeros(8, 8), [120.0])
 
+    @pytest.mark.parametrize("angle", [True, "7", None, float("nan"), -90.5])
+    def test_angle_types_validated(self, angle):
+        with pytest.raises(ValueError, match="scan angles must be numbers in \\[-90, 90\\] degrees"):
+            scan_power_pattern(los_scenario(), RisConfig.zeros(8, 8), [0.0, angle])
+
+    @pytest.mark.parametrize(
+        "range_m, message",
+        [
+            (0, "range must be positive"),
+            (-1.0, "range must be positive"),
+            (float("nan"), "range_m must be a finite number, not nan"),
+            (float("inf"), "range_m must be a finite number, not inf"),
+            (True, "range_m must be a finite number, not True"),
+            ("7", "range_m must be a finite number, not '7'"),
+        ],
+    )
+    def test_range_checks(self, range_m, message):
+        # The checks of a placement at that range, before any probe's link.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan_power_pattern(los_scenario(), RisConfig.zeros(8, 8), [0.0, 10.0], range_m=range_m)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "range_m, message",
@@ -451,6 +473,24 @@ class TestPatternScan:
         with pytest.raises(ValueError, match="receiver at -15 degrees, 5 m stands at the transmitter"):
             scan_power_pattern(sc, RisConfig.zeros(8, 8), angles, range_m=5.0)
         assert scored == [3, 1]
+
+    def test_probe_at_the_transmitter_first_in_its_chunk(self, monkeypatch):
+        # The fourth probe stands at the transmitter: the first chunk of
+        # three is scored, and the failing chunk yields nothing.
+        sc = los_scenario()
+        set_chunk_probes(monkeypatch, sc, 3)
+        scored = []
+
+        def counting(*args):
+            y = received_signal(*args)
+            scored.append(y.size)
+            return y
+
+        monkeypatch.setattr(codebook, "received_signal", counting)
+        angles = [-18.0, -17.0, -16.0, -15.0, -14.0]
+        with pytest.raises(ValueError, match="^receiver at -15 degrees, 5 m stands at the transmitter$"):
+            scan_power_pattern(sc, RisConfig.zeros(8, 8), angles, range_m=5)
+        assert scored == [3]
 
     def test_first_non_finite_probe_named_across_chunks(self, monkeypatch):
         # Probes 7 and 9 (of chunks of three) receive NaN; the error names
@@ -493,14 +533,13 @@ def per_probe_scan(scenario, config, angles, range_m=None):
     f, x = tx_sig.freqs, tx_sig.amplitudes()
     phi = reflection_coefficients(scenario.element_model, f)
     on = config.bits.astype(float)
-    elem = scenario.ris.element_positions()
-    g = _panel_link(scenario.tx, params, f, elem, _LINK_TX_RIS)
+    g = _panel_link(scenario.tx, params, f, scenario.ris, _LINK_TX_RIS)
     beam = _tx_beam(scenario.tx)
     pattern = []
     for angle in angles:
         probe = Placement(angle, range_m)
         h_d = _direct_link(scenario.tx, probe, params, f, beam)
-        w = _panel_link(probe, params, f, elem, _LINK_RIS_NODE) * g
+        w = _panel_link(probe, params, f, scenario.ris, _LINK_RIS_NODE) * g
         y = received_signal(h_d, phi, w.sum(axis=1), w @ on, x)
         pattern.append((float(angle), float((np.abs(y) ** 2).sum())))
     return pattern

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flip
+from helpers import element_positions, flip
 from ris_pls.ris import DEFAULT_ELEMENT_SPACING_M, ElementModel, RisArrayGeometry, RisConfig
 
 
@@ -27,7 +27,7 @@ class TestGeometry:
 
     def test_element_positions_row_major(self):
         geom = RisArrayGeometry(n_v=2, n_h=2, element_spacing_m=1.0, tile_rows=1, tile_cols=1)
-        pos = geom.element_positions()
+        pos = element_positions(geom)
         assert pos.shape == (4, 3)
         # row 0 (top) first, columns left to right
         np.testing.assert_allclose(pos[0], [-0.5, 0.0, 0.5])
