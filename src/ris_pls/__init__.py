@@ -26,9 +26,9 @@ from .ofdm import (
     tone_signal,
 )
 from .optimize import (
+    EvaluatorBatch,
     MeasurementNoise,
     OptimizerTrace,
-    PowerEvaluator,
     algorithm1,
     algorithm2,
     ed_min,

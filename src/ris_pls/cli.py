@@ -5,6 +5,8 @@ freq-selectivity. Every run is fully determined by the scenario file, the
 optional spec file, and the flags; outputs are reproducible byte for byte.
 
 Exit codes: 0 success, 2 spec error, 3 scenario error, 4 runtime error.
+A run raises on floating-point overflow, invalid values and division by
+zero, so a value outside the model's range is a runtime error.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from .experiments import (
     COMPARE_METHODS,
@@ -168,7 +172,8 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     try:
-        outputs = run(scenario, spec)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outputs = run(scenario, spec)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -47,8 +47,8 @@ def pair_powers(scenario, lu: Placement, ed: Placement, tx, bits) -> np.ndarray:
 
 
 def pair_evaluators(scenario, pairs: list, tx) -> EvaluatorBatch:
-    """The evaluators of the scenario's channels to each (lu, ed) pair at
-    the subcarriers of `tx`, as the rows of one batch for lockstep sweeps."""
+    """The scenario's channels to each (lu, ed) pair at the subcarriers of
+    `tx`, as the rows of one `EvaluatorBatch` for lockstep sweeps."""
     channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
     return EvaluatorBatch(channel_sets, scenario.element_model, tx)
 
@@ -59,7 +59,7 @@ def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
     each per row. The uniform method has no traces (None each); the
     others' traces are a `TraceBatch`."""
     if method == "uniform":
-        return [RisConfig.zeros(scenario.ris.n_v, scenario.ris.n_h) for _ in batch], [None] * len(batch)
+        return [RisConfig.zeros(scenario.ris.n_v, scenario.ris.n_h) for _ in range(len(batch))], [None] * len(batch)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     traces = greedy_sweep(method, batch, scenario.ris, noise=noise)
@@ -87,28 +87,30 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int 
     """Run every method on every (lu, ed) `Placement` pair and return
     `keep(pair, method, config, trace, powers)` for each, pair by pair and
     method by method. `powers` are the (2, K) LU and ED powers per
-    subcarrier of `config` (`PowerEvaluator.bin_powers`); `trace` is None
-    for the uniform method.
+    subcarrier of `config`, row i of one `EvaluatorBatch.powers` call per
+    method and batch; `trace` is None for the uniform method.
 
     Each pair's channels are synthesized once, on the subcarriers of `tx`,
     and serve all methods. The pairs are swept in lockstep batches
     (`pair_batches`), and `jobs` workers take batches; the result does not
     depend on how the pairs are batched or on the execution order. `keep`
     runs in the worker, as each method's sweep of a batch ends: a batch
-    holds one method's traces at a time, and its evaluators only until its
-    last method is kept.
+    holds one method's traces at a time, and its `EvaluatorBatch` only
+    until its last method is kept. Workers run under the caller's
+    `np.errstate`, which threads do not inherit.
     """
+    errors = np.geterr()
 
-    def sweep(batch) -> list:
-        evs = pair_evaluators(scenario, batch, tx)
-        kept = [
-            [
-                keep(pair, method, config, trace, ev.bin_powers(config.bits))
-                for pair, ev, config, trace in zip(batch, evs, *run_method(method, scenario, evs, noise))
-            ]
-            for method in methods
-        ]
-        return [cell for cells in zip(*kept) for cell in cells]
+    def kept(pairs, evs, method) -> list:
+        configs, traces = run_method(method, scenario, evs, noise)
+        powers = evs.powers(np.array([config.bits for config in configs]))
+        return [keep(pair, method, *cell) for pair, *cell in zip(pairs, configs, traces, powers)]
+
+    def sweep(pairs) -> list:
+        with np.errstate(**errors):
+            evs = pair_evaluators(scenario, pairs, tx)
+            cells = [kept(pairs, evs, method) for method in methods]
+        return [cell for row in zip(*cells) for cell in row]
 
     batches = pair_batches(scenario, tx, pairs, jobs)
     if jobs <= 1:
@@ -325,7 +327,7 @@ def scan_power_pattern(
     The probe channel is the deterministic single-ray model of
     `channel.probe_links`, so the pattern reflects the panel's angular
     response rather than one scatter draw. Each probe's power is the
-    receive equation of `PowerEvaluator`, summed over the subcarriers the
+    receive equation of `EvaluatorBatch`, summed over the subcarriers the
     transmit signal carries. A probe's panel link is rank one, amp *
     outer(delay, steering), so its cascade sums over all elements and over
     those set to 1 are amp * delay times its steering row's products with
@@ -346,7 +348,7 @@ def scan_power_pattern(
             raise ValueError(f"scan angles must be numbers in [-90, 90] degrees, not {a!r}")
     range_m = Placement(0.0, scenario.sector_grid.user_range_m if range_m is None else range_m).range_m
     tx_sig = scenario.tx_signal()
-    x = tx_sig.amplitudes()
+    x = tx_sig.symbols
     phi = reflection_coefficients(scenario.element_model, tx_sig.freqs)
     g, chunks = probe_links(scenario.tx, angles, range_m, ris, scenario.channel, tx_sig.freqs)
     g_on = g * config.bits.astype(float)

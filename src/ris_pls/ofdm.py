@@ -81,10 +81,6 @@ class ResourceGrid:
         return self.num_resource_blocks * SUBCARRIERS_PER_RB
 
     @property
-    def num_symbols(self) -> int:
-        return self.symbols.shape[1]
-
-    @property
     def bandwidth_hz(self) -> float:
         return self.num_subcarriers * self.numerology.subcarrier_spacing_hz
 
@@ -135,14 +131,12 @@ class TxSignal:
 
     Holds only the subcarriers that carry signal: `freqs` and `symbols`
     have one entry per carried subcarrier. The canonical constructors keep
-    the symbols at unit average power; `power_scale` multiplies the
-    transmitted power on top of that.
+    the symbols at unit average power.
     """
 
     mode: str
     freqs: np.ndarray
     symbols: np.ndarray
-    power_scale: float = 1.0
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -152,15 +146,10 @@ class TxSignal:
             raise ValueError("symbols must have one entry per subcarrier")
         if self.mode == "tone" and k != 1:
             raise ValueError("tone mode carries exactly one subcarrier")
-        if self.power_scale < 0:
-            raise ValueError("power scale must be non-negative")
 
     @property
     def num_subcarriers(self) -> int:
         return self.freqs.size
-
-    def amplitudes(self) -> np.ndarray:
-        return self.symbols * math.sqrt(self.power_scale)
 
 
 def tone_signal(
@@ -179,14 +168,12 @@ def tone_signal(
     )
 
 
-def prs_signal(grid: ResourceGrid, symbol_index: int = 0) -> TxSignal:
-    """Transmit profile of one OFDM symbol of a reference grid, on the
-    grid's occupied subcarriers only."""
-    if not 0 <= symbol_index < grid.num_symbols:
-        raise IndexError("symbol index out of range")
+def prs_signal(grid: ResourceGrid) -> TxSignal:
+    """Transmit profile of the first OFDM symbol of a reference grid, on
+    the grid's occupied subcarriers only."""
     mask = grid.occupied_mask
     return TxSignal(
         mode="prs",
         freqs=grid.subcarrier_freqs()[mask],
-        symbols=grid.symbols[mask, symbol_index],
+        symbols=grid.symbols[mask, 0],
     )

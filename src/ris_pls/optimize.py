@@ -243,7 +243,7 @@ def channel_powers(channels: ChannelSet, element_model: ElementModel, tx: TxSign
     reports read it: (2, K) for a bit vector, (N, 2, K) for the rows of an
     (N, M) matrix, each row scored as one vector is. Per receiver, the
     cascades h_m * g_m give their sum and their product with the bits,
-    which `PowerEvaluator.bin_powers` sums in another order."""
+    which `EvaluatorBatch.powers` sums in another order."""
     if not np.array_equal(tx.freqs, channels.freqs):
         raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
     rows = np.asarray(bits, dtype=complex).reshape(-1, channels.num_elements)
@@ -255,114 +255,83 @@ def channel_powers(channels: ChannelSet, element_model: ElementModel, tx: TxSign
         w_sum[r] = w.sum(axis=1)
         w_on[:, r] = [w @ on for on in rows]
     hd = np.array((channels.h_d_lu, channels.h_d_ed))
-    phi, x = reflection_coefficients(element_model, tx.freqs), tx.amplitudes()
-    p = np.array([np.abs(received_signal(hd, phi, w_sum, on, x)) ** 2 for on in w_on])
+    phi = reflection_coefficients(element_model, tx.freqs)
+    p = np.array([np.abs(received_signal(hd, phi, w_sum, on, tx.symbols)) ** 2 for on in w_on])
     return p if np.ndim(bits) == 2 else p[0]
 
 
-class PowerEvaluator:
-    """Power evaluation of bit vectors on one channel set.
+#: Rows of a bit matrix `EvaluatorBatch.sums` casts to complex at a time.
+_SUMS_ROWS = 16
 
-    Holds the per-element cascades h_m * g_m and the two per-bit
-    reflection coefficients at every subcarrier of the transmit signal,
-    whose frequencies the channel set must share. A configuration (a
-    row-major 0/1 vector of length M) enters only through its per-receiver
-    sums of the cascades of the elements set to 1, so a full evaluation
-    costs one matrix-vector product and a flip of n elements changes the
-    sums by an O(K * n) product. The rows of an (N, M) 0/1 matrix are
-    scored together by one matrix product.
 
-    The cascades are stored once, as an (M, 2 * K) array whose row m
-    holds element m's LU cascades followed by its ED cascades: the
-    elements of a column or a row are then a block of rows.
+class EvaluatorBatch:
+    """Power evaluation of bit vectors on N channel sets that share one
+    transmit signal (and its frequencies) and one element model.
 
-    Every evaluator is a row of an `EvaluatorBatch`; one built on its own
-    is the row of a batch of one. It holds no state between calls, so one
-    instance serves every sweep, report and re-score on its channel set.
+    A configuration (a row-major 0/1 vector of length M) enters only
+    through each receiver's sum of the cascades h_m * g_m of the elements
+    set to 1. The direct links `hd` and cascade sums `w_sum`, (N, 2, K),
+    and the `cascades`, (N, M, 2 * K), are one C-contiguous stack each: row
+    m of set i's cascades holds element m's LU then ED cascades, so the
+    elements of a column or a row are a block of rows. The symbols `x` and
+    the (K, 2) reflection coefficients `phi` serve every set.
     """
 
-    def __new__(cls, channels: ChannelSet, element_model: ElementModel, tx: TxSignal):
-        return EvaluatorBatch([channels], element_model, tx)[0]
-
-    def sums(self, bits: np.ndarray) -> np.ndarray:
-        """LU and ED sums of the cascades of the elements set in `bits`:
-        (2, K) for one bit vector, (2, N, K) for an (N, M) matrix."""
-        out = np.asarray(bits, dtype=float) @ self._w
-        if out.ndim == 1:
-            return out.reshape(2, -1)
-        return out.reshape(len(out), 2, -1).swapaxes(0, 1)
-
-    def bin_powers(self, bits: np.ndarray) -> np.ndarray:
-        """(2, K) noiseless LU and ED received power per subcarrier."""
-        return np.abs(received_signal(self._hd, self._phi, self._w_sum, self.sums(bits), self._x)) ** 2
-
-    def value(self, objective: str, sums: np.ndarray, read=None):
-        """Objective from `sums` by `_objective`: a float for one
-        configuration, an (N,) array for N. `read`
-        (`MeasurementNoise.reader`) takes noisy readings of one
-        configuration instead of exact powers."""
-        one = sums.ndim == 2
-        if read is not None and not one:
-            raise ValueError("noisy readings score one configuration at a time")
-        name = OBJECTIVES[objective][0]
-        rs = _RECEIVERS[name]
-        # Receiver-major and contiguous, (receivers, N, K), so that each
-        # receiver's (K,) links broadcast along the configurations in one
-        # run of memory.
-        s = np.ascontiguousarray((sums[:, None] if one else sums)[rs])
-        y = received_signal(self._hd[rs, None], self._phi, self._w_sum[rs, None], s, self._x)
-        if name == "ratio":
-            y = y.swapaxes(0, 1)  # candidate-major, as `_objective` reads it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _objective(name, y, None if read is None else [read], (0,))
-        return float(out[0]) if one else out
-
-    def evaluate(self, objective: str, bits: np.ndarray, read=None):
-        """Score `bits`, one bit vector or the rows of an (N, M) 0/1 matrix,
-        for an `OBJECTIVES` key."""
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        return self.value(objective, self.sums(bits), read)
-
-
-class EvaluatorBatch(tuple):
-    """The `PowerEvaluator`s of N channel sets on one transmit signal and
-    element model. The transmit amplitudes `x` and the (K, 2) reflection
-    coefficients `phi` are worked out once; the direct links `hd` and the
-    cascade sums `w_sum`, (N, 2, K), and the `cascades`, (N, M, 2 * K),
-    are one C-contiguous stack each. Row i views row i of each stack and
-    shares `x` and `phi`."""
-
-    def __new__(cls, channel_sets: list, element_model: ElementModel, tx: TxSignal):
+    def __init__(self, channel_sets: list, element_model: ElementModel, tx: TxSignal):
         if not all(np.array_equal(tx.freqs, ch.freqs) for ch in channel_sets):
             raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-        hd = np.array([(ch.h_d_lu, ch.h_d_ed) for ch in channel_sets])
-        w_sum = np.empty_like(hd)
+        self.hd = np.array([(ch.h_d_lu, ch.h_d_ed) for ch in channel_sets])
+        self.w_sum = np.empty_like(self.hd)
         k, m = channel_sets[0].g_ris.shape
-        cascades = np.empty((len(channel_sets), m, 2 * k), dtype=complex)
-        for ch, w_sum_i, w_i in zip(channel_sets, w_sum, cascades):
+        self.cascades = np.empty((len(channel_sets), m, 2 * k), dtype=complex)
+        for ch, w_sum_i, w_i in zip(channel_sets, self.w_sum, self.cascades):
             w = w_i.reshape(m, 2, k)  # a view, as the stack is contiguous
             w_r = np.empty_like(ch.g_ris)  # one receiver's (K, M) cascades, reused
             for r, h in enumerate((ch.h_ris_lu, ch.h_ris_ed)):
                 np.multiply(h, ch.g_ris, out=w_r)
                 w_sum_i[r] = w_r.sum(axis=1)
                 w[:, r, :] = w_r.T
-        batch = super().__new__(cls, (object.__new__(PowerEvaluator) for _ in channel_sets))
-        batch.x = tx.amplitudes()
+        self.x = tx.symbols
         # Column-major, so that phi(0) and phi(1) are contiguous over the
         # subcarriers in every receive equation.
-        batch.phi = np.asfortranarray(reflection_coefficients(element_model, tx.freqs))
-        batch.hd, batch.w_sum, batch.cascades = hd, w_sum, cascades
-        for ev, *views in zip(batch, hd, w_sum, cascades):
-            ev._x, ev._phi, ev._hd, ev._w_sum, ev._w = batch.x, batch.phi, *views
-        return batch
+        self.phi = np.asfortranarray(reflection_coefficients(element_model, tx.freqs))
+
+    def __len__(self) -> int:
+        return len(self.hd)
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
-        """(N, 2, K) sums of each row's cascades over the elements set in
-        `bits`: an (M,) bit vector for every row, or row i of an (N, M)
-        matrix for row i. One product over the stack, equal bit for bit to
-        each row's `PowerEvaluator.sums`."""
-        return np.matmul(np.asarray(bits, dtype=complex)[..., None, :], self.cascades).reshape(len(self), 2, -1)
+        """(N, 2, K) LU and ED sums of each set's cascades over the elements
+        set in `bits`: an (M,) bit vector for every set, or row i of an
+        (N, M) matrix for set i. Row i equals set i's vector-matrix product alone, bit for bit. A matrix
+        is cast to complex `_SUMS_ROWS` rows at a time, so that its cast
+        copy stays small (110 x 1024 bits would take 1.8 MB)."""
+        bits, w = np.asarray(bits), self.cascades
+        if bits.ndim == 1:
+            return np.matmul(bits.astype(complex), w).reshape(len(w), 2, -1)
+        out = np.empty((len(bits), 1, w.shape[-1]), dtype=complex)
+        for i in range(0, len(bits), _SUMS_ROWS):
+            rows = slice(i, i + _SUMS_ROWS)
+            np.matmul(bits[rows, None].astype(complex), w[rows], out=out[rows])
+        return out.reshape(len(bits), 2, -1)
+
+    def powers(self, bits: np.ndarray) -> np.ndarray:
+        """(N, 2, K) noiseless LU and ED power per subcarrier of `bits`."""
+        return np.abs(received_signal(self.hd, self.phi, self.w_sum, self.sums(bits), self.x)) ** 2
+
+    def values(self, objective: str, sums: np.ndarray, reads=None, rows=None) -> np.ndarray:
+        """(N,) values of the `OBJECTIVES` key `objective` from (N, 2, K)
+        `sums`, by `_objective`; a batch of one takes every row. `reads`
+        holds one noisy reader (`MeasurementNoise.reader`) per row, which
+        then reads the rows in `rows` (all by default) in order. A zero ED
+        power scores a ratio of inf, or nan over a zero LU power, without
+        numpy's warnings."""
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
+        name = OBJECTIVES[objective][0]
+        rs = _RECEIVERS[name]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = received_signal(self.hd[:, rs], self.phi, self.w_sum[:, rs], sums[:, rs], self.x)
+            return _objective(name, y, reads, range(len(y)) if rows is None else rows)
 
 
 #: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
@@ -373,14 +342,12 @@ _RECEIVERS = {"ratio": slice(0, 2), "lu_power": 0, "ed_power": 1}
 def _objective(name, y, reads=None, rows=()):
     """Objective `name` of N candidates as an (N,) array, from their
     received signals at the `_RECEIVERS` of `name`: (N, 2, K) for a ratio,
-    (N, K) for one receiver's power. This is the one scoring rule: the
-    sweeps and `PowerEvaluator.value` both score by it.
+    (N, K) for one receiver's power: the one scoring rule, which
+    `EvaluatorBatch.values` applies.
 
     `reads` holds one noisy reading function per candidate; then only the
     candidates in `rows` are read, each ED before LU, and the others score
-    nan, which no comparison accepts. A zero ED power gives a ratio of
-    inf, or nan when the LU power is zero too (callers silence numpy's
-    warnings for both).
+    nan, which no comparison accepts.
     """
     if reads is None:
         p = (np.abs(y) ** 2).sum(axis=-1)
@@ -470,12 +437,13 @@ def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, f
     rejects them too.) `reads` holds one noisy power reading per row
     (`MeasurementNoise.reader`), or is None for exact powers.
 
-    Each objective keeps one "last accepted" register per row, seeded from
-    the starting bits in the order the objectives first appear in `moves`.
-    The running (N, 2, K) sums start from one product over the batch's
-    cascade stack (`EvaluatorBatch.sums`). A move is scored for every row
-    by one product, the change its elements make, added to the running
-    sums. A row keeps the move only on strict improvement of its register;
+    Each objective keeps one "last accepted" register per row, seeded by
+    `EvaluatorBatch.values` from the starting bits in the order the
+    objectives first appear in `moves`. The running (N, 2, K) sums start
+    from one product over the batch's cascade stack
+    (`EvaluatorBatch.sums`). A move's candidate sums are one product, the
+    change its elements make, added to the running sums, and every row
+    still sweeping scores them by one `values` call. A row keeps the move only on strict improvement of its register;
     then its candidate sums become its running sums and its elements flip.
     A rejected move changes nothing.
 
@@ -487,44 +455,31 @@ def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, f
     Returns (registers as lists of N floats, the `SweepLog` of every
     scored move, the (N, M) end bits)."""
     n = len(batch)
-    w, phi, x = batch.cascades, batch.phi, batch.x
+    w = batch.cascades
     bits = np.empty((n, start.shape[-1]), dtype=start.dtype)
     bits[:] = start
     sums = batch.sums(start)
-    # objective -> (name, direction, its receivers with their direct links
-    # and cascade sums)
-    scored = {}
-    for obj in dict.fromkeys(m[3] for m in moves):
-        name, direction = OBJECTIVES[obj]
-        rs = _RECEIVERS[name]
-        scored[obj] = (name, direction, rs, batch.hd[:, rs], batch.w_sum[:, rs])
     rows = list(range(n))  # the rows still sweeping; replaced, never changed in place
     log = SweepLog(moves)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        best = {}
-        for obj, (name, _, rs, hd_r, w_sum_r) in scored.items():
-            y = received_signal(hd_r, phi, w_sum_r, sums[:, rs], x)
-            best[obj] = _objective(name, y, reads, rows).tolist()
-        for iteration in range(1, passes + 1):
-            kept = [False] * n  # rows that accepted a move in this pass
-            for j, (_, _, _, objective, elements) in enumerate(moves):
-                name, direction, rs, hd_r, w_sum_r = scored[objective]
-                delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
-                candidate = sums + delta.reshape(sums.shape)
-                y = received_signal(hd_r, phi, w_sum_r, candidate[:, rs], x)
-                before, after = best[objective], _objective(name, y, reads, rows).tolist()
-                flags = list(map(_IMPROVES[direction], after, before))
-                log.entries.append((j, iteration, rows, before, after, flags))
-                if True in flags:
-                    best[objective] = [a if f else b for a, b, f in zip(after, before, flags)]
-                    accepted = np.array(flags)
-                    np.copyto(sums, candidate, where=accepted[:, None, None])
-                    bits[:, elements] ^= accepted[:, None]
-                    kept = list(map(operator.or_, kept, flags))
-            if fixpoint:
-                rows = [i for i in rows if kept[i]]
-                if not rows:
-                    break
+    best = {obj: batch.values(obj, sums, reads).tolist() for obj in dict.fromkeys(m[3] for m in moves)}
+    for iteration in range(1, passes + 1):
+        kept = [False] * n  # rows that accepted a move in this pass
+        for j, (_, _, _, objective, elements) in enumerate(moves):
+            delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
+            candidate = sums + delta.reshape(sums.shape)
+            before, after = best[objective], batch.values(objective, candidate, reads, rows).tolist()
+            flags = list(map(_IMPROVES[OBJECTIVES[objective][1]], after, before))
+            log.entries.append((j, iteration, rows, before, after, flags))
+            if True in flags:
+                best[objective] = [a if f else b for a, b, f in zip(after, before, flags)]
+                accepted = np.array(flags)
+                np.copyto(sums, candidate, where=accepted[:, None, None])
+                bits[:, elements] ^= accepted[:, None]
+                kept = list(map(operator.or_, kept, flags))
+        if fixpoint:
+            rows = [i for i in rows if kept[i]]
+            if not rows:
+                break
     return best, log, bits
 
 
@@ -553,8 +508,9 @@ def greedy_sweep(
 
     `iters` passes by default; `run_to_fixpoint` instead repeats passes
     (at most 64) until one accepts nothing. The final objective is a fresh
-    evaluation of the end configuration, so it equals what
-    `exhaustive_oracle` computes for it. A noisy sweep instead reports the
+    evaluation of the end configuration, every row's in one
+    `EvaluatorBatch.values` call, so it equals what `exhaustive_oracle`
+    computes for it. A noisy sweep instead reports the
     last accepted reading of the method objective, when a move is judged
     by it; alg2's ratio is always read afresh. Each noisy sweep draws from
     its own generator seeded from `noise.seed`, so its readings do not
@@ -562,25 +518,17 @@ def greedy_sweep(
     """
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
-    reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in batch]
+    reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in range(len(batch))]
     initial = _initial_config(geometry, init)
     best, log, bits = _sweep(batch, initial.bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
-    traces = TraceBatch()
-    for i, ev in enumerate(batch):
-        if reads is None or objective_kind not in best:
-            final_objective = ev.evaluate(objective_kind, bits[i], None if reads is None else reads[i])
-        else:
-            final_objective = best[objective_kind][i]
-        traces.append(OptimizerTrace(
-            method=method,
-            objective_kind=objective_kind,
-            final_config=RisConfig(bits[i], geometry.n_v, geometry.n_h),
-            final_objective=final_objective,
-            log=log,
-            row=i,
-            start=initial.bits,
-        ))
-    return traces
+    if reads is not None and objective_kind in best:
+        final_objectives = best[objective_kind]
+    else:
+        final_objectives = batch.values(objective_kind, batch.sums(bits), reads).tolist()
+    return TraceBatch(
+        OptimizerTrace(method, objective_kind, RisConfig(b, geometry.n_v, geometry.n_h), value, log, i, initial.bits)
+        for i, (b, value) in enumerate(zip(bits, final_objectives))
+    )
 
 
 def sweep_pair(
@@ -605,8 +553,8 @@ lu_max = functools.partial(sweep_pair, "lu_max")
 ed_min = functools.partial(sweep_pair, "ed_min")
 
 
-#: Block values this close (relative) to a block's best are re-scored by
-#: the scalar evaluator. It must exceed the block-versus-scalar rounding
+#: Block values this close (relative) to a block's best are re-scored one
+#: configuration at a time. It must exceed the block-versus-single rounding
 #: gap, which is about 1e-15 relative.
 _RESCORE_REL_TOL = 1e-9
 
@@ -624,19 +572,20 @@ def exhaustive_oracle(
     values only, so ties resolve to the smallest bit-string. Guarded to
     M <= 20.
 
-    Each block of 4096 candidates is scored in one `evaluate` call.
-    The block's non-finite values, and those within `_RESCORE_REL_TOL` of
-    its best finite value, are then scored again by the scalar `evaluate`
-    in ascending order against the running best. The scalar winner is
-    among them, so the result is the one a scalar scan of every candidate
-    returns.
+    The channel set is a batch of one. Each block of 4096 candidates is
+    scored by one product with its cascades and one `values` call. The
+    block's non-finite values, and those within `_RESCORE_REL_TOL` of its
+    best finite value, are then scored again one at a time, as
+    `greedy_sweep` scores its end bits, in ascending order against the
+    running best. The winner of a one-at-a-time scan of every candidate is
+    among them, so it is the result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     m = geometry.num_elements
     if m > 20:
         raise ValueError("exhaustive enumeration is limited to M <= 20 elements")
-    ev = PowerEvaluator(channels, element_model, tx)
+    batch = EvaluatorBatch([channels], element_model, tx)
     direction = OBJECTIVES[objective][1]
     sign = 1.0 if direction == "max" else -1.0
     best_bits = None
@@ -649,14 +598,15 @@ def exhaustive_oracle(
         stop = min(start + block, 1 << m)
         ints = np.arange(start, stop, dtype=np.uint64)
         bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        scores = sign * ev.evaluate(objective, bits)  # higher is better
+        sums = (bits @ batch.cascades[0]).reshape(len(bits), 2, -1)
+        scores = sign * batch.values(objective, sums)  # higher is better
         finite = np.isfinite(scores)
         rescore = ~finite
         if finite.any():
             top = scores[finite].max()
             rescore |= scores >= top - _RESCORE_REL_TOL * abs(top)
         for row in np.flatnonzero(rescore):
-            value = ev.evaluate(objective, bits[row])
+            value = batch.values(objective, batch.sums(bits[row]))[0]
             if _better(value, best_value, direction):
                 best_value = value
                 best_bits = bits[row].copy()

@@ -80,7 +80,7 @@ def dense_receive(channels, model, config, tx):
     test-only reference for the evaluator and the pattern scan."""
     theta = model.phase_curves(channels.freqs)[:, config.bits]
     phi = model.amplitude * np.exp(1j * theta)
-    x = tx.amplitudes()
+    x = tx.symbols
     y_lu = (channels.h_d_lu + np.einsum("km,km,km->k", channels.h_ris_lu, phi, channels.g_ris)) * x
     y_ed = (channels.h_d_ed + np.einsum("km,km,km->k", channels.h_ris_ed, phi, channels.g_ris)) * x
     return y_lu, y_ed
@@ -196,6 +196,13 @@ def replay(trace, steps=None) -> RisConfig:
         if s["accepted"]:
             bits = flip(bits, n_h, s["kind"], s["index"], s.get("half"))
     return RisConfig(bits, n_v, n_h)
+
+
+def score(batch, objective, bits, read=None) -> float:
+    """`objective` of one bit vector on a batch of one: the
+    `EvaluatorBatch.values` of its `sums`, read once by `read`
+    (`MeasurementNoise.reader`) when given."""
+    return float(batch.values(objective, batch.sums(bits), None if read is None else [read])[0])
 
 
 def single_flip_improvements(channels, model, tx, config, objective="ratio") -> list:

@@ -23,7 +23,7 @@ from ris_pls.codebook import (
 )
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
 from ris_pls.optimize import (
-    PowerEvaluator,
+    EvaluatorBatch,
     algorithm1,
     algorithm2,
     ed_min,
@@ -94,9 +94,9 @@ def test_criterion_02_sse_closed_forms():
         symbols=np.array([1.0 + 0.0j]),
     )
     bits = np.zeros(1, dtype=np.uint8)
-    snr31 = sum_sse(PowerEvaluator(flat_channels(math.sqrt(3.0), 1.0), ElementModel(), tx).bin_powers(bits), n0=1.0)
+    snr31 = sum_sse(EvaluatorBatch([flat_channels(math.sqrt(3.0), 1.0)], ElementModel(), tx).powers(bits)[0], n0=1.0)
     identical = sum_sse(
-        PowerEvaluator(flat_channels(0.8, 0.8), ElementModel(), tx).bin_powers(bits), n0=1.0, apply_max=True
+        EvaluatorBatch([flat_channels(0.8, 0.8)], ElementModel(), tx).powers(bits)[0], n0=1.0, apply_max=True
     )
     ok = (
         abs(snr31.r_sec_raw - 1.0) <= 1e-12
@@ -207,12 +207,12 @@ def reference_sweep():
         n0 = scenario.noise_power()
         for pair in DEFAULT_PAIRS:
             batch = pair_evaluators(scenario, [(scenario.placement(pair[0]), scenario.placement(pair[1]))], sig)
-            (ev,) = batch
             for method in METHODS:
                 (config,), _ = run_method(method, scenario, batch)
-                p = link_powers(ev.bin_powers(config.bits))
+                (p_bins,) = batch.powers(config.bits)
+                p = link_powers(p_bins)
                 powers[(seed, pair, method)] = (p.p_lu, p.p_ed)
-                sse[(seed, pair, method)] = sum_sse(ev.bin_powers(config.bits), n0).r_sec_raw
+                sse[(seed, pair, method)] = sum_sse(p_bins, n0).r_sec_raw
     return powers, sse, time.time() - start
 
 
@@ -285,8 +285,7 @@ def test_criterion_08_frequency_selectivity():
             lu, ed = scenario.placement(pair[0]), scenario.placement(pair[1])
             nb = pair_evaluators(scenario, [(lu, ed)], tone)
             (config,), _ = run_method("alg1", scenario, nb)
-            (nb_ev,) = nb
-            nb = link_powers(nb_ev.bin_powers(config.bits))
+            nb = link_powers(nb.powers(config.bits)[0])
             wb = link_powers(pair_powers(scenario, lu, ed, wide, config.bits))
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))
         results[mode] = rows

@@ -226,26 +226,25 @@ class TestCompare:
         assert checked == 8
 
     def test_one_evaluator_and_synthesis_per_pair(self, tmp_path, monkeypatch):
-        # Evaluators are counted as the rows of the batches built.
+        # Batch rows are counted as the channel sets the batches are built from.
         built, synthesized = [], []
-        new = EvaluatorBatch.__new__
+        init = EvaluatorBatch.__init__
         synthesize = scenario_module.synthesize_channels
 
-        def counting_new(cls, *args):
-            batch = new(cls, *args)
-            built.extend(batch)
-            return batch
+        def counting_init(self, channel_sets, *args):
+            built.extend(channel_sets)
+            init(self, channel_sets, *args)
 
         def counting_synthesize(*args):
             synthesized.append(args)
             return synthesize(*args)
 
-        monkeypatch.setattr(EvaluatorBatch, "__new__", counting_new)
+        monkeypatch.setattr(EvaluatorBatch, "__init__", counting_init)
         monkeypatch.setattr(scenario_module, "synthesize_channels", counting_synthesize)
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
         # 9 pairs x 5 methods; the noise calibration synthesizes its pair
-        # but reads its powers without an evaluator.
+        # but reads its powers without a batch.
         assert len(built) == 9
         assert len(synthesized) == 10
 
@@ -930,6 +929,44 @@ class TestMalformedScenarioValues:
         rc = main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
         assert rc == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestFloatingPointFailures:
+    """Values whose geometry or delays overflow the float range: the run
+    raises on the first overflow or invalid value, in the sweep workers
+    too, and exits 4 with numpy's message as its one stderr line."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tx", "range_m", 1e300),
+            ("tx", "height_m", 1e300),
+            ("tx", "height_m", -1e300),
+            ("sector_grid", "user_range_m", 1e300),
+            ("channel", "max_excess_delay_s", 1e300),
+            ("scan", "scan_range_m", 1e200),
+        ],
+    )
+    def test_one_line_runtime_error(self, tmp_path, section, key, value, jobs):
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario, ris=RisArrayGeometry(n_v=2, n_h=2, tile_rows=1, tile_cols=1))
+        doc = json.loads(scenario.read_text())
+        spec = tmp_path / "spec.json"
+        if section == "scan":
+            spec.write_text(json.dumps({"mode": "pattern_scan", "scan_config_bits": "0000", key: value}))
+            command = "pattern-scan"
+        else:
+            # A fixed noise power, so the first synthesis runs in a sweep worker.
+            doc[section][key] = value
+            doc["noise"]["n0"] = 1e-12
+            spec.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0], [15.0, 0.0]], "methods": ["alg1"]}))
+            command = "compare"
+        scenario.write_text(json.dumps(doc))
+        proc = run_cli(command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path), "--jobs", jobs)
+        assert proc.returncode == EXIT_RUNTIME
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("runtime error: ")
+        assert "Warning" not in proc.stderr
 
 
 #: Values swapped into scenario leaves: every JSON type, edge numbers, and

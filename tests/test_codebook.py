@@ -36,7 +36,7 @@ from ris_pls.codebook import (
     sweep_pairs,
 )
 from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
-from ris_pls.optimize import PowerEvaluator, received_signal, reflection_coefficients
+from ris_pls.optimize import EvaluatorBatch, received_signal, reflection_coefficients
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import LinkPowers, SecrecyReport, to_db
@@ -191,8 +191,8 @@ class TestSweepPairs:
         cells = sweep_pairs(sc, sc.tx_signal(), pairs, methods, keep, jobs=2)
         assert [(pair, method) for pair, method, _, _ in cells] == [(p, m) for p in pairs for m in methods]
         for pair, method, bits, powers in cells:
-            ev = PowerEvaluator(sc.channels_for(*pair), sc.element_model, sc.tx_signal())
-            assert np.array_equal(powers, ev.bin_powers(RisConfig.from_bitstring(bits, 8, 8).bits))
+            alone = EvaluatorBatch([sc.channels_for(*pair)], sc.element_model, sc.tx_signal())
+            assert np.array_equal(powers, alone.powers(RisConfig.from_bitstring(bits, 8, 8).bits)[0])
 
     def test_codebook_releases_each_methods_traces(self, monkeypatch):
         refs = track_trace_batches(monkeypatch)
@@ -530,7 +530,7 @@ def per_probe_scan(scenario, config, angles, range_m=None):
     range_m = scenario.sector_grid.user_range_m if range_m is None else range_m
     params = replace(scenario.channel, num_paths=1)
     tx_sig = scenario.tx_signal()
-    f, x = tx_sig.freqs, tx_sig.amplitudes()
+    f, x = tx_sig.freqs, tx_sig.symbols
     phi = reflection_coefficients(scenario.element_model, f)
     on = config.bits.astype(float)
     g = _panel_link(scenario.tx, params, f, scenario.ris, _LINK_TX_RIS)

@@ -88,10 +88,10 @@ class TestToneSignal:
 class TestPrsSignal:
     def test_prs_signal_extraction(self):
         grid = build_prs_grid(Numerology(mu=2), num_rb=2, seed=4)
-        sig = prs_signal(grid, symbol_index=3)
+        sig = prs_signal(grid)
         mask = grid.occupied_mask
-        np.testing.assert_array_equal(sig.symbols, grid.symbols[mask, 3])
+        # The draw fills a slot of symbols; the signal reads its first.
+        assert grid.symbols.shape == (grid.num_subcarriers, grid.numerology.symbols_per_slot)
+        np.testing.assert_array_equal(sig.symbols, grid.symbols[mask, 0])
         np.testing.assert_array_equal(sig.freqs, grid.subcarrier_freqs()[mask])
         assert sig.freqs.size == 12
-        with pytest.raises(IndexError):
-            prs_signal(grid, symbol_index=99)

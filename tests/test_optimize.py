@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import flip, handmade_channels, model_instance, panel, replay, single_flip_improvements, single_tone_tx
+from helpers import (
+    flip,
+    handmade_channels,
+    model_instance,
+    panel,
+    replay,
+    score,
+    single_flip_improvements,
+    single_tone_tx,
+)
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
@@ -12,7 +21,6 @@ from ris_pls.optimize import (
     OBJECTIVES,
     EvaluatorBatch,
     MeasurementNoise,
-    PowerEvaluator,
     TraceBatch,
     TraceStep,
     _better,
@@ -126,39 +134,40 @@ class TestSlowPathParity:
     def test_steps_match_fresh_scores(self, method, kwargs, waveform):
         channels, sig = model_instance(4, 4, 6, waveform=waveform)
         trace = method(channels, MODEL, sig, panel(4, 6), **kwargs)
-        ev = PowerEvaluator(channels, MODEL, sig)
+        ev = EvaluatorBatch([channels], MODEL, sig)
         key = {name: objective for objective, (name, _) in OBJECTIVES.items()}
 
-        def score(name, bits):
-            return ev.evaluate(key[name], bits)
+        def fresh(name, bits):
+            return score(ev, key[name], bits)
 
         cfg = trace.initial_config
-        registers = {name: score(name, cfg.bits) for name in {s.objective for s in trace.steps}}
+        registers = {name: fresh(name, cfg.bits) for name in {s.objective for s in trace.steps}}
         for step in trace.steps:
             candidate = RisConfig(flip(cfg.bits, 6, step.kind, step.index, step.half), 4, 6)
             assert step.objective_before == registers[step.objective]
             assert step.objective_after == pytest.approx(
-                score(step.objective, candidate.bits), rel=1e-12, abs=0
+                fresh(step.objective, candidate.bits), rel=1e-12, abs=0
             )
             if step.accepted:
                 cfg = candidate
                 registers[step.objective] = step.objective_after
         assert any(s.accepted for s in trace.steps)
         assert cfg == trace.final_config
-        assert trace.final_objective == ev.evaluate(trace.objective_kind, cfg.bits)
+        assert trace.final_objective == score(ev, trace.objective_kind, cfg.bits)
 
 
 def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False, read=None):
     """The sweep with every candidate scored by a full evaluation of the
-    flipped bit vector: the slow reference for `_sweep`'s running sums."""
-    best = {obj: ev.evaluate(obj, bits, read) for obj in dict.fromkeys(m[3] for m in moves)}
+    flipped bit vector on the batch of one `ev`: the slow reference for
+    `_sweep`'s running sums."""
+    best = {obj: score(ev, obj, bits, read) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
         accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
             bits[elements] ^= 1
-            value = ev.evaluate(objective, bits, read)
+            value = score(ev, objective, bits, read)
             accepted = _better(value, best[objective], direction)
             steps.append(TraceStep(
                 kind, index, iteration, name, direction, best[objective], value, accepted, half
@@ -174,7 +183,7 @@ def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False, read=None):
 
 
 def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise=None, rel=1e-12):
-    """Run both sweeps from all zeros on one evaluator, each with its own
+    """Run both sweeps from all zeros on one batch of one, each with its own
     noise reader (so noisy ones draw the same readings), and compare every
     decision and value."""
 
@@ -184,7 +193,6 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
     def read():
         return None if noise is None else noise.reader()
 
-    ev = PowerEvaluator(channels, MODEL, sig)
     moves = METHODS[method][1](n_v, n_h)
     slow_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     fast_reads = None if noise is None else [noise.reader()]
@@ -192,7 +200,7 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
     fast_best, log, (fast_bits,) = _sweep(batch, slow_bits.copy(), moves, passes, fixpoint, fast_reads)
     fast = log.steps(0)
     fast_best = {k: float(v[0]) for k, v in fast_best.items()}
-    slow_best, slow = full_recompute_sweep(ev, slow_bits, moves, passes, fixpoint, read())
+    slow_best, slow = full_recompute_sweep(batch, slow_bits, moves, passes, fixpoint, read())
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
         assert (f.kind, f.index, f.half, f.iteration, f.accepted) == (
@@ -283,8 +291,8 @@ class TestRunningSumParity:
     def test_final_objective_is_a_fresh_evaluation(self, method):
         channels, sig = model_instance(1, 4, 6, waveform="prs")
         trace = method(channels, MODEL, sig, panel(4, 6), run_to_fixpoint=True)
-        ev = PowerEvaluator(channels, MODEL, sig)
-        assert trace.final_objective == ev.evaluate(trace.objective_kind, trace.final_config.bits)
+        ev = EvaluatorBatch([channels], MODEL, sig)
+        assert trace.final_objective == score(ev, trace.objective_kind, trace.final_config.bits)
 
     def test_noisy_final_objective_is_the_last_accepted_reading(self):
         channels, sig = model_instance(2, 4, 6, waveform="prs")
@@ -294,24 +302,30 @@ class TestRunningSumParity:
 
 
 def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
-    """The greedy sweep of one evaluator, as it ran before sweeps ran in
-    lockstep batches: the reference for `_sweep`. Returns (registers,
-    trace steps) and flips `bits` in place."""
+    """The greedy sweep of one batch of one, as it ran before sweeps ran
+    in lockstep batches, each move's change one vector-matrix product: the
+    reference for `_sweep`. Returns (registers, trace steps) and flips
+    `bits` in place."""
+    reads = None if read is None else [read]
+
+    def value(objective, sums):
+        return float(ev.values(objective, sums, reads)[0])
+
     sums = ev.sums(bits)
-    best = {obj: ev.value(obj, sums, read) for obj in dict.fromkeys(m[3] for m in moves)}
+    best = {obj: value(obj, sums) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
         accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
-            candidate = sums + (_FLIP_SIGN[bits[elements]] @ ev._w[elements]).reshape(2, -1)
-            value = ev.value(objective, candidate, read)
-            accepted = _better(value, best[objective], direction)
+            candidate = sums + (_FLIP_SIGN[bits[elements]] @ ev.cascades[0, elements]).reshape(sums.shape)
+            after = value(objective, candidate)
+            accepted = _better(after, best[objective], direction)
             steps.append(TraceStep(
-                kind, index, iteration, name, direction, best[objective], value, accepted, half
+                kind, index, iteration, name, direction, best[objective], after, accepted, half
             ))
             if accepted:
-                best[objective] = value
+                best[objective] = after
                 sums = candidate
                 bits[elements] ^= 1
                 accepted_in_pass += 1
@@ -321,7 +335,7 @@ def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
 
 
 def reference_trace(method, ev, geometry, noise=None, fixpoint=False) -> dict:
-    """`greedy_sweep`'s two-pass or fixpoint trace of one evaluator from
+    """`greedy_sweep`'s two-pass or fixpoint trace of one batch of one from
     all zeros, by `per_sweep_reference`, as a dict."""
     objective_kind, build_moves = METHODS[method]
     read = None if noise is None else noise.reader()
@@ -332,7 +346,7 @@ def reference_trace(method, ev, geometry, noise=None, fixpoint=False) -> dict:
     if objective_kind in best and read is not None:
         final_objective = best[objective_kind]
     else:
-        final_objective = ev.evaluate(objective_kind, bits, read)
+        final_objective = score(ev, objective_kind, bits, read)
     return {
         "final_config": RisConfig(bits, geometry.n_v, geometry.n_h).to_bitstring(),
         "final_objective": final_objective,
@@ -359,10 +373,9 @@ def batch_instances(n, waveform, first_seed=0):
 
 
 def lone_evaluators(channels, sig) -> list:
-    """One evaluator per channel set, each built on its own: the per-sweep
-    references score with these, not with the rows of the batch they
-    check."""
-    return [PowerEvaluator(ch, MODEL, sig) for ch in channels]
+    """One batch of one per channel set: the per-sweep references score
+    with these, not with the rows of the batch they check."""
+    return [EvaluatorBatch([ch], MODEL, sig) for ch in channels]
 
 
 class TestLockstepParity:
@@ -462,10 +475,18 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def vector_sums(cascades, bits) -> np.ndarray:
+    """(2, K) sums of one set's (M, 2 * K) cascades over the elements set in
+    `bits`, as one vector-matrix product: the per-set reference for the
+    stacked product of `EvaluatorBatch.sums`."""
+    return (np.asarray(bits, dtype=float) @ cascades).reshape(2, -1)
+
+
 class TestEvaluatorBatch:
-    """A batch's rows view its stacks and share its one signal and element
-    model, each equals an evaluator built on its own bit for bit, and the
-    batch sweeps as its channel sets do in batches of one."""
+    """A batch's stacks are C-contiguous, row i of each equals the stack of
+    a batch of set i alone bit for bit, the signal and element model are
+    read once, and the batch sweeps as its channel sets do in batches of
+    one."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
@@ -477,16 +498,15 @@ class TestEvaluatorBatch:
             channels, sig = batch_instances(n, "prs")
             batch = EvaluatorBatch(channels, MODEL, sig)
             k = sig.num_subcarriers
+            assert len(batch) == n
             assert batch.cascades.shape == (n, 24, 2 * k) and batch.hd.shape == batch.w_sum.shape == (n, 2, k)
             assert all(stack.flags.c_contiguous for stack in (batch.cascades, batch.hd, batch.w_sum))
-            for i, (row, alone) in enumerate(zip(batch, lone_evaluators(channels, sig), strict=True)):
-                assert type(row) is PowerEvaluator
-                for name, stack in (("_w", batch.cascades), ("_hd", batch.hd), ("_w_sum", batch.w_sum)):
-                    view = getattr(row, name)
-                    assert view.base is stack and np.shares_memory(view, stack[i])
-                    assert same_bits(view, getattr(alone, name))
-                assert row._x is batch.x and row._phi is batch.phi
-                assert same_bits(row._x, alone._x) and same_bits(row._phi, alone._phi)
+            assert batch.phi.shape == (k, 2) and batch.phi.flags.f_contiguous
+            assert batch.x is sig.symbols
+            for i, alone in enumerate(lone_evaluators(channels, sig)):
+                for name in ("cascades", "hd", "w_sum"):
+                    assert same_bits(getattr(batch, name)[i], getattr(alone, name)[0])
+                assert same_bits(batch.x, alone.x) and same_bits(batch.phi, alone.phi)
             got = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
             for g, ch in zip(got, channels, strict=True):
                 alone = EvaluatorBatch([ch], MODEL, sig)
@@ -495,16 +515,29 @@ class TestEvaluatorBatch:
                 assert g.steps == r.steps
                 assert np.array_equal(g.final_config.bits, r.final_config.bits)
 
-    def test_lone_evaluator_is_the_row_of_a_batch_of_one(self):
+    def test_batch_of_one_broadcasts_over_rows(self):
+        # A lone set scores every row of a stack of sums, as the oracle
+        # scores its blocks, each as it scores that row alone.
         channels, sig = batch_instances(1, "prs")
-        ev = PowerEvaluator(channels[0], MODEL, sig)
-        assert type(ev) is PowerEvaluator
-        assert ev._w.base.shape == (1, 24, 2 * sig.num_subcarriers)
+        ev = EvaluatorBatch(channels, MODEL, sig)
+        assert len(ev) == 1 and ev.cascades.shape == (1, 24, 2 * sig.num_subcarriers)
+        rows = np.random.default_rng(1).integers(0, 2, size=(5, 24), dtype=np.uint8)
+        sums = np.concatenate([ev.sums(row) for row in rows])
+        for objective in OBJECTIVES:
+            values = ev.values(objective, sums)
+            assert values.shape == (5,)
+            assert [float(v) for v in values] == [score(ev, objective, row) for row in rows]
 
     def test_rows_must_share_the_subcarriers(self):
         channels, _ = batch_instances(2, "prs")
         with pytest.raises(ValueError, match="disagree on subcarrier frequencies"):
             EvaluatorBatch(channels, MODEL, single_tone_tx())
+
+    def test_unknown_objective_rejected(self):
+        channels, sig = batch_instances(2, "tone")
+        batch = EvaluatorBatch(channels, MODEL, sig)
+        with pytest.raises(ValueError, match="unknown objective 'snr'"):
+            batch.values("snr", batch.sums(np.zeros(24, dtype=np.uint8)))
 
     @pytest.mark.parametrize("start", ["zeros", "shared", "per-row"])
     @pytest.mark.parametrize("n", [1, 3, 110])
@@ -512,7 +545,7 @@ class TestEvaluatorBatch:
     def test_stack_sums_equal_row_sums(self, waveform, n, start):
         # The sweep's starting sums are one product over the cascade stack,
         # from one start vector for every row or one per row; each row's
-        # must be its evaluator's `sums`, bit for bit.
+        # must be its set's vector-matrix product, bit for bit.
         channels, sig = batch_instances(n, waveform)
         batch = EvaluatorBatch(channels, MODEL, sig)
         rng = np.random.default_rng(n)
@@ -524,8 +557,8 @@ class TestEvaluatorBatch:
         sums = batch.sums(bits)
         assert sums.shape == (n, 2, sig.num_subcarriers)
         rows = np.broadcast_to(bits, (n, 24))
-        for row, b, s in zip(lone_evaluators(channels, sig), rows, sums, strict=True):
-            assert same_bits(s, row.sums(b))
+        for alone, b, s in zip(lone_evaluators(channels, sig), rows, sums, strict=True):
+            assert same_bits(s, vector_sums(alone.cascades[0], b))
         if start == "zeros":
             assert not sums.any()
 
@@ -546,8 +579,34 @@ class TestEvaluatorBatch:
             rng.integers(0, 2, size=1024, dtype=np.uint8),
             rng.integers(0, 2, size=(110, 1024), dtype=np.uint8),
         ):
-            for row, b, s in zip(batch, np.broadcast_to(bits, (110, 1024)), batch.sums(bits), strict=True):
-                assert same_bits(s, row.sums(b))
+            rows = np.broadcast_to(bits, (110, 1024))
+            for w, b, s in zip(batch.cascades, rows, batch.sums(bits), strict=True):
+                assert same_bits(s, vector_sums(w, b))
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_end_state_rows_equal_batches_of_one(self, method, waveform, noisy):
+        # `greedy_sweep` scores every row's end bits in one `values` call,
+        # and `sweep_pairs` reads every row's powers in one `powers` call:
+        # row i of each must be what a batch of set i alone reads, byte for
+        # byte. Noisy rows read their final objective afresh when the
+        # method's moves do not judge it, each from its own reader.
+        noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
+        for n in (1, 7):
+            channels, sig = batch_instances(n, waveform)
+            batch = EvaluatorBatch(channels, MODEL, sig)
+            traces = greedy_sweep(method, batch, panel(4, 6), noise=noise, run_to_fixpoint=True)
+            bits = np.array([trace.final_config.bits for trace in traces])
+            sums, powers = batch.sums(bits), batch.powers(bits)
+            values = {objective: batch.values(objective, sums) for objective in OBJECTIVES}
+            for i, (alone, trace) in enumerate(zip(lone_evaluators(channels, sig), traces, strict=True)):
+                assert same_bits(sums[i], alone.sums(bits[i])[0])
+                assert same_bits(powers[i], alone.powers(bits[i])[0])
+                for objective, row_values in values.items():
+                    assert same_bits(row_values[i:i + 1], alone.values(objective, alone.sums(bits[i])))
+                if noise is None:
+                    assert trace.final_objective == float(values[trace.objective_kind][i])
 
 
 class TestPassSummaries:
@@ -672,8 +731,8 @@ class TestBaselines:
     @pytest.mark.parametrize("seed", range(5))
     def test_lu_max_never_below_start(self, seed):
         channels, sig = model_instance(seed, 3, 4)
-        ev = PowerEvaluator(channels, MODEL, sig)
-        start = ev.evaluate("lu_power_max", RisConfig.zeros(3, 4).bits)
+        ev = EvaluatorBatch([channels], MODEL, sig)
+        start = score(ev, "lu_power_max", RisConfig.zeros(3, 4).bits)
         trace = lu_max(channels, MODEL, sig, panel(3, 4))
         assert trace.final_objective >= start
 
@@ -687,9 +746,9 @@ class TestBaselines:
         draws = 100
         for seed in range(draws):
             channels, sig = model_instance(seed, 3, 4)
-            ev = PowerEvaluator(channels, MODEL, sig)
-            p_lu_max = ev.evaluate("lu_power_max", lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
-            p_alg1 = ev.evaluate("lu_power_max", algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            ev = EvaluatorBatch([channels], MODEL, sig)
+            p_lu_max = score(ev, "lu_power_max", lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            p_alg1 = score(ev, "lu_power_max", algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
             if p_lu_max >= p_alg1:
                 wins += 1
         print(f"lu_max LU power >= alg1 LU power in {wins}/{draws} draws")
@@ -701,8 +760,8 @@ class TestZeroEavesdropperPower:
         # The metric itself signals division by zero; ranking treats it as
         # +inf so sweeps over dead eavesdropper links still run.
         ch = handmade_channels(1.0, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
-        ev = PowerEvaluator(ch, MODEL, single_tone_tx())
-        assert ev.evaluate("ratio", RisConfig.zeros(1, 2).bits) == math.inf
+        ev = EvaluatorBatch([ch], MODEL, single_tone_tx())
+        assert score(ev, "ratio", RisConfig.zeros(1, 2).bits) == math.inf
         trace = algorithm1(ch, MODEL, single_tone_tx(), panel(1, 2))
         assert trace.final_objective == math.inf
         assert replay(trace) == trace.final_config
@@ -805,17 +864,17 @@ class TestExhaustiveOracle:
 
 
 def per_row_oracle(channels, element_model, tx, objective, geometry):
-    """The exhaustive scan scored one candidate at a time by the scalar
-    evaluator: the slow reference for `exhaustive_oracle`."""
+    """The exhaustive scan scored one candidate at a time on a batch of
+    one: the slow reference for `exhaustive_oracle`."""
     m = geometry.num_elements
-    ev = PowerEvaluator(channels, element_model, tx)
+    ev = EvaluatorBatch([channels], element_model, tx)
     direction = OBJECTIVES[objective][1]
     best_bits = None
     best_value = -math.inf if direction == "max" else math.inf
     shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
     ints = np.arange(1 << m, dtype=np.uint64)
     for row in ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8):
-        value = ev.evaluate(objective, row)
+        value = score(ev, objective, row)
         if _better(value, best_value, direction):
             best_value = value
             best_bits = row.copy()
@@ -862,7 +921,7 @@ class TestBlockOracleParity:
             assert cfg.bits[element] == 0
             flipped = cfg.bits.copy()
             flipped[element] = 1
-            assert PowerEvaluator(tied, MODEL, sig).evaluate(objective, flipped) == value
+            assert score(EvaluatorBatch([tied], MODEL, sig), objective, flipped) == value
         assert_oracle_parity(tied, sig, panel(2, 3))
 
     def test_zero_ed_power_yields_inf(self):
@@ -880,20 +939,14 @@ class TestBlockOracleParity:
             exhaustive_oracle(ch, MODEL, single_tone_tx(), "ratio", panel(1, 2))
 
     def test_block_values_track_scalar_values(self):
+        # The oracle's block product against one configuration at a time.
         channels, sig = model_instance(2, 2, 3, waveform="prs")
-        ev = PowerEvaluator(channels, MODEL, sig)
+        ev = EvaluatorBatch([channels], MODEL, sig)
         rows = np.random.default_rng(0).integers(0, 2, size=(40, 6), dtype=np.uint8)
         for objective in OBJECTIVES:
-            block = ev.evaluate(objective, rows)
-            scalar = [ev.evaluate(objective, row) for row in rows]
+            block = ev.values(objective, (rows @ ev.cascades[0]).reshape(40, 2, -1))
+            scalar = [score(ev, objective, row) for row in rows]
             np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0)
-
-    def test_noisy_readings_refuse_block_scoring(self):
-        channels, sig = model_instance(0, 2, 2)
-        ev = PowerEvaluator(channels, MODEL, sig)
-        read = MeasurementNoise(n0=1e-9, seed=1).reader()
-        with pytest.raises(ValueError, match="one configuration at a time"):
-            ev.evaluate("ratio", np.zeros((3, 4), dtype=np.uint8), read)
 
 
 class TestMeasurementNoise:

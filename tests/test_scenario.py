@@ -3,7 +3,7 @@ import pytest
 
 from ris_pls.channel import ChannelParams, Placement
 from ris_pls.ofdm import MAX_NUM_RB
-from ris_pls.optimize import PowerEvaluator
+from ris_pls.optimize import EvaluatorBatch
 from ris_pls.ris import RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, to_db
@@ -78,8 +78,8 @@ class TestNoiseCalibration:
         n0 = sc.noise_power()
         sig = sc.tx_signal()
         ch = sc.channels_for(Placement(0.0, 7.0), Placement(15.0, 7.0), sig.freqs)
-        ev = PowerEvaluator(ch, sc.element_model, sig)
-        per_bin = link_powers(ev.bin_powers(RisConfig.zeros(4, 4).bits)).p_lu / sig.num_subcarriers
+        batch = EvaluatorBatch([ch], sc.element_model, sig)
+        per_bin = link_powers(batch.powers(RisConfig.zeros(4, 4).bits)[0]).p_lu / sig.num_subcarriers
         assert to_db(per_bin / n0) == pytest.approx(10.0, abs=1e-9)
 
     def test_explicit_n0_wins(self):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_receive, model_instance, panel
+from helpers import dense_receive, model_instance, panel, score
 from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal
-from ris_pls.optimize import PowerEvaluator, algorithm1, channel_powers
+from ris_pls.optimize import EvaluatorBatch, algorithm1, channel_powers
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.secrecy import (
     LinkPowers,
@@ -31,18 +31,17 @@ def channels(h_d_lu, h_d_ed, h_lu=None, h_ed=None, g=None, k=1, m=1):
     )
 
 
-def unit_tx(k=1, symbols=None, power_scale=1.0):
+def unit_tx(k=1, symbols=None):
     return TxSignal(
         mode="tone" if k == 1 else "prs",
         freqs=np.full(k, CARRIER),
         symbols=np.ones(k, complex) if symbols is None else np.asarray(symbols, complex),
-        power_scale=power_scale,
     )
 
 
 def evaluator(ch, tx=None):
-    """Evaluator under the ideal element model, whose bit 0 reflects +1."""
-    return PowerEvaluator(ch, ElementModel(), unit_tx(ch.num_subcarriers) if tx is None else tx)
+    """A batch of one under the ideal element model, whose bit 0 reflects +1."""
+    return EvaluatorBatch([ch], ElementModel(), unit_tx(ch.num_subcarriers) if tx is None else tx)
 
 
 def zeros(ch):
@@ -72,15 +71,13 @@ class TestDbHelpers:
 class TestLinkPowers:
     def test_unit_cascade(self):
         ch = channels(0.0, 0.0, h_lu=[[1.0]], h_ed=[[0.0]], g=[[1.0]])
-        assert link_powers(evaluator(ch).bin_powers(zeros(ch))).p_lu == pytest.approx(1.0, rel=1e-15)
+        assert link_powers(evaluator(ch).powers(zeros(ch))[0]).p_lu == pytest.approx(1.0, rel=1e-15)
 
     def test_scaling_x_quadruples_power(self):
         ch = channels(1.0, 1.0)
-        base = link_powers(evaluator(ch).bin_powers(zeros(ch))).p_lu
-        doubled = link_powers(evaluator(ch, unit_tx(symbols=[2.0])).bin_powers(zeros(ch))).p_lu
-        scaled = link_powers(evaluator(ch, unit_tx(power_scale=4.0)).bin_powers(zeros(ch))).p_lu
+        base = link_powers(evaluator(ch).powers(zeros(ch))[0]).p_lu
+        doubled = link_powers(evaluator(ch, unit_tx(symbols=[2.0])).powers(zeros(ch))[0]).p_lu
         assert doubled == pytest.approx(4.0 * base, rel=1e-12)
-        assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_direct_evaluation(self, seed):
@@ -104,7 +101,7 @@ class TestLinkPowers:
             for i in range(m):
                 eff += h[v, i] * phi[v, i] * g[v, i]
             expected += abs(eff * x[v]) ** 2
-        got = link_powers(PowerEvaluator(ch, model, unit_tx(k, symbols=x)).bin_powers(bits))
+        got = link_powers(EvaluatorBatch([ch], model, unit_tx(k, symbols=x)).powers(bits)[0])
         assert got.p_lu == pytest.approx(expected, rel=1e-12)
         assert got.p_ed == pytest.approx(expected, rel=1e-12)
 
@@ -125,19 +122,19 @@ class TestLinkPowers:
         config = RisConfig(np.random.default_rng(5).integers(0, 2, 12), 3, 4)
         dense_ch = synthesize_channels(tx, lu, ed, ris, params, full.freqs)
         y_lu, y_ed = dense_receive(dense_ch, model, config, full)
-        ev = PowerEvaluator(synthesize_channels(tx, lu, ed, ris, params, sig.freqs), model, sig)
-        powers = link_powers(ev.bin_powers(config.bits))
+        ev = EvaluatorBatch([synthesize_channels(tx, lu, ed, ris, params, sig.freqs)], model, sig)
+        powers = link_powers(ev.powers(config.bits)[0])
         mask = grid.occupied_mask
         assert powers.p_lu == pytest.approx((np.abs(y_lu[mask]) ** 2).sum(), rel=1e-11, abs=0)
         assert powers.p_ed == pytest.approx((np.abs(y_ed[mask]) ** 2).sum(), rel=1e-11, abs=0)
 
     def test_p_lu_equals_lu_power_objective(self):
         channels_, sig = model_instance(3, 3, 4, waveform="prs")
-        ev = PowerEvaluator(channels_, ElementModel(), sig)
+        ev = EvaluatorBatch([channels_], ElementModel(), sig)
         for bits in np.random.default_rng(0).integers(0, 2, size=(5, 12), dtype=np.uint8):
-            powers = link_powers(ev.bin_powers(bits))
-            assert powers.p_lu == ev.evaluate("lu_power_max", bits)
-            assert powers.p_ed == ev.evaluate("ed_power_min", bits)
+            powers = link_powers(ev.powers(bits)[0])
+            assert powers.p_lu == score(ev, "lu_power_max", bits)
+            assert powers.p_ed == score(ev, "ed_power_min", bits)
 
 
 class TestEvaluatorFrequencies:
@@ -153,12 +150,12 @@ class TestEvaluatorFrequencies:
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
         ch = synthesize_channels(tx, lu, ed, panel(2, 2), ChannelParams(), grid.subcarrier_freqs())
         with pytest.raises(ValueError, match="frequencies"):
-            PowerEvaluator(ch, ElementModel(), prs_signal(grid))
+            EvaluatorBatch([ch], ElementModel(), prs_signal(grid))
 
 
 class TestRatioObjective:
     def ratio(self, ch):
-        return evaluator(ch).evaluate("ratio", zeros(ch))
+        return score(evaluator(ch), "ratio", zeros(ch))
 
     def test_identical_links_give_unity(self):
         assert self.ratio(channels(0.7 + 0.2j, 0.7 + 0.2j)) == pytest.approx(1.0, rel=1e-15)
@@ -172,7 +169,7 @@ class TestRatioObjective:
             rng.standard_normal() + 1j * rng.standard_normal(),
             rng.standard_normal() + 1j * rng.standard_normal(),
         )
-        powers = link_powers(evaluator(ch).bin_powers(zeros(ch)))
+        powers = link_powers(evaluator(ch).powers(zeros(ch))[0])
         assert self.ratio(ch) == powers.p_lu / powers.p_ed
 
     def test_zero_ed_power_is_infinite(self):
@@ -186,38 +183,38 @@ class TestSumSse:
     def test_snr_three_vs_one(self):
         # Closed form: log2(4) - log2(2) = 1 bit/s/Hz.
         ch = channels(math.sqrt(3.0), 1.0)
-        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0)
         assert report.r_sec_raw == pytest.approx(1.0, abs=1e-12)
         assert report.r_lu == pytest.approx(2.0, abs=1e-12)
         assert report.r_ed == pytest.approx(1.0, abs=1e-12)
 
     def test_two_subcarriers_sum(self):
         ch = channels(math.sqrt(3.0), 1.0, k=2)
-        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0)
         assert report.r_sec_raw == pytest.approx(2.0, abs=1e-12)
         assert report.per_subcarrier_mean == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_channels_zero_sse(self):
         ch = channels(0.9, 0.9)
-        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=0.5, apply_max=True)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=0.5, apply_max=True)
         assert report.r_sec == 0.0
         assert report.r_sec_raw == 0.0
         assert report.value == 0.0
 
     def test_clamp_relation_holds(self):
         ch = channels(1.0, 2.0)  # eavesdropper stronger: raw < 0
-        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0)
         assert report.r_sec_raw < 0
         assert report.r_sec == 0.0
         assert report.value == report.r_sec_raw  # raw headline by default
-        clamped = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0, apply_max=True)
+        clamped = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0, apply_max=True)
         assert clamped.value == 0.0
 
     def test_monotone_in_lu_power(self):
         previous = -math.inf
         for a in (0.5, 1.0, 2.0, 4.0):
             ch = channels(a, 1.0)
-            raw = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0).r_sec_raw
+            raw = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0).r_sec_raw
             assert raw > previous
             previous = raw
 
@@ -227,14 +224,14 @@ class TestSumSse:
         k = 3
         ch = channels(100.0, 50.0, k=k)
         n0 = 1.0
-        a = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=n0).r_sec_raw
-        b = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=2 * n0).r_sec_raw
+        a = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=n0).r_sec_raw
+        b = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=2 * n0).r_sec_raw
         assert abs(a - b) < 0.01 * k
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_num_occupied_is_subcarrier_count(self, k):
         ch = channels(2.0, 1.0, k=k)
-        report = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0)
         assert report.num_occupied == k
         assert report.r_sec_raw == pytest.approx(k * (math.log2(5.0) - 1.0))
         assert report.per_subcarrier_mean == pytest.approx(math.log2(5.0) - 1.0)
@@ -242,11 +239,11 @@ class TestSumSse:
     def test_nonpositive_n0_rejected(self):
         ch = channels(1.0, 1.0)
         with pytest.raises(ValueError):
-            sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=0.0)
+            sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=0.0)
 
     def test_serialization_fields(self):
         ch = channels(math.sqrt(3.0), 1.0)
-        data = sum_sse(evaluator(ch).bin_powers(zeros(ch)), n0=1.0).to_dict()
+        data = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0).to_dict()
         assert data["sse"] == data["r_sec_raw"]
         assert data["num_occupied"] == 1
 
@@ -273,11 +270,11 @@ class TestDenseReceiveParity:
             ch, sig = model_instance(seed, 4, 6, waveform=waveform)
             configs = [RisConfig(b, 4, 6) for b in np.random.default_rng(seed).integers(0, 2, (4, 24))]
             configs.append(algorithm1(ch, model, sig, panel(4, 6)).final_config)
-            ev = PowerEvaluator(ch, model, sig)
+            ev = EvaluatorBatch([ch], model, sig)
             for config in configs:
                 p_lu, p_ed = dense_powers(ch, model, sig, config)
                 n0 = float(p_lu.mean())
-                p = ev.bin_powers(config.bits)
+                p = ev.powers(config.bits)[0]
                 powers, report = link_powers(p), sum_sse(p, n0)
                 assert powers.p_lu == pytest.approx(p_lu.sum(), rel=1e-11, abs=0)
                 assert powers.p_ed == pytest.approx(p_ed.sum(), rel=1e-11, abs=0)
@@ -289,8 +286,8 @@ class TestDenseReceiveParity:
 
 class TestChannelPowers:
     """Reports read one configuration straight from the channel set
-    (`optimize.channel_powers`); sweeps read it from the evaluator
-    (`PowerEvaluator.bin_powers`)."""
+    (`optimize.channel_powers`); sweeps read it from their batch
+    (`EvaluatorBatch.powers`)."""
 
     @pytest.mark.parametrize(
         "model",
@@ -307,7 +304,7 @@ class TestChannelPowers:
                 assert p.shape == (2, sig.num_subcarriers)
                 np.testing.assert_allclose(p, [p_lu, p_ed], rtol=1e-11, atol=0)
 
-    def test_matches_bin_powers_on_a_wideband_pair(self):
+    def test_matches_batch_powers_on_a_wideband_pair(self):
         # The benchmark's freq-selectivity pair: a lorentzian element on the
         # 312 occupied subcarriers of a 52-block comb grid, 32x32 panel. The
         # matrix-vector sums run in another order, so the powers differ in
@@ -318,15 +315,15 @@ class TestChannelPowers:
         sig = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0, center_freq_hz=CARRIER))
         tx, lu, ed = Placement(-15.0, 5.0), Placement(30.0, 7.0), Placement(15.0, 7.0)
         ch = synthesize_channels(tx, lu, ed, geometry, ChannelParams(), sig.freqs)
-        ev = PowerEvaluator(ch, model, sig)
+        ev = EvaluatorBatch([ch], model, sig)
         bits = np.random.default_rng(0).integers(0, 2, (8, 1024)).astype(np.uint8)
         batch = channel_powers(ch, model, sig, bits)
         for row, p in zip(bits, batch):
-            ref = ev.bin_powers(row)
+            ref = ev.powers(row)[0]
             assert np.all(np.abs(p - ref) <= 1e-11 * ref)
             assert channel_powers(ch, model, sig, row).tobytes() == p.tobytes()
         zeros = np.zeros(1024, dtype=np.uint8)
-        assert channel_powers(ch, model, sig, zeros).tobytes() == ev.bin_powers(zeros).tobytes()
+        assert channel_powers(ch, model, sig, zeros).tobytes() == ev.powers(zeros)[0].tobytes()
 
     def test_rows_score_as_single_vectors(self):
         # Rows of a matrix are scored one at a time, so each row's powers
