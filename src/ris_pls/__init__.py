@@ -5,7 +5,6 @@ from .channel import (
     ChannelSet,
     Placement,
     SectorGrid,
-    build_default_geometry,
     synthesize_channels,
 )
 from .codebook import (

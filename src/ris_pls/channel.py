@@ -17,17 +17,15 @@ separates over the grid: a row factor times a column factor, n_v + n_h exps.
 
 Random draws are taken from per-link streams keyed by (seed, link kind,
 endpoint placement), so interchanging the two receiver placements
-interchanges their channels exactly. The same keying makes a panel link a
-pure function of its inputs, so synthesized panel links are memoized and
-shared read-only between channel sets.
+interchanges their channels exactly. The same keying makes every link a
+pure function of its inputs, so a `LinkTable` computes each placement's
+links once and shares them read-only between the channel sets it gives.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,13 +95,6 @@ class SectorGrid:
         """(center, distance) of the sector center closest to an angle."""
         best = min(self.sector_centers_deg, key=lambda c: abs(c - angle_deg))
         return best, abs(best - angle_deg)
-
-
-def build_default_geometry() -> tuple:
-    """Transmitter placement and user sector grid of the reference setup."""
-    tx = Placement(azimuth_deg=-15.0, range_m=5.0)
-    grid = SectorGrid()
-    return tx, grid
 
 
 #: Largest total power of the scattered rays relative to the line-of-sight
@@ -288,7 +279,7 @@ def _panel_ray(pos: np.ndarray, params: ChannelParams) -> tuple:
 
 def _direct_link(tx: Placement, node: Placement, params: ChannelParams, f: np.ndarray, beam: tuple):
     """(K,) channel from the transmitter to a node; `beam` is `_tx_beam(tx)`,
-    which every direct link of a synthesis or a scan shares."""
+    which every direct link of a `LinkTable` or a scan shares."""
     d, amp, tau0 = (x.item() for x in _direct_ray(beam, node.position()[None], params))
     if d == 0.0:
         raise ValueError(f"receiver at {node.azimuth_deg:g} degrees, {node.range_m:g} m stands at the transmitter")
@@ -342,69 +333,49 @@ def _panel_link(node: Placement, params: ChannelParams, f, ris: RisArrayGeometry
     return h
 
 
-#: Bytes of panel links the memo keeps. A comparison re-synthesizes each
-#: placement pair once per method but touches only the transmitter link and
-#: one link per receiver placement, and a codebook touches one per sector.
-#: The budget holds ten wideband links of 5 MB (the 312 occupied
-#: subcarriers of a 52-block comb grid by 1024 elements), or a few
-#: thousand single-tone ones.
-PANEL_LINK_CACHE_BYTES = 10 * 312 * 1024 * 16
-
-_MemoInfo = namedtuple("_MemoInfo", "hits misses links nbytes max_bytes")
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-class _PanelLinkMemo:
-    """Least-recently-used memo of panel links, bounded by their total bytes.
+class LinkTable:
+    """The links from one transmitter over one panel to the receiver
+    placements a caller asks for, at one subcarrier grid.
 
-    Lookups and misses run under one lock, so concurrent callers that need
-    the same link compute it once. Stored links are read-only.
+    Each receiver placement's direct and panel links are computed on first
+    use, and the transmitter's panel link once; all are kept read-only and
+    shared by every channel set the table gives out, with no byte budget.
+    Placements are keyed by their bits: `Placement` compares -0.0 equal to
+    0.0, while a link's random stream tells them apart.
     """
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self._links = OrderedDict()
-        self._nbytes = 0
-        self._hits = self._misses = 0
-        self._lock = threading.Lock()
+    def __init__(self, tx: Placement, ris: RisArrayGeometry, params: ChannelParams, freqs):
+        self.tx, self.ris, self.params = tx, ris, params
+        self.freqs = _read_only(_checked_freqs(freqs).copy())
+        self._beam = _tx_beam(tx)
+        self._receivers = {}
+        self._g = None
 
-    def __call__(self, kind, node_bits, node, params, freqs_bytes, ris):
-        """The panel link; a miss is computed and kept if it fits the budget."""
-        # node_bits joins the key because Placement compares -0.0 equal to
-        # 0.0 while the link's random stream tells them apart.
-        key = (kind, node_bits, node, params, freqs_bytes, ris)
-        with self._lock:
-            h = self._links.get(key)
-            if h is not None:
-                self._links.move_to_end(key)
-                self._hits += 1
-                return h
-            self._misses += 1
-            f = np.frombuffer(freqs_bytes, dtype=float)
-            nbytes = f.size * ris.num_elements * np.dtype(complex).itemsize
-            keep = nbytes <= self.max_bytes
-            # Make room first, so the memo never holds more than its budget.
-            while keep and self._nbytes + nbytes > self.max_bytes:
-                self._nbytes -= self._links.popitem(last=False)[1].nbytes
-            h = _panel_link(node, params, f, ris, kind)
-            h.setflags(write=False)
-            if keep:
-                self._links[key] = h
-                self._nbytes += nbytes
-            return h
-
-    def cache_info(self) -> _MemoInfo:
-        with self._lock:
-            return _MemoInfo(
-                self._hits, self._misses, len(self._links), self._nbytes, self.max_bytes
+    def _receiver(self, node: Placement) -> tuple:
+        """(direct link, panel link) of a receiver at `node`."""
+        key = _placement_key(node)
+        if key not in self._receivers:
+            self._receivers[key] = (
+                _read_only(_direct_link(self.tx, node, self.params, self.freqs, self._beam)),
+                _read_only(_panel_link(node, self.params, self.freqs, self.ris, _LINK_RIS_NODE)),
             )
+        return self._receivers[key]
 
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._links.clear()
-            self._nbytes = self._hits = self._misses = 0
-
-
-_memo_panel_link = _PanelLinkMemo(PANEL_LINK_CACHE_BYTES)
+    def channels(self, lu: Placement, ed: Placement) -> ChannelSet:
+        """The channel set of a legitimate user at `lu` and an eavesdropper
+        at `ed`; links are made in the order LU, ED, then the transmitter's."""
+        h_d_lu, h_ris_lu = self._receiver(lu)
+        h_d_ed, h_ris_ed = self._receiver(ed)
+        if self._g is None:
+            self._g = _read_only(_panel_link(self.tx, self.params, self.freqs, self.ris, _LINK_TX_RIS))
+        return ChannelSet(
+            freqs=self.freqs, h_d_lu=h_d_lu, h_d_ed=h_d_ed, h_ris_lu=h_ris_lu, h_ris_ed=h_ris_ed, g_ris=self._g
+        )
 
 
 def synthesize_channels(
@@ -419,35 +390,11 @@ def synthesize_channels(
 
     The direct transmitter-to-receiver links are attenuated by the
     configured suppression whenever the receiver sits outside the
-    transmitter beam aimed at the panel. All links are read-only: the
-    panel links come from a bounded memo, and receivers at one placement
-    share one array.
+    transmitter beam aimed at the panel. All links are read-only, and
+    receivers at one placement share one array: this is one `LinkTable`'s
+    channel set.
     """
-    f = _checked_freqs(freqs)
-    freqs_bytes = f.tobytes()
-
-    def panel(node, kind):
-        return _memo_panel_link(kind, _placement_key(node), node, params, freqs_bytes, ris)
-
-    same = _placement_key(ed) == _placement_key(lu)
-    beam = _tx_beam(tx)
-    h_d_lu = _direct_link(tx, lu, params, f, beam)
-    h_d_lu.setflags(write=False)
-    h_ris_lu = panel(lu, _LINK_RIS_NODE)
-    if same:
-        h_d_ed, h_ris_ed = h_d_lu, h_ris_lu
-    else:
-        h_d_ed = _direct_link(tx, ed, params, f, beam)
-        h_d_ed.setflags(write=False)
-        h_ris_ed = panel(ed, _LINK_RIS_NODE)
-    return ChannelSet(
-        freqs=f,
-        h_d_lu=h_d_lu,
-        h_d_ed=h_d_ed,
-        h_ris_lu=h_ris_lu,
-        h_ris_ed=h_ris_ed,
-        g_ris=panel(tx, _LINK_TX_RIS),
-    )
+    return LinkTable(tx, ris, params, freqs).channels(lu, ed)
 
 
 #: Bytes of each per-probe array one chunk of a scan holds (one probe at
@@ -499,10 +446,10 @@ def probe_links(tx: Placement, angles, range_m: float, ris: RisArrayGeometry, pa
     scenario's channel parameters, taken with `num_paths=1`, so a probe's
     panel link is rank one, amp * outer(delay, steering). The links equal
     those `synthesize_channels` gives placements there with those
-    parameters, but none is built as (A, K, M), and none is read from or
-    kept in the panel-link memo: a probe link is used once, and keeping it
-    would crowd out reusable links. The transmitter's geometry is worked
-    out once per scan, and a chunk's as arrays, with no placement per probe.
+    parameters, but none is built as (A, K, M), and none is kept in a
+    `LinkTable`: a probe link is used once. The transmitter's geometry is
+    worked out once per scan, and a chunk's as arrays, with no placement
+    per probe.
     """
     params = replace(params, num_paths=1)
     f = _checked_freqs(freqs)

@@ -46,13 +46,6 @@ def pair_powers(scenario, lu: Placement, ed: Placement, tx, bits) -> np.ndarray:
     return channel_powers(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx, bits)
 
 
-def pair_evaluators(scenario, pairs: list, tx) -> EvaluatorBatch:
-    """The scenario's channels to each (lu, ed) pair at the subcarriers of
-    `tx`, as the rows of one `EvaluatorBatch` for lockstep sweeps."""
-    channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
-    return EvaluatorBatch(channel_sets, scenario.element_model, tx)
-
-
 def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
     """Run one named configuration method on the channel set of each row
     of `batch`, the sweeps in lockstep; returns (configs, traces), one of
@@ -90,14 +83,16 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int 
     subcarrier of `config`, row i of one `EvaluatorBatch.powers` call per
     method and batch; `trace` is None for the uniform method.
 
-    Each pair's channels are synthesized once, on the subcarriers of `tx`,
-    and serve all methods. The pairs are swept in lockstep batches
-    (`pair_batches`), and `jobs` workers take batches; the result does not
-    depend on how the pairs are batched or on the execution order. `keep`
-    runs in the worker, as each method's sweep of a batch ends: a batch
-    holds one method's traces at a time, and its `EvaluatorBatch` only
-    until its last method is kept. Workers run under the caller's
-    `np.errstate`, which threads do not inherit.
+    Each pair's channels are taken once from the scenario, on the
+    subcarriers of `tx`, in the calling thread before any fan-out, so each
+    placement's links are computed once; they serve all methods. The pairs
+    are swept in lockstep batches (`pair_batches`), and `jobs` workers take
+    batches and build their `EvaluatorBatch`es; the result does not depend
+    on how the pairs are batched or on the execution order. `keep` runs in
+    the worker, as each method's sweep of a batch ends: a batch holds one
+    method's traces at a time, and its `EvaluatorBatch` only until its
+    last method is kept. Workers run under the caller's `np.errstate`,
+    which threads do not inherit.
     """
     errors = np.geterr()
 
@@ -106,13 +101,15 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int 
         powers = evs.powers(np.array([config.bits for config in configs]))
         return [keep(pair, method, *cell) for pair, *cell in zip(pairs, configs, traces, powers)]
 
-    def sweep(pairs) -> list:
+    def sweep(batch) -> list:
+        pairs, channel_sets = zip(*batch)
         with np.errstate(**errors):
-            evs = pair_evaluators(scenario, pairs, tx)
+            evs = EvaluatorBatch(list(channel_sets), scenario.element_model, tx)
             cells = [kept(pairs, evs, method) for method in methods]
         return [cell for row in zip(*cells) for cell in row]
 
-    batches = pair_batches(scenario, tx, pairs, jobs)
+    channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
+    batches = pair_batches(scenario, tx, list(zip(pairs, channel_sets)), jobs)
     if jobs <= 1:
         results = map(sweep, batches)
     else:
@@ -332,10 +329,10 @@ def scan_power_pattern(
     outer(delay, steering), so its cascade sums over all elements and over
     those set to 1 are amp * delay times its steering row's products with
     g and g * bits: one matrix product each per chunk from `probe_links`.
-    The links bypass the panel-link memo, so the scan leaves it as it
-    found it. A configuration of another panel is an error, and so are a
-    range a `Placement` rejects and a probe whose signal is not finite: the
-    error names the first such angle.
+    The links are kept nowhere, so the scan leaves the scenario's
+    `LinkTable`s as it found them. A configuration of another panel is an
+    error, and so are a range a `Placement` rejects and a probe whose
+    signal is not finite: the error names the first such angle.
     """
     ris = scenario.ris
     if (config.n_v, config.n_h) != (ris.n_v, ris.n_h):

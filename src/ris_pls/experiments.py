@@ -366,8 +366,6 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
             center_freq_hz=scenario.channel.carrier_hz,
         )
         wide = prs_signal(grid)
-    # Two passes, one per frequency grid, so each pass reuses the panel-link
-    # memo's transmitter and receiver links instead of evicting them.
     places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in spec.pairs]
     def keep(pair, method, config, trace, p):
         return (*pair, config, link_powers(p))

@@ -14,7 +14,9 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .channel import ChannelParams, ChannelSet, Placement, SectorGrid, synthesize_channels
+import numpy as np
+
+from .channel import ChannelParams, ChannelSet, LinkTable, Placement, SectorGrid
 from .fields import check_types
 from .ofdm import MAX_NUM_RB, Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry, RisConfig
@@ -53,12 +55,14 @@ class Scenario:
         if not 0.0 < snr < math.inf:
             raise ValueError(f"target_snr_db {self.target_snr_db!r} is no positive finite linear SNR")
         self._n0_cache = None
+        self._link_tables = {}
 
     @property
     def seed(self) -> int:
         return self.channel.rng_seed
 
     def with_seed(self, seed: int) -> "Scenario":
+        """A copy at channel seed `seed`, with link tables of its own."""
         return replace(self, channel=replace(self.channel, rng_seed=int(seed)))
 
     # ------------------------------------------------------------------
@@ -82,9 +86,18 @@ class Scenario:
         return Placement(angle_deg, self.sector_grid.user_range_m)
 
     def channels_for(self, lu: Placement, ed: Placement, freqs=None) -> ChannelSet:
+        """The channels to (lu, ed) at `freqs` (default: the subcarriers of
+        the transmit signal) from the scenario's `LinkTable` for that grid,
+        which computes a placement's links once. The tables follow the
+        fields as they were set: `replace` builds a scenario with its own."""
         if freqs is None:
             freqs = self.tx_signal().freqs
-        return synthesize_channels(self.tx, lu, ed, self.ris, self.channel, freqs)
+        f = np.asarray(freqs, dtype=float)
+        key = (f.shape, f.tobytes())
+        table = self._link_tables.get(key)
+        if table is None:
+            table = self._link_tables[key] = LinkTable(self.tx, self.ris, self.channel, f)
+        return table.channels(lu, ed)
 
     def noise_power(self) -> float:
         """Configured n0, or one calibrated so the uniform-surface LU at the
@@ -94,9 +107,8 @@ class Scenario:
         if self._n0_cache is None:
             tx_sig = self.tx_signal()
             lu = Placement(0.0, self.sector_grid.user_range_m)
-            ed = Placement(15.0, self.sector_grid.user_range_m)
             bits = RisConfig.zeros(self.ris.n_v, self.ris.n_h).bits
-            p = channel_powers(self.channels_for(lu, ed, tx_sig.freqs), self.element_model, tx_sig, bits)
+            p = channel_powers(self.channels_for(lu, lu, tx_sig.freqs), self.element_model, tx_sig, bits)
             per_bin = float(p[0].sum()) / tx_sig.num_subcarriers
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache

@@ -8,6 +8,7 @@ from ris_pls.channel import (
     ChannelParams,
     ChannelSet,
     Placement,
+    SectorGrid,
     _free_space_amplitude,
     _link_rng,
     _scatter_sigma,
@@ -27,6 +28,11 @@ SECTOR_ANGLES = (0.0, 15.0, 30.0, 45.0)
 
 def panel(n_v, n_h):
     return RisArrayGeometry(n_v=n_v, n_h=n_h, tile_rows=1, tile_cols=1)
+
+
+def build_default_geometry() -> tuple:
+    """Transmitter placement and user sector grid of the reference setup."""
+    return Placement(azimuth_deg=-15.0, range_m=5.0), SectorGrid()
 
 
 def unit_tone():

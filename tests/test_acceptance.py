@@ -16,7 +16,6 @@ from ris_pls.codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
-    pair_evaluators,
     pair_powers,
     run_method,
     select_config,
@@ -206,7 +205,8 @@ def reference_sweep():
         sig = scenario.tx_signal()
         n0 = scenario.noise_power()
         for pair in DEFAULT_PAIRS:
-            batch = pair_evaluators(scenario, [(scenario.placement(pair[0]), scenario.placement(pair[1]))], sig)
+            channels = scenario.channels_for(scenario.placement(pair[0]), scenario.placement(pair[1]), sig.freqs)
+            batch = EvaluatorBatch([channels], scenario.element_model, sig)
             for method in METHODS:
                 (config,), _ = run_method(method, scenario, batch)
                 (p_bins,) = batch.powers(config.bits)
@@ -283,7 +283,7 @@ def test_criterion_08_frequency_selectivity():
         rows = []
         for pair in DEFAULT_PAIRS:
             lu, ed = scenario.placement(pair[0]), scenario.placement(pair[1])
-            nb = pair_evaluators(scenario, [(lu, ed)], tone)
+            nb = EvaluatorBatch([scenario.channels_for(lu, ed, tone.freqs)], scenario.element_model, tone)
             (config,), _ = run_method("alg1", scenario, nb)
             nb = link_powers(nb.powers(config.bits)[0])
             wb = link_powers(pair_powers(scenario, lu, ed, wide, config.bits))

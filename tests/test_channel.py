@@ -1,32 +1,33 @@
 import math
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_steering, element_positions, per_ray_panel_link, scalar_direct_ray, scalar_panel_ray
+from helpers import (
+    build_default_geometry,
+    dense_steering,
+    element_positions,
+    per_ray_panel_link,
+    scalar_direct_ray,
+    scalar_panel_ray,
+)
 from ris_pls import channel as channel_module
 from ris_pls.channel import (
     _LINK_RIS_NODE,
     _LINK_TX_RIS,
     ChannelParams,
     ChannelSet,
-    PANEL_LINK_CACHE_BYTES,
+    LinkTable,
     Placement,
     SectorGrid,
     _direct_link,
     _free_space_amplitude,
-    _memo_panel_link,
     _panel_link,
-    _PanelLinkMemo,
-    _placement_key,
     _probe_rays,
     _steering,
     _tx_beam,
-    build_default_geometry,
     probe_links,
     synthesize_channels,
 )
@@ -162,9 +163,9 @@ class TestSynthesis:
 
     def test_determinism(self):
         a = default_links(seed=7)
-        _memo_panel_link.cache_clear()  # make the second call a real synthesis
-        b = default_links(seed=7)
+        b = default_links(seed=7)  # a table of its own: every link computed again
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
+            assert getattr(a, name) is not getattr(b, name)
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_channels(self):
@@ -348,6 +349,8 @@ class TestSeparableSteering:
 
 
 class TestPanelLinkMemo:
+    """Links a `LinkTable` computes once and shares read-only."""
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -361,9 +364,10 @@ class TestPanelLinkMemo:
         panel = small_panel(2, 3)
         node = Placement(azimuth, range_m)
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(45.0, 7.0)
-        for _ in range(2):  # a miss, then a hit
-            as_rx = synthesize_channels(tx, node, ed, panel, params, freqs)
-            as_tx = synthesize_channels(node, lu, ed, panel, params, freqs)
+        from_tx, from_node = LinkTable(tx, panel, params, freqs), LinkTable(node, panel, params, freqs)
+        for _ in range(2):  # computed, then read from the tables
+            as_rx = from_tx.channels(node, ed)
+            as_tx = from_node.channels(lu, ed)
             assert same_bits(as_rx.h_ris_lu, _panel_link(node, params, freqs, panel, _LINK_RIS_NODE))
             assert same_bits(as_rx.g_ris, _panel_link(tx, params, freqs, panel, _LINK_TX_RIS))
             assert same_bits(as_tx.g_ris, _panel_link(node, params, freqs, panel, _LINK_TX_RIS))
@@ -374,10 +378,12 @@ class TestPanelLinkMemo:
         params = ChannelParams(rng_seed=4)
         freqs = GRIDS["prs"]
         lu, ed = grid.placement(15.0), grid.placement(45.0)
-        _memo_panel_link.cache_clear()
-        fwd = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
-        rev = synthesize_channels(tx, ed, lu, small_panel(), params, freqs)
-        assert _memo_panel_link.cache_info().hits == 3
+        table = LinkTable(tx, small_panel(), params, freqs)
+        fwd = table.channels(lu, ed)
+        rev = table.channels(ed, lu)  # every link read from the table
+        assert rev.h_d_lu is fwd.h_d_ed and rev.h_ris_lu is fwd.h_ris_ed
+        assert rev.h_d_ed is fwd.h_d_lu and rev.h_ris_ed is fwd.h_ris_lu
+        assert rev.g_ris is fwd.g_ris
         assert same_bits(fwd.h_d_lu, rev.h_d_ed) and same_bits(fwd.h_d_ed, rev.h_d_lu)
         assert same_bits(fwd.h_ris_lu, rev.h_ris_ed) and same_bits(fwd.h_ris_ed, rev.h_ris_lu)
         assert same_bits(fwd.g_ris, rev.g_ris)
@@ -411,79 +417,15 @@ class TestPanelLinkMemo:
             with pytest.raises(ValueError):
                 getattr(ch, name)[0] = 0.0
 
-    def test_byte_budget_evicts_least_recently_used(self):
-        params = ChannelParams(rng_seed=3)
-        freqs = GRIDS["prs"]
-        ris = small_panel(2, 3)
-        link_bytes = freqs.size * ris.num_elements * 16
-        memo = _PanelLinkMemo(max_bytes=2 * link_bytes)
-        a, b, c = (Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0))
-
-        def get(node):
-            return memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
-
-        link_a = get(a)
-        assert link_a.nbytes == link_bytes
-        get(b)
-        assert get(a) is link_a  # a is now the most recently used
-        get(c)  # over budget: b goes
-        info = memo.cache_info()
-        assert (info.hits, info.misses, info.links, info.nbytes) == (1, 3, 2, 2 * link_bytes)
-        assert get(a) is link_a and get(c) is get(c)
-        get(b)  # computed again, evicting a
-        assert memo.cache_info().misses == 4
-        assert get(a) is not link_a and same_bits(get(a), link_a)
-
-    def test_link_larger_than_budget_is_not_kept(self):
-        params = ChannelParams(rng_seed=3)
-        freqs = GRIDS["prs"]
-        ris = small_panel(2, 3)
-        memo = _PanelLinkMemo(max_bytes=freqs.size * ris.num_elements * 16 - 1)
-        node = Placement(0.0, 7.0)
-        h = memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
-        assert same_bits(h, _panel_link(node, params, freqs, ris, _LINK_RIS_NODE))
-        assert not h.flags.writeable
-        assert memo.cache_info().links == 0
-
-    def test_concurrent_lookups_keep_the_memo_consistent(self):
-        # More threads than cores hammer a memo that holds 3 of 5 links.
-        params = ChannelParams(rng_seed=9)
-        freqs = GRIDS["tone"]
-        ris = small_panel(2, 3)
-        nodes = [Placement(angle, 7.0) for angle in (0.0, 15.0, 30.0, 45.0, 60.0)]
-        fresh = [_panel_link(n, params, freqs, ris, _LINK_RIS_NODE) for n in nodes]
-        link_bytes = fresh[0].nbytes
-        memo = _PanelLinkMemo(max_bytes=3 * link_bytes)
-        mismatches, calls_per_thread = [], 200
-
-        def worker(offset):
-            for i in range(calls_per_thread):
-                j = (offset + i * (offset + 1)) % len(nodes)
-                node = nodes[j]
-                h = memo(_LINK_RIS_NODE, _placement_key(node), node, params, freqs.tobytes(), ris)
-                if not same_bits(h, fresh[j]):
-                    mismatches.append(j)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads)
-        info = memo.cache_info()
-        assert not mismatches
-        assert info.hits + info.misses == 8 * calls_per_thread
-        assert info.links == 3 and info.nbytes == 3 * link_bytes
-
-    def test_budget_holds_five_wideband_links(self):
-        # The reference comparison's transmitter and four receiver links on
-        # the 624-subcarrier grid of 52 resource blocks and a 32 x 32 panel.
-        assert PANEL_LINK_CACHE_BYTES == 5 * 624 * 1024 * 16
+    def test_failed_link_is_not_kept(self):
+        tx, grid = build_default_geometry()
+        table = LinkTable(tx, small_panel(), ChannelParams(), GRIDS["tone"])
+        at_tx = Placement(tx.azimuth_deg, tx.range_m)
+        for _ in range(2):  # the second call computes the link again and fails alike
+            with pytest.raises(ValueError, match="at the transmitter"):
+                table.channels(grid.placement(0.0), at_tx)
+        ch = table.channels(grid.placement(0.0), grid.placement(15.0))
+        assert ch.g_ris is table.channels(grid.placement(15.0), grid.placement(0.0)).g_ris
 
     def test_synthesized_panel_links_are_read_only(self):
         ch = default_links(seed=3)
@@ -521,10 +463,8 @@ class TestProbeLinks:
         if per_chunk is not None:
             monkeypatch.setattr(channel_module, "PROBE_CHUNK_BYTES", per_chunk * max(freqs.size, 6) * 16)
         angles = (-60.0, -0.0, 0.0, 45.0, 12.3)
-        before = _memo_panel_link.cache_info()
         g, chunks = probe_links(tx, angles, 6.0, panel, params, freqs)
         chunks = list(chunks)
-        assert _memo_panel_link.cache_info() == before
         sizes = [len(h_d) for h_d, *_ in chunks]
         assert sizes == {None: [5], 1: [1] * 5, 3: [3, 2]}[per_chunk]
         for h_d, amp, delay, steering in chunks:

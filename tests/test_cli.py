@@ -226,42 +226,47 @@ class TestCompare:
         assert checked == 8
 
     def test_one_evaluator_and_synthesis_per_pair(self, tmp_path, monkeypatch):
-        # Batch rows are counted as the channel sets the batches are built from.
+        # Batch rows are counted as the channel sets the batches are built
+        # from, channel sets as the link table's `channels` calls.
         built, synthesized = [], []
         init = EvaluatorBatch.__init__
-        synthesize = scenario_module.synthesize_channels
+        channels = channel_module.LinkTable.channels
 
         def counting_init(self, channel_sets, *args):
             built.extend(channel_sets)
             init(self, channel_sets, *args)
 
-        def counting_synthesize(*args):
-            synthesized.append(args)
-            return synthesize(*args)
+        def counting_channels(self, lu, ed):
+            synthesized.append((lu, ed))
+            return channels(self, lu, ed)
 
         monkeypatch.setattr(EvaluatorBatch, "__init__", counting_init)
-        monkeypatch.setattr(scenario_module, "synthesize_channels", counting_synthesize)
+        monkeypatch.setattr(channel_module.LinkTable, "channels", counting_channels)
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
-        # 9 pairs x 5 methods; the noise calibration synthesizes its pair
+        # 9 pairs x 5 methods; the noise calibration takes its channel set
         # but reads its powers without a batch.
         assert len(built) == 9
         assert len(synthesized) == 10
 
     def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
-        # Noise calibration builds the transmitter link and the receivers at
-        # 0 and 15 deg; the two workers then start on the same pair and both
-        # need the links at 30 and 45 deg.
-        calls = []
-        panel_link = channel_module._panel_link
+        # Noise calibration builds the receiver at 0 deg and the transmitter
+        # link; the links at 30 and 45 deg, which both workers' pairs need,
+        # are built once before the workers start.
+        calls, direct = [], []
+        panel_link, direct_link = channel_module._panel_link, channel_module._direct_link
 
         def slow_panel_link(node, params, f, elem, kind):
             calls.append((kind, node))
-            time.sleep(0.05)  # long enough for the other worker to miss too
+            time.sleep(0.05)  # long enough for another worker to build it too
             return panel_link(node, params, f, elem, kind)
 
+        def counting_direct_link(tx, node, *args):
+            direct.append(node)
+            return direct_link(tx, node, *args)
+
         monkeypatch.setattr(channel_module, "_panel_link", slow_panel_link)
-        channel_module._memo_panel_link.cache_clear()
+        monkeypatch.setattr(channel_module, "_direct_link", counting_direct_link)
         spec = ExperimentSpec(
             mode="compare_methods",
             out_dir=str(tmp_path),
@@ -269,8 +274,8 @@ class TestCompare:
             jobs=2,
         )
         run_compare(write_scenario(tmp_path / "scenario.json", tx_mode="prs", num_rb=2), spec)
-        assert len(calls) == len(set(calls)) == 5
-        assert channel_module._memo_panel_link.cache_info().misses == 5
+        assert len(calls) == len(set(calls)) == 4
+        assert [node.azimuth_deg for node in direct] == [0.0, 30.0, 45.0]
 
     def test_outputs_follow_umask(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -777,12 +782,14 @@ class TestSpecFieldProperty:
                 stderr = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                     with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
+                        warnings.simplefilter("ignore", UserWarning)
                         rc = main([command, "--scenario", str(scenario), "--spec", "spec.json", "--out", "out"])
             finally:
                 os.chdir(cwd)
         assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME)
         assert "Traceback" not in stderr.getvalue()
+        assert "Warning" not in stderr.getvalue()
+        assert len(stderr.getvalue().splitlines()) <= 1
 
 
 #: Values swapped into flag arguments: edge numbers, words that some other
@@ -871,17 +878,20 @@ class TestArgvProperty:
                 # A copy, because --attach rewrites it.
                 shutil.copy(codebook, "codebook.json")
                 stderr = io.StringIO()
+                usage = False  # argparse prints its usage before the error line
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                     with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
+                        warnings.simplefilter("ignore", UserWarning)
                         try:
                             rc = main(argv)
                         except SystemExit as exc:
-                            rc = exc.code
+                            rc, usage = exc.code, True
             finally:
                 os.chdir(cwd)
         assert rc in (EXIT_OK, EXIT_SPEC, EXIT_SCENARIO, EXIT_RUNTIME), argv
         assert "Traceback" not in stderr.getvalue()
+        assert "Warning" not in stderr.getvalue(), argv
+        assert usage or len(stderr.getvalue().splitlines()) <= 1, argv
 
 
 def one_pair_spec(path):
@@ -1010,10 +1020,12 @@ class TestScenarioFieldProperty:
             stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                    warnings.simplefilter("ignore", UserWarning)
                     rc = main(["compare", "--scenario", scenario, "--spec", str(spec), "--out", tmp])
         assert rc in (EXIT_OK, EXIT_SCENARIO, EXIT_RUNTIME)
         assert "Traceback" not in stderr.getvalue()
+        assert "Warning" not in stderr.getvalue(), swaps
+        assert len(stderr.getvalue().splitlines()) <= 1, swaps
 
 
 class TestCodebookCommands:
@@ -1275,7 +1287,6 @@ class TestFrequencySelectivity:
         monkeypatch.setattr(
             channel_module, "_panel_link", lambda *a: calls.append(a) or panel_link(*a)
         )
-        channel_module._memo_panel_link.cache_clear()
         run_frequency_selectivity(sc, ExperimentSpec(mode="frequency_selectivity", out_dir=str(tmp_path)))
         assert len(calls) == 10
 

@@ -17,7 +17,6 @@ from ris_pls.channel import (
     Placement,
     SectorGrid,
     _direct_link,
-    _memo_panel_link,
     _panel_link,
     _tx_beam,
 )
@@ -30,7 +29,6 @@ from ris_pls.codebook import (
     detect_side_lobes,
     generate_codebook,
     pair_batches,
-    pair_evaluators,
     scan_power_pattern,
     select_config,
     sweep_pairs,
@@ -142,6 +140,22 @@ class TestSweepBatches:
         assert sizes == [110] * 4
         assert set(cb.entries) == codebook_keys(cb, self.METHODS)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_generation_computes_each_direct_link_once(self, monkeypatch, jobs):
+        # The noise calibration's LU stands at a sector center, so 12 pairs
+        # under 2 methods need one direct link per sector.
+        sc = scenario_8x8(seed=3)
+        nodes = []
+        direct_link = channel._direct_link
+
+        def counting_direct_link(tx, node, *args):
+            nodes.append(node)
+            return direct_link(tx, node, *args)
+
+        monkeypatch.setattr(channel, "_direct_link", counting_direct_link)
+        generate_codebook(sc, methods=("alg1", "ed_min"), jobs=jobs)
+        assert sorted(node.azimuth_deg for node in nodes) == list(sc.sector_grid.sector_centers_deg)
+
     def test_jobs_split_the_pairs_into_batches(self):
         sc = Scenario()
         pairs = [(lu, ed) for lu in range(11) for ed in range(10)]
@@ -227,7 +241,8 @@ class TestLazyTraces:
         sc = scenario_8x8(seed=2)
         cb = generate_codebook(sc, methods=methods)
         assert set(cb.entries) == codebook_keys(cb, methods)
-        batch = pair_evaluators(sc, [(sc.placement(0.0), sc.placement(15.0))], sc.tx_signal())
+        channels = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
+        batch = EvaluatorBatch([channels], sc.element_model, sc.tx_signal())
         trace = optimize.greedy_sweep("alg1", batch, sc.ris)[0]
         with pytest.raises(AssertionError, match="TraceStep"):
             trace.steps
@@ -404,11 +419,20 @@ class TestPatternScan:
             assert power == pytest.approx(dense, rel=1e-11, abs=0)
 
     def test_scan_leaves_panel_link_memo_unchanged(self):
+        # Probe links are kept nowhere: a scan adds no link table to the
+        # scenario, and no placement or link to the tables it has.
         sc = replace(scenario_8x8(seed=6), tx_mode="prs", num_rb=2)
-        sc.channels_for(sc.placement(0.0), sc.placement(15.0))  # the memo holds links
-        before = _memo_panel_link.cache_info()
         scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 15.0])
-        assert _memo_panel_link.cache_info() == before
+        assert sc._link_tables == {}
+        before = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
+        tables = dict(sc._link_tables)
+        placements = {key: list(table._receivers) for key, table in tables.items()}
+        scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 15.0])
+        assert sc._link_tables == tables
+        assert {key: list(table._receivers) for key, table in tables.items()} == placements
+        after = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
+        for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
+            assert getattr(after, name) is getattr(before, name)
 
     def test_angles_validated(self):
         sc = los_scenario()

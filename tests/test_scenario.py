@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ris_pls.channel import ChannelParams, Placement
+from ris_pls.channel import ChannelParams, Placement, synthesize_channels
 from ris_pls.ofdm import MAX_NUM_RB
-from ris_pls.optimize import EvaluatorBatch
+from ris_pls.optimize import EvaluatorBatch, channel_powers
 from ris_pls.ris import RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import link_powers, to_db
@@ -72,6 +72,49 @@ class TestSignals:
         assert ch.num_elements == 16
 
 
+LINKS = ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris")
+
+
+class TestLinkTables:
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_pairs_share_the_links_of_a_placement(self, tx_mode):
+        sc = small_scenario(tx_mode=tx_mode, num_rb=2)
+        a, b, c = (sc.placement(angle) for angle in (0.0, 15.0, 30.0))
+        ab, ac, cb = sc.channels_for(a, b), sc.channels_for(a, c), sc.channels_for(c, b)
+        assert ab.h_d_lu is ac.h_d_lu and ab.h_ris_lu is ac.h_ris_lu
+        assert ab.h_d_ed is cb.h_d_ed and ab.h_ris_ed is cb.h_ris_ed
+        assert ac.h_d_ed is cb.h_d_lu and ac.h_ris_ed is cb.h_ris_lu
+        assert ab.g_ris is ac.g_ris is cb.g_ris
+        fresh = synthesize_channels(sc.tx, a, c, sc.ris, sc.channel, sc.tx_signal().freqs)
+        for name in LINKS:
+            assert not getattr(ac, name).flags.writeable
+            assert getattr(ac, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_grids_keep_links_of_their_own(self):
+        sc = small_scenario()
+        a, b = sc.placement(0.0), sc.placement(15.0)
+        tone = sc.channels_for(a, b)
+        wide = sc.channels_for(a, b, small_scenario(tx_mode="prs", num_rb=2).tx_signal().freqs)
+        assert wide.num_subcarriers == 12 and tone.num_subcarriers == 1
+        assert sc.channels_for(a, b).g_ris is tone.g_ris
+        assert sc.channels_for(a, b, wide.freqs).g_ris is wide.g_ris
+
+    def test_with_seed_gives_fresh_links(self):
+        sc = small_scenario()
+        a, b = sc.placement(0.0), sc.placement(30.0)
+        old = sc.channels_for(a, b)
+        other = sc.with_seed(7)
+        new = other.channels_for(a, b)
+        fresh = synthesize_channels(sc.tx, a, b, sc.ris, other.channel, sc.tx_signal().freqs)
+        for name in LINKS:
+            assert getattr(new, name) is not getattr(old, name)
+            assert getattr(new, name).tobytes() == getattr(fresh, name).tobytes()
+        assert not np.array_equal(new.h_ris_lu, old.h_ris_lu)
+        # The same seed again is a new scenario too, with links of its own.
+        again = sc.with_seed(sc.seed).channels_for(a, b)
+        assert again.g_ris is not old.g_ris and again.g_ris.tobytes() == old.g_ris.tobytes()
+
+
 class TestNoiseCalibration:
     def test_uniform_reference_snr_is_target(self):
         sc = small_scenario()
@@ -81,6 +124,29 @@ class TestNoiseCalibration:
         batch = EvaluatorBatch([ch], sc.element_model, sig)
         per_bin = link_powers(batch.powers(RisConfig.zeros(4, 4).bits)[0]).p_lu / sig.num_subcarriers
         assert to_db(per_bin / n0) == pytest.approx(10.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_calibration_reads_only_the_lu(self, monkeypatch, tx_mode):
+        # Receiver rows are worked out each on its own, so the LU row of a
+        # pair with itself is the LU row of a pair with any ED, bit for bit.
+        sc = small_scenario(tx_mode=tx_mode, num_rb=2)
+        sig, bits = sc.tx_signal(), RisConfig.zeros(4, 4).bits
+        lu, ed = Placement(0.0, 7.0), Placement(15.0, 7.0)
+        pairs = []
+        channels_for = sc.channels_for
+
+        def recording(lu, ed, freqs):
+            pairs.append((lu, ed))
+            return channels_for(lu, ed, freqs)
+
+        monkeypatch.setattr(sc, "channels_for", recording)
+        sc.noise_power()
+        assert pairs == [(lu, lu)]
+
+        def lu_row(ed):
+            return channel_powers(channels_for(lu, ed, sig.freqs), sc.element_model, sig, bits)[0]
+
+        assert lu_row(lu).tobytes() == lu_row(ed).tobytes()
 
     def test_explicit_n0_wins(self):
         sc = small_scenario(n0=1e-12)
