@@ -343,8 +343,9 @@ class LinkTable:
     placements a caller asks for, at one subcarrier grid.
 
     Each receiver placement's direct and panel links are computed on first
-    use, and the transmitter's panel link once; all are kept read-only and
-    shared by every channel set the table gives out, with no byte budget.
+    use, and the transmitter's panel link once; all are read-only and
+    shared by every channel set the table gives out. A receiver's links
+    are kept until `channel_sets` drops them, with no byte budget.
     Placements are keyed by their bits: `Placement` compares -0.0 equal to
     0.0, while a link's random stream tells them apart.
     """
@@ -376,6 +377,19 @@ class LinkTable:
         return ChannelSet(
             freqs=self.freqs, h_d_lu=h_d_lu, h_d_ed=h_d_ed, h_ris_lu=h_ris_lu, h_ris_ed=h_ris_ed, g_ris=self._g
         )
+
+    def channel_sets(self, pairs: list):
+        """The channel sets of the (lu, ed) `pairs`, in order, as `channels`
+        gives them. A placement's links are dropped from the table once the
+        last pair that needs them has its set, so the table keeps no link
+        that no pair still to come needs."""
+        last = {_placement_key(node): i for i, pair in enumerate(pairs) for node in pair}
+        for i, (lu, ed) in enumerate(pairs):
+            channels = self.channels(lu, ed)
+            for key in {_placement_key(lu), _placement_key(ed)}:
+                if last[key] == i:
+                    del self._receivers[key]
+            yield channels
 
 
 def synthesize_channels(

@@ -17,7 +17,9 @@ the serving power.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import itertools
 import json
 import math
 import warnings
@@ -83,16 +85,18 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int 
     subcarrier of `config`, row i of one `EvaluatorBatch.powers` call per
     method and batch; `trace` is None for the uniform method.
 
-    Each pair's channels are taken once from the scenario, on the
-    subcarriers of `tx`, in the calling thread before any fan-out, so each
-    placement's links are computed once; they serve all methods. The pairs
-    are swept in lockstep batches (`pair_batches`), and `jobs` workers take
-    batches and build their `EvaluatorBatch`es; the result does not depend
-    on how the pairs are batched or on the execution order. `keep` runs in
-    the worker, as each method's sweep of a batch ends: a batch holds one
-    method's traces at a time, and its `EvaluatorBatch` only until its
-    last method is kept. Workers run under the caller's `np.errstate`,
-    which threads do not inherit.
+    The pairs are swept in lockstep batches (`pair_batches`) on `jobs`
+    workers, at most `jobs` batches at a time; the result does not depend
+    on how the pairs are batched or on the execution order, and an error
+    is that of the first failing batch. Each batch's channel sets are
+    taken in the calling thread as the batch is handed out, from the
+    scenario's `LinkTable.channel_sets` on the subcarriers of `tx`, so each
+    placement's links are computed once and kept only while a pair still
+    to come needs them; they serve all methods. `keep` runs in the worker,
+    as each method's sweep of a batch ends: a batch holds one method's
+    traces at a time, and its `EvaluatorBatch` only until its last method
+    is kept. Workers run under the caller's `np.errstate`, which threads
+    do not inherit.
     """
     errors = np.geterr()
 
@@ -101,21 +105,31 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int 
         powers = evs.powers(np.array([config.bits for config in configs]))
         return [keep(pair, method, *cell) for pair, *cell in zip(pairs, configs, traces, powers)]
 
-    def sweep(batch) -> list:
-        pairs, channel_sets = zip(*batch)
+    def sweep(pairs, channel_sets) -> list:
         with np.errstate(**errors):
-            evs = EvaluatorBatch(list(channel_sets), scenario.element_model, tx)
+            evs = EvaluatorBatch(channel_sets, scenario.element_model, tx)
             cells = [kept(pairs, evs, method) for method in methods]
         return [cell for row in zip(*cells) for cell in row]
 
-    channel_sets = [scenario.channels_for(lu, ed, tx.freqs) for lu, ed in pairs]
-    batches = pair_batches(scenario, tx, list(zip(pairs, channel_sets)), jobs)
+    sets = scenario.link_table(tx.freqs).channel_sets(pairs)
+    batches = pair_batches(scenario, tx, pairs, jobs)
     if jobs <= 1:
-        results = map(sweep, batches)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(sweep, batches))
-    return [cell for cells in results for cell in cells]
+        return [cell for batch in batches for cell in sweep(batch, list(itertools.islice(sets, len(batch))))]
+    results, running = [], collections.deque()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        for batch in batches:
+            if len(running) == jobs:
+                results += running.popleft().result()
+            try:
+                channel_sets = list(itertools.islice(sets, len(batch)))
+            except Exception:
+                for future in running:  # an earlier batch's error comes first
+                    future.result()
+                raise
+            running.append(pool.submit(sweep, batch, channel_sets))
+        for future in running:
+            results += future.result()
+    return results
 
 
 @dataclass

@@ -16,14 +16,13 @@ from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
-    pair_powers,
     scan_power_pattern,
     select_config,
     sweep_pairs,
 )
 from .fields import check_types, is_number
 from .ofdm import MAX_NUM_RB, build_prs_grid, prs_signal, tone_signal
-from .optimize import METHODS, MeasurementNoise
+from .optimize import METHODS, MeasurementNoise, channel_powers
 from .ris import RisConfig
 from .secrecy import from_db, link_powers, sum_sse, to_db
 from .scenario import Scenario
@@ -344,7 +343,8 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
 
     Optimizes every placement pair with the tone waveform on `spec.jobs`
     workers, then re-evaluates each pair's configuration on the wideband
-    comb grid with the scenario's element model (`pair_powers`). Reports
+    comb grid with the scenario's element model, taking each placement's
+    wideband links once (`LinkTable.channel_sets`). Reports
     the LU-ED gap for both waveforms. A frequency-flat element model
     cannot show a gap collapse, which is flagged as a warning but still
     runs.
@@ -368,13 +368,14 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         wide = prs_signal(grid)
     places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in spec.pairs]
     def keep(pair, method, config, trace, p):
-        return (*pair, config, link_powers(p))
+        return config, link_powers(p)
 
     narrowband = sweep_pairs(scenario, tone, places, (spec.fs_method,), keep, jobs=spec.jobs)
+    wideband = scenario.link_table(wide.freqs).channel_sets(places)
     rows = []
     detail = []
-    for (lu_deg, ed_deg), (lu, ed, config, nb) in zip(spec.pairs, narrowband):
-        wb = link_powers(pair_powers(scenario, lu, ed, wide, config.bits))
+    for (lu_deg, ed_deg), (config, nb), channels in zip(spec.pairs, narrowband, wideband):
+        wb = link_powers(channel_powers(channels, scenario.element_model, wide, config.bits))
         nb_gap = nb.lu_db - nb.ed_db
         wb_gap = wb.lu_db - wb.ed_db
         rows.append(

@@ -85,11 +85,10 @@ class Scenario:
     def placement(self, angle_deg: float) -> Placement:
         return Placement(angle_deg, self.sector_grid.user_range_m)
 
-    def channels_for(self, lu: Placement, ed: Placement, freqs=None) -> ChannelSet:
-        """The channels to (lu, ed) at `freqs` (default: the subcarriers of
-        the transmit signal) from the scenario's `LinkTable` for that grid,
-        which computes a placement's links once. The tables follow the
-        fields as they were set: `replace` builds a scenario with its own."""
+    def link_table(self, freqs=None) -> LinkTable:
+        """The scenario's `LinkTable` for the grid `freqs` (default: the
+        subcarriers of the transmit signal). The tables follow the fields
+        as they were set: `replace` builds a scenario with its own."""
         if freqs is None:
             freqs = self.tx_signal().freqs
         f = np.asarray(freqs, dtype=float)
@@ -97,7 +96,12 @@ class Scenario:
         table = self._link_tables.get(key)
         if table is None:
             table = self._link_tables[key] = LinkTable(self.tx, self.ris, self.channel, f)
-        return table.channels(lu, ed)
+        return table
+
+    def channels_for(self, lu: Placement, ed: Placement, freqs=None) -> ChannelSet:
+        """The channels to (lu, ed) at `freqs` from `link_table(freqs)`,
+        which keeps both placements' links."""
+        return self.link_table(freqs).channels(lu, ed)
 
     def noise_power(self) -> float:
         """Configured n0, or one calibrated so the uniform-surface LU at the

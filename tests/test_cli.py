@@ -252,7 +252,7 @@ class TestCompare:
     def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
         # Noise calibration builds the receiver at 0 deg and the transmitter
         # link; the links at 30 and 45 deg, which both workers' pairs need,
-        # are built once before the workers start.
+        # are built once, in the calling thread as the batches are handed out.
         calls, direct = [], []
         panel_link, direct_link = channel_module._panel_link, channel_module._direct_link
 

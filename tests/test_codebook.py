@@ -156,6 +156,53 @@ class TestSweepBatches:
         generate_codebook(sc, methods=("alg1", "ed_min"), jobs=jobs)
         assert sorted(node.azimuth_deg for node in nodes) == list(sc.sector_grid.sector_centers_deg)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_channel_sets_are_taken_as_batches_are_handed_out(self, monkeypatch, jobs):
+        # One pair a batch over 12 distinct azimuths: when a set is taken,
+        # the sets alive are those of the at most jobs - 1 batches still
+        # running and the last set taken, and the table holds no link.
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
+        sc = scenario_8x8(seed=4)
+        angles = [-75.0 + 12.5 * i for i in range(12)]
+        pairs = [(sc.placement(lu), sc.placement(ed)) for lu, ed in zip(angles[::2], angles[1::2])]
+        refs, alive, held = [], [], []
+        channels = channel.LinkTable.channels
+
+        def tracking(self, lu, ed):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            held.append(len(self._receivers))
+            out = channels(self, lu, ed)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(channel.LinkTable, "channels", tracking)
+        cells = sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda pair, *cell: pair, jobs=jobs)
+        assert cells == pairs
+        assert len(alive) == 6 and max(alive) <= jobs
+        assert held == [0] * 6 and sc.link_table()._receivers == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failing_batch_raises_first(self, monkeypatch, jobs):
+        # The first batch's sweep fails, and so would the second's links.
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
+        sc = scenario_8x8(seed=4)
+        pairs = [(sc.placement(0.0), sc.placement(15.0)), (sc.placement(30.0), sc.placement(45.0))]
+        direct_link = channel._direct_link
+
+        def failing_sweep(*args):
+            raise RuntimeError("the first batch's sweep")
+
+        def failing_link(tx, node, *args):
+            if node.azimuth_deg == 30.0:
+                raise ValueError("the second batch's links")
+            return direct_link(tx, node, *args)
+
+        monkeypatch.setattr(codebook, "run_method", failing_sweep)
+        monkeypatch.setattr(channel, "_direct_link", failing_link)
+        with pytest.raises(RuntimeError, match="first batch"):
+            sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda *cell: cell, jobs=jobs)
+
     def test_jobs_split_the_pairs_into_batches(self):
         sc = Scenario()
         pairs = [(lu, ed) for lu in range(11) for ed in range(10)]

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ris_pls.channel import ChannelParams, Placement, synthesize_channels
+from ris_pls.channel import (
+    _LINK_RIS_NODE,
+    _LINK_TX_RIS,
+    ChannelParams,
+    Placement,
+    _direct_link,
+    _panel_link,
+    _placement_key,
+    _tx_beam,
+)
 from ris_pls.ofdm import MAX_NUM_RB
 from ris_pls.optimize import EvaluatorBatch, channel_powers
 from ris_pls.ris import RisArrayGeometry, RisConfig
@@ -75,6 +84,19 @@ class TestSignals:
 LINKS = ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris")
 
 
+def reference_links(sc, lu, ed) -> dict:
+    """The five links of (lu, ed) on the scenario's transmit grid, each from
+    its own link function."""
+    f, params = sc.tx_signal().freqs, sc.channel
+    return {
+        "h_d_lu": _direct_link(sc.tx, lu, params, f, _tx_beam(sc.tx)),
+        "h_d_ed": _direct_link(sc.tx, ed, params, f, _tx_beam(sc.tx)),
+        "h_ris_lu": _panel_link(lu, params, f, sc.ris, _LINK_RIS_NODE),
+        "h_ris_ed": _panel_link(ed, params, f, sc.ris, _LINK_RIS_NODE),
+        "g_ris": _panel_link(sc.tx, params, f, sc.ris, _LINK_TX_RIS),
+    }
+
+
 class TestLinkTables:
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
     def test_pairs_share_the_links_of_a_placement(self, tx_mode):
@@ -85,10 +107,9 @@ class TestLinkTables:
         assert ab.h_d_ed is cb.h_d_ed and ab.h_ris_ed is cb.h_ris_ed
         assert ac.h_d_ed is cb.h_d_lu and ac.h_ris_ed is cb.h_ris_lu
         assert ab.g_ris is ac.g_ris is cb.g_ris
-        fresh = synthesize_channels(sc.tx, a, c, sc.ris, sc.channel, sc.tx_signal().freqs)
-        for name in LINKS:
+        for name, link in reference_links(sc, a, c).items():
             assert not getattr(ac, name).flags.writeable
-            assert getattr(ac, name).tobytes() == getattr(fresh, name).tobytes()
+            assert getattr(ac, name).tobytes() == link.tobytes()
 
     def test_grids_keep_links_of_their_own(self):
         sc = small_scenario()
@@ -105,14 +126,35 @@ class TestLinkTables:
         old = sc.channels_for(a, b)
         other = sc.with_seed(7)
         new = other.channels_for(a, b)
-        fresh = synthesize_channels(sc.tx, a, b, sc.ris, other.channel, sc.tx_signal().freqs)
-        for name in LINKS:
+        for name, link in reference_links(other, a, b).items():
             assert getattr(new, name) is not getattr(old, name)
-            assert getattr(new, name).tobytes() == getattr(fresh, name).tobytes()
+            assert getattr(new, name).tobytes() == link.tobytes()
         assert not np.array_equal(new.h_ris_lu, old.h_ris_lu)
         # The same seed again is a new scenario too, with links of its own.
         again = sc.with_seed(sc.seed).channels_for(a, b)
         assert again.g_ris is not old.g_ris and again.g_ris.tobytes() == old.g_ris.tobytes()
+
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_channel_sets_drop_links_after_their_last_pair(self, tx_mode):
+        sc = small_scenario(tx_mode=tx_mode, num_rb=2)
+        a, b, c, d = (sc.placement(angle) for angle in (0.0, 15.0, 30.0, 45.0))
+        pairs = [(a, b), (c, a), (d, c)]
+        table = sc.link_table()
+        held = []
+        sets = []
+        for channels in table.channel_sets(pairs):
+            held.append(sorted(table._receivers))
+            sets.append(channels)
+        # After (a, b) only a is needed again, after (c, a) only c.
+        assert held == [[_placement_key(a)], [_placement_key(c)], []]
+        assert sets[1].h_ris_ed is sets[0].h_ris_lu and sets[2].h_ris_ed is sets[1].h_ris_lu
+        for (lu, ed), channels in zip(pairs, sets):
+            for name, link in reference_links(sc, lu, ed).items():
+                assert getattr(channels, name).tobytes() == link.tobytes()
+        # A link kept by `channels_for` is dropped after its last pair too.
+        sc.channels_for(a, b)
+        list(table.channel_sets([(a, c)]))
+        assert list(table._receivers) == [_placement_key(b)]
 
 
 class TestNoiseCalibration:
