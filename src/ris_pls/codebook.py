@@ -227,19 +227,20 @@ class Codebook:
             return cls.from_dict(json.load(fh))
 
 
-def generate_codebook(scenario, grid: SectorGrid | None = None, methods=("alg1",), jobs: int = 1) -> Codebook:
-    """Optimize every ordered sector pair with every method.
+def generate_codebook(scenario, methods=("alg1",), jobs: int = 1) -> Codebook:
+    """Optimize every ordered pair of the scenario's sectors with every
+    method, at the placements `select_config` re-scores.
 
     Produces |methods| * S * (S - 1) entries for S sectors, through
     `sweep_pairs` on `jobs` workers.
     """
     if not methods:
         raise ValueError("method list must not be empty")
-    grid = grid if grid is not None else scenario.sector_grid
+    grid = scenario.sector_grid
     if len(grid.sector_centers_deg) < 2:
         raise ValueError("codebook generation needs at least two sectors")
     n0 = scenario.noise_power()  # calibrated once, before any fan-out
-    places = [Placement(c, grid.user_range_m) for c in grid.sector_centers_deg]
+    places = [scenario.placement(c) for c in grid.sector_centers_deg]
     pairs = [(lu, ed) for lu in places for ed in places if lu != ed]
 
     def entry(pair, method, config, trace, powers) -> CodebookEntry:

@@ -7,8 +7,7 @@ received-power ratio between the intended receiver and the eavesdropper
 splits the panel down the middle: the left columns and left half-rows
 greedily raise the intended receiver's power while the right ones greedily
 lower the eavesdropper's, with separate "last accepted" registers for the
-two objectives. Both run a fixed number of passes by default; an optional
-fixed-point mode repeats passes until none of the moves is accepted.
+two objectives. Both run `PASSES` passes from the all-zeros configuration.
 
 Both searches, and the single-user baselines, are one sweep engine driven
 by the `METHODS` table: each method is a list of moves (which elements to
@@ -42,6 +41,9 @@ OBJECTIVES = {
     "lu_power_max": ("lu_power", "max"),
     "ed_power_min": ("ed_power", "min"),
 }
+
+#: Greedy passes over the moves of every sweep.
+PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,11 @@ class PassSummary:
 
 class SweepLog:
     """What one lockstep `_sweep` scored, as it scored it: `entries` holds
-    one (move number in `moves`, pass, rows still sweeping, before, after,
-    accepted) per scored move, the last three with one value per row of
-    the batch (Python floats and bools). A move's kind, index, half and
-    objective come from `moves`. A row that stops never resumes, so each
-    row's entries are a prefix of the log. Trace steps and their dicts are
-    built from it only when read."""
+    one (move number in `moves`, pass, before, after, accepted) per scored
+    move, the last three with one value per row of the batch (Python
+    floats and bools). A move's kind, index, half and objective come from
+    `moves`. Trace steps and their dicts are built from it only when
+    read."""
 
     def __init__(self, moves: list):
         self.moves = moves
@@ -147,12 +148,7 @@ class SweepLog:
 
     def _row(self, i: int):
         """Row i's scored moves, as (label, pass, before, after, accepted)."""
-        seen = None  # the last rows list row i was found in
-        for j, iteration, rows, before, after, accepted in self.entries:
-            if rows is not seen:
-                if i not in rows:
-                    return
-                seen = rows
+        for j, iteration, before, after, accepted in self.entries:
             yield self._labels[j], iteration, before[i], after[i], accepted[i]
 
     def steps(self, i: int) -> list:
@@ -167,7 +163,7 @@ class SweepLog:
         return [_step_dict(*label, *rest) for label, *rest in self._row(i)]
 
     def passes(self, i: int) -> list:
-        """Row i's `PassSummary`s, one per pass it ran."""
+        """Row i's `PassSummary`s, one per pass."""
         out, registers = [], {}
         for iteration, group in itertools.groupby(self._row(i), key=operator.itemgetter(1)):
             count = 0
@@ -180,9 +176,9 @@ class SweepLog:
 
 @dataclass(eq=False)
 class OptimizerTrace:
-    """One row of a lockstep greedy sweep. Its steps, per-pass summaries
-    and initial configuration are built on first read, from the sweep's
-    log and the batch's one start vector."""
+    """One row of a lockstep greedy sweep, which starts from all zeros.
+    Its steps and per-pass summaries are built on first read, from the
+    sweep's log."""
 
     method: str
     objective_kind: str
@@ -190,11 +186,10 @@ class OptimizerTrace:
     final_objective: float
     log: SweepLog = field(repr=False)
     row: int
-    start: np.ndarray = field(repr=False)  # the batch's (M,) start bits, shared by its rows
 
-    @functools.cached_property
+    @property
     def initial_config(self) -> RisConfig:
-        return RisConfig(self.start.copy(), self.final_config.n_v, self.final_config.n_h)
+        return RisConfig.zeros(self.final_config.n_v, self.final_config.n_h)
 
     @functools.cached_property
     def steps(self) -> list:
@@ -318,20 +313,19 @@ class EvaluatorBatch:
         """(N, 2, K) noiseless LU and ED power per subcarrier of `bits`."""
         return np.abs(received_signal(self.hd, self.phi, self.w_sum, self.sums(bits), self.x)) ** 2
 
-    def values(self, objective: str, sums: np.ndarray, reads=None, rows=None) -> np.ndarray:
+    def values(self, objective: str, sums: np.ndarray, reads=None) -> np.ndarray:
         """(N,) values of the `OBJECTIVES` key `objective` from (N, 2, K)
         `sums`, by `_objective`; a batch of one takes every row. `reads`
         holds one noisy reader (`MeasurementNoise.reader`) per row, which
-        then reads the rows in `rows` (all by default) in order. A zero ED
-        power scores a ratio of inf, or nan over a zero LU power, without
-        numpy's warnings."""
+        then reads every row in order. A zero ED power scores a ratio of
+        inf, or nan over a zero LU power, without numpy's warnings."""
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         name = OBJECTIVES[objective][0]
         rs = _RECEIVERS[name]
         with np.errstate(divide="ignore", invalid="ignore"):
             y = received_signal(self.hd[:, rs], self.phi, self.w_sum[:, rs], sums[:, rs], self.x)
-            return _objective(name, y, reads, range(len(y)) if rows is None else rows)
+            return _objective(name, y, reads)
 
 
 #: The receivers (0: LU, 1: ED) whose power an objective reads, as an index
@@ -339,21 +333,20 @@ class EvaluatorBatch:
 _RECEIVERS = {"ratio": slice(0, 2), "lu_power": 0, "ed_power": 1}
 
 
-def _objective(name, y, reads=None, rows=()):
+def _objective(name, y, reads=None):
     """Objective `name` of N candidates as an (N,) array, from their
     received signals at the `_RECEIVERS` of `name`: (N, 2, K) for a ratio,
     (N, K) for one receiver's power: the one scoring rule, which
     `EvaluatorBatch.values` applies.
 
-    `reads` holds one noisy reading function per candidate; then only the
-    candidates in `rows` are read, each ED before LU, and the others score
-    nan, which no comparison accepts.
+    `reads` holds one noisy reading function per candidate; then every
+    candidate is read, in order, each ED before LU.
     """
     if reads is None:
         p = (np.abs(y) ** 2).sum(axis=-1)
     else:
-        p = np.full(y.shape[:-1], np.nan)
-        for i in rows:
+        p = np.empty(y.shape[:-1])
+        for i in range(len(y)):
             if name == "ratio":
                 p_ed = reads[i](y[i, 1])
                 p[i] = reads[i](y[i, 0]), p_ed
@@ -369,14 +362,6 @@ _IMPROVES = {"max": operator.gt, "min": operator.lt}
 def _better(candidate: float, incumbent: float, direction: str) -> bool:
     # Ties are rejections: the sweeps only keep strict improvements.
     return _IMPROVES[direction](candidate, incumbent)
-
-
-def _initial_config(geometry: RisArrayGeometry, init: RisConfig | None) -> RisConfig:
-    if init is None:
-        return RisConfig.zeros(geometry.n_v, geometry.n_h)
-    if (init.n_v, init.n_h) != (geometry.n_v, geometry.n_h):
-        raise ValueError("initial configuration does not match the panel geometry")
-    return init.copy()
 
 
 def _full_surface_moves(objective: str):
@@ -427,15 +412,11 @@ METHODS = {
 }
 
 
-def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, fixpoint: bool = False, reads=None):
-    """Up to `passes` greedy passes over `moves`, run in lockstep on the N
-    rows of `batch`. Sweep i starts from `start`, an (M,) bit vector shared
-    by every row or row i of an (N, M) matrix. With `fixpoint`, a row
-    whose pass accepts nothing stops: it takes no further steps or readings
-    while the other rows go on. (Its state no longer changes, so its exact
-    scores reject every move again; unread noisy scores are nan, which
-    rejects them too.) `reads` holds one noisy power reading per row
-    (`MeasurementNoise.reader`), or is None for exact powers.
+def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, reads=None):
+    """`passes` greedy passes over `moves`, run in lockstep on the N rows
+    of `batch`, every row from the (M,) bit vector `start`. `reads` holds
+    one noisy power reading per row (`MeasurementNoise.reader`), or is
+    None for exact powers.
 
     Each objective keeps one "last accepted" register per row, seeded by
     `EvaluatorBatch.values` from the starting bits in the order the
@@ -443,9 +424,9 @@ def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, f
     from one product over the batch's cascade stack
     (`EvaluatorBatch.sums`). A move's candidate sums are one product, the
     change its elements make, added to the running sums, and every row
-    still sweeping scores them by one `values` call. A row keeps the move only on strict improvement of its register;
-    then its candidate sums become its running sums and its elements flip.
-    A rejected move changes nothing.
+    scores them by one `values` call. A row keeps the move only on strict
+    improvement of its register; then its candidate sums become its
+    running sums and its elements flip. A rejected move changes nothing.
 
     The running sums are never recomputed, so a register is always the
     value of the running sums it was accepted with: a move that changes no
@@ -454,32 +435,23 @@ def _sweep(batch: EvaluatorBatch, start: np.ndarray, moves: list, passes: int, f
     n-term sum, so the drift is bounded by the number of accepted moves.
     Returns (registers as lists of N floats, the `SweepLog` of every
     scored move, the (N, M) end bits)."""
-    n = len(batch)
     w = batch.cascades
-    bits = np.empty((n, start.shape[-1]), dtype=start.dtype)
-    bits[:] = start
+    bits = np.tile(start, (len(batch), 1))
     sums = batch.sums(start)
-    rows = list(range(n))  # the rows still sweeping; replaced, never changed in place
     log = SweepLog(moves)
     best = {obj: batch.values(obj, sums, reads).tolist() for obj in dict.fromkeys(m[3] for m in moves)}
     for iteration in range(1, passes + 1):
-        kept = [False] * n  # rows that accepted a move in this pass
         for j, (_, _, _, objective, elements) in enumerate(moves):
             delta = np.matmul(_FLIP_SIGN[bits[:, None, elements]], w[:, elements])
             candidate = sums + delta.reshape(sums.shape)
-            before, after = best[objective], batch.values(objective, candidate, reads, rows).tolist()
+            before, after = best[objective], batch.values(objective, candidate, reads).tolist()
             flags = list(map(_IMPROVES[OBJECTIVES[objective][1]], after, before))
-            log.entries.append((j, iteration, rows, before, after, flags))
+            log.entries.append((j, iteration, before, after, flags))
             if True in flags:
                 best[objective] = [a if f else b for a, b, f in zip(after, before, flags)]
                 accepted = np.array(flags)
                 np.copyto(sums, candidate, where=accepted[:, None, None])
                 bits[:, elements] ^= accepted[:, None]
-                kept = list(map(operator.or_, kept, flags))
-        if fixpoint:
-            rows = [i for i in rows if kept[i]]
-            if not rows:
-                break
     return best, log, bits
 
 
@@ -497,20 +469,15 @@ def greedy_sweep(
     method: str,
     batch: EvaluatorBatch,
     geometry: RisArrayGeometry,
-    init: RisConfig | None = None,
-    iters: int = 2,
     noise: MeasurementNoise | None = None,
-    run_to_fixpoint: bool = False,
 ) -> TraceBatch:
     """Run the greedy method named in `METHODS` on the channel set of each
-    row of `batch`, all in one lockstep `_sweep`, from the same start;
-    returns one trace per row.
+    row of `batch`, all in one lockstep `_sweep` of `PASSES` passes from
+    all zeros; returns one trace per row.
 
-    `iters` passes by default; `run_to_fixpoint` instead repeats passes
-    (at most 64) until one accepts nothing. The final objective is a fresh
-    evaluation of the end configuration, every row's in one
-    `EvaluatorBatch.values` call, so it equals what `exhaustive_oracle`
-    computes for it. A noisy sweep instead reports the
+    The final objective is a fresh evaluation of the end configuration,
+    every row's in one `EvaluatorBatch.values` call, so it equals what
+    `exhaustive_oracle` computes for it. A noisy sweep instead reports the
     last accepted reading of the method objective, when a move is judged
     by it; alg2's ratio is always read afresh. Each noisy sweep draws from
     its own generator seeded from `noise.seed`, so its readings do not
@@ -519,14 +486,13 @@ def greedy_sweep(
     objective_kind, build_moves = METHODS[method]
     moves = build_moves(geometry.n_v, geometry.n_h)
     reads = None if noise is None or noise.n0 == 0 else [noise.reader() for _ in range(len(batch))]
-    initial = _initial_config(geometry, init)
-    best, log, bits = _sweep(batch, initial.bits, moves, 64 if run_to_fixpoint else iters, run_to_fixpoint, reads)
+    best, log, bits = _sweep(batch, np.zeros(geometry.num_elements, dtype=np.uint8), moves, PASSES, reads)
     if reads is not None and objective_kind in best:
         final_objectives = best[objective_kind]
     else:
         final_objectives = batch.values(objective_kind, batch.sums(bits), reads).tolist()
     return TraceBatch(
-        OptimizerTrace(method, objective_kind, RisConfig(b, geometry.n_v, geometry.n_h), value, log, i, initial.bits)
+        OptimizerTrace(method, objective_kind, RisConfig(b, geometry.n_v, geometry.n_h), value, log, i)
         for i, (b, value) in enumerate(zip(bits, final_objectives))
     )
 
@@ -537,14 +503,11 @@ def sweep_pair(
     element_model: ElementModel,
     tx: TxSignal,
     geometry: RisArrayGeometry,
-    init: RisConfig | None = None,
-    iters: int = 2,
     noise: MeasurementNoise | None = None,
-    run_to_fixpoint: bool = False,
 ) -> OptimizerTrace:
     """The `greedy_sweep` of one channel set: the trace of a batch of one."""
     batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep(method, batch, geometry, init, iters, noise, run_to_fixpoint)[0]
+    return greedy_sweep(method, batch, geometry, noise)[0]
 
 
 algorithm1 = functools.partial(sweep_pair, "alg1")

@@ -164,12 +164,12 @@ def smallest_margin(run) -> float:
     decision came to going the other way, relative to the larger side.
 
     For a `SweepLog`, |after - before| / max(|after|, |before|) over every
-    move scored for a row still sweeping. For a codebook query, `run` is
+    move scored for every row. For a codebook query, `run` is
     the list of the candidates' guarantees, and the margin is that of the
     best guarantee against the runner-up.
     """
     if isinstance(run, SweepLog):
-        sides = ((b[i], a[i]) for _, _, rows, b, a, _ in run.entries for i in rows)
+        sides = (side for _, _, b, a, _ in run.entries for side in zip(b, a))
     else:
         best, runner_up = sorted(run, reverse=True)[:2]
         sides = [(best, runner_up)]

@@ -720,7 +720,7 @@ class TestJobsSplitBatches:
 #: work (huge counts); tiny scan steps must be rejected by the spec's
 #: angle-count limit.
 SPEC_VALUES = (
-    None, True, False, 0, -1, 1, 3, 0.5, -0.0, 15.0, 1e308, -1e308, 1e-300, 1e-9,
+    None, True, False, 0, -1, 1, 3, 0.5, -0.0, 15.0, 1e308, -1e308, 1e-300, 1e-9, 5e-324, -5e-324,
     float("nan"), float("inf"), "", ".", "x", "unknown", "alg1", "uniform", "0" * 16,
     [], [1], [0.0, 15.0], [[0.0, 15.0]], [[0.0, 0.0]], [[0.0, "x"]], [30, 15, "alg1"],
     [30, 15, ["alg1"]], {}, {"known": 15.0}, {"known": "x"}, {"excluded": 5},
@@ -795,7 +795,7 @@ class TestSpecFieldProperty:
 #: Values swapped into flag arguments: edge numbers, words that some other
 #: flag accepts, and none that reads as a flag.
 ARGV_VALUES = (
-    "", ".", "x", "0", "-1", "1", "2", "4", "15", "1.5", "-0.0", "1e308", "-1e308", "nan", "inf",
+    "", ".", "x", "0", "-1", "1", "2", "4", "15", "1.5", "-0.0", "1e308", "-1e308", "5e-324", "nan", "inf",
     "-inf", "unknown", "excluded:15,30", "excluded:", "excluded:x", "alg1", "uniform", "0" * 16,
     "01" * 8, "missing.json", "codebook.json",
 )
@@ -983,7 +983,7 @@ class TestFloatingPointFailures:
 #: values that are valid for some other leaf. No integer exceeds 16, so no
 #: swap asks for a large panel, many paths or a wide grid.
 SCENARIO_VALUES = (
-    None, True, False, 0, -1, 1, 2, 16, 0.5, -0.0, 15.0, 1e3, -1e3, 3.55e9, 1e308, -1e308,
+    None, True, False, 0, -1, 1, 2, 16, 0.5, -0.0, 15.0, 1e3, -1e3, 3.55e9, 1e308, -1e308, 5e-324, -5e-324,
     float("nan"), float("inf"), float("-inf"), "", "x", "tone", "prs", "lorentzian",
     "linear_dispersion", "normal", [], [1], [0.0, 3.0], [0.0, 15.0, 30.0], {},
 )

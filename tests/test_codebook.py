@@ -103,9 +103,9 @@ class TestGeneration:
             generate_codebook(scenario_8x8(), methods=())
 
     def test_single_sector_grid_rejected(self):
-        sc = scenario_8x8()
-        with pytest.raises(ValueError):
-            generate_codebook(sc, grid=SectorGrid(sector_centers_deg=(0.0,)), methods=("alg1",))
+        sc = replace(scenario_8x8(), sector_grid=SectorGrid(sector_centers_deg=(0.0,)))
+        with pytest.raises(ValueError, match="at least two sectors"):
+            generate_codebook(sc, methods=("alg1",))
 
     def test_colocated_entry_rejected(self):
         cfg = RisConfig.zeros(2, 2)

@@ -51,15 +51,14 @@ def run_step(work, step, first, out):
 
 def test_smallest_margin():
     log = SweepLog([])
-    log.entries.append((0, 1, [0, 1], [1.0, 2.0], [1.5, 2.0 * (1 + 1e-6)], [True, True]))
-    # Row 0 has stopped: its tie is not a decision.
-    log.entries.append((1, 2, [1], [1.0, 3.0], [1.0, 1.0], [False, False]))
+    log.entries.append((0, 1, [1.0, 2.0], [1.5, 2.0 * (1 + 1e-6)], [True, True]))
+    log.entries.append((1, 2, [1.0, 3.0], [0.5, 1.0], [False, False]))
     assert smallest_margin(log) == pytest.approx(1e-6, rel=1e-5)
     assert smallest_margin([0.5, -1.5, 0.4]) == pytest.approx(0.2)
 
 
 def decisions(logs) -> int:
-    return sum(len(rows) for log in logs for _, _, rows, *_ in log.entries)
+    return sum(len(before) for log in logs for _, _, before, *_ in log.entries)
 
 
 @pytest.fixture(scope="module")

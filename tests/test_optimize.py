@@ -39,6 +39,10 @@ from ris_pls.scenario import Scenario
 
 MODEL = ElementModel()
 
+#: Every sweep runs two passes (`optimize.PASSES`); the references below
+#: take the count as an argument.
+TWO_PASSES = pytest.mark.parametrize("passes", [2], ids=["iters2"])
+
 
 class TestAlgorithm1:
     def test_immediate_local_optimum(self):
@@ -74,12 +78,6 @@ class TestAlgorithm1:
         channels, sig = model_instance(0, 2, 2)
         trace = algorithm1(channels, MODEL, sig, panel(2, 2))
         assert trace.initial_config == RisConfig.zeros(2, 2)
-
-    def test_explicit_init_respected(self):
-        channels, sig = model_instance(0, 2, 2)
-        init = RisConfig.from_bitstring("1100", 2, 2)
-        trace = algorithm1(channels, MODEL, sig, panel(2, 2), init=init)
-        assert trace.initial_config == init
 
     def test_determinism(self):
         channels, sig = model_instance(5, 3, 4)
@@ -129,11 +127,12 @@ class TestSlowPathParity:
     its last bits; the registers and the final objective are exact."""
 
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @pytest.mark.parametrize("kwargs", [{"iters": 2}, {"run_to_fixpoint": True}], ids=["iters2", "fixpoint"])
+    @TWO_PASSES
     @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
-    def test_steps_match_fresh_scores(self, method, kwargs, waveform):
+    def test_steps_match_fresh_scores(self, method, passes, waveform):
         channels, sig = model_instance(4, 4, 6, waveform=waveform)
-        trace = method(channels, MODEL, sig, panel(4, 6), **kwargs)
+        trace = method(channels, MODEL, sig, panel(4, 6))
+        assert {s.iteration for s in trace.steps} == set(range(1, passes + 1))
         ev = EvaluatorBatch([channels], MODEL, sig)
         key = {name: objective for objective, (name, _) in OBJECTIVES.items()}
 
@@ -156,14 +155,13 @@ class TestSlowPathParity:
         assert trace.final_objective == score(ev, trace.objective_kind, cfg.bits)
 
 
-def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False, read=None):
+def full_recompute_sweep(ev, bits, moves, passes, read=None):
     """The sweep with every candidate scored by a full evaluation of the
     flipped bit vector on the batch of one `ev`: the slow reference for
     `_sweep`'s running sums."""
     best = {obj: score(ev, obj, bits, read) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
-        accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
             bits[elements] ^= 1
@@ -174,15 +172,12 @@ def full_recompute_sweep(ev, bits, moves, passes, fixpoint=False, read=None):
             ))
             if accepted:
                 best[objective] = value
-                accepted_in_pass += 1
             else:
                 bits[elements] ^= 1
-        if fixpoint and accepted_in_pass == 0:
-            break
     return best, steps
 
 
-def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise=None, rel=1e-12):
+def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, noise=None, rel=1e-12):
     """Run both sweeps from all zeros on one batch of one, each with its own
     noise reader (so noisy ones draw the same readings), and compare every
     decision and value."""
@@ -197,10 +192,10 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, fixpoint, noise
     slow_bits = np.zeros(n_v * n_h, dtype=np.uint8)
     fast_reads = None if noise is None else [noise.reader()]
     batch = EvaluatorBatch([channels], MODEL, sig)
-    fast_best, log, (fast_bits,) = _sweep(batch, slow_bits.copy(), moves, passes, fixpoint, fast_reads)
+    fast_best, log, (fast_bits,) = _sweep(batch, slow_bits.copy(), moves, passes, fast_reads)
     fast = log.steps(0)
     fast_best = {k: float(v[0]) for k, v in fast_best.items()}
-    slow_best, slow = full_recompute_sweep(batch, slow_bits, moves, passes, fixpoint, read())
+    slow_best, slow = full_recompute_sweep(batch, slow_bits, moves, passes, read())
     assert len(fast) == len(slow)
     for f, s in zip(fast, slow):
         assert (f.kind, f.index, f.half, f.iteration, f.accepted) == (
@@ -235,14 +230,14 @@ class TestRunningSumParity:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @pytest.mark.parametrize("passes, fixpoint", [(2, False), (64, True)], ids=["iters2", "fixpoint"])
+    @TWO_PASSES
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_decisions_match_full_recompute(self, method, passes, fixpoint, waveform, noisy):
+    def test_decisions_match_full_recompute(self, method, passes, waveform, noisy):
         accepted = 0
         for seed in range(3):
             channels, sig = model_instance(seed, 4, 6, waveform=waveform)
             noise = MeasurementNoise(n0=1e-9, averages=2, seed=seed) if noisy else None
-            steps = assert_sweep_parity(channels, sig, method, 4, 6, passes, fixpoint, noise)
+            steps = assert_sweep_parity(channels, sig, method, 4, 6, passes, noise)
             accepted += sum(s.accepted for s in steps)
         assert accepted
 
@@ -255,11 +250,11 @@ class TestRunningSumParity:
         # The optimized ED powers here sit 55-72 dB below the power their
         # terms give in phase, so reordered sums move values by up to 2e-12
         # relative; two layouts of the full product alone differ by 9e-13.
-        assert_sweep_parity(channels, sig, "alg1", 32, 32, 2, False, rel=1e-11)
+        assert_sweep_parity(channels, sig, "alg1", 32, 32, 2, rel=1e-11)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
-    @pytest.mark.parametrize("passes, fixpoint", [(2, False), (64, True)], ids=["iters2", "fixpoint"])
-    def test_zero_cascade_moves_tie_exactly(self, method, passes, fixpoint):
+    @TWO_PASSES
+    def test_zero_cascade_moves_tie_exactly(self, method, passes):
         # Column 1 and row 2 have zero cascades: flipping them changes no
         # sum. With one objective the register is always the value of the
         # running sums, so such a move ties it exactly and is rejected in
@@ -270,7 +265,7 @@ class TestRunningSumParity:
             for waveform in ("tone", "prs"):
                 channels, sig = model_instance(seed, 4, 6, waveform=waveform)
                 tied = zero_cascades(channels, np.r_[1:24:6, 12:18])
-                steps = assert_sweep_parity(tied, sig, method, 4, 6, passes, fixpoint)
+                steps = assert_sweep_parity(tied, sig, method, 4, 6, passes)
                 zero_moves = [s for s in steps if (s.kind, s.index) in ZERO_MOVES]
                 assert zero_moves
                 if method != "alg2":
@@ -290,7 +285,7 @@ class TestRunningSumParity:
     @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
     def test_final_objective_is_a_fresh_evaluation(self, method):
         channels, sig = model_instance(1, 4, 6, waveform="prs")
-        trace = method(channels, MODEL, sig, panel(4, 6), run_to_fixpoint=True)
+        trace = method(channels, MODEL, sig, panel(4, 6))
         ev = EvaluatorBatch([channels], MODEL, sig)
         assert trace.final_objective == score(ev, trace.objective_kind, trace.final_config.bits)
 
@@ -301,7 +296,7 @@ class TestRunningSumParity:
         assert trace.final_objective == [s for s in trace.steps if s.accepted][-1].objective_after
 
 
-def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
+def per_sweep_reference(ev, bits, moves, passes, read=None):
     """The greedy sweep of one batch of one, as it ran before sweeps ran
     in lockstep batches, each move's change one vector-matrix product: the
     reference for `_sweep`. Returns (registers, trace steps) and flips
@@ -315,7 +310,6 @@ def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
     best = {obj: value(obj, sums) for obj in dict.fromkeys(m[3] for m in moves)}
     steps = []
     for iteration in range(1, passes + 1):
-        accepted_in_pass = 0
         for kind, index, half, objective, elements in moves:
             name, direction = OBJECTIVES[objective]
             candidate = sums + (_FLIP_SIGN[bits[elements]] @ ev.cascades[0, elements]).reshape(sums.shape)
@@ -328,20 +322,17 @@ def per_sweep_reference(ev, bits, moves, passes, fixpoint=False, read=None):
                 best[objective] = after
                 sums = candidate
                 bits[elements] ^= 1
-                accepted_in_pass += 1
-        if fixpoint and accepted_in_pass == 0:
-            break
     return best, steps
 
 
-def reference_trace(method, ev, geometry, noise=None, fixpoint=False) -> dict:
-    """`greedy_sweep`'s two-pass or fixpoint trace of one batch of one from
-    all zeros, by `per_sweep_reference`, as a dict."""
+def reference_trace(method, ev, geometry, noise=None, passes=2) -> dict:
+    """`greedy_sweep`'s trace of one batch of one from all zeros, by
+    `per_sweep_reference` over `passes` passes, as a dict."""
     objective_kind, build_moves = METHODS[method]
     read = None if noise is None else noise.reader()
     bits = np.zeros(geometry.num_elements, dtype=np.uint8)
     best, steps = per_sweep_reference(
-        ev, bits, build_moves(geometry.n_v, geometry.n_h), 64 if fixpoint else 2, fixpoint, read
+        ev, bits, build_moves(geometry.n_v, geometry.n_h), passes, read
     )
     if objective_kind in best and read is not None:
         final_objective = best[objective_kind]
@@ -384,18 +375,18 @@ class TestLockstepParity:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @TWO_PASSES
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_rows_match_per_sweep_reference(self, method, fixpoint, waveform, noisy):
+    def test_rows_match_per_sweep_reference(self, method, passes, waveform, noisy):
         geometry = panel(4, 6)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         for n in (1, 3, 7):
             channels, sig = batch_instances(n, waveform)
             batch = EvaluatorBatch(channels, MODEL, sig)
-            traces = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            traces = greedy_sweep(method, batch, geometry, noise=noise)
             assert isinstance(traces, TraceBatch) and len(traces) == n
             for ev, trace in zip(lone_evaluators(channels, sig), traces, strict=True):
-                ref = reference_trace(method, ev, geometry, noise, fixpoint)
+                ref = reference_trace(method, ev, geometry, noise, passes)
                 got = trace.to_dict()
                 assert len(got["steps"]) == len(ref["steps"])
                 for g, r in zip(got["steps"], ref["steps"]):
@@ -408,22 +399,9 @@ class TestLockstepParity:
                 assert got["final_objective"] == ref["final_objective"]
             assert traces.steps == [step for trace in traces for step in trace.steps]
 
-    def test_fixpoint_rows_stop_at_their_own_pass(self):
-        channels, sig = batch_instances(7, "prs")
-        traces = greedy_sweep("alg1", EvaluatorBatch(channels, MODEL, sig), panel(4, 6), run_to_fixpoint=True)
-        last_pass = [trace.steps[-1].iteration for trace in traces]
-        assert len(set(last_pass)) > 1
-        for trace in traces:
-            # The last pass of each row accepts nothing; every earlier one does.
-            by_pass = {}
-            for step in trace.steps:
-                by_pass[step.iteration] = by_pass.get(step.iteration, False) or step.accepted
-            assert [by_pass[i] for i in sorted(by_pass)] == [True] * (len(by_pass) - 1) + [False]
-
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_noisy_rows_read_as_often_as_alone(self, method):
-        # Each row reads from its own generator, ED before LU; a fixpoint
-        # row that stopped takes no further readings.
+        # Each row reads from its own generator, ED before LU.
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3)
         channels, sig = batch_instances(7, "tone")
         moves = METHODS[method][1](4, 6)
@@ -439,35 +417,31 @@ class TestLockstepParity:
 
         batch_log, alone_log = [[] for _ in channels], [[] for _ in channels]
         batch = EvaluatorBatch(channels, MODEL, sig)
-        _, log, _ = _sweep(batch, np.zeros(24, dtype=np.uint8), moves, 64, True, [counted(i, batch_log) for i in range(7)])
+        _sweep(batch, np.zeros(24, dtype=np.uint8), moves, 2, [counted(i, batch_log) for i in range(7)])
         for i, ev in enumerate(lone_evaluators(channels, sig)):
-            per_sweep_reference(ev, np.zeros(24, dtype=np.uint8), moves, 64, True, counted(i, alone_log))
+            per_sweep_reference(ev, np.zeros(24, dtype=np.uint8), moves, 2, counted(i, alone_log))
         assert batch_log == alone_log
-        assert len({len(log.steps(i)) for i in range(7)}) > 1  # the rows stopped at different passes
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_lazy_views_match_per_sweep_reference(self, method, noisy):
-        # Fixpoint rows that stop at different passes: every row's dicts,
-        # accepted steps and replay come from its own part of the log.
+        # Every row's dicts, accepted steps and replay come from its own
+        # part of the shared log.
         geometry = panel(4, 6)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         channels, sig = batch_instances(7, "prs")
-        traces = greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), geometry, noise=noise, run_to_fixpoint=True)
+        traces = greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), geometry, noise=noise)
         moves = METHODS[method][1](4, 6)
-        last_pass = set()
         for ev, trace in zip(lone_evaluators(channels, sig), traces, strict=True):
             got = trace.to_dict()
-            ref = reference_trace(method, ev, geometry, noise, True)
+            ref = reference_trace(method, ev, geometry, noise)
             assert {k: got[k] for k in ref} == ref
             assert all(type(v) in (str, int, float, bool) for step in got["steps"] for v in step.values())
             assert got["initial_config"] == "0" * 24
             bits = np.zeros(24, dtype=np.uint8)
-            _, steps = per_sweep_reference(ev, bits, moves, 64, True, None if noise is None else noise.reader())
+            _, steps = per_sweep_reference(ev, bits, moves, 2, None if noise is None else noise.reader())
             assert [s for s in trace.steps if s.accepted] == [s for s in steps if s.accepted]
             assert replay(trace) == RisConfig(bits, 4, 6) == trace.final_config
-            last_pass.add(steps[-1].iteration)
-        assert len(last_pass) > 1
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -489,9 +463,9 @@ class TestEvaluatorBatch:
     one."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @TWO_PASSES
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_shared_stack_matches_separate_evaluators(self, method, fixpoint, noisy):
+    def test_shared_stack_matches_separate_evaluators(self, method, passes, noisy):
         geometry = panel(4, 6)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         for n in (1, 3, 7):
@@ -507,10 +481,11 @@ class TestEvaluatorBatch:
                 for name in ("cascades", "hd", "w_sum"):
                     assert same_bits(getattr(batch, name)[i], getattr(alone, name)[0])
                 assert same_bits(batch.x, alone.x) and same_bits(batch.phi, alone.phi)
-            got = greedy_sweep(method, batch, geometry, noise=noise, run_to_fixpoint=fixpoint)
+            got = greedy_sweep(method, batch, geometry, noise=noise)
+            assert all(len(g.passes) == passes for g in got)
             for g, ch in zip(got, channels, strict=True):
                 alone = EvaluatorBatch([ch], MODEL, sig)
-                (r,) = greedy_sweep(method, alone, geometry, noise=noise, run_to_fixpoint=fixpoint)
+                (r,) = greedy_sweep(method, alone, geometry, noise=noise)
                 assert g.to_dict() == r.to_dict()
                 assert g.steps == r.steps
                 assert np.array_equal(g.final_config.bits, r.final_config.bits)
@@ -596,7 +571,7 @@ class TestEvaluatorBatch:
         for n in (1, 7):
             channels, sig = batch_instances(n, waveform)
             batch = EvaluatorBatch(channels, MODEL, sig)
-            traces = greedy_sweep(method, batch, panel(4, 6), noise=noise, run_to_fixpoint=True)
+            traces = greedy_sweep(method, batch, panel(4, 6), noise=noise)
             bits = np.array([trace.final_config.bits for trace in traces])
             sums, powers = batch.sums(bits), batch.powers(bits)
             values = {objective: batch.values(objective, sums) for objective in OBJECTIVES}
@@ -611,15 +586,16 @@ class TestEvaluatorBatch:
 
 class TestPassSummaries:
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @pytest.mark.parametrize("fixpoint", [False, True], ids=["iters2", "fixpoint"])
+    @TWO_PASSES
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_passes_summarize_the_steps(self, method, fixpoint, waveform):
+    def test_passes_summarize_the_steps(self, method, passes, waveform):
         channels, sig = batch_instances(7, waveform)
-        for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(4, 6), run_to_fixpoint=fixpoint):
-            passes = trace.passes
-            assert [p.iteration for p in passes] == sorted({s.iteration for s in trace.steps})
-            assert sum(p.accepted for p in passes) == sum(s.accepted for s in trace.steps)
-            for p in passes:
+        for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(4, 6)):
+            summaries = trace.passes
+            assert [p.iteration for p in summaries] == sorted({s.iteration for s in trace.steps})
+            assert len(summaries) == passes
+            assert sum(p.accepted for p in summaries) == sum(s.accepted for s in trace.steps)
+            for p in summaries:
                 upto = [s for s in trace.steps if s.iteration <= p.iteration]
                 assert p.accepted == sum(s.accepted for s in upto if s.iteration == p.iteration)
                 assert p.registers.keys() == {s.objective for s in upto}
@@ -627,8 +603,6 @@ class TestPassSummaries:
                     accepted = [s for s in upto if s.objective == name and s.accepted]
                     initial = next(s for s in upto if s.objective == name).objective_before
                     assert value == (accepted[-1].objective_after if accepted else initial)
-            if fixpoint:
-                assert passes[-1].accepted == 0
 
 
 class TestAlgorithm2:
@@ -964,10 +938,3 @@ class TestMeasurementNoise:
         with pytest.raises(ValueError):
             MeasurementNoise(n0=1.0, averages=0)
 
-
-class TestFixpointMode:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_fixpoint_terminates_locally_optimal(self, seed):
-        channels, sig = model_instance(seed, 3, 4)
-        trace = algorithm1(channels, MODEL, sig, panel(3, 4), run_to_fixpoint=True)
-        assert single_flip_improvements(channels, MODEL, sig, trace.final_config, "ratio") == []
