@@ -19,6 +19,7 @@ from ris_pls.optimize import (
     _FLIP_SIGN,
     METHODS,
     OBJECTIVES,
+    PASSES,
     EvaluatorBatch,
     MeasurementNoise,
     TraceBatch,
@@ -39,9 +40,25 @@ from ris_pls.scenario import Scenario
 
 MODEL = ElementModel()
 
-#: Every sweep runs two passes (`optimize.PASSES`); the references below
-#: take the count as an argument.
-TWO_PASSES = pytest.mark.parametrize("passes", [2], ids=["iters2"])
+#: The sweeps the `_sweep` parity tests run: every command's `PASSES`
+#: passes from all zeros (id "iters2"), and three passes from a random
+#: start, the kind of sweep the local-optimality audit
+#: (`helpers.single_flip_improvements`) runs from an end state.
+SWEEPS = pytest.mark.parametrize(
+    "passes, start_seed", [(PASSES, None), (3, 7)], ids=["iters2", "iters3-random-start"]
+)
+
+#: The panels the greedy-sweep parity tests run on: the 4x6 panel (id
+#: "iters2", the name its ids have always had) and a 5x4 one, with an odd
+#: row count and a two-column alg2 split.
+PANELS = pytest.mark.parametrize("n_v, n_h", [(4, 6), (5, 4)], ids=["iters2", "iters2-5x4"])
+
+
+def start_bits(m, seed=None) -> np.ndarray:
+    """All zeros, or `m` random bits drawn from `seed`."""
+    if seed is None:
+        return np.zeros(m, dtype=np.uint8)
+    return np.random.default_rng(seed).integers(0, 2, size=m, dtype=np.uint8)
 
 
 class TestAlgorithm1:
@@ -127,12 +144,12 @@ class TestSlowPathParity:
     its last bits; the registers and the final objective are exact."""
 
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @TWO_PASSES
+    @PANELS
     @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
-    def test_steps_match_fresh_scores(self, method, passes, waveform):
-        channels, sig = model_instance(4, 4, 6, waveform=waveform)
-        trace = method(channels, MODEL, sig, panel(4, 6))
-        assert {s.iteration for s in trace.steps} == set(range(1, passes + 1))
+    def test_steps_match_fresh_scores(self, method, n_v, n_h, waveform):
+        channels, sig = model_instance(4, n_v, n_h, waveform=waveform)
+        trace = method(channels, MODEL, sig, panel(n_v, n_h))
+        assert {s.iteration for s in trace.steps} == set(range(1, PASSES + 1))
         ev = EvaluatorBatch([channels], MODEL, sig)
         key = {name: objective for objective, (name, _) in OBJECTIVES.items()}
 
@@ -142,7 +159,7 @@ class TestSlowPathParity:
         cfg = trace.initial_config
         registers = {name: fresh(name, cfg.bits) for name in {s.objective for s in trace.steps}}
         for step in trace.steps:
-            candidate = RisConfig(flip(cfg.bits, 6, step.kind, step.index, step.half), 4, 6)
+            candidate = RisConfig(flip(cfg.bits, n_h, step.kind, step.index, step.half), n_v, n_h)
             assert step.objective_before == registers[step.objective]
             assert step.objective_after == pytest.approx(
                 fresh(step.objective, candidate.bits), rel=1e-12, abs=0
@@ -177,10 +194,10 @@ def full_recompute_sweep(ev, bits, moves, passes, read=None):
     return best, steps
 
 
-def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, noise=None, rel=1e-12):
-    """Run both sweeps from all zeros on one batch of one, each with its own
-    noise reader (so noisy ones draw the same readings), and compare every
-    decision and value."""
+def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, noise=None, rel=1e-12, start_seed=None):
+    """Run both sweeps from `start_bits(n_v * n_h, start_seed)` on one batch
+    of one, each with its own noise reader (so noisy ones draw the same
+    readings), and compare every decision and value."""
 
     def close(a, b):
         return a == b or a == pytest.approx(b, rel=rel, abs=0)
@@ -189,7 +206,7 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, noise=None, rel
         return None if noise is None else noise.reader()
 
     moves = METHODS[method][1](n_v, n_h)
-    slow_bits = np.zeros(n_v * n_h, dtype=np.uint8)
+    slow_bits = start_bits(n_v * n_h, start_seed)
     fast_reads = None if noise is None else [noise.reader()]
     batch = EvaluatorBatch([channels], MODEL, sig)
     fast_best, log, (fast_bits,) = _sweep(batch, slow_bits.copy(), moves, passes, fast_reads)
@@ -214,6 +231,11 @@ def assert_sweep_parity(channels, sig, method, n_v, n_h, passes, noise=None, rel
 ZERO_MOVES = (("column", 1), ("row", 2), ("half_row", 2))
 
 
+def zero_elements(n_v, n_h) -> np.ndarray:
+    """The elements of column 1 and row 2 of a row-major n_v x n_h panel."""
+    return np.r_[1 : n_v * n_h : n_h, 2 * n_h : 3 * n_h]
+
+
 def zero_cascades(channels, elements):
     """The channel set with the cascades of `elements` zeroed for both receivers."""
     h_ris_lu, h_ris_ed = channels.h_ris_lu.copy(), channels.h_ris_ed.copy()
@@ -230,14 +252,14 @@ class TestRunningSumParity:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @TWO_PASSES
+    @SWEEPS
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_decisions_match_full_recompute(self, method, passes, waveform, noisy):
+    def test_decisions_match_full_recompute(self, method, passes, start_seed, waveform, noisy):
         accepted = 0
         for seed in range(3):
             channels, sig = model_instance(seed, 4, 6, waveform=waveform)
             noise = MeasurementNoise(n0=1e-9, averages=2, seed=seed) if noisy else None
-            steps = assert_sweep_parity(channels, sig, method, 4, 6, passes, noise)
+            steps = assert_sweep_parity(channels, sig, method, 4, 6, passes, noise, start_seed=start_seed)
             accepted += sum(s.accepted for s in steps)
         assert accepted
 
@@ -253,8 +275,8 @@ class TestRunningSumParity:
         assert_sweep_parity(channels, sig, "alg1", 32, 32, 2, rel=1e-11)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
-    @TWO_PASSES
-    def test_zero_cascade_moves_tie_exactly(self, method, passes):
+    @SWEEPS
+    def test_zero_cascade_moves_tie_exactly(self, method, passes, start_seed):
         # Column 1 and row 2 have zero cascades: flipping them changes no
         # sum. With one objective the register is always the value of the
         # running sums, so such a move ties it exactly and is rejected in
@@ -264,8 +286,8 @@ class TestRunningSumParity:
         for seed in range(12):
             for waveform in ("tone", "prs"):
                 channels, sig = model_instance(seed, 4, 6, waveform=waveform)
-                tied = zero_cascades(channels, np.r_[1:24:6, 12:18])
-                steps = assert_sweep_parity(tied, sig, method, 4, 6, passes)
+                tied = zero_cascades(channels, zero_elements(4, 6))
+                steps = assert_sweep_parity(tied, sig, method, 4, 6, passes, start_seed=start_seed)
                 zero_moves = [s for s in steps if (s.kind, s.index) in ZERO_MOVES]
                 assert zero_moves
                 if method != "alg2":
@@ -281,6 +303,22 @@ class TestRunningSumParity:
         assert first.accepted and (second.kind, second.index) == ("column", 1)
         assert not second.accepted
         assert second.objective_after == second.objective_before == first.objective_after
+
+    def test_sweep_starts_from_given_bits(self):
+        # The audit sweeps from an end state: the register is seeded from
+        # the start bits, and the accepted moves flip those bits.
+        channels, sig = model_instance(0, 2, 2)
+        start = RisConfig.from_bitstring("1100", 2, 2).bits
+        batch = EvaluatorBatch([channels], MODEL, sig)
+        best, log, (bits,) = _sweep(batch, start, METHODS["alg1"][1](2, 2), 1)
+        steps = log.steps(0)
+        assert steps[0].objective_before == score(batch, "ratio", start)
+        cfg = start
+        for step in steps:
+            if step.accepted:
+                cfg = flip(cfg, 2, step.kind, step.index, step.half)
+        assert np.array_equal(cfg, bits)
+        assert best["ratio"] == [max([steps[0].objective_before] + [s.objective_after for s in steps if s.accepted])]
 
     @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
     def test_final_objective_is_a_fresh_evaluation(self, method):
@@ -325,7 +363,7 @@ def per_sweep_reference(ev, bits, moves, passes, read=None):
     return best, steps
 
 
-def reference_trace(method, ev, geometry, noise=None, passes=2) -> dict:
+def reference_trace(method, ev, geometry, noise=None, passes=PASSES) -> dict:
     """`greedy_sweep`'s trace of one batch of one from all zeros, by
     `per_sweep_reference` over `passes` passes, as a dict."""
     objective_kind, build_moves = METHODS[method]
@@ -345,21 +383,17 @@ def reference_trace(method, ev, geometry, noise=None, passes=2) -> dict:
     }
 
 
-#: The elements of column 1 and row 2 of a 4x6 panel, which
-#: `batch_instances` zeroes in every third channel set.
-ZERO_ELEMENTS = np.r_[1:24:6, 12:18]
-
-
-def batch_instances(n, waveform, first_seed=0):
-    """n placement pairs' 4x6-panel channel sets, from seeds `first_seed`
-    on, on the transmit signal of the first seed. Every third set has
-    zero cascades on `ZERO_ELEMENTS`, so its column-1 and row-2 moves tie."""
-    sig = model_instance(first_seed, 4, 6, waveform=waveform)[1]
+def batch_instances(n, waveform, first_seed=0, n_v=4, n_h=6):
+    """n placement pairs' channel sets on an n_v x n_h panel, from seeds
+    `first_seed` on, on the transmit signal of the first seed. Every third
+    set has zero cascades on `zero_elements`, so its column-1 and row-2
+    moves tie."""
+    sig = model_instance(first_seed, n_v, n_h, waveform=waveform)[1]
     channels = []
     for seed in range(first_seed, first_seed + n):
-        ch = model_instance(seed, 4, 6, waveform=waveform)[0]
+        ch = model_instance(seed, n_v, n_h, waveform=waveform)[0]
         assert np.array_equal(ch.freqs, sig.freqs)
-        channels.append(zero_cascades(ch, ZERO_ELEMENTS) if seed % 3 == 2 else ch)
+        channels.append(zero_cascades(ch, zero_elements(n_v, n_h)) if seed % 3 == 2 else ch)
     return channels, sig
 
 
@@ -375,18 +409,18 @@ class TestLockstepParity:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @TWO_PASSES
+    @PANELS
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_rows_match_per_sweep_reference(self, method, passes, waveform, noisy):
-        geometry = panel(4, 6)
+    def test_rows_match_per_sweep_reference(self, method, n_v, n_h, waveform, noisy):
+        geometry = panel(n_v, n_h)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         for n in (1, 3, 7):
-            channels, sig = batch_instances(n, waveform)
+            channels, sig = batch_instances(n, waveform, n_v=n_v, n_h=n_h)
             batch = EvaluatorBatch(channels, MODEL, sig)
             traces = greedy_sweep(method, batch, geometry, noise=noise)
             assert isinstance(traces, TraceBatch) and len(traces) == n
             for ev, trace in zip(lone_evaluators(channels, sig), traces, strict=True):
-                ref = reference_trace(method, ev, geometry, noise, passes)
+                ref = reference_trace(method, ev, geometry, noise)
                 got = trace.to_dict()
                 assert len(got["steps"]) == len(ref["steps"])
                 for g, r in zip(got["steps"], ref["steps"]):
@@ -463,17 +497,17 @@ class TestEvaluatorBatch:
     one."""
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
-    @TWO_PASSES
+    @PANELS
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_shared_stack_matches_separate_evaluators(self, method, passes, noisy):
-        geometry = panel(4, 6)
+    def test_shared_stack_matches_separate_evaluators(self, method, n_v, n_h, noisy):
+        geometry = panel(n_v, n_h)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=3) if noisy else None
         for n in (1, 3, 7):
-            channels, sig = batch_instances(n, "prs")
+            channels, sig = batch_instances(n, "prs", n_v=n_v, n_h=n_h)
             batch = EvaluatorBatch(channels, MODEL, sig)
             k = sig.num_subcarriers
             assert len(batch) == n
-            assert batch.cascades.shape == (n, 24, 2 * k) and batch.hd.shape == batch.w_sum.shape == (n, 2, k)
+            assert batch.cascades.shape == (n, n_v * n_h, 2 * k) and batch.hd.shape == batch.w_sum.shape == (n, 2, k)
             assert all(stack.flags.c_contiguous for stack in (batch.cascades, batch.hd, batch.w_sum))
             assert batch.phi.shape == (k, 2) and batch.phi.flags.f_contiguous
             assert batch.x is sig.symbols
@@ -482,7 +516,7 @@ class TestEvaluatorBatch:
                     assert same_bits(getattr(batch, name)[i], getattr(alone, name)[0])
                 assert same_bits(batch.x, alone.x) and same_bits(batch.phi, alone.phi)
             got = greedy_sweep(method, batch, geometry, noise=noise)
-            assert all(len(g.passes) == passes for g in got)
+            assert all(len(g.passes) == PASSES for g in got)
             for g, ch in zip(got, channels, strict=True):
                 alone = EvaluatorBatch([ch], MODEL, sig)
                 (r,) = greedy_sweep(method, alone, geometry, noise=noise)
@@ -584,16 +618,49 @@ class TestEvaluatorBatch:
                     assert trace.final_objective == float(values[trace.objective_kind][i])
 
 
+class TestResumedSweep:
+    """A sweep from an end state, as the local-optimality audit runs one,
+    goes on as the sweep that reached it would. For the one-objective
+    methods a register always holds the value of the current bits, so one
+    pass from the end bits of k passes decides as pass k + 1 does. (Not
+    alg2: an ED move leaves its LU register as it was, so a fresh start
+    reseeds that register with another value.)"""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pass_from_end_bits_is_the_next_pass(self, seed):
+        channels, sig = model_instance(seed, 4, 6, waveform="prs")
+        batch = EvaluatorBatch([channels], MODEL, sig)
+        start = start_bits(24, seed)
+        accepted = 0
+        for method in ("alg1", "lu_max", "ed_min"):
+            moves = METHODS[method][1](4, 6)
+            for done in range(1, PASSES + 1):
+                _, longer, (longer_bits,) = _sweep(batch, start, moves, done + 1)
+                _, _, (end_bits,) = _sweep(batch, start, moves, done)
+                _, resumed, (resumed_bits,) = _sweep(batch, end_bits, moves, 1)
+                next_pass = [s for s in longer.steps(0) if s.iteration == done + 1]
+                resumed = resumed.steps(0)
+                assert [(s.kind, s.index, s.accepted) for s in resumed] == [
+                    (s.kind, s.index, s.accepted) for s in next_pass
+                ]
+                for r, n in zip(resumed, next_pass):
+                    assert r.objective_before == pytest.approx(n.objective_before, rel=1e-12, abs=0)
+                    assert r.objective_after == pytest.approx(n.objective_after, rel=1e-12, abs=0)
+                assert np.array_equal(resumed_bits, longer_bits)
+                accepted += sum(s.accepted for s in resumed)
+        assert accepted
+
+
 class TestPassSummaries:
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
-    @TWO_PASSES
+    @PANELS
     @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_passes_summarize_the_steps(self, method, passes, waveform):
-        channels, sig = batch_instances(7, waveform)
-        for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(4, 6)):
+    def test_passes_summarize_the_steps(self, method, n_v, n_h, waveform):
+        channels, sig = batch_instances(7, waveform, n_v=n_v, n_h=n_h)
+        for trace in greedy_sweep(method, EvaluatorBatch(channels, MODEL, sig), panel(n_v, n_h)):
             summaries = trace.passes
             assert [p.iteration for p in summaries] == sorted({s.iteration for s in trace.steps})
-            assert len(summaries) == passes
+            assert len(summaries) == PASSES
             assert sum(p.accepted for p in summaries) == sum(s.accepted for s in trace.steps)
             for p in summaries:
                 upto = [s for s in trace.steps if s.iteration <= p.iteration]
@@ -924,6 +991,15 @@ class TestBlockOracleParity:
 
 
 class TestMeasurementNoise:
+    def test_zero_noise_reads_exact_powers(self):
+        channels, sig = batch_instances(3, "prs")
+        batch = EvaluatorBatch(channels, MODEL, sig)
+        silent = MeasurementNoise(n0=0.0, averages=3, seed=1)
+        for method in sorted(METHODS):
+            exact = greedy_sweep(method, batch, panel(4, 6))
+            zero = greedy_sweep(method, batch, panel(4, 6), noise=silent)
+            assert [t.to_dict() for t in zero] == [t.to_dict() for t in exact]
+
     def test_noisy_mode_changes_decisions_deterministically(self):
         channels, sig = model_instance(7, 3, 4)
         noise = MeasurementNoise(n0=1e-9, averages=2, seed=11)
