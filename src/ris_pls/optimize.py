@@ -516,10 +516,31 @@ lu_max = functools.partial(sweep_pair, "lu_max")
 ed_min = functools.partial(sweep_pair, "ed_min")
 
 
-#: Block values this close (relative) to a block's best are re-scored one
-#: configuration at a time. It must exceed the block-versus-single rounding
-#: gap, which is about 1e-15 relative.
-_RESCORE_REL_TOL = 1e-9
+def _subset_sums(w: np.ndarray) -> np.ndarray:
+    """(2, K, 2^n) subset sums of the (n, 2, K) cascades `w` by doubling, element 0 the top bit."""
+    s = np.zeros((*w.shape[1:], 1), dtype=complex)
+    for w_e in w[::-1]:
+        s = np.concatenate([s, s + w_e[..., None]], axis=-1)
+    return s
+
+
+def _candidate_signals(batch: EvaluatorBatch, m: int):
+    """Yields (first candidate, (2, K, B) signals of the next B candidates in
+    lexicographic order, (2, K, 1) bound E) for all 2^M candidates of a batch
+    of one. Candidate h * 2^L + l sums s_hi[h] + s_lo[l], the subset sums of
+    its first ceil(M/2) elements and the other L: a block (2^13 signals, or
+    one h) is an outer sum."""
+    w = batch.cascades[0].reshape(m, 2, -1)
+    high, k = (m + 1) // 2, w.shape[-1]
+    s_hi, s_lo = _subset_sums(w[:high]), _subset_sums(w[high:])
+    hd, w_sum, x = batch.hd[0], batch.w_sum[0], batch.x
+    t = (np.abs(hd) + np.abs(batch.phi).sum(axis=1) * np.abs(w).sum(axis=0)) * np.abs(x)
+    e = (8 * np.finfo(float).eps / 2 * (m + k + 8) * t)[..., None]
+    step = max(1, (1 << 13) // (2 * k) >> (m - high))
+    for h in range(0, 1 << high, step):
+        on = (s_hi[..., h : h + step, None] + s_lo[..., None, :]).reshape(2, k, -1)
+        y = received_signal(hd[..., None], batch.phi[:, :, None], w_sum[..., None], on, x[:, None])
+        yield h << (m - high), y, e
 
 
 def exhaustive_oracle(
@@ -535,13 +556,19 @@ def exhaustive_oracle(
     values only, so ties resolve to the smallest bit-string. Guarded to
     M <= 20.
 
-    The channel set is a batch of one. Each block of 4096 candidates is
-    scored by one product with its cascades and one `values` call. The
-    block's non-finite values, and those within `_RESCORE_REL_TOL` of its
-    best finite value, are then scored again one at a time, as
-    `greedy_sweep` scores its end bits, in ascending order against the
-    running best. The winner of a one-at-a-time scan of every candidate is
-    among them, so it is the result.
+    The channel set is a batch of one. `_candidate_signals` gives every
+    candidate's signals y, which differ from the scalar path's (`values` of
+    `sums`) by at most E = 8 u (M + K + 8) T per receiver and subcarrier,
+    with u the unit roundoff and T = (|h_d| + (|phi0| + |phi1|) sum_m |w_m|)
+    * |x| bounding every term of both: each path's panel sum is off by at
+    most (M - 1) u sum_m |w_m|, each later operation by a few u T, and K
+    and the factor 8 cover the power sums, taken in other orders. So the
+    scalar value lies within the objective of sum max(|y| - E, 0)^2 and of
+    sum (|y| + E)^2 (a nan bound admits anything). In ascending order, a
+    candidate gets its bits and the scalar path only if its upper bound
+    beats the running best and reaches its block's best lower bound; any
+    other is no better than an earlier candidate or worse than one of its
+    block, so not the first best of a one-at-a-time scan.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -549,30 +576,23 @@ def exhaustive_oracle(
     if m > 20:
         raise ValueError("exhaustive enumeration is limited to M <= 20 elements")
     batch = EvaluatorBatch([channels], element_model, tx)
-    direction = OBJECTIVES[objective][1]
+    name, direction = OBJECTIVES[objective]
     sign = 1.0 if direction == "max" else -1.0
-    best_bits = None
-    best_value = -math.inf if direction == "max" else math.inf
-    # Element 0 is the most significant bit so ascending integers enumerate
-    # bit-strings lexicographically.
-    shifts = np.arange(m - 1, -1, -1, dtype=np.uint64)
-    block = 4096
-    for start in range(0, 1 << m, block):
-        stop = min(start + block, 1 << m)
-        ints = np.arange(start, stop, dtype=np.uint64)
-        bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        sums = (bits @ batch.cascades[0]).reshape(len(bits), 2, -1)
-        scores = sign * batch.values(objective, sums)  # higher is better
-        finite = np.isfinite(scores)
-        rescore = ~finite
-        if finite.any():
-            top = scores[finite].max()
-            rescore |= scores >= top - _RESCORE_REL_TOL * abs(top)
-        for row in np.flatnonzero(rescore):
-            value = batch.values(objective, batch.sums(bits[row]))[0]
-            if _better(value, best_value, direction):
-                best_value = value
-                best_bits = bits[row].copy()
+    best_bits, best_value = None, -sign * math.inf
+    for first, y, e in _candidate_signals(batch, m):
+        a, r = np.abs(y), _RECEIVERS[name]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo, hi = (np.maximum(a - e, 0.0) ** 2).sum(axis=1), ((a + e) ** 2).sum(axis=1)
+            lo, hi = (lo[0] / hi[1], hi[0] / lo[1]) if name == "ratio" else (lo[r], hi[r])
+        lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)  # bounds of higher-is-better scores
+        lo[np.isnan(lo)], hi[np.isnan(hi)] = -math.inf, math.inf
+        rows = np.flatnonzero((hi > sign * best_value) & (hi >= lo.max()))
+        for row, bound in zip(rows.tolist(), hi[rows].tolist()):
+            if bound > sign * best_value:
+                bits = (((first + row) >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+                value = batch.values(objective, batch.sums(bits))[0]
+                if _better(value, best_value, direction):
+                    best_value, best_bits = value, bits
     if best_bits is None:
         raise ValueError(f"no configuration has a comparable {objective} value")
     return RisConfig(best_bits, geometry.n_v, geometry.n_h), float(best_value)

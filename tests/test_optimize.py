@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CARRIER,
     flip,
     handmade_channels,
     model_instance,
@@ -25,6 +26,7 @@ from ris_pls.optimize import (
     TraceBatch,
     TraceStep,
     _better,
+    _candidate_signals,
     _sweep,
     algorithm1,
     algorithm2,
@@ -35,6 +37,7 @@ from ris_pls.optimize import (
     received_signal,
     reflection_coefficients,
 )
+from ris_pls.ofdm import TxSignal
 from ris_pls.ris import ElementModel, RisConfig
 from ris_pls.scenario import Scenario
 
@@ -930,6 +933,15 @@ def assert_oracle_parity(channels, sig, geom):
         assert fast[1] == slow[1], objective
 
 
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """One entry per `EvaluatorBatch.sums` call: the oracle's scalar re-scores."""
+    calls = []
+    sums = EvaluatorBatch.sums
+    monkeypatch.setattr(EvaluatorBatch, "sums", lambda ev, bits: calls.append(1) or sums(ev, bits))
+    return calls
+
+
 class TestBlockOracleParity:
     @pytest.mark.parametrize(
         "n_v, n_h, waveform, seeds",
@@ -979,6 +991,58 @@ class TestBlockOracleParity:
         with pytest.raises(ValueError, match="no configuration has a comparable"):
             exhaustive_oracle(ch, MODEL, single_tone_tx(), "ratio", panel(1, 2))
 
+    @pytest.mark.parametrize("waveform, n_v, n_h", [("tone", 2, 3), ("prs", 3, 3)])
+    def test_ill_conditioned_ed_minimum(self, waveform, n_v, n_h):
+        # The ED direct link cancels the panel's ED term at one configuration
+        # to 1e-6 of its amplitude, so the ED minimum lies 120 dB below the
+        # in-phase power, where rounding is largest against the value.
+        channels, sig = model_instance(5, n_v, n_h, waveform=waveform)
+        ev = EvaluatorBatch([channels], MODEL, sig)
+        target = np.random.default_rng(5).integers(0, 2, size=n_v * n_h, dtype=np.uint8)
+        on = ev.sums(target)[0, 1]
+        panel_term = ev.phi[:, 0] * (ev.w_sum[0, 1] - on) + ev.phi[:, 1] * on
+        cancelled = ChannelSet(
+            channels.freqs, channels.h_d_lu, -panel_term * (1 + 1e-6), channels.h_ris_lu,
+            channels.h_ris_ed, channels.g_ris,
+        )
+        assert_oracle_parity(cancelled, sig, panel(n_v, n_h))
+        cfg, value = exhaustive_oracle(cancelled, MODEL, sig, "ed_power_min", panel(n_v, n_h))
+        np.testing.assert_array_equal(cfg.bits, target)
+        in_phase = np.abs(cancelled.h_d_ed) + np.abs(channels.h_ris_ed * channels.g_ris).sum(axis=1)
+        assert value <= 1e-10 * ((in_phase * np.abs(sig.symbols)) ** 2).sum()
+
+    def test_degenerate_panel_rescores_few_rows(self, scalar_calls):
+        # A zero ED channel makes every ED power exactly 0: each ratio is
+        # inf (nan for all zeros, whose LU power cancels too) and each ED
+        # power ties. The bounds see it, so the scalar path runs at most
+        # twice, not once per row.
+        ch = handmade_channels(-16.0, 0.0, w_lu=np.ones(16), w_ed=np.zeros(16))
+        for objective, bits, expected in [("ratio", "0" * 15 + "1", math.inf), ("ed_power_min", "0" * 16, 0.0)]:
+            scalar_calls.clear()
+            cfg, value = exhaustive_oracle(ch, MODEL, single_tone_tx(), objective, panel(4, 4))
+            assert (cfg.to_bitstring(), value) == (bits, expected)
+            assert len(scalar_calls) <= 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generic_panel_rescores_at_most_one_row_per_block(self, seed, scalar_calls):
+        # On a 4x4 tone panel a block holds 4096 candidates. Only a row
+        # that may beat both the running best and its block's best is
+        # scored again, which a generic panel offers about once a block.
+        channels, sig = model_instance(seed, 4, 4)
+        for objective in OBJECTIVES:
+            scalar_calls.clear()
+            exhaustive_oracle(channels, MODEL, sig, objective, panel(4, 4))
+            assert 1 <= len(scalar_calls) <= 16
+
+    def test_nan_bound_admits_the_candidate(self):
+        # LU is 0 everywhere, so every ratio is 0 or nan. "00" leaves an ED
+        # signal of about 1e-15, inside E, so its ratio's upper bound is
+        # 0 / 0; it must still be scored, and wins with 0.
+        ch = handmade_channels(0.0, -2.0 + 1e-15, w_lu=[0.0, 0.0], w_ed=[1.0, 1.0])
+        assert_oracle_parity(ch, single_tone_tx(), panel(1, 2))
+        cfg, value = exhaustive_oracle(ch, MODEL, single_tone_tx(), "ratio", panel(1, 2))
+        assert (cfg.to_bitstring(), value) == ("00", 0.0)
+
     def test_block_values_track_scalar_values(self):
         # The oracle's block product against one configuration at a time.
         channels, sig = model_instance(2, 2, 3, waveform="prs")
@@ -988,6 +1052,64 @@ class TestBlockOracleParity:
             block = ev.values(objective, (rows @ ev.cascades[0]).reshape(40, 2, -1))
             scalar = [score(ev, objective, row) for row in rows]
             np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0)
+
+
+def bound_instance(seed):
+    """A random channel set of at most 10 elements on up to 4 subcarriers,
+    with cascades from 1e-8 to 1e8 in magnitude and a dispersive element
+    model. For odd seeds the direct links cancel, to 1e-13 of its size, the
+    panel's term at a configuration with half its elements set."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 11)), int(rng.integers(1, 5))
+
+    def draw(*shape):
+        return 10.0 ** rng.uniform(-8, 8, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+    model = ElementModel(
+        mode="lorentzian", phase_at_center=(0.3, 2.9), amplitude=0.8, resonance_hz=3.6e9, quality_factor=20.0
+    )
+    sig = TxSignal("prs", CARRIER + 30e6 * np.arange(k), draw(k))
+    w_lu, w_ed, h_d = draw(k, m), draw(k, m), draw(2, k)
+    if seed % 2:
+        half = np.zeros(m, dtype=bool)
+        half[rng.permutation(m)[: m // 2]] = True
+        phi = reflection_coefficients(model, sig.freqs)
+        for r, w in enumerate((w_lu, w_ed)):
+            term = phi[:, 0] * w[:, ~half].sum(axis=1) + phi[:, 1] * w[:, half].sum(axis=1)
+            h_d[r] = -term * (1 + 1e-13 * np.exp(2j * np.pi * rng.random(k)))
+    return ChannelSet(sig.freqs, h_d[0], h_d[1], w_lu, w_ed, np.ones((k, m))), model, sig
+
+
+def bound_gap(seed) -> float:
+    """The largest |y_block - y_scalar| / E of `bound_instance(seed)`, over
+    every candidate, receiver and subcarrier: block signals from
+    `_candidate_signals`, scalar ones from `EvaluatorBatch.sums` and the
+    receive equation, as `values` computes them. Also checks that the
+    blocks enumerate every candidate, in order."""
+    channels, model, sig = bound_instance(seed)
+    ev = EvaluatorBatch([channels], model, sig)
+    m = channels.num_elements
+    seen, gap = 0, 0.0
+    for first, y, e in _candidate_signals(ev, m):
+        assert first == seen
+        seen += y.shape[-1]
+        ints = np.arange(first, seen)
+        bits = ((ints[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+        y_scalar = np.stack([received_signal(ev.hd, ev.phi, ev.w_sum, ev.sums(b), ev.x)[0] for b in bits], axis=-1)
+        gap = max(gap, (np.abs(y - y_scalar) / e).max())
+    assert seen == 1 << m
+    return gap
+
+
+class TestOracleBound:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_block_signals_within_bound_of_scalar_signals(self, seed):
+        # The exactness of `exhaustive_oracle` rests on this.
+        assert bound_gap(seed) <= 1.0
+
+    def test_bound_is_not_vacuous(self):
+        # The two paths do differ, so the test above checks real gaps.
+        assert max(bound_gap(seed) for seed in range(10)) > 0.0
 
 
 class TestMeasurementNoise:
