@@ -397,13 +397,9 @@ def _partitioned_moves(n_v: int, n_h: int) -> list:
 #: method -> (objective reported as the trace's final objective, move-list
 #: builder). A move is (kind, index, half, objective key, element slice).
 #:
-#: alg1 (`algorithm1`) is the full-surface sweep of the LU/ED power ratio
-#: and alg2 (`algorithm2`) the partitioned sweep: left columns for LU power,
-#: right columns for ED power, then per row the left half-row for LU power
-#: and the right half-row for ED power. alg2's two registers are seeded once
-#: from the starting configuration, and its final objective is the ratio of
-#: the end configuration. lu_max and ed_min (`lu_max`, `ed_min`) are
-#: full-surface sweeps of one receiver's power that ignore the other.
+#: alg1 (`algorithm1`) is the full-surface sweep of the LU/ED power ratio, alg2
+#: (`algorithm2`) the partitioned sweep, its registers seeded once from the start
+#: and its final objective the end's ratio; lu_max and ed_min sweep one power.
 METHODS = {
     "alg1": ("ratio", _full_surface_moves("ratio")),
     "alg2": ("ratio", _partitioned_moves),
@@ -524,21 +520,20 @@ def _subset_sums(w: np.ndarray) -> np.ndarray:
     return s
 
 
-def _candidate_signals(batch: EvaluatorBatch, m: int):
-    """Yields (first candidate, (2, K, B) signals of the next B candidates in
-    lexicographic order, (2, K, 1) bound E) for all 2^M candidates of a batch
-    of one. Candidate h * 2^L + l sums s_hi[h] + s_lo[l], the subset sums of
-    its first ceil(M/2) elements and the other L: a block (2^13 signals, or
-    one h) is an outer sum."""
-    w = batch.cascades[0].reshape(m, 2, -1)
+def _candidate_signals(batch: EvaluatorBatch, m: int, r):
+    """Yields (first candidate, (..., K, B) signals at receivers `r`, (..., K, 1)
+    bound E) per block of B consecutive candidates of a batch of one, 2^13 signals
+    or one h: candidate h * 2^L + l sums s_hi[h] + s_lo[l], the subset sums of its
+    first ceil(M/2) elements and of the other L, so a block is an outer sum."""
+    w = batch.cascades[0].reshape(m, 2, -1)[:, r]
     high, k = (m + 1) // 2, w.shape[-1]
     s_hi, s_lo = _subset_sums(w[:high]), _subset_sums(w[high:])
-    hd, w_sum, x = batch.hd[0], batch.w_sum[0], batch.x
+    hd, w_sum, x = batch.hd[0, r], batch.w_sum[0, r], batch.x
     t = (np.abs(hd) + np.abs(batch.phi).sum(axis=1) * np.abs(w).sum(axis=0)) * np.abs(x)
     e = (8 * np.finfo(float).eps / 2 * (m + k + 8) * t)[..., None]
-    step = max(1, (1 << 13) // (2 * k) >> (m - high))
+    step = max(1, (1 << 13) // w[0].size >> (m - high))
     for h in range(0, 1 << high, step):
-        on = (s_hi[..., h : h + step, None] + s_lo[..., None, :]).reshape(2, k, -1)
+        on = (s_hi[..., h : h + step, None] + s_lo[..., None, :]).reshape(*w.shape[1:], -1)
         y = received_signal(hd[..., None], batch.phi[:, :, None], w_sum[..., None], on, x[:, None])
         yield h << (m - high), y, e
 
@@ -553,17 +548,22 @@ def exhaustive_oracle(
     """Global optimum of an objective over all 2^M configurations.
 
     Enumerates in lexicographic bit-string order and keeps strictly better
-    values only, so ties resolve to the smallest bit-string. Guarded to
-    M <= 20.
+    values only, so ties resolve to the smallest bit-string; M <= 20.
 
     The channel set is a batch of one. `_candidate_signals` gives every
-    candidate's signals y, which differ from the scalar path's (`values` of
-    `sums`) by at most E = 8 u (M + K + 8) T per receiver and subcarrier,
-    with u the unit roundoff and T = (|h_d| + (|phi0| + |phi1|) sum_m |w_m|)
-    * |x| bounding every term of both: each path's panel sum is off by at
-    most (M - 1) u sum_m |w_m|, each later operation by a few u T, and K
-    and the factor 8 cover the power sums, taken in other orders. So the
-    scalar value lies within the objective of sum max(|y| - E, 0)^2 and of
+    candidate's signals y at the receivers the objective reads, each within
+    E = 8 u (M + K + 8) T of the scalar path's (`values` of `sums`), where
+    u = eps / 2, S = sum_m |w_m|, T = (|h_d| + (|phi0| + |phi1|) S) |x| and
+    g = M u / (1 - M u), barring underflow. Either path's `on` (at most M
+    cascades summed per component; products with 0/1 bits are exact) is
+    within sqrt(2) g S, which y scales by at most (|phi0| + |phi1|) |x|, and
+    y adds three complex additions (u each, per component) and three
+    products (sqrt(5) u each), so the paths differ by less than
+    (2 sqrt(2) g + (6 + 4 sqrt(5)) u) T < (2.9 M + 15) u T. E exceeds that
+    by over (8 K + 48) u T >= (8 K + 48) u |y|, twice as much relative on
+    |y|^2: more than either path's rounding of |y|^2 and its sum over K
+    subcarriers ((K + 8) u relative) and a ratio's division. So the scalar
+    value lies within the objective of sum max(|y| - E, 0)^2 and of
     sum (|y| + E)^2 (a nan bound admits anything). In ascending order, a
     candidate gets its bits and the scalar path only if its upper bound
     beats the running best and reaches its block's best lower bound; any
@@ -579,11 +579,11 @@ def exhaustive_oracle(
     name, direction = OBJECTIVES[objective]
     sign = 1.0 if direction == "max" else -1.0
     best_bits, best_value = None, -sign * math.inf
-    for first, y, e in _candidate_signals(batch, m):
-        a, r = np.abs(y), _RECEIVERS[name]
+    for first, y, e in _candidate_signals(batch, m, _RECEIVERS[name]):
+        a = np.abs(y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo, hi = (np.maximum(a - e, 0.0) ** 2).sum(axis=1), ((a + e) ** 2).sum(axis=1)
-            lo, hi = (lo[0] / hi[1], hi[0] / lo[1]) if name == "ratio" else (lo[r], hi[r])
+            lo, hi = (np.maximum(a - e, 0.0) ** 2).sum(axis=-2), ((a + e) ** 2).sum(axis=-2)
+            lo, hi = (lo[0] / hi[1], hi[0] / lo[1]) if name == "ratio" else (lo, hi)
         lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)  # bounds of higher-is-better scores
         lo[np.isnan(lo)], hi[np.isnan(hi)] = -math.inf, math.inf
         rows = np.flatnonzero((hi > sign * best_value) & (hi >= lo.max()))

@@ -1,9 +1,9 @@
 """Alternating benchmark runs of two checkouts, judged as a speed claim.
 
-    python tests/abpairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seconds S] [--seed K]
+    python tests/abpairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed K]
 
---seconds defaults to the run length of the change's BENCHMARK.json and
---seed to 0, the benchmark's default seed.
+--seed defaults to 0, the benchmark's default seed. Every run takes
+perfbench's own run length, the benchmark's.
 
 Runs `perfbench/run.py --workload W` of each checkout, from its own root,
 N times each: pair i runs the parent first when i is even and the change
@@ -19,7 +19,8 @@ are printed as it finishes, and a run that exits non-zero or reports failed
 operations ends the comparison.
 
 Nothing in either checkout is changed but perfbench's own scratch
-directory (`perfbench/.work/`).
+directory (`perfbench/.work/`). `run_once` and the quartile spread follow
+`perfbench/repeat.py`, whose `run_once` runs only its own checkout.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seconds: float, seed: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """The result line of one `perfbench/run.py` run in checkout `root`."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -71,18 +71,16 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("need at least 2 pairs for quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            result = run_once(getattr(args, side), args.workload, seconds, args.seed)
+            result = run_once(getattr(args, side), args.workload, args.seed)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             runs[side].append(values)
             print(f"pair {i + 1} {side}: correct={result['correct']} failed={result['failed']}/{result['attempted']} "

@@ -1080,9 +1080,9 @@ def bound_instance(seed):
     return ChannelSet(sig.freqs, h_d[0], h_d[1], w_lu, w_ed, np.ones((k, m))), model, sig
 
 
-def bound_gap(seed) -> float:
+def bound_gap(seed, receivers=slice(0, 2)) -> float:
     """The largest |y_block - y_scalar| / E of `bound_instance(seed)`, over
-    every candidate, receiver and subcarrier: block signals from
+    every candidate, subcarrier and one or both receivers: block signals from
     `_candidate_signals`, scalar ones from `EvaluatorBatch.sums` and the
     receive equation, as `values` computes them. Also checks that the
     blocks enumerate every candidate, in order."""
@@ -1090,13 +1090,13 @@ def bound_gap(seed) -> float:
     ev = EvaluatorBatch([channels], model, sig)
     m = channels.num_elements
     seen, gap = 0, 0.0
-    for first, y, e in _candidate_signals(ev, m):
+    for first, y, e in _candidate_signals(ev, m, receivers):
         assert first == seen
         seen += y.shape[-1]
         ints = np.arange(first, seen)
         bits = ((ints[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
-        y_scalar = np.stack([received_signal(ev.hd, ev.phi, ev.w_sum, ev.sums(b), ev.x)[0] for b in bits], axis=-1)
-        gap = max(gap, (np.abs(y - y_scalar) / e).max())
+        y_scalar = [received_signal(ev.hd, ev.phi, ev.w_sum, ev.sums(b), ev.x)[0, receivers] for b in bits]
+        gap = max(gap, (np.abs(y - np.stack(y_scalar, axis=-1)) / e).max())
     assert seen == 1 << m
     return gap
 
@@ -1106,6 +1106,12 @@ class TestOracleBound:
     def test_block_signals_within_bound_of_scalar_signals(self, seed):
         # The exactness of `exhaustive_oracle` rests on this.
         assert bound_gap(seed) <= 1.0
+
+    @pytest.mark.parametrize("receiver", [0, 1])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_receiver_within_bound_of_scalar_signals(self, seed, receiver):
+        # A single-power objective's blocks hold the one receiver it reads.
+        assert bound_gap(seed, receiver) <= 1.0
 
     def test_bound_is_not_vacuous(self):
         # The two paths do differ, so the test above checks real gaps.
