@@ -167,7 +167,6 @@ class CodebookEntry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CodebookEntry":
-        sse = data["sse"]
         pattern = data.get("power_pattern")
         return cls(
             lu_sector=float(data["lu_sector"]),
@@ -175,15 +174,7 @@ class CodebookEntry:
             method=data["method"],
             config=RisConfig.from_bitstring(data["config_bits"], data["n_v"], data["n_h"]),
             achieved=LinkPowers(data["achieved"]["p_lu"], data["achieved"]["p_ed"]),
-            sse=SecrecyReport(
-                r_lu=sse["r_lu"],
-                r_ed=sse["r_ed"],
-                r_sec_raw=sse["r_sec_raw"],
-                r_sec=sse["r_sec"],
-                n0=sse["n0"],
-                num_occupied=sse["num_occupied"],
-                headline_clamped=sse.get("headline_clamped", False),
-            ),
+            sse=SecrecyReport(**{name: data["sse"][name] for name in SecrecyReport.__dataclass_fields__}),
             power_pattern=None if pattern is None else [(a, p) for a, p in pattern],
         )
 

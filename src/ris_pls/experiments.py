@@ -10,7 +10,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .codebook import (
     Codebook,
@@ -21,7 +21,7 @@ from .codebook import (
     sweep_pairs,
 )
 from .fields import check_types, is_number
-from .ofdm import MAX_NUM_RB, build_prs_grid, prs_signal, tone_signal
+from .ofdm import MAX_NUM_RB
 from .optimize import METHODS, MeasurementNoise, channel_powers
 from .ris import RisConfig
 from .secrecy import from_db, link_powers, sum_sse, to_db
@@ -238,6 +238,17 @@ def _fmt_db(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _power_csv(schema: str, pairs, methods, powers_db) -> str:
+    """A received-power table: one row per (LU, ED) azimuth pair, one LU
+    and ED dB column per method, from `powers_db(lu, ed, method)`."""
+    header = ["lu_deg", "ed_deg"] + [f"{method}_{side}_db" for method in methods for side in ("lu", "ed")]
+    rows = [
+        [f"{lu:g}", f"{ed:g}", *(_fmt_db(p) for method in methods for p in powers_db(lu, ed, method))]
+        for lu, ed in pairs
+    ]
+    return _csv_text(schema, header, rows)
+
+
 def _measurement_noise(spec: ExperimentSpec, scenario: Scenario, seed: int):
     """The noise of noisy power readings, or None without them; a
     `measurement_noise_db` whose noise power is 0 or beyond the float
@@ -297,19 +308,9 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     for r in results:
         by_cell.setdefault((r["lu_deg"], r["ed_deg"], r["method"]), []).append(r)
 
-    def mean_db(pair, method, side):
-        rs = by_cell[(pair[0], pair[1], method)]
-        return to_db(sum(r["p_" + side] for r in rs) / len(rs))
-
-    power_header = ["lu_deg", "ed_deg"]
-    for method in spec.methods:
-        power_header += [f"{method}_lu_db", f"{method}_ed_db"]
-    power_rows = []
-    for pair in spec.pairs:
-        row = [f"{pair[0]:g}", f"{pair[1]:g}"]
-        for method in spec.methods:
-            row += [_fmt_db(mean_db(pair, method, "lu")), _fmt_db(mean_db(pair, method, "ed"))]
-        power_rows.append(row)
+    def mean_db(lu, ed, method):
+        rs = by_cell[(lu, ed, method)]
+        return [to_db(sum(r["p_" + side] for r in rs) / len(rs)) for side in ("lu", "ed")]
 
     sse_header = ["lu_deg", "ed_deg"] + [f"{m}_sse" for m in spec.methods]
     sse_rows = []
@@ -322,7 +323,7 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
 
     out = {}
     out["powers_csv"] = os.path.join(spec.out_dir, "compare_powers.csv")
-    _atomic_write(out["powers_csv"], _csv_text("compare-powers-v1", power_header, power_rows))
+    _atomic_write(out["powers_csv"], _power_csv("compare-powers-v1", spec.pairs, spec.methods, mean_db))
     out["sse_csv"] = os.path.join(spec.out_dir, "compare_sse.csv")
     _atomic_write(out["sse_csv"], _csv_text("compare-sse-v1", sse_header, sse_rows))
     out["json"] = os.path.join(spec.out_dir, "compare_results.json")
@@ -355,17 +356,9 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
             "collapse; running anyway",
             stacklevel=2,
         )
-    tone = tone_signal(scenario.numerology, scenario.channel.carrier_hz, scenario.tone_offset_hz)
-    if spec.fs_degenerate_single_bin:
-        wide = tone
-    else:
-        grid = build_prs_grid(
-            scenario.numerology,
-            num_rb=spec.fs_num_rb,
-            seed=scenario.seed,
-            center_freq_hz=scenario.channel.carrier_hz,
-        )
-        wide = prs_signal(grid)
+    tone = replace(scenario, tx_mode="tone").tx_signal()
+    comb = replace(scenario, tx_mode="prs", num_rb=spec.fs_num_rb)
+    wide = tone if spec.fs_degenerate_single_bin else comb.tx_signal()
     places = [(scenario.placement(lu_deg), scenario.placement(ed_deg)) for lu_deg, ed_deg in spec.pairs]
     def keep(pair, method, config, trace, p):
         return config, link_powers(p)
@@ -415,24 +408,6 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     return out
 
 
-def _codebook_csv(cb: Codebook, methods) -> str:
-    header = ["lu_deg", "ed_deg"]
-    for method in methods:
-        header += [f"{method}_lu_db", f"{method}_ed_db"]
-    rows = []
-    centers = cb.grid.sector_centers_deg
-    for lu in centers:
-        for ed in centers:
-            if lu == ed:
-                continue
-            row = [f"{lu:g}", f"{ed:g}"]
-            for method in methods:
-                entry = cb.get(lu, ed, method)
-                row += [_fmt_db(entry.achieved.lu_db), _fmt_db(entry.achieved.ed_db)]
-            rows.append(row)
-    return _csv_text("codebook-powers-v1", header, rows)
-
-
 def run_codebook_gen(scenario: Scenario, spec: ExperimentSpec) -> dict:
     methods = tuple(m for m in spec.methods if m != "uniform")
     if not methods:
@@ -442,7 +417,14 @@ def run_codebook_gen(scenario: Scenario, spec: ExperimentSpec) -> dict:
     out["codebook"] = spec.codebook_path or os.path.join(spec.out_dir, "codebook.json")
     _atomic_write(out["codebook"], json.dumps(cb.to_dict()) + "\n")
     out["csv"] = os.path.join(spec.out_dir, "codebook_powers.csv")
-    _atomic_write(out["csv"], _codebook_csv(cb, methods))
+    centers = cb.grid.sector_centers_deg
+    pairs = [(lu, ed) for lu in centers for ed in centers if lu != ed]
+
+    def achieved_db(lu, ed, method):
+        achieved = cb.get(lu, ed, method).achieved
+        return achieved.lu_db, achieved.ed_db
+
+    _atomic_write(out["csv"], _power_csv("codebook-powers-v1", pairs, methods, achieved_db))
     return out
 
 

@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,25 +84,9 @@ class MeasurementNoise:
         return read
 
 
-def _step_dict(kind, index, half, objective, direction, iteration, before, after, accepted) -> dict:
-    """One trace step as written to JSON, in its fixed key order."""
-    out = {
-        "kind": kind,
-        "index": index,
-        "iteration": iteration,
-        "objective": objective,
-        "direction": direction,
-        "objective_before": before,
-        "objective_after": after,
-        "accepted": accepted,
-    }
-    if half is not None:
-        out["half"] = half
-    return out
+class TraceStep(NamedTuple):
+    """One scored move of a greedy sweep; the field order is its JSON key order."""
 
-
-@dataclass(slots=True)
-class TraceStep:
     kind: str            # "column" | "row" | "half_row"
     index: int
     iteration: int
@@ -113,10 +98,11 @@ class TraceStep:
     half: str | None = None
 
     def to_dict(self) -> dict:
-        return _step_dict(
-            self.kind, self.index, self.half, self.objective, self.direction,
-            self.iteration, self.objective_before, self.objective_after, self.accepted,
-        )
+        """The step as JSON writes it: every field, `half` only when set."""
+        out = self._asdict()
+        if self.half is None:
+            del out["half"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -134,42 +120,29 @@ class SweepLog:
     one (move number in `moves`, pass, before, after, accepted) per scored
     move, the last three with one value per row of the batch (Python
     floats and bools). A move's kind, index, half and objective come from
-    `moves`. Trace steps and their dicts are built from it only when
-    read."""
+    `moves`. Trace steps are built from it only when read."""
 
     def __init__(self, moves: list):
         self.moves = moves
         self.entries = []
 
-    @functools.cached_property
-    def _labels(self) -> list:
-        """Move number -> (kind, index, half, objective name, direction)."""
-        return [(kind, index, half, *OBJECTIVES[objective]) for kind, index, half, objective, _ in self.moves]
-
-    def _row(self, i: int):
-        """Row i's scored moves, as (label, pass, before, after, accepted)."""
-        for j, iteration, before, after, accepted in self.entries:
-            yield self._labels[j], iteration, before[i], after[i], accepted[i]
-
     def steps(self, i: int) -> list:
         """Row i's `TraceStep`s, one per scored move."""
-        return [
-            TraceStep(kind, index, iteration, name, direction, before, after, accepted, half)
-            for (kind, index, half, name, direction), iteration, before, after, accepted in self._row(i)
-        ]
-
-    def step_dicts(self, i: int) -> list:
-        """Row i's steps as `TraceStep.to_dict` writes them."""
-        return [_step_dict(*label, *rest) for label, *rest in self._row(i)]
+        steps = []
+        for j, iteration, before, after, accepted in self.entries:
+            kind, index, half, objective, _ = self.moves[j]
+            name, direction = OBJECTIVES[objective]
+            steps.append(TraceStep(kind, index, iteration, name, direction, before[i], after[i], accepted[i], half))
+        return steps
 
     def passes(self, i: int) -> list:
         """Row i's `PassSummary`s, one per pass."""
         out, registers = [], {}
-        for iteration, group in itertools.groupby(self._row(i), key=operator.itemgetter(1)):
+        for iteration, group in itertools.groupby(self.steps(i), key=operator.attrgetter("iteration")):
             count = 0
-            for label, _, before, after, accepted in group:
-                registers[label[3]] = after if accepted else before
-                count += accepted
+            for step in group:
+                registers[step.objective] = step.objective_after if step.accepted else step.objective_before
+                count += step.accepted
             out.append(PassSummary(iteration, count, dict(registers)))
         return out
 
@@ -207,7 +180,7 @@ class OptimizerTrace:
             "initial_config": self.initial_config.to_bitstring(),
             "final_config": self.final_config.to_bitstring(),
             "final_objective": self.final_objective,
-            "steps": self.log.step_dicts(self.row),
+            "steps": [step.to_dict() for step in self.steps],
         }
 
 

@@ -55,7 +55,8 @@ class SecrecyReport:
 
     `r_sec_raw` is the unclamped difference; `r_sec` clamps it at zero.
     Both are kept because measured comparisons are usually reported without
-    the clamp, where negative values mean no secrecy is attainable.
+    the clamp, where negative values mean no secrecy is attainable; so the
+    raw difference is the headline `sse` that `to_dict` writes.
     """
 
     r_lu: float
@@ -64,12 +65,6 @@ class SecrecyReport:
     r_sec: float
     n0: float
     num_occupied: int
-    headline_clamped: bool = False
-
-    @property
-    def value(self) -> float:
-        """The headline number: clamped or raw per `headline_clamped`."""
-        return self.r_sec if self.headline_clamped else self.r_sec_raw
 
     @property
     def per_subcarrier_mean(self) -> float:
@@ -77,18 +72,17 @@ class SecrecyReport:
         return self.r_sec_raw / self.num_occupied
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "r_lu": self.r_lu,
             "r_ed": self.r_ed,
             "r_sec_raw": self.r_sec_raw,
             "r_sec": self.r_sec,
-            "sse": self.value,
-            "headline_clamped": self.headline_clamped,
+            "sse": self.r_sec_raw,
+            "headline_clamped": False,
             "n0": self.n0,
             "num_occupied": self.num_occupied,
             "per_subcarrier_mean": self.per_subcarrier_mean,
         }
-        return out
 
 
 def link_powers(p: np.ndarray) -> LinkPowers:
@@ -98,14 +92,13 @@ def link_powers(p: np.ndarray) -> LinkPowers:
     return LinkPowers(float(p[0].sum()), float(p[1].sum()))
 
 
-def sum_sse(p: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
+def sum_sse(p: np.ndarray, n0: float) -> SecrecyReport:
     """Sum secrecy spectral efficiency over the subcarriers of the (2, K)
     LU and ED powers per subcarrier `p` (a row of `EvaluatorBatch.powers`,
     or `channel_powers`).
 
     Rates are Shannon efficiencies of the noiseless effective signal power
-    over `n0`. With `apply_max` the clamped difference is the headline
-    value of the report; the raw difference is always carried alongside.
+    over `n0`.
     """
     if n0 <= 0:
         raise ValueError("noise power must be positive")
@@ -118,5 +111,4 @@ def sum_sse(p: np.ndarray, n0: float, apply_max: bool = False) -> SecrecyReport:
         r_sec=max(0.0, raw),
         n0=n0,
         num_occupied=p.shape[1],
-        headline_clamped=apply_max,
     )

@@ -94,9 +94,7 @@ def test_criterion_02_sse_closed_forms():
     )
     bits = np.zeros(1, dtype=np.uint8)
     snr31 = sum_sse(EvaluatorBatch([flat_channels(math.sqrt(3.0), 1.0)], ElementModel(), tx).powers(bits)[0], n0=1.0)
-    identical = sum_sse(
-        EvaluatorBatch([flat_channels(0.8, 0.8)], ElementModel(), tx).powers(bits)[0], n0=1.0, apply_max=True
-    )
+    identical = sum_sse(EvaluatorBatch([flat_channels(0.8, 0.8)], ElementModel(), tx).powers(bits)[0], n0=1.0)
     ok = (
         abs(snr31.r_sec_raw - 1.0) <= 1e-12
         and identical.r_sec == 0.0

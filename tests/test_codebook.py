@@ -294,7 +294,7 @@ class TestLazyTraces:
         with pytest.raises(AssertionError, match="TraceStep"):
             trace.steps
 
-    def test_compare_writes_traces_without_trace_steps(self, no_trace_steps, tmp_path):
+    def test_compare_writes_the_steps_of_every_trace(self, tmp_path):
         spec = ExperimentSpec("compare_methods", out_dir=str(tmp_path), pairs=((0.0, 15.0), (30.0, 0.0)))
         run_compare(scenario_8x8(seed=2), spec)
         results = json.loads((tmp_path / "compare_results.json").read_text())["results"]

@@ -18,6 +18,7 @@ from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
 from ris_pls.optimize import (
     _FLIP_SIGN,
+    _RECEIVERS,
     METHODS,
     OBJECTIVES,
     PASSES,
@@ -27,6 +28,7 @@ from ris_pls.optimize import (
     TraceStep,
     _better,
     _candidate_signals,
+    _objective,
     _sweep,
     algorithm1,
     algorithm2,
@@ -138,6 +140,18 @@ class TestTraceInvariants:
         steps = trace.to_dict()["steps"]
         next(s for s in steps if not s["accepted"])["accepted"] = True
         assert replay(trace, steps) != trace.final_config
+
+    def test_written_steps_keep_their_key_order(self):
+        # Each written step's keys follow `TraceStep`'s fields; `half` comes
+        # last, and only in half-row steps.
+        channels, sig = model_instance(3, 4, 4)
+        keys = ["kind", "index", "iteration", "objective", "direction", "objective_before", "objective_after", "accepted"]
+        for method in (algorithm1, algorithm2):
+            steps = method(channels, MODEL, sig, panel(4, 4)).to_dict()["steps"]
+            assert steps[0]["kind"] == "column" and list(steps[0]) == keys
+            assert {s["kind"] for s in steps} == ({"column", "row"} if method is algorithm1 else {"column", "half_row"})
+            for step in steps:
+                assert list(step) == (keys + ["half"] if step["kind"] == "half_row" else keys)
 
 
 class TestSlowPathParity:
@@ -1044,14 +1058,21 @@ class TestBlockOracleParity:
         assert (cfg.to_bitstring(), value) == ("00", 0.0)
 
     def test_block_values_track_scalar_values(self):
-        # The oracle's block product against one configuration at a time.
+        # Every candidate's objective from the oracle's block signals
+        # (`_candidate_signals` through `_objective`), and from `values` of
+        # a batch's rows at once, as `_sweep` scores them, against one
+        # configuration at a time.
         channels, sig = model_instance(2, 2, 3, waveform="prs")
         ev = EvaluatorBatch([channels], MODEL, sig)
-        rows = np.random.default_rng(0).integers(0, 2, size=(40, 6), dtype=np.uint8)
+        rows = ((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1).astype(np.uint8)
+        many = EvaluatorBatch([channels] * len(rows), MODEL, sig)
         for objective in OBJECTIVES:
-            block = ev.values(objective, (rows @ ev.cascades[0]).reshape(40, 2, -1))
+            name = OBJECTIVES[objective][0]
             scalar = [score(ev, objective, row) for row in rows]
-            np.testing.assert_allclose(block, scalar, rtol=1e-12, atol=0)
+            signals = _candidate_signals(ev, 6, _RECEIVERS[name])
+            blocks = [_objective(name, np.moveaxis(y, -1, 0)) for _, y, _ in signals]
+            np.testing.assert_allclose(np.concatenate(blocks), scalar, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(many.values(objective, many.sums(rows)), scalar, rtol=1e-12, atol=0)
 
 
 def bound_instance(seed):

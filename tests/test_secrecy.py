@@ -196,19 +196,15 @@ class TestSumSse:
 
     def test_identical_channels_zero_sse(self):
         ch = channels(0.9, 0.9)
-        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=0.5, apply_max=True)
+        report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=0.5)
         assert report.r_sec == 0.0
         assert report.r_sec_raw == 0.0
-        assert report.value == 0.0
 
     def test_clamp_relation_holds(self):
         ch = channels(1.0, 2.0)  # eavesdropper stronger: raw < 0
         report = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0)
         assert report.r_sec_raw < 0
         assert report.r_sec == 0.0
-        assert report.value == report.r_sec_raw  # raw headline by default
-        clamped = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0, apply_max=True)
-        assert clamped.value == 0.0
 
     def test_monotone_in_lu_power(self):
         previous = -math.inf
@@ -242,9 +238,15 @@ class TestSumSse:
             sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=0.0)
 
     def test_serialization_fields(self):
-        ch = channels(math.sqrt(3.0), 1.0)
+        # The keys in their written order; the headline `sse` is the raw
+        # difference, never the clamped one.
+        ch = channels(1.0, 2.0)  # eavesdropper stronger: raw < 0
         data = sum_sse(evaluator(ch).powers(zeros(ch))[0], n0=1.0).to_dict()
-        assert data["sse"] == data["r_sec_raw"]
+        assert list(data) == [
+            "r_lu", "r_ed", "r_sec_raw", "r_sec", "sse", "headline_clamped", "n0", "num_occupied", "per_subcarrier_mean"
+        ]
+        assert data["sse"] == data["r_sec_raw"] < 0
+        assert data["headline_clamped"] is False
         assert data["num_occupied"] == 1
 
 
