@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", default=None, help="experiment spec JSON file")
         p.add_argument("--out", dest="out_dir", help="output directory (default .)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
         p.add_argument(
             "--noisy-measurements", action="store_true", help="perturb power estimates during optimization"
         )

@@ -17,8 +17,6 @@ the serving power.
 
 from __future__ import annotations
 
-import collections
-import concurrent.futures
 import itertools
 import json
 import math
@@ -68,68 +66,44 @@ def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
 SWEEP_BATCH_BYTES = 8 * 2**20
 
 
-def pair_batches(scenario, tx, pairs: list, jobs: int = 1) -> list:
+def pair_batches(scenario, tx, pairs: list) -> list:
     """`pairs` in consecutive batches whose evaluators' cascades on the
     subcarriers of `tx` fit `SWEEP_BATCH_BYTES` together (one pair at
-    least), cut into at least `jobs` batches when there are that many
-    pairs, so that every worker takes one."""
+    least)."""
     pair_bytes = scenario.ris.num_elements * 2 * tx.num_subcarriers * np.dtype(complex).itemsize
-    size = max(1, min(SWEEP_BATCH_BYTES // pair_bytes, -(-len(pairs) // jobs)))
+    size = max(1, SWEEP_BATCH_BYTES // pair_bytes)
     return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
 
-def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None, jobs: int = 1) -> list:
+def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None) -> list:
     """Run every method on every (lu, ed) `Placement` pair and return
     `keep(pair, method, config, trace, powers)` for each, pair by pair and
     method by method. `powers` are the (2, K) LU and ED powers per
     subcarrier of `config`, row i of one `EvaluatorBatch.powers` call per
     method and batch; `trace` is None for the uniform method.
 
-    The pairs are swept in lockstep batches (`pair_batches`) on `jobs`
-    workers, at most `jobs` batches at a time; the result does not depend
-    on how the pairs are batched or on the execution order, and an error
-    is that of the first failing batch. Each batch's channel sets are
-    taken in the calling thread as the batch is handed out, from the
+    The pairs are swept in lockstep batches (`pair_batches`), one after
+    another; the result does not depend on how the pairs are batched.
+    Each batch's channel sets are taken as its sweep starts, from the
     scenario's `LinkTable.channel_sets` on the subcarriers of `tx`, so each
     placement's links are computed once and kept only while a pair still
-    to come needs them; they serve all methods. `keep` runs in the worker,
-    as each method's sweep of a batch ends: a batch holds one method's
-    traces at a time, and its `EvaluatorBatch` only until its last method
-    is kept. Workers run under the caller's `np.errstate`, which threads
-    do not inherit.
+    to come needs them; they serve all methods. `keep` runs as each
+    method's sweep of a batch ends: a batch holds one method's traces at a
+    time, and its `EvaluatorBatch` only until its last method is kept.
     """
-    errors = np.geterr()
 
     def kept(pairs, evs, method) -> list:
         configs, traces = run_method(method, scenario, evs, noise)
         powers = evs.powers(np.array([config.bits for config in configs]))
         return [keep(pair, method, *cell) for pair, *cell in zip(pairs, configs, traces, powers)]
 
-    def sweep(pairs, channel_sets) -> list:
-        with np.errstate(**errors):
-            evs = EvaluatorBatch(channel_sets, scenario.element_model, tx)
-            cells = [kept(pairs, evs, method) for method in methods]
+    def sweep(batch) -> list:
+        evs = EvaluatorBatch(list(itertools.islice(sets, len(batch))), scenario.element_model, tx)
+        cells = [kept(batch, evs, method) for method in methods]
         return [cell for row in zip(*cells) for cell in row]
 
     sets = scenario.link_table(tx.freqs).channel_sets(pairs)
-    batches = pair_batches(scenario, tx, pairs, jobs)
-    if jobs <= 1:
-        return [cell for batch in batches for cell in sweep(batch, list(itertools.islice(sets, len(batch))))]
-    results, running = [], collections.deque()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        for batch in batches:
-            if len(running) == jobs:
-                results += running.popleft().result()
-            try:
-                channel_sets = list(itertools.islice(sets, len(batch)))
-            except Exception:
-                for future in running:  # an earlier batch's error comes first
-                    future.result()
-                raise
-            running.append(pool.submit(sweep, batch, channel_sets))
-        for future in running:
-            results += future.result()
-    return results
+    return [cell for batch in pair_batches(scenario, tx, pairs) for cell in sweep(batch)]
 
 
 @dataclass
@@ -218,19 +192,19 @@ class Codebook:
             return cls.from_dict(json.load(fh))
 
 
-def generate_codebook(scenario, methods=("alg1",), jobs: int = 1) -> Codebook:
+def generate_codebook(scenario, methods=("alg1",)) -> Codebook:
     """Optimize every ordered pair of the scenario's sectors with every
     method, at the placements `select_config` re-scores.
 
     Produces |methods| * S * (S - 1) entries for S sectors, through
-    `sweep_pairs` on `jobs` workers.
+    `sweep_pairs`.
     """
     if not methods:
         raise ValueError("method list must not be empty")
     grid = scenario.sector_grid
     if len(grid.sector_centers_deg) < 2:
         raise ValueError("codebook generation needs at least two sectors")
-    n0 = scenario.noise_power()  # calibrated once, before any fan-out
+    n0 = scenario.noise_power()  # calibrated once, before the sweeps
     places = [scenario.placement(c) for c in grid.sector_centers_deg]
     pairs = [(lu, ed) for lu in places for ed in places if lu != ed]
 
@@ -239,7 +213,7 @@ def generate_codebook(scenario, methods=("alg1",), jobs: int = 1) -> Codebook:
         return CodebookEntry(lu.azimuth_deg, ed.azimuth_deg, method, config, link_powers(powers), sum_sse(powers, n0))
 
     cb = Codebook(grid=grid, scenario_digest=scenario.digest())
-    for e in sweep_pairs(scenario, scenario.tx_signal(), pairs, methods, entry, jobs=jobs):
+    for e in sweep_pairs(scenario, scenario.tx_signal(), pairs, methods, entry):
         cb.add(e)
     return cb
 

@@ -77,7 +77,6 @@ class ExperimentSpec:
     pairs: tuple = DEFAULT_PAIRS
     methods: tuple = COMPARE_METHODS
     seeds: tuple | None = None
-    jobs: int = 1
     noisy_measurements: bool = False
     measurement_noise_db: float = -20.0
     measurement_averages: int = 4
@@ -127,7 +126,7 @@ class ExperimentSpec:
         self.scan_angles()
         if not (self.scan_range_m is None or self.scan_range_m > 0):
             raise SpecError("scan range must be a positive number of meters")
-        for name in ("jobs", "measurement_averages", "fs_num_rb"):
+        for name in ("measurement_averages", "fs_num_rb"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be a positive integer")
         if self.measurement_averages > MAX_MEASUREMENT_AVERAGES:
@@ -274,14 +273,14 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
     LU/ED column pair per method, a raw-SSE matrix CSV, and a JSON file
     holding full precision results and optimizer traces. With several
     seeds the CSVs hold the per-cell mean over seeds. The seeds run one
-    after another, each through `sweep_pairs` on `spec.jobs` workers; each
-    noisy sweep draws from its own generator.
+    after another, each through `sweep_pairs` with its noise calibrated
+    once; each noisy sweep draws from its own generator.
     """
     seeds = spec.seeds if spec.seeds else (scenario.seed,)
     results = []
     for seed in seeds:
         scen = scenario.with_seed(seed)
-        n0 = scen.noise_power()  # calibrated once, before any fan-out
+        n0 = scen.noise_power()  # calibrated once, before the sweeps
 
         def cell(pair, method, config, trace, p) -> dict:
             powers, sse = link_powers(p), sum_sse(p, n0)
@@ -302,7 +301,7 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
 
         pairs = [(scen.placement(lu), scen.placement(ed)) for lu, ed in spec.pairs]
         noise = _measurement_noise(spec, scen, seed)
-        results += sweep_pairs(scen, scen.tx_signal(), pairs, spec.methods, cell, noise, spec.jobs)
+        results += sweep_pairs(scen, scen.tx_signal(), pairs, spec.methods, cell, noise)
 
     by_cell = {}
     for r in results:
@@ -342,13 +341,12 @@ def run_compare(scenario: Scenario, spec: ExperimentSpec) -> dict:
 def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     """Narrowband-vs-wideband power separation under one configuration.
 
-    Optimizes every placement pair with the tone waveform on `spec.jobs`
-    workers, then re-evaluates each pair's configuration on the wideband
-    comb grid with the scenario's element model, taking each placement's
-    wideband links once (`LinkTable.channel_sets`). Reports
-    the LU-ED gap for both waveforms. A frequency-flat element model
-    cannot show a gap collapse, which is flagged as a warning but still
-    runs.
+    Optimizes every placement pair with the tone waveform, then
+    re-evaluates each pair's configuration on the wideband comb grid with
+    the scenario's element model, taking each placement's wideband links
+    once (`LinkTable.channel_sets`). Reports the LU-ED gap for both
+    waveforms. A frequency-flat element model cannot show a gap collapse,
+    which is flagged as a warning but still runs.
     """
     if scenario.element_model.mode == "ideal":
         warnings.warn(
@@ -363,7 +361,7 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
     def keep(pair, method, config, trace, p):
         return config, link_powers(p)
 
-    narrowband = sweep_pairs(scenario, tone, places, (spec.fs_method,), keep, jobs=spec.jobs)
+    narrowband = sweep_pairs(scenario, tone, places, (spec.fs_method,), keep)
     wideband = scenario.link_table(wide.freqs).channel_sets(places)
     rows = []
     detail = []
@@ -412,7 +410,7 @@ def run_codebook_gen(scenario: Scenario, spec: ExperimentSpec) -> dict:
     methods = tuple(m for m in spec.methods if m != "uniform")
     if not methods:
         raise SpecError("codebook generation needs at least one optimizing method")
-    cb = generate_codebook(scenario, methods=methods, jobs=spec.jobs)
+    cb = generate_codebook(scenario, methods=methods)
     out = {}
     out["codebook"] = spec.codebook_path or os.path.join(spec.out_dir, "codebook.json")
     _atomic_write(out["codebook"], json.dumps(cb.to_dict()) + "\n")

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 import ris_pls
 from ris_pls import channel as channel_module
 from ris_pls import cli as cli_module
-from ris_pls import experiments
 from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
@@ -132,33 +131,23 @@ class TestCompare:
         main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out_b), "--seed", "77"])
         assert (out_a / "compare_powers.csv").read_text() != (out_b / "compare_powers.csv").read_text()
 
-    def test_jobs_flag_preserves_output(self, tmp_path):
-        scenario = tmp_path / "scenario.json"
-        write_scenario(scenario)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0], [15.0, 30.0]]}))
-        main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out_a)])
-        main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(out_b), "--jobs", "4"])
-        assert (out_a / "compare_powers.csv").read_text() == (out_b / "compare_powers.csv").read_text()
-
     @pytest.mark.parametrize("flags", [False, True])
-    def test_spec_out_dir_and_jobs_unless_flags_given(self, tmp_path, monkeypatch, flags):
+    def test_spec_out_dir_unless_flag_given(self, tmp_path, monkeypatch, flags):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "mode": "compare_methods", "pairs": [[0.0, 15.0]], "methods": ["alg1"],
-            "out_dir": str(tmp_path / "fromspec"), "jobs": 2,
+            "out_dir": str(tmp_path / "fromspec"),
         }))
         seen = []
         monkeypatch.setattr(cli_module, "run", lambda sc, sp, run=cli_module.run: seen.append(sp) or run(sc, sp))
         argv = ["compare", "--scenario", str(scenario), "--spec", str(spec)]
         if flags:
-            argv += ["--out", str(tmp_path / "fromflag"), "--jobs", "3"]
+            argv += ["--out", str(tmp_path / "fromflag")]
         assert main(argv) == EXIT_OK
-        out, jobs = (tmp_path / "fromflag", 3) if flags else (tmp_path / "fromspec", 2)
-        assert seen[0].jobs == jobs
+        out = tmp_path / ("fromflag" if flags else "fromspec")
+        assert seen[0].out_dir == str(out)
         assert (out / "compare_powers.csv").exists()
         assert not (tmp_path / ("fromspec" if flags else "fromflag")).exists()
 
@@ -174,28 +163,28 @@ class TestCompare:
         ])
         assert rc == EXIT_OK
 
-    def test_jobs_calibrate_noise_once_per_seed(self, tmp_path, monkeypatch):
+    def test_noise_calibrated_once_per_seed(self, tmp_path, monkeypatch):
         # Noise calibration is the only power the scenario module reads.
         calibrations = []
         calibrate = scenario_module.channel_powers
 
-        def slow_calibrate(*args):
+        def counting_calibrate(*args):
             calibrations.append(args)
-            time.sleep(0.05)  # long enough for a racing worker to start its own
             return calibrate(*args)
 
-        monkeypatch.setattr(scenario_module, "channel_powers", slow_calibrate)
-        spec = ExperimentSpec(
-            mode="compare_methods",
-            out_dir=str(tmp_path),
-            pairs=((0.0, 15.0), (15.0, 30.0)),
-            methods=("alg1", "uniform"),
-            seeds=(1, 2),
-            jobs=2,
-        )
-        scenario = write_scenario(tmp_path / "scenario.json")
-        run_compare(scenario, spec)
+        monkeypatch.setattr(scenario_module, "channel_powers", counting_calibrate)
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mode": "compare_methods", "pairs": [[0.0, 15.0], [15.0, 30.0]], "methods": ["alg1", "uniform"],
+            "seeds": [1, 2],
+        }))
+        assert main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)]) == EXIT_OK
         assert len(calibrations) == 2
+        payload = json.loads((tmp_path / "compare_results.json").read_text())
+        assert payload["seeds"] == [1, 2]
+        assert [r["seed"] for r in payload["results"]] == [1] * 4 + [2] * 4
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     def test_shared_evaluator_matches_fresh_evaluators(self, tmp_path, noisy):
@@ -249,29 +238,27 @@ class TestCompare:
         assert len(built) == 9
         assert len(synthesized) == 10
 
-    def test_jobs_compute_each_panel_link_once(self, tmp_path, monkeypatch):
+    def test_compute_each_panel_link_once(self, tmp_path, monkeypatch):
         # Noise calibration builds the receiver at 0 deg and the transmitter
-        # link; the links at 30 and 45 deg, which both workers' pairs need,
-        # are built once, in the calling thread as the batches are handed out.
+        # link; the links at 30 and 45 deg, which both pairs need, are built
+        # once.
         calls, direct = [], []
         panel_link, direct_link = channel_module._panel_link, channel_module._direct_link
 
-        def slow_panel_link(node, params, f, elem, kind):
+        def counting_panel_link(node, params, f, elem, kind):
             calls.append((kind, node))
-            time.sleep(0.05)  # long enough for another worker to build it too
             return panel_link(node, params, f, elem, kind)
 
         def counting_direct_link(tx, node, *args):
             direct.append(node)
             return direct_link(tx, node, *args)
 
-        monkeypatch.setattr(channel_module, "_panel_link", slow_panel_link)
+        monkeypatch.setattr(channel_module, "_panel_link", counting_panel_link)
         monkeypatch.setattr(channel_module, "_direct_link", counting_direct_link)
         spec = ExperimentSpec(
             mode="compare_methods",
             out_dir=str(tmp_path),
             pairs=((30.0, 45.0), (45.0, 30.0)),
-            jobs=2,
         )
         run_compare(write_scenario(tmp_path / "scenario.json", tx_mode="prs", num_rb=2), spec)
         assert len(calls) == len(set(calls)) == 4
@@ -346,7 +333,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bounds",
-        [["--stop=inf"], ["--start=nan"], ["--start=-100"], ["--stop=90.5"], ["--start=10", "--stop=-10"]],
+        # An unknown flag, such as `--jobs`, exits 2 through argparse.
+        [["--stop=inf"], ["--start=nan"], ["--start=-100"], ["--stop=90.5"], ["--start=10", "--stop=-10"],
+         ["--jobs", "2"]],
     )
     def test_bad_scan_range_is_spec_error(self, tmp_path, bounds):
         scenario = tmp_path / "scenario.json"
@@ -476,7 +465,6 @@ class TestExitCodes:
 COMMON_FLAGS = [
     (["--scenario", "s.json"], "scenario_path", "s.json"),
     (["--out", "o"], "out_dir", "o"),
-    (["--jobs", "3"], "jobs", 3),
     (["--noisy-measurements"], "noisy_measurements", True),
 ]
 #: (argv, spec field, value): one argv per flag of every subcommand.
@@ -558,11 +546,6 @@ class TestMalformedSpecFields:
             ("freq-selectivity", {"fs_num_rb": "x"}),
             ("freq-selectivity", {"fs_num_rb": MAX_NUM_RB + 1}),
             ("compare", {"measurement_noise_db": "x", "noisy_measurements": True}),
-            ("compare", {"jobs": float("nan")}),
-            ("compare", {"jobs": 0}),
-            ("compare", {"jobs": 1.5}),
-            ("compare", {"jobs": True}),
-            ("compare", {"jobs": "2"}),
             ("compare", {"out_dir": 5}),
             ("compare", {"out_dir": None}),
             ("compare", {"seeds": [1.5]}),
@@ -590,6 +573,17 @@ class TestMalformedSpecFields:
         rc = main([command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
         assert rc == EXIT_SPEC
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_unknown_field_is_spec_error(self, tmp_path, capsys):
+        # Spec files written before `jobs` was removed still name it.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"mode": "compare_methods", "jobs": 1}))
+        rc = main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err.splitlines() == ["spec error: unknown spec fields: ['jobs']"]
+        assert not (tmp_path / "compare_results.json").exists()
 
     @pytest.mark.parametrize("ed", [{"excluded": 5}, {"known": [1]}, {"known": "x"}, {}])
     def test_malformed_ed_knowledge_is_spec_error(self, tmp_path, ed):
@@ -684,37 +678,6 @@ class TestMalformedCodebook:
         assert "malformed codebook" in result.stderr and "Traceback" not in result.stderr
 
 
-class TestJobsSplitBatches:
-    """Workers take lockstep batches of pairs; no output depends on how
-    many there are."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["codebook-gen", "--methods", "alg1", "alg2", "lu_max", "ed_min"],
-            ["compare"],
-            ["compare", "--noisy-measurements"],
-            ["compare", "--spec", "{seeds}"],
-        ],
-        ids=["codebook-gen", "compare", "compare-noisy", "compare-seeds"],
-    )
-    def test_outputs_do_not_depend_on_jobs(self, tmp_path, argv):
-        scenario = tmp_path / "scenario.json"
-        write_scenario(scenario, sector_grid=SectorGrid(sector_centers_deg=(-15.0, 0.0, 15.0, 30.0, 45.0)))
-        seeds = tmp_path / "seeds.json"
-        seeds.write_text(json.dumps({"mode": "compare_methods", "seeds": [1, 2]}))
-        argv = [arg.format(seeds=seeds) for arg in argv]
-        outputs = []
-        for jobs in ("1", "2", "4"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main([*argv, "--scenario", str(scenario), "--out", str(out), "--jobs", jobs]) == EXIT_OK
-            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-        assert len(outputs[0]) >= 2
-        assert outputs[0] == outputs[1] == outputs[2]
-        if seeds.name in " ".join(argv):
-            assert json.loads(outputs[0]["compare_results.json"])["seeds"] == [1, 2]
-
-
 #: Values swapped into spec fields: every JSON type, edge numbers, and
 #: values that are valid for some other field. No value asks for unbounded
 #: work (huge counts); tiny scan steps must be rejected by the spec's
@@ -802,14 +765,12 @@ ARGV_VALUES = (
 
 
 def _bounded(flag, value):
-    """Whether a swapped value keeps the run small: at most 4 workers and
-    no scan step below 1 degree."""
+    """Whether a swapped value keeps the run small: no scan step below 1
+    degree."""
     try:
         number = float(value)
     except ValueError:
         return True
-    if flag == "--jobs":
-        return not number > 4
     return flag != "--step" or not number < 1
 
 
@@ -832,10 +793,9 @@ class TestArgvProperty:
     #: Each command's flags, as (flag, values) groups after the subcommand.
     BASE = {
         "compare": [
-            ("--methods", ["alg1", "uniform"]), ("--seed", ["1"]), ("--jobs", ["2"]),
-            ("--noisy-measurements", []),
+            ("--methods", ["alg1", "uniform"]), ("--seed", ["1"]), ("--noisy-measurements", []),
         ],
-        "codebook-gen": [("--methods", ["alg1"]), ("--codebook", ["new.json"]), ("--jobs", ["1"])],
+        "codebook-gen": [("--methods", ["alg1"]), ("--codebook", ["new.json"])],
         "codebook-query": [
             ("--codebook", ["codebook.json"]), ("--lu", ["0"]), ("--ed", ["unknown"]), ("--method", ["alg1"]),
         ],
@@ -943,10 +903,9 @@ class TestMalformedScenarioValues:
 
 class TestFloatingPointFailures:
     """Values whose geometry or delays overflow the float range: the run
-    raises on the first overflow or invalid value, in the sweep workers
-    too, and exits 4 with numpy's message as its one stderr line."""
+    raises on the first overflow or invalid value, in the sweep too, and
+    exits 4 with numpy's message as its one stderr line."""
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -958,7 +917,7 @@ class TestFloatingPointFailures:
             ("scan", "scan_range_m", 1e200),
         ],
     )
-    def test_one_line_runtime_error(self, tmp_path, section, key, value, jobs):
+    def test_one_line_runtime_error(self, tmp_path, section, key, value):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario, ris=RisArrayGeometry(n_v=2, n_h=2, tile_rows=1, tile_cols=1))
         doc = json.loads(scenario.read_text())
@@ -967,13 +926,13 @@ class TestFloatingPointFailures:
             spec.write_text(json.dumps({"mode": "pattern_scan", "scan_config_bits": "0000", key: value}))
             command = "pattern-scan"
         else:
-            # A fixed noise power, so the first synthesis runs in a sweep worker.
+            # A fixed noise power, so the first synthesis runs in the sweep.
             doc[section][key] = value
             doc["noise"]["n0"] = 1e-12
             spec.write_text(json.dumps({"mode": "compare_methods", "pairs": [[0.0, 15.0], [15.0, 0.0]], "methods": ["alg1"]}))
             command = "compare"
         scenario.write_text(json.dumps(doc))
-        proc = run_cli(command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path), "--jobs", jobs)
+        proc = run_cli(command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path))
         assert proc.returncode == EXIT_RUNTIME
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("runtime error: ")
         assert "Warning" not in proc.stderr
@@ -1289,28 +1248,6 @@ class TestFrequencySelectivity:
         )
         run_frequency_selectivity(sc, ExperimentSpec(mode="frequency_selectivity", out_dir=str(tmp_path)))
         assert len(calls) == 10
-
-    def test_outputs_do_not_depend_on_jobs(self, tmp_path, monkeypatch):
-        # The narrowband pass takes --jobs workers, and the outputs stay
-        # byte-identical.
-        scenario = tmp_path / "scenario.json"
-        write_scenario(scenario, element_model=ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0))
-        seen = []
-        sweep_pairs = experiments.sweep_pairs
-
-        def recording(*args, jobs=1, **kwargs):
-            seen.append(jobs)
-            return sweep_pairs(*args, jobs=jobs, **kwargs)
-
-        monkeypatch.setattr(experiments, "sweep_pairs", recording)
-        outputs = []
-        for jobs in ("1", "3"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(["freq-selectivity", "--scenario", str(scenario), "--out", str(out), "--jobs", jobs]) == EXIT_OK
-            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-        assert seen == [1, 3]
-        assert sorted(outputs[0]) == ["frequency_selectivity.csv", "frequency_selectivity.json"]
-        assert outputs[0] == outputs[1]
 
     def test_degenerate_single_bin_equals_tone(self, tmp_path):
         scenario = tmp_path / "scenario.json"

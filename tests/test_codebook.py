@@ -92,12 +92,6 @@ class TestGeneration:
         b = generate_codebook(sc, methods=("alg1",))
         assert a.to_dict() == b.to_dict()
 
-    def test_parallel_generation_matches_serial(self):
-        sc = scenario_8x8(seed=6)
-        a = generate_codebook(sc, methods=("alg1",), jobs=1)
-        b = generate_codebook(sc, methods=("alg1",), jobs=4)
-        assert a.to_dict() == b.to_dict()
-
     def test_empty_method_list_rejected(self):
         with pytest.raises(ValueError):
             generate_codebook(scenario_8x8(), methods=())
@@ -140,8 +134,7 @@ class TestSweepBatches:
         assert sizes == [110] * 4
         assert set(cb.entries) == codebook_keys(cb, self.METHODS)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_generation_computes_each_direct_link_once(self, monkeypatch, jobs):
+    def test_generation_computes_each_direct_link_once(self, monkeypatch):
         # The noise calibration's LU stands at a sector center, so 12 pairs
         # under 2 methods need one direct link per sector.
         sc = scenario_8x8(seed=3)
@@ -153,14 +146,13 @@ class TestSweepBatches:
             return direct_link(tx, node, *args)
 
         monkeypatch.setattr(channel, "_direct_link", counting_direct_link)
-        generate_codebook(sc, methods=("alg1", "ed_min"), jobs=jobs)
+        generate_codebook(sc, methods=("alg1", "ed_min"))
         assert sorted(node.azimuth_deg for node in nodes) == list(sc.sector_grid.sector_centers_deg)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_channel_sets_are_taken_as_batches_are_handed_out(self, monkeypatch, jobs):
+    def test_channel_sets_are_taken_as_batches_start(self, monkeypatch):
         # One pair a batch over 12 distinct azimuths: when a set is taken,
-        # the sets alive are those of the at most jobs - 1 batches still
-        # running and the last set taken, and the table holds no link.
+        # the only set alive is at most the last one taken, and the table
+        # holds no link.
         monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
         sc = scenario_8x8(seed=4)
         angles = [-75.0 + 12.5 * i for i in range(12)]
@@ -177,13 +169,12 @@ class TestSweepBatches:
             return out
 
         monkeypatch.setattr(channel.LinkTable, "channels", tracking)
-        cells = sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda pair, *cell: pair, jobs=jobs)
+        cells = sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda pair, *cell: pair)
         assert cells == pairs
-        assert len(alive) == 6 and max(alive) <= jobs
+        assert len(alive) == 6 and max(alive) <= 1
         assert held == [0] * 6 and sc.link_table()._receivers == {}
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_first_failing_batch_raises_first(self, monkeypatch, jobs):
+    def test_first_failing_batch_raises_first(self, monkeypatch):
         # The first batch's sweep fails, and so would the second's links.
         monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
         sc = scenario_8x8(seed=4)
@@ -201,14 +192,18 @@ class TestSweepBatches:
         monkeypatch.setattr(codebook, "run_method", failing_sweep)
         monkeypatch.setattr(channel, "_direct_link", failing_link)
         with pytest.raises(RuntimeError, match="first batch"):
-            sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda *cell: cell, jobs=jobs)
+            sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda *cell: cell)
 
-    def test_jobs_split_the_pairs_into_batches(self):
+    def test_batches_are_cut_by_sweep_batch_bytes(self, monkeypatch):
+        # A 32x32 tone pair stacks 32 KB of cascades: 110 pairs fit 8 MiB,
+        # and a budget of 40 pairs cuts them into 40, 40 and 30 in order.
         sc = Scenario()
         pairs = [(lu, ed) for lu in range(11) for ed in range(10)]
         assert [len(b) for b in pair_batches(sc, sc.tx_signal(), pairs)] == [110]
-        assert [len(b) for b in pair_batches(sc, sc.tx_signal(), pairs, jobs=4)] == [28, 28, 28, 26]
-        assert [b for batch in pair_batches(sc, sc.tx_signal(), pairs, jobs=4) for b in batch] == pairs
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 40 * 32 * 2**10 + 1)
+        batches = pair_batches(sc, sc.tx_signal(), pairs)
+        assert [len(b) for b in batches] == [40, 40, 30]
+        assert [b for batch in batches for b in batch] == pairs
 
     def test_wideband_pair_runs_alone(self, monkeypatch, tmp_path):
         # A 32x32 pair on a 52-block comb grid holds 10 MB of cascades.
@@ -241,15 +236,19 @@ def track_trace_batches(monkeypatch) -> list:
 class TestSweepPairs:
     METHODS = ("alg1", "alg2", "lu_max", "ed_min")
 
-    def test_cells_pair_by_pair_and_method_by_method(self):
+    def test_cells_pair_by_pair_and_method_by_method(self, monkeypatch):
+        # Batches of two 8x8 tone pairs (2 KB each): the cells of both
+        # batches come back in pair order.
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 2 * 2**11)
         sc = scenario_8x8(seed=2)
         pairs = [(sc.placement(lu), sc.placement(ed)) for lu, ed in ((0.0, 15.0), (30.0, 0.0), (45.0, 15.0))]
         methods = (*self.METHODS, "uniform")
+        assert [len(b) for b in pair_batches(sc, sc.tx_signal(), pairs)] == [2, 1]
 
         def keep(pair, method, config, trace, powers):
             return pair, method, config.to_bitstring(), powers
 
-        cells = sweep_pairs(sc, sc.tx_signal(), pairs, methods, keep, jobs=2)
+        cells = sweep_pairs(sc, sc.tx_signal(), pairs, methods, keep)
         assert [(pair, method) for pair, method, _, _ in cells] == [(p, m) for p in pairs for m in methods]
         for pair, method, bits, powers in cells:
             alone = EvaluatorBatch([sc.channels_for(*pair)], sc.element_model, sc.tx_signal())

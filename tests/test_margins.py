@@ -1,13 +1,16 @@
-"""Decision margins of the benchmark's seed-0 runs.
+"""Decision margins and pinned outputs of the benchmark's seed-0 runs.
 
 A greedy sweep keeps a move only on strict improvement, and a codebook
 query keeps the candidate with the best guarantee, so a sum taken in
 another order can flip a decision only where both sides lie within its
 rounding, about 1e-13 relative. These tests rebuild the benchmark's seed-0
-inputs with `perfbench/workloads.py`, run its prs `compare`, its tone
-`codebook-gen` and both of its codebook queries through the CLI, and
-require every decision margin (`helpers.smallest_margin`) to exceed
-`MARGIN`.
+inputs with `perfbench/workloads.py`, run its prs `compare`, its
+lorentzian `freq-selectivity`, its tone `codebook-gen`, both of its
+codebook queries and both workloads' `pattern-scan` through the CLI, and
+require every decision margin (`helpers.smallest_margin`) of the compare,
+the codebook and the queries to exceed `MARGIN`. Each of those steps'
+pinned files must also match its reference in `perfbench/reference/`
+(`checks.matches_reference`: CSVs byte for byte, JSON within 1e-9).
 """
 
 import json
@@ -23,10 +26,20 @@ from ris_pls.codebook import Codebook, EdKnowledge
 from ris_pls.optimize import SweepLog
 from ris_pls.scenario import Scenario
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(BENCH))
+import checks  # noqa: E402  (the benchmark's reference comparison)
 import workloads  # noqa: E402  (the benchmark's workload definitions)
 
+REFERENCE = BENCH / "reference"
+
 MARGIN = 1e-9
+
+#: The steps the `runs` fixture runs, in workload order.
+PINNED_STEPS = {
+    "wideband": ("compare", "freq-selectivity", "pattern-scan"),
+    "tone-codebook": ("codebook-gen", "query-unknown", "query-excluded", "pattern-scan"),
+}
 
 
 def run_step(work, step, first, out):
@@ -71,7 +84,7 @@ def runs(tmp_path_factory):
         wl = workloads.make(name, workloads.DEFAULT_SEED, False, work)
         first, logs = {}, {}
         for step in wl.steps:
-            if step.name in ("compare", "codebook-gen", "query-unknown", "query-excluded"):
+            if step.name in PINNED_STEPS[name]:
                 first[step.name] = work / f"{step.name}-0"
                 logs[step.name] = run_step(work, step, first, first[step.name])
         out[name] = (work, wl, first, logs)
@@ -117,3 +130,13 @@ def test_query_margins(runs, name):
     assert result["guaranteed_sse"] == guarantees[best]
     assert len(candidates) == 10
     assert smallest_margin(guarantees) > MARGIN
+
+
+@pytest.mark.parametrize("name, step_name", [(name, step) for name, steps in PINNED_STEPS.items() for step in steps])
+def test_pinned_outputs_match_the_references(runs, name, step_name):
+    _, wl, first, _ = runs[name]
+    (step,) = [step for step in wl.steps if step.name == step_name]
+    assert step.pinned
+    for file in step.pinned:
+        ref = REFERENCE / name / f"{step_name}.{file}"
+        assert checks.matches_reference(first[step_name] / file, ref), f"{file} differs from {ref}"
