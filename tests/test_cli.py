@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import ris_pls
 from ris_pls import channel as channel_module
 from ris_pls import cli as cli_module
+from ris_pls import codebook as codebook_module
 from ris_pls import scenario as scenario_module
 from ris_pls.channel import ChannelParams, SectorGrid
 from ris_pls.cli import _MODE_BY_COMMAND as MODE_BY_COMMAND
@@ -347,6 +348,18 @@ class TestExitCodes:
         assert proc.returncode == EXIT_SPEC
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", sorted(MODE_BY_COMMAND))
+    def test_jobs_flag_is_unrecognized(self, tmp_path, capsys, command):
+        # No subcommand takes a worker count: the sweep runs in one thread.
+        scenario = tmp_path / "scenario.json"
+        write_scenario(scenario)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(scenario), "--out", str(out), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_scan_range_is_spec_error(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
@@ -574,16 +587,18 @@ class TestMalformedSpecFields:
         assert rc == EXIT_SPEC
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_unknown_field_is_spec_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", sorted(MODE_BY_COMMAND))
+    def test_unknown_field_is_spec_error(self, tmp_path, capsys, command):
         # Spec files written before `jobs` was removed still name it.
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"mode": "compare_methods", "jobs": 1}))
-        rc = main(["compare", "--scenario", str(scenario), "--spec", str(spec), "--out", str(tmp_path)])
+        spec.write_text(json.dumps({"mode": MODE_BY_COMMAND[command], "jobs": 1}))
+        out = tmp_path / "out"
+        rc = main([command, "--scenario", str(scenario), "--spec", str(spec), "--out", str(out)])
         assert rc == EXIT_SPEC
         assert capsys.readouterr().err.splitlines() == ["spec error: unknown spec fields: ['jobs']"]
-        assert not (tmp_path / "compare_results.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("ed", [{"excluded": 5}, {"known": [1]}, {"known": "x"}, {}])
     def test_malformed_ed_knowledge_is_spec_error(self, tmp_path, ed):
@@ -676,6 +691,55 @@ class TestMalformedCodebook:
         )
         assert result.returncode == EXIT_SCENARIO
         assert "malformed codebook" in result.stderr and "Traceback" not in result.stderr
+
+
+class TestBatchCuts:
+    """The sweep cuts its pairs into batches by `SWEEP_BATCH_BYTES`; no
+    output depends on where the cuts fall."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["codebook-gen", "--methods", "alg1", "alg2", "lu_max", "ed_min"],
+            ["compare"],
+            ["compare", "--noisy-measurements"],
+            ["compare", "--spec", "{seeds}"],
+            ["freq-selectivity"],
+        ],
+        ids=["codebook-gen", "compare", "compare-noisy", "compare-seeds", "freq-selectivity"],
+    )
+    def test_outputs_do_not_depend_on_batch_size(self, tmp_path, monkeypatch, argv):
+        scenario = tmp_path / "scenario.json"
+        wideband = {"element_model": ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)}
+        write_scenario(
+            scenario,
+            sector_grid=SectorGrid(sector_centers_deg=(-15.0, 0.0, 15.0, 30.0, 45.0)),
+            **(wideband if argv[0] == "freq-selectivity" else {}),
+        )
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"mode": "compare_methods", "seeds": [1, 2]}))
+        argv = [arg.format(seeds=seeds) for arg in argv]
+        batches = []
+        pair_batches = codebook_module.pair_batches
+        monkeypatch.setattr(
+            codebook_module, "pair_batches", lambda *args: batches.append(pair_batches(*args)) or batches[-1]
+        )
+        outputs = []
+        for budget in (codebook_module.SWEEP_BATCH_BYTES, 1):
+            monkeypatch.setattr(codebook_module, "SWEEP_BATCH_BYTES", budget)
+            out = tmp_path / f"budget{budget}"
+            batches.clear()
+            assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            # The default budget sweeps each call's pairs in one batch; a
+            # budget of one byte sweeps them one pair a batch.
+            sizes = [len(batch) for call in batches for batch in call]
+            assert batches and (len(sizes) == len(batches) if budget > 1 else set(sizes) == {1})
+        assert max(len(call) for call in batches) > 1
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1]
+        if seeds.name in " ".join(argv):
+            assert json.loads(outputs[0]["compare_results.json"])["seeds"] == [1, 2]
 
 
 #: Values swapped into spec fields: every JSON type, edge numbers, and

@@ -92,6 +92,14 @@ class TestGeneration:
         b = generate_codebook(sc, methods=("alg1",))
         assert a.to_dict() == b.to_dict()
 
+    def test_generation_does_not_depend_on_batch_size(self, monkeypatch):
+        # One batch of all 12 pairs against one pair a batch.
+        sc = scenario_8x8(seed=6)
+        a = generate_codebook(sc, methods=("alg1",))
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
+        b = generate_codebook(sc, methods=("alg1",))
+        assert a.to_dict() == b.to_dict()
+
     def test_empty_method_list_rejected(self):
         with pytest.raises(ValueError):
             generate_codebook(scenario_8x8(), methods=())
@@ -134,9 +142,12 @@ class TestSweepBatches:
         assert sizes == [110] * 4
         assert set(cb.entries) == codebook_keys(cb, self.METHODS)
 
-    def test_generation_computes_each_direct_link_once(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [SWEEP_BATCH_BYTES, 1], ids=["one-batch", "pair-a-batch"])
+    def test_generation_computes_each_direct_link_once(self, monkeypatch, budget):
         # The noise calibration's LU stands at a sector center, so 12 pairs
-        # under 2 methods need one direct link per sector.
+        # under 2 methods need one direct link per sector, however the
+        # pairs are cut into batches.
+        monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", budget)
         sc = scenario_8x8(seed=3)
         nodes = []
         direct_link = channel._direct_link
