@@ -22,15 +22,15 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .channel import Placement, SectorGrid, probe_links
-from .fields import is_number
+from .fields import check_value, is_number
 from .optimize import (
     METHODS,
     EvaluatorBatch,
-    channel_powers,
     greedy_sweep,
     received_signal,
     reflection_coefficients,
@@ -39,11 +39,6 @@ from .ris import RisConfig
 from .secrecy import LinkPowers, SecrecyReport, link_powers, sum_sse
 
 CODEBOOK_SCHEMA = "ris-pls/codebook-v1"
-
-
-def pair_powers(scenario, lu: Placement, ed: Placement, tx, bits) -> np.ndarray:
-    """`channel_powers` of `bits` on the scenario's channels to (lu, ed)."""
-    return channel_powers(scenario.channels_for(lu, ed, tx.freqs), scenario.element_model, tx, bits)
 
 
 def run_method(method, scenario, batch: EvaluatorBatch, noise=None) -> tuple:
@@ -106,6 +101,15 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None) -> list:
     return [cell for batch in pair_batches(scenario, tx, pairs) for cell in sweep(batch)]
 
 
+#: A codebook record's scalar fields by JSON type: its own, its "achieved", its "sse".
+_RECORD_FIELDS = (
+    {"lu_sector": float, "ed_sector": float, "method": str, "config_bits": str, "n_v": int, "n_h": int},
+    {"p_lu": float, "p_ed": float},
+    {"r_lu": float, "r_ed": float, "r_sec_raw": float, "r_sec": float, "n0": float, "num_occupied": int},
+)
+_RECORD_TYPES = {name: t for names in _RECORD_FIELDS for name, t in names.items()}
+
+
 @dataclass
 class CodebookEntry:
     lu_sector: float
@@ -153,8 +157,47 @@ class CodebookEntry:
         )
 
 
+def _record_keys(records: list, centers: tuple) -> list:
+    """The (LU, ED, method) key of each record, once every record holds what
+    `CodebookEntry.from_dict` reads (typed finite fields, two distinct sector
+    centers, non-negative powers, n_v * n_h bits, [angle, power] pairs in a
+    `power_pattern`, no key twice), each check over all records at once."""
+
+    def reject(name: str, bad, what: str) -> None:
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"entry {i}: {name} must be {what}, not {col[name][i]!r}")
+
+    parts = records, *(list(map(itemgetter(part), records)) for part in ("achieved", "sse"))
+    col = {name: list(map(itemgetter(name), part)) for part, names in zip(parts, _RECORD_FIELDS) for name in names}
+    for name, t in _RECORD_TYPES.items():  # JSON's own types pass at C speed
+        if set(map(type, col[name])) - {t} or t is float and not np.isfinite(col[name]).all():
+            for i, value in enumerate(col[name]):
+                check_value(f"entry {i}: {name}", t.__name__, value)
+    lu, ed, p_lu, p_ed = (np.array(col[name], float) for name in ("lu_sector", "ed_sector", "p_lu", "p_ed"))
+    reject("lu_sector", ~np.isin(lu, centers), "a sector center of the grid")
+    reject("ed_sector", ~np.isin(ed, centers) | (lu == ed), "a sector center other than lu_sector")
+    reject("p_lu", p_lu < 0, "non-negative")
+    reject("p_ed", p_ed < 0, "non-negative")
+    bits = col["config_bits"]
+    sizes = np.fromiter(map(len, bits), int, len(bits))
+    # All bit-strings as one text, where any character but '0' and '1' reads > 1.
+    text = np.frombuffer("".join(bits).encode("ascii", "replace"), np.uint8) - ord("0")
+    bad_char = np.isin(range(len(bits)), np.cumsum(sizes).searchsorted(np.flatnonzero(text > 1), "right"))
+    reject("config_bits", (sizes != np.multiply(col["n_v"], col["n_h"])) | bad_char, "n_v * n_h '0's and '1's")
+    col["power_pattern"] = patterns = [r.get("power_pattern") for r in records]
+    pairs = [p is None or isinstance(p, list) and all(isinstance(x, list) and len(x) == 2 for x in p) for p in patterns]
+    reject("power_pattern", np.logical_not(pairs), "a list of [angle, power] pairs")
+    col["key"] = keys = list(zip(lu.tolist(), ed.tolist(), col["method"]))
+    first = {}
+    reject("key", [first.setdefault(key, i) != i for i, key in enumerate(keys)], "unique")
+    return keys
+
+
 @dataclass
 class Codebook:
+    """Entries by (LU, ED, method) key: in a loaded codebook, a checked record until `get` builds its entry."""
+
     grid: SectorGrid
     scenario_digest: str
     entries: dict = field(default_factory=dict)
@@ -166,25 +209,25 @@ class Codebook:
         key = (float(lu_sector), float(ed_sector), method)
         if key not in self.entries:
             raise KeyError(f"no codebook entry for {key}")
+        if isinstance(self.entries[key], dict):
+            self.entries[key] = CodebookEntry.from_dict(self.entries[key])
         return self.entries[key]
 
     def entries_for_lu(self, lu_sector: float, method: str) -> list:
-        return [e for (lu, _, meth), e in sorted(self.entries.items()) if lu == lu_sector and meth == method]
+        return [self.get(*key) for key in sorted(k for k in self.entries if k[0] == lu_sector and k[2] == method)]
 
     def to_dict(self) -> dict:
         return {
             "schema": CODEBOOK_SCHEMA,
             "grid": asdict(self.grid),
             "scenario_digest": self.scenario_digest,
-            "entries": [e.to_dict() for _, e in sorted(self.entries.items())],
+            "entries": [self.get(*key).to_dict() for key in sorted(self.entries)],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Codebook":
-        cb = cls(grid=SectorGrid(**data["grid"]), scenario_digest=data["scenario_digest"])
-        for raw in data["entries"]:
-            cb.add(CodebookEntry.from_dict(raw))
-        return cb
+        grid, records = SectorGrid(**data["grid"]), data["entries"]
+        return cls(grid, data["scenario_digest"], dict(zip(_record_keys(records, grid.sector_centers_deg), records)))
 
     @classmethod
     def load(cls, path) -> "Codebook":
@@ -252,8 +295,8 @@ def select_config(
     excluded_region(X) / unknown: among the stored candidates for the
     serving sector, the entry maximizing the minimum re-scored secrecy
     rate over admissible eavesdropper sectors. The guarantee may be
-    negative; it is reported unclamped. Each admissible sector's channels
-    are synthesized once and re-score every candidate.
+    negative; it is reported unclamped. Each batch of admissible sectors
+    (`pair_batches`) re-scores every candidate in one `EvaluatorBatch`.
 
     Returns (entry, guaranteed_sse).
     """
@@ -271,23 +314,21 @@ def select_config(
             "a different environment",
             stacklevel=2,
         )
-    if ed_knowledge.kind == "excluded":
-        admissible = [
-            c for c in centers if c != lu_sector and c not in ed_knowledge.excluded
-        ]
-        if not admissible:
-            raise ValueError("excluded region covers every eavesdropper sector")
-    else:
-        admissible = [c for c in centers if c != lu_sector]
     candidates = cb.entries_for_lu(lu_sector, method)
     if not candidates:
         raise KeyError(f"codebook holds no entries for sector {lu_sector}")
+    admissible = [c for c in centers if c != lu_sector and c not in ed_knowledge.excluded]
+    if not admissible:
+        raise ValueError("excluded region covers every eavesdropper sector")
     tx_sig, n0, lu = scenario.tx_signal(), scenario.noise_power(), scenario.placement(lu_sector)
+    pairs = [(lu, scenario.placement(ed)) for ed in admissible]
+    sets = scenario.link_table(tx_sig.freqs).channel_sets(pairs)
     worst = [math.inf] * len(candidates)
-    bits = np.array([e.config.bits for e in candidates])
-    for ed in admissible:
-        p = pair_powers(scenario, lu, scenario.placement(ed), tx_sig, bits)
-        worst = [min(w, sum_sse(p_i, n0).r_sec_raw) for w, p_i in zip(worst, p)]
+    for batch in pair_batches(scenario, tx_sig, pairs):
+        evs = EvaluatorBatch(list(itertools.islice(sets, len(batch))), scenario.element_model, tx_sig)
+        for i, cand in enumerate(candidates):  # min(w, rate) in sector order
+            worst[i] = min(worst[i], *(sum_sse(p, n0).r_sec_raw for p in evs.powers(cand.config.bits)))
+        del evs  # one batch's cascades at a time
     # The first of equal guarantees wins.
     best = max(range(len(candidates)), key=worst.__getitem__)
     return candidates[best], float(worst[best])

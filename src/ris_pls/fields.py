@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import fields
 
 #: The builtin types come first: they match without the slower ABC check.
@@ -25,8 +26,18 @@ def _typed_fields(cls) -> tuple:
 
 
 def is_number(value) -> bool:
-    """A finite real number; a bool is not one."""
-    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number within a float's range; a bool is not one."""
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+def check_value(name: str, kind: str, value, error=ValueError, may_be_inf: bool = False) -> None:
+    """Raise `error` unless `value` may stand in a field `name` annotated `kind`, as `check_types` says."""
+    cls, what = _KINDS[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, cls) or (
+        kind == "float" and not (is_number(value) or value == math.inf and may_be_inf)
+    ):
+        raise error(f"{name} must be {what}, not {value!r}")
 
 
 def check_types(obj, error=ValueError, may_be_inf=()) -> None:
@@ -36,12 +47,5 @@ def check_types(obj, error=ValueError, may_be_inf=()) -> None:
     `may_be_inf`."""
     for name, kind, optional in _typed_fields(type(obj)):
         value = getattr(obj, name)
-        if value is None and optional:
-            continue
-        cls, what = _KINDS[kind]
-        if (
-            isinstance(value, bool) != (kind == "bool")
-            or not isinstance(value, cls)
-            or kind == "float" and not (math.isfinite(value) or value == math.inf and name in may_be_inf)
-        ):
-            raise error(f"{name} must be {what}, not {value!r}")
+        if not (value is None and optional):
+            check_value(name, kind, value, error, name in may_be_inf)

@@ -15,7 +15,6 @@ from ris_pls.channel import (
     _steering,
     synthesize_channels,
 )
-from ris_pls.codebook import pair_powers
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
 from ris_pls.optimize import EvaluatorBatch, SweepLog, _full_surface_moves, _sweep
 from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry, RisConfig
@@ -224,9 +223,12 @@ def single_flip_improvements(channels, model, tx, config, objective="ratio") -> 
 
 
 def rescore(scenario, config, lu, ed) -> float:
-    """Raw secrecy rate of `config` for LU and ED sectors `lu` and `ed`: the
-    per-(candidate, sector) reference for `select_config`."""
-    powers = pair_powers(scenario, scenario.placement(lu), scenario.placement(ed), scenario.tx_signal(), config.bits)
+    """Raw secrecy rate of `config` for LU and ED sectors `lu` and `ed`, on
+    a batch of one: the per-(candidate, sector) reference for
+    `select_config`, whose batch rows equal it bit for bit."""
+    tx = scenario.tx_signal()
+    channels = scenario.channels_for(scenario.placement(lu), scenario.placement(ed), tx.freqs)
+    powers = EvaluatorBatch([channels], scenario.element_model, tx).powers(config.bits)[0]
     return sum_sse(powers, scenario.noise_power()).r_sec_raw
 
 

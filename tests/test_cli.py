@@ -577,6 +577,13 @@ class TestMalformedSpecFields:
             ("compare", {"methods": ["alg1", "uniform", "alg1"]}),
             ("codebook-gen", {"methods": ["alg1", "alg1"]}),
         ],
+        ids=[
+            "query_lu-string", "scan_config_bits-int", "fs_num_rb-string", "fs_num_rb-above-max",
+            "measurement_noise_db-string", "out_dir-int", "out_dir-null", "seeds-float", "seeds-bool",
+            "seeds-string", "seeds-negative", "seeds-2**64", "pairs-nan", "pairs-120-degrees", "pairs-string",
+            "pairs-bool", "noisy_measurements-string", "scan_attach-int", "fs_degenerate_single_bin-string",
+            "scenario_path-int", "compare-methods-repeated", "codebook-gen-methods-repeated",
+        ],
     )
     def test_wrong_type_is_spec_error(self, tmp_path, capsys, command, fields):
         scenario = tmp_path / "scenario.json"
@@ -691,6 +698,86 @@ class TestMalformedCodebook:
         )
         assert result.returncode == EXIT_SCENARIO
         assert "malformed codebook" in result.stderr and "Traceback" not in result.stderr
+
+
+#: Faults put into the last record of a codebook, the (45, 30) alg1 entry,
+#: which neither `CODEBOOK_READS` command reads.
+MALFORMED_RECORDS = {
+    "bit-character": lambda es: es[-1].update(config_bits="2" + es[-1]["config_bits"][1:]),
+    "bit-count": lambda es: es[-1].update(config_bits=es[-1]["config_bits"][1:]),
+    "bits-not-a-string": lambda es: es[-1].update(config_bits=[int(c) for c in es[-1]["config_bits"]]),
+    "negative-p_lu": lambda es: es[-1]["achieved"].update(p_lu=-1.0),
+    "missing-sse-field": lambda es: es[-1]["sse"].pop("r_ed"),
+    "lu-is-ed": lambda es: es[-1].update(ed_sector=es[-1]["lu_sector"]),
+    "sector-not-a-number": lambda es: es[-1].update(lu_sector="abc"),
+    "pattern-not-pairs": lambda es: es[-1].update(power_pattern=[[0.0, 1.0, 2.0]]),
+}
+
+#: Faults a load once let through, each with the word its error names.
+OUT_OF_DOMAIN_RECORDS = {
+    "string-r_sec_raw": (lambda es: es[-1]["sse"].update(r_sec_raw="1.5"), "r_sec_raw"),
+    "nan-p_lu": (lambda es: es[-1]["achieved"].update(p_lu=float("nan")), "p_lu"),
+    "p_lu-too-large-for-a-float": (lambda es: es[-1]["achieved"].update(p_lu=10**400), "p_lu"),
+    "null-n0": (lambda es: es[-1]["sse"].update(n0=None), "n0"),
+    "sector-off-the-grid": (lambda es: es[-1].update(lu_sector=7.0), "lu_sector"),
+    "duplicate-key": (lambda es: es.append(json.loads(json.dumps(es[-1]))), "unique"),
+}
+
+#: Commands that each read entries of LU sector 0 only.
+CODEBOOK_READS = {
+    "query-unknown": ["codebook-query", "--lu", "0", "--ed", "unknown"],
+    "scan-entry": ["pattern-scan", "--entry", "0", "15", "alg1", "--step", "45"],
+}
+
+
+@pytest.fixture(scope="module")
+def codebook_doc(tmp_path_factory):
+    """A 4x4 tone scenario with four sectors, and its alg1 codebook document."""
+    work = tmp_path_factory.mktemp("codebook")
+    write_scenario(work / "scenario.json")
+    argv = ["codebook-gen", "--scenario", str(work / "scenario.json"), "--out", str(work), "--methods", "alg1"]
+    assert main(argv) == EXIT_OK
+    return work / "scenario.json", json.loads((work / "codebook.json").read_text())
+
+
+class TestMalformedRecords:
+    """Every record is checked when the codebook loads, also one that the
+    command does not read."""
+
+    def run_with(self, tmp_path, capsys, codebook_doc, fault, argv) -> tuple:
+        """Exit code and stderr lines of `argv` on the codebook with `fault`."""
+        scenario, doc = codebook_doc
+        doc = json.loads(json.dumps(doc))
+        fault(doc["entries"])
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(json.dumps(doc))
+        rc = main([*argv, "--scenario", str(scenario), "--codebook", str(codebook), "--out", str(tmp_path)])
+        return rc, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("fault", list(MALFORMED_RECORDS))
+    @pytest.mark.parametrize("command", list(CODEBOOK_READS))
+    def test_unread_malformed_record_is_scenario_error(self, tmp_path, capsys, codebook_doc, command, fault):
+        rc, err = self.run_with(tmp_path, capsys, codebook_doc, MALFORMED_RECORDS[fault], CODEBOOK_READS[command])
+        assert rc == EXIT_SCENARIO
+        assert len(err) == 1 and "malformed codebook" in err[0]
+
+    @pytest.mark.parametrize("fault", list(OUT_OF_DOMAIN_RECORDS))
+    @pytest.mark.parametrize("command", list(CODEBOOK_READS))
+    def test_unread_out_of_domain_record_names_its_field(self, tmp_path, capsys, codebook_doc, command, fault):
+        fault, name = OUT_OF_DOMAIN_RECORDS[fault]
+        rc, err = self.run_with(tmp_path, capsys, codebook_doc, fault, CODEBOOK_READS[command])
+        assert rc == EXIT_SCENARIO
+        assert len(err) == 1 and "malformed codebook" in err[0] and name in err[0]
+
+    def test_string_rate_of_the_read_entry_is_scenario_error(self, tmp_path, capsys, codebook_doc):
+        # The known-sector query reports the stored rate without re-scoring.
+        def fault(entries):
+            (record,) = [e for e in entries if (e["lu_sector"], e["ed_sector"]) == (0.0, 15.0)]
+            record["sse"]["r_sec_raw"] = "1.5"
+
+        rc, err = self.run_with(tmp_path, capsys, codebook_doc, fault, ["codebook-query", "--lu", "0", "--ed", "15"])
+        assert rc == EXIT_SCENARIO
+        assert len(err) == 1 and "malformed codebook" in err[0] and "r_sec_raw" in err[0]
 
 
 class TestBatchCuts:
@@ -951,6 +1038,9 @@ class TestMalformedScenarioValues:
             ("channel", "rician_k_db", -3000.0, EXIT_SCENARIO),
             ("channel", "rician_k_db", -3200.0, EXIT_SCENARIO),
             ("tx_signal", "num_rb", MAX_NUM_RB + 1, EXIT_SCENARIO),
+            # An integer too large for a float is no finite number.
+            pytest.param("channel", "rician_k_db", 10**400, EXIT_SCENARIO, id="rician_k_db-10**400"),
+            pytest.param("sector_grid", "sector_centers_deg", [0.0, 10**400], EXIT_SCENARIO, id="centers-10**400"),
         ],
     )
     def test_bad_value_exits_cleanly(self, tmp_path, capsys, section, key, value, code):

@@ -34,10 +34,10 @@ from ris_pls.codebook import (
     sweep_pairs,
 )
 from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
-from ris_pls.optimize import EvaluatorBatch, received_signal, reflection_coefficients
+from ris_pls.optimize import EvaluatorBatch, channel_powers, received_signal, reflection_coefficients
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
-from ris_pls.secrecy import LinkPowers, SecrecyReport, to_db
+from ris_pls.secrecy import LinkPowers, SecrecyReport, sum_sse, to_db
 
 
 LORENTZIAN = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
@@ -400,6 +400,125 @@ class TestSelection:
             select_config(cb, 0.0, EdKnowledge.unknown(), scenario=other)
 
 
+def per_pair_selection(cb, scenario, lu, knowledge, method="alg1") -> tuple:
+    """(entry, guarantee) of the max-min choice with every (candidate,
+    sector) re-scored by one `channel_powers` call on its own channel set:
+    the reference for the batched re-scoring of `select_config`."""
+    tx, n0 = scenario.tx_signal(), scenario.noise_power()
+    admissible = [c for c in cb.grid.sector_centers_deg if c != lu and c not in knowledge.excluded]
+    candidates = cb.entries_for_lu(lu, method)
+
+    def rate(config, ed):
+        channels = scenario.channels_for(scenario.placement(lu), scenario.placement(ed), tx.freqs)
+        return sum_sse(channel_powers(channels, scenario.element_model, tx, config.bits), n0).r_sec_raw
+
+    guarantees = [min(rate(cand.config, ed) for ed in admissible) for cand in candidates]
+    best = max(range(len(candidates)), key=guarantees.__getitem__)
+    return candidates[best], guarantees[best]
+
+
+def five_sector_scenario(seed, waveform):
+    """A 4x4 panel serving five sectors with the tone or a two-block comb grid."""
+    return Scenario(
+        ris=RisArrayGeometry(n_v=4, n_h=4, tile_rows=2, tile_cols=2),
+        sector_grid=SectorGrid(sector_centers_deg=(-15.0, 0.0, 15.0, 30.0, 45.0)),
+        channel=ChannelParams(rician_k_db=10.0, rng_seed=seed),
+        tx_mode=waveform,
+        num_rb=2,
+    )
+
+
+def record_pair_batches(monkeypatch) -> list:
+    """The batch sizes of every `pair_batches` call from now on, a list per call."""
+    calls = []
+    pair_batches = codebook.pair_batches
+
+    def recorded(*args):
+        batches = pair_batches(*args)
+        calls.append([len(b) for b in batches])
+        return batches
+
+    monkeypatch.setattr(codebook, "pair_batches", recorded)
+    return calls
+
+
+class TestBatchedRescoring:
+    """`select_config` re-scores the admissible sectors as rows of one
+    `EvaluatorBatch` per batch; it chooses as per-pair `channel_powers`
+    re-scoring does, and its guarantee equals a batch of one's bit for
+    bit, however the sectors are cut into batches."""
+
+    @pytest.mark.parametrize("pairs_per_batch", [None, 3, 1], ids=["one-batch", "three-a-batch", "one-a-batch"])
+    @pytest.mark.parametrize("waveform", ["tone", "prs"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_choice_matches_per_pair_reference(self, monkeypatch, seed, waveform, pairs_per_batch):
+        sc = five_sector_scenario(seed, waveform)
+        cb = generate_codebook(sc, methods=("alg1",))
+        if pairs_per_batch is not None:
+            pair_bytes = sc.ris.num_elements * 2 * sc.tx_signal().num_subcarriers * np.dtype(complex).itemsize
+            monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", pairs_per_batch * pair_bytes)
+        calls = record_pair_batches(monkeypatch)
+        centers = sc.sector_grid.sector_centers_deg
+        for knowledge in (EdKnowledge.unknown(), EdKnowledge.excluded_region([30.0])):
+            for lu in centers:
+                entry, guaranteed = select_config(cb, lu, knowledge, scenario=sc)
+                reference, expected = per_pair_selection(cb, sc, lu, knowledge)
+                assert entry.key == reference.key
+                assert guaranteed == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                admissible = [c for c in centers if c != lu and c not in knowledge.excluded]
+                assert guaranteed == min(rescore(sc, entry.config, lu, ed) for ed in admissible)
+        # Four admissible sectors under full uncertainty.
+        assert calls[0] == {None: [4], 3: [3, 1], 1: [1, 1, 1, 1]}[pairs_per_batch]
+
+    @pytest.mark.parametrize("pairs_per_batch", [None, 1], ids=["one-batch", "one-a-batch"])
+    def test_first_of_equal_candidates_wins(self, monkeypatch, pairs_per_batch):
+        sc = five_sector_scenario(1, "tone")
+        cb = generate_codebook(sc, methods=("alg1",))
+        if pairs_per_batch is not None:
+            monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
+        candidates = cb.entries_for_lu(0.0, "alg1")
+        best, guaranteed = select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc)
+        assert best is not candidates[-1]
+        # The last candidate takes the chosen one's bits: an exact tie.
+        candidates[-1].config = best.config.copy()
+        assert select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc) == (best, guaranteed)
+        for cand in candidates:
+            cand.config = best.config.copy()
+        assert select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc) == (candidates[0], guaranteed)
+
+
+class TestLoad:
+    """A load checks every record and builds an entry when it is read."""
+
+    def test_readers_return_the_entries_written(self, alg1_codebook):
+        _, cb = alg1_codebook
+        written = dict(cb.entries)
+        key = (0.0, 15.0, "alg1")
+        written[key] = replace(cb.entries[key], power_pattern=[(-10.0, 1e-9), (0.0, 2e-9)])
+        doc = Codebook(cb.grid, cb.scenario_digest, written).to_dict()
+        back = Codebook.from_dict(json.loads(json.dumps(doc)))
+        assert all(isinstance(record, dict) for record in back.entries.values())
+        for lu in cb.grid.sector_centers_deg:
+            assert back.entries_for_lu(lu, "alg1") == [written[k] for k in sorted(written) if k[0] == lu]
+        assert {k: back.get(*k) for k in written} == written
+        assert back.to_dict() == doc
+
+    def test_any_real_number_loads(self, alg1_codebook):
+        # An integer sector keys as its float, and a numpy float passes
+        # where a JSON float does.
+        _, cb = alg1_codebook
+        doc = cb.to_dict()
+        record = doc["entries"][0]
+        key = (record["lu_sector"], record["ed_sector"], record["method"])
+        record["lu_sector"], record["sse"]["n0"] = int(record["lu_sector"]), np.float64(record["sse"]["n0"])
+        assert Codebook.from_dict(doc).get(*key) == cb.entries[key]
+
+    def test_empty_codebook_loads(self, alg1_codebook):
+        _, cb = alg1_codebook
+        back = Codebook.from_dict({**cb.to_dict(), "entries": []})
+        assert back.entries == {} and back.to_dict()["entries"] == []
+
+
 class TestSerialization:
     def test_dict_round_trip(self, alg1_codebook):
         _, cb = alg1_codebook
@@ -418,7 +537,7 @@ class TestSerialization:
         entry = cb.entries[key]
         entry.power_pattern = [(-10.0, 1e-9), (0.0, 2e-9)]
         back = Codebook.from_dict(cb.to_dict())
-        assert back.entries[key].power_pattern == entry.power_pattern
+        assert back.get(*key).power_pattern == entry.power_pattern
         entry.power_pattern = None
 
 

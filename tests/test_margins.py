@@ -11,6 +11,8 @@ require every decision margin (`helpers.smallest_margin`) of the compare,
 the codebook and the queries to exceed `MARGIN`. Each of those steps'
 pinned files must also match its reference in `perfbench/reference/`
 (`checks.matches_reference`: CSVs byte for byte, JSON within 1e-9).
+The queries and the entry scan must also build only the codebook entries
+they read.
 """
 
 import json
@@ -22,7 +24,7 @@ import pytest
 from helpers import rescore, smallest_margin
 from ris_pls import codebook
 from ris_pls.cli import EXIT_OK, main
-from ris_pls.codebook import Codebook, EdKnowledge
+from ris_pls.codebook import Codebook, CodebookEntry, EdKnowledge
 from ris_pls.optimize import SweepLog
 from ris_pls.scenario import Scenario
 
@@ -130,6 +132,21 @@ def test_query_margins(runs, name):
     assert result["guaranteed_sse"] == guarantees[best]
     assert len(candidates) == 10
     assert smallest_margin(guarantees) > MARGIN
+
+
+@pytest.mark.parametrize("step_name, builds", [("query-unknown", 10), ("query-excluded", 10), ("pattern-scan", 1)])
+def test_codebook_reads_build_only_their_entries(runs, tmp_path, monkeypatch, step_name, builds):
+    # A query reads the serving sector's 10 alg1 candidates, the scan one
+    # entry; the load checks all 440 records and builds none.
+    work, wl, first, _ = runs["tone-codebook"]
+    (step,) = [step for step in wl.steps if step.name == step_name]
+    built = []
+    post_init = CodebookEntry.__post_init__
+    monkeypatch.setattr(CodebookEntry, "__post_init__", lambda entry: built.append(entry.key) or post_init(entry))
+    assert main([*step.argv(first), "--scenario", str(work / step.scenario), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(json.loads((first["codebook-gen"] / "codebook.json").read_text())["entries"]) == 440
+    assert len(built) == len(set(built)) == builds
+    assert {(lu, method) for lu, _, method in built} == {(float(step.argv(first)[4]), "alg1")}
 
 
 @pytest.mark.parametrize("name, step_name", [(name, step) for name, steps in PINNED_STEPS.items() for step in steps])
