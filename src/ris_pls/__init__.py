@@ -5,13 +5,11 @@ from .channel import (
     ChannelSet,
     Placement,
     SectorGrid,
-    synthesize_channels,
 )
 from .codebook import (
     Codebook,
     CodebookEntry,
     EdKnowledge,
-    detect_side_lobes,
     generate_codebook,
     scan_power_pattern,
     select_config,
@@ -29,10 +27,7 @@ from .optimize import (
     MeasurementNoise,
     OptimizerTrace,
     algorithm1,
-    algorithm2,
-    ed_min,
     exhaustive_oracle,
-    lu_max,
 )
 from .ris import ElementModel, RisArrayGeometry, RisConfig
 from .scenario import Scenario

@@ -392,25 +392,6 @@ class LinkTable:
             yield channels
 
 
-def synthesize_channels(
-    tx: Placement,
-    lu: Placement,
-    ed: Placement,
-    ris: RisArrayGeometry,
-    params: ChannelParams,
-    freqs,
-) -> ChannelSet:
-    """Deterministic channel realization for one transmitter/receiver layout.
-
-    The direct transmitter-to-receiver links are attenuated by the
-    configured suppression whenever the receiver sits outside the
-    transmitter beam aimed at the panel. All links are read-only, and
-    receivers at one placement share one array: this is one `LinkTable`'s
-    channel set.
-    """
-    return LinkTable(tx, ris, params, freqs).channels(lu, ed)
-
-
 #: Bytes of each per-probe array one chunk of a scan holds (one probe at
 #: least): its (A, M) steering rows and its (A, K) direct links and delay
 #: profiles. A probe's row on a 32x32 panel takes 16 KB, so a chunk holds
@@ -459,11 +440,10 @@ def probe_links(tx: Placement, angles, range_m: float, ris: RisArrayGeometry, pa
     Probes see the single line-of-sight ray of each link: `params` are the
     scenario's channel parameters, taken with `num_paths=1`, so a probe's
     panel link is rank one, amp * outer(delay, steering). The links equal
-    those `synthesize_channels` gives placements there with those
-    parameters, but none is built as (A, K, M), and none is kept in a
-    `LinkTable`: a probe link is used once. The transmitter's geometry is
-    worked out once per scan, and a chunk's as arrays, with no placement
-    per probe.
+    those a `LinkTable` gives placements there with those parameters, but
+    none is built as (A, K, M), and none is kept in a `LinkTable`: a probe
+    link is used once. The transmitter's geometry is worked out once per
+    scan, and a chunk's as arrays, with no placement per probe.
     """
     params = replace(params, num_paths=1)
     f = _checked_freqs(freqs)

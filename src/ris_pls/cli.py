@@ -180,7 +180,9 @@ def main(argv=None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     except (ValueError, KeyError, IndexError, ArithmeticError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key; print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"runtime error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
     stdout = outputs.pop("stdout", None)
     if stdout:

@@ -11,8 +11,7 @@ returned, together with the (possibly negative) guaranteed secrecy rate.
 Because a 1-bit panel quantizes phases so coarsely, an optimized entry can
 put nearly as much power into unintended directions as into the serving
 sector. `scan_power_pattern` sweeps a probe receiver over fine angles to
-expose those side lobes, and `detect_side_lobes` flags the ones close to
-the serving power.
+expose those side lobes.
 """
 
 from __future__ import annotations
@@ -380,27 +379,3 @@ def scan_power_pattern(
             raise ValueError(f"the probe at {angle:g} degrees receives a non-finite signal")
         powers.extend((np.abs(y) ** 2).sum(axis=1).tolist())
     return [(float(a), p) for a, p in zip(angles, powers)]
-
-
-def detect_side_lobes(
-    pattern,
-    lu_angle_deg: float,
-    threshold_db: float,
-    sector_width_deg: float = 15.0,
-) -> list:
-    """Angles far from the serving direction whose power reaches within
-    `threshold_db` of the serving power.
-
-    Only angles at least two sector widths away qualify; threshold 0 flags
-    lobes that meet or exceed the serving power.
-    """
-    angles = np.array([a for a, _ in pattern], dtype=float)
-    powers = np.array([p for _, p in pattern], dtype=float)
-    if not angles.min() <= lu_angle_deg <= angles.max():
-        raise ValueError("serving angle lies outside the scanned pattern")
-    order = np.argsort(angles)
-    lu_power = float(np.interp(lu_angle_deg, angles[order], powers[order]))
-    floor = lu_power * 10.0 ** (-threshold_db / 10.0)
-    min_sep = 2.0 * sector_width_deg
-    hits = (np.abs(angles - lu_angle_deg) >= min_sep) & (powers >= floor)
-    return [float(a) for a in angles[hits]]

@@ -207,25 +207,23 @@ def received_signal(h_d, phi, w_sum, on, x):
 
 
 def channel_powers(channels: ChannelSet, element_model: ElementModel, tx: TxSignal, bits: np.ndarray) -> np.ndarray:
-    """Noiseless LU and ED power per subcarrier from the channel set, as
-    reports read it: (2, K) for a bit vector, (N, 2, K) for the rows of an
-    (N, M) matrix, each row scored as one vector is. Per receiver, the
+    """Noiseless (2, K) LU and ED power per subcarrier of the bit vector
+    `bits` from the channel set, as reports read it. Per receiver, the
     cascades h_m * g_m give their sum and their product with the bits,
     which `EvaluatorBatch.powers` sums in another order."""
     if not np.array_equal(tx.freqs, channels.freqs):
         raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-    rows = np.asarray(bits, dtype=complex).reshape(-1, channels.num_elements)
+    on = np.asarray(bits, dtype=complex)
     w_sum = np.empty((2, channels.num_subcarriers), dtype=complex)
-    w_on = np.empty((len(rows), *w_sum.shape), dtype=complex)
+    w_on = np.empty_like(w_sum)
     w = np.empty_like(channels.g_ris)  # one receiver's (K, M) cascades, reused
     for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
         np.multiply(h, channels.g_ris, out=w)
         w_sum[r] = w.sum(axis=1)
-        w_on[:, r] = [w @ on for on in rows]
+        w_on[r] = w @ on
     hd = np.array((channels.h_d_lu, channels.h_d_ed))
     phi = reflection_coefficients(element_model, tx.freqs)
-    p = np.array([np.abs(received_signal(hd, phi, w_sum, on, tx.symbols)) ** 2 for on in w_on])
-    return p if np.ndim(bits) == 2 else p[0]
+    return np.abs(received_signal(hd, phi, w_sum, w_on, tx.symbols)) ** 2
 
 
 #: Rows of a bit matrix `EvaluatorBatch.sums` casts to complex at a time.
@@ -371,8 +369,8 @@ def _partitioned_moves(n_v: int, n_h: int) -> list:
 #: builder). A move is (kind, index, half, objective key, element slice).
 #:
 #: alg1 (`algorithm1`) is the full-surface sweep of the LU/ED power ratio, alg2
-#: (`algorithm2`) the partitioned sweep, its registers seeded once from the start
-#: and its final objective the end's ratio; lu_max and ed_min sweep one power.
+#: the partitioned sweep, its registers seeded once from the start and its
+#: final objective the end's ratio; lu_max and ed_min sweep one power.
 METHODS = {
     "alg1": ("ratio", _full_surface_moves("ratio")),
     "alg2": ("ratio", _partitioned_moves),
@@ -466,23 +464,15 @@ def greedy_sweep(
     )
 
 
-def sweep_pair(
-    method: str,
+def algorithm1(
     channels: ChannelSet,
     element_model: ElementModel,
     tx: TxSignal,
     geometry: RisArrayGeometry,
     noise: MeasurementNoise | None = None,
 ) -> OptimizerTrace:
-    """The `greedy_sweep` of one channel set: the trace of a batch of one."""
-    batch = EvaluatorBatch([channels], element_model, tx)
-    return greedy_sweep(method, batch, geometry, noise)[0]
-
-
-algorithm1 = functools.partial(sweep_pair, "alg1")
-algorithm2 = functools.partial(sweep_pair, "alg2")
-lu_max = functools.partial(sweep_pair, "lu_max")
-ed_min = functools.partial(sweep_pair, "ed_min")
+    """alg1 on one channel set: the `greedy_sweep` trace of a batch of one."""
+    return greedy_sweep("alg1", EvaluatorBatch([channels], element_model, tx), geometry, noise)[0]
 
 
 def _subset_sums(w: np.ndarray) -> np.ndarray:

@@ -12,11 +12,11 @@ from ris_pls.channel import (
     _free_space_amplitude,
     _link_rng,
     _scatter_sigma,
+    LinkTable,
     _steering,
-    synthesize_channels,
 )
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
-from ris_pls.optimize import EvaluatorBatch, SweepLog, _full_surface_moves, _sweep
+from ris_pls.optimize import EvaluatorBatch, SweepLog, _full_surface_moves, _sweep, greedy_sweep
 from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry, RisConfig
 from ris_pls.secrecy import sum_sse
 
@@ -51,9 +51,7 @@ def model_instance(seed, n_v, n_h, rician_k_db=10.0, waveform="tone"):
         sig = unit_tone()
     else:
         sig = prs_signal(build_prs_grid(Numerology(), num_rb=2, seed=int(seed)))
-    channels = synthesize_channels(
-        tx, Placement(lu_a, 7.0), Placement(ed_a, 7.0), panel(n_v, n_h), params, sig.freqs
-    )
+    channels = LinkTable(tx, panel(n_v, n_h), params, sig.freqs).channels(Placement(lu_a, 7.0), Placement(ed_a, 7.0))
     return channels, sig
 
 
@@ -210,6 +208,11 @@ def score(batch, objective, bits, read=None) -> float:
     return float(batch.values(objective, batch.sums(bits), None if read is None else [read])[0])
 
 
+def sweep_one(method, channels, model, tx, geometry, noise=None):
+    """The trace of greedy `method` on one channel set: a `greedy_sweep` of a batch of one."""
+    return greedy_sweep(method, EvaluatorBatch([channels], model, tx), geometry, noise)[0]
+
+
 def single_flip_improvements(channels, model, tx, config, objective="ratio") -> list:
     """Column and row flips that strictly improve `objective` from `config`,
     each a one-move sweep: empty when `config` is single-flip optimal."""
@@ -236,3 +239,28 @@ def codebook_keys(cb, methods) -> set:
     """The (LU, ED, method) keys of a complete codebook over its grid."""
     centers = cb.grid.sector_centers_deg
     return {(lu, ed, m) for m in methods for lu in centers for ed in centers if lu != ed}
+
+
+def detect_side_lobes(
+    pattern,
+    lu_angle_deg: float,
+    threshold_db: float,
+    sector_width_deg: float = 15.0,
+) -> list:
+    """Angles far from the serving direction whose power reaches within
+    `threshold_db` of the serving power, in a `scan_power_pattern` result:
+    the paper's side-lobe observation, which no command reports.
+
+    Only angles at least two sector widths away qualify; threshold 0 flags
+    lobes that meet or exceed the serving power.
+    """
+    angles = np.array([a for a, _ in pattern], dtype=float)
+    powers = np.array([p for _, p in pattern], dtype=float)
+    if not angles.min() <= lu_angle_deg <= angles.max():
+        raise ValueError("serving angle lies outside the scanned pattern")
+    order = np.argsort(angles)
+    lu_power = float(np.interp(lu_angle_deg, angles[order], powers[order]))
+    floor = lu_power * 10.0 ** (-threshold_db / 10.0)
+    min_sep = 2.0 * sector_width_deg
+    hits = (np.abs(angles - lu_angle_deg) >= min_sep) & (powers >= floor)
+    return [float(a) for a in angles[hits]]

@@ -9,10 +9,14 @@ nulls and so every `config_bits`. Any other file, CSVs among them, must
 match byte for byte. For each JSON file the largest relative drift of a
 float, |a - b| / max(|a|, |b|), is printed with where it is. Exits 0
 when the directories match in that sense, 1 otherwise.
+
+`structure_digest` fingerprints what that comparison holds exact in one
+document, so a test can pin a large output by a short constant.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -46,6 +50,25 @@ def json_drift(a, b, where: str = "$") -> tuple:
         return 0.0, where, [] if a == b else [f"{where}: {a!r} != {b!r}"]
     drift, at, _ = max(parts, key=lambda part: part[0], default=(0.0, where, []))
     return drift, at, [d for *_, diffs in parts for d in diffs]
+
+
+def _skeleton(doc):
+    """`doc` with each float replaced by the type `float`."""
+    if isinstance(doc, float):
+        return float
+    if isinstance(doc, dict):
+        return {k: _skeleton(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_skeleton(v) for v in doc]
+    return doc
+
+
+def structure_digest(doc) -> str:
+    """SHA-256 of everything `json_drift` compares exactly in a parsed JSON
+    document (keys and their order, list lengths, strings, integers,
+    booleans, nulls), with each float replaced by a type tag. The repr
+    tells every tag from a JSON value: no parsed value reprs as a class."""
+    return hashlib.sha256(repr(_skeleton(doc)).encode()).hexdigest()
 
 
 def compare_dirs(dir_a, dir_b) -> tuple:

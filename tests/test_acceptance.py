@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import codebook_keys, model_instance, panel, replay, rescore, single_flip_improvements
+from helpers import codebook_keys, model_instance, panel, replay, rescore, single_flip_improvements, sweep_one
 from ris_pls.channel import ChannelParams, ChannelSet
 from ris_pls.codebook import (
     Codebook,
@@ -23,11 +23,8 @@ from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_
 from ris_pls.optimize import (
     EvaluatorBatch,
     algorithm1,
-    algorithm2,
     channel_powers,
-    ed_min,
     exhaustive_oracle,
-    lu_max,
     received_signal,
 )
 from ris_pls.ris import ElementModel, RisArrayGeometry
@@ -126,12 +123,11 @@ def test_criterion_04_greedy_invariants():
     start = time.time()
     geom = panel(4, 4)
     model = ElementModel()
-    methods = {"alg1": algorithm1, "alg2": algorithm2, "lu_max": lu_max, "ed_min": ed_min}
     locally_optimal = 0
     for seed in range(200):
         channels, sig = model_instance(seed, 4, 4)
-        for name, method in methods.items():
-            trace = method(channels, model, sig, geom)
+        for name in ("alg1", "alg2", "lu_max", "ed_min"):
+            trace = sweep_one(name, channels, model, sig, geom)
             registers = {}
             for step in trace.steps:
                 improved = (

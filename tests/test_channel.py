@@ -29,7 +29,6 @@ from ris_pls.channel import (
     _steering,
     _tx_beam,
     probe_links,
-    synthesize_channels,
 )
 from ris_pls.ofdm import Numerology, build_prs_grid, prs_signal, tone_signal
 from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry
@@ -110,9 +109,7 @@ def default_links(seed=0, **kwargs):
     tx, grid = build_default_geometry()
     params = ChannelParams(rng_seed=seed, **kwargs)
     freqs = CARRIER + 60e3 * np.arange(4)
-    return synthesize_channels(
-        tx, grid.placement(0.0), grid.placement(15.0), small_panel(), params, freqs
-    )
+    return LinkTable(tx, small_panel(), params, freqs).channels(grid.placement(0.0), grid.placement(15.0))
 
 
 class TestSynthesis:
@@ -149,17 +146,13 @@ class TestSynthesis:
     def test_empty_frequency_list_rejected(self):
         tx, grid = build_default_geometry()
         with pytest.raises(ValueError):
-            synthesize_channels(
-                tx, grid.placement(0.0), grid.placement(15.0), small_panel(), ChannelParams(), []
-            )
+            LinkTable(tx, small_panel(), ChannelParams(), []).channels(grid.placement(0.0), grid.placement(15.0))
 
     def test_receiver_at_transmitter_rejected(self):
         tx, grid = build_default_geometry()
         at_tx = Placement(tx.azimuth_deg, tx.range_m)
         with pytest.raises(ValueError, match="at the transmitter"):
-            synthesize_channels(
-                tx, grid.placement(0.0), at_tx, small_panel(), ChannelParams(), GRIDS["tone"]
-            )
+            LinkTable(tx, small_panel(), ChannelParams(), GRIDS["tone"]).channels(grid.placement(0.0), at_tx)
 
     def test_determinism(self):
         a = default_links(seed=7)
@@ -178,8 +171,8 @@ class TestSynthesis:
         params = ChannelParams(rng_seed=3)
         freqs = [CARRIER]
         lu, ed = grid.placement(0.0), grid.placement(30.0)
-        fwd = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
-        rev = synthesize_channels(tx, ed, lu, small_panel(), params, freqs)
+        fwd = LinkTable(tx, small_panel(), params, freqs).channels(lu, ed)
+        rev = LinkTable(tx, small_panel(), params, freqs).channels(ed, lu)
         np.testing.assert_array_equal(fwd.h_d_lu, rev.h_d_ed)
         np.testing.assert_array_equal(fwd.h_d_ed, rev.h_d_lu)
         np.testing.assert_array_equal(fwd.h_ris_lu, rev.h_ris_ed)
@@ -190,9 +183,7 @@ class TestSynthesis:
         # One ray only: the plane-wave magnitude is identical on every element.
         tx, grid = build_default_geometry()
         params = ChannelParams(num_paths=1, rician_k_db=float("inf"))
-        ch = synthesize_channels(
-            tx, grid.placement(0.0), grid.placement(15.0), small_panel(), params, [CARRIER]
-        )
+        ch = LinkTable(tx, small_panel(), params, [CARRIER]).channels(grid.placement(0.0), grid.placement(15.0))
         mags = np.abs(ch.h_ris_lu[0])
         np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
@@ -205,7 +196,7 @@ class TestSynthesis:
         params = ChannelParams(num_paths=1)
         panel = RisArrayGeometry(n_v=1, n_h=1, tile_rows=1, tile_cols=1)
         f = CARRIER
-        ch = synthesize_channels(tx, rx, Placement(30.0, r), panel, params, [f])
+        ch = LinkTable(tx, panel, params, [f]).channels(rx, Placement(30.0, r))
         cascade = ch.g_ris[0, 0] * ch.h_ris_lu[0, 0]
         expected = -2.0 * math.pi * f * (2.0 * r) / SPEED_OF_LIGHT
         delta = np.angle(cascade * np.exp(-1j * expected))
@@ -219,9 +210,7 @@ class TestSynthesis:
             rician_k_db=60.0, max_excess_delay_s=1.0 / SPEED_OF_LIGHT, rng_seed=5
         )
         freqs = CARRIER + np.linspace(-18.72e6, 18.72e6, 13)
-        ch = synthesize_channels(
-            tx, grid.placement(0.0), grid.placement(15.0), small_panel(), params, freqs
-        )
+        ch = LinkTable(tx, small_panel(), params, freqs).channels(grid.placement(0.0), grid.placement(15.0))
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
             mags_db = 20.0 * np.log10(np.abs(getattr(ch, name)))
             assert np.ptp(mags_db, axis=0).max() < 0.1
@@ -236,8 +225,8 @@ class TestSynthesis:
         outside = grid.placement(0.0)
         lo = ChannelParams(num_paths=1, direct_path_suppression_db=30.0)
         hi = ChannelParams(num_paths=1, direct_path_suppression_db=60.0)
-        ch_lo = synthesize_channels(tx, inside, outside, panel, lo, freqs)
-        ch_hi = synthesize_channels(tx, inside, outside, panel, hi, freqs)
+        ch_lo = LinkTable(tx, panel, lo, freqs).channels(inside, outside)
+        ch_hi = LinkTable(tx, panel, hi, freqs).channels(inside, outside)
         # in-beam link unaffected by the suppression setting
         np.testing.assert_allclose(np.abs(ch_lo.h_d_lu), np.abs(ch_hi.h_d_lu), rtol=1e-12)
         # out-of-beam link attenuated by exactly the extra 30 dB
@@ -267,8 +256,8 @@ class TestOccupiedSubcarrierParity:
         sig = prs_signal(grid)
         params = ChannelParams(num_paths=num_paths, rng_seed=seed)
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
-        full = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, grid.subcarrier_freqs())
-        occupied = synthesize_channels(tx, lu, ed, small_panel(3, 4), params, sig.freqs)
+        full = LinkTable(tx, small_panel(3, 4), params, grid.subcarrier_freqs()).channels(lu, ed)
+        occupied = LinkTable(tx, small_panel(3, 4), params, sig.freqs).channels(lu, ed)
         rows = grid.occupied_mask
         assert same_bits(occupied.freqs, full.freqs[rows])
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
@@ -394,7 +383,7 @@ class TestPanelLinkMemo:
         params = ChannelParams(rng_seed=2)
         freqs = GRIDS["tone"]
         pos, neg = Placement(0.0, 7.0), Placement(-0.0, 7.0)
-        ch = synthesize_channels(tx, pos, neg, small_panel(), params, freqs)
+        ch = LinkTable(tx, small_panel(), params, freqs).channels(pos, neg)
         assert not np.array_equal(ch.h_ris_lu, ch.h_ris_ed)
         assert same_bits(ch.h_ris_ed, _panel_link(neg, params, freqs, small_panel(), _LINK_RIS_NODE))
         assert params.num_paths > 1
@@ -409,7 +398,7 @@ class TestPanelLinkMemo:
         params = ChannelParams(num_paths=num_paths, rng_seed=5)
         freqs = GRIDS["prs"]
         lu, ed = grid.placement(30.0), Placement(ed_deg, 7.0)
-        ch = synthesize_channels(tx, lu, ed, small_panel(), params, freqs)
+        ch = LinkTable(tx, small_panel(), params, freqs).channels(lu, ed)
         assert (ch.h_d_ed is ch.h_d_lu) == (ed == lu)
         assert same_bits(ch.h_d_lu, _direct_link(tx, lu, params, freqs, _tx_beam(tx)))
         assert same_bits(ch.h_d_ed, _direct_link(tx, ed, params, freqs, _tx_beam(tx)))
@@ -475,7 +464,7 @@ class TestProbeLinks:
         assert len(links) == len(angles)
         single_ray = replace(params, num_paths=1)
         for angle, (h_d, h) in zip(angles, links):
-            ch = synthesize_channels(tx, Placement(angle, 6.0), Placement(80.0, 6.0), panel, single_ray, freqs)
+            ch = LinkTable(tx, panel, single_ray, freqs).channels(Placement(angle, 6.0), Placement(80.0, 6.0))
             assert same_bits(g, ch.g_ris)
             assert same_bits(h_d, ch.h_d_lu) and same_bits(h, ch.h_ris_lu)
 

@@ -15,6 +15,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import sweep_one
 import ris_pls
 from ris_pls import channel as channel_module
 from ris_pls import cli as cli_module
@@ -31,7 +32,7 @@ from ris_pls.experiments import (
     run_compare,
     run_frequency_selectivity,
 )
-from ris_pls.optimize import EvaluatorBatch, algorithm1, algorithm2, ed_min, lu_max
+from ris_pls.optimize import EvaluatorBatch
 from ris_pls.ofdm import MAX_NUM_RB
 from ris_pls.ris import ElementModel, RisArrayGeometry
 from ris_pls.scenario import Scenario
@@ -189,8 +190,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     def test_shared_evaluator_matches_fresh_evaluators(self, tmp_path, noisy):
-        # Each pair's methods share one evaluator; each public optimizer
-        # builds its own. Bits and every trace step must agree.
+        # Each pair's methods share one evaluator; each `sweep_one` builds
+        # its own. Bits and every trace step must agree.
         scenario = write_scenario(tmp_path / "scenario.json")
         spec = ExperimentSpec(
             mode="compare_methods",
@@ -200,7 +201,6 @@ class TestCompare:
         )
         run_compare(scenario, spec)
         results = json.loads((tmp_path / "compare_results.json").read_text())["results"]
-        optimizers = {"alg1": algorithm1, "alg2": algorithm2, "lu_max": lu_max, "ed_min": ed_min}
         sig = scenario.tx_signal()
         noise = _measurement_noise(spec, scenario, scenario.seed)
         checked = 0
@@ -209,7 +209,7 @@ class TestCompare:
                 continue
             lu, ed = scenario.placement(r["lu_deg"]), scenario.placement(r["ed_deg"])
             channels = scenario.channels_for(lu, ed, sig.freqs)
-            trace = optimizers[r["method"]](channels, scenario.element_model, sig, scenario.ris, noise=noise)
+            trace = sweep_one(r["method"], channels, scenario.element_model, sig, scenario.ris, noise=noise)
             assert r["config_bits"] == trace.final_config.to_bitstring()
             assert r["trace"] == json.loads(json.dumps(trace.to_dict()))
             checked += 1
@@ -1217,6 +1217,23 @@ class TestCodebookCommands:
         result = json.loads((out / "codebook_query.json").read_text())
         assert result["lu_sector"] == 0.0
         assert result["snap_distance_deg"] == 4.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["codebook-query", "--lu", "0", "--ed", "unknown", "--method", "alg2"],
+             "codebook holds no entries for sector 0.0"),
+            (["pattern-scan", "--entry", "0", "15", "alg2"], "no codebook entry for (0.0, 15.0, 'alg2')"),
+            (["codebook-query", "--lu", "0", "--ed", "0"], "no codebook entry for (0.0, 0.0, 'alg1')"),
+        ],
+        ids=["query-method", "scan-entry", "query-ed"],
+    )
+    def test_missing_entry_is_runtime_error_with_its_message(self, tmp_path, capsys, codebook_doc, argv, message):
+        # The alg1 codebook has no alg2 entries and no entry with LU = ED.
+        scenario, _ = codebook_doc
+        codebook = scenario.parent / "codebook.json"
+        assert main([*argv, "--scenario", str(scenario), "--codebook", str(codebook), "--out", str(tmp_path)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
 
     def test_missing_codebook_is_spec_error(self, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import codebook_keys, dense_receive, rescore
+from helpers import codebook_keys, dense_receive, detect_side_lobes, rescore
 from ris_pls import channel, codebook, optimize
 from ris_pls.channel import (
     _LINK_RIS_NODE,
@@ -26,7 +26,6 @@ from ris_pls.codebook import (
     Codebook,
     CodebookEntry,
     EdKnowledge,
-    detect_side_lobes,
     generate_codebook,
     pair_batches,
     scan_power_pattern,

@@ -11,7 +11,9 @@ require every decision margin (`helpers.smallest_margin`) of the compare,
 the codebook and the queries to exceed `MARGIN`. Each of those steps'
 pinned files must also match its reference in `perfbench/reference/`
 (`checks.matches_reference`: CSVs byte for byte, JSON within 1e-9).
-The queries and the entry scan must also build only the codebook entries
+The large JSON files that no reference holds are pinned by their
+`outdiff.structure_digest`: keys, strings, bits and accept flags, not
+float values. The queries and the entry scan must also build only the codebook entries
 they read.
 """
 
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from helpers import rescore, smallest_margin
+from outdiff import structure_digest
 from ris_pls import codebook
 from ris_pls.cli import EXIT_OK, main
 from ris_pls.codebook import Codebook, CodebookEntry, EdKnowledge
@@ -41,6 +44,17 @@ MARGIN = 1e-9
 PINNED_STEPS = {
     "wideband": ("compare", "freq-selectivity", "pattern-scan"),
     "tone-codebook": ("codebook-gen", "query-unknown", "query-excluded", "pattern-scan"),
+}
+
+#: `outdiff.structure_digest` of the seed-0 outputs no reference file pins.
+#: An output change that moves them updates them and says why.
+STRUCTURE_DIGESTS = {
+    ("wideband", "compare", "compare_results.json"):
+        "ccd6abfe808cf892109fca6d8c58be0020f92e4fb027bcbb632b2dac4097cd3d",
+    ("wideband", "freq-selectivity", "frequency_selectivity.json"):
+        "ec71fb370b1dfd6d2af51e573cf9382a795bbbcc7156556df2d6e045b4c2bc55",
+    ("tone-codebook", "codebook-gen", "codebook.json"):
+        "da88cd93c091e801acfe84955708d0c9cb146183e84636c88321a206b1f48ee3",
 }
 
 
@@ -157,3 +171,10 @@ def test_pinned_outputs_match_the_references(runs, name, step_name):
     for file in step.pinned:
         ref = REFERENCE / name / f"{step_name}.{file}"
         assert checks.matches_reference(first[step_name] / file, ref), f"{file} differs from {ref}"
+
+
+@pytest.mark.parametrize("name, step_name, file", list(STRUCTURE_DIGESTS))
+def test_structure_digests(runs, name, step_name, file):
+    _, _, first, _ = runs[name]
+    doc = json.loads((first[step_name] / file).read_text())
+    assert structure_digest(doc) == STRUCTURE_DIGESTS[name, step_name, file]

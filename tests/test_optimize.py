@@ -13,6 +13,7 @@ from helpers import (
     score,
     single_flip_improvements,
     single_tone_tx,
+    sweep_one,
 )
 from ris_pls.channel import ChannelSet
 from ris_pls.experiments import DEFAULT_PAIRS
@@ -31,11 +32,8 @@ from ris_pls.optimize import (
     _objective,
     _sweep,
     algorithm1,
-    algorithm2,
-    ed_min,
     exhaustive_oracle,
     greedy_sweep,
-    lu_max,
     received_signal,
     reflection_coefficients,
 )
@@ -57,6 +55,9 @@ SWEEPS = pytest.mark.parametrize(
 #: "iters2", the name its ids have always had) and a 5x4 one, with an odd
 #: row count and a two-column alg2 split.
 PANELS = pytest.mark.parametrize("n_v, n_h", [(4, 6), (5, 4)], ids=["iters2", "iters2-5x4"])
+
+#: Every greedy method of `METHODS`, by name (ids "method0" to "method3").
+EVERY_METHOD = pytest.mark.parametrize("method", list(METHODS), ids=[f"method{i}" for i in range(len(METHODS))])
 
 
 def start_bits(m, seed=None) -> np.ndarray:
@@ -110,10 +111,10 @@ class TestAlgorithm1:
 
 class TestTraceInvariants:
     @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    @EVERY_METHOD
     def test_monotone_and_revertible(self, method, seed):
         channels, sig = model_instance(seed, 4, 4)
-        trace = method(channels, MODEL, sig, panel(4, 4))
+        trace = sweep_one(method, channels, MODEL, sig, panel(4, 4))
         # Accepted steps strictly improve their own objective register.
         registers = {}
         for step in trace.steps:
@@ -133,10 +134,10 @@ class TestTraceInvariants:
         # Replaying only the accepted flips reproduces the final bits.
         assert replay(trace) == trace.final_config
 
-    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    @EVERY_METHOD
     def test_replay_catches_a_leaked_rejection(self, method):
         channels, sig = model_instance(3, 4, 4)
-        trace = method(channels, MODEL, sig, panel(4, 4))
+        trace = sweep_one(method, channels, MODEL, sig, panel(4, 4))
         steps = trace.to_dict()["steps"]
         next(s for s in steps if not s["accepted"])["accepted"] = True
         assert replay(trace, steps) != trace.final_config
@@ -146,10 +147,10 @@ class TestTraceInvariants:
         # last, and only in half-row steps.
         channels, sig = model_instance(3, 4, 4)
         keys = ["kind", "index", "iteration", "objective", "direction", "objective_before", "objective_after", "accepted"]
-        for method in (algorithm1, algorithm2):
-            steps = method(channels, MODEL, sig, panel(4, 4)).to_dict()["steps"]
+        for method in ("alg1", "alg2"):
+            steps = sweep_one(method, channels, MODEL, sig, panel(4, 4)).to_dict()["steps"]
             assert steps[0]["kind"] == "column" and list(steps[0]) == keys
-            assert {s["kind"] for s in steps} == ({"column", "row"} if method is algorithm1 else {"column", "half_row"})
+            assert {s["kind"] for s in steps} == ({"column", "row"} if method == "alg1" else {"column", "half_row"})
             for step in steps:
                 assert list(step) == (keys + ["half"] if step["kind"] == "half_row" else keys)
 
@@ -162,10 +163,10 @@ class TestSlowPathParity:
 
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
     @PANELS
-    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    @EVERY_METHOD
     def test_steps_match_fresh_scores(self, method, n_v, n_h, waveform):
         channels, sig = model_instance(4, n_v, n_h, waveform=waveform)
-        trace = method(channels, MODEL, sig, panel(n_v, n_h))
+        trace = sweep_one(method, channels, MODEL, sig, panel(n_v, n_h))
         assert {s.iteration for s in trace.steps} == set(range(1, PASSES + 1))
         ev = EvaluatorBatch([channels], MODEL, sig)
         key = {name: objective for objective, (name, _) in OBJECTIVES.items()}
@@ -337,10 +338,10 @@ class TestRunningSumParity:
         assert np.array_equal(cfg, bits)
         assert best["ratio"] == [max([steps[0].objective_before] + [s.objective_after for s in steps if s.accepted])]
 
-    @pytest.mark.parametrize("method", [algorithm1, algorithm2, lu_max, ed_min])
+    @EVERY_METHOD
     def test_final_objective_is_a_fresh_evaluation(self, method):
         channels, sig = model_instance(1, 4, 6, waveform="prs")
-        trace = method(channels, MODEL, sig, panel(4, 6))
+        trace = sweep_one(method, channels, MODEL, sig, panel(4, 6))
         ev = EvaluatorBatch([channels], MODEL, sig)
         assert trace.final_objective == score(ev, trace.objective_kind, trace.final_config.bits)
 
@@ -692,12 +693,12 @@ class TestPassSummaries:
 class TestAlgorithm2:
     def test_dead_ed_link_never_accepts_ed_steps(self):
         ch = handmade_channels(0.3, 0.0, w_lu=[1.0, -1.0, 0.5j, 0.2], w_ed=[0.0, 0.0, 0.0, 0.0])
-        trace = algorithm2(ch, MODEL, single_tone_tx(), panel(2, 2))
+        trace = sweep_one("alg2", ch, MODEL, single_tone_tx(), panel(2, 2))
         ed_steps = [s for s in trace.steps if s.objective == "ed_power"]
         assert ed_steps and all(not s.accepted for s in ed_steps)
         lu_accepted = [s for s in trace.steps if s.objective == "lu_power" and s.accepted]
         # LU half behaves like a pure power greedy over its own moves.
-        ref = lu_max(ch, MODEL, single_tone_tx(), panel(2, 2))
+        ref = sweep_one("lu_max", ch, MODEL, single_tone_tx(), panel(2, 2))
         assert ref.final_objective >= max(
             (s.objective_after for s in lu_accepted), default=0.0
         )
@@ -754,7 +755,7 @@ class TestAlgorithm2:
                 else:
                     flip(right_half_row[row])
 
-        trace = algorithm2(ch, MODEL, single_tone_tx(), panel(2, 2))
+        trace = sweep_one("alg2", ch, MODEL, single_tone_tx(), panel(2, 2))
         assert trace.final_config.bits.tolist() == bits
         lu_steps = [s for s in trace.steps if s.objective == "lu_power" and s.accepted]
         ed_steps = [s for s in trace.steps if s.objective == "ed_power" and s.accepted]
@@ -767,7 +768,7 @@ class TestAlgorithm2:
     def test_partition_discipline(self, seed):
         channels, sig = model_instance(seed, 4, 4)
         geom = panel(4, 4)
-        trace = algorithm2(channels, MODEL, sig, geom)
+        trace = sweep_one("alg2", channels, MODEL, sig, geom)
         split = geom.n_h // 2
         cfg = trace.initial_config.copy()
         for step in (s for s in trace.steps if s.accepted):
@@ -782,7 +783,7 @@ class TestAlgorithm2:
     def test_odd_width_rejected(self):
         channels, sig = model_instance(0, 2, 3)
         with pytest.raises(ValueError):
-            algorithm2(channels, MODEL, sig, panel(2, 3))
+            sweep_one("alg2", channels, MODEL, sig, panel(2, 3))
 
 
 class TestBaselines:
@@ -791,12 +792,12 @@ class TestBaselines:
         channels, sig = model_instance(seed, 3, 4)
         ev = EvaluatorBatch([channels], MODEL, sig)
         start = score(ev, "lu_power_max", RisConfig.zeros(3, 4).bits)
-        trace = lu_max(channels, MODEL, sig, panel(3, 4))
+        trace = sweep_one("lu_max", channels, MODEL, sig, panel(3, 4))
         assert trace.final_objective >= start
 
     def test_ed_min_dead_link_makes_no_moves(self):
         ch = handmade_channels(0.3, 0.0, w_lu=[1.0, 1.0], w_ed=[0.0, 0.0])
-        trace = ed_min(ch, MODEL, single_tone_tx(), panel(1, 2))
+        trace = sweep_one("ed_min", ch, MODEL, single_tone_tx(), panel(1, 2))
         assert not any(s.accepted for s in trace.steps)
 
     def test_lu_max_usually_beats_ratio_objective_on_lu_power(self):
@@ -805,7 +806,7 @@ class TestBaselines:
         for seed in range(draws):
             channels, sig = model_instance(seed, 3, 4)
             ev = EvaluatorBatch([channels], MODEL, sig)
-            p_lu_max = score(ev, "lu_power_max", lu_max(channels, MODEL, sig, panel(3, 4)).final_config.bits)
+            p_lu_max = score(ev, "lu_power_max", sweep_one("lu_max", channels, MODEL, sig, panel(3, 4)).final_config.bits)
             p_alg1 = score(ev, "lu_power_max", algorithm1(channels, MODEL, sig, panel(3, 4)).final_config.bits)
             if p_lu_max >= p_alg1:
                 wins += 1
@@ -907,7 +908,7 @@ class TestExhaustiveOracle:
         channels, sig = model_instance(3, 2, 2)
         geom = panel(2, 2)
         _, best = exhaustive_oracle(channels, MODEL, sig, "ed_power_min", geom)
-        trace = ed_min(channels, MODEL, sig, geom)
+        trace = sweep_one("ed_min", channels, MODEL, sig, geom)
         assert best <= trace.final_objective
 
     def test_large_panel_rejected(self):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from outdiff import compare_dirs, main
+from outdiff import compare_dirs, main, structure_digest
 
 OUTDIFF = Path(__file__).resolve().parent / "outdiff.py"
 
@@ -90,3 +90,34 @@ class TestOutdiff:
         differ = subprocess.run([sys.executable, str(OUTDIFF), str(a), str(b)], capture_output=True, text=True)
         assert (same.returncode, differ.returncode) == (0, 1)
         assert "FAIL compare_results.json" in differ.stdout
+
+
+def swapped_step_keys(doc):
+    doc = json.loads(json.dumps(doc))
+    step = doc["results"][0]["steps"][0]
+    doc["results"][0]["steps"][0] = dict(reversed(list(step.items())))
+    return doc
+
+
+class TestStructureDigest:
+    def test_ignores_float_values(self):
+        moved = perturbed(["results", 0, "steps", 0, "objective_after"], 3.5 * (1 + 1e-6))
+        assert structure_digest(moved) == structure_digest(RESULTS)
+        assert structure_digest(perturbed(["results", 1, "p_lu"], float("nan"))) == structure_digest(RESULTS)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            swapped_step_keys(RESULTS),
+            perturbed(["results", 0, "steps", 0, "accepted"], False),
+            perturbed(["results", 0, "config_bits"], "0111"),
+            perturbed(["results", 0, "p_lu"], 1),  # an integer where a float was
+            perturbed(["results", 0, "p_lu"], None),
+            perturbed(["results", 1, "steps"], [{"objective_after": 1.0, "accepted": True}]),
+        ],
+        ids=["swapped-keys", "accept-flag", "bits", "int", "null", "length"],
+    )
+    def test_changes_with_what_json_drift_holds_exact(self, tmp_path, doc):
+        assert structure_digest(doc) != structure_digest(RESULTS)
+        a, b = write_outputs(tmp_path / "a"), write_outputs(tmp_path / "b", doc)
+        assert compare_dirs(a, b)[1]

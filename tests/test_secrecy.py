@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_receive, model_instance, panel, score
-from ris_pls.channel import ChannelParams, ChannelSet, Placement, synthesize_channels
+from ris_pls.channel import ChannelParams, ChannelSet, LinkTable, Placement
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal
 from ris_pls.optimize import EvaluatorBatch, algorithm1, channel_powers
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
@@ -120,9 +120,9 @@ class TestLinkPowers:
         params, ris = ChannelParams(rng_seed=5), panel(3, 4)
         model = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
         config = RisConfig(np.random.default_rng(5).integers(0, 2, 12), 3, 4)
-        dense_ch = synthesize_channels(tx, lu, ed, ris, params, full.freqs)
+        dense_ch = LinkTable(tx, ris, params, full.freqs).channels(lu, ed)
         y_lu, y_ed = dense_receive(dense_ch, model, config, full)
-        ev = EvaluatorBatch([synthesize_channels(tx, lu, ed, ris, params, sig.freqs)], model, sig)
+        ev = EvaluatorBatch([LinkTable(tx, ris, params, sig.freqs).channels(lu, ed)], model, sig)
         powers = link_powers(ev.powers(config.bits)[0])
         mask = grid.occupied_mask
         assert powers.p_lu == pytest.approx((np.abs(y_lu[mask]) ** 2).sum(), rel=1e-11, abs=0)
@@ -148,7 +148,7 @@ class TestEvaluatorFrequencies:
     def test_full_grid_channels_rejected_for_prs_signal(self):
         grid = build_prs_grid(Numerology(), num_rb=2, seed=0)
         tx, lu, ed = Placement(-15.0, 5.0), Placement(0.0, 7.0), Placement(30.0, 7.0)
-        ch = synthesize_channels(tx, lu, ed, panel(2, 2), ChannelParams(), grid.subcarrier_freqs())
+        ch = LinkTable(tx, panel(2, 2), ChannelParams(), grid.subcarrier_freqs()).channels(lu, ed)
         with pytest.raises(ValueError, match="frequencies"):
             EvaluatorBatch([ch], ElementModel(), prs_signal(grid))
 
@@ -316,29 +316,13 @@ class TestChannelPowers:
         geometry = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16)
         sig = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0, center_freq_hz=CARRIER))
         tx, lu, ed = Placement(-15.0, 5.0), Placement(30.0, 7.0), Placement(15.0, 7.0)
-        ch = synthesize_channels(tx, lu, ed, geometry, ChannelParams(), sig.freqs)
+        ch = LinkTable(tx, geometry, ChannelParams(), sig.freqs).channels(lu, ed)
         ev = EvaluatorBatch([ch], model, sig)
-        bits = np.random.default_rng(0).integers(0, 2, (8, 1024)).astype(np.uint8)
-        batch = channel_powers(ch, model, sig, bits)
-        for row, p in zip(bits, batch):
-            ref = ev.powers(row)[0]
+        for bits in np.random.default_rng(0).integers(0, 2, (8, 1024)).astype(np.uint8):
+            p, ref = channel_powers(ch, model, sig, bits), ev.powers(bits)[0]
             assert np.all(np.abs(p - ref) <= 1e-11 * ref)
-            assert channel_powers(ch, model, sig, row).tobytes() == p.tobytes()
         zeros = np.zeros(1024, dtype=np.uint8)
         assert channel_powers(ch, model, sig, zeros).tobytes() == ev.powers(zeros)[0].tobytes()
-
-    def test_rows_score_as_single_vectors(self):
-        # Rows of a matrix are scored one at a time, so each row's powers
-        # are those of the row alone, bit for bit (this is why grouped
-        # codebook re-scoring equals per-call re-scoring).
-        model = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
-        for waveform in ("tone", "prs"):
-            ch, sig = model_instance(5, 4, 6, waveform=waveform)
-            bits = np.random.default_rng(5).integers(0, 2, (6, 24))
-            batch = channel_powers(ch, model, sig, bits)
-            assert batch.shape == (6, 2, sig.num_subcarriers)
-            for row, p in zip(bits, batch):
-                assert channel_powers(ch, model, sig, row).tobytes() == p.tobytes()
 
     def test_frequencies_must_match(self):
         ch, sig = model_instance(0, 2, 2, waveform="prs")
