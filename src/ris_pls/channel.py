@@ -18,8 +18,9 @@ separates over the grid: a row factor times a column factor, n_v + n_h exps.
 Random draws are taken from per-link streams keyed by (seed, link kind,
 endpoint placement), so interchanging the two receiver placements
 interchanges their channels exactly. The same keying makes every link a
-pure function of its inputs, so a `LinkTable` computes each placement's
-links once and shares them read-only between the channel sets it gives.
+pure function of its inputs, so a `LinkTable` computes each receiver
+placement's cascades once and shares them read-only between the batches
+that read them.
 """
 
 from __future__ import annotations
@@ -157,9 +158,7 @@ class ChannelSet:
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
-        for name in ("h_d_lu", "h_d_ed"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=complex))
-        for name in ("h_ris_lu", "h_ris_ed", "g_ris"):
+        for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=complex))
         k = self.freqs.size
         if self.h_d_lu.shape != (k,) or self.h_d_ed.shape != (k,):
@@ -171,14 +170,6 @@ class ChannelSet:
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.freqs.size
-
-    @property
-    def num_elements(self) -> int:
-        return self.g_ris.shape[1]
 
 
 # Link kind tags for the per-link RNG streams.
@@ -338,14 +329,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def cascade_row(h_d: np.ndarray, h: np.ndarray, g: np.ndarray) -> tuple:
+    """The one maker of receiver cascades: the read-only row (h_d, (h * g)^T,
+    the (K,) sum of h * g along its element axis) of a receiver's fresh
+    (K,) direct and (K, M) panel links under the transmitter's g, checked
+    to be finite. It takes both links over: h is multiplied by g in place
+    and dropped once its element-major copy is made."""
+    # numpy (2.4, x86-64) rounds a one-element in-place product unlike h * g.
+    w = np.multiply(h, g, out=h if h.size > 1 else None)
+    row = h_d, w.T.copy(), w.sum(axis=1)
+    if not all(np.isfinite(a).all() for a in row):
+        raise ValueError("a receiver's links give non-finite cascades")
+    return tuple(map(_read_only, row))
+
+
 class LinkTable:
     """The links from one transmitter over one panel to the receiver
     placements a caller asks for, at one subcarrier grid.
 
-    Each receiver placement's direct and panel links are computed on first
-    use, and the transmitter's panel link once; all are read-only and
-    shared by every channel set the table gives out. A receiver's links
-    are kept until `channel_sets` drops them, with no byte budget.
+    The transmitter's panel link g is computed with the table, read-only
+    and shared. A receiver placement's entry is its `cascade_row`, made on
+    first use from fresh links, so the table keeps no panel link of a
+    receiver; it is kept until `pair_rows` drops it, with no byte budget.
     Placements are keyed by their bits: `Placement` compares -0.0 equal to
     0.0, while a link's random stream tells them apart.
     """
@@ -354,42 +359,35 @@ class LinkTable:
         self.tx, self.ris, self.params = tx, ris, params
         self.freqs = _read_only(_checked_freqs(freqs).copy())
         self._beam = _tx_beam(tx)
-        self._receivers = {}
-        self._g = None
+        self._g = _read_only(_panel_link(tx, params, self.freqs, ris, _LINK_TX_RIS))
+        self._rows = {}
 
-    def _receiver(self, node: Placement) -> tuple:
-        """(direct link, panel link) of a receiver at `node`."""
-        key = _placement_key(node)
-        if key not in self._receivers:
-            self._receivers[key] = (
-                _read_only(_direct_link(self.tx, node, self.params, self.freqs, self._beam)),
-                _read_only(_panel_link(node, self.params, self.freqs, self.ris, _LINK_RIS_NODE)),
-            )
-        return self._receivers[key]
+    def _links(self, node: Placement) -> tuple:
+        """Fresh direct and panel links of a receiver at `node`, and g."""
+        h_d = _direct_link(self.tx, node, self.params, self.freqs, self._beam)
+        return h_d, _panel_link(node, self.params, self.freqs, self.ris, _LINK_RIS_NODE), self._g
 
     def channels(self, lu: Placement, ed: Placement) -> ChannelSet:
         """The channel set of a legitimate user at `lu` and an eavesdropper
-        at `ed`; links are made in the order LU, ED, then the transmitter's."""
-        h_d_lu, h_ris_lu = self._receiver(lu)
-        h_d_ed, h_ris_ed = self._receiver(ed)
-        if self._g is None:
-            self._g = _read_only(_panel_link(self.tx, self.params, self.freqs, self.ris, _LINK_TX_RIS))
-        return ChannelSet(
-            freqs=self.freqs, h_d_lu=h_d_lu, h_d_ed=h_d_ed, h_ris_lu=h_ris_lu, h_ris_ed=h_ris_ed, g_ris=self._g
-        )
+        at `ed`, from fresh read-only links; the table keeps only g."""
+        (h_d_lu, h_lu, g), (h_d_ed, h_ed, _) = self._links(lu), self._links(ed)
+        return ChannelSet(self.freqs, *map(_read_only, (h_d_lu, h_d_ed, h_lu, h_ed)), g)
 
-    def channel_sets(self, pairs: list):
-        """The channel sets of the (lu, ed) `pairs`, in order, as `channels`
-        gives them. A placement's links are dropped from the table once the
-        last pair that needs them has its set, so the table keeps no link
-        that no pair still to come needs."""
+    def pair_rows(self, pairs: list):
+        """Per (lu, ed) pair of `pairs`, in order, its (LU row, ED row). A
+        placement's row is computed once and dropped from the table as the
+        last pair that needs it has it, so the table keeps no row that no
+        pair still to come needs."""
         last = {_placement_key(node): i for i, pair in enumerate(pairs) for node in pair}
-        for i, (lu, ed) in enumerate(pairs):
-            channels = self.channels(lu, ed)
-            for key in {_placement_key(lu), _placement_key(ed)}:
-                if last[key] == i:
-                    del self._receivers[key]
-            yield channels
+        for i, pair in enumerate(pairs):
+            keys = [_placement_key(node) for node in pair]
+            for key, node in zip(keys, pair):
+                if key not in self._rows:
+                    self._rows[key] = cascade_row(*self._links(node))
+            rows = tuple(self._rows[key] for key in keys)
+            for key in {key for key in keys if last[key] == i}:
+                del self._rows[key]
+            yield rows
 
 
 #: Bytes of each per-probe array one chunk of a scan holds (one probe at

@@ -69,6 +69,16 @@ def pair_batches(scenario, tx, pairs: list) -> list:
     return [pairs[i:i + size] for i in range(0, len(pairs), size)]
 
 
+def pair_evaluators(scenario, tx, pairs: list):
+    """Per batch of `pairs` (`pair_batches`), in order, (its pairs, their
+    `EvaluatorBatch` on `tx`), stacked as it is reached from the rows of
+    `LinkTable.pair_rows`. A caller that lets go of each batch before it
+    asks for the next holds one at a time."""
+    rows = scenario.link_table(tx.freqs).pair_rows(pairs)
+    for batch in pair_batches(scenario, tx, pairs):
+        yield batch, EvaluatorBatch.from_rows(list(itertools.islice(rows, len(batch))), scenario.element_model, tx)
+
+
 def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None) -> list:
     """Run every method on every (lu, ed) `Placement` pair and return
     `keep(pair, method, config, trace, powers)` for each, pair by pair and
@@ -76,14 +86,11 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None) -> list:
     subcarrier of `config`, row i of one `EvaluatorBatch.powers` call per
     method and batch; `trace` is None for the uniform method.
 
-    The pairs are swept in lockstep batches (`pair_batches`), one after
-    another; the result does not depend on how the pairs are batched.
-    Each batch's channel sets are taken as its sweep starts, from the
-    scenario's `LinkTable.channel_sets` on the subcarriers of `tx`, so each
-    placement's links are computed once and kept only while a pair still
-    to come needs them; they serve all methods. `keep` runs as each
-    method's sweep of a batch ends: a batch holds one method's traces at a
-    time, and its `EvaluatorBatch` only until its last method is kept.
+    The pairs are swept in lockstep batches (`pair_evaluators`), one after
+    another; the result does not depend on how the pairs are batched, and
+    each placement's row serves all methods. `keep` runs as each method's
+    sweep of a batch ends: a batch holds one method's traces at a time,
+    and its `EvaluatorBatch` only until its last method is kept.
     """
 
     def kept(pairs, evs, method) -> list:
@@ -91,13 +98,12 @@ def sweep_pairs(scenario, tx, pairs: list, methods, keep, noise=None) -> list:
         powers = evs.powers(np.array([config.bits for config in configs]))
         return [keep(pair, method, *cell) for pair, *cell in zip(pairs, configs, traces, powers)]
 
-    def sweep(batch) -> list:
-        evs = EvaluatorBatch(list(itertools.islice(sets, len(batch))), scenario.element_model, tx)
-        cells = [kept(batch, evs, method) for method in methods]
-        return [cell for row in zip(*cells) for cell in row]
-
-    sets = scenario.link_table(tx.freqs).channel_sets(pairs)
-    return [cell for batch in pair_batches(scenario, tx, pairs) for cell in sweep(batch)]
+    cells = []
+    for batch, evs in pair_evaluators(scenario, tx, pairs):
+        by_method = [kept(batch, evs, method) for method in methods]
+        cells += [cell for row in zip(*by_method) for cell in row]
+        del evs  # one batch at a time
+    return cells
 
 
 #: A codebook record's scalar fields by JSON type: its own, its "achieved", its "sse".
@@ -295,7 +301,7 @@ def select_config(
     serving sector, the entry maximizing the minimum re-scored secrecy
     rate over admissible eavesdropper sectors. The guarantee may be
     negative; it is reported unclamped. Each batch of admissible sectors
-    (`pair_batches`) re-scores every candidate in one `EvaluatorBatch`.
+    (`pair_evaluators`) re-scores every candidate in one `EvaluatorBatch`.
 
     Returns (entry, guaranteed_sse).
     """
@@ -321,10 +327,8 @@ def select_config(
         raise ValueError("excluded region covers every eavesdropper sector")
     tx_sig, n0, lu = scenario.tx_signal(), scenario.noise_power(), scenario.placement(lu_sector)
     pairs = [(lu, scenario.placement(ed)) for ed in admissible]
-    sets = scenario.link_table(tx_sig.freqs).channel_sets(pairs)
     worst = [math.inf] * len(candidates)
-    for batch in pair_batches(scenario, tx_sig, pairs):
-        evs = EvaluatorBatch(list(itertools.islice(sets, len(batch))), scenario.element_model, tx_sig)
+    for _, evs in pair_evaluators(scenario, tx_sig, pairs):
         for i, cand in enumerate(candidates):  # min(w, rate) in sector order
             worst[i] = min(worst[i], *(sum_sse(p, n0).r_sec_raw for p in evs.powers(cand.config.bits)))
         del evs  # one batch's cascades at a time

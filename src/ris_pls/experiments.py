@@ -12,17 +12,20 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .codebook import (
     Codebook,
     EdKnowledge,
     generate_codebook,
+    pair_evaluators,
     scan_power_pattern,
     select_config,
     sweep_pairs,
 )
 from .fields import check_types, is_number
 from .ofdm import MAX_NUM_RB
-from .optimize import METHODS, MeasurementNoise, channel_powers
+from .optimize import METHODS, MeasurementNoise
 from .ris import RisConfig
 from .secrecy import from_db, link_powers, sum_sse, to_db
 from .scenario import Scenario
@@ -343,10 +346,10 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
 
     Optimizes every placement pair with the tone waveform, then
     re-evaluates each pair's configuration on the wideband comb grid with
-    the scenario's element model, taking each placement's wideband links
-    once (`LinkTable.channel_sets`). Reports the LU-ED gap for both
-    waveforms. A frequency-flat element model cannot show a gap collapse,
-    which is flagged as a warning but still runs.
+    the scenario's element model, in the batches of `pair_evaluators`.
+    Reports the LU-ED gap for both waveforms. A frequency-flat element
+    model cannot show a gap collapse, which is flagged as a warning but
+    still runs.
     """
     if scenario.element_model.mode == "ideal":
         warnings.warn(
@@ -362,11 +365,13 @@ def run_frequency_selectivity(scenario: Scenario, spec: ExperimentSpec) -> dict:
         return config, link_powers(p)
 
     narrowband = sweep_pairs(scenario, tone, places, (spec.fs_method,), keep)
-    wideband = scenario.link_table(wide.freqs).channel_sets(places)
+    wideband, bits = [], (config.bits for config, _ in narrowband)
+    for batch, evs in pair_evaluators(scenario, wide, places):
+        wideband += map(link_powers, evs.powers(np.array([next(bits) for _ in batch])))
+        del evs  # one batch's cascades at a time
     rows = []
     detail = []
-    for (lu_deg, ed_deg), (config, nb), channels in zip(spec.pairs, narrowband, wideband):
-        wb = link_powers(channel_powers(channels, scenario.element_model, wide, config.bits))
+    for (lu_deg, ed_deg), (config, nb), wb in zip(spec.pairs, narrowband, wideband):
         nb_gap = nb.lu_db - nb.ed_db
         wb_gap = wb.lu_db - wb.ed_db
         rows.append(

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, cascade_row
 from .ofdm import TxSignal
 from .ris import ElementModel, RisArrayGeometry, RisConfig
 
@@ -206,26 +206,6 @@ def received_signal(h_d, phi, w_sum, on, x):
     return (h_d + phi[:, 0] * (w_sum - on) + phi[:, 1] * on) * x
 
 
-def channel_powers(channels: ChannelSet, element_model: ElementModel, tx: TxSignal, bits: np.ndarray) -> np.ndarray:
-    """Noiseless (2, K) LU and ED power per subcarrier of the bit vector
-    `bits` from the channel set, as reports read it. Per receiver, the
-    cascades h_m * g_m give their sum and their product with the bits,
-    which `EvaluatorBatch.powers` sums in another order."""
-    if not np.array_equal(tx.freqs, channels.freqs):
-        raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-    on = np.asarray(bits, dtype=complex)
-    w_sum = np.empty((2, channels.num_subcarriers), dtype=complex)
-    w_on = np.empty_like(w_sum)
-    w = np.empty_like(channels.g_ris)  # one receiver's (K, M) cascades, reused
-    for r, h in enumerate((channels.h_ris_lu, channels.h_ris_ed)):
-        np.multiply(h, channels.g_ris, out=w)
-        w_sum[r] = w.sum(axis=1)
-        w_on[r] = w @ on
-    hd = np.array((channels.h_d_lu, channels.h_d_ed))
-    phi = reflection_coefficients(element_model, tx.freqs)
-    return np.abs(received_signal(hd, phi, w_sum, w_on, tx.symbols)) ** 2
-
-
 #: Rows of a bit matrix `EvaluatorBatch.sums` casts to complex at a time.
 _SUMS_ROWS = 16
 
@@ -240,23 +220,36 @@ class EvaluatorBatch:
     and the `cascades`, (N, M, 2 * K), are one C-contiguous stack each: row
     m of set i's cascades holds element m's LU then ED cascades, so the
     elements of a column or a row are a block of rows. The symbols `x` and
-    the (K, 2) reflection coefficients `phi` serve every set.
+    the (K, 2) reflection coefficients `phi` serve every set. They stack
+    `channel.cascade_row` rows: of each channel set's links, or as
+    `LinkTable.pair_rows` gives them (`from_rows`).
     """
 
     def __init__(self, channel_sets: list, element_model: ElementModel, tx: TxSignal):
         if not all(np.array_equal(tx.freqs, ch.freqs) for ch in channel_sets):
             raise ValueError("transmit signal and channel set disagree on subcarrier frequencies")
-        self.hd = np.array([(ch.h_d_lu, ch.h_d_ed) for ch in channel_sets])
-        self.w_sum = np.empty_like(self.hd)
-        k, m = channel_sets[0].g_ris.shape
-        self.cascades = np.empty((len(channel_sets), m, 2 * k), dtype=complex)
-        for ch, w_sum_i, w_i in zip(channel_sets, self.w_sum, self.cascades):
-            w = w_i.reshape(m, 2, k)  # a view, as the stack is contiguous
-            w_r = np.empty_like(ch.g_ris)  # one receiver's (K, M) cascades, reused
-            for r, h in enumerate((ch.h_ris_lu, ch.h_ris_ed)):
-                np.multiply(h, ch.g_ris, out=w_r)
-                w_sum_i[r] = w_r.sum(axis=1)
-                w[:, r, :] = w_r.T
+        rows = [
+            (cascade_row(ch.h_d_lu.copy(), ch.h_ris_lu.copy(), ch.g_ris),
+             cascade_row(ch.h_d_ed.copy(), ch.h_ris_ed.copy(), ch.g_ris))
+            for ch in channel_sets
+        ]
+        self._stack(rows, element_model, tx)
+
+    @classmethod
+    def from_rows(cls, rows: list, element_model: ElementModel, tx: TxSignal) -> "EvaluatorBatch":
+        """The batch of (LU row, ED row) pairs `rows` on the subcarriers of `tx`."""
+        batch = cls.__new__(cls)
+        batch._stack(rows, element_model, tx)
+        return batch
+
+    def _stack(self, rows: list, element_model: ElementModel, tx: TxSignal) -> None:
+        self.hd = np.array([(lu[0], ed[0]) for lu, ed in rows])
+        self.w_sum = np.array([(lu[2], ed[2]) for lu, ed in rows])
+        m, k = rows[0][0][1].shape
+        cascades = np.empty((len(rows), m, 2, k), dtype=complex)
+        for w, (lu, ed) in zip(cascades, rows):
+            w[:, 0], w[:, 1] = lu[1], ed[1]
+        self.cascades = cascades.reshape(len(rows), m, 2 * k)
         self.x = tx.symbols
         # Column-major, so that phi(0) and phi(1) are contiguous over the
         # subcarriers in every receive equation.

@@ -21,7 +21,7 @@ from .fields import check_types
 from .ofdm import MAX_NUM_RB, Numerology, ResourceGrid, TxSignal, build_prs_grid, prs_signal, tone_signal
 from .ris import ElementModel, RisArrayGeometry, RisConfig
 from .secrecy import from_db
-from .optimize import channel_powers
+from .codebook import pair_evaluators
 
 SCENARIO_SCHEMA = "ris-pls/scenario-v1"
 
@@ -100,7 +100,7 @@ class Scenario:
 
     def channels_for(self, lu: Placement, ed: Placement, freqs=None) -> ChannelSet:
         """The channels to (lu, ed) at `freqs` from `link_table(freqs)`,
-        which keeps both placements' links."""
+        which keeps no receiver link of them."""
         return self.link_table(freqs).channels(lu, ed)
 
     def noise_power(self) -> float:
@@ -111,8 +111,8 @@ class Scenario:
         if self._n0_cache is None:
             tx_sig = self.tx_signal()
             lu = Placement(0.0, self.sector_grid.user_range_m)
-            bits = RisConfig.zeros(self.ris.n_v, self.ris.n_h).bits
-            p = channel_powers(self.channels_for(lu, lu, tx_sig.freqs), self.element_model, tx_sig, bits)
+            (_, batch), = pair_evaluators(self, tx_sig, [(lu, lu)])
+            p = batch.powers(RisConfig.zeros(self.ris.n_v, self.ris.n_h).bits)[0]
             per_bin = float(p[0].sum()) / tx_sig.num_subcarriers
             self._n0_cache = per_bin / from_db(self.target_snr_db)
         return self._n0_cache

@@ -87,15 +87,13 @@ class SecrecyReport:
 
 def link_powers(p: np.ndarray) -> LinkPowers:
     """Received powers summed over subcarriers, from the (2, K) LU and ED
-    powers per subcarrier `p` (a row of `EvaluatorBatch.powers`, or
-    `channel_powers`)."""
+    powers per subcarrier `p`, a row of `EvaluatorBatch.powers`."""
     return LinkPowers(float(p[0].sum()), float(p[1].sum()))
 
 
 def sum_sse(p: np.ndarray, n0: float) -> SecrecyReport:
     """Sum secrecy spectral efficiency over the subcarriers of the (2, K)
-    LU and ED powers per subcarrier `p` (a row of `EvaluatorBatch.powers`,
-    or `channel_powers`).
+    LU and ED powers per subcarrier `p`, a row of `EvaluatorBatch.powers`.
 
     Rates are Shannon efficiencies of the noiseless effective signal power
     over `n0`.

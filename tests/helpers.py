@@ -89,6 +89,21 @@ def dense_receive(channels, model, config, tx):
     return y_lu, y_ed
 
 
+#: Relative tolerance of a report's powers against `direct_powers`: the
+#: two sum the receive equation in other orders, and the worst-conditioned
+#: power of these tests (optimized ED powers some 60 dB below the power
+#: their terms give in phase) moves by about 1e-10 relative.
+DIRECT_SUM_RTOL = 1e-9
+
+
+def direct_powers(channels, model, config, tx) -> np.ndarray:
+    """(2, K) noiseless LU and ED power per subcarrier of `config`, by the
+    direct sum of the receive equation (`dense_receive`), as the
+    benchmark's checks compute it: the independent reference for the
+    powers the program reports, within `DIRECT_SUM_RTOL`."""
+    return np.abs(np.array(dense_receive(channels, model, config, tx))) ** 2
+
+
 def element_positions(ris) -> np.ndarray:
     """(M, 3) element coordinates of panel `ris` in meters, row-major order."""
     d = ris.element_spacing_m

@@ -10,7 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from helpers import codebook_keys, model_instance, panel, replay, rescore, single_flip_improvements, sweep_one
+from helpers import (
+    codebook_keys,
+    direct_powers,
+    model_instance,
+    panel,
+    replay,
+    rescore,
+    single_flip_improvements,
+    sweep_one,
+)
 from ris_pls.channel import ChannelParams, ChannelSet
 from ris_pls.codebook import (
     Codebook,
@@ -23,7 +32,6 @@ from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_
 from ris_pls.optimize import (
     EvaluatorBatch,
     algorithm1,
-    channel_powers,
     exhaustive_oracle,
     received_signal,
 )
@@ -280,7 +288,7 @@ def test_criterion_08_frequency_selectivity():
             nb = EvaluatorBatch([scenario.channels_for(lu, ed, tone.freqs)], scenario.element_model, tone)
             (config,), _ = run_method("alg1", scenario, nb)
             nb = link_powers(nb.powers(config.bits)[0])
-            wb = link_powers(channel_powers(scenario.channels_for(lu, ed, wide.freqs), model, wide, config.bits))
+            wb = link_powers(direct_powers(scenario.channels_for(lu, ed, wide.freqs), model, config, wide))
             rows.append((nb.lu_db - nb.ed_db, wb.lu_db - wb.ed_db))
         results[mode] = rows
     ideal_worst = max(abs(nb - wb) for nb, wb in results["ideal"])

@@ -1,9 +1,11 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     build_default_geometry,
@@ -30,8 +32,9 @@ from ris_pls.channel import (
     _tx_beam,
     probe_links,
 )
-from ris_pls.ofdm import Numerology, build_prs_grid, prs_signal, tone_signal
-from ris_pls.ris import SPEED_OF_LIGHT, RisArrayGeometry
+from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal, tone_signal
+from ris_pls.optimize import EvaluatorBatch
+from ris_pls.ris import SPEED_OF_LIGHT, ElementModel, RisArrayGeometry
 
 CARRIER = 3.55e9
 
@@ -115,8 +118,7 @@ def default_links(seed=0, **kwargs):
 class TestSynthesis:
     def test_shapes(self):
         ch = default_links()
-        assert ch.num_subcarriers == 4
-        assert ch.num_elements == 4
+        assert ch.freqs.shape == (4,)
         assert ch.h_d_lu.shape == (4,)
         assert ch.h_ris_lu.shape == (4, 4)
         assert ch.g_ris.shape == (4, 4)
@@ -338,7 +340,8 @@ class TestSeparableSteering:
 
 
 class TestPanelLinkMemo:
-    """Links a `LinkTable` computes once and shares read-only."""
+    """Links a `LinkTable` computes afresh, and the transmitter's link it
+    computes once and shares read-only."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -369,9 +372,7 @@ class TestPanelLinkMemo:
         lu, ed = grid.placement(15.0), grid.placement(45.0)
         table = LinkTable(tx, small_panel(), params, freqs)
         fwd = table.channels(lu, ed)
-        rev = table.channels(ed, lu)  # every link read from the table
-        assert rev.h_d_lu is fwd.h_d_ed and rev.h_ris_lu is fwd.h_ris_ed
-        assert rev.h_d_ed is fwd.h_d_lu and rev.h_ris_ed is fwd.h_ris_lu
+        rev = table.channels(ed, lu)  # fresh receiver links, the transmitter's read from the table
         assert rev.g_ris is fwd.g_ris
         assert same_bits(fwd.h_d_lu, rev.h_d_ed) and same_bits(fwd.h_d_ed, rev.h_d_lu)
         assert same_bits(fwd.h_ris_lu, rev.h_ris_ed) and same_bits(fwd.h_ris_ed, rev.h_ris_lu)
@@ -393,13 +394,13 @@ class TestPanelLinkMemo:
     @pytest.mark.parametrize("num_paths", [1, 8])
     @pytest.mark.parametrize("ed_deg", [30.0, 45.0])
     def test_direct_links_equal_fresh_links_and_are_read_only(self, num_paths, ed_deg):
-        # An ED at the LU placement shares its link.
+        # An ED at the LU placement sees the LU's link.
         tx, grid = build_default_geometry()
         params = ChannelParams(num_paths=num_paths, rng_seed=5)
         freqs = GRIDS["prs"]
         lu, ed = grid.placement(30.0), Placement(ed_deg, 7.0)
         ch = LinkTable(tx, small_panel(), params, freqs).channels(lu, ed)
-        assert (ch.h_d_ed is ch.h_d_lu) == (ed == lu)
+        assert same_bits(ch.h_d_ed, ch.h_d_lu) == (ed == lu)
         assert same_bits(ch.h_d_lu, _direct_link(tx, lu, params, freqs, _tx_beam(tx)))
         assert same_bits(ch.h_d_ed, _direct_link(tx, ed, params, freqs, _tx_beam(tx)))
         for name in ("h_d_lu", "h_d_ed"):
@@ -421,6 +422,69 @@ class TestPanelLinkMemo:
         for name in ("h_ris_lu", "h_ris_ed", "g_ris"):
             with pytest.raises(ValueError):
                 getattr(ch, name)[0, 0] = 0.0
+
+
+PLACEMENTS = st.builds(Placement, st.sampled_from([0.0, -0.0]) | st.floats(-90.0, 90.0), st.floats(0.5, 4.5))
+
+
+class TestCascadeRows:
+    """A receiver's row in a `LinkTable`: its direct link, its (M, K)
+    element-major cascades and their (K,) sum, as `cascade_row` forms
+    them once from fresh links; batches stack them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lu=PLACEMENTS,  # never on the transmitter, 5 m away
+        ed=PLACEMENTS,
+        grid=st.sampled_from(sorted(GRIDS)),
+        n_v=st.integers(1, 3),
+        n_h=st.integers(1, 4),
+    )
+    # A one-element product, which numpy rounds otherwise in place.
+    @example(seed=0, lu=Placement(0.0, 1.0), ed=Placement(-0.0, 1.0), grid="tone", n_v=1, n_h=1)
+    def test_rows_equal_fresh_links_and_batches_of_channel_sets(self, seed, lu, ed, grid, n_v, n_h):
+        freqs, params, panel = GRIDS[grid], ChannelParams(rng_seed=seed), small_panel(n_v, n_h)
+        tx = Placement(-15.0, 5.0)
+        table = LinkTable(tx, panel, params, freqs)
+        ((lu_row, ed_row),) = table.pair_rows([(lu, ed)])
+        assert table._rows == {}
+        g = _panel_link(tx, params, freqs, panel, _LINK_TX_RIS)
+        for node, (h_d, cascades, w_sum) in ((lu, lu_row), (ed, ed_row)):
+            w = _panel_link(node, params, freqs, panel, _LINK_RIS_NODE) * g
+            assert same_bits(h_d, _direct_link(tx, node, params, freqs, _tx_beam(tx)))
+            assert same_bits(cascades, np.ascontiguousarray(w.T))
+            assert same_bits(w_sum, w.sum(axis=1))
+            assert not any(a.flags.writeable for a in (h_d, cascades, w_sum))
+        rng = np.random.default_rng(seed % 2**32)
+        sig = TxSignal(grid, freqs, np.exp(2j * math.pi * rng.random(freqs.size)))
+        model = ElementModel(mode="lorentzian", resonance_hz=CARRIER, quality_factor=30.0)
+        stacked = EvaluatorBatch.from_rows([(lu_row, ed_row)], model, sig)
+        alone = EvaluatorBatch([table.channels(lu, ed)], model, sig)
+        for name in ("hd", "w_sum", "cascades"):
+            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes()
+        bits = rng.integers(0, 2, (3, n_v * n_h)).astype(np.uint8)
+        for b in bits:
+            assert stacked.powers(b).tobytes() == alone.powers(b).tobytes()
+
+    def test_no_receiver_panel_link_outlives_its_row(self, monkeypatch):
+        refs = []
+        panel_link = channel_module._panel_link
+
+        def recording(node, params, f, ris, kind):
+            h = panel_link(node, params, f, ris, kind)
+            refs.append((kind, weakref.ref(h)))
+            return h
+
+        monkeypatch.setattr(channel_module, "_panel_link", recording)
+        tx, grid = build_default_geometry()
+        table = LinkTable(tx, small_panel(), ChannelParams(rng_seed=1), GRIDS["prs"])
+        a, b, c = (grid.placement(angle) for angle in (0.0, 15.0, 30.0))
+        for rows in table.pair_rows([(a, b), (b, c), (c, a)]):
+            gc.collect()
+            assert [kind for kind, ref in refs if ref() is not None] == [_LINK_TX_RIS]
+            assert all(len(row) == 3 for row in rows)
+        assert len(refs) == 1 + 3
 
 
 def per_probe(chunks) -> list:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import time
 import warnings
+import weakref
 from dataclasses import asdict
 
 import pytest
@@ -166,15 +168,15 @@ class TestCompare:
         assert rc == EXIT_OK
 
     def test_noise_calibrated_once_per_seed(self, tmp_path, monkeypatch):
-        # Noise calibration is the only power the scenario module reads.
+        # Noise calibration is the only batch the scenario module stacks.
         calibrations = []
-        calibrate = scenario_module.channel_powers
+        pair_evaluators = scenario_module.pair_evaluators
 
         def counting_calibrate(*args):
             calibrations.append(args)
-            return calibrate(*args)
+            return pair_evaluators(*args)
 
-        monkeypatch.setattr(scenario_module, "channel_powers", counting_calibrate)
+        monkeypatch.setattr(scenario_module, "pair_evaluators", counting_calibrate)
         scenario = tmp_path / "scenario.json"
         write_scenario(scenario)
         spec = tmp_path / "spec.json"
@@ -215,29 +217,30 @@ class TestCompare:
             checked += 1
         assert checked == 8
 
-    def test_one_evaluator_and_synthesis_per_pair(self, tmp_path, monkeypatch):
-        # Batch rows are counted as the channel sets the batches are built
-        # from, channel sets as the link table's `channels` calls.
-        built, synthesized = [], []
-        init = EvaluatorBatch.__init__
-        channels = channel_module.LinkTable.channels
+    def test_one_batch_row_per_pair_and_one_cascade_row_per_placement(self, tmp_path, monkeypatch):
+        # Batch rows are counted as the row pairs the batches are stacked
+        # from, cascade rows as the link table computes them.
+        stacked, computed = [], []
+        from_rows = EvaluatorBatch.from_rows.__func__
+        cascade_row = channel_module.cascade_row
 
-        def counting_init(self, channel_sets, *args):
-            built.extend(channel_sets)
-            init(self, channel_sets, *args)
+        def counting_from_rows(cls, rows, *args):
+            stacked.extend(rows)
+            return from_rows(cls, rows, *args)
 
-        def counting_channels(self, lu, ed):
-            synthesized.append((lu, ed))
-            return channels(self, lu, ed)
+        def counting_cascade_row(*links):
+            computed.append(links)
+            return cascade_row(*links)
 
-        monkeypatch.setattr(EvaluatorBatch, "__init__", counting_init)
-        monkeypatch.setattr(channel_module.LinkTable, "channels", counting_channels)
+        monkeypatch.setattr(EvaluatorBatch, "from_rows", classmethod(counting_from_rows))
+        monkeypatch.setattr(channel_module, "cascade_row", counting_cascade_row)
         scenario = write_scenario(tmp_path / "scenario.json")
         run_compare(scenario, ExperimentSpec(mode="compare_methods", out_dir=str(tmp_path)))
-        # 9 pairs x 5 methods; the noise calibration takes its channel set
-        # but reads its powers without a batch.
-        assert len(built) == 9
-        assert len(synthesized) == 10
+        # 9 pairs x 5 methods over 4 placements; the noise calibration
+        # stacks the pair of its LU at 0 degrees with itself, one row, which
+        # it drops as it ends.
+        assert len(stacked) == 1 + 9
+        assert len(computed) == 1 + 4
 
     def test_compute_each_panel_link_once(self, tmp_path, monkeypatch):
         # Noise calibration builds the receiver at 0 deg and the transmitter
@@ -281,6 +284,50 @@ class TestCompare:
         assert names == ["compare_powers.csv", "compare_results.json", "compare_sse.csv"]
         for name in names:
             assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+
+
+class TestLinkTableRows:
+    """What a command's link tables hold while it runs."""
+
+    @pytest.mark.parametrize("argv", [["compare"], ["codebook-gen"], ["freq-selectivity"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
+    def test_tables_hold_rows_and_no_receiver_panel_link(self, tmp_path, monkeypatch, argv, tx_mode):
+        # Whenever a batch is stacked, every live placement of every link
+        # table is a row of its direct link, its element-major cascades and
+        # their sum, read-only, and no receiver panel link is alive.
+        tables, panel_links, checked = [], [], []
+        init, panel_link = channel_module.LinkTable.__init__, channel_module._panel_link
+        from_rows = EvaluatorBatch.from_rows.__func__
+
+        def recording_init(table, *args):
+            tables.append(table)
+            init(table, *args)
+
+        def recording_panel_link(node, params, f, ris, kind):
+            h = panel_link(node, params, f, ris, kind)
+            if kind == channel_module._LINK_RIS_NODE:
+                panel_links.append(weakref.ref(h))
+            return h
+
+        def checking_from_rows(cls, rows, *args):
+            gc.collect()
+            assert [ref() for ref in panel_links] == [None] * len(panel_links)
+            for table in tables:
+                k, m = table.freqs.size, table.ris.num_elements
+                for row in table._rows.values():
+                    assert [a.shape for a in row] == [(k,), (m, k), (k,)]
+                    assert not any(a.flags.writeable for a in row)
+            checked.append(len(rows))
+            return from_rows(cls, rows, *args)
+
+        monkeypatch.setattr(channel_module.LinkTable, "__init__", recording_init)
+        monkeypatch.setattr(channel_module, "_panel_link", recording_panel_link)
+        monkeypatch.setattr(EvaluatorBatch, "from_rows", classmethod(checking_from_rows))
+        model = ElementModel(mode="lorentzian", resonance_hz=3.551e9, quality_factor=30.0)
+        scenario = write_scenario(tmp_path / "scenario.json", tx_mode=tx_mode, num_rb=2, element_model=model)
+        assert main([*argv, "--scenario", str(tmp_path / "scenario.json"), "--out", str(tmp_path)]) == EXIT_OK
+        assert checked and len(panel_links) >= len(scenario.sector_grid.sector_centers_deg)
+        assert all(table._rows == {} for table in tables)
 
 
 class TestExitCodes:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import codebook_keys, dense_receive, detect_side_lobes, rescore
+from helpers import codebook_keys, dense_receive, detect_side_lobes, direct_powers, rescore
 from ris_pls import channel, codebook, optimize
 from ris_pls.channel import (
     _LINK_RIS_NODE,
@@ -32,8 +32,8 @@ from ris_pls.codebook import (
     select_config,
     sweep_pairs,
 )
-from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare
-from ris_pls.optimize import EvaluatorBatch, channel_powers, received_signal, reflection_coefficients
+from ris_pls.experiments import ExperimentSpec, _csv_text, _fmt_db, run_compare, run_frequency_selectivity
+from ris_pls.optimize import EvaluatorBatch, received_signal, reflection_coefficients
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
 from ris_pls.secrecy import LinkPowers, SecrecyReport, sum_sse, to_db
@@ -142,10 +142,10 @@ class TestSweepBatches:
         assert set(cb.entries) == codebook_keys(cb, self.METHODS)
 
     @pytest.mark.parametrize("budget", [SWEEP_BATCH_BYTES, 1], ids=["one-batch", "pair-a-batch"])
-    def test_generation_computes_each_direct_link_once(self, monkeypatch, budget):
-        # The noise calibration's LU stands at a sector center, so 12 pairs
-        # under 2 methods need one direct link per sector, however the
-        # pairs are cut into batches.
+    def test_each_pass_computes_a_direct_link_once(self, monkeypatch, budget):
+        # The noise calibration is a pass of its own, which drops its LU's
+        # row as it ends; then 12 pairs under 2 methods need one direct
+        # link per sector, however the pairs are cut into batches.
         monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", budget)
         sc = scenario_8x8(seed=3)
         nodes = []
@@ -157,32 +157,46 @@ class TestSweepBatches:
 
         monkeypatch.setattr(channel, "_direct_link", counting_direct_link)
         generate_codebook(sc, methods=("alg1", "ed_min"))
-        assert sorted(node.azimuth_deg for node in nodes) == list(sc.sector_grid.sector_centers_deg)
+        assert nodes[0] == Placement(0.0, sc.sector_grid.user_range_m)
+        assert sorted(node.azimuth_deg for node in nodes[1:]) == list(sc.sector_grid.sector_centers_deg)
 
-    def test_channel_sets_are_taken_as_batches_start(self, monkeypatch):
-        # One pair a batch over 12 distinct azimuths: when a set is taken,
-        # the only set alive is at most the last one taken, and the table
-        # holds no link.
+    def test_rows_are_taken_as_batches_start(self, monkeypatch, tmp_path):
+        # One pair a batch over 12 distinct azimuths, then a query and the
+        # wideband pass of freq-selectivity: as a batch is stacked from the
+        # table's rows, no batch stacked before it is alive, and each pass
+        # leaves every link table of the scenario without a row.
         monkeypatch.setattr(codebook, "SWEEP_BATCH_BYTES", 1)
-        sc = scenario_8x8(seed=4)
+        sc = replace(scenario_8x8(seed=4), element_model=LORENTZIAN)
         angles = [-75.0 + 12.5 * i for i in range(12)]
         pairs = [(sc.placement(lu), sc.placement(ed)) for lu, ed in zip(angles[::2], angles[1::2])]
-        refs, alive, held = [], [], []
-        channels = channel.LinkTable.channels
+        refs, alive = [], []
+        from_rows = EvaluatorBatch.from_rows.__func__
 
-        def tracking(self, lu, ed):
+        def tracking(cls, rows, *args):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
-            held.append(len(self._receivers))
-            out = channels(self, lu, ed)
-            refs.append(weakref.ref(out))
-            return out
+            batch = from_rows(cls, rows, *args)
+            refs.append(weakref.ref(batch))
+            return batch
 
-        monkeypatch.setattr(channel.LinkTable, "channels", tracking)
+        def tables_empty() -> bool:
+            return sc._link_tables and all(table._rows == {} for table in sc._link_tables.values())
+
+        monkeypatch.setattr(EvaluatorBatch, "from_rows", classmethod(tracking))
         cells = sweep_pairs(sc, sc.tx_signal(), pairs, ("alg1",), lambda pair, *cell: pair)
         assert cells == pairs
-        assert len(alive) == 6 and max(alive) <= 1
-        assert held == [0] * 6 and sc.link_table()._receivers == {}
+        assert len(alive) == 6
+        assert tables_empty()
+        cb = generate_codebook(sc, methods=("alg1",))
+        assert len(alive) == 6 + 1 + 12 and tables_empty()  # the noise calibration's batch, then the sweeps'
+        del alive[:]
+        select_config(cb, 0.0, EdKnowledge.unknown(), scenario=sc)
+        assert len(alive) == 3 and tables_empty()
+        pairs = ((0.0, 15.0), (30.0, 0.0))
+        spec = ExperimentSpec("frequency_selectivity", out_dir=str(tmp_path), pairs=pairs, fs_num_rb=2)
+        run_frequency_selectivity(sc, spec)
+        assert len(alive) == 3 + 2 + 2 and tables_empty()
+        assert max(alive) == 0
 
     def test_first_failing_batch_raises_first(self, monkeypatch):
         # The first batch's sweep fails, and so would the second's links.
@@ -401,15 +415,16 @@ class TestSelection:
 
 def per_pair_selection(cb, scenario, lu, knowledge, method="alg1") -> tuple:
     """(entry, guarantee) of the max-min choice with every (candidate,
-    sector) re-scored by one `channel_powers` call on its own channel set:
-    the reference for the batched re-scoring of `select_config`."""
+    sector) re-scored by the direct sum of the receive equation on its own
+    channel set (`direct_powers`): the reference for the batched
+    re-scoring of `select_config`."""
     tx, n0 = scenario.tx_signal(), scenario.noise_power()
     admissible = [c for c in cb.grid.sector_centers_deg if c != lu and c not in knowledge.excluded]
     candidates = cb.entries_for_lu(lu, method)
 
     def rate(config, ed):
         channels = scenario.channels_for(scenario.placement(lu), scenario.placement(ed), tx.freqs)
-        return sum_sse(channel_powers(channels, scenario.element_model, tx, config.bits), n0).r_sec_raw
+        return sum_sse(direct_powers(channels, scenario.element_model, config, tx), n0).r_sec_raw
 
     guarantees = [min(rate(cand.config, ed) for ed in admissible) for cand in candidates]
     best = max(range(len(candidates)), key=guarantees.__getitem__)
@@ -443,9 +458,10 @@ def record_pair_batches(monkeypatch) -> list:
 
 class TestBatchedRescoring:
     """`select_config` re-scores the admissible sectors as rows of one
-    `EvaluatorBatch` per batch; it chooses as per-pair `channel_powers`
-    re-scoring does, and its guarantee equals a batch of one's bit for
-    bit, however the sectors are cut into batches."""
+    `EvaluatorBatch` per batch; it chooses as per-pair re-scoring by the
+    direct sum does, its guarantee within 1e-12 of that one's, and
+    equals a batch of one's bit for bit, however the sectors are cut
+    into batches."""
 
     @pytest.mark.parametrize("pairs_per_batch", [None, 3, 1], ids=["one-batch", "three-a-batch", "one-a-batch"])
     @pytest.mark.parametrize("waveform", ["tone", "prs"])
@@ -595,19 +611,23 @@ class TestPatternScan:
 
     def test_scan_leaves_panel_link_memo_unchanged(self):
         # Probe links are kept nowhere: a scan adds no link table to the
-        # scenario, and no placement or link to the tables it has.
+        # scenario, and no placement or row to the tables it has.
         sc = replace(scenario_8x8(seed=6), tx_mode="prs", num_rb=2)
         scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 15.0])
         assert sc._link_tables == {}
         before = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
+        rows = sc.link_table().pair_rows([(sc.placement(0.0), sc.placement(15.0))] * 2)
+        next(rows)  # both placements' rows kept for the second pair
         tables = dict(sc._link_tables)
-        placements = {key: list(table._receivers) for key, table in tables.items()}
+        held = {key: dict(table._rows) for key, table in tables.items()}
         scan_power_pattern(sc, RisConfig.zeros(8, 8), [-30.0, 0.0, 15.0])
         assert sc._link_tables == tables
-        assert {key: list(table._receivers) for key, table in tables.items()} == placements
+        assert all(table._rows.keys() == held[key].keys() for key, table in tables.items())
+        assert all(table._rows[k] is row for key, table in tables.items() for k, row in held[key].items())
         after = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
         for name in ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris"):
-            assert getattr(after, name) is getattr(before, name)
+            assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
+        assert after.g_ris is before.g_ris
 
     def test_angles_validated(self):
         sc = los_scenario()

@@ -1110,7 +1110,7 @@ def bound_gap(seed, receivers=slice(0, 2)) -> float:
     blocks enumerate every candidate, in order."""
     channels, model, sig = bound_instance(seed)
     ev = EvaluatorBatch([channels], model, sig)
-    m = channels.num_elements
+    m = channels.g_ris.shape[1]
     seen, gap = 0, 0.0
     for first, y, e in _candidate_signals(ev, m, receivers):
         assert first == seen

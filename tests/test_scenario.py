@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import DIRECT_SUM_RTOL, direct_powers
+
 from ris_pls.channel import (
     _LINK_RIS_NODE,
     _LINK_TX_RIS,
     ChannelParams,
+    LinkTable,
     Placement,
     _direct_link,
     _panel_link,
@@ -12,10 +15,10 @@ from ris_pls.channel import (
     _tx_beam,
 )
 from ris_pls.ofdm import MAX_NUM_RB
-from ris_pls.optimize import EvaluatorBatch, channel_powers
+from ris_pls.optimize import EvaluatorBatch, received_signal, reflection_coefficients
 from ris_pls.ris import RisArrayGeometry, RisConfig
 from ris_pls.scenario import Scenario
-from ris_pls.secrecy import link_powers, to_db
+from ris_pls.secrecy import from_db, link_powers, to_db
 
 
 def small_scenario(**kwargs):
@@ -77,8 +80,8 @@ class TestSignals:
     def test_channels_match_tx_freqs(self):
         sc = small_scenario()
         ch = sc.channels_for(sc.placement(0.0), sc.placement(15.0))
-        assert ch.num_subcarriers == 1
-        assert ch.num_elements == 16
+        assert ch.freqs.shape == (1,)
+        assert ch.g_ris.shape == (1, 16)
 
 
 LINKS = ("h_d_lu", "h_d_ed", "h_ris_lu", "h_ris_ed", "g_ris")
@@ -99,14 +102,17 @@ def reference_links(sc, lu, ed) -> dict:
 
 class TestLinkTables:
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_pairs_share_the_links_of_a_placement(self, tx_mode):
+    def test_pairs_see_the_links_of_a_placement(self, tx_mode):
+        # Channel sets are built from fresh receiver links, which the table
+        # keeps none of, and share the transmitter's.
         sc = small_scenario(tx_mode=tx_mode, num_rb=2)
         a, b, c = (sc.placement(angle) for angle in (0.0, 15.0, 30.0))
         ab, ac, cb = sc.channels_for(a, b), sc.channels_for(a, c), sc.channels_for(c, b)
-        assert ab.h_d_lu is ac.h_d_lu and ab.h_ris_lu is ac.h_ris_lu
-        assert ab.h_d_ed is cb.h_d_ed and ab.h_ris_ed is cb.h_ris_ed
-        assert ac.h_d_ed is cb.h_d_lu and ac.h_ris_ed is cb.h_ris_lu
+        for x, y in ((ab.h_d_lu, ac.h_d_lu), (ab.h_ris_lu, ac.h_ris_lu), (ab.h_d_ed, cb.h_d_ed),
+                     (ab.h_ris_ed, cb.h_ris_ed), (ac.h_d_ed, cb.h_d_lu), (ac.h_ris_ed, cb.h_ris_lu)):
+            assert x is not y and x.tobytes() == y.tobytes()
         assert ab.g_ris is ac.g_ris is cb.g_ris
+        assert sc.link_table()._rows == {}
         for name, link in reference_links(sc, a, c).items():
             assert not getattr(ac, name).flags.writeable
             assert getattr(ac, name).tobytes() == link.tobytes()
@@ -116,7 +122,7 @@ class TestLinkTables:
         a, b = sc.placement(0.0), sc.placement(15.0)
         tone = sc.channels_for(a, b)
         wide = sc.channels_for(a, b, small_scenario(tx_mode="prs", num_rb=2).tx_signal().freqs)
-        assert wide.num_subcarriers == 12 and tone.num_subcarriers == 1
+        assert wide.freqs.size == 12 and tone.freqs.size == 1
         assert sc.channels_for(a, b).g_ris is tone.g_ris
         assert sc.channels_for(a, b, wide.freqs).g_ris is wide.g_ris
 
@@ -135,26 +141,33 @@ class TestLinkTables:
         assert again.g_ris is not old.g_ris and again.g_ris.tobytes() == old.g_ris.tobytes()
 
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
-    def test_channel_sets_drop_links_after_their_last_pair(self, tx_mode):
+    def test_pair_rows_drop_rows_after_their_last_pair(self, tx_mode):
         sc = small_scenario(tx_mode=tx_mode, num_rb=2)
         a, b, c, d = (sc.placement(angle) for angle in (0.0, 15.0, 30.0, 45.0))
         pairs = [(a, b), (c, a), (d, c)]
         table = sc.link_table()
         held = []
-        sets = []
-        for channels in table.channel_sets(pairs):
-            held.append(sorted(table._receivers))
-            sets.append(channels)
+        rows = []
+        for pair in table.pair_rows(pairs):
+            held.append(sorted(table._rows))
+            rows.append(pair)
         # After (a, b) only a is needed again, after (c, a) only c.
         assert held == [[_placement_key(a)], [_placement_key(c)], []]
-        assert sets[1].h_ris_ed is sets[0].h_ris_lu and sets[2].h_ris_ed is sets[1].h_ris_lu
-        for (lu, ed), channels in zip(pairs, sets):
-            for name, link in reference_links(sc, lu, ed).items():
-                assert getattr(channels, name).tobytes() == link.tobytes()
-        # A link kept by `channels_for` is dropped after its last pair too.
+        assert rows[1][1] is rows[0][0] and rows[2][1] is rows[1][0]
+        for (lu, ed), pair in zip(pairs, rows):
+            links = reference_links(sc, lu, ed)
+            for (h_d, h), (row_h_d, cascades, w_sum) in zip(
+                ((links["h_d_lu"], links["h_ris_lu"]), (links["h_d_ed"], links["h_ris_ed"])), pair
+            ):
+                w = h * links["g_ris"]
+                assert row_h_d.tobytes() == h_d.tobytes()
+                assert cascades.tobytes() == np.ascontiguousarray(w.T).tobytes()
+                assert w_sum.tobytes() == w.sum(axis=1).tobytes()
+        # `channels_for` keeps no row; a row is dropped after its last pair.
         sc.channels_for(a, b)
-        list(table.channel_sets([(a, c)]))
-        assert list(table._receivers) == [_placement_key(b)]
+        assert table._rows == {}
+        next(table.pair_rows([(a, c), (b, a)]))
+        assert list(table._rows) == [_placement_key(a)]
 
 
 class TestNoiseCalibration:
@@ -169,26 +182,30 @@ class TestNoiseCalibration:
 
     @pytest.mark.parametrize("tx_mode", ["tone", "prs"])
     def test_calibration_reads_only_the_lu(self, monkeypatch, tx_mode):
-        # Receiver rows are worked out each on its own, so the LU row of a
-        # pair with itself is the LU row of a pair with any ED, bit for bit.
+        # The calibration stacks the pair of its LU with itself, whose one
+        # row is computed once and dropped after. All-zero bits sum no
+        # cascade, so n0 is the receive equation with `on` exactly 0, bit
+        # for bit, and the direct sum's within `DIRECT_SUM_RTOL`.
         sc = small_scenario(tx_mode=tx_mode, num_rb=2)
-        sig, bits = sc.tx_signal(), RisConfig.zeros(4, 4).bits
-        lu, ed = Placement(0.0, 7.0), Placement(15.0, 7.0)
-        pairs = []
-        channels_for = sc.channels_for
+        sig, lu = sc.tx_signal(), Placement(0.0, 7.0)
+        nodes = []
+        links = LinkTable._links
 
-        def recording(lu, ed, freqs):
-            pairs.append((lu, ed))
-            return channels_for(lu, ed, freqs)
+        def recording(table, node):
+            nodes.append(node)
+            return links(table, node)
 
-        monkeypatch.setattr(sc, "channels_for", recording)
-        sc.noise_power()
-        assert pairs == [(lu, lu)]
-
-        def lu_row(ed):
-            return channel_powers(channels_for(lu, ed, sig.freqs), sc.element_model, sig, bits)[0]
-
-        assert lu_row(lu).tobytes() == lu_row(ed).tobytes()
+        monkeypatch.setattr(LinkTable, "_links", recording)
+        n0 = sc.noise_power()
+        assert nodes == [lu] and sc.link_table()._rows == {}
+        ch = sc.channels_for(lu, lu)
+        w_sum = (ch.h_ris_lu * ch.g_ris).sum(axis=1)
+        phi = reflection_coefficients(sc.element_model, sig.freqs)
+        p_lu = np.abs(received_signal(ch.h_d_lu, phi, w_sum, 0.0, sig.symbols)) ** 2
+        snr = from_db(sc.target_snr_db)
+        assert n0 == float(p_lu.sum()) / sig.freqs.size / snr
+        direct = direct_powers(ch, sc.element_model, RisConfig.zeros(4, 4), sig)[0]
+        assert n0 == pytest.approx(float(direct.sum()) / sig.freqs.size / snr, rel=DIRECT_SUM_RTOL, abs=0)
 
     def test_explicit_n0_wins(self):
         sc = small_scenario(n0=1e-12)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_receive, model_instance, panel, score
+from helpers import DIRECT_SUM_RTOL, dense_receive, direct_powers, model_instance, panel, score
 from ris_pls.channel import ChannelParams, ChannelSet, LinkTable, Placement
 from ris_pls.ofdm import Numerology, TxSignal, build_prs_grid, prs_signal
-from ris_pls.optimize import EvaluatorBatch, algorithm1, channel_powers
+from ris_pls.optimize import EvaluatorBatch, algorithm1, received_signal, reflection_coefficients
 from ris_pls.ris import ElementModel, RisArrayGeometry, RisConfig
 from ris_pls.secrecy import (
     LinkPowers,
@@ -41,11 +41,11 @@ def unit_tx(k=1, symbols=None):
 
 def evaluator(ch, tx=None):
     """A batch of one under the ideal element model, whose bit 0 reflects +1."""
-    return EvaluatorBatch([ch], ElementModel(), unit_tx(ch.num_subcarriers) if tx is None else tx)
+    return EvaluatorBatch([ch], ElementModel(), unit_tx(ch.freqs.size) if tx is None else tx)
 
 
 def zeros(ch):
-    return np.zeros(ch.num_elements, dtype=np.uint8)
+    return np.zeros(ch.g_ris.shape[1], dtype=np.uint8)
 
 
 class TestDbHelpers:
@@ -286,10 +286,10 @@ class TestDenseReceiveParity:
                 assert report.r_ed == pytest.approx(r_ed, rel=1e-11, abs=0)
 
 
-class TestChannelPowers:
-    """Reports read one configuration straight from the channel set
-    (`optimize.channel_powers`); sweeps read it from their batch
-    (`EvaluatorBatch.powers`)."""
+class TestPowerPath:
+    """Every report reads its powers from a batch (`EvaluatorBatch.powers`),
+    the one power path; they match the direct sum of the receive
+    equation."""
 
     @pytest.mark.parametrize(
         "model",
@@ -300,18 +300,18 @@ class TestChannelPowers:
     def test_matches_dense_sum(self, waveform, model):
         for seed in range(4):
             ch, sig = model_instance(seed, 4, 6, waveform=waveform)
+            ev = EvaluatorBatch([ch], model, sig)
             for bits in np.random.default_rng(seed).integers(0, 2, (4, 24)):
-                p_lu, p_ed = dense_powers(ch, model, sig, RisConfig(bits, 4, 6))
-                p = channel_powers(ch, model, sig, bits)
-                assert p.shape == (2, sig.num_subcarriers)
-                np.testing.assert_allclose(p, [p_lu, p_ed], rtol=1e-11, atol=0)
+                p = ev.powers(bits)[0]
+                assert p.shape == (2, sig.freqs.size)
+                np.testing.assert_allclose(p, direct_powers(ch, model, RisConfig(bits, 4, 6), sig), rtol=1e-11, atol=0)
 
-    def test_matches_batch_powers_on_a_wideband_pair(self):
+    def test_matches_direct_sum_on_a_wideband_pair(self):
         # The benchmark's freq-selectivity pair: a lorentzian element on the
         # 312 occupied subcarriers of a 52-block comb grid, 32x32 panel. The
-        # matrix-vector sums run in another order, so the powers differ in
-        # their last bits: 1.4e-13 relative per subcarrier at most here, and
-        # 4.6e-13 on the benchmark's seed-0 pairs.
+        # direct sum runs in another order, so the powers differ in their
+        # last bits. All-zero bits, the noise calibration's, sum no cascade:
+        # their powers are the receive equation with `on` exactly 0.
         model = ElementModel(mode="lorentzian", resonance_hz=3.55e9, quality_factor=50.0)
         geometry = RisArrayGeometry(n_v=32, n_h=32, tile_rows=16, tile_cols=16)
         sig = prs_signal(build_prs_grid(Numerology(), num_rb=52, seed=0, center_freq_hz=CARRIER))
@@ -319,13 +319,16 @@ class TestChannelPowers:
         ch = LinkTable(tx, geometry, ChannelParams(), sig.freqs).channels(lu, ed)
         ev = EvaluatorBatch([ch], model, sig)
         for bits in np.random.default_rng(0).integers(0, 2, (8, 1024)).astype(np.uint8):
-            p, ref = channel_powers(ch, model, sig, bits), ev.powers(bits)[0]
-            assert np.all(np.abs(p - ref) <= 1e-11 * ref)
-        zeros = np.zeros(1024, dtype=np.uint8)
-        assert channel_powers(ch, model, sig, zeros).tobytes() == ev.powers(zeros)[0].tobytes()
+            ref = direct_powers(ch, model, RisConfig(bits, 32, 32), sig)
+            np.testing.assert_allclose(ev.powers(bits)[0], ref, rtol=DIRECT_SUM_RTOL, atol=0)
+        hd = np.array((ch.h_d_lu, ch.h_d_ed))
+        w_sum = np.array([(h * ch.g_ris).sum(axis=1) for h in (ch.h_ris_lu, ch.h_ris_ed)])
+        phi = reflection_coefficients(model, sig.freqs)
+        calibration = np.abs(received_signal(hd, phi, w_sum, 0.0, sig.symbols)) ** 2
+        assert ev.powers(np.zeros(1024, dtype=np.uint8))[0].tobytes() == calibration.tobytes()
 
     def test_frequencies_must_match(self):
         ch, sig = model_instance(0, 2, 2, waveform="prs")
         other = TxSignal(mode="prs", freqs=sig.freqs + 1.0, symbols=sig.symbols)
         with pytest.raises(ValueError, match="disagree on subcarrier frequencies"):
-            channel_powers(ch, ElementModel(), other, np.zeros(4, dtype=np.uint8))
+            EvaluatorBatch([ch], ElementModel(), other)
